@@ -184,6 +184,7 @@ class LinkRevelio:
                 "link": (int(u), int(v)),
                 "final_loss": losses[-1],
                 "num_flows": flow_index.num_flows,
-                "p_link": float(self.model.predict_proba(graph, np.array([[u, v]]))[0]),
+                # The context forward is exact at both endpoints.
+                "p_link": float(self.model.predict_proba(subgraph, pair)[0]),
             },
         )

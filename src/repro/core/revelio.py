@@ -40,7 +40,7 @@ import numpy as np
 
 from ..autograd import Adam, Tensor, log_softmax
 from ..errors import ExplainerError
-from ..explain.base import Explainer, Explanation
+from ..explain.base import Explainer, Explanation, feature_digest
 from ..flows import FlowIndex, cached_enumerate_flows, graph_fingerprint
 from ..flows.cache import LRUCache
 from ..graph import Graph
@@ -157,21 +157,18 @@ class Revelio(Explainer):
     # ------------------------------------------------------------------
     def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
         """Explain the prediction at ``node`` via message-flow masks."""
-        key = self._memo_key(graph, int(node), mode)
+        context = self.node_context(graph, node)
+        key = self._memo_key((context.graph_fingerprint, context.feature_digest),
+                             int(node), mode)
         hit = EXPLANATION_CACHE.get(key) if key is not None else None
         if hit is not None:
             PERF.explanation_cache_hits += 1
             return _copy_explanation(hit)
-        # The explained class comes from the *full* graph: the L-hop context
-        # can shift GCN renormalization enough to flip the argmax, and the
-        # explanation must target what the model actually predicts.
-        class_idx = self.predicted_class(graph, target=node)
-        context = self.node_context(graph, node)
         flow_index = cached_enumerate_flows(context.subgraph, self.model.num_layers,
                                             target=context.local_target,
                                             max_flows=self.max_flows)
         explanation = self._optimize(context.subgraph, flow_index, mode,
-                                     target=context.local_target, class_idx=class_idx)
+                                     target=context.local_target)
         explanation.target = node
         explanation.context_node_ids = context.node_ids
         explanation.context_edge_positions = context.edge_positions
@@ -184,7 +181,8 @@ class Revelio(Explainer):
 
     def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
         """Explain a graph-level prediction via message-flow masks."""
-        key = self._memo_key(graph, None, mode)
+        key = self._memo_key((graph_fingerprint(graph), feature_digest(graph.x)),
+                             None, mode)
         hit = EXPLANATION_CACHE.get(key) if key is not None else None
         if hit is not None:
             PERF.explanation_cache_hits += 1
@@ -199,24 +197,28 @@ class Revelio(Explainer):
     # ------------------------------------------------------------------
     # result memoization
     # ------------------------------------------------------------------
-    def _memo_key(self, graph: Graph, target: int | None, mode: str):
+    def _memo_key(self, instance: tuple[str, str], target: int | None, mode: str):
         """Complete-input cache key, or ``None`` while the memo is bypassed.
 
-        Everything the optimize loop reads is hashed: graph structure and
-        features, the frozen model weights, the explained instance and
-        every hyperparameter including the seed. Hashing costs microseconds
-        against the multi-millisecond epoch loop it saves.
+        ``instance`` is ``(graph fingerprint, feature digest)`` of what the
+        optimize loop reads: for a node, the full graph's structure (it
+        fixes the context, its degrees and the lifted edge positions) and
+        the features of the receptive field only, as carried by the
+        :class:`~repro.explain.base.NodeContext`; for a graph, its own
+        structure and features. The rest of the key is the frozen model
+        weights, the explained instance and every hyperparameter including
+        the seed. For a node, no step hashes the full feature matrix, so
+        the key costs O(receptive field + E), not O(N·F).
         """
         if not _EXPLANATION_CACHE_ENABLED[0]:
             return None
         h = hashlib.sha1()
-        h.update(np.ascontiguousarray(graph.x).tobytes())
         for name, param in sorted(self.model.named_parameters()):
             h.update(name.encode())
             h.update(np.ascontiguousarray(param.data).tobytes())
         return (
             type(self).__qualname__,
-            graph_fingerprint(graph), h.hexdigest(), target, mode,
+            *instance, h.hexdigest(), target, mode,
             self.model.num_layers, self.epochs, self.lr, self.alpha,
             self.mask_activation, self.layer_weight_activation,
             self.max_flows, self.seed,
@@ -257,13 +259,12 @@ class Revelio(Explainer):
         return scaled.sigmoid()
 
     def _optimize(self, graph: Graph, flow_index: FlowIndex, mode: str,
-                  target: int | None, class_idx: int | None = None) -> Explanation:
+                  target: int | None) -> Explanation:
         rng = ensure_rng(self.seed)
         if flow_index.num_flows == 0:
             raise ExplainerError("instance has no message flows to explain")
 
-        if class_idx is None:
-            class_idx = self.predicted_class(graph, target=target)
+        class_idx = self.predicted_class(graph, target=target)
         used = flow_index.used_layer_edges()
         used_tensor = Tensor(used.astype(np.float64))
         num_used = float(used.sum())

@@ -61,12 +61,11 @@ class TopKRevelio(Revelio):
     # The learning loop overrides Revelio's `_optimize` to work on the
     # reduced parameterization.
     def _optimize(self, graph: Graph, flow_index: FlowIndex, mode: str,
-                  target: int | None, class_idx: int | None = None) -> Explanation:
+                  target: int | None) -> Explanation:
         rng = ensure_rng(self.seed)
         if flow_index.num_flows == 0:
             raise ExplainerError("instance has no message flows to explain")
-        if class_idx is None:
-            class_idx = self.predicted_class(graph, target=target)
+        class_idx = self.predicted_class(graph, target=target)
 
         selected = preselect_flows(self.model, graph, flow_index, self.k,
                                    class_idx, target, strategy=self.strategy,

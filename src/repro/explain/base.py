@@ -36,7 +36,8 @@ from ..obs.names import SPAN_CONTEXT_EXTRACT, SPAN_EXPLAIN
 from .target import ExplainTarget
 
 __all__ = ["Explanation", "Explainer", "NodeContext", "MODES",
-           "CONTEXT_CACHE", "context_cache_disabled", "clear_context_cache"]
+           "CONTEXT_CACHE", "context_cache_disabled", "clear_context_cache",
+           "feature_digest"]
 
 MODES = ("factual", "counterfactual")
 
@@ -46,6 +47,14 @@ MODES = ("factual", "counterfactual")
 #: extraction is shared by all of them.
 CONTEXT_CACHE = LRUCache(maxsize=256)
 _CONTEXT_CACHE_ENABLED = [True]
+
+
+def feature_digest(x: np.ndarray) -> str:
+    """SHA-1 of a feature matrix's dtype, shape and values."""
+    x = np.ascontiguousarray(x)
+    h = hashlib.sha1(f"{x.dtype.str}{x.shape}".encode())
+    h.update(x.tobytes())
+    return h.hexdigest()
 
 
 def clear_context_cache() -> None:
@@ -184,13 +193,19 @@ class Explanation:
 
 @dataclass
 class NodeContext:
-    """The L-hop explanation context around a target node."""
+    """The L-hop explanation context around a target node.
+
+    A forward over ``subgraph`` equals the model's full-graph forward at
+    ``local_target`` (see :attr:`~repro.graph.SampledSubgraph.graph`).
+    """
 
     subgraph: Graph
     node_ids: np.ndarray          # original ids of subgraph nodes
     edge_mask: np.ndarray         # boolean over original edges
     edge_positions: np.ndarray    # original edge index per subgraph edge
     local_target: int             # target's id inside the subgraph
+    graph_fingerprint: str        # structure of the source graph
+    feature_digest: str           # features of the subgraph's nodes
 
 
 class Explainer:
@@ -263,38 +278,49 @@ class Explainer:
     def node_context(self, graph: Graph, node: int) -> NodeContext:
         """Extract the L-hop incoming neighborhood of ``node``.
 
-        Cached across explainer instances: the key covers graph structure,
-        node features (the subgraph slices ``x``), depth and target, so a
-        changed graph can never serve a stale context. Callers must treat
-        the returned context as read-only (all in-tree consumers do).
+        Cached across explainer instances under the key ``(structure of
+        graph, features of the receptive field, depth, node)``. Structure
+        fixes the node set, its degrees and the edge positions; features
+        outside the receptive field cannot reach the target, so an edit
+        there keeps the entry and an edit inside it misses. Only the
+        receptive field's rows of ``x`` are hashed. Callers must treat the
+        returned context as read-only (all in-tree consumers do).
         """
-        if not _CONTEXT_CACHE_ENABLED[0]:
-            with span(SPAN_CONTEXT_EXTRACT, node=int(node)):
-                return self._extract_context(graph, node)
-        x_hash = hashlib.sha1(np.ascontiguousarray(graph.x).tobytes()).hexdigest()
-        key = (graph_fingerprint(graph), x_hash, self.model.num_layers, int(node))
-        context = CONTEXT_CACHE.get(key)
-        if context is None:
-            with span(SPAN_CONTEXT_EXTRACT, node=int(node)):
-                context = self._extract_context(graph, node)
-            CONTEXT_CACHE.put(key, context)
-        else:
+        node = int(node)
+        num_hops = self.model.num_layers
+        # The relabeled subgraph is built lazily, so a cache hit pays only
+        # for the node and edge sets.
+        field = extract_receptive_field(graph, [node], num_hops)
+        fingerprint = graph_fingerprint(graph)
+        digest = feature_digest(graph.x[field.node_ids])
+        key = (fingerprint, digest, num_hops, node)
+        cached = _CONTEXT_CACHE_ENABLED[0]
+        context = CONTEXT_CACHE.get(key) if cached else None
+        if context is not None:
             PERF.context_cache_hits += 1
+            return context
+        with span(SPAN_CONTEXT_EXTRACT, node=node):
+            context = NodeContext(
+                subgraph=field.graph,
+                node_ids=field.node_ids,
+                edge_mask=field.edge_mask,
+                edge_positions=field.edge_positions,
+                local_target=int(field.local_index(node)),
+                graph_fingerprint=fingerprint,
+                feature_digest=digest,
+            )
+        if cached:
+            CONTEXT_CACHE.put(key, context)
         return context
-
-    def _extract_context(self, graph: Graph, node: int) -> NodeContext:
-        field = extract_receptive_field(graph, [int(node)], self.model.num_layers)
-        return NodeContext(
-            subgraph=field.graph,
-            node_ids=field.node_ids,
-            edge_mask=field.edge_mask,
-            edge_positions=field.edge_positions,
-            local_target=int(field.local_index(int(node))),
-        )
 
     def predicted_class(self, graph: Graph,
                         target: ExplainTarget | int | None = None) -> int:
-        """The model's predicted class for the instance."""
+        """The model's predicted class for the instance.
+
+        Node explainers pass ``(context.subgraph, context.local_target)``:
+        the context forward is exact at the target, so this is the
+        full-graph prediction at the cost of the receptive field.
+        """
         from .target import as_node_id
 
         proba = self.model.predict_proba(graph)

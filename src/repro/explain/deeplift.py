@@ -30,11 +30,9 @@ class DeepLIFT(Explainer):
         self.baseline = baseline
 
     def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        class_idx = self.predicted_class(graph, target=node)
         context = self.node_context(graph, node)
         node_scores, class_idx = self._attributions(context.subgraph,
-                                                    target=context.local_target,
-                                                    class_idx=class_idx)
+                                                    target=context.local_target)
         edge_scores = 0.5 * (node_scores[context.subgraph.src] + node_scores[context.subgraph.dst])
         return Explanation(
             edge_scores=self.lift_edge_scores(context, edge_scores, graph.num_edges),
@@ -56,10 +54,8 @@ class DeepLIFT(Explainer):
             mode=mode,
         )
 
-    def _attributions(self, graph: Graph, target: int | None,
-                      class_idx: int | None = None) -> tuple[np.ndarray, int]:
-        if class_idx is None:
-            class_idx = self.predicted_class(graph, target=target)
+    def _attributions(self, graph: Graph, target: int | None) -> tuple[np.ndarray, int]:
+        class_idx = self.predicted_class(graph, target=target)
         x = Tensor(graph.x, requires_grad=True)
         logits = self.model.forward(x, graph.edge_index, graph.num_nodes)
         log_probs = log_softmax(logits, axis=-1)

@@ -80,13 +80,12 @@ class FlowX(Explainer):
 
     # ------------------------------------------------------------------
     def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        class_idx = self.predicted_class(graph, target=node)
         context = self.node_context(graph, node)
         flow_index = cached_enumerate_flows(context.subgraph, self.model.num_layers,
                                             target=context.local_target,
                                             max_flows=self.max_flows)
         explanation = self._explain(context.subgraph, flow_index, mode,
-                                    target=context.local_target, class_idx=class_idx)
+                                    target=context.local_target)
         explanation.target = node
         explanation.context_node_ids = context.node_ids
         explanation.context_edge_positions = context.edge_positions
@@ -186,10 +185,9 @@ class FlowX(Explainer):
     # stage 2: learning refinement
     # ------------------------------------------------------------------
     def _explain(self, graph: Graph, flow_index: FlowIndex, mode: str,
-                 target: int | None, class_idx: int | None = None) -> Explanation:
+                 target: int | None) -> Explanation:
         rng = ensure_rng(self.seed)
-        if class_idx is None:
-            class_idx = self.predicted_class(graph, target=target)
+        class_idx = self.predicted_class(graph, target=target)
 
         shapley = self._shapley_flow_scores(graph, flow_index, class_idx, target, rng)
         # Seed learnable masks: scale raw contributions into tanh's active

@@ -65,13 +65,12 @@ class GNNLRP(Explainer):
         self.batched = batched
 
     def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        class_idx = self.predicted_class(graph, target=node)
         context = self.node_context(graph, node)
         flow_index = cached_enumerate_flows(context.subgraph, self.model.num_layers,
                                             target=context.local_target,
                                             max_flows=self.max_flows)
         explanation = self._explain(context.subgraph, flow_index, target=context.local_target,
-                                    mode=mode, class_idx=class_idx)
+                                    mode=mode)
         explanation.target = node
         explanation.context_node_ids = context.node_ids
         explanation.context_edge_positions = context.edge_positions
@@ -96,9 +95,8 @@ class GNNLRP(Explainer):
         return float(row[class_idx])
 
     def _explain(self, graph: Graph, flow_index: FlowIndex, target: int | None,
-                 mode: str, class_idx: int | None = None) -> Explanation:
-        if class_idx is None:
-            class_idx = self.predicted_class(graph, target=target)
+                 mode: str) -> Explanation:
+        class_idx = self.predicted_class(graph, target=target)
         num_layers = flow_index.num_layers
         width = flow_index.num_layer_edges
         h = self.step

@@ -60,10 +60,8 @@ class GNNExplainer(Explainer):
         self.feature_size_weight = feature_size_weight
 
     def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        class_idx = self.predicted_class(graph, target=node)
         context = self.node_context(graph, node)
-        explanation = self._optimize(context.subgraph, mode, target=context.local_target,
-                                     class_idx=class_idx)
+        explanation = self._optimize(context.subgraph, mode, target=context.local_target)
         explanation.target = node
         explanation.context_node_ids = context.node_ids
         explanation.context_edge_positions = context.edge_positions
@@ -75,11 +73,9 @@ class GNNExplainer(Explainer):
     def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
         return self._optimize(graph, mode, target=None)
 
-    def _optimize(self, graph: Graph, mode: str, target: int | None,
-                  class_idx: int | None = None) -> Explanation:
+    def _optimize(self, graph: Graph, mode: str, target: int | None) -> Explanation:
         rng = ensure_rng(self.seed)
-        if class_idx is None:
-            class_idx = self.predicted_class(graph, target=target)
+        class_idx = self.predicted_class(graph, target=target)
         num_edges, num_nodes = graph.num_edges, graph.num_nodes
 
         raw_mask = Tensor(rng.normal(0.0, 0.1, size=num_edges), requires_grad=True)

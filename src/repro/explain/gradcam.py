@@ -28,10 +28,8 @@ class GradCAM(Explainer):
         super().__init__(model, seed=seed)
 
     def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        class_idx = self.predicted_class(graph, target=node)
         context = self.node_context(graph, node)
-        scores, class_idx = self._node_heat(context.subgraph, target=context.local_target,
-                                            class_idx=class_idx)
+        scores, class_idx = self._node_heat(context.subgraph, target=context.local_target)
         edge_scores = self._edges_from_nodes(context.subgraph, scores)
         return Explanation(
             edge_scores=self.lift_edge_scores(context, edge_scores, graph.num_edges),
@@ -52,12 +50,10 @@ class GradCAM(Explainer):
             mode=mode,
         )
 
-    def _node_heat(self, graph: Graph, target: int | None,
-                   class_idx: int | None = None) -> tuple[np.ndarray, int]:
+    def _node_heat(self, graph: Graph, target: int | None) -> tuple[np.ndarray, int]:
         from ..autograd import Tensor
 
-        if class_idx is None:
-            class_idx = self.predicted_class(graph, target=target)
+        class_idx = self.predicted_class(graph, target=target)
         # The model is frozen, so the tape must be rooted at the input for
         # intermediate gradients to exist.
         x = Tensor(graph.x, requires_grad=True)

@@ -177,7 +177,8 @@ class GraphMask(Explainer):
             layer_scores = 1.0 - layer_scores
         return Explanation(
             edge_scores=self.lift_edge_scores(context, edge_scores, graph.num_edges),
-            predicted_class=self.predicted_class(graph, target=node),
+            predicted_class=self.predicted_class(context.subgraph,
+                                                 target=context.local_target),
             method=self.name,
             mode=mode,
             target=node,

@@ -149,7 +149,8 @@ class PGExplainer(Explainer):
             scores = 1.0 - scores
         return Explanation(
             edge_scores=self.lift_edge_scores(context, scores, graph.num_edges),
-            predicted_class=self.predicted_class(graph, target=node),
+            predicted_class=self.predicted_class(context.subgraph,
+                                                 target=context.local_target),
             method=self.name,
             mode=mode,
             target=node,

@@ -54,11 +54,9 @@ class PGMExplainer(Explainer):
         self.batched = batched
 
     def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        class_idx = self.predicted_class(graph, target=node)
         context = self.node_context(graph, node)
         node_scores, class_idx = self._node_importance(context.subgraph,
-                                                       target=context.local_target,
-                                                       class_idx=class_idx)
+                                                       target=context.local_target)
         sub = context.subgraph
         edge_scores = 0.5 * (node_scores[sub.src] + node_scores[sub.dst])
         return Explanation(
@@ -84,11 +82,9 @@ class PGMExplainer(Explainer):
         )
 
     # ------------------------------------------------------------------
-    def _node_importance(self, graph: Graph, target: int | None,
-                         class_idx: int | None = None) -> tuple[np.ndarray, int]:
+    def _node_importance(self, graph: Graph, target: int | None) -> tuple[np.ndarray, int]:
         rng = ensure_rng(self.seed)
-        if class_idx is None:
-            class_idx = self.predicted_class(graph, target=target)
+        class_idx = self.predicted_class(graph, target=target)
         proba = self.model.predict_proba(graph)
         base_p = float((proba[target] if target is not None else proba[0])[class_idx])
 

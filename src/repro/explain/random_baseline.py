@@ -29,7 +29,8 @@ class RandomExplainer(Explainer):
         local = self._rng.random(context.subgraph.num_edges)
         return Explanation(
             edge_scores=self.lift_edge_scores(context, local, graph.num_edges),
-            predicted_class=self.predicted_class(graph, target=node),
+            predicted_class=self.predicted_class(context.subgraph,
+                                                 target=context.local_target),
             method=self.name,
             mode=mode,
             target=node,

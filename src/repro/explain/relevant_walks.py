@@ -59,10 +59,9 @@ class RelevantWalks(Explainer):
 
     # ------------------------------------------------------------------
     def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        class_idx = self.predicted_class(graph, target=node)
         context = self.node_context(graph, node)
         explanation = self._search(context.subgraph, target=context.local_target,
-                                   class_idx=class_idx, mode=mode)
+                                   mode=mode)
         explanation.target = node
         explanation.context_node_ids = context.node_ids
         explanation.context_edge_positions = context.edge_positions
@@ -72,8 +71,7 @@ class RelevantWalks(Explainer):
         return explanation
 
     def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
-        return self._search(graph, target=None,
-                            class_idx=self.predicted_class(graph), mode=mode)
+        return self._search(graph, target=None, mode=mode)
 
     # ------------------------------------------------------------------
     def _layer_edge_relevance(self, graph: Graph, class_idx: int,
@@ -134,8 +132,8 @@ class RelevantWalks(Explainer):
         scores = np.array([walk[0] for walk in finals])
         return nodes, edges, scores
 
-    def _search(self, graph: Graph, target: int | None, class_idx: int,
-                mode: str) -> Explanation:
+    def _search(self, graph: Graph, target: int | None, mode: str) -> Explanation:
+        class_idx = self.predicted_class(graph, target=target)
         relevance = self._layer_edge_relevance(graph, class_idx, target)
         log_weights = np.where(relevance > 0, np.log(relevance + 1e-300), _LOG_FLOOR)
 

@@ -74,12 +74,10 @@ class SubgraphX(Explainer):
 
     # ------------------------------------------------------------------
     def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        class_idx = self.predicted_class(graph, target=node)
         context = self.node_context(graph, node)
         edge_scores, class_idx = self._search(context.subgraph,
                                               target=context.local_target,
-                                              protected={context.local_target},
-                                              class_idx=class_idx)
+                                              protected={context.local_target})
         return Explanation(
             edge_scores=self.lift_edge_scores(context, edge_scores, graph.num_edges),
             predicted_class=class_idx,
@@ -200,11 +198,10 @@ class SubgraphX(Explainer):
                     stack.append(u)
         return len(seen) == len(coalition)
 
-    def _search(self, graph: Graph, target: int | None, protected: set[int],
-                class_idx: int | None = None) -> tuple[np.ndarray, int]:
+    def _search(self, graph: Graph, target: int | None,
+                protected: set[int]) -> tuple[np.ndarray, int]:
         rng = ensure_rng(self.seed)
-        if class_idx is None:
-            class_idx = self.predicted_class(graph, target=target)
+        class_idx = self.predicted_class(graph, target=target)
         nbrs = self._neighbors(graph)
         root = _TreeNode(frozenset(range(graph.num_nodes)))
         rewards: dict[frozenset, float] = {}

@@ -130,6 +130,14 @@ class SampledSubgraph:
 
         Local edge order follows global edge order, so ``graph.edge_index``
         column ``j`` is global edge ``edge_positions[j]``.
+
+        The subgraph's sparse cache is preloaded with the source graph's
+        ``deg_inv_sqrt`` sliced to the kept nodes. A boundary node (at
+        distance exactly ``num_hops``) has lost in-edges, and GCN's
+        renormalization scales its out-edges by its degree; with the
+        preload every conv reads the source's degrees, so a forward over
+        the subgraph equals the source's forward at every target row.
+        Nested extractions compose: they slice an already-preloaded vector.
         """
         if self._graph is None:
             # Local import: graph.utils re-exports from this module.
@@ -139,6 +147,10 @@ class SampledSubgraph:
             # set over it must agree with the recorded mask.
             assert np.array_equal(node_ids, self.node_ids)
             assert np.array_equal(edge_mask, self.edge_mask)
+            # dst_plan.counts is the augmented in-degree, so the slice is
+            # exactly D̂^{-1/2} of each kept node as the source sees it.
+            sparse_cache(sub)._deg_inv_sqrt = np.ascontiguousarray(
+                sparse_cache(self._source).deg_inv_sqrt[self.node_ids])
             self._graph = sub
         return self._graph
 
@@ -216,6 +228,8 @@ def extract_receptive_field(graph: Graph, targets, num_hops: int) -> SampledSubg
     Extra edges contributed by one target's cone never change another
     target's local prediction — message passing at a node only reads its
     in-edges, which are all present for any node that can reach a target.
+    A forward over the result's ``.graph`` is exact at every target (see
+    :attr:`SampledSubgraph.graph`).
     """
     node_ids = khop_in_nodes(graph, targets, num_hops)
     in_set = np.zeros(graph.num_nodes, dtype=bool)

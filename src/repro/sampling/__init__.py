@@ -1,15 +1,13 @@
-"""Receptive-field sampled explanation (`ISSUE 9` tentpole).
+"""Receptive-field sampled explanation.
 
 ``repro.sampling`` decouples explanation cost from graph size: a
-:class:`ReceptiveField` extracts the L-hop in-subgraph of one or more
-targets as a compact relabeled :class:`~repro.graph.sampled.SampledSubgraph`
-(exact for L-layer GNNs by the locality argument in DESIGN.md §13), and a
-:class:`SampledExplainRuntime` runs any registered explainer on that
-subgraph and lifts the scores back to global ids — numerically identical
-to the full-graph path, at receptive-field cost.
+:class:`SampledExplainRuntime` extracts the L-hop in-subgraph of a node or
+link target with :func:`~repro.graph.extract_receptive_field` (exact for
+L-layer GNNs by the locality argument in DESIGN.md §13), runs any
+registered explainer on that subgraph and lifts the scores back to global
+ids — numerically identical to the full-graph path.
 """
 
-from .receptive_field import ReceptiveField
 from .runtime import SampledExplainRuntime, lift_explanation
 
-__all__ = ["ReceptiveField", "SampledExplainRuntime", "lift_explanation"]
+__all__ = ["SampledExplainRuntime", "lift_explanation"]

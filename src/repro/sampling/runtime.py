@@ -1,25 +1,27 @@
 """Route any registered explainer through a sampled receptive field.
 
 :class:`SampledExplainRuntime` makes graph size and explanation cost
-independent: instead of handing an explainer the full graph (whose
-``predict_proba`` forward, feature hashing and neighborhood scans are all
-O(N + E)), it extracts the target's L-hop receptive field once, runs the
-*unchanged* explainer on the compact relabeled subgraph, and lifts every
+independent: it extracts the target's L-hop receptive field once, runs
+the *unchanged* explainer on the compact relabeled subgraph, and lifts every
 score space of the resulting :class:`~repro.explain.base.Explanation`
 back to global ids. By the locality argument (DESIGN.md §13) the result
 is numerically identical to the full-graph path — a property the test
-suite asserts per explainer and the ``sampled_explain`` benchmark gates.
+suite asserts per explainer. Node explainers already work on the same
+exact context on the full-graph path (``Explainer.node_context``), so
+per request the runtime now saves only the O(E) structural fingerprint
+of the full graph that the context cache key hashes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ExplainerError
+from ..errors import ExplainerError, GraphError
 from ..explain.base import Explanation
 from ..explain.target import ExplainTarget
-from ..graph import Graph, SampledSubgraph
-from .receptive_field import ReceptiveField
+from ..graph import Graph, SampledSubgraph, extract_receptive_field
+from ..obs import span
+from ..obs.names import SPAN_SAMPLED_EXTRACT
 
 __all__ = ["SampledExplainRuntime", "lift_explanation"]
 
@@ -75,8 +77,9 @@ class SampledExplainRuntime:
 
     def __init__(self, explainer, num_hops: int | None = None):
         self.explainer = explainer
-        self.receptive_field = ReceptiveField(
-            int(explainer.model.num_layers if num_hops is None else num_hops))
+        self.num_hops = int(explainer.model.num_layers if num_hops is None else num_hops)
+        if self.num_hops < 1:
+            raise GraphError(f"num_hops must be >= 1, got {self.num_hops}")
 
     def explain(self, graph: Graph, target: ExplainTarget | int | None = None,
                 mode: str = "factual") -> Explanation:
@@ -92,7 +95,12 @@ class SampledExplainRuntime:
             raise ExplainerError(
                 "sampled explanation requires a node or link target; "
                 "whole-graph instances are already their own context")
-        field = self.receptive_field.extract(graph, list(target.ids))
+        with span(SPAN_SAMPLED_EXTRACT, num_hops=self.num_hops) as sp:
+            field = extract_receptive_field(graph, list(target.ids), self.num_hops)
+            field.graph  # build the relabeled subgraph inside the span
+            if sp is not None:
+                sp.set(num_targets=len(field.targets), num_nodes=field.num_nodes,
+                       num_edges=field.num_edges)
         if target.kind == "link":
             lu, lv = (int(i) for i in field.local_targets)
             local = self.explainer.explain(field.graph,
@@ -105,4 +113,4 @@ class SampledExplainRuntime:
 
     def __repr__(self) -> str:
         return (f"SampledExplainRuntime(explainer={self.explainer.name}, "
-                f"num_hops={self.receptive_field.num_hops})")
+                f"num_hops={self.num_hops})")

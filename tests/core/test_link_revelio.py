@@ -35,6 +35,15 @@ class TestLinkRevelio:
         assert e.meta["link"] == (u, v)
         assert 0.0 <= e.meta["p_link"] <= 1.0
 
+    def test_p_link_is_the_full_graph_probability(self, link_setup):
+        """p_link comes from the link context, whose forward is exact."""
+        from repro.explain import ExplainTarget
+
+        graph, model, u, v = link_setup
+        e = LinkRevelio(model, epochs=2, seed=0).explain(graph, ExplainTarget.link(u, v))
+        full = float(model.predict_proba(graph, np.array([[u, v]]))[0])
+        assert abs(e.meta["p_link"] - full) <= 1e-12
+
     def test_flows_end_at_an_endpoint(self, link_setup):
         graph, model, u, v = link_setup
         e = LinkRevelio(model, epochs=15, seed=0).explain(graph, u, v)

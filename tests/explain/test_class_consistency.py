@@ -1,51 +1,195 @@
-"""Regression: every explainer must explain the model's FULL-graph
-prediction, not the prediction on the extracted L-hop context.
+"""Every node explainer explains the model's full-graph prediction, at the
+cost of the target's receptive field.
 
-GCN renormalization can flip the argmax when a node's neighborhood is cut
-down to the computational subgraph; explaining that drifted class would
-make fidelity evaluation measure the wrong thing.
+``Explainer.node_context`` hands explainers the target's L-hop incoming
+neighborhood, whose sparse cache carries the full graph's degrees, so a
+forward over the context equals the full-graph forward at the target row.
+Node explainers take their class from that forward. These tests pin the
+three consequences: the context forward is exact on pathological graphs
+for GCN, GIN and GAT; every registered node explainer reports the
+full-graph argmax; and no ``explain_node`` call runs a forward over, or
+hashes the features of, the full graph.
 """
 
-import pytest
+import functools
+import hashlib
 
-from repro.explain import make_explainer
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.autograd import no_grad
+from repro.core.revelio import clear_explanation_cache
+from repro.explain import EXPLAINERS, ExplainTarget, make_explainer
+from repro.explain.base import clear_context_cache
+from repro.flows import invalidate
+from repro.graph import Graph
+from repro.nn.models import GNN, build_model
 
 FAST = {
     "gradcam": {},
     "deeplift": {},
     "gnnexplainer": {"epochs": 5},
+    "pgexplainer": {"epochs": 3},
+    "graphmask": {"epochs": 3},
     "pgm_explainer": {"num_samples": 10},
     "subgraphx": {"rollouts": 2, "shapley_samples": 2},
     "gnn_lrp": {},
     "flowx": {"samples": 1, "finetune_epochs": 5},
+    "relevant_walks": {},
     "revelio": {"epochs": 5},
+    "revelio_topk": {"epochs": 5, "k": 4},
     "random": {},
 }
 
+NUM_FEATURES = 4
+NUM_CLASSES = 3
+#: The context forward is expected to be bitwise equal; this is the ceiling.
+EXACT_TOL = 1e-12
 
-def _drifting_node(model, dataset):
-    """Find a node whose context-subgraph prediction differs from the
-    full-graph one; skip the test when this model/dataset has none."""
-    expl = make_explainer("random", model)
-    graph = dataset.graph
-    full_pred = model.predict(graph)
+
+def _make(method, model, graph, nodes):
+    """A ready explainer; group methods are fitted on ``nodes`` first."""
+    explainer = make_explainer(method, model, **FAST[method])
+    if hasattr(explainer, "fit"):
+        explainer.fit(explainer.prepare_instances(graph, list(nodes)))
+    return explainer
+
+
+def test_every_registered_node_explainer_is_covered():
+    assert set(FAST) == set(EXPLAINERS) | {"revelio", "revelio_topk"}
+
+
+# ----------------------------------------------------------------------
+# the context forward is exact
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _untrained(conv: str) -> GNN:
+    # Exactness is a property of the forward machinery, not of the fit.
+    return build_model(conv, "node", NUM_FEATURES, NUM_CLASSES, hidden=8, rng=0)
+
+
+@st.composite
+def pathological_graphs(draw):
+    """Two random components (self-loops and duplicate edges allowed), an
+    isolated node, a node with out-edges only, and duplicated edges."""
+    sizes = draw(st.tuples(st.integers(1, 7), st.integers(0, 5)))
+    edges: list[tuple[int, int]] = []
+    offset = 0
+    for size in sizes:
+        if size:
+            pairs = draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                            st.integers(0, size - 1)),
+                                  max_size=3 * size))
+            edges += [(u + offset, v + offset) for u, v in pairs]
+        offset += size
+    isolated, source = offset, offset + 1
+    num_nodes = offset + 2
+    edges += [(source, v) for v in draw(st.lists(st.integers(0, sizes[0] - 1),
+                                                 min_size=1, max_size=3))]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    seed = draw(st.integers(0, 2**16))
+    x = np.random.default_rng(seed).normal(size=(num_nodes, NUM_FEATURES))
+    edge_index = np.array(edges, dtype=np.int64).T.reshape(2, -1)
+    return Graph(edge_index=edge_index, x=x), isolated, source
+
+
+@pytest.mark.parametrize("conv", ["gcn", "gin", "gat"])
+@settings(max_examples=30, deadline=None)
+@given(case=pathological_graphs())
+def test_context_forward_equals_full_graph_row(conv, case):
+    graph, isolated, source = case
+    model = _untrained(conv)
+    probe = make_explainer("random", model)
+    with no_grad():
+        full = model.forward_graph(graph).numpy()
+        worst = 0.0
+        for v in range(graph.num_nodes):
+            context = probe.node_context(graph, v)
+            local = model.forward_graph(context.subgraph).numpy()[context.local_target]
+            worst = max(worst, float(np.abs(local - full[v]).max()))
+    assert worst <= EXACT_TOL
+    assert probe.node_context(graph, isolated).subgraph.num_nodes == 1
+    assert probe.node_context(graph, source).subgraph.num_edges == 0
+
+
+# ----------------------------------------------------------------------
+# every node explainer explains the full-graph argmax
+# ----------------------------------------------------------------------
+def test_predicted_class_in_context_is_full_graph_argmax(node_model, mini_ba_shapes):
+    graph = mini_ba_shapes.graph
+    full = node_model.predict(graph)
+    probe = make_explainer("random", node_model)
     for v in range(graph.num_nodes):
-        ctx = expl.node_context(graph, int(v))
-        if ctx.subgraph.num_edges == 0:
-            continue
-        sub_pred = int(model.predict(ctx.subgraph)[ctx.local_target])
-        if sub_pred != full_pred[v]:
-            return int(v), int(full_pred[v])
-    return None, None
+        context = probe.node_context(graph, v)
+        assert probe.predicted_class(context.subgraph, context.local_target) == full[v]
 
 
 @pytest.mark.parametrize("method", sorted(FAST))
 def test_explained_class_is_full_graph_prediction(method, node_model, mini_ba_shapes):
-    node, full_class = _drifting_node(node_model, mini_ba_shapes)
-    if node is None:
-        pytest.skip("no drifting node in this fixture model")
-    expl = make_explainer(method, node_model, **FAST[method])
-    if hasattr(expl, "fit"):
-        pytest.skip("group methods compute classes at fit time")
-    e = expl.explain(mini_ba_shapes.graph, target=node)
-    assert e.predicted_class == full_class
+    graph = mini_ba_shapes.graph
+    full = node_model.predict(graph)
+    nodes = [0, int(mini_ba_shapes.motif_nodes[0]), graph.num_nodes - 1]
+    explainer = _make(method, node_model, graph, nodes)
+    for node in nodes:
+        e = explainer.explain(graph, ExplainTarget.node(node))
+        assert e.predicted_class == full[node], (method, node)
+
+
+# ----------------------------------------------------------------------
+# explain_node never touches the full graph
+# ----------------------------------------------------------------------
+class _Sha1Spy:
+    """A sha1 object that records whether it was fed ``forbidden`` whole."""
+
+    def __init__(self, forbidden: bytes, hits: list, data: bytes = b"", **kwargs):
+        self._forbidden = forbidden
+        self._hits = hits
+        self._h = _REAL_SHA1(**kwargs)
+        self.update(data)
+
+    def update(self, data) -> None:
+        data = bytes(data)
+        if data == self._forbidden:
+            self._hits.append(len(data))
+        self._h.update(data)
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+    def digest(self) -> bytes:
+        return self._h.digest()
+
+
+_REAL_SHA1 = hashlib.sha1
+
+
+@pytest.mark.parametrize("method", sorted(FAST))
+def test_explain_node_never_touches_the_full_graph(method, node_model, mini_ba_shapes,
+                                                   monkeypatch):
+    graph = mini_ba_shapes.graph
+    node = int(mini_ba_shapes.motif_nodes[0])
+    explainer = _make(method, node_model, graph, [node])  # fit is exempt
+    context_size = explainer.node_context(graph, node).subgraph.num_nodes
+    assert context_size < graph.num_nodes
+    clear_context_cache()
+    clear_explanation_cache()
+    invalidate()
+
+    forwards: list[Graph] = []
+    for name in ("forward_graph", "predict_proba", "forward_masked_batch"):
+        def spy(self, g, *args, _original=getattr(GNN, name), **kwargs):
+            forwards.append(g)
+            return _original(self, g, *args, **kwargs)
+        monkeypatch.setattr(GNN, name, spy)
+    full_hashes: list[int] = []
+    forbidden = np.ascontiguousarray(graph.x).tobytes()
+    monkeypatch.setattr(hashlib, "sha1",
+                        lambda *a, **k: _Sha1Spy(forbidden, full_hashes, *a, **k))
+
+    explainer.explain(graph, ExplainTarget.node(node))
+    assert forwards, f"{method} ran no forward at all"
+    assert all(g is not graph and g.num_nodes <= context_size for g in forwards)
+    assert not full_hashes, f"{method} hashed the full feature matrix"

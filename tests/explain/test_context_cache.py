@@ -68,3 +68,76 @@ def test_disabled_context_cache_restores_on_raise(mini_ba_shapes, node_model):
     node = int(mini_ba_shapes.motif_nodes[0])
     expl = RandomExplainer(node_model)
     assert expl.node_context(g, node) is expl.node_context(g, node)
+
+
+# ----------------------------------------------------------------------
+# key completeness: the context cache and the Revelio memo
+# ----------------------------------------------------------------------
+def _edits(mini_ba_shapes, node_model):
+    """A target, plus copies of the graph with one edit each: a feature row
+    outside the target's receptive field, one inside it, and the removal of
+    an edge far from it."""
+    g = mini_ba_shapes.graph
+    node = int(mini_ba_shapes.motif_nodes[0])
+    context = RandomExplainer(node_model).node_context(g, node)
+    outside_node = int(np.setdiff1d(np.arange(g.num_nodes), context.node_ids)[0])
+    touches = np.isin(g.src, context.node_ids) | np.isin(g.dst, context.node_ids)
+    far = np.ones(g.num_edges, dtype=bool)
+    far[int(np.flatnonzero(~touches)[-1])] = False
+
+    def with_row(row):
+        edited = g.copy()
+        edited.x[row] += 1.0
+        return edited
+
+    return g, node, {"feature outside": with_row(outside_node),
+                     "feature inside": with_row(node),
+                     "far edge": g.with_edges(far)}
+
+
+def test_context_key_is_local_to_the_receptive_field(mini_ba_shapes, node_model):
+    g, node, edited = _edits(mini_ba_shapes, node_model)
+    expl = RandomExplainer(node_model)
+    first = expl.node_context(g, node)
+    assert expl.node_context(edited["feature outside"], node) is first
+    assert expl.node_context(edited["feature inside"], node) is not first
+    assert expl.node_context(edited["far edge"], node) is not first
+
+
+def test_explanation_memo_key_is_local_to_the_receptive_field(mini_ba_shapes, node_model):
+    from repro.core import Revelio
+    from repro.core.revelio import clear_explanation_cache
+
+    g, node, edited = _edits(mini_ba_shapes, node_model)
+    clear_explanation_cache()
+    explainer = Revelio(node_model, epochs=3)
+    base = explainer.explain_node(g, node)
+    expected_hit = {"feature outside": True, "feature inside": False, "far edge": False}
+    for name, graph in edited.items():
+        # A fresh context every time, so only the memo can answer.
+        clear_context_cache()
+        before = PERF.explanation_cache_hits
+        again = explainer.explain_node(graph, node)
+        assert (PERF.explanation_cache_hits == before + 1) is expected_hit[name], name
+        if expected_hit[name]:
+            assert np.array_equal(again.edge_scores, base.edge_scores)
+    clear_explanation_cache()
+
+
+def test_revelio_extracts_one_context_per_explanation(mini_ba_shapes, node_model,
+                                                      monkeypatch):
+    from repro.core import Revelio
+    from repro.explain.base import Explainer
+
+    calls = []
+    original = Explainer.node_context
+
+    def counting(self, graph, node):
+        calls.append(node)
+        return original(self, graph, node)
+
+    monkeypatch.setattr(Explainer, "node_context", counting)
+    with context_cache_disabled():
+        Revelio(node_model, epochs=2).explain_node(
+            mini_ba_shapes.graph, int(mini_ba_shapes.motif_nodes[0]))
+    assert len(calls) == 1

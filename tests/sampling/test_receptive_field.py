@@ -1,4 +1,4 @@
-"""SampledSubgraph id maps and the exact-forward ReceptiveField extractor."""
+"""SampledSubgraph id maps and the exact forward of extract_receptive_field."""
 
 import numpy as np
 import pytest
@@ -104,36 +104,39 @@ class TestReceptiveFieldForwardParity:
     def test_forward_exact_at_target_rows(self, node_model, mini_ba_shapes):
         """The preloaded degree cache makes the local forward exact: the
         sampled prediction rows equal the full-graph rows bitwise."""
-        from repro.sampling import ReceptiveField
-
         graph = mini_ba_shapes.graph
         full = node_model.predict_proba(graph)
-        extractor = ReceptiveField(node_model.num_layers)
         targets = [0, 5, int(graph.num_nodes - 1)]
-        field = extractor.extract(graph, targets)
+        field = extract_receptive_field(graph, targets, node_model.num_layers)
         local = node_model.predict_proba(field.graph)
         for t, lt in zip(field.targets, field.local_targets):
             assert (local[int(lt)] == full[int(t)]).all()
 
-    def test_accepts_explain_targets(self, node_model, mini_ba_shapes):
-        from repro.explain import ExplainTarget
-        from repro.sampling import ReceptiveField
-
+    def test_nested_extraction_stays_exact(self, node_model, mini_ba_shapes):
+        """Extracting from an extraction slices an already-preloaded degree
+        vector, so the inner field is still exact at the target."""
         graph = mini_ba_shapes.graph
-        extractor = ReceptiveField(2)
-        mixed = extractor.extract(graph, [ExplainTarget.node(3),
-                                          ExplainTarget.link(1, 5), 7])
-        assert sorted(int(t) for t in mixed.targets) == \
-            sorted(set(int(t) for t in
-                       extractor.extract(graph, [3, 1, 5, 7]).targets))
-        with pytest.raises(GraphError):
-            extractor.extract(graph, [ExplainTarget.graph(0)])
+        full = node_model.predict_proba(graph)
+        target = int(mini_ba_shapes.motif_nodes[0])
+        outer = extract_receptive_field(graph, [target, 0], node_model.num_layers)
+        local_target = int(outer.local_index(target))
+        inner = extract_receptive_field(outer.graph, [local_target],
+                                        node_model.num_layers)
+        local = node_model.predict_proba(inner.graph)
+        assert (local[int(inner.local_targets[0])] == full[target]).all()
+
+    def test_link_target_ids_extract_one_union(self, mini_ba_shapes):
+        graph = mini_ba_shapes.graph
+        union = extract_receptive_field(graph, [1, 5], 2)
+        assert union.targets == (1, 5)
+        assert (union.node_ids == np.union1d(khop_in_nodes(graph, [1], 2),
+                                             khop_in_nodes(graph, [5], 2))).all()
 
     def test_num_hops_validation(self):
-        from repro.sampling import ReceptiveField
-
+        g = _ring_with_spur()
         with pytest.raises(GraphError):
-            ReceptiveField(0)
+            extract_receptive_field(g, [0], -1)
+        assert extract_receptive_field(g, [3], 0).node_ids.tolist() == [3]
 
 
 class TestKhopSubgraphShim:
