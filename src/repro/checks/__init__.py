@@ -21,7 +21,7 @@ claims rest on, in six families:
 * **event-loop discipline** — no blocking calls (``time.sleep``, sync
   subprocess/socket/file waits) inside :mod:`repro.serve` coroutines;
   slow work runs on the coalescer's executor thread (RPR060);
-* **target typing** — public explain/eval/serve/sampling entry points
+* **target typing** — public explain/eval/serve entry points
   type their ``target``/``targets`` parameters as ``ExplainTarget``, the
   one vocabulary for "what is being explained" (RPR070);
 * **whole-program analysis** (:mod:`repro.checks.program`) — import

@@ -22,7 +22,7 @@ The contract (see DESIGN.md §14 for the per-edge rationale)::
     errors/rng/version            < sparse/obs/execution
     < graph/datasets              < autograd/nn
     < flows                       < core/explain/analysis
-    < eval/sampling/viz           < runner/serve/checks/cli
+    < eval/viz                    < runner/serve/checks/cli
 
 ``repro.core`` (the paper's algorithm) sits with ``explain``, not at the
 bottom: Revelio *is* an Explainer over trained models, so the compute
@@ -50,7 +50,7 @@ LAYERS: tuple[tuple[str, frozenset[str]], ...] = (
     ("flows", frozenset({"repro.flows"})),
     ("explain", frozenset({"repro.core", "repro.explain",
                            "repro.analysis"})),
-    ("evaluation", frozenset({"repro.eval", "repro.sampling", "repro.viz"})),
+    ("evaluation", frozenset({"repro.eval", "repro.viz"})),
     ("orchestration", frozenset({"repro.runner", "repro.serve",
                                  "repro.checks", "repro.cli",
                                  "repro.instrumentation", "repro.__main__",

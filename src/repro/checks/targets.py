@@ -5,7 +5,7 @@ the one vocabulary for "what is being explained" — node ids, link
 endpoints and graph indices all flow through it, and the bare-int /
 ``(u, v)``-tuple shapes survive only one release behind a
 ``DeprecationWarning``. This rule keeps the surface from regressing: a
-public explain/eval/serve/sampling function whose ``target``/``targets``
+public explain/eval/serve function whose ``target``/``targets``
 parameter is untyped (or typed as a bare int) is a new entry point
 quietly reintroducing the legacy shape, and fails lint instead of
 review.
@@ -46,12 +46,12 @@ def _function_nodes(tree: ast.Module) -> Iterator[tuple[ast.AST, bool]]:
 class UntypedExplainTargets(Rule):
     code = "RPR070"
     name = "untyped-explain-targets"
-    rationale = ("Public explain/eval/serve/sampling entry points must "
+    rationale = ("Public explain/eval/serve entry points must "
                  "type their target/targets parameters as ExplainTarget: "
                  "an untyped target parameter is a new entry point "
                  "reintroducing the deprecated bare-int/tuple shapes.")
 
-    _SCOPED = ("repro.explain", "repro.eval", "repro.serve", "repro.sampling")
+    _SCOPED = ("repro.explain", "repro.eval", "repro.serve")
 
     def applies(self, ctx: FileContext) -> bool:
         return ctx.module_is(*self._SCOPED)

@@ -74,10 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="node id (node tasks) or graph index (graph tasks)")
     p_explain.add_argument("--mode", choices=("factual", "counterfactual"),
                            default="factual")
-    p_explain.add_argument("--sampled", action="store_true",
-                           help="extract the target's receptive field first and "
-                                "explain the compact subgraph (identical scores, "
-                                "bounded memory; node tasks only)")
     p_explain.add_argument("--epochs", type=int, default=200)
     p_explain.add_argument("--top-flows", type=int, default=10)
     p_explain.add_argument("--top-edges", type=int, default=10)
@@ -218,20 +214,10 @@ def main(argv: list[str] | None = None) -> int:
                 dataset.graph.test_mask.nonzero()[0][0]
                 if dataset.graph.test_mask is not None else 0
             )
-            target = ExplainTarget.node(node)
             graph = dataset.graph
-            if args.sampled:
-                from .sampling import SampledExplainRuntime
-
-                explanation = SampledExplainRuntime(explainer).explain(
-                    graph, target, mode=args.mode)
-            else:
-                explanation = explainer.explain(graph, target=target,
-                                                mode=args.mode)
+            explanation = explainer.explain(graph, target=ExplainTarget.node(node),
+                                            mode=args.mode)
         else:
-            if args.sampled:
-                print("note: --sampled applies to node tasks; the instance "
-                      "graph is already its own context", file=sys.stderr)
             idx = args.target if args.target is not None else 0
             graph = dataset.graphs[idx]
             explanation = explainer.explain(graph, mode=args.mode)

@@ -86,14 +86,17 @@ class LinkRevelio:
         return field.graph, field.node_ids, field.edge_positions, lu, lv
 
     def _link_flows(self, graph: Graph, u: int, v: int) -> FlowIndex:
-        """Flows ending at either endpoint, as one FlowIndex."""
-        fi_u = cached_enumerate_flows(graph, self.model.num_layers, target=u,
-                                      max_flows=self.max_flows)
-        fi_v = cached_enumerate_flows(graph, self.model.num_layers, target=v,
-                                      max_flows=self.max_flows)
+        """Flows ending at either endpoint, as one FlowIndex.
+
+        Flows ending at different nodes are distinct, so the union is a
+        concatenation; a self-link ``u == v`` takes its one flow set once.
+        """
+        parts = [cached_enumerate_flows(graph, self.model.num_layers, target=t,
+                                        max_flows=self.max_flows)
+                 for t in dict.fromkeys((u, v))]
         return FlowIndex(
-            nodes=np.concatenate([fi_u.nodes, fi_v.nodes]),
-            layer_edges=np.concatenate([fi_u.layer_edges, fi_v.layer_edges]),
+            nodes=np.concatenate([fi.nodes for fi in parts]),
+            layer_edges=np.concatenate([fi.layer_edges for fi in parts]),
             num_layers=self.model.num_layers,
             num_edges=graph.num_edges,
             num_nodes=graph.num_nodes,

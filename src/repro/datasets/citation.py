@@ -36,9 +36,9 @@ _PROFILES = {
 #: feature paths. The threshold sits above PubMed at scale 1 (19,717
 #: nodes) on purpose: every seeded graph the test suite and the committed
 #: experiment artifacts depend on keeps its historical byte-identical RNG
-#: stream, while ``scale=`` requests well past Table III sizes (the
-#: ``sampled_explain`` benchmark runs 25x Cora) drop the per-edge /
-#: per-node Python loops whose cost is quadratic-ish in graph size.
+#: stream, while ``scale=`` requests well past Table III sizes (e.g.
+#: 25x Cora, ~67,700 nodes) drop the per-edge / per-node Python loops
+#: whose cost is quadratic-ish in graph size.
 _VECTORIZED_MIN_NODES = 30_000
 
 

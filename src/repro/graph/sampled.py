@@ -132,11 +132,13 @@ class SampledSubgraph:
         column ``j`` is global edge ``edge_positions[j]``.
 
         The subgraph's sparse cache is preloaded with the source graph's
-        ``deg_inv_sqrt`` sliced to the kept nodes. A boundary node (at
+        augmented in-degree sliced to the kept nodes. A boundary node (at
         distance exactly ``num_hops``) has lost in-edges, and GCN's
         renormalization scales its out-edges by its degree; with the
         preload every conv reads the source's degrees, so a forward over
-        the subgraph equals the source's forward at every target row.
+        the subgraph equals the source's forward at every target row, and
+        a structural edge removal on the subgraph counts against the full
+        degree exactly as the same removal on the source does.
         Nested extractions compose: they slice an already-preloaded vector.
         """
         if self._graph is None:
@@ -147,10 +149,10 @@ class SampledSubgraph:
             # set over it must agree with the recorded mask.
             assert np.array_equal(node_ids, self.node_ids)
             assert np.array_equal(edge_mask, self.edge_mask)
-            # dst_plan.counts is the augmented in-degree, so the slice is
-            # exactly D̂^{-1/2} of each kept node as the source sees it.
-            sparse_cache(sub)._deg_inv_sqrt = np.ascontiguousarray(
-                sparse_cache(self._source).deg_inv_sqrt[self.node_ids])
+            # The slice is exactly the augmented in-degree of each kept
+            # node as the source sees it; D̂^{-1/2} derives from it.
+            sparse_cache(sub)._deg = np.ascontiguousarray(
+                sparse_cache(self._source).deg[self.node_ids])
             self._graph = sub
         return self._graph
 
@@ -172,22 +174,6 @@ class SampledSubgraph:
     def local_targets(self) -> tuple[int, ...]:
         """The extraction targets, relabeled into local ids."""
         return tuple(int(i) for i in np.atleast_1d(self.local_index(list(self.targets))))
-
-    def to_global_nodes(self, local_ids) -> np.ndarray:
-        """Global node id(s) for local node id(s)."""
-        return self.node_ids[np.asarray(local_ids, dtype=np.int64)]
-
-    def lift_edge_scores(self, local_scores: np.ndarray) -> np.ndarray:
-        """Scatter per-local-edge scores into a global ``(E,)`` vector
-        (absent edges score 0 — they cannot reach any target)."""
-        local_scores = np.asarray(local_scores, dtype=np.float64)
-        if local_scores.shape != (self.num_edges,):
-            raise GraphError(
-                f"expected {self.num_edges} local edge scores, got shape "
-                f"{local_scores.shape}")
-        out = np.zeros(self._source.num_edges, dtype=np.float64)
-        out[self.edge_positions] = local_scores
-        return out
 
     # ------------------------------------------------------------------
     # legacy (node_ids, edge_mask) tuple shim — one release

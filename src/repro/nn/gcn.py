@@ -102,10 +102,14 @@ class GCNConv(GraphConv):
             if structural and edge_mask is not None:
                 # Degree of the masked adjacency: structural removal changes
                 # the renormalization, exactly as Graph.with_edges would.
+                # Removed edges count against the cached degree, which a
+                # receptive-field context preloads from the full graph, so a
+                # boundary node keeps the in-edges the context cut off.
                 # One sparse row-scale over the cached plan — no rebuild.
-                deg = scatter_edge_major(
-                    np.ascontiguousarray(edge_mask.T), dst, num_nodes, plan=plan
-                )  # (N, B)
+                removed = scatter_edge_major(
+                    np.ascontiguousarray((1.0 - edge_mask).T), dst, num_nodes,
+                    plan=plan)                                    # (N, B)
+                deg = cache.deg[:, None] - removed
                 deg_inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1.0))
                 coeff = deg_inv_sqrt[src] * deg_inv_sqrt[dst]    # (A, B)
             else:

@@ -31,7 +31,6 @@ __all__ = [
     "SPAN_EXPERIMENT",
     "SPAN_FIDELITY_SWEEP",
     "SPAN_SERVE_BATCH",
-    "SPAN_SAMPLED_EXTRACT",
     "SPAN_NAMES",
     "STAGE_MASKED_FORWARD_BATCH",
     "STAGE_NAMES",
@@ -45,7 +44,6 @@ __all__ = [
     "WORKLOAD_SCALING_LAW",
     "WORKLOAD_TRAINING_EPOCH",
     "WORKLOAD_SERVING_LOAD",
-    "WORKLOAD_SAMPLED_EXPLAIN",
     "WORKLOAD_LINT_CACHE",
     "WORKLOAD_NAMES",
 ]
@@ -77,8 +75,6 @@ SPAN_EPOCH = "epoch"
 SPAN_FIDELITY_SWEEP = "fidelity_sweep"
 #: One coalesced micro-batch executed by the serving daemon.
 SPAN_SERVE_BATCH = "serve_batch"
-#: One batched receptive-field extraction (repro.sampling).
-SPAN_SAMPLED_EXTRACT = "sampled_extract"
 
 SPAN_NAMES: frozenset[str] = frozenset({
     SPAN_EXPERIMENT,
@@ -93,7 +89,6 @@ SPAN_NAMES: frozenset[str] = frozenset({
     SPAN_EPOCH,
     SPAN_FIDELITY_SWEEP,
     SPAN_SERVE_BATCH,
-    SPAN_SAMPLED_EXTRACT,
 })
 
 # ----------------------------------------------------------------------
@@ -143,9 +138,6 @@ WORKLOAD_TRAINING_EPOCH = "training_epoch"
 #: Serving daemon under concurrent load: coalesced micro-batching vs.
 #: per-request serial execution (throughput + p50/p99 latency).
 WORKLOAD_SERVING_LOAD = "serving_load"
-#: Receptive-field sampled explanation vs. the full-graph path at scaled
-#: Cora sizes (wall-clock speedup + peak-memory ratio + exact parity).
-WORKLOAD_SAMPLED_EXPLAIN = "sampled_explain"
 #: ``repro lint`` cold vs. warm run over the repository's own tree — the
 #: warm run is served by the ``.repro_lint_cache.json`` parse cache.
 WORKLOAD_LINT_CACHE = "lint_cache"
@@ -160,6 +152,5 @@ WORKLOAD_NAMES: frozenset[str] = frozenset({
     WORKLOAD_SCALING_LAW,
     WORKLOAD_TRAINING_EPOCH,
     WORKLOAD_SERVING_LOAD,
-    WORKLOAD_SAMPLED_EXPLAIN,
     WORKLOAD_LINT_CACHE,
 })

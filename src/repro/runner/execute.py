@@ -130,32 +130,29 @@ def run_runtime_chunk(payload: dict, seed: int) -> dict:
 
 
 def run_sampled_explain_chunk(payload: dict, seed: int) -> dict:
-    """Explain one shard of targets through the sampled runtime, streamed.
+    """Explain one shard of targets, streamed.
 
     Targets are explained **one at a time** and reduced to compact summary
     rows immediately, so the worker's peak memory is bounded by the largest
-    single receptive field — never by the shard size or the full graph's
-    edge count. This is the property that lets a pool chew through a
-    target list on a graph whose full explanation contexts would not fit.
+    single receptive field — never by the shard size. Each explanation
+    runs on the target's receptive field (``Explainer.node_context``), so
+    a row's ``num_nodes`` / ``num_edges`` are that field's size.
     """
     import numpy as np
 
     from ..explain import make_explainer
     from ..nn.zoo import get_model
-    from ..sampling import SampledExplainRuntime
 
     model, dataset, _ = get_model(payload["dataset"], payload["conv"],
                                   scale=payload["scale"],
                                   seed=payload["config_seed"])
     explainer = make_explainer(payload["explainer"], model,
                                seed=seed, **payload.get("params", {}))
-    runtime = SampledExplainRuntime(explainer)
     rows = []
     digest = 0
     for target in payload["targets"]:
-        explanation = runtime.explain(dataset.graph, target,
-                                      mode=payload["mode"])
-        sampled = explanation.meta["sampled"]
+        explanation = explainer.explain(dataset.graph, target,
+                                        mode=payload["mode"])
         scores = explanation.edge_scores
         top = explanation.top_edges(10)
         digest = (digest * 1000003
@@ -163,9 +160,9 @@ def run_sampled_explain_chunk(payload: dict, seed: int) -> dict:
         rows.append({
             "target": target.to_wire(),
             "predicted_class": int(explanation.predicted_class),
-            "num_nodes": int(sampled["num_nodes"]),
-            "num_edges": int(sampled["num_edges"]),
-            "num_hops": int(sampled["num_hops"]),
+            "num_nodes": len(explanation.context_node_ids),
+            "num_edges": len(explanation.context_edge_positions),
+            "num_hops": int(model.num_layers),
             "top_edges": [int(e) for e in top],
             "top_scores": [float(scores[e]) for e in top],
         })

@@ -217,11 +217,10 @@ def plan_sampled_explain(dataset_name: str, conv: str, explainer: str,
     :class:`~repro.explain.target.ExplainTarget` values — bare ints are
     promoted to node targets here, once, so every downstream consumer sees
     the typed form). The ``sampled_explain_chunk`` executor streams its
-    shard one target at a time through
-    :class:`~repro.sampling.SampledExplainRuntime`, so a worker's peak
-    memory is bounded by the largest single receptive field, never by the
-    shard — the property that lets the plan scale to graphs whose full
-    explanation contexts would not fit.
+    shard one target at a time, and each explanation runs on the target's
+    receptive field, so a worker's peak memory is bounded by the largest
+    single receptive field, never by the shard. The job kind keeps its
+    name because journals written by earlier runs record it.
     """
     from ..explain.target import ExplainTarget
 

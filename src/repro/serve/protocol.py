@@ -50,7 +50,7 @@ CONVS = ("gcn", "gin", "gat")
 
 #: Top-level request keys (used for did-you-mean hints on unknown keys).
 _REQUEST_KEYS = ("dataset", "model", "explainer", "target", "mode", "scale",
-                 "model_seed", "params", "execution", "timeout", "sampled")
+                 "model_seed", "params", "execution", "timeout")
 
 _SCALAR_TYPES = (int, float, str, bool, type(None))
 
@@ -72,7 +72,6 @@ class ExplainRequest:
     model_seed: int = 0
     params: tuple[tuple[str, object], ...] = ()
     execution: ExecutionConfig = ExecutionConfig()
-    sampled: bool = False
 
     @property
     def model_key(self) -> tuple:
@@ -81,14 +80,8 @@ class ExplainRequest:
 
     @property
     def batch_key(self) -> tuple:
-        """Coalescing queue key: requests sharing it may share a micro-batch.
-
-        ``sampled`` is part of the key: a sampled explanation's payload
-        carries its extraction metadata, so it must never deduplicate
-        against a full-path answer to the same coordinates.
-        """
-        return self.model_key + (self.explainer, self.mode, self.params,
-                                 self.sampled)
+        """Coalescing queue key: requests sharing it may share a micro-batch."""
+        return self.model_key + (self.explainer, self.mode, self.params)
 
     @property
     def dedup_key(self) -> tuple:
@@ -204,10 +197,6 @@ def parse_explain_request(payload: object) -> ExplainRequest:
 
     target = _parse_target(payload.get("target"), dataset)
 
-    sampled = payload.get("sampled", False)
-    if not isinstance(sampled, bool):
-        raise ServeError('request field "sampled" must be a boolean')
-
     scale = payload.get("scale")
     if scale is not None:
         if not isinstance(scale, (int, float)) or isinstance(scale, bool) \
@@ -238,7 +227,6 @@ def parse_explain_request(payload: object) -> ExplainRequest:
         model_seed=model_seed,
         params=tuple(sorted(params.items())),
         execution=_parse_execution(payload),
-        sampled=sampled,
     )
 
 

@@ -32,7 +32,6 @@ from ..explain import explain_instances, make_explainer
 from ..explain.target import ExplainTarget
 from ..obs import PERF, PerfCounters, TraceSession, build_manifest, span
 from ..obs.names import SPAN_SERVE_BATCH
-from ..sampling import SampledExplainRuntime
 from .protocol import ExplainRequest, wire_explanation
 from .state import ModelPool
 
@@ -137,7 +136,6 @@ class ExplainRuntime:
             "model_seed": head.model_seed,
             "params": dict(head.params),
             "batch_size": len(requests),
-            "sampled": head.sampled,
             "targets": [str(r.target) if isinstance(r.target, ExplainTarget)
                         else r.target for r in requests],
         }
@@ -164,16 +162,8 @@ class ExplainRuntime:
         instance = resolve_instance(dataset, request)
         explainer = make_explainer(request.explainer, model,
                                    **request.params_dict())
-        if request.sampled:
-            if dataset.task != "node":
-                raise ServeError(
-                    f"dataset {request.dataset!r} is a graph task; sampled "
-                    "explanation applies to node (or link) targets")
-            explanation = SampledExplainRuntime(explainer).explain(
-                instance.graph, instance.target, mode=request.mode)
-        else:
-            batch = explain_instances(explainer, [instance], mode=request.mode,
-                                      raise_on_error=True)
-            explanation = batch.explanations[0]
+        batch = explain_instances(explainer, [instance], mode=request.mode,
+                                  raise_on_error=True)
+        explanation = batch.explanations[0]
         payload, perf, trace_id = wire_explanation(explanation)
         return {"explanation": payload, "perf": perf, "trace_id": trace_id}

@@ -12,7 +12,7 @@ Three entry points, from most to least context:
     Attach/fetch a :class:`GraphSparseCache` on a graph (or graph-batch)
     object itself. The first call on a graph compiles the augmented edge
     arrays, the destination :class:`~repro.sparse.structure.SegmentPlan`
-    and (lazily) the GCN ``deg_inv_sqrt`` vector; every later call —
+    and (lazily) the GCN degree vectors; every later call —
     across all ``B`` mask variants of a batched forward, across layers,
     across explainers, across training epochs — returns the same object
     for free.
@@ -67,10 +67,14 @@ class GraphSparseCache:
         :class:`SegmentPlan` over ``src`` (lazy) — the adjoint structure:
         the backward pass of a per-edge gather ``x[src]`` is a scatter-add
         over ``src``, so training needs both directions compiled.
+    deg:
+        ``(N,)`` float augmented in-degree ``D̂`` of the intact adjacency
+        (lazy; read straight off ``dst_plan.counts``, no second bincount).
+        A receptive-field extraction preloads it with the source graph's
+        degrees, so structural edge removal counts against the full degree.
     deg_inv_sqrt:
-        ``(N,)`` symmetric-renormalization vector ``D̂^{-1/2}`` of the
-        intact augmented adjacency (lazy; read straight off
-        ``dst_plan.counts``, no second bincount).
+        ``(N,)`` symmetric-renormalization vector ``D̂^{-1/2}`` (lazy,
+        derived from ``deg``).
     edge_norm:
         ``(E+N,)`` per-layer-edge GCN coefficient
         ``deg_inv_sqrt[src] · deg_inv_sqrt[dst]`` (lazy) — the vector the
@@ -87,7 +91,7 @@ class GraphSparseCache:
     """
 
     __slots__ = ("edge_index", "num_nodes", "src", "dst", "dst_plan",
-                 "_src_plan", "_deg_inv_sqrt", "_edge_norm",
+                 "_src_plan", "_deg", "_deg_inv_sqrt", "_edge_norm",
                  "_adj", "_adj_t", "_adj_norm", "_adj_norm_t", "__weakref__")
 
     def __init__(self, edge_index: np.ndarray, num_nodes: int):
@@ -96,6 +100,7 @@ class GraphSparseCache:
         self.src, self.dst = augmented_edges(edge_index, self.num_nodes)
         self.dst_plan = SegmentPlan(self.dst, self.num_nodes)
         self._src_plan: SegmentPlan | None = None
+        self._deg: np.ndarray | None = None
         self._deg_inv_sqrt: np.ndarray | None = None
         self._edge_norm: np.ndarray | None = None
         self._adj: sp.csr_matrix | None = None
@@ -110,10 +115,14 @@ class GraphSparseCache:
         return self._src_plan
 
     @property
+    def deg(self) -> np.ndarray:
+        # dst_plan.counts *is* the augmented in-degree.
+        return self.dst_plan.counts if self._deg is None else self._deg
+
+    @property
     def deg_inv_sqrt(self) -> np.ndarray:
         if self._deg_inv_sqrt is None:
-            # dst_plan.counts *is* the augmented in-degree.
-            self._deg_inv_sqrt = 1.0 / np.sqrt(np.maximum(self.dst_plan.counts, 1.0))
+            self._deg_inv_sqrt = 1.0 / np.sqrt(np.maximum(self.deg, 1.0))
         return self._deg_inv_sqrt
 
     @property

@@ -106,3 +106,15 @@ class TestLinkRevelio:
         e = LinkRevelio(model, epochs=10, seed=0).explain(graph, u, v)
         for seq, _ in e.top_flows(5):
             assert seq[-1] in (u, v)
+
+    def test_self_link_counts_each_flow_once(self, link_setup):
+        """A self-link's two endpoints share one flow set, so Eq. 5 sees
+        each flow under a single mask."""
+        from repro.explain import ExplainTarget
+        from repro.flows import enumerate_flows
+
+        graph, model, u, _ = link_setup
+        e = LinkRevelio(model, epochs=2, seed=0).explain(graph, ExplainTarget.link(u, u))
+        single = enumerate_flows(graph, model.num_layers, target=u)
+        assert e.flow_index.num_flows == single.num_flows
+        assert len(np.unique(e.flow_index.nodes, axis=0)) == e.flow_index.num_flows

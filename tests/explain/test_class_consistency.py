@@ -5,10 +5,10 @@ cost of the target's receptive field.
 neighborhood, whose sparse cache carries the full graph's degrees, so a
 forward over the context equals the full-graph forward at the target row.
 Node explainers take their class from that forward. These tests pin the
-three consequences: the context forward is exact on pathological graphs
-for GCN, GIN and GAT; every registered node explainer reports the
-full-graph argmax; and no ``explain_node`` call runs a forward over, or
-hashes the features of, the full graph.
+consequences: the context forward, and a structural edge removal on it,
+are exact on pathological graphs for GCN, GIN and GAT; every registered
+node explainer reports the full-graph argmax; and no ``explain_node``
+call runs a forward over, or hashes the features of, the full graph.
 """
 
 import functools
@@ -113,6 +113,40 @@ def test_context_forward_equals_full_graph_row(conv, case):
     assert worst <= EXACT_TOL
     assert probe.node_context(graph, isolated).subgraph.num_nodes == 1
     assert probe.node_context(graph, source).subgraph.num_edges == 0
+
+
+def _single_removals(graph: Graph, num_layers: int, positions) -> np.ndarray:
+    """One structural mask per position: that data edge removed at every layer."""
+    masks = np.ones((len(positions), num_layers,
+                     graph.num_edges + graph.num_nodes))
+    masks[np.arange(len(positions)), :, positions] = 0.0
+    return masks
+
+
+@pytest.mark.parametrize("conv", ["gcn", "gin", "gat"])
+@settings(max_examples=30, deadline=None)
+@given(case=pathological_graphs())
+def test_context_edge_removal_equals_full_graph_removal(conv, case):
+    """Removing one context edge on the context equals the same removal on
+    the full graph: a boundary node keeps the in-edges the context cut off."""
+    graph, _, _ = case
+    model = _untrained(conv)
+    probe = make_explainer("random", model)
+    worst = 0.0
+    for v in range(graph.num_nodes):
+        context = probe.node_context(graph, v)
+        if context.subgraph.num_edges == 0:
+            continue
+        local = model.forward_masked_batch(
+            context.subgraph,
+            _single_removals(context.subgraph, model.num_layers,
+                             np.arange(context.subgraph.num_edges)),
+            structural=True)[:, context.local_target]
+        full = model.forward_masked_batch(
+            graph, _single_removals(graph, model.num_layers, context.edge_positions),
+            structural=True)[:, v]
+        worst = max(worst, float(np.abs(local - full).max()))
+    assert worst <= EXACT_TOL
 
 
 # ----------------------------------------------------------------------

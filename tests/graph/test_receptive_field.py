@@ -53,7 +53,7 @@ class TestSampledSubgraphMaps:
         g = _ring_with_spur()
         field = extract_receptive_field(g, [3], 2)
         local = field.local_index(field.node_ids)
-        assert (field.to_global_nodes(local) == field.node_ids).all()
+        assert (local == np.arange(field.num_nodes)).all()
         assert field.graph.num_nodes == field.node_ids.shape[0]
         assert (field.graph.x == g.x[field.node_ids]).all()
 
@@ -73,23 +73,13 @@ class TestSampledSubgraphMaps:
         assert field.node_ids.tolist() == [1, 2]
         sub_src, sub_dst = field.graph.edge_index
         assert field.graph.num_edges == 1  # only 1 -> 2 survives
-        assert field.to_global_nodes(sub_src[0]) == 1
+        assert field.node_ids[sub_src[0]] == 1
 
     def test_local_index_rejects_unsampled_nodes(self):
         g = _ring_with_spur()
         field = extract_receptive_field(g, [2], 1)
         with pytest.raises(GraphError):
             field.local_index(6)
-
-    def test_lift_edge_scores_round_trip(self):
-        g = _ring_with_spur()
-        field = extract_receptive_field(g, [3], 2)
-        local = np.arange(1.0, field.num_edges + 1)
-        lifted = field.lift_edge_scores(local)
-        assert lifted.shape == (g.num_edges,)
-        assert (lifted[field.edge_positions] == local).all()
-        outside = np.setdiff1d(np.arange(g.num_edges), field.edge_positions)
-        assert (lifted[outside] == 0).all()
 
     def test_legacy_tuple_unpack_warns(self):
         g = _ring_with_spur()

@@ -29,7 +29,6 @@ class TestParseExplainRequest:
         assert req.model_seed == 0
         assert req.params == ()
         assert req.execution.timeout is None
-        assert req.sampled is False
 
     def test_target_wire_forms(self):
         assert parse_explain_request(body(target={"link": [1, 2]})).target \
@@ -43,18 +42,11 @@ class TestParseExplainRequest:
             req = parse_explain_request(body(target=7))
         assert req.target == ExplainTarget.node(7)  # ba_shapes is a node task
 
-    def test_sampled_flag(self):
-        assert parse_explain_request(body(sampled=True)).sampled is True
-        with pytest.raises(ServeError, match='"sampled" must be a boolean'):
-            parse_explain_request(body(sampled=1))
-
-    def test_sampled_is_part_of_the_batch_key(self):
-        # A sampled answer carries extraction metadata, so it must never
-        # coalesce with (or deduplicate against) the full-path answer.
-        plain = parse_explain_request(body(target={"node": 1}))
-        sampled = parse_explain_request(body(target={"node": 1}, sampled=True))
-        assert plain.batch_key != sampled.batch_key
-        assert plain.dedup_key != sampled.dedup_key
+    def test_sampled_field_is_an_unknown_key(self):
+        # Every node explanation already runs on the target's receptive
+        # field; there is no second path for a flag to select.
+        with pytest.raises(ServeError, match="unknown request key 'sampled'"):
+            parse_explain_request(body(target={"node": 1}, sampled=True))
 
     def test_names_normalized(self):
         req = parse_explain_request(body(dataset="BA-Shapes", model="GCN",

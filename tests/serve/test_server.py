@@ -264,60 +264,6 @@ class TestServingParity:
         assert metrics["batched_requests"] <= 4
 
 
-class TestSampledRequests:
-    """The ``"sampled": true`` request field routes through the sampled
-    runtime and answers with the same scores plus extraction metadata."""
-
-    def _app_setup(self, node_model, mini_ba_shapes):
-        pool = ModelPool()
-        pool.put(("ba_shapes", "gcn", None, 0), node_model, mini_ba_shapes)
-        return ExplainRuntime(pool)
-
-    def test_sampled_explanation_over_http(self, node_model, mini_ba_shapes,
-                                           good_motif_node):
-        runtime = self._app_setup(node_model, mini_ba_shapes)
-        base = {"dataset": "ba_shapes", "model": "gcn",
-                "explainer": "gradcam", "target": {"node": good_motif_node}}
-
-        async def main():
-            app = await started_app(batch_runner=runtime, max_batch=4)
-            full = await http_request(app.port, "/explain", "POST", body=base)
-            sampled = await http_request(app.port, "/explain", "POST",
-                                         body={**base, "sampled": True})
-            await app.shutdown()
-            return full, sampled
-
-        (full_status, full_payload, _), (s_status, s_payload, _) = run(main())
-        assert full_status == 200 and s_status == 200
-        full_exp = full_payload["explanation"]
-        s_exp = s_payload["explanation"]
-        assert "sampled" not in full_exp["meta"]
-        meta = s_exp["meta"]["sampled"]
-        assert meta["targets"] == [good_motif_node]
-        assert meta["num_nodes"] <= mini_ba_shapes.graph.num_nodes
-        assert s_exp["edge_scores"] == full_exp["edge_scores"]
-        assert s_exp["target"] == full_exp["target"] == good_motif_node
-
-    def test_sampled_rejected_for_graph_tasks(self, graph_model, mini_mutag):
-        pool = ModelPool()
-        pool.put(("mutag", "gin", None, 0), graph_model, mini_mutag)
-        runtime = ExplainRuntime(pool)
-
-        async def main():
-            app = await started_app(batch_runner=runtime)
-            status, payload, _ = await http_request(
-                app.port, "/explain", "POST",
-                body={"dataset": "mutag", "model": "gin",
-                      "explainer": "gradcam", "target": {"graph": 0},
-                      "sampled": True})
-            await app.shutdown()
-            return status, payload
-
-        status, payload = run(main())
-        assert status == 400
-        assert "graph task" in payload["error"]["message"]
-
-
 def test_embedded_coalescer_parity_without_http(node_model, mini_ba_shapes,
                                                 good_motif_node):
     """The coalescer + runtime stack alone preserves serial semantics."""
