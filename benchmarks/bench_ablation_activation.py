@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.revelio import LAYER_WEIGHT_ACTIVATIONS
+from repro.core import LAYER_WEIGHT_ACTIVATIONS, Revelio
 from repro.eval import (
     DEFAULT_SPARSITIES,
     ExperimentConfig,
@@ -18,7 +18,6 @@ from repro.eval import (
     fidelity_minus,
 )
 from repro.eval.timing import time_explainer
-from repro.core import Revelio
 from repro.nn.zoo import get_model
 
 from conftest import bench_datasets, write_result

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Revelio
-from repro.core.revelio import MASK_ACTIVATIONS
+from repro.core import MASK_ACTIVATIONS, Revelio
 from repro.eval import (
     DEFAULT_SPARSITIES,
     ExperimentConfig,

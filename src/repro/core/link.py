@@ -9,7 +9,9 @@ the two endpoints' flow sets and the objective is the link probability:
     factual          min −log σ(z_u · z_v)        (keep the link)
     counterfactual   min −log (1 − σ(z_u · z_v))  (break the link)
 
-with exactly the Eq. (4)/(5) mask transformation of node-level Revelio.
+with exactly the Eq. (4)/(5) mask transformation of node-level Revelio:
+both run :func:`~repro.core.optimize.optimize_flow_masks`, and the link
+passes its log-probability as the objective's ``log P``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from ..autograd import Adam, Tensor
+from ..autograd import Tensor
 from ..errors import ExplainerError
 from ..explain.base import Explanation
 from ..explain.target import ExplainTarget
@@ -26,7 +28,7 @@ from ..flows import FlowIndex, cached_enumerate_flows
 from ..graph import Graph, extract_receptive_field
 from ..nn.link_prediction import LinkPredictor
 from ..rng import ensure_rng
-from .revelio import LAYER_WEIGHT_ACTIVATIONS, MASK_ACTIVATIONS, Revelio
+from .optimize import FlowMaskSettings, optimize_flow_masks
 
 __all__ = ["LinkRevelio"]
 
@@ -50,27 +52,13 @@ class LinkRevelio:
                  alpha: float = 0.05, mask_activation: str = "tanh",
                  layer_weight_activation: str = "exp",
                  max_flows: int = 2_000_000, seed: int = 0):
-        if mask_activation not in MASK_ACTIVATIONS:
-            raise ExplainerError(f"mask_activation must be one of {MASK_ACTIVATIONS}")
-        if layer_weight_activation not in LAYER_WEIGHT_ACTIVATIONS:
-            raise ExplainerError(
-                f"layer_weight_activation must be one of {LAYER_WEIGHT_ACTIVATIONS}")
+        self.settings = FlowMaskSettings(epochs, lr, alpha, mask_activation,
+                                         layer_weight_activation)
         self.model = model
-        self.epochs = epochs
-        self.lr = lr
-        self.alpha = alpha
-        self.mask_activation = mask_activation
-        self.layer_weight_activation = layer_weight_activation
         self.max_flows = max_flows
         self.seed = seed
         model.eval()
         model.freeze()
-
-    # Reuse Revelio's transformation statics through small shims.
-    _flow_scores = Revelio._flow_scores
-    _layer_scale = Revelio._layer_scale
-    _layer_edge_scores = Revelio._layer_edge_scores
-    _edges_from_layers = staticmethod(Revelio._edges_from_layers)
 
     # ------------------------------------------------------------------
     def link_context(self, graph: Graph, u: int, v: int):
@@ -134,60 +122,21 @@ class LinkRevelio:
 
         subgraph, node_ids, edge_positions, lu, lv = self.link_context(graph, u, v)
         flow_index = self._link_flows(subgraph, lu, lv)
-        if flow_index.num_flows == 0:
-            raise ExplainerError("link has no message flows to explain")
-
-        rng = ensure_rng(self.seed)
-        used = flow_index.used_layer_edges()
-        used_tensor = Tensor(used.astype(np.float64))
-        num_used = float(used.sum())
         pair = np.array([[lu, lv]])
 
-        masks = Tensor(rng.normal(0.0, 0.1, size=flow_index.num_flows), requires_grad=True)
-        w = Tensor(np.zeros(flow_index.num_layers), requires_grad=True)
-        optimizer = Adam([masks, w], lr=self.lr)
-        losses = []
-        for _ in range(self.epochs):
-            optimizer.zero_grad()
-            omega_e = self._layer_edge_scores(masks, w, flow_index)
-            layer_masks = [omega_e[l] for l in range(flow_index.num_layers)]
+        def log_prob(layer_masks: list[Tensor]) -> Tensor:
             logit = self.model.link_logits(subgraph, pair, edge_masks=layer_masks)[0]
-            p = logit.sigmoid().clip(1e-12, 1.0 - 1e-12)
-            if mode == "factual":
-                objective = -p.log()
-                regularizer = (omega_e * used_tensor).sum() / num_used
-            else:
-                objective = -(1.0 - p).log()
-                regularizer = ((1.0 - omega_e) * used_tensor).sum() / num_used
-            loss = objective + self.alpha * regularizer
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
+            return logit.sigmoid().clip(1e-12, 1.0 - 1e-12).log()
 
-        omega_f = self._flow_scores(masks).numpy().copy()
-        omega_e = self._layer_edge_scores(masks, w, flow_index).numpy().copy()
-        if mode == "counterfactual":
-            omega_f = -omega_f
-            omega_e = 1.0 - omega_e
-
-        local_edge_scores = self._edges_from_layers(omega_e, used, flow_index)
-        edge_scores = np.zeros(graph.num_edges)
-        edge_scores[edge_positions] = local_edge_scores
-        return Explanation(
-            edge_scores=edge_scores,
-            predicted_class=1,  # the positive link class
-            method=self.name,
-            mode=mode,
-            layer_edge_scores=omega_e,
-            flow_scores=omega_f,
-            flow_index=flow_index,
-            context_node_ids=node_ids,
-            context_edge_positions=edge_positions,
-            meta={
-                "link": (int(u), int(v)),
-                "final_loss": losses[-1],
-                "num_flows": flow_index.num_flows,
-                # The context forward is exact at both endpoints.
-                "p_link": float(self.model.predict_proba(subgraph, pair)[0]),
-            },
-        )
+        explanation = optimize_flow_masks(
+            self.settings, flow_index, log_prob, mode, ensure_rng(self.seed),
+            method=self.name, predicted_class=1,  # the positive link class
+            meta={"link": (int(u), int(v))})
+        local_scores = explanation.edge_scores
+        explanation.edge_scores = np.zeros(graph.num_edges)
+        explanation.edge_scores[edge_positions] = local_scores
+        explanation.context_node_ids = node_ids
+        explanation.context_edge_positions = edge_positions
+        # The context forward is exact at both endpoints.
+        explanation.meta["p_link"] = float(self.model.predict_proba(subgraph, pair)[0])
+        return explanation

@@ -38,23 +38,17 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..autograd import Adam, Tensor, log_softmax
-from ..errors import ExplainerError
+from ..autograd import Tensor, log_softmax
 from ..explain.base import Explainer, Explanation, feature_digest
 from ..flows import FlowIndex, cached_enumerate_flows, graph_fingerprint
 from ..flows.cache import LRUCache
 from ..graph import Graph
 from ..nn.models import GNN
-from ..obs import PERF, span
-from ..obs.names import SPAN_EPOCH, SPAN_OPTIMIZE
+from ..obs import PERF
 from ..rng import ensure_rng
+from .optimize import FlowMaskSettings, optimize_flow_masks
 
-__all__ = ["Revelio", "MASK_ACTIVATIONS", "LAYER_WEIGHT_ACTIVATIONS",
-           "clear_explanation_cache", "explanation_cache_disabled"]
-
-# Ablation knobs discussed in §IV-B of the paper.
-MASK_ACTIVATIONS = ("tanh", "sigmoid")
-LAYER_WEIGHT_ACTIVATIONS = ("exp", "softplus", "identity")
+__all__ = ["Revelio", "clear_explanation_cache", "explanation_cache_disabled"]
 
 #: Whole-result memo for Revelio explanations. An explanation is a pure
 #: function of (graph structure, features, frozen model weights, target,
@@ -139,60 +133,54 @@ class Revelio(Explainer):
                  layer_weight_activation: str = "exp",
                  max_flows: int = 2_000_000, seed: int = 0):
         super().__init__(model, seed=seed)
-        if mask_activation not in MASK_ACTIVATIONS:
-            raise ExplainerError(f"mask_activation must be one of {MASK_ACTIVATIONS}")
-        if layer_weight_activation not in LAYER_WEIGHT_ACTIVATIONS:
-            raise ExplainerError(
-                f"layer_weight_activation must be one of {LAYER_WEIGHT_ACTIVATIONS}"
-            )
-        self.epochs = epochs
-        self.lr = lr
-        self.alpha = alpha
-        self.mask_activation = mask_activation
-        self.layer_weight_activation = layer_weight_activation
+        self.settings = FlowMaskSettings(epochs, lr, alpha, mask_activation,
+                                         layer_weight_activation)
         self.max_flows = max_flows
 
     # ------------------------------------------------------------------
-    # public API
+    # public API: the Explainer skeleton behind the memo
     # ------------------------------------------------------------------
     def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
         """Explain the prediction at ``node`` via message-flow masks."""
         context = self.node_context(graph, node)
         key = self._memo_key((context.graph_fingerprint, context.feature_digest),
                              int(node), mode)
-        hit = EXPLANATION_CACHE.get(key) if key is not None else None
-        if hit is not None:
-            PERF.explanation_cache_hits += 1
-            return _copy_explanation(hit)
-        flow_index = cached_enumerate_flows(context.subgraph, self.model.num_layers,
-                                            target=context.local_target,
-                                            max_flows=self.max_flows)
-        explanation = self._optimize(context.subgraph, flow_index, mode,
-                                     target=context.local_target)
-        explanation.target = node
-        explanation.context_node_ids = context.node_ids
-        explanation.context_edge_positions = context.edge_positions
-        explanation.edge_scores = self.lift_edge_scores(
-            context, explanation.edge_scores, graph.num_edges
-        )
-        if key is not None:
-            EXPLANATION_CACHE.put(key, _copy_explanation(explanation))
-        return explanation
+        return self._memoized(
+            key, lambda: self._explain_in_context(graph, node, context, mode))
 
     def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
         """Explain a graph-level prediction via message-flow masks."""
         key = self._memo_key((graph_fingerprint(graph), feature_digest(graph.x)),
                              None, mode)
-        hit = EXPLANATION_CACHE.get(key) if key is not None else None
-        if hit is not None:
-            PERF.explanation_cache_hits += 1
-            return _copy_explanation(hit)
-        flow_index = cached_enumerate_flows(graph, self.model.num_layers,
+        return self._memoized(key, lambda: self._explain_instance(graph, None, mode))
+
+    def _explain_instance(self, graph: Graph, target: int | None,
+                          mode: str) -> Explanation:
+        flow_index = cached_enumerate_flows(graph, self.model.num_layers, target=target,
                                             max_flows=self.max_flows)
-        explanation = self._optimize(graph, flow_index, mode, target=None)
-        if key is not None:
-            EXPLANATION_CACHE.put(key, _copy_explanation(explanation))
-        return explanation
+        rng = ensure_rng(self.seed)
+        class_idx = self.predicted_class(graph, target=target)
+        tie, meta = self._mask_plan(graph, flow_index, class_idx, target, rng)
+        row = target if target is not None else 0
+
+        def log_prob(layer_masks: list[Tensor]) -> Tensor:
+            logits = self.model.forward_graph(graph, edge_masks=layer_masks)
+            return log_softmax(logits, axis=-1)[row, class_idx]
+
+        return optimize_flow_masks(self.settings, flow_index, log_prob, mode, rng,
+                                   method=self.name, predicted_class=class_idx,
+                                   tie=tie, meta=meta)
+
+    def _mask_plan(self, graph: Graph, flow_index: FlowIndex, class_idx: int,
+                   target: int | None, rng: np.random.Generator
+                   ) -> tuple[tuple[np.ndarray, int] | None, dict]:
+        """How flows map to mask parameters, and the meta that says so.
+
+        Returns ``(tie, meta)`` for :func:`optimize_flow_masks`: Revelio
+        learns one mask per flow (``tie=None``); subclasses that tie flows
+        to shared parameters return the slot map and report it in ``meta``.
+        """
+        return None, {}
 
     # ------------------------------------------------------------------
     # result memoization
@@ -219,126 +207,27 @@ class Revelio(Explainer):
         return (
             type(self).__qualname__,
             *instance, h.hexdigest(), target, mode,
-            self.model.num_layers, self.epochs, self.lr, self.alpha,
-            self.mask_activation, self.layer_weight_activation,
-            self.max_flows, self.seed,
+            self.model.num_layers, self.settings, self.max_flows, self.seed,
         ) + self._memo_extras()
 
     def _memo_extras(self) -> tuple:
         """Extra memo-key components contributed by subclasses.
 
-        A subclass that adds hyperparameters its ``_optimize`` reads MUST
+        A subclass that adds hyperparameters its ``_mask_plan`` reads MUST
         extend this (the class name alone only separates subclasses from
         each other, not two differently-configured instances of the same
         subclass).
         """
         return ()
 
-    # ------------------------------------------------------------------
-    # the learning loop
-    # ------------------------------------------------------------------
-    def _flow_scores(self, masks: Tensor) -> Tensor:
-        """Eq. (4): bounded flow scores from raw masks."""
-        if self.mask_activation == "tanh":
-            return masks.tanh()
-        return masks.sigmoid()
-
-    def _layer_scale(self, w: Tensor) -> Tensor:
-        """Positive per-layer scale from the weight vector (choice of §IV-B)."""
-        if self.layer_weight_activation == "exp":
-            return w.exp()
-        if self.layer_weight_activation == "softplus":
-            return w.softplus()
-        return w  # identity (ablation; may go negative, as the paper warns)
-
-    def _layer_edge_scores(self, masks: Tensor, w: Tensor, flow_index: FlowIndex) -> Tensor:
-        """Eqs. (3)/(5)/(7): transform flow masks into layer-edge masks."""
-        omega_f = self._flow_scores(masks)
-        accumulated = flow_index.aggregate_scores(omega_f)          # (L, E+N)
-        scaled = accumulated * self._layer_scale(w).reshape(-1, 1)  # exp(w_l) per layer
-        return scaled.sigmoid()
-
-    def _optimize(self, graph: Graph, flow_index: FlowIndex, mode: str,
-                  target: int | None) -> Explanation:
-        rng = ensure_rng(self.seed)
-        if flow_index.num_flows == 0:
-            raise ExplainerError("instance has no message flows to explain")
-
-        class_idx = self.predicted_class(graph, target=target)
-        used = flow_index.used_layer_edges()
-        used_tensor = Tensor(used.astype(np.float64))
-        num_used = float(used.sum())
-
-        masks = Tensor(rng.normal(0.0, 0.1, size=flow_index.num_flows), requires_grad=True)
-        w = Tensor(np.zeros(flow_index.num_layers), requires_grad=True)
-        optimizer = Adam([masks, w], lr=self.lr)
-
-        row = target if target is not None else 0
-        losses = []
-        with span(SPAN_OPTIMIZE, epochs=self.epochs,
-                  num_flows=flow_index.num_flows):
-            for _ in range(self.epochs):
-                with span(SPAN_EPOCH):
-                    optimizer.zero_grad()
-                    omega_e = self._layer_edge_scores(masks, w, flow_index)
-                    layer_masks = [omega_e[l] for l in range(flow_index.num_layers)]
-                    logits = self.model.forward_graph(graph, edge_masks=layer_masks)
-                    log_probs = log_softmax(logits, axis=-1)
-                    log_p = log_probs[row, class_idx]
-
-                    if mode == "factual":
-                        objective = -log_p                                    # Eq. (1)
-                        regularizer = (omega_e * used_tensor).sum() / num_used  # Eq. (8)
-                    else:
-                        # Eq. (2): BCE against target 0 for the explained class.
-                        p = log_p.exp()
-                        objective = -(1.0 - p.clip(0.0, 1.0 - 1e-12)).log()
-                        regularizer = ((1.0 - omega_e) * used_tensor).sum() / num_used  # Eq. (9)
-
-                    loss = objective + self.alpha * regularizer
-                    loss.backward()
-                    optimizer.step()
-                    losses.append(loss.item())
-
-        # Final scores (no gradient needed).
-        omega_f = self._flow_scores(masks).numpy().copy()
-        omega_e = self._layer_edge_scores(masks, w, flow_index).numpy().copy()
-        if mode == "counterfactual":
-            # ω'[F] = −ω[F]; ω'[e] = 1 − ω[e]: higher still means more
-            # important, now "important to remove".
-            omega_f = -omega_f
-            omega_e = 1.0 - omega_e
-
-        edge_scores = self._edges_from_layers(omega_e, used, flow_index)
-        return Explanation(
-            edge_scores=edge_scores,
-            predicted_class=class_idx,
-            method=self.name,
-            mode=mode,
-            layer_edge_scores=omega_e,
-            flow_scores=omega_f,
-            flow_index=flow_index,
-            meta={
-                "final_loss": losses[-1],
-                "params": {"epochs": self.epochs, "lr": self.lr,
-                           "alpha": self.alpha},
-                "layer_weights": w.numpy().copy(),
-                "num_flows": flow_index.num_flows,
-            },
-        )
-
     @staticmethod
-    def _edges_from_layers(omega_e: np.ndarray, used: np.ndarray,
-                           flow_index: FlowIndex) -> np.ndarray:
-        """Whole-GNN data-edge scores: average over layers using the edge.
-
-        The paper transfers flow scores "into the importance scores for
-        edges within individual GNN layers or across the entire GNN"; the
-        across-GNN transfer averages each edge's per-layer scores over the
-        layers where it actually carries flows.
-        """
-        num_edges = flow_index.num_edges
-        scores = omega_e[:, :num_edges]
-        mask = used[:, :num_edges]
-        counts = np.maximum(mask.sum(axis=0), 1)
-        return (scores * mask).sum(axis=0) / counts
+    def _memoized(key, explain) -> Explanation:
+        """``explain()``, or an independent copy of its memoized result."""
+        hit = EXPLANATION_CACHE.get(key) if key is not None else None
+        if hit is not None:
+            PERF.explanation_cache_hits += 1
+            return _copy_explanation(hit)
+        explanation = explain()
+        if key is not None:
+            EXPLANATION_CACHE.put(key, _copy_explanation(explanation))
+        return explanation

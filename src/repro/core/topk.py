@@ -15,13 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Adam, Tensor, log_softmax
 from ..errors import ExplainerError
-from ..explain.base import Explanation
 from ..flows import FlowIndex
 from ..graph import Graph
 from ..nn.models import GNN
-from ..rng import ensure_rng
 from .preselect import PRESELECT_STRATEGIES, preselect_flows
 from .revelio import Revelio
 
@@ -58,76 +55,16 @@ class TopKRevelio(Revelio):
     def _memo_extras(self) -> tuple:
         return (self.k, self.strategy)
 
-    # The learning loop overrides Revelio's `_optimize` to work on the
-    # reduced parameterization.
-    def _optimize(self, graph: Graph, flow_index: FlowIndex, mode: str,
-                  target: int | None) -> Explanation:
-        rng = ensure_rng(self.seed)
-        if flow_index.num_flows == 0:
-            raise ExplainerError("instance has no message flows to explain")
-        class_idx = self.predicted_class(graph, target=target)
-
+    def _mask_plan(self, graph: Graph, flow_index: FlowIndex, class_idx: int,
+                   target: int | None, rng: np.random.Generator
+                   ) -> tuple[tuple[np.ndarray, int], dict]:
         selected = preselect_flows(self.model, graph, flow_index, self.k,
                                    class_idx, target, strategy=self.strategy,
                                    seed=rng)
-        # Gather map: position i of the full mask vector reads parameter
-        # slot selected_slot[i] (k slots for selected flows, slot k shared).
+        # Flow i reads parameter slot[i]: k slots for selected flows, slot k
+        # shared by every background flow.
         slot = np.full(flow_index.num_flows, selected.size, dtype=np.int64)
         slot[selected] = np.arange(selected.size)
-
-        params = Tensor(rng.normal(0.0, 0.1, size=selected.size + 1), requires_grad=True)
-        w = Tensor(np.zeros(flow_index.num_layers), requires_grad=True)
-        optimizer = Adam([params, w], lr=self.lr)
-
-        used = flow_index.used_layer_edges()
-        used_tensor = Tensor(used.astype(np.float64))
-        num_used = float(used.sum())
-        row = target if target is not None else 0
-        losses = []
-        for _ in range(self.epochs):
-            optimizer.zero_grad()
-            masks = params.gather_rows(slot)          # expand to |F| via tying
-            omega_e = self._layer_edge_scores(masks, w, flow_index)
-            layer_masks = [omega_e[l] for l in range(flow_index.num_layers)]
-            log_probs = log_softmax(
-                self.model.forward_graph(graph, edge_masks=layer_masks), axis=-1
-            )
-            log_p = log_probs[row, class_idx]
-            if mode == "factual":
-                objective = -log_p
-                regularizer = (omega_e * used_tensor).sum() / num_used
-            else:
-                p = log_p.exp()
-                objective = -(1.0 - p.clip(0.0, 1.0 - 1e-12)).log()
-                regularizer = ((1.0 - omega_e) * used_tensor).sum() / num_used
-            loss = objective + self.alpha * regularizer
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
-
-        full_masks = Tensor(params.numpy()[slot])
-        omega_f = self._flow_scores(full_masks).numpy().copy()
-        omega_e = self._layer_edge_scores(full_masks, w, flow_index).numpy().copy()
-        if mode == "counterfactual":
-            omega_f = -omega_f
-            omega_e = 1.0 - omega_e
-
-        edge_scores = self._edges_from_layers(omega_e, used, flow_index)
-        return Explanation(
-            edge_scores=edge_scores,
-            predicted_class=class_idx,
-            method=self.name,
-            mode=mode,
-            layer_edge_scores=omega_e,
-            flow_scores=omega_f,
-            flow_index=flow_index,
-            meta={
-                "final_loss": losses[-1],
-                "params": {"epochs": self.epochs, "alpha": self.alpha,
-                           "k": int(selected.size),
-                           "strategy": self.strategy},
-                "num_flows": flow_index.num_flows,
-                "selected_flows": selected,
-                "layer_weights": w.numpy().copy(),
-            },
-        )
+        params = {**self.settings.params(), "k": int(selected.size),
+                  "strategy": self.strategy}
+        return (slot, selected.size + 1), {"params": params, "selected_flows": selected}

@@ -201,7 +201,6 @@ class NodeContext:
 
     subgraph: Graph
     node_ids: np.ndarray          # original ids of subgraph nodes
-    edge_mask: np.ndarray         # boolean over original edges
     edge_positions: np.ndarray    # original edge index per subgraph edge
     local_target: int             # target's id inside the subgraph
     graph_fingerprint: str        # structure of the source graph
@@ -267,10 +266,34 @@ class Explainer:
         return explanation
 
     def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        raise NotImplementedError
+        """Explain ``node`` on its L-hop context, reported in global ids."""
+        return self._explain_in_context(graph, node, self.node_context(graph, node), mode)
 
     def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
+        """Explain a graph-level prediction; the whole graph is the context."""
+        return self._explain_instance(graph, None, mode)
+
+    def _explain_instance(self, graph: Graph, target: int | None,
+                          mode: str) -> Explanation:
+        """The one method each explainer implements.
+
+        ``graph`` is the context (a node's receptive field, or the whole
+        graph for graph tasks) and ``target`` the explained node's *local*
+        id in it, or ``None`` for graph tasks. Returns context-local
+        scores; :meth:`explain_node` lifts them to the full graph.
+        """
         raise NotImplementedError
+
+    def _explain_in_context(self, graph: Graph, node: int, context: NodeContext,
+                            mode: str) -> Explanation:
+        """Explain on an extracted context; lift the scores to ``graph``."""
+        explanation = self._explain_instance(context.subgraph, context.local_target, mode)
+        explanation.target = node
+        explanation.context_node_ids = context.node_ids
+        explanation.context_edge_positions = context.edge_positions
+        explanation.edge_scores = self.lift_edge_scores(
+            context, explanation.edge_scores, graph.num_edges)
+        return explanation
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -303,7 +326,6 @@ class Explainer:
             context = NodeContext(
                 subgraph=field.graph,
                 node_ids=field.node_ids,
-                edge_mask=field.edge_mask,
                 edge_positions=field.edge_positions,
                 local_target=int(field.local_index(node)),
                 graph_fingerprint=fingerprint,

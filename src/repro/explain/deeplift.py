@@ -29,23 +29,9 @@ class DeepLIFT(Explainer):
         super().__init__(model, seed=seed)
         self.baseline = baseline
 
-    def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        context = self.node_context(graph, node)
-        node_scores, class_idx = self._attributions(context.subgraph,
-                                                    target=context.local_target)
-        edge_scores = 0.5 * (node_scores[context.subgraph.src] + node_scores[context.subgraph.dst])
-        return Explanation(
-            edge_scores=self.lift_edge_scores(context, edge_scores, graph.num_edges),
-            predicted_class=class_idx,
-            method=self.name,
-            mode=mode,
-            target=node,
-            context_node_ids=context.node_ids,
-            context_edge_positions=context.edge_positions,
-        )
-
-    def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
-        node_scores, class_idx = self._attributions(graph, target=None)
+    def _explain_instance(self, graph: Graph, target: int | None,
+                          mode: str) -> Explanation:
+        node_scores, class_idx = self._attributions(graph, target=target)
         edge_scores = 0.5 * (node_scores[graph.src] + node_scores[graph.dst])
         return Explanation(
             edge_scores=edge_scores,

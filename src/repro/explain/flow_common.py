@@ -15,7 +15,7 @@ from ..graph import Graph
 from ..nn.models import GNN
 
 __all__ = ["masked_probability", "masked_probability_batch",
-           "flow_scores_to_edge_scores", "sigmoid"]
+           "layer_scores_to_edge_scores", "flow_scores_to_edge_scores", "sigmoid"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -71,19 +71,28 @@ def masked_probability_batch(model: GNN, graph: Graph, mask_stack: np.ndarray,
     return probs[:, row, class_idx]
 
 
+def layer_scores_to_edge_scores(layer_scores: np.ndarray, flow_index: FlowIndex) -> np.ndarray:
+    """Whole-GNN data-edge importance from ``(L, E+N)`` layer-edge scores.
+
+    The paper transfers flow scores "into the importance scores for edges
+    within individual GNN layers or across the entire GNN"; the across-GNN
+    transfer averages each data edge's per-layer scores over the layers
+    where it actually carries flows (zero where it carries none).
+    """
+    num_edges = flow_index.num_edges
+    scores = layer_scores[:, :num_edges]
+    mask = flow_index.used_layer_edges()[:, :num_edges]
+    counts = np.maximum(mask.sum(axis=0), 1)
+    return (scores * mask).sum(axis=0) / counts
+
+
 def flow_scores_to_edge_scores(flow_index: FlowIndex, flow_scores: np.ndarray) -> np.ndarray:
     """Whole-GNN data-edge importance from per-flow scores.
 
     Accumulates flow scores per layer edge (Eq. 3), squashes with a sigmoid
-    to keep layers comparable, and averages each data edge over the layers
-    where it carries flows — the same transfer Revelio's Explanation uses,
-    applied to externally-computed flow scores.
+    to keep layers comparable, and transfers them with
+    :func:`layer_scores_to_edge_scores` — Revelio's transfer, applied to
+    externally-computed flow scores.
     """
     accumulated = flow_index.aggregate_scores_np(np.asarray(flow_scores, dtype=np.float64))
-    squashed = sigmoid(accumulated)
-    used = flow_index.used_layer_edges()
-    num_edges = flow_index.num_edges
-    scores = squashed[:, :num_edges]
-    mask = used[:, :num_edges]
-    counts = np.maximum(mask.sum(axis=0), 1)
-    return (scores * mask).sum(axis=0) / counts
+    return layer_scores_to_edge_scores(sigmoid(accumulated), flow_index)

@@ -79,27 +79,6 @@ class FlowX(Explainer):
         self.batched = batched
 
     # ------------------------------------------------------------------
-    def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        context = self.node_context(graph, node)
-        flow_index = cached_enumerate_flows(context.subgraph, self.model.num_layers,
-                                            target=context.local_target,
-                                            max_flows=self.max_flows)
-        explanation = self._explain(context.subgraph, flow_index, mode,
-                                    target=context.local_target)
-        explanation.target = node
-        explanation.context_node_ids = context.node_ids
-        explanation.context_edge_positions = context.edge_positions
-        explanation.edge_scores = self.lift_edge_scores(
-            context, explanation.edge_scores, graph.num_edges
-        )
-        return explanation
-
-    def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
-        flow_index = cached_enumerate_flows(graph, self.model.num_layers,
-                                            max_flows=self.max_flows)
-        return self._explain(graph, flow_index, mode, target=None)
-
-    # ------------------------------------------------------------------
     # stage 1: sampled marginal contributions
     # ------------------------------------------------------------------
     def _shapley_flow_scores(self, graph: Graph, flow_index: FlowIndex,
@@ -184,8 +163,10 @@ class FlowX(Explainer):
     # ------------------------------------------------------------------
     # stage 2: learning refinement
     # ------------------------------------------------------------------
-    def _explain(self, graph: Graph, flow_index: FlowIndex, mode: str,
-                 target: int | None) -> Explanation:
+    def _explain_instance(self, graph: Graph, target: int | None,
+                          mode: str) -> Explanation:
+        flow_index = cached_enumerate_flows(graph, self.model.num_layers, target=target,
+                                            max_flows=self.max_flows)
         rng = ensure_rng(self.seed)
         class_idx = self.predicted_class(graph, target=target)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..autograd import Tensor, no_grad
 from ..errors import ExplainerError
-from ..flows import FlowIndex, cached_enumerate_flows
+from ..flows import cached_enumerate_flows
 from ..graph import Graph
 from ..nn.models import GNN
 from ..sparse import kernel, plan_for
@@ -64,26 +64,6 @@ class GNNLRP(Explainer):
         self.max_flows = max_flows
         self.batched = batched
 
-    def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        context = self.node_context(graph, node)
-        flow_index = cached_enumerate_flows(context.subgraph, self.model.num_layers,
-                                            target=context.local_target,
-                                            max_flows=self.max_flows)
-        explanation = self._explain(context.subgraph, flow_index, target=context.local_target,
-                                    mode=mode)
-        explanation.target = node
-        explanation.context_node_ids = context.node_ids
-        explanation.context_edge_positions = context.edge_positions
-        explanation.edge_scores = self.lift_edge_scores(
-            context, explanation.edge_scores, graph.num_edges
-        )
-        return explanation
-
-    def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
-        flow_index = cached_enumerate_flows(graph, self.model.num_layers,
-                                            max_flows=self.max_flows)
-        return self._explain(graph, flow_index, target=None, mode=mode)
-
     # ------------------------------------------------------------------
     def _class_score(self, graph: Graph, layer_masks: np.ndarray,
                      class_idx: int, target: int | None) -> float:
@@ -94,8 +74,10 @@ class GNNLRP(Explainer):
         row = logits[target] if target is not None else logits[0]
         return float(row[class_idx])
 
-    def _explain(self, graph: Graph, flow_index: FlowIndex, target: int | None,
-                 mode: str) -> Explanation:
+    def _explain_instance(self, graph: Graph, target: int | None,
+                          mode: str) -> Explanation:
+        flow_index = cached_enumerate_flows(graph, self.model.num_layers, target=target,
+                                            max_flows=self.max_flows)
         class_idx = self.predicted_class(graph, target=target)
         num_layers = flow_index.num_layers
         width = flow_index.num_layer_edges

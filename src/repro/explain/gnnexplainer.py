@@ -59,21 +59,8 @@ class GNNExplainer(Explainer):
         self.feature_mask = feature_mask
         self.feature_size_weight = feature_size_weight
 
-    def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        context = self.node_context(graph, node)
-        explanation = self._optimize(context.subgraph, mode, target=context.local_target)
-        explanation.target = node
-        explanation.context_node_ids = context.node_ids
-        explanation.context_edge_positions = context.edge_positions
-        explanation.edge_scores = self.lift_edge_scores(
-            context, explanation.edge_scores, graph.num_edges
-        )
-        return explanation
-
-    def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
-        return self._optimize(graph, mode, target=None)
-
-    def _optimize(self, graph: Graph, mode: str, target: int | None) -> Explanation:
+    def _explain_instance(self, graph: Graph, target: int | None,
+                          mode: str) -> Explanation:
         rng = ensure_rng(self.seed)
         class_idx = self.predicted_class(graph, target=target)
         num_edges, num_nodes = graph.num_edges, graph.num_nodes

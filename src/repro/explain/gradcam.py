@@ -27,22 +27,9 @@ class GradCAM(Explainer):
     def __init__(self, model: GNN, seed: int = 0):
         super().__init__(model, seed=seed)
 
-    def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        context = self.node_context(graph, node)
-        scores, class_idx = self._node_heat(context.subgraph, target=context.local_target)
-        edge_scores = self._edges_from_nodes(context.subgraph, scores)
-        return Explanation(
-            edge_scores=self.lift_edge_scores(context, edge_scores, graph.num_edges),
-            predicted_class=class_idx,
-            method=self.name,
-            mode=mode,
-            target=node,
-            context_node_ids=context.node_ids,
-            context_edge_positions=context.edge_positions,
-        )
-
-    def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
-        scores, class_idx = self._node_heat(graph, target=None)
+    def _explain_instance(self, graph: Graph, target: int | None,
+                          mode: str) -> Explanation:
+        scores, class_idx = self._node_heat(graph, target=target)
         return Explanation(
             edge_scores=self._edges_from_nodes(graph, scores),
             predicted_class=class_idx,

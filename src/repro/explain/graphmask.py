@@ -168,27 +168,8 @@ class GraphMask(Explainer):
         return self
 
     # ------------------------------------------------------------------
-    def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        self._require_fit()
-        context = self.node_context(graph, node)
-        layer_scores, edge_scores = self._scores(context.subgraph)
-        if mode == "counterfactual":
-            edge_scores = 1.0 - edge_scores
-            layer_scores = 1.0 - layer_scores
-        return Explanation(
-            edge_scores=self.lift_edge_scores(context, edge_scores, graph.num_edges),
-            predicted_class=self.predicted_class(context.subgraph,
-                                                 target=context.local_target),
-            method=self.name,
-            mode=mode,
-            target=node,
-            layer_edge_scores=layer_scores,
-            context_node_ids=context.node_ids,
-            context_edge_positions=context.edge_positions,
-            meta={"perf": {"train_seconds": self.train_seconds}},
-        )
-
-    def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
+    def _explain_instance(self, graph: Graph, target: int | None,
+                          mode: str) -> Explanation:
         self._require_fit()
         layer_scores, edge_scores = self._scores(graph)
         if mode == "counterfactual":
@@ -196,7 +177,7 @@ class GraphMask(Explainer):
             layer_scores = 1.0 - layer_scores
         return Explanation(
             edge_scores=edge_scores,
-            predicted_class=self.predicted_class(graph),
+            predicted_class=self.predicted_class(graph, target=target),
             method=self.name,
             mode=mode,
             layer_edge_scores=layer_scores,

@@ -140,33 +140,15 @@ class PGExplainer(Explainer):
     # ------------------------------------------------------------------
     # per-instance inference
     # ------------------------------------------------------------------
-    def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
+    def _explain_instance(self, graph: Graph, target: int | None,
+                          mode: str) -> Explanation:
         self._require_fit()
-        context = self.node_context(graph, node)
-        with_scores = self._edge_logits(context.subgraph, context.local_target)
-        scores = 1.0 / (1.0 + np.exp(-with_scores.numpy()))
-        if mode == "counterfactual":
-            scores = 1.0 - scores
-        return Explanation(
-            edge_scores=self.lift_edge_scores(context, scores, graph.num_edges),
-            predicted_class=self.predicted_class(context.subgraph,
-                                                 target=context.local_target),
-            method=self.name,
-            mode=mode,
-            target=node,
-            context_node_ids=context.node_ids,
-            context_edge_positions=context.edge_positions,
-            meta={"perf": {"train_seconds": self.train_seconds}},
-        )
-
-    def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
-        self._require_fit()
-        scores = 1.0 / (1.0 + np.exp(-self._edge_logits(graph, None).numpy()))
+        scores = 1.0 / (1.0 + np.exp(-self._edge_logits(graph, target).numpy()))
         if mode == "counterfactual":
             scores = 1.0 - scores
         return Explanation(
             edge_scores=scores,
-            predicted_class=self.predicted_class(graph),
+            predicted_class=self.predicted_class(graph, target=target),
             method=self.name,
             mode=mode,
             meta={"perf": {"train_seconds": self.train_seconds}},

@@ -53,25 +53,9 @@ class PGMExplainer(Explainer):
         self.perturb_mode = perturb_mode
         self.batched = batched
 
-    def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        context = self.node_context(graph, node)
-        node_scores, class_idx = self._node_importance(context.subgraph,
-                                                       target=context.local_target)
-        sub = context.subgraph
-        edge_scores = 0.5 * (node_scores[sub.src] + node_scores[sub.dst])
-        return Explanation(
-            edge_scores=self.lift_edge_scores(context, edge_scores, graph.num_edges),
-            predicted_class=class_idx,
-            method=self.name,
-            mode=mode,
-            target=node,
-            context_node_ids=context.node_ids,
-            context_edge_positions=context.edge_positions,
-            meta={"params": {"num_samples": self.num_samples}},
-        )
-
-    def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
-        node_scores, class_idx = self._node_importance(graph, target=None)
+    def _explain_instance(self, graph: Graph, target: int | None,
+                          mode: str) -> Explanation:
+        node_scores, class_idx = self._node_importance(graph, target=target)
         edge_scores = 0.5 * (node_scores[graph.src] + node_scores[graph.dst])
         return Explanation(
             edge_scores=edge_scores,

@@ -24,24 +24,11 @@ class RandomExplainer(Explainer):
         super().__init__(model, seed=seed)
         self._rng = ensure_rng(seed)
 
-    def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        context = self.node_context(graph, node)
-        local = self._rng.random(context.subgraph.num_edges)
-        return Explanation(
-            edge_scores=self.lift_edge_scores(context, local, graph.num_edges),
-            predicted_class=self.predicted_class(context.subgraph,
-                                                 target=context.local_target),
-            method=self.name,
-            mode=mode,
-            target=node,
-            context_node_ids=context.node_ids,
-            context_edge_positions=context.edge_positions,
-        )
-
-    def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
+    def _explain_instance(self, graph: Graph, target: int | None,
+                          mode: str) -> Explanation:
         return Explanation(
             edge_scores=self._rng.random(graph.num_edges),
-            predicted_class=self.predicted_class(graph),
+            predicted_class=self.predicted_class(graph, target=target),
             method=self.name,
             mode=mode,
         )

@@ -58,22 +58,6 @@ class RelevantWalks(Explainer):
         self.k = k
 
     # ------------------------------------------------------------------
-    def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        context = self.node_context(graph, node)
-        explanation = self._search(context.subgraph, target=context.local_target,
-                                   mode=mode)
-        explanation.target = node
-        explanation.context_node_ids = context.node_ids
-        explanation.context_edge_positions = context.edge_positions
-        explanation.edge_scores = self.lift_edge_scores(
-            context, explanation.edge_scores, graph.num_edges
-        )
-        return explanation
-
-    def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
-        return self._search(graph, target=None, mode=mode)
-
-    # ------------------------------------------------------------------
     def _layer_edge_relevance(self, graph: Graph, class_idx: int,
                               target: int | None) -> np.ndarray:
         """``(L, E+N)`` gradient magnitudes at the all-ones mask."""
@@ -132,7 +116,8 @@ class RelevantWalks(Explainer):
         scores = np.array([walk[0] for walk in finals])
         return nodes, edges, scores
 
-    def _search(self, graph: Graph, target: int | None, mode: str) -> Explanation:
+    def _explain_instance(self, graph: Graph, target: int | None,
+                          mode: str) -> Explanation:
         class_idx = self.predicted_class(graph, target=target)
         relevance = self._layer_edge_relevance(graph, class_idx, target)
         log_weights = np.where(relevance > 0, np.log(relevance + 1e-300), _LOG_FLOOR)

@@ -73,24 +73,10 @@ class SubgraphX(Explainer):
         self.batched = batched
 
     # ------------------------------------------------------------------
-    def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
-        context = self.node_context(graph, node)
-        edge_scores, class_idx = self._search(context.subgraph,
-                                              target=context.local_target,
-                                              protected={context.local_target})
-        return Explanation(
-            edge_scores=self.lift_edge_scores(context, edge_scores, graph.num_edges),
-            predicted_class=class_idx,
-            method=self.name,
-            mode=mode,
-            target=node,
-            context_node_ids=context.node_ids,
-            context_edge_positions=context.edge_positions,
-            meta={"params": {"rollouts": self.rollouts}},
-        )
-
-    def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
-        edge_scores, class_idx = self._search(graph, target=None, protected=set())
+    def _explain_instance(self, graph: Graph, target: int | None,
+                          mode: str) -> Explanation:
+        protected = set() if target is None else {target}
+        edge_scores, class_idx = self._search(graph, target=target, protected=protected)
         return Explanation(
             edge_scores=edge_scores,
             predicted_class=class_idx,

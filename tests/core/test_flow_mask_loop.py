@@ -1,0 +1,166 @@
+"""The Revelio family's one flow-mask loop (``repro.core.optimize``).
+
+An oracle keeps Revelio's mask loop written out in ``Tensor`` ops — the
+Eq. 4/5 transform, the Eq. 1/2 objective and the Eq. 8/9 regularizer —
+and checks that :func:`optimize_flow_masks` reproduces it bit for bit.
+Revelio, TopKRevelio and LinkRevelio then share one settings validation,
+one ``meta`` schema and one trace shape.
+"""
+
+import numpy as np
+import pytest
+
+from repro.autograd import Adam, Tensor, log_softmax
+from repro.core import LinkRevelio, Revelio, TopKRevelio
+from repro.core.optimize import optimize_flow_masks
+from repro.core.revelio import explanation_cache_disabled
+from repro.errors import ExplainerError
+from repro.explain import ExplainTarget
+from repro.flows import enumerate_flows
+from repro.graph import Graph, sbm_edges
+from repro.nn import LinkPredictor
+from repro.obs import TRACER, tracing
+from repro.obs.names import SPAN_EPOCH, SPAN_OPTIMIZE
+
+FAMILY = ["revelio", "revelio_topk", "link_revelio"]
+
+
+def reference_revelio(model, graph, flow_index, target, class_idx, mode, *,
+                      epochs, lr, alpha, seed):
+    """Revelio's mask loop, every equation inline (tanh masks, exp weights)."""
+    rng = np.random.default_rng(seed)
+    used = flow_index.used_layer_edges()
+    used_tensor = Tensor(used.astype(np.float64))
+    num_used = float(used.sum())
+    masks = Tensor(rng.normal(0.0, 0.1, size=flow_index.num_flows), requires_grad=True)
+    w = Tensor(np.zeros(flow_index.num_layers), requires_grad=True)
+    optimizer = Adam([masks, w], lr=lr)
+
+    def layer_edge_scores():
+        accumulated = flow_index.aggregate_scores(masks.tanh())   # Eq. 4, Eq. 3/7
+        return (accumulated * w.exp().reshape(-1, 1)).sigmoid()   # Eq. 5
+
+    for _ in range(epochs):
+        optimizer.zero_grad()
+        omega_e = layer_edge_scores()
+        layer_masks = [omega_e[l] for l in range(flow_index.num_layers)]
+        logits = model.forward_graph(graph, edge_masks=layer_masks)
+        log_p = log_softmax(logits, axis=-1)[target, class_idx]
+        if mode == "factual":
+            objective = -log_p                                              # Eq. 1
+            regularizer = (omega_e * used_tensor).sum() / num_used          # Eq. 8
+        else:
+            p = log_p.exp()
+            objective = -(1.0 - p.clip(0.0, 1.0 - 1e-12)).log()            # Eq. 2
+            regularizer = ((1.0 - omega_e) * used_tensor).sum() / num_used  # Eq. 9
+        loss = objective + alpha * regularizer
+        loss.backward()
+        optimizer.step()
+
+    omega_f = masks.tanh().numpy().copy()
+    omega_e = layer_edge_scores().numpy().copy()
+    if mode == "counterfactual":
+        omega_f, omega_e = -omega_f, 1.0 - omega_e
+    num_edges = flow_index.num_edges
+    carried = used[:, :num_edges]
+    edge_scores = ((omega_e[:, :num_edges] * carried).sum(axis=0)
+                   / np.maximum(carried.sum(axis=0), 1))
+    return omega_f, omega_e, edge_scores, loss.item()
+
+
+@pytest.mark.parametrize("mode", ["factual", "counterfactual"])
+def test_loop_reproduces_the_reference_bit_for_bit(node_model, mini_ba_shapes,
+                                                   good_motif_node, mode):
+    explainer = Revelio(node_model, epochs=25, lr=0.05, alpha=0.1, seed=3)
+    context = explainer.node_context(mini_ba_shapes.graph, good_motif_node)
+    graph, target = context.subgraph, context.local_target
+    flow_index = enumerate_flows(graph, node_model.num_layers, target=target)
+    class_idx = explainer.predicted_class(graph, target=target)
+    flow_ref, layer_ref, edge_ref, loss_ref = reference_revelio(
+        node_model, graph, flow_index, target, class_idx, mode,
+        epochs=25, lr=0.05, alpha=0.1, seed=3)
+
+    def log_prob(layer_masks):
+        logits = node_model.forward_graph(graph, edge_masks=layer_masks)
+        return log_softmax(logits, axis=-1)[target, class_idx]
+
+    direct = optimize_flow_masks(explainer.settings, flow_index, log_prob, mode,
+                                 np.random.default_rng(3), method="revelio",
+                                 predicted_class=class_idx)
+    with explanation_cache_disabled():
+        lifted = explainer.explain(mini_ba_shapes.graph,
+                                   ExplainTarget.node(good_motif_node), mode=mode)
+    for e in (direct, lifted):
+        assert np.array_equal(e.flow_scores, flow_ref)
+        assert np.array_equal(e.layer_edge_scores, layer_ref)
+        assert e.meta["final_loss"] == loss_ref
+    assert np.array_equal(direct.edge_scores, edge_ref)
+    assert np.array_equal(lifted.edge_scores[context.edge_positions], edge_ref)
+
+
+# ----------------------------------------------------------------------
+# one settings validation, one meta schema, one trace shape
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def link_setup():
+    rng = np.random.default_rng(0)
+    edges = sbm_edges([10, 10], 0.4, 0.05, rng=rng)
+    graph = Graph(edge_index=edges, x=rng.normal(size=(20, 4)))
+    return graph, LinkPredictor("gcn", 4, 8, rng=0)
+
+
+@pytest.fixture
+def family_member(node_model, mini_ba_shapes, good_motif_node, link_setup):
+    """``make(name, **settings)`` → ``(explainer, explain(mode))``."""
+    def make(name, **settings):
+        if name == "link_revelio":
+            graph, model = link_setup
+            explainer = LinkRevelio(model, seed=0, **settings)
+            u, v = (int(x) for x in graph.edge_index[:, 0])
+            return explainer, lambda mode: explainer.explain(
+                graph, ExplainTarget.link(u, v), mode=mode)
+        cls = TopKRevelio if name == "revelio_topk" else Revelio
+        extra = {"k": 4} if name == "revelio_topk" else {}
+        explainer = cls(node_model, seed=0, **extra, **settings)
+        return explainer, lambda mode: explainer.explain(
+            mini_ba_shapes.graph, ExplainTarget.node(good_motif_node), mode=mode)
+    return make
+
+
+@pytest.mark.parametrize("bad, field", [
+    ({"epochs": 0}, "epochs"), ({"epochs": -2}, "epochs"),
+    ({"epochs": 2.5}, "epochs"), ({"epochs": True}, "epochs"),
+    ({"lr": float("nan")}, "lr"), ({"lr": float("inf")}, "lr"),
+    ({"lr": 0.0}, "lr"), ({"lr": -0.01}, "lr"), ({"lr": "nan"}, "lr"),
+    ({"alpha": float("nan")}, "alpha"), ({"alpha": -0.5}, "alpha"),
+])
+@pytest.mark.parametrize("name", FAMILY)
+def test_bad_loop_settings_rejected_at_construction(family_member, name, bad, field):
+    with pytest.raises(ExplainerError, match=field):
+        family_member(name, **bad)
+
+
+@pytest.mark.parametrize("mode", ["factual", "counterfactual"])
+@pytest.mark.parametrize("name", FAMILY)
+def test_one_meta_schema_and_trace_shape(family_member, name, mode):
+    _, explain = family_member(name, epochs=3, lr=0.05, alpha=0.0)
+    with explanation_cache_disabled(), tracing() as tracer:
+        explanation = explain(mode)
+        trace_id = tracer.trace_id
+    records = [r for r in TRACER.records() if r["trace_id"] == trace_id]
+
+    optimize = [r for r in records if r["name"] == SPAN_OPTIMIZE]
+    assert len(optimize) == 1
+    epochs = [r for r in records if r["name"] == SPAN_EPOCH]
+    assert len(epochs) == 3
+    assert all(r["parent_id"] == optimize[0]["span_id"] for r in epochs)
+
+    meta = explanation.meta
+    assert {"final_loss", "num_flows", "layer_weights", "params"} <= set(meta)
+    assert np.isfinite(meta["final_loss"])
+    assert meta["num_flows"] == explanation.flow_index.num_flows
+    assert meta["layer_weights"].shape == (explanation.flow_index.num_layers,)
+    expected = {"epochs": 3, "lr": 0.05, "alpha": 0.0}
+    if name == "revelio_topk":
+        expected.update(k=4, strategy="gradient")
+    assert meta["params"] == expected

@@ -34,29 +34,29 @@ class TestMaskTransformation:
 
     def test_flow_scores_bounded_tanh(self, revelio):
         masks = Tensor(np.array([-10.0, 0.0, 10.0]))
-        out = revelio._flow_scores(masks).numpy()
+        out = revelio.settings.flow_scores(masks).numpy()
         assert out[0] == pytest.approx(-1.0, abs=1e-4)
         assert out[1] == 0.0
         assert out[2] == pytest.approx(1.0, abs=1e-4)
 
     def test_sigmoid_variant_positive(self, node_model):
         rev = Revelio(node_model, mask_activation="sigmoid")
-        out = rev._flow_scores(Tensor(np.array([-3.0, 3.0]))).numpy()
+        out = rev.settings.flow_scores(Tensor(np.array([-3.0, 3.0]))).numpy()
         assert (out > 0).all()
 
     def test_layer_scale_exp_positive(self, revelio):
-        out = revelio._layer_scale(Tensor(np.array([-2.0, 0.0, 2.0]))).numpy()
+        out = revelio.settings.layer_scale(Tensor(np.array([-2.0, 0.0, 2.0]))).numpy()
         assert (out > 0).all()
         assert out[1] == pytest.approx(1.0)
 
     def test_layer_scale_softplus(self, node_model):
         rev = Revelio(node_model, layer_weight_activation="softplus")
-        out = rev._layer_scale(Tensor(np.array([-5.0, 5.0]))).numpy()
+        out = rev.settings.layer_scale(Tensor(np.array([-5.0, 5.0]))).numpy()
         assert (out > 0).all()
 
     def test_layer_scale_identity_can_be_negative(self, node_model):
         rev = Revelio(node_model, layer_weight_activation="identity")
-        out = rev._layer_scale(Tensor(np.array([-1.0]))).numpy()
+        out = rev.settings.layer_scale(Tensor(np.array([-1.0]))).numpy()
         assert out[0] == -1.0
 
     def test_layer_edge_scores_in_unit_interval(self, revelio, mini_ba_shapes):
@@ -65,7 +65,7 @@ class TestMaskTransformation:
         fi = enumerate_flows(ctx.subgraph, 3, target=ctx.local_target)
         masks = Tensor(np.random.default_rng(0).normal(size=fi.num_flows))
         w = Tensor(np.zeros(3))
-        omega = revelio._layer_edge_scores(masks, w, fi).numpy()
+        omega = revelio.settings.layer_edge_scores(masks, w, fi).numpy()
         assert omega.shape == (3, fi.num_layer_edges)
         assert ((omega > 0) & (omega < 1)).all()
 
@@ -74,7 +74,7 @@ class TestMaskTransformation:
         graph = mini_ba_shapes.graph
         ctx = revelio.node_context(graph, int(mini_ba_shapes.motif_nodes[0]))
         fi = enumerate_flows(ctx.subgraph, 3, target=ctx.local_target)
-        omega = revelio._layer_edge_scores(
+        omega = revelio.settings.layer_edge_scores(
             Tensor(np.zeros(fi.num_flows)), Tensor(np.zeros(3)), fi
         ).numpy()
         assert np.allclose(omega, 0.5)
@@ -83,11 +83,11 @@ class TestMaskTransformation:
         graph = mini_ba_shapes.graph
         ctx = revelio.node_context(graph, int(mini_ba_shapes.motif_nodes[0]))
         fi = enumerate_flows(ctx.subgraph, 3, target=ctx.local_target)
-        base = revelio._layer_edge_scores(
+        base = revelio.settings.layer_edge_scores(
             Tensor(np.zeros(fi.num_flows)), Tensor(np.zeros(3)), fi).numpy()
         bumped_masks = np.zeros(fi.num_flows)
         bumped_masks[0] = 2.0
-        bumped = revelio._layer_edge_scores(
+        bumped = revelio.settings.layer_edge_scores(
             Tensor(bumped_masks), Tensor(np.zeros(3)), fi).numpy()
         changed = ~np.isclose(base, bumped)
         for l in range(3):
@@ -211,14 +211,13 @@ class TestGraphExplanation:
 
 class TestEdgeTransfer:
     def test_edges_from_layers_averages_used_only(self):
-        from repro.core.revelio import Revelio as R
+        from repro.explain.flow_common import layer_scores_to_edge_scores
         from repro.flows import FlowIndex
 
         fi = FlowIndex(nodes=np.array([[0, 1, 2]]), layer_edges=np.array([[0, 1]]),
                        num_layers=2, num_edges=3, num_nodes=3)
         omega = np.array([[0.9, 0.1, 0.5, 0, 0, 0], [0.2, 0.8, 0.5, 0, 0, 0]])
-        used = fi.used_layer_edges()
-        scores = R._edges_from_layers(omega, used, fi)
+        scores = layer_scores_to_edge_scores(omega, fi)
         # edge 0 used only at layer 1 → 0.9; edge 1 only layer 2 → 0.8
         assert scores[0] == pytest.approx(0.9)
         assert scores[1] == pytest.approx(0.8)

@@ -217,6 +217,26 @@ class TestBackpressureAndTimeouts:
         assert status == 400
         assert "out of range" in payload["error"]["message"]
 
+    def test_invalid_loop_settings_map_to_400(self, node_model, mini_ba_shapes):
+        """``epochs: 0`` is rejected per request, not a 500 from the loop."""
+        pool = ModelPool()
+        pool.put(("ba_shapes", "gcn", None, 0), node_model, mini_ba_shapes)
+
+        async def main():
+            app = await started_app(batch_runner=ExplainRuntime(pool),
+                                    max_linger_ms=0.0)
+            status, payload, _ = await http_request(
+                app.port, "/explain", "POST",
+                body={"dataset": "ba_shapes", "model": "gcn",
+                      "explainer": "revelio", "target": 3,
+                      "params": {"epochs": 0}})
+            await app.shutdown()
+            return status, payload
+
+        status, payload = run(main())
+        assert status == 400
+        assert "epochs" in payload["error"]["message"]
+
 
 class TestServingParity:
     """Coalesced responses must be byte-identical to the serial path."""
