@@ -4,8 +4,7 @@ Times a small fidelity grid through ``repro.runner`` twice — inline
 (``workers=1``) and across a 4-worker pool — asserting the aggregated
 rows are byte-identical, and times a pure-orchestration grid of blocking
 jobs that isolates the pool's dispatch/journal overhead from the
-compute. Results are merged into ``BENCH_perf.json`` at the repository
-root under ``workloads/runner_scaling``.
+compute. The payload is printed as JSON.
 
 The ≥2× speedup floor applies to whichever measurement the hardware can
 physically deliver: the real fidelity grid needs ≥4 usable cores
@@ -27,12 +26,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_perf.json"
 
 SPEEDUP_FLOOR = 2.0
 WORKERS = 4
@@ -127,18 +122,6 @@ def run_benchmark() -> dict:
     if cpus >= WORKERS:
         assert payload["fidelity_grid"]["speedup"] >= SPEEDUP_FLOOR, \
             f"parallel fidelity grid below {SPEEDUP_FLOOR}x: {payload['fidelity_grid']}"
-
-    from repro.obs.names import WORKLOAD_RUNNER_SCALING
-
-    existing = {}
-    if RESULT_PATH.exists():
-        try:
-            existing = json.loads(RESULT_PATH.read_text())
-        except json.JSONDecodeError:
-            existing = {}
-    results = existing.setdefault("workloads", {})
-    results[WORKLOAD_RUNNER_SCALING] = payload
-    RESULT_PATH.write_text(json.dumps(existing, indent=2) + "\n")
     return payload
 
 

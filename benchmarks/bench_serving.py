@@ -11,10 +11,8 @@ path. Every response from both runs must be byte-identical to the
 library path for its target; the coalesced run must clear
 :data:`SPEEDUP_FLOOR` over the serial wall-clock.
 
-Results are merged into ``BENCH_perf.json`` under
-``workloads/serving_load`` (p50/p99 latency, throughput, dedup and batch
-counters) and the full merged payload is appended to
-``BENCH_history.jsonl`` for the ``repro bench --check`` gate.
+The payload (p50/p99 latency, throughput, dedup and batch counters) is
+printed as JSON; nothing is written to disk.
 
 Run as a pytest marker (seconds-scale budget)::
 
@@ -24,7 +22,7 @@ as a script::
 
     PYTHONPATH=src python benchmarks/bench_serving.py
 
-or as the CI smoke (reduced load, no artifact writes)::
+or as the CI smoke (reduced load)::
 
     PYTHONPATH=src REPRO_SCALE=0.12 python benchmarks/bench_serving.py --smoke
 """
@@ -36,13 +34,8 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 import pytest
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_perf.json"
-HISTORY_PATH = REPO_ROOT / "BENCH_history.jsonl"
 
 SPEEDUP_FLOOR = 2.0
 CONCURRENCY = 16
@@ -248,45 +241,7 @@ def run_benchmark(*, smoke: bool = False) -> dict:
     }
     assert payload["speedup"] >= SPEEDUP_FLOOR, \
         f"coalesced serving only {payload['speedup']}x over serial: {payload}"
-
-    _write_artifacts(payload)
     return payload
-
-
-def _write_artifacts(payload: dict) -> None:
-    """Merge into BENCH_perf.json, append the merged payload to history."""
-    from repro.obs.names import WORKLOAD_SERVING_LOAD
-
-    existing = {}
-    if RESULT_PATH.exists():
-        try:
-            existing = json.loads(RESULT_PATH.read_text())
-        except json.JSONDecodeError:
-            existing = {}
-    results = existing.setdefault("workloads", {})
-    results[WORKLOAD_SERVING_LOAD] = payload
-    RESULT_PATH.write_text(json.dumps(existing, indent=2) + "\n")
-
-    # The bench gate reads the *latest* history record and requires every
-    # committed workload in it, so append the full merged table, not just
-    # this script's entry.
-    import subprocess
-    from datetime import datetime, timezone
-
-    try:
-        proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                              cwd=REPO_ROOT, capture_output=True, text=True,
-                              timeout=10)
-        sha = proc.stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        sha = None
-    record = {
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "git_sha": sha,
-        "payload": existing,
-    }
-    with HISTORY_PATH.open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record) + "\n")
 
 
 @pytest.mark.serve_slow

@@ -1,7 +1,7 @@
 """repro.checks — repo-aware static analysis for the reproduction.
 
 An AST lint pass that machine-checks the invariants the reproduction's
-claims rest on, in six families:
+claims rest on, in these families:
 
 * **determinism** — no module-global RNG state, no wall-clock seeds, no
   set-order-sensitive iteration in scoring code (RPR001–RPR003);
@@ -12,9 +12,6 @@ claims rest on, in six families:
 * **observability conformance** — every span/stage/counter name resolves
   against the declared registry in :mod:`repro.obs.names`
   (RPR030–RPR031);
-* **benchmark conformance** — workload keys written to BENCH_perf.json
-  by ``bench_*`` scripts resolve against the declared workload registry
-  (RPR040);
 * **scatter discipline** — no raw ``np.add.at``/``np.maximum.at`` in
   library code outside :mod:`repro.sparse`; hot scatters dispatch
   through the plan-backed kernel registry (RPR050);
@@ -56,8 +53,8 @@ from .sarif import to_sarif
 
 # Importing the rule modules registers their rules (stable-code registry);
 # program comes last — its rules consume the engine's FileSummary digests.
-from . import (api, benchconf, blocking, determinism, discipline, obsconf,
-               program, scatter, targets)
+from . import (api, blocking, determinism, discipline, obsconf, program,
+               scatter, targets)
 
 __all__ = [
     "Violation",

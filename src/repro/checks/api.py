@@ -84,7 +84,7 @@ class PositionalDefaults(Rule):
 class FlatExecutionKwargs(Rule):
     code = "RPR021"
     name = "flat-execution-kwargs"
-    rationale = ("Passing jobs=/resume=/batched=/... directly to the "
+    rationale = ("Passing jobs=/resume=/trace=/... directly to the "
                  "experiment drivers re-explodes ExecutionConfig into "
                  "flat kwargs; that shape only exists in the deprecation "
                  "shim and dies with it.")

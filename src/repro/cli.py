@@ -20,10 +20,6 @@ Commands
                                         runs reuse a parse cache
                                         (``--no-cache`` to bypass) and
                                         ``--format sarif`` emits SARIF 2.1.0
-``repro bench --check``                 gate the latest BENCH_history.jsonl run
-                                        against the committed BENCH_perf.json
-                                        floors (exit 0 pass / 1 regression /
-                                        2 unreadable artifacts)
 ``repro stats``                         hit/miss/size snapshot of every
                                         process-global cache
 ``repro serve --port 8731``             explanation-serving daemon (warm model
@@ -131,18 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bypass the .repro_lint_cache.json parse cache")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="print every registered rule and exit")
-
-    p_bench = sub.add_parser(
-        "bench", help="inspect or gate the benchmark artifacts")
-    p_bench.add_argument("--check", action="store_true",
-                         help="diff the latest BENCH_history.jsonl run against "
-                              "the committed BENCH_perf.json floors; exit 1 on "
-                              "any regression, 2 on unreadable artifacts")
-    p_bench.add_argument("--history", default="BENCH_history.jsonl",
-                         help="benchmark run history (default: %(default)s)")
-    p_bench.add_argument("--reference", default="BENCH_perf.json",
-                         help="committed floors to gate against "
-                              "(default: %(default)s)")
 
     sub.add_parser(
         "stats", help="hit/miss/size snapshot of every process-global cache")
@@ -307,29 +291,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.artifact == "alpha":
                 curves = {f"alpha={a}": c for a, c in curves.items()}
             print(render_curves(curves))
-        return 0
-
-    if args.command == "bench":
-        from .errors import BenchError
-        from .eval.benchgate import load_latest_run, run_bench_check
-
-        if args.check:
-            return run_bench_check(history_path=args.history,
-                                   reference_path=args.reference)
-        try:
-            record = load_latest_run(args.history)
-        except BenchError as exc:
-            print(f"bench: {exc}", file=sys.stderr)
-            return 2
-        print(f"latest run: {record.get('timestamp', '?')} "
-              f"({record.get('git_sha') or '?'})")
-        for name, entry in sorted(record["payload"].get("workloads", {}).items()):
-            speedup = entry.get("speedup_largest", entry.get("speedup"))
-            if speedup is None:
-                speedup = entry.get("orchestration", {}).get("speedup")
-            detail = f"speedup {speedup}x" if speedup is not None else \
-                f"overhead {entry.get('overhead_fraction', '?')}"
-            print(f"  {name}: {detail}")
         return 0
 
     if args.command == "stats":

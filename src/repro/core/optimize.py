@@ -12,16 +12,14 @@ outcome)``.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
 from ..autograd import Adam, Tensor
 from ..errors import ExplainerError
-from ..explain.base import Explanation
+from ..explain.base import Explanation, check_int, check_real
 from ..explain.flow_common import layer_scores_to_edge_scores
 from ..flows import FlowIndex
 from ..obs import span
@@ -33,10 +31,6 @@ __all__ = ["FlowMaskSettings", "optimize_flow_masks",
 # Ablation knobs discussed in §IV-B of the paper.
 MASK_ACTIVATIONS = ("tanh", "sigmoid")
 LAYER_WEIGHT_ACTIVATIONS = ("exp", "softplus", "identity")
-
-
-def _finite_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -60,13 +54,9 @@ class FlowMaskSettings:
         if self.layer_weight_activation not in LAYER_WEIGHT_ACTIVATIONS:
             raise ExplainerError(
                 f"layer_weight_activation must be one of {LAYER_WEIGHT_ACTIVATIONS}")
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, Integral) \
-                or self.epochs < 1:
-            raise ExplainerError(f"epochs must be an integer >= 1, got {self.epochs!r}")
-        if not (_finite_real(self.lr) and self.lr > 0):
-            raise ExplainerError(f"lr must be a finite number > 0, got {self.lr!r}")
-        if not (_finite_real(self.alpha) and self.alpha >= 0):
-            raise ExplainerError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
+        check_int("epochs", self.epochs, 1)
+        check_real("lr", self.lr, 0, strict=True)
+        check_real("alpha", self.alpha, 0)
 
     def params(self) -> dict:
         """The ``meta["params"]`` entries every flow-mask explanation reports."""

@@ -57,11 +57,6 @@ class KernelError(ReproError):
     backends, mismatched scatter plans)."""
 
 
-class BenchError(ReproError):
-    """Raised for unreadable benchmark artifacts (missing or malformed
-    BENCH_history.jsonl / BENCH_perf.json)."""
-
-
 class ServeError(ReproError):
     """Raised by the serving daemon: malformed requests, backpressure
     rejections, and submissions against a draining server."""

@@ -1,7 +1,6 @@
 """Evaluation: fidelity, AUC, sparsity control, timing, experiment runners."""
 
 from .auc import explanation_auc, mean_explanation_auc, roc_auc
-from .benchgate import check_run, load_latest_run, load_reference, run_bench_check
 from .fidelity import (
     Instance,
     class_probability,
@@ -35,10 +34,6 @@ from .sanity import SanityCheckResult, model_randomization_check, randomize_mode
 from .timing import TimingResult, time_explainer
 
 __all__ = [
-    "check_run",
-    "load_latest_run",
-    "load_reference",
-    "run_bench_check",
     "ExecutionConfig",
     "ExperimentConfig",
     "build_report",

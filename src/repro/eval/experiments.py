@@ -285,8 +285,7 @@ def run_fidelity_experiment(dataset_name: str, conv: str, methods: tuple[str, ..
                                        effort=config.resolved_effort(),
                                        alpha=config.alpha, seed=config.seed)
                 curve = fidelity_curve(model, instances, result.explanations,
-                                       list(config.sparsities), metric=fid_metric,
-                                       batched=execution.batched)
+                                       list(config.sparsities), metric=fid_metric)
             curves[method] = curve
             values = "  ".join(f"{curve[s]:+.3f}" for s in config.sparsities)
             rows.append(f"{method:<14} {values}")

@@ -95,23 +95,17 @@ def fidelity_plus(model: GNN, instances: list[Instance],
 
 def fidelity_curve(model: GNN, instances: list[Instance],
                    explanations: list[Explanation], sparsities: list[float],
-                   *, metric: str = "minus", batched: bool = True) -> dict[float, float]:
+                   *, metric: str = "minus") -> dict[float, float]:
     """Fidelity over a sparsity grid — one line of Fig. 3 / Fig. 4.
 
-    The batched path visits each instance once: ``p_orig`` is computed a
-    single time and the whole sparsity grid is evaluated in one structural
-    masked forward (binary retention masks are exact edge removal).
-    ``batched=False`` keeps the original one-pruned-graph-per-(instance,
-    sparsity) sweep; the two agree to float tolerance.
+    Visits each instance once: ``p_orig`` is computed a single time and
+    the whole sparsity grid is evaluated in one structural masked forward
+    (binary retention masks are exact edge removal), so each point equals
+    :func:`fidelity_minus` / :func:`fidelity_plus` at that sparsity.
     """
     if metric not in ("minus", "plus"):
         raise EvaluationError(f"metric must be 'minus' or 'plus', got {metric!r}")
-    with span(SPAN_FIDELITY_SWEEP, metric=metric, batched=batched,
-              num_instances=len(instances)):
-        if not batched:
-            fn = fidelity_minus if metric == "minus" else fidelity_plus
-            return {float(s): fn(model, instances, explanations, s) for s in sparsities}
-
+    with span(SPAN_FIDELITY_SWEEP, metric=metric, num_instances=len(instances)):
         if len(instances) != len(explanations):
             raise EvaluationError(
                 f"{len(instances)} instances but {len(explanations)} explanations"

@@ -1,9 +1,8 @@
 """ExecutionConfig: one object for every execution-mode option.
 
-Execution options grew organically across the batched-inference and
-runner PRs — ``batched=`` on evaluation helpers, ``jobs=``/``resume=``/
-``timeout=``/``retries=`` on the experiment drivers, each accepted by a
-different subset of entry points. :class:`ExecutionConfig` consolidates
+Execution options grew organically across the runner and tracing
+work — ``jobs=``/``resume=``/``timeout=``/``retries=``/``trace=`` on the
+experiment drivers, each accepted by a different subset of entry points. :class:`ExecutionConfig` consolidates
 them: every public driver (``run_fidelity_experiment``,
 ``run_auc_experiment``, ``run_runtime_experiment``) and the CLI accept
 the same ``execution=`` object, and the old flat kwargs keep working for
@@ -26,7 +25,6 @@ __all__ = ["ExecutionConfig", "coerce_execution", "reject_unknown_kwargs",
 #: Old flat keyword names accepted (with a DeprecationWarning) by the
 #: experiment drivers, mapped to their ExecutionConfig field.
 _LEGACY_FIELDS = {
-    "batched": "batched",
     "jobs": "jobs",
     "resume": "resume",
     "chunk_size": "chunk_size",
@@ -42,8 +40,6 @@ class ExecutionConfig:
 
     Attributes
     ----------
-    batched:
-        Use the batched masked-forward engine where applicable.
     jobs:
         Worker processes for sharded runs; ``None`` (or 1 with no other
         sharding option) keeps the serial in-process path.
@@ -62,7 +58,6 @@ class ExecutionConfig:
         that file, falsy disables tracing.
     """
 
-    batched: bool = True
     jobs: int | None = None
     resume: str | None = None
     chunk_size: int | None = None
@@ -113,8 +108,8 @@ def coerce_execution(func_name: str, execution: ExecutionConfig | None,
                      extra_valid: tuple[str, ...] = ()) -> ExecutionConfig:
     """Fold legacy flat execution kwargs into an :class:`ExecutionConfig`.
 
-    Pops any of ``batched``/``jobs``/``resume``/``chunk_size``/``timeout``/
-    ``retries``/``trace`` out of ``kwargs`` with a single
+    Pops any of ``jobs``/``resume``/``chunk_size``/``timeout``/``retries``/
+    ``trace`` out of ``kwargs`` with a single
     :class:`DeprecationWarning`, overlaying them on ``execution`` (or a
     default config). Anything left in ``kwargs`` afterwards raises
     :class:`ReproError` via :func:`reject_unknown_kwargs`.

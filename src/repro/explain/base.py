@@ -21,8 +21,10 @@ return the same scores for both, as in the paper's experiments.
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .target import ExplainTarget
 
 __all__ = ["Explanation", "Explainer", "NodeContext", "MODES",
            "CONTEXT_CACHE", "context_cache_disabled", "clear_context_cache",
-           "feature_digest"]
+           "feature_digest", "check_int", "check_real"]
 
 MODES = ("factual", "counterfactual")
 
@@ -55,6 +57,27 @@ def feature_digest(x: np.ndarray) -> str:
     h = hashlib.sha1(f"{x.dtype.str}{x.shape}".encode())
     h.update(x.tobytes())
     return h.hexdigest()
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Reject a constructor setting that is not an integer ``>= minimum``.
+
+    Explainers validate their budgets at construction, so a bad value is
+    an :class:`ExplainerError` (a 400 when served) before any work runs.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ExplainerError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, low: float, *, strict: bool = False,
+               high: float | None = None) -> None:
+    """Reject a setting that is not a finite number ``>= low`` (``> low``
+    when ``strict``) and, if given, ``<= high``."""
+    ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value) \
+        and (value > low if strict else value >= low) and (high is None or value <= high)
+    if not ok:
+        bound = f"{'>' if strict else '>='} {low:g}" + ("" if high is None else f" and <= {high:g}")
+        raise ExplainerError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 def clear_context_cache() -> None:

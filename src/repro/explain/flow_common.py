@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, no_grad, softmax
 from ..flows import FlowIndex
 from ..graph import Graph
 from ..nn.models import GNN
 
-__all__ = ["masked_probability", "masked_probability_batch",
+__all__ = ["masked_probability_batch",
            "layer_scores_to_edge_scores", "flow_scores_to_edge_scores", "sigmoid"]
 
 
@@ -28,38 +27,24 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def masked_probability(model: GNN, graph: Graph, layer_masks: np.ndarray,
-                       class_idx: int, target_row: int | None) -> float:
-    """``P(class | graph, masks)`` with per-layer edge masks, no tape.
-
-    Parameters
-    ----------
-    layer_masks:
-        ``(L, E+N)`` float multipliers per layer edge.
-    target_row:
-        Output row to read — a *local* index into ``graph`` (explainers
-        call this on the context subgraph), not an
-        :class:`~repro.explain.target.ExplainTarget`; ``None`` reads row
-        0 (graph tasks).
-    """
-    with no_grad():
-        masks = [Tensor(layer_masks[l]) for l in range(layer_masks.shape[0])]
-        logits = model.forward_graph(graph, edge_masks=masks)
-        probs = softmax(logits, axis=-1).numpy()
-    row = probs[target_row] if target_row is not None else probs[0]
-    return float(row[class_idx])
-
-
 def masked_probability_batch(model: GNN, graph: Graph, mask_stack: np.ndarray,
                              class_idx: int, target_row: int | None, *,
                              structural: bool = False) -> np.ndarray:
-    """Vectorized :func:`masked_probability` over a stack of mask sets.
+    """``P(class | graph, masks_b)`` for each of a stack of mask sets, no tape.
 
     Parameters
     ----------
     mask_stack:
         ``(B, L, E+N)`` float multipliers; each of the ``B`` rows is one
         complete per-layer mask set.
+    target_row:
+        Output row to read — a *local* index into ``graph`` (explainers
+        call this on the context subgraph), not an
+        :class:`~repro.explain.target.ExplainTarget`; ``None`` reads row
+        0 (graph tasks).
+    structural:
+        Binary masks remove edges exactly (see
+        :meth:`~repro.nn.models.GNN.forward_masked_batch`).
 
     Returns
     -------

@@ -27,12 +27,8 @@ from ..flows import FlowIndex, cached_enumerate_flows
 from ..graph import Graph
 from ..nn.models import GNN
 from ..rng import ensure_rng
-from .base import Explainer, Explanation
-from .flow_common import (
-    flow_scores_to_edge_scores,
-    masked_probability,
-    masked_probability_batch,
-)
+from .base import Explainer, Explanation, check_int, check_real
+from .flow_common import flow_scores_to_edge_scores, masked_probability_batch
 
 __all__ = ["FlowX"]
 
@@ -49,13 +45,8 @@ class FlowX(Explainer):
         bounding this trades accuracy for speed, mirroring the GPU
         batch-size knob of the original implementation).
     finetune_epochs, lr:
-        Stage-2 schedule.
-    batched:
-        Evaluate stage-1 coalition perturbations through the vectorized
-        masked-forward engine (one batched pass instead of one serial
-        forward per toggled edge). ``False`` keeps the original
-        forward-per-perturbation loop; both paths draw randomness in the
-        same order and agree to float tolerance.
+        Stage-2 schedule (``finetune_epochs=0`` reports the stage-1
+        scores unrefined).
     """
 
     name = "flowx"
@@ -69,14 +60,18 @@ class FlowX(Explainer):
 
     def __init__(self, model: GNN, samples: int = 10, edges_per_sample: int | None = None,
                  finetune_epochs: int = 100, lr: float = 1e-2,
-                 max_flows: int = 2_000_000, batched: bool = True, seed: int = 0):
+                 max_flows: int = 2_000_000, seed: int = 0):
+        check_int("samples", samples, 1)
+        if edges_per_sample is not None:
+            check_int("edges_per_sample", edges_per_sample, 1)
+        check_int("finetune_epochs", finetune_epochs, 0)
+        check_real("lr", lr, 0, strict=True)
         super().__init__(model, seed=seed)
         self.samples = samples
         self.edges_per_sample = edges_per_sample
         self.finetune_epochs = finetune_epochs
         self.lr = lr
         self.max_flows = max_flows
-        self.batched = batched
 
     # ------------------------------------------------------------------
     # stage 1: sampled marginal contributions
@@ -93,11 +88,11 @@ class FlowX(Explainer):
         counts = np.zeros(flow_index.num_flows)
         flows_per_edge = flow_index.flows_per_layer_edge()
 
-        # Draw every coalition and pick set up front — the rng call order
-        # is identical to the serial loop's, so batched=True/False produce
-        # the same randomness (and thus the same scores up to float error).
-        plans = []
-        for _ in range(self.samples):
+        # One row per sampled coalition plus one per eligible toggled edge,
+        # all evaluated through the masked-forward engine.
+        rows: list[np.ndarray] = []
+        row_meta: list[tuple[int, tuple[int, int] | None]] = []
+        for s in range(self.samples):
             keep_prob = rng.uniform(0.3, 0.95)
             coalition = (rng.random((num_layers, width)) < keep_prob).astype(np.float64)
             coalition[~used] = 1.0  # unused edges are irrelevant; keep masks clean
@@ -106,32 +101,6 @@ class FlowX(Explainer):
                                               replace=False)]
             else:
                 picks = used_pairs
-            plans.append((coalition, picks))
-
-        if not self.batched:
-            for coalition, picks in plans:
-                p_base = masked_probability(self.model, graph, coalition, class_idx, target)
-                for layer, edge in picks:
-                    if coalition[layer, edge] == 0.0:
-                        continue
-                    n_flows = flows_per_edge[layer, edge]
-                    if n_flows == 0:
-                        continue
-                    coalition[layer, edge] = 0.0
-                    p_without = masked_probability(self.model, graph, coalition,
-                                                   class_idx, target)
-                    coalition[layer, edge] = 1.0
-                    delta = (p_base - p_without) / n_flows
-                    members = flow_index.flows_through(layer + 1, edge)
-                    contributions[members] += delta
-                    counts[members] += 1.0
-            return contributions / np.maximum(counts, 1.0)
-
-        # Batched path: one row per base coalition plus one per eligible
-        # toggled edge, all evaluated through the masked-forward engine.
-        rows: list[np.ndarray] = []
-        row_meta: list[tuple[int, tuple[int, int] | None]] = []
-        for s, (coalition, picks) in enumerate(plans):
             rows.append(coalition)
             row_meta.append((s, None))
             for layer, edge in picks:

@@ -23,13 +23,12 @@ import itertools
 
 import numpy as np
 
-from ..autograd import Tensor, no_grad
 from ..errors import ExplainerError
 from ..flows import cached_enumerate_flows
 from ..graph import Graph
 from ..nn.models import GNN
 from ..sparse import kernel, plan_for
-from .base import Explainer, Explanation
+from .base import Explainer, Explanation, check_real
 
 __all__ = ["GNNLRP"]
 
@@ -43,10 +42,6 @@ class GNNLRP(Explainer):
         Finite-difference step ``h`` for the mixed partial.
     max_flows:
         Enumeration ceiling; large instances raise rather than thrash.
-    batched:
-        Evaluate the unique finite-difference stencil points through the
-        vectorized masked-forward engine instead of one serial forward per
-        point. The stencil set and result are identical either way.
     """
 
     name = "gnn_lrp"
@@ -56,23 +51,13 @@ class GNNLRP(Explainer):
     BATCH_CHUNK = 256
 
     def __init__(self, model: GNN, step: float = 0.1, max_flows: int = 200_000,
-                 batched: bool = True, seed: int = 0):
+                 seed: int = 0):
         if model.conv_name == "gat":
             raise ExplainerError("GNN-LRP is not compatible with GAT models (paper §V-A)")
+        check_real("step", step, 0, strict=True)
         super().__init__(model, seed=seed)
         self.step = step
         self.max_flows = max_flows
-        self.batched = batched
-
-    # ------------------------------------------------------------------
-    def _class_score(self, graph: Graph, layer_masks: np.ndarray,
-                     class_idx: int, target: int | None) -> float:
-        """Raw class logit under per-layer edge masks."""
-        with no_grad():
-            masks = [Tensor(layer_masks[l]) for l in range(layer_masks.shape[0])]
-            logits = self.model.forward_graph(graph, edge_masks=masks).numpy()
-        row = logits[target] if target is not None else logits[0]
-        return float(row[class_idx])
 
     def _explain_instance(self, graph: Graph, target: int | None,
                           mode: str) -> Explanation:
@@ -85,36 +70,33 @@ class GNNLRP(Explainer):
         denom = (2.0 * h) ** num_layers
         sign_combos = list(itertools.product((-1.0, 1.0), repeat=num_layers))
 
-        # Cache stencil evaluations: flows sharing the same (layer, edge)
-        # multiset hit identical mask configurations.
-        cache: dict[tuple, float] = {}
-        base = np.ones((num_layers, width))
+        # Flows sharing the same (layer, edge) multiset hit identical mask
+        # configurations: collect the unique stencil points in deterministic
+        # order, then evaluate them in chunked batched forwards.
+        positions: dict[tuple, int] = {}
+        order: list[tuple[np.ndarray, tuple]] = []
+        for f in range(flow_index.num_flows):
+            path = flow_index.layer_edges[f]
+            for signs in sign_combos:
+                key = tuple(zip(range(num_layers), path.tolist(), signs))
+                if key not in positions:
+                    positions[key] = len(order)
+                    order.append((path, signs))
 
         def stencil_masks(path: np.ndarray, signs: tuple) -> np.ndarray:
-            masks = base.copy()
-            for l, (edge, s) in enumerate(zip(path, signs)):
-                masks[l, edge] += s * h
+            masks = np.ones((num_layers, width))
+            masks[np.arange(num_layers), path] += np.asarray(signs) * h
             return masks
 
-        if self.batched:
-            # First pass: collect the unique stencil points in deterministic
-            # order, then evaluate them in chunked batched forwards.
-            order: list[tuple[np.ndarray, tuple]] = []
-            for f in range(flow_index.num_flows):
-                path = flow_index.layer_edges[f]
-                for signs in sign_combos:
-                    key = tuple(zip(range(num_layers), path.tolist(), signs))
-                    if key not in cache:
-                        cache[key] = len(order)  # placeholder: position
-                        order.append((path, signs))
-            values = np.empty(len(order))
-            row = target if target is not None else 0
-            for start in range(0, len(order), self.BATCH_CHUNK):
-                stack = np.stack([stencil_masks(p, s)
-                                  for p, s in order[start:start + self.BATCH_CHUNK]])
-                logits = self.model.forward_masked_batch(graph, stack)
-                values[start:start + self.BATCH_CHUNK] = logits[:, row, class_idx]
-            cache = {key: float(values[pos]) for key, pos in cache.items()}
+        # Masks are built one chunk at a time, so peak memory stays at
+        # BATCH_CHUNK stencils however many flows there are.
+        values = np.empty(len(order))
+        row = target if target is not None else 0
+        for start in range(0, len(order), self.BATCH_CHUNK):
+            stack = np.stack([stencil_masks(p, s)
+                              for p, s in order[start:start + self.BATCH_CHUNK]])
+            logits = self.model.forward_masked_batch(graph, stack)
+            values[start:start + self.BATCH_CHUNK] = logits[:, row, class_idx]
 
         scores = np.zeros(flow_index.num_flows)
         for f in range(flow_index.num_flows):
@@ -122,10 +104,7 @@ class GNNLRP(Explainer):
             total = 0.0
             for signs in sign_combos:
                 key = tuple(zip(range(num_layers), path.tolist(), signs))
-                if key not in cache:
-                    cache[key] = self._class_score(graph, stencil_masks(path, signs),
-                                                   class_idx, target)
-                total += float(np.prod(signs)) * cache[key]
+                total += float(np.prod(signs)) * float(values[positions[key]])
             scores[f] = total / denom
 
         # Edge transfer: signed relevance summed over all flows through the
@@ -147,5 +126,5 @@ class GNNLRP(Explainer):
             flow_scores=scores,
             flow_index=flow_index,
             meta={"params": {"step": h}, "num_flows": flow_index.num_flows,
-                  "perf": {"stencil_evals": len(cache)}},
+                  "perf": {"stencil_evals": len(order)}},
         )

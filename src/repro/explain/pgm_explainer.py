@@ -15,12 +15,15 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
+from ..errors import ExplainerError
 from ..graph import Graph
 from ..nn.models import GNN
 from ..rng import ensure_rng
-from .base import Explainer, Explanation
+from .base import Explainer, Explanation, check_int, check_real
 
 __all__ = ["PGMExplainer"]
+
+PERTURB_MODES = ("zero", "mean")
 
 
 class PGMExplainer(Explainer):
@@ -34,10 +37,9 @@ class PGMExplainer(Explainer):
         Probability each node is perturbed in a round.
     perturb_mode:
         ``"zero"`` (clear features) or ``"mean"`` (set to dataset mean).
-    batched:
-        Evaluate all perturbation rounds in chunked batched forwards over
-        a feature stack instead of one forward per round. Randomness is
-        drawn in the same order either way.
+
+    All perturbation rounds are evaluated in chunked batched forwards over
+    a feature stack.
     """
 
     name = "pgm_explainer"
@@ -46,12 +48,16 @@ class PGMExplainer(Explainer):
     BATCH_CHUNK = 256
 
     def __init__(self, model: GNN, num_samples: int = 100, perturb_prob: float = 0.5,
-                 perturb_mode: str = "zero", batched: bool = True, seed: int = 0):
+                 perturb_mode: str = "zero", seed: int = 0):
+        check_int("num_samples", num_samples, 1)
+        check_real("perturb_prob", perturb_prob, 0, high=1)
+        if perturb_mode not in PERTURB_MODES:
+            raise ExplainerError(
+                f"perturb_mode must be one of {PERTURB_MODES}, got {perturb_mode!r}")
         super().__init__(model, seed=seed)
         self.num_samples = num_samples
         self.perturb_prob = perturb_prob
         self.perturb_mode = perturb_mode
-        self.batched = batched
 
     def _explain_instance(self, graph: Graph, target: int | None,
                           mode: str) -> Explanation:
@@ -80,21 +86,8 @@ class PGMExplainer(Explainer):
             perturbed_flags[s] = rng.random(graph.num_nodes) < self.perturb_prob
 
         row = target if target is not None else 0
-        if self.batched:
-            p_samples = np.empty(self.num_samples)
-            for start in range(0, self.num_samples, self.BATCH_CHUNK):
-                flags = perturbed_flags[start:start + self.BATCH_CHUNK]
-                x_stack = np.where(flags[:, :, None], replacement[None, :, :],
-                                   graph.x[None, :, :])
-                proba = self.model.predict_proba_batch(graph, x_stack=x_stack)
-                p_samples[start:start + self.BATCH_CHUNK] = proba[:, row, class_idx]
-        else:
-            p_samples = np.empty(self.num_samples)
-            work = graph.copy()
-            for s in range(self.num_samples):
-                work.x = np.where(perturbed_flags[s][:, None], replacement, graph.x)
-                proba = self.model.predict_proba(work)
-                p_samples[s] = float((proba[target] if target is not None else proba[0])[class_idx])
+        p_samples = self._round_probabilities(graph, perturbed_flags, replacement,
+                                              row, class_idx)
         # "Changed" = the predicted probability dropped noticeably.
         changed = (base_p - p_samples) > 0.1 * base_p
 
@@ -118,3 +111,16 @@ class PGMExplainer(Explainer):
             sign = 1.0 if table[0, 0] >= expected else -1.0
             scores[v] = sign * chi2
         return scores, class_idx
+
+    def _round_probabilities(self, graph: Graph, flags: np.ndarray,
+                             replacement: np.ndarray, row: int,
+                             class_idx: int) -> np.ndarray:
+        """Explained-class probability under each round's perturbed features."""
+        p_samples = np.empty(len(flags))
+        for start in range(0, len(flags), self.BATCH_CHUNK):
+            chunk = flags[start:start + self.BATCH_CHUNK]
+            x_stack = np.where(chunk[:, :, None], replacement[None, :, :],
+                               graph.x[None, :, :])
+            proba = self.model.predict_proba_batch(graph, x_stack=x_stack)
+            p_samples[start:start + self.BATCH_CHUNK] = proba[:, row, class_idx]
+        return p_samples

@@ -20,7 +20,7 @@ import numpy as np
 from ..graph import Graph
 from ..nn.models import GNN
 from ..rng import ensure_rng
-from .base import Explainer, Explanation
+from .base import Explainer, Explanation, check_int, check_real
 from .flow_common import masked_probability_batch
 
 __all__ = ["SubgraphX"]
@@ -53,24 +53,24 @@ class SubgraphX(Explainer):
         Monte-Carlo samples per coalition evaluation.
     exploration:
         UCB exploration constant.
-    batched:
-        Score each coalition's Shapley samples through the structural
-        masked-forward engine in one batched pass (binary edge masks
-        reproduce edge removal exactly) instead of one pruned-graph
-        forward per sample.
+
+    Each coalition's Shapley samples are scored in one structural masked
+    forward (binary edge masks reproduce edge removal exactly).
     """
 
     name = "subgraphx"
 
     def __init__(self, model: GNN, rollouts: int = 20, min_nodes: int = 4,
                  shapley_samples: int = 8, exploration: float = 5.0,
-                 batched: bool = True, seed: int = 0):
+                 seed: int = 0):
+        check_int("rollouts", rollouts, 1)
+        check_int("shapley_samples", shapley_samples, 1)
+        check_real("exploration", exploration, 0)
         super().__init__(model, seed=seed)
         self.rollouts = rollouts
         self.min_nodes = min_nodes
         self.shapley_samples = shapley_samples
         self.exploration = exploration
-        self.batched = batched
 
     # ------------------------------------------------------------------
     def _explain_instance(self, graph: Graph, target: int | None,
@@ -86,17 +86,6 @@ class SubgraphX(Explainer):
         )
 
     # ------------------------------------------------------------------
-    def _coalition_probability(self, graph: Graph, coalition: frozenset[int],
-                               class_idx: int, target: int | None) -> float:
-        """P(class) with only the coalition's internal edges retained."""
-        members = np.zeros(graph.num_nodes, dtype=bool)
-        members[list(coalition)] = True
-        keep = members[graph.src] & members[graph.dst]
-        pruned = graph.with_edges(keep)
-        proba = self.model.predict_proba(pruned)
-        row = proba[target] if target is not None else proba[0]
-        return float(row[class_idx])
-
     def _coalition_mask(self, graph: Graph, coalition: frozenset[int]) -> np.ndarray:
         """``(L, E+N)`` binary structural mask retaining the coalition's
         internal edges (self-loops stay on — pruned graphs keep all nodes)."""
@@ -118,17 +107,6 @@ class SubgraphX(Explainer):
             else:
                 extras_list.append(frozenset())
         baseline = 1.0 / self.model.num_classes
-
-        if not self.batched:
-            total = 0.0
-            for extras in extras_list:
-                with_c = self._coalition_probability(graph, coalition | extras,
-                                                     class_idx, target)
-                without_c = self._coalition_probability(graph, extras, class_idx, target) \
-                    if extras else baseline
-                total += with_c - without_c
-            return total / self.shapley_samples
-
         rows = []
         has_without = []
         for extras in extras_list:

@@ -5,7 +5,7 @@ the inference and flow layers actually do — model forwards (single vs.
 batched), flow enumerations, cache hits — plus named wall-clock stage
 accumulators. The counters cost a few attribute increments per event, so
 they stay on permanently; :mod:`repro.eval.timing` snapshots them around
-explainer runs and ``benchmarks/bench_perf_smoke.py`` asserts on them.
+explainer runs and ``perfbench/`` reports them as exact work per run.
 
 Counters answer *how much* work ran; the tracer in
 :mod:`repro.obs.trace` answers *where the time went*. The worker pool

@@ -35,17 +35,6 @@ __all__ = [
     "STAGE_MASKED_FORWARD_BATCH",
     "STAGE_NAMES",
     "COUNTER_NAMES",
-    "WORKLOAD_FLOWX",
-    "WORKLOAD_GNN_LRP",
-    "WORKLOAD_FIDELITY_CURVE",
-    "WORKLOAD_REVELIO_WARM_CACHE",
-    "WORKLOAD_OBS_OVERHEAD",
-    "WORKLOAD_RUNNER_SCALING",
-    "WORKLOAD_SCALING_LAW",
-    "WORKLOAD_TRAINING_EPOCH",
-    "WORKLOAD_SERVING_LOAD",
-    "WORKLOAD_LINT_CACHE",
-    "WORKLOAD_NAMES",
 ]
 
 # ----------------------------------------------------------------------
@@ -108,49 +97,3 @@ STAGE_NAMES: frozenset[str] = frozenset({
 COUNTER_NAMES: frozenset[str] = frozenset(
     name for name in PerfCounters.__slots__ if name != "stage_seconds"
 )
-
-# ----------------------------------------------------------------------
-# benchmark workload names (BENCH_perf.json "workloads" keys)
-# ----------------------------------------------------------------------
-# The perf harness records each measured scenario under one of these keys;
-# downstream tooling (CI artifact diffing, BENCH_history.jsonl, the README
-# tables) joins on them, so a typo'd literal would silently fork a series.
-# Rule ``RPR040`` verifies every ``results["..."] = ...`` in ``bench_*``
-# modules against this registry.
-
-#: FlowX sampled-Shapley batched-vs-serial comparison.
-WORKLOAD_FLOWX = "flowx"
-#: GNN-LRP finite-difference batched-vs-serial comparison.
-WORKLOAD_GNN_LRP = "gnn_lrp"
-#: Fidelity-over-sparsity sweep batched-vs-serial comparison.
-WORKLOAD_FIDELITY_CURVE = "fidelity_curve"
-#: Revelio cold vs. warm repeat-explain timing (cache effectiveness).
-WORKLOAD_REVELIO_WARM_CACHE = "revelio_warm_cache"
-#: Tracing/counter overhead measurement (obs on vs. off).
-WORKLOAD_OBS_OVERHEAD = "obs_overhead"
-#: Sharded-runner worker-count scaling curve.
-WORKLOAD_RUNNER_SCALING = "runner_scaling"
-#: Masked-forward time vs. graph size: CSR kernels vs. dense scatter.
-WORKLOAD_SCALING_LAW = "scaling_law"
-#: Full training epoch (forward+backward+step): plan-backed kernels vs.
-#: the np.add.at dense-scatter path, with gradient parity.
-WORKLOAD_TRAINING_EPOCH = "training_epoch"
-#: Serving daemon under concurrent load: coalesced micro-batching vs.
-#: per-request serial execution (throughput + p50/p99 latency).
-WORKLOAD_SERVING_LOAD = "serving_load"
-#: ``repro lint`` cold vs. warm run over the repository's own tree — the
-#: warm run is served by the ``.repro_lint_cache.json`` parse cache.
-WORKLOAD_LINT_CACHE = "lint_cache"
-
-WORKLOAD_NAMES: frozenset[str] = frozenset({
-    WORKLOAD_FLOWX,
-    WORKLOAD_GNN_LRP,
-    WORKLOAD_FIDELITY_CURVE,
-    WORKLOAD_REVELIO_WARM_CACHE,
-    WORKLOAD_OBS_OVERHEAD,
-    WORKLOAD_RUNNER_SCALING,
-    WORKLOAD_SCALING_LAW,
-    WORKLOAD_TRAINING_EPOCH,
-    WORKLOAD_SERVING_LOAD,
-    WORKLOAD_LINT_CACHE,
-})

@@ -221,45 +221,6 @@ class TestObservabilityConformance:
                         select=["RPR031"]).clean
 
 
-class TestBenchmarkConformance:
-    def test_typod_workload_key_flagged(self, make_module):
-        source = ("results = {}\n"
-                  "results['fidelty_curve'] = {'speedup': 3.0}\n")
-        result = lint_one(make_module, "bench_scratch", source,
-                          select=["RPR040"])
-        assert codes(result) == ["RPR040"]
-        assert "did you mean" in result.violations[0].message
-
-    def test_imported_constant_is_clean(self, make_module):
-        source = ("from repro.obs.names import WORKLOAD_FLOWX\n"
-                  "results = {}\n"
-                  "results[WORKLOAD_FLOWX] = {'speedup': 3.0}\n")
-        assert lint_one(make_module, "bench_scratch", source,
-                        select=["RPR040"]).clean
-
-    def test_registered_literal_is_clean(self, make_module):
-        source = ("results = {}\n"
-                  "results['flowx'] = {'speedup': 3.0}\n")
-        assert lint_one(make_module, "bench_scratch", source,
-                        select=["RPR040"]).clean
-
-    def test_other_subscript_targets_ignored(self, make_module):
-        source = ("payload = {}\n"
-                  "payload['anything'] = 1\n"
-                  "results = {}\n"
-                  "results[0] = 'non-string keys are out of scope'\n")
-        assert lint_one(make_module, "bench_scratch", source,
-                        select=["RPR040"]).clean
-
-    def test_rule_scoped_to_bench_modules(self, make_module):
-        source = ("results = {}\n"
-                  "results['not_a_workload'] = 1\n")
-        assert lint_one(make_module, "repro.scratch", source,
-                        select=["RPR040"]).clean
-        assert lint_one(make_module, "tests.scratch", source,
-                        select=["RPR040"]).clean
-
-
 class TestRawUfuncScatter:
     def test_np_add_at_in_library_flagged(self, make_module):
         source = ("import numpy as np\n"

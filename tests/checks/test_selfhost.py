@@ -15,7 +15,6 @@ EXPECTED_CODES = {
     "RPR010", "RPR011", "RPR012",          # error discipline
     "RPR020", "RPR021",                    # API contracts
     "RPR030", "RPR031",                    # observability conformance
-    "RPR040",                              # benchmark conformance
     "RPR050",                              # scatter discipline
     "RPR100", "RPR101",                    # architecture (whole-program)
     "RPR110", "RPR111", "RPR112",          # API surface (whole-program)

@@ -157,7 +157,7 @@ class TestCounterfactual:
         Compares P(c) under the learned counterfactual mask against P(c)
         under the all-0.5 initialization mask (tanh(0)=0 → σ(0)=0.5).
         """
-        from repro.explain.flow_common import masked_probability
+        from repro.explain.flow_common import masked_probability_batch
 
         graph = mini_ba_shapes.graph
         rev = Revelio(node_model, epochs=80, lr=0.05, alpha=0.0, seed=0)
@@ -167,10 +167,8 @@ class TestCounterfactual:
         learned = 1.0 - e.layer_edge_scores
         init = np.full_like(learned, 0.5)
         c = e.predicted_class
-        p_learned = masked_probability(node_model, ctx.subgraph, learned, c,
-                                       ctx.local_target)
-        p_init = masked_probability(node_model, ctx.subgraph, init, c,
-                                    ctx.local_target)
+        p_learned, p_init = masked_probability_batch(
+            node_model, ctx.subgraph, np.stack([learned, init]), c, ctx.local_target)
         assert p_learned < p_init
 
 
@@ -196,16 +194,16 @@ class TestGraphExplanation:
 
     def test_factual_learning_raises_masked_probability(self, graph_model, mini_mutag):
         """Eq. (1) must raise P(c) relative to the all-0.5 init mask."""
-        from repro.explain.flow_common import masked_probability
+        from repro.explain.flow_common import masked_probability_batch
 
         rev = Revelio(graph_model, epochs=80, lr=0.05, alpha=0.0, seed=0)
         g = next(g for g in mini_mutag.graphs
                  if int(g.y) == 1 and graph_model.predict(g)[0] == 1)
         e = rev.explain(g)
         c = e.predicted_class
-        p_learned = masked_probability(graph_model, g, e.layer_edge_scores, c, None)
-        p_init = masked_probability(graph_model, g,
-                                    np.full_like(e.layer_edge_scores, 0.5), c, None)
+        p_learned, p_init = masked_probability_batch(
+            graph_model, g, np.stack([e.layer_edge_scores,
+                                      np.full_like(e.layer_edge_scores, 0.5)]), c, None)
         assert p_learned > p_init
 
 

@@ -1,9 +1,11 @@
-"""PGM-Explainer, SubgraphX and the random baseline."""
+"""PGM-Explainer, SubgraphX and the random baseline, plus construction-time
+validation of every perturbation explainer's settings."""
 
 import numpy as np
 import pytest
 
-from repro.explain import PGMExplainer, RandomExplainer, SubgraphX
+from repro.errors import ExplainerError
+from repro.explain import GNNLRP, FlowX, PGMExplainer, RandomExplainer, SubgraphX
 
 
 class TestPGMExplainer:
@@ -83,3 +85,31 @@ class TestRandomExplainer:
         e1 = expl.explain(mini_mutag.graphs[0])
         e2 = expl.explain(mini_mutag.graphs[0])
         assert not np.allclose(e1.edge_scores, e2.edge_scores)
+
+
+@pytest.mark.parametrize("cls, bad, field", [
+    (SubgraphX, {"shapley_samples": 0}, "shapley_samples"),
+    (SubgraphX, {"rollouts": 0}, "rollouts"),
+    (SubgraphX, {"exploration": float("nan")}, "exploration"),
+    (GNNLRP, {"step": 0.0}, "step"),
+    (GNNLRP, {"step": -0.1}, "step"),
+    (GNNLRP, {"step": float("inf")}, "step"),
+    (PGMExplainer, {"perturb_mode": "zeros"}, "perturb_mode"),
+    (PGMExplainer, {"num_samples": 0}, "num_samples"),
+    (PGMExplainer, {"num_samples": 2.5}, "num_samples"),
+    (PGMExplainer, {"perturb_prob": 1.5}, "perturb_prob"),
+    (FlowX, {"samples": 0}, "samples"),
+    (FlowX, {"samples": True}, "samples"),
+    (FlowX, {"edges_per_sample": 0}, "edges_per_sample"),
+    (FlowX, {"finetune_epochs": -1}, "finetune_epochs"),
+    (FlowX, {"lr": 0.0}, "lr"),
+])
+def test_bad_perturbation_settings_rejected_at_construction(node_model, cls, bad, field):
+    with pytest.raises(ExplainerError, match=field):
+        cls(node_model, **bad)
+
+
+def test_boundary_settings_stay_valid(node_model):
+    FlowX(node_model, finetune_epochs=0, edges_per_sample=None)
+    PGMExplainer(node_model, perturb_prob=1.0, perturb_mode="mean")
+    SubgraphX(node_model, exploration=0.0)

@@ -5,7 +5,11 @@ import pytest
 
 from repro.errors import ExplainerError
 from repro.explain import FlowX, GNNLRP
-from repro.explain.flow_common import flow_scores_to_edge_scores, masked_probability, sigmoid
+from repro.explain.flow_common import (
+    flow_scores_to_edge_scores,
+    masked_probability_batch,
+    sigmoid,
+)
 from repro.flows import enumerate_flows
 
 
@@ -19,7 +23,7 @@ class TestFlowCommon:
         L = graph_model.num_layers
         masks = np.ones((L, g.num_edges + g.num_nodes))
         c = int(graph_model.predict(g)[0])
-        p_masked = masked_probability(graph_model, g, masks, c, None)
+        p_masked = masked_probability_batch(graph_model, g, masks[None], c, None)[0]
         p_plain = float(graph_model.predict_proba(g)[0][c])
         assert p_masked == pytest.approx(p_plain)
 

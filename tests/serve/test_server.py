@@ -8,6 +8,8 @@ path answers byte-identically to the serial library path.
 import asyncio
 import threading
 
+import pytest
+
 from repro.eval.fidelity import Instance
 from repro.explain import explain_instances, make_explainer
 from repro.serve import (
@@ -236,6 +238,35 @@ class TestBackpressureAndTimeouts:
         status, payload = run(main())
         assert status == 400
         assert "epochs" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("extra, named", [
+        # the removed serial switch, as an explainer param and as an
+        # execution field: both are unknown keys listing the valid ones
+        ({"explainer": "flowx", "params": {"batched": False}}, ("batched", "samples")),
+        ({"execution": {"batched": False}}, ("batched", "timeout")),
+        # a perturbation budget that cannot run
+        ({"explainer": "subgraphx", "params": {"shapley_samples": 0}},
+         ("shapley_samples",)),
+    ], ids=["params_batched", "execution_batched", "subgraphx_no_samples"])
+    def test_removed_or_invalid_settings_map_to_400(self, node_model, mini_ba_shapes,
+                                                    extra, named):
+        pool = ModelPool()
+        pool.put(("ba_shapes", "gcn", None, 0), node_model, mini_ba_shapes)
+
+        async def main():
+            app = await started_app(batch_runner=ExplainRuntime(pool),
+                                    max_linger_ms=0.0)
+            status, payload, _ = await http_request(
+                app.port, "/explain", "POST",
+                body={"dataset": "ba_shapes", "model": "gcn",
+                      "explainer": "revelio", "target": 3, **extra})
+            await app.shutdown()
+            return status, payload
+
+        status, payload = run(main())
+        assert status == 400
+        for word in named:
+            assert word in payload["error"]["message"]
 
 
 class TestServingParity:
