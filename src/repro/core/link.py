@@ -22,7 +22,7 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..errors import ExplainerError
-from ..explain.base import Explanation
+from ..explain.base import Explanation, traced_explain
 from ..explain.target import ExplainTarget
 from ..flows import FlowIndex, cached_enumerate_flows
 from ..graph import Graph, extract_receptive_field
@@ -120,12 +120,16 @@ class LinkRevelio:
             if not 0 <= node < graph.num_nodes:
                 raise ExplainerError(f"node {node} out of range")
 
+        return traced_explain(self.name, mode, lambda: self._explain_link(graph, u, v, mode))
+
+    def _explain_link(self, graph: Graph, u: int, v: int, mode: str) -> Explanation:
         subgraph, node_ids, edge_positions, lu, lv = self.link_context(graph, u, v)
         flow_index = self._link_flows(subgraph, lu, lv)
         pair = np.array([[lu, lv]])
 
-        def log_prob(layer_masks: list[Tensor]) -> Tensor:
-            logit = self.model.link_logits(subgraph, pair, edge_masks=layer_masks)[0]
+        def log_prob(layer_masks: list[Tensor], layer_edges: list[np.ndarray]) -> Tensor:
+            logit = self.model.link_logits(subgraph, pair, edge_masks=layer_masks,
+                                           layer_edges=layer_edges)[0]
             return logit.sigmoid().clip(1e-12, 1.0 - 1e-12).log()
 
         explanation = optimize_flow_masks(

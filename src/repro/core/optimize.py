@@ -8,6 +8,14 @@ Eq. 8/9 regularizer, Adam, the optimize/epoch spans, the counterfactual
 flip and the edge transfer — is :func:`optimize_flow_masks`. Callers pass
 the instance as a closure from per-layer edge masks to ``log P(explained
 outcome)``.
+
+The loop is flow-trimmed: layer ``l``'s masked forward runs over only the
+layer edges a flow crosses there (``FlowIndex.used_layer_edge_ids``), the
+in-edges of every node within ``L − l`` hops of the explained endpoints.
+The transform and the regularizer stay full width ``(L, E+N)``; each layer
+gathers its kept entries before the forward. A reached row sums the same
+messages in the same order, and an unreached row fed only layer edges the
+outcome's gradient never reaches, so the trim is bit-exact.
 """
 
 from __future__ import annotations
@@ -84,7 +92,8 @@ class FlowMaskSettings:
 
 
 def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
-                        log_prob: Callable[[list[Tensor]], Tensor], mode: str,
+                        log_prob: Callable[[list[Tensor], list[np.ndarray]], Tensor],
+                        mode: str,
                         rng: np.random.Generator, *, method: str, predicted_class: int,
                         tie: tuple[np.ndarray, int] | None = None,
                         meta: dict | None = None) -> Explanation:
@@ -93,8 +102,12 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
     Parameters
     ----------
     log_prob:
-        Maps the ``L`` per-layer edge masks to the scalar ``log P`` of the
-        outcome being explained (a class at a node or graph, a link).
+        ``log_prob(layer_masks, layer_edges)`` maps the ``L`` per-layer
+        edge masks to the scalar ``log P`` of the outcome being explained
+        (a class at a node or graph, a link). ``layer_edges[l]`` are the
+        sorted layer-edge ids layer ``l`` runs over and ``layer_masks[l]``
+        holds one mask per id; pass both on as ``forward_graph``'s (or
+        ``link_logits``') ``edge_masks`` / ``layer_edges``.
     mode:
         ``"factual"`` minimizes Eq. (1) + α·Eq. (8); ``"counterfactual"``
         minimizes Eq. (2) + α·Eq. (9) and flips the final scores
@@ -114,6 +127,7 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
     if flow_index.num_flows == 0:
         raise ExplainerError("instance has no message flows to explain")
     used = flow_index.used_layer_edges()
+    kept = flow_index.used_layer_edge_ids()
     used_tensor = Tensor(used.astype(np.float64))
     num_used = float(used.sum())
     slot, num_slots = tie if tie is not None else (None, flow_index.num_flows)
@@ -130,7 +144,7 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
             with span(SPAN_EPOCH):
                 optimizer.zero_grad()
                 omega_e = settings.layer_edge_scores(flow_masks(), w, flow_index)
-                log_p = log_prob([omega_e[l] for l in range(flow_index.num_layers)])
+                log_p = log_prob([omega_e[l, ids] for l, ids in enumerate(kept)], kept)
                 if mode == "factual":
                     objective = -log_p                                          # Eq. (1)
                     regularizer = (omega_e * used_tensor).sum() / num_used      # Eq. (8)
@@ -160,5 +174,13 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
         flow_index=flow_index,
         meta={"final_loss": loss.item(), "params": settings.params(),
               "layer_weights": w.numpy().copy(),
-              "num_flows": flow_index.num_flows, **(meta or {})},
+              "num_flows": flow_index.num_flows,
+              # Fig. 5's sparsity quantities, on the reported scores.
+              "flows_above_half": float((omega_f > 0.5).mean()),
+              "mean_edge_mask": float(omega_e[used].mean()),
+              # Layer edges each trimmed forward ran over, beside E+N.
+              "forward_layer_edges": {
+                  **{f"layer_{l + 1}": int(ids.size) for l, ids in enumerate(kept)},
+                  "context": flow_index.num_layer_edges},
+              **(meta or {})},
     )

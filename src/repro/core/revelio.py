@@ -163,8 +163,9 @@ class Revelio(Explainer):
         tie, meta = self._mask_plan(graph, flow_index, class_idx, target, rng)
         row = target if target is not None else 0
 
-        def log_prob(layer_masks: list[Tensor]) -> Tensor:
-            logits = self.model.forward_graph(graph, edge_masks=layer_masks)
+        def log_prob(layer_masks: list[Tensor], layer_edges: list[np.ndarray]) -> Tensor:
+            logits = self.model.forward_graph(graph, edge_masks=layer_masks,
+                                              layer_edges=layer_edges)
             return log_softmax(logits, axis=-1)[row, class_idx]
 
         return optimize_flow_masks(self.settings, flow_index, log_prob, mode, rng,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -39,7 +40,7 @@ from .target import ExplainTarget
 
 __all__ = ["Explanation", "Explainer", "NodeContext", "MODES",
            "CONTEXT_CACHE", "context_cache_disabled", "clear_context_cache",
-           "feature_digest", "check_int", "check_real"]
+           "feature_digest", "check_int", "check_real", "traced_explain"]
 
 MODES = ("factual", "counterfactual")
 
@@ -78,6 +79,25 @@ def check_real(name: str, value, low: float, *, strict: bool = False,
     if not ok:
         bound = f"{'>' if strict else '>='} {low:g}" + ("" if high is None else f" and <= {high:g}")
         raise ExplainerError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+def traced_explain(method: str, mode: str,
+                   explain: Callable[[], Explanation]) -> Explanation:
+    """``explain()`` inside one ``explain`` span.
+
+    With tracing on, the explanation records the span's ``trace_id`` and
+    ``perf["explain_seconds"]`` in ``meta``; every public ``explain`` entry
+    point goes through here, so all explanations share that schema.
+    """
+    with span(SPAN_EXPLAIN, method=method, mode=mode) as sp:
+        explanation = explain()
+        if sp is not None:
+            sp.set(target=explanation.target,
+                   num_edges=int(explanation.edge_scores.shape[0]))
+            explanation.meta["trace_id"] = sp.trace_id
+    if sp is not None:
+        explanation.meta.setdefault("perf", {})["explain_seconds"] = sp.seconds
+    return explanation
 
 
 def clear_context_cache() -> None:
@@ -269,24 +289,19 @@ class Explainer:
             raise ExplainerError(f"unknown mode {mode!r}; expected one of {MODES}")
         target = ExplainTarget.coerce(target, task=self.model.task,
                                       where=f"{self.name}.explain")
-        with span(SPAN_EXPLAIN, method=self.name, mode=mode) as sp:
+
+        def explain() -> Explanation:
             if self.model.task == "node":
                 if target is None:
                     raise ExplainerError("node-classification explanation requires a target node")
-                explanation = self.explain_node(graph, target.node_id, mode=mode)
-            else:
-                if target is not None and target.kind != "graph":
-                    raise ExplainerError(
-                        f"{self.model.task}-classification explanation takes an "
-                        f"ExplainTarget.graph(...) target (or None), got {target}")
-                explanation = self.explain_graph(graph, mode=mode)
-            if sp is not None:
-                sp.set(target=explanation.target,
-                       num_edges=int(explanation.edge_scores.shape[0]))
-                explanation.meta["trace_id"] = sp.trace_id
-        if sp is not None:
-            explanation.meta.setdefault("perf", {})["explain_seconds"] = sp.seconds
-        return explanation
+                return self.explain_node(graph, target.node_id, mode=mode)
+            if target is not None and target.kind != "graph":
+                raise ExplainerError(
+                    f"{self.model.task}-classification explanation takes an "
+                    f"ExplainTarget.graph(...) target (or None), got {target}")
+            return self.explain_graph(graph, mode=mode)
+
+        return traced_explain(self.name, mode, explain)
 
     def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
         """Explain ``node`` on its L-hop context, reported in global ids."""

@@ -74,6 +74,7 @@ class FlowIndex:
         self._scatter_index: np.ndarray | None = None
         self._incidence = None
         self._used_layer_edges: np.ndarray | None = None
+        self._used_layer_edge_ids: list[np.ndarray] | None = None
 
     def _aggregation_indices(self, reuse: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """``(gather, scatter)`` index arrays for flow → layer-edge sums.
@@ -190,6 +191,21 @@ class FlowIndex:
                 used[l, self.layer_edges[:, l]] = True
             self._used_layer_edges = used
         return self._used_layer_edges
+
+    def used_layer_edge_ids(self) -> list[np.ndarray]:
+        """Per layer, the sorted ids of :meth:`used_layer_edges`.
+
+        The flow trim of the masked forward: layer ``l`` runs over exactly
+        these layer edges — every in-edge of each node within ``L − l``
+        hops of the flows' endpoints. Cached, so the arrays keep their
+        identity and the per-layer sub-caches compiled for them
+        (:meth:`GraphSparseCache.restrict
+        <repro.sparse.GraphSparseCache.restrict>`) are built once.
+        """
+        if self._used_layer_edge_ids is None:
+            self._used_layer_edge_ids = [np.flatnonzero(row)
+                                         for row in self.used_layer_edges()]
+        return self._used_layer_edge_ids
 
     def flows_per_layer_edge(self) -> np.ndarray:
         """``(L, E+N)`` count of flows through each layer edge."""

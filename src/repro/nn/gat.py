@@ -65,7 +65,8 @@ class GATConv(GraphConv):
             cache = edge_cache(edge_index, num_nodes)
         src, dst = cache.src, cache.dst
         src_plan, dst_plan = cache.src_plan, cache.dst_plan
-        edge_mask = self._check_mask(edge_mask, edge_index.shape[1], num_nodes)
+        edge_mask = self._check_mask(edge_mask, edge_index.shape[1], num_nodes,
+                                     src.shape[0])
         num_aug = src.shape[0]
 
         h = (x @ self.weight).reshape(num_nodes, self.heads, self.out_features)

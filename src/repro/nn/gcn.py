@@ -53,7 +53,8 @@ class GCNConv(GraphConv):
         if cache is None:
             cache = edge_cache(edge_index, num_nodes)
         src, dst = cache.src, cache.dst
-        edge_mask = self._check_mask(edge_mask, edge_index.shape[1], num_nodes)
+        edge_mask = self._check_mask(edge_mask, edge_index.shape[1], num_nodes,
+                                     src.shape[0])
 
         h = x @ self.weight
         if edge_mask is None:

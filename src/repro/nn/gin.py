@@ -50,7 +50,8 @@ class GINConv(GraphConv):
         if cache is None:
             cache = edge_cache(edge_index, num_nodes)
         src, dst = cache.src, cache.dst
-        edge_mask = self._check_mask(edge_mask, edge_index.shape[1], num_nodes)
+        edge_mask = self._check_mask(edge_mask, edge_index.shape[1], num_nodes,
+                                     src.shape[0])
 
         if edge_mask is None:
             # Unmasked (training) fast path: the unit-weight aggregation
@@ -64,13 +65,10 @@ class GINConv(GraphConv):
             return self.mlp(aggregated)
 
         messages = x.gather_rows(src, plan=cache.src_plan)
-        # Scale the self-loop block (last N messages) by (1 + eps).
-        num_edges = edge_index.shape[1]
+        # Scale the self-loop messages by (1 + eps).
         if self.eps is not None:
             scale = Tensor(np.ones((messages.shape[0], 1)))
-            self_block = np.zeros((messages.shape[0], 1))
-            self_block[num_edges:] = 1.0
-            scale = scale + Tensor(self_block) * self.eps
+            scale = scale + Tensor(cache.self_loop) * self.eps
             messages = messages * scale
         messages = messages * edge_mask
         aggregated = messages.scatter_add(dst, num_nodes, plan=cache.dst_plan)

@@ -53,19 +53,32 @@ class GraphConv(Module):
     every gather/scatter in the layer (forward and adjoint). When omitted
     the layer fetches one from the identity-keyed
     :func:`~repro.sparse.edge_cache` memo, so training loops that pass
-    the same ``edge_index`` array each epoch never recompile.
+    the same ``edge_index`` array each epoch never recompile. A
+    :meth:`~repro.sparse.GraphSparseCache.restrict` sub-cache runs the
+    layer over its kept layer edges only; the mask then has one entry per
+    kept edge, in id order.
     """
 
-    def _check_mask(self, edge_mask: Tensor | None, num_edges: int, num_nodes: int) -> Tensor | None:
+    def _check_mask(self, edge_mask: Tensor | None, num_edges: int, num_nodes: int,
+                    num_kept: int | None = None) -> Tensor | None:
+        """Validate a mask against the layer's edge set.
+
+        ``num_kept`` is the layer-edge count a restricted cache (the
+        flow-trimmed forward, :meth:`GraphSparseCache.restrict
+        <repro.sparse.GraphSparseCache.restrict>`) runs over; ``None``
+        means all ``E + N``.
+        """
         if edge_mask is None:
             return None
-        expected = num_layer_edges(num_edges, num_nodes)
+        space = num_layer_edges(num_edges, num_nodes)
+        expected = space if num_kept is None else num_kept
         if edge_mask.ndim == 1:
             edge_mask = edge_mask.reshape(-1, 1)
         if edge_mask.shape[0] != expected:
+            kept = f"{expected} kept of " if expected != space else ""
             raise ShapeError(
                 f"edge mask has {edge_mask.shape[0]} entries, expected {expected} "
-                f"({num_edges} data edges + {num_nodes} self-loops)"
+                f"({kept}{num_edges} data edges + {num_nodes} self-loops)"
             )
         return edge_mask
 

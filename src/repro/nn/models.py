@@ -17,7 +17,7 @@ from ..graph import Graph, GraphBatch
 from ..obs import PERF, span
 from ..obs.names import SPAN_MASKED_FORWARD_BATCH, STAGE_MASKED_FORWARD_BATCH
 from ..rng import ensure_rng
-from ..sparse import feature_csr, sparse_cache
+from ..sparse import edge_cache, feature_csr, sparse_cache
 from .gat import GATConv
 from .gcn import GCNConv
 from .gin import GINConv
@@ -100,7 +100,8 @@ class GNN(Module):
                 edge_masks: list[Tensor] | None = None,
                 batch: np.ndarray | None = None,
                 num_graphs: int | None = None,
-                cache=None) -> Tensor:
+                cache=None,
+                layer_edges: list[np.ndarray] | None = None) -> Tensor:
         """Compute logits.
 
         Parameters
@@ -121,6 +122,14 @@ class GNN(Module):
             layers — ``forward_graph``/``forward_batch`` thread the
             per-graph cache so every epoch of a training loop reuses one
             compiled scatter plan per direction.
+        layer_edges:
+            Optional flow trim: per layer, the sorted layer-edge ids the
+            layer runs over (:meth:`FlowIndex.used_layer_edge_ids
+            <repro.flows.FlowIndex.used_layer_edge_ids>`); ``edge_masks``
+            then hold one entry per kept id. Each set must keep every
+            in-edge of its destinations. Rows reached through the last
+            layer's kept edges equal the untrimmed forward bit for bit;
+            other rows are not meaningful.
         """
         PERF.single_forwards += 1
         if isinstance(x, Tensor):
@@ -136,10 +145,11 @@ class GNN(Module):
             raise ModelError(
                 f"expected {self.num_layers} edge masks, got {len(edge_masks)}"
             )
+        caches = layer_caches(cache, edge_index, num_nodes, layer_edges, self.num_layers)
         embeddings = []
         for l, conv in enumerate(self.convs):
             mask = edge_masks[l] if edge_masks is not None else None
-            h = conv(h, edge_index, num_nodes, edge_mask=mask, cache=cache)
+            h = conv(h, edge_index, num_nodes, edge_mask=mask, cache=caches[l])
             h = h.relu()
             embeddings.append(h)
         self._last_embeddings = embeddings
@@ -155,10 +165,16 @@ class GNN(Module):
             h = pool_fn(h, batch, num_graphs)
         return self.head(h)
 
-    def forward_graph(self, graph: Graph, edge_masks: list[Tensor] | None = None) -> Tensor:
-        """Logits for a single :class:`Graph` (node or graph task)."""
+    def forward_graph(self, graph: Graph, edge_masks: list[Tensor] | None = None,
+                      layer_edges: list[np.ndarray] | None = None) -> Tensor:
+        """Logits for a single :class:`Graph` (node or graph task).
+
+        ``layer_edges`` trims each layer to the given layer-edge ids (see
+        :meth:`forward`).
+        """
         return self.forward(graph.x, graph.edge_index, graph.num_nodes,
-                            edge_masks=edge_masks, cache=sparse_cache(graph))
+                            edge_masks=edge_masks, cache=sparse_cache(graph),
+                            layer_edges=layer_edges)
 
     def forward_batch(self, batch: GraphBatch, edge_masks: list[Tensor] | None = None) -> Tensor:
         """Logits for a :class:`GraphBatch` (graph task)."""
@@ -323,6 +339,19 @@ class GNN(Module):
             f"GNN(conv={self.conv_name!r}, task={self.task!r}, layers={self.num_layers}, "
             f"in={self.in_features}, hidden={self.hidden}, classes={self.num_classes})"
         )
+
+
+def layer_caches(cache, edge_index: np.ndarray, num_nodes: int,
+                 layer_edges: list[np.ndarray] | None, num_layers: int) -> list:
+    """One sparse cache per layer: ``cache`` itself, or its flow-trimmed
+    :meth:`~repro.sparse.GraphSparseCache.restrict` sub-cache per layer."""
+    if layer_edges is None:
+        return [cache] * num_layers
+    if len(layer_edges) != num_layers:
+        raise ModelError(f"expected {num_layers} layer-edge sets, got {len(layer_edges)}")
+    if cache is None:
+        cache = edge_cache(edge_index, num_nodes)
+    return [cache.restrict(ids) for ids in layer_edges]
 
 
 def build_model(conv: str, task: str, in_features: int, num_classes: int,

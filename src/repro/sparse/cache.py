@@ -6,7 +6,9 @@ builds a *new* ``edge_index`` array — so the compiled scatter structure can
 be attached to the graph object itself and validated by array identity, a
 pointer comparison instead of a hash of ``O(E)`` bytes per forward.
 
-Three entry points, from most to least context:
+Three entry points, from most to least context (plus
+:meth:`GraphSparseCache.restrict`, a per-layer sub-cache for the
+flow-trimmed forward):
 
 :func:`sparse_cache`
     Attach/fetch a :class:`GraphSparseCache` on a graph (or graph-batch)
@@ -59,7 +61,8 @@ class GraphSparseCache:
     ----------
     src, dst:
         ``(E+N,)`` endpoints of the augmented (self-loop-appended) edge set
-        — the layer-edge id space shared by convs, masks and flows.
+        — the layer-edge id space shared by convs, masks and flows. A
+        :meth:`restrict` sub-cache holds only its kept layer edges.
     dst_plan:
         :class:`SegmentPlan` over ``dst`` — the message-aggregation scatter
         every conv layer dispatches through.
@@ -80,6 +83,9 @@ class GraphSparseCache:
         ``deg_inv_sqrt[src] · deg_inv_sqrt[dst]`` (lazy) — the vector the
         normalized message path multiplies into every message, hoisted out
         of the per-forward hot loop.
+    self_loop:
+        ``(A, 1)`` float flag, 1 on self-loop layer edges (lazy) — GIN's
+        ``(1 + eps)`` block, wherever the kept self-loops sit.
     adj / adj_t, adj_norm / adj_norm_t:
         Cached ``(N, N)`` CSR aggregation operators over the augmented
         edge set (lazy): unit-weight for sum aggregation (GIN, unnormalized
@@ -91,16 +97,24 @@ class GraphSparseCache:
     """
 
     __slots__ = ("edge_index", "num_nodes", "src", "dst", "dst_plan",
-                 "_src_plan", "_deg", "_deg_inv_sqrt", "_edge_norm",
-                 "_adj", "_adj_t", "_adj_norm", "_adj_norm_t", "__weakref__")
+                 "_src_plan", "_deg", "_deg_inv_sqrt", "_edge_norm", "_self_loop",
+                 "_adj", "_adj_t", "_adj_norm", "_adj_norm_t", "_subsets",
+                 "__weakref__")
 
-    def __init__(self, edge_index: np.ndarray, num_nodes: int):
+    def __init__(self, edge_index: np.ndarray, num_nodes: int,
+                 edge_ids: np.ndarray | None = None, deg: np.ndarray | None = None):
         self.edge_index = edge_index
         self.num_nodes = int(num_nodes)
         self.src, self.dst = augmented_edges(edge_index, self.num_nodes)
+        self._self_loop: np.ndarray | None = None
+        if edge_ids is not None:
+            # No reference to edge_ids is kept: it is the restrict() memo key.
+            self.src, self.dst = self.src[edge_ids], self.dst[edge_ids]
+            self._self_loop = self._loop_flag(edge_ids)
         self.dst_plan = SegmentPlan(self.dst, self.num_nodes)
         self._src_plan: SegmentPlan | None = None
-        self._deg: np.ndarray | None = None
+        self._deg = deg
+        self._subsets: dict | None = None
         self._deg_inv_sqrt: np.ndarray | None = None
         self._edge_norm: np.ndarray | None = None
         self._adj: sp.csr_matrix | None = None
@@ -131,6 +145,38 @@ class GraphSparseCache:
             d = self.deg_inv_sqrt
             self._edge_norm = d[self.src] * d[self.dst]
         return self._edge_norm
+
+    def _loop_flag(self, edge_ids: np.ndarray) -> np.ndarray:
+        return (edge_ids >= self.edge_index.shape[1]).astype(np.float64)[:, None]
+
+    @property
+    def self_loop(self) -> np.ndarray:
+        if self._self_loop is None:
+            self._self_loop = self._loop_flag(np.arange(self.src.shape[0]))
+        return self._self_loop
+
+    def restrict(self, edge_ids: np.ndarray) -> "GraphSparseCache":
+        """The cache of the layer-edge subset ``edge_ids`` (sorted, unique).
+
+        A flow-trimmed forward runs each layer over only the layer edges a
+        message flow crosses there (:meth:`FlowIndex.used_layer_edge_ids
+        <repro.flows.FlowIndex.used_layer_edge_ids>`). The sub-cache keeps
+        this cache's degree vector, so its ``edge_norm`` is this cache's
+        slice bit for bit, and compiles its own ``src``/``dst`` plans. Kept
+        edges stay in id order, so every destination row sums the same
+        messages in the same order as the full cache. Memoized here by
+        the identity of ``edge_ids``: once per flow index, not per epoch;
+        the entry dies with the array.
+        """
+        if self._subsets is None:
+            self._subsets = {}
+        key = (id(edge_ids), int(edge_ids.shape[0]))
+        sub = _memo_get(self._subsets, key, edge_ids, "subset")
+        if sub is None:
+            sub = GraphSparseCache(self.edge_index, self.num_nodes,
+                                   edge_ids=edge_ids, deg=self.deg)
+            _memo_put(self._subsets, key, edge_ids, sub)
+        return sub
 
     def _aggregator(self, weights: np.ndarray) -> sp.csr_matrix:
         # out[dst] += w · x[src]  ⇒  rows are destinations, cols sources.
@@ -171,6 +217,7 @@ class GraphSparseCache:
 #: A miss is any lookup that had to compile a fresh structure.
 _MEMO_STATS: dict[str, list] = {
     "graph": [0, 0], "edge": [0, 0], "plan": [0, 0], "feature": [0, 0],
+    "subset": [0, 0],
 }
 
 
@@ -253,8 +300,9 @@ def plan_for(index: np.ndarray, num_rows: int) -> SegmentPlan:
 def memo_info() -> dict:
     """Hit/miss/size counters for every sparse-structure memo.
 
-    ``graph`` counts :func:`sparse_cache` lookups (entries live on the
-    graph objects themselves, so no entry count is reported); ``edge`` /
+    ``graph`` counts :func:`sparse_cache` lookups and ``subset``
+    :meth:`GraphSparseCache.restrict` lookups (entries live on the graph
+    and parent-cache objects, so no entry count is reported); ``edge`` /
     ``plan`` / ``feature`` are the identity-keyed module memos. Feeds
     :func:`repro.obs.summary.cache_summary`.
     """

@@ -7,6 +7,8 @@ Revelio, TopKRevelio and LinkRevelio then share one settings validation,
 one ``meta`` schema and one trace shape.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,18 +18,23 @@ from repro.core.optimize import optimize_flow_masks
 from repro.core.revelio import explanation_cache_disabled
 from repro.errors import ExplainerError
 from repro.explain import ExplainTarget
-from repro.flows import enumerate_flows
-from repro.graph import Graph, sbm_edges
-from repro.nn import LinkPredictor
+from repro.explain.io import (explanation_from_jsonable, explanation_to_jsonable,
+                              load_explanation, save_explanation)
+from repro.flows import FlowIndex, enumerate_flows
+from repro.graph import Graph, extract_receptive_field, sbm_edges
+from repro.nn import LinkPredictor, Trainer, build_model
 from repro.obs import TRACER, tracing
-from repro.obs.names import SPAN_EPOCH, SPAN_OPTIMIZE
+from repro.obs.names import SPAN_EPOCH, SPAN_EXPLAIN, SPAN_OPTIMIZE
 
 FAMILY = ["revelio", "revelio_topk", "link_revelio"]
 
 
-def reference_revelio(model, graph, flow_index, target, class_idx, mode, *,
-                      epochs, lr, alpha, seed):
-    """Revelio's mask loop, every equation inline (tanh masks, exp weights)."""
+def reference_revelio(flow_index, log_prob, mode, *, epochs, lr, alpha, seed):
+    """Revelio's mask loop, every equation inline (tanh masks, exp weights).
+
+    ``log_prob`` maps the full-width ``(E+N,)`` layer masks to ``log P``
+    through the untrimmed forward.
+    """
     rng = np.random.default_rng(seed)
     used = flow_index.used_layer_edges()
     used_tensor = Tensor(used.astype(np.float64))
@@ -43,9 +50,7 @@ def reference_revelio(model, graph, flow_index, target, class_idx, mode, *,
     for _ in range(epochs):
         optimizer.zero_grad()
         omega_e = layer_edge_scores()
-        layer_masks = [omega_e[l] for l in range(flow_index.num_layers)]
-        logits = model.forward_graph(graph, edge_masks=layer_masks)
-        log_p = log_softmax(logits, axis=-1)[target, class_idx]
+        log_p = log_prob([omega_e[l] for l in range(flow_index.num_layers)])
         if mode == "factual":
             objective = -log_p                                              # Eq. 1
             regularizer = (omega_e * used_tensor).sum() / num_used          # Eq. 8
@@ -68,20 +73,42 @@ def reference_revelio(model, graph, flow_index, target, class_idx, mode, *,
     return omega_f, omega_e, edge_scores, loss.item()
 
 
+LOOP = {"epochs": 25, "lr": 0.05, "alpha": 0.1, "seed": 3}
+
+
+@pytest.fixture(scope="module")
+def conv_models(mini_ba_shapes):
+    """Briefly trained GIN and GAT node models on mini BA-Shapes."""
+    ds = mini_ba_shapes
+    models = {}
+    for conv in ("gin", "gat"):
+        model = build_model(conv, "node", ds.num_features, ds.num_classes,
+                            hidden=16, rng=0)
+        Trainer(model, lr=0.02, weight_decay=0.0, epochs=40, patience=None).fit_node(ds.graph)
+        models[conv] = model
+    return models
+
+
 @pytest.mark.parametrize("mode", ["factual", "counterfactual"])
-def test_loop_reproduces_the_reference_bit_for_bit(node_model, mini_ba_shapes,
-                                                   good_motif_node, mode):
-    explainer = Revelio(node_model, epochs=25, lr=0.05, alpha=0.1, seed=3)
+@pytest.mark.parametrize("conv", ["gcn", "gin", "gat"])
+def test_loop_reproduces_the_reference_bit_for_bit(node_model, conv_models, mini_ba_shapes,
+                                                   good_motif_node, conv, mode):
+    model = node_model if conv == "gcn" else conv_models[conv]
+    explainer = Revelio(model, **LOOP)
     context = explainer.node_context(mini_ba_shapes.graph, good_motif_node)
     graph, target = context.subgraph, context.local_target
-    flow_index = enumerate_flows(graph, node_model.num_layers, target=target)
+    flow_index = enumerate_flows(graph, model.num_layers, target=target)
     class_idx = explainer.predicted_class(graph, target=target)
-    flow_ref, layer_ref, edge_ref, loss_ref = reference_revelio(
-        node_model, graph, flow_index, target, class_idx, mode,
-        epochs=25, lr=0.05, alpha=0.1, seed=3)
 
-    def log_prob(layer_masks):
-        logits = node_model.forward_graph(graph, edge_masks=layer_masks)
+    def untrimmed(layer_masks):
+        logits = model.forward_graph(graph, edge_masks=layer_masks)
+        return log_softmax(logits, axis=-1)[target, class_idx]
+
+    flow_ref, layer_ref, edge_ref, loss_ref = reference_revelio(
+        flow_index, untrimmed, mode, **LOOP)
+
+    def log_prob(layer_masks, layer_edges):
+        logits = model.forward_graph(graph, edge_masks=layer_masks, layer_edges=layer_edges)
         return log_softmax(logits, axis=-1)[target, class_idx]
 
     direct = optimize_flow_masks(explainer.settings, flow_index, log_prob, mode,
@@ -96,6 +123,34 @@ def test_loop_reproduces_the_reference_bit_for_bit(node_model, mini_ba_shapes,
         assert e.meta["final_loss"] == loss_ref
     assert np.array_equal(direct.edge_scores, edge_ref)
     assert np.array_equal(lifted.edge_scores[context.edge_positions], edge_ref)
+
+
+@pytest.mark.parametrize("mode", ["factual", "counterfactual"])
+def test_link_loop_reproduces_the_reference_bit_for_bit(link_setup, mode):
+    graph, model = link_setup
+    u, v = (int(x) for x in graph.edge_index[:, 0])
+    explainer = LinkRevelio(model, **LOOP)
+    field = extract_receptive_field(graph, [u, v], model.num_layers)
+    subgraph, pair = field.graph, np.array([field.local_targets])
+    parts = [enumerate_flows(subgraph, model.num_layers, target=int(t))
+             for t in field.local_targets]
+    flow_index = FlowIndex(nodes=np.concatenate([fi.nodes for fi in parts]),
+                           layer_edges=np.concatenate([fi.layer_edges for fi in parts]),
+                           num_layers=model.num_layers, num_edges=subgraph.num_edges,
+                           num_nodes=subgraph.num_nodes)
+
+    def untrimmed(layer_masks):
+        logit = model.link_logits(subgraph, pair, edge_masks=layer_masks)[0]
+        return logit.sigmoid().clip(1e-12, 1.0 - 1e-12).log()
+
+    flow_ref, layer_ref, edge_ref, loss_ref = reference_revelio(
+        flow_index, untrimmed, mode, **LOOP)
+    with explanation_cache_disabled():
+        e = explainer.explain(graph, ExplainTarget.link(u, v), mode=mode)
+    assert np.array_equal(e.flow_scores, flow_ref)
+    assert np.array_equal(e.layer_edge_scores, layer_ref)
+    assert e.meta["final_loss"] == loss_ref
+    assert np.array_equal(e.edge_scores[field.edge_positions], edge_ref)
 
 
 # ----------------------------------------------------------------------
@@ -142,13 +197,16 @@ def test_bad_loop_settings_rejected_at_construction(family_member, name, bad, fi
 
 @pytest.mark.parametrize("mode", ["factual", "counterfactual"])
 @pytest.mark.parametrize("name", FAMILY)
-def test_one_meta_schema_and_trace_shape(family_member, name, mode):
+def test_one_meta_schema_and_trace_shape(family_member, name, mode, tmp_path):
     _, explain = family_member(name, epochs=3, lr=0.05, alpha=0.0)
     with explanation_cache_disabled(), tracing() as tracer:
         explanation = explain(mode)
         trace_id = tracer.trace_id
     records = [r for r in TRACER.records() if r["trace_id"] == trace_id]
 
+    explains = [r for r in records if r["name"] == SPAN_EXPLAIN]
+    assert len(explains) == 1
+    assert explains[0]["attrs"]["method"] == name
     optimize = [r for r in records if r["name"] == SPAN_OPTIMIZE]
     assert len(optimize) == 1
     epochs = [r for r in records if r["name"] == SPAN_EPOCH]
@@ -157,10 +215,30 @@ def test_one_meta_schema_and_trace_shape(family_member, name, mode):
 
     meta = explanation.meta
     assert {"final_loss", "num_flows", "layer_weights", "params"} <= set(meta)
+    assert meta["trace_id"] == trace_id
+    assert meta["perf"]["explain_seconds"] > 0
     assert np.isfinite(meta["final_loss"])
-    assert meta["num_flows"] == explanation.flow_index.num_flows
-    assert meta["layer_weights"].shape == (explanation.flow_index.num_layers,)
+    flow_index = explanation.flow_index
+    assert meta["num_flows"] == flow_index.num_flows
+    assert meta["layer_weights"].shape == (flow_index.num_layers,)
     expected = {"epochs": 3, "lr": 0.05, "alpha": 0.0}
     if name == "revelio_topk":
         expected.update(k=4, strategy="gradient")
     assert meta["params"] == expected
+
+    # Fig. 5's sparsity quantities and the flow trim, on the reported scores.
+    used = flow_index.used_layer_edges()
+    assert meta["flows_above_half"] == float((explanation.flow_scores > 0.5).mean())
+    assert meta["mean_edge_mask"] == float(explanation.layer_edge_scores[used].mean())
+    assert meta["forward_layer_edges"] == {
+        **{f"layer_{l + 1}": int(row.sum()) for l, row in enumerate(used)},
+        "context": flow_index.num_layer_edges}
+    trimmed = [meta["forward_layer_edges"][f"layer_{l + 1}"]
+               for l in range(flow_index.num_layers)]
+    assert trimmed[-1] < flow_index.num_layer_edges
+
+    wire = explanation_from_jsonable(json.loads(json.dumps(explanation_to_jsonable(explanation))))
+    save_explanation(explanation, tmp_path / "e.npz")
+    for loaded in (wire, load_explanation(tmp_path / "e.npz")):
+        for key in ("flows_above_half", "mean_edge_mask", "forward_layer_edges"):
+            assert loaded.meta[key] == meta[key]

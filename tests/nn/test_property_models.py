@@ -1,15 +1,19 @@
 """Property-based invariants of the GNN models.
 
 The deep ones: graph-level predictions must be invariant to node
-relabelling (message passing + pooling is permutation equivariant), and
-masked forwards must interpolate between the full and empty graphs.
+relabelling (message passing + pooling is permutation equivariant),
+masked forwards must interpolate between the full and empty graphs, and
+a flow-trimmed forward must equal the full one at the explained node.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import Tensor
+from repro.errors import ShapeError
+from repro.flows import enumerate_flows
 from repro.graph import Graph, coalesce_edges
 from repro.nn import GNN
 
@@ -106,3 +110,69 @@ def test_isolated_extra_node_does_not_change_other_logits(data):
     )
     out = model.forward_graph(extended).numpy()
     assert np.allclose(base, out[:-1], atol=1e-8)
+
+
+@st.composite
+def pathological_targets(draw):
+    """A graph and a target, with the shapes the flow trim must survive.
+
+    Duplicate edges and data self-loops are kept (no coalescing); the
+    target may be isolated or have no in-edges, and the graph may have a
+    single node.
+    """
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 18))
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, size=m)
+    dst = rng.integers(0, n, size=m)
+    if m and draw(st.booleans()):
+        repeat = rng.integers(0, m, size=draw(st.integers(1, 4)))
+        src, dst = np.concatenate([src, src[repeat]]), np.concatenate([dst, dst[repeat]])
+    if draw(st.booleans()):
+        loops = rng.integers(0, n, size=2)
+        src, dst = np.concatenate([src, loops]), np.concatenate([dst, loops])
+    target = draw(st.integers(0, n - 1))
+    shape = draw(st.sampled_from(["any", "no_in_edges", "isolated"]))
+    if shape == "no_in_edges":
+        keep = dst != target
+    elif shape == "isolated":
+        keep = (dst != target) & (src != target)
+    else:
+        keep = np.ones(src.shape[0], dtype=bool)
+    edge_index = np.stack([src[keep], dst[keep]]).astype(np.int64).reshape(2, -1)
+    graph = Graph(edge_index=edge_index, x=rng.normal(size=(n, 5)), num_nodes=n)
+    return graph, target, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=pathological_targets(), conv=st.sampled_from(["gcn", "gin", "gat"]))
+def test_flow_trimmed_forward_is_exact_at_the_target(case, conv):
+    """Each layer run over only its flow-carrying layer edges gives the
+    target row and the kept mask gradients bit for bit."""
+    graph, target, seed = case
+    model = GNN(conv, "node", 5, 8, 3, num_layers=3,
+                heads=2 if conv == "gat" else 1, rng=0)
+    model.eval()
+    model.freeze()
+    kept = enumerate_flows(graph, model.num_layers, target=target).used_layer_edge_ids()
+    rng = np.random.default_rng(seed)
+    width = graph.num_edges + graph.num_nodes
+    full = [Tensor(rng.uniform(0, 1, width), requires_grad=True) for _ in kept]
+    trimmed = [Tensor(mask.data[ids], requires_grad=True) for mask, ids in zip(full, kept)]
+
+    out_full = model.forward_graph(graph, edge_masks=full)
+    out_trim = model.forward_graph(graph, edge_masks=trimmed, layer_edges=kept)
+    assert np.array_equal(out_full.numpy()[target], out_trim.numpy()[target])
+
+    weights = Tensor(rng.normal(size=out_full.shape[1]))
+    (out_full[target] * weights).sum().backward()
+    (out_trim[target] * weights).sum().backward()
+    for mask, small, ids in zip(full, trimmed, kept):
+        assert np.array_equal(mask.grad[ids], small.grad)
+        dropped = np.setdiff1d(np.arange(width), ids)
+        assert not mask.grad[dropped].any()
+
+    wrong = [Tensor(np.ones(ids.size + 1)) for ids in kept]
+    with pytest.raises(ShapeError, match="edge mask has"):
+        model.forward_graph(graph, edge_masks=wrong, layer_edges=kept)

@@ -45,6 +45,20 @@ class TestGraphSparseCache:
         g.edge_index = g.edge_index.copy()  # same content, new array
         assert sparse_cache(g) is not first
 
+    def test_restrict_is_the_parent_slice_and_dies_with_its_ids(self):
+        parent = sparse_cache(_triangle())
+        parent._deg = np.array([2.0, 5.0, 3.0])  # a context's preloaded degrees
+        ids = np.array([0, 2, 4, 5])              # two data edges, two self-loops
+        sub = parent.restrict(ids)
+        assert parent.restrict(ids) is sub
+        assert np.array_equal(sub.src, parent.src[ids])
+        assert np.array_equal(sub.dst, parent.dst[ids])
+        assert np.array_equal(sub.edge_norm, parent.edge_norm[ids])
+        assert sub.self_loop[:, 0].tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert parent.restrict(ids.copy()) is not sub
+        del ids
+        assert not parent._subsets  # both keys are gone, so are their entries
+
 
 class TestFeatureCsr:
     def test_sparse_features_get_memoized_twin(self):
