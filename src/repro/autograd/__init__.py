@@ -22,7 +22,16 @@ from .layers import MLP, LayerNorm, Linear, ReLU, Sequential, Sigmoid, Tanh
 from .module import Module, Parameter
 from .optim import SGD, Adam, Optimizer
 from .schedulers import CosineAnnealingLR, LinearWarmup, Scheduler, StepLR
-from .tensor import Tensor, as_tensor, concat, is_grad_enabled, no_grad, stack, where
+from .tensor import (
+    Tensor,
+    as_tensor,
+    concat,
+    is_grad_enabled,
+    no_grad,
+    propagate,
+    stack,
+    where,
+)
 
 __all__ = [
     "Tensor",
@@ -55,6 +64,7 @@ __all__ = [
     "binary_cross_entropy",
     "segment_softmax",
     "spmm",
+    "propagate",
     "dropout",
     "one_hot",
     "numerical_grad",

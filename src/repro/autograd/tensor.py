@@ -15,6 +15,7 @@ finite differences in ``tests/autograd``.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +23,8 @@ import numpy as np
 from ..errors import AutogradError, ShapeError
 from ..sparse import SegmentPlan, kernel, plan_for
 
-__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled", "concat", "stack", "where"]
+__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled", "concat", "stack", "where",
+           "propagate"]
 
 _GRAD_ENABLED = [True]
 
@@ -191,13 +193,12 @@ class Tensor:
         """Accumulate an upstream gradient contribution during backward."""
         if not self.requires_grad:
             return
-        key = id(self)
-        if key in grads:
+        if self in grads:
             # Out-of-place add: entries may alias upstream gradients (or
             # views of them), so never accumulate with ``+=``.
-            grads[key] = grads[key] + grad
+            grads[self] = grads[self] + grad
         else:
-            grads[key] = np.asarray(grad, dtype=np.float64)
+            grads[self] = np.asarray(grad, dtype=np.float64)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -230,25 +231,26 @@ class Tensor:
 
         # Topological order via iterative DFS: deep tapes (hundreds of mask
         # learning epochs over multi-layer GNNs) would overflow recursion.
+        # Tensors hash by identity, so they key the sets and dicts directly.
         order: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 order.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited and parent.requires_grad:
+                if parent.requires_grad and parent not in visited:
                     stack.append((parent, False))
 
-        grads: dict[int, np.ndarray] = {id(self): np.array(grad, copy=True)}
+        grads: dict[Tensor, np.ndarray] = {self: np.array(grad, copy=True)}
         for node in reversed(order):
-            node_grad = grads.pop(id(node), None)
+            node_grad = grads.pop(node, None)
             if node_grad is None:
                 continue
             if node._backward is None or node._retain:
@@ -257,14 +259,19 @@ class Tensor:
                 node._backward(node_grad, grads)
 
     # ------------------------------------------------------------------
-    # arithmetic
+    # arithmetic — a parent's gradient is computed only when that parent
+    # requires grad (as in __matmul__), so frozen operands (GCN edge
+    # norms, frozen biases, loss constants) never pay for a discarded
+    # adjoint
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
         other = as_tensor(other)
 
         def backward(g, grads):
-            self._receive(_unbroadcast(g, self.shape), grads)
-            other._receive(_unbroadcast(g, other.shape), grads)
+            if self.requires_grad:
+                self._receive(_unbroadcast(g, self.shape), grads)
+            if other.requires_grad:
+                other._receive(_unbroadcast(g, other.shape), grads)
 
         return self._binary_op(other, self.data + other.data, backward)
 
@@ -275,8 +282,10 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(g, grads):
-            self._receive(_unbroadcast(g, self.shape), grads)
-            other._receive(_unbroadcast(-g, other.shape), grads)
+            if self.requires_grad:
+                self._receive(_unbroadcast(g, self.shape), grads)
+            if other.requires_grad:
+                other._receive(_unbroadcast(-g, other.shape), grads)
 
         return self._binary_op(other, self.data - other.data, backward)
 
@@ -287,8 +296,10 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(g, grads):
-            self._receive(_unbroadcast(g * other.data, self.shape), grads)
-            other._receive(_unbroadcast(g * self.data, other.shape), grads)
+            if self.requires_grad:
+                self._receive(_unbroadcast(g * other.data, self.shape), grads)
+            if other.requires_grad:
+                other._receive(_unbroadcast(g * self.data, other.shape), grads)
 
         return self._binary_op(other, self.data * other.data, backward)
 
@@ -299,8 +310,11 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(g, grads):
-            self._receive(_unbroadcast(g / other.data, self.shape), grads)
-            other._receive(_unbroadcast(-g * self.data / (other.data**2), other.shape), grads)
+            if self.requires_grad:
+                self._receive(_unbroadcast(g / other.data, self.shape), grads)
+            if other.requires_grad:
+                other._receive(_unbroadcast(-g * self.data / (other.data**2), other.shape),
+                               grads)
 
         return self._binary_op(other, self.data / other.data, backward)
 
@@ -525,6 +539,79 @@ class Tensor:
         return self._unary_op(data, lambda g, grads: self._receive(g[index], grads))
 
 
+def propagate(h: Tensor, cache, coeff: Tensor | None = None,
+              mask: Tensor | None = None, *, gathered: bool = False) -> Tensor:
+    """Message passing as one tape node: ``out[dst] += (h[src] · coeff) · mask``.
+
+    The fused form of ``h.gather_rows(src) * coeff * mask`` followed by
+    ``.scatter_add(dst)``: the forward and every gradient repeat that
+    chain's arithmetic in the same order, bit for bit, but the epoch
+    records one node instead of four.
+
+    Parameters
+    ----------
+    h:
+        ``(N, ...)`` node states, gathered by ``cache.src``; with
+        ``gathered=True``, ``(A, ...)`` messages already gathered (and
+        scaled), one row per layer edge.
+    cache:
+        The :class:`~repro.sparse.GraphSparseCache` (or a
+        :meth:`~repro.sparse.GraphSparseCache.restrict` sub-cache) whose
+        ``A`` layer edges the layer runs over. Both scatters — the forward
+        over ``dst_plan`` and the adjoint of the gather over ``src_plan``
+        — dispatch through the ``scatter_add`` kernel.
+    coeff:
+        Optional per-edge coefficient broadcasting against ``h[src]``:
+        ``(A, 1)`` for ``(N, F)`` states (GCN's ``edge_norm``, GIN's
+        ``(1 + ε)`` self-loop scale), ``(A, H, 1)`` for ``(N, H, F)``
+        (GAT attention). It may require grad.
+    mask:
+        Optional Eq. (6) layer-edge mask of ``A`` entries, shaped ``(A,)``
+        or ``(A, 1)``; its gradient comes back in its own shape.
+    """
+    src, dst, num_rows = cache.src, cache.dst, cache.num_nodes
+    num_edges = src.shape[0]
+    if gathered and h.shape[0] != num_edges:
+        raise ShapeError(f"gathered messages have {h.shape[0]} rows, expected {num_edges}")
+    base = h.data if gathered else h.data[src]
+    parents: list[Tensor] = [h]
+    scaled = base
+    if coeff is not None:
+        scaled = base * coeff.data
+        parents.append(coeff)
+    messages = scaled
+    if mask is not None:
+        if mask.shape[0] != num_edges or mask.size != num_edges:
+            raise ShapeError(
+                f"edge mask has shape {mask.shape}, expected {num_edges} entries "
+                "(one per layer edge)")
+        mask_b = mask.data.reshape((num_edges,) + (1,) * (scaled.ndim - 1))
+        messages = scaled * mask_b
+        parents.append(mask)
+    data = _scatter_rows(messages, dst, num_rows, cache.dst_plan)
+    upstream = h.requires_grad or (coeff is not None and coeff.requires_grad)
+
+    def backward(g, grads):
+        g = g[dst]                                 # adjoint of the scatter
+        if mask is not None:
+            if mask.requires_grad:
+                mask._receive(_unbroadcast(g * scaled, mask_b.shape).reshape(mask.shape),
+                              grads)
+            if not upstream:
+                return
+            g = g * mask_b
+        if coeff is not None:
+            if coeff.requires_grad:
+                coeff._receive(_unbroadcast(g * base, coeff.shape), grads)
+            g = g * coeff.data
+        if h.requires_grad:
+            # Adjoint of the gather: scatter back to source rows.
+            h._receive(g if gathered else _scatter_rows(g, src, num_rows, cache.src_plan),
+                       grads)
+
+    return Tensor._make(data, parents, backward)
+
+
 def _scatter_rows(values: np.ndarray, index: np.ndarray, num_rows: int,
                   plan: SegmentPlan | None) -> np.ndarray:
     """Segment-sum ``values`` rows by ``index`` via the kernel registry.
@@ -537,8 +624,7 @@ def _scatter_rows(values: np.ndarray, index: np.ndarray, num_rows: int,
     if plan is None:
         plan = plan_for(index, num_rows)
     tail = values.shape[1:]
-    width = int(np.prod(tail)) if tail else 1
-    flat = values.reshape(values.shape[0], width)
+    flat = values.reshape(values.shape[0], math.prod(tail))
     out = kernel("scatter_add")(plan, flat)
     return np.ascontiguousarray(out).reshape((num_rows,) + tail)
 

@@ -27,6 +27,7 @@ from ..explain.target import ExplainTarget
 from ..flows import FlowIndex, cached_enumerate_flows
 from ..graph import Graph, extract_receptive_field
 from ..nn.link_prediction import LinkPredictor
+from ..nn.models import LayerTrim
 from ..rng import ensure_rng
 from .optimize import FlowMaskSettings, optimize_flow_masks
 
@@ -126,10 +127,11 @@ class LinkRevelio:
         subgraph, node_ids, edge_positions, lu, lv = self.link_context(graph, u, v)
         flow_index = self._link_flows(subgraph, lu, lv)
         pair = np.array([[lu, lv]])
+        trim = LayerTrim(flow_index.used_layer_edge_ids())
 
-        def log_prob(layer_masks: list[Tensor], layer_edges: list[np.ndarray]) -> Tensor:
+        def log_prob(layer_masks: list[Tensor]) -> Tensor:
             logit = self.model.link_logits(subgraph, pair, edge_masks=layer_masks,
-                                           layer_edges=layer_edges)[0]
+                                           trim=trim)[0]
             return logit.sigmoid().clip(1e-12, 1.0 - 1e-12).log()
 
         explanation = optimize_flow_masks(

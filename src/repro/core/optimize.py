@@ -15,7 +15,9 @@ in-edges of every node within ``L − l`` hops of the explained endpoints.
 The transform and the regularizer stay full width ``(L, E+N)``; each layer
 gathers its kept entries before the forward. A reached row sums the same
 messages in the same order, and an unreached row fed only layer edges the
-outcome's gradient never reaches, so the trim is bit-exact.
+outcome's gradient never reaches, so the trim is bit-exact. The callers'
+closures run the forward through one :class:`~repro.nn.LayerTrim` per
+explanation, which also computes layer 1's frozen pre-mask messages once.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ __all__ = ["FlowMaskSettings", "optimize_flow_masks",
 # Ablation knobs discussed in §IV-B of the paper.
 MASK_ACTIVATIONS = ("tanh", "sigmoid")
 LAYER_WEIGHT_ACTIVATIONS = ("exp", "softplus", "identity")
+
+#: ``meta["converged"]``: the loss moved by less than this fraction of
+#: itself over the last 10% of epochs.
+CONVERGENCE_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,7 @@ class FlowMaskSettings:
 
 
 def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
-                        log_prob: Callable[[list[Tensor], list[np.ndarray]], Tensor],
+                        log_prob: Callable[[list[Tensor]], Tensor],
                         mode: str,
                         rng: np.random.Generator, *, method: str, predicted_class: int,
                         tie: tuple[np.ndarray, int] | None = None,
@@ -102,12 +108,13 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
     Parameters
     ----------
     log_prob:
-        ``log_prob(layer_masks, layer_edges)`` maps the ``L`` per-layer
-        edge masks to the scalar ``log P`` of the outcome being explained
-        (a class at a node or graph, a link). ``layer_edges[l]`` are the
-        sorted layer-edge ids layer ``l`` runs over and ``layer_masks[l]``
-        holds one mask per id; pass both on as ``forward_graph``'s (or
-        ``link_logits``') ``edge_masks`` / ``layer_edges``.
+        ``log_prob(layer_masks)`` maps the ``L`` per-layer edge masks to
+        the scalar ``log P`` of the outcome being explained (a class at a
+        node or graph, a link). ``layer_masks[l]`` holds one mask per id
+        of ``flow_index.used_layer_edge_ids()[l]``: pass them on as
+        ``forward_graph``'s (or ``link_logits``') ``edge_masks`` with
+        ``trim=LayerTrim(flow_index.used_layer_edge_ids())``, built once
+        per explanation.
     mode:
         ``"factual"`` minimizes Eq. (1) + α·Eq. (8); ``"counterfactual"``
         minimizes Eq. (2) + α·Eq. (9) and flips the final scores
@@ -139,12 +146,13 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
     def flow_masks() -> Tensor:
         return params if slot is None else params.gather_rows(slot)
 
+    losses = []
     with span(SPAN_OPTIMIZE, epochs=settings.epochs, num_flows=flow_index.num_flows):
         for _ in range(settings.epochs):
             with span(SPAN_EPOCH):
                 optimizer.zero_grad()
                 omega_e = settings.layer_edge_scores(flow_masks(), w, flow_index)
-                log_p = log_prob([omega_e[l, ids] for l, ids in enumerate(kept)], kept)
+                log_p = log_prob([omega_e[l, ids] for l, ids in enumerate(kept)])
                 if mode == "factual":
                     objective = -log_p                                          # Eq. (1)
                     regularizer = (omega_e * used_tensor).sum() / num_used      # Eq. (8)
@@ -156,6 +164,7 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
                 loss = objective + settings.alpha * regularizer
                 loss.backward()
                 optimizer.step()
+                losses.append(loss.item())
 
     # Final scores (no gradient needed).
     masks = flow_masks()
@@ -172,7 +181,10 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
         layer_edge_scores=omega_e,
         flow_scores=omega_f,
         flow_index=flow_index,
-        meta={"final_loss": loss.item(), "params": settings.params(),
+        meta={"final_loss": losses[-1], "params": settings.params(),
+              # The loss curve in three numbers, and whether it flattened.
+              "loss_first": losses[0], "loss_min": min(losses), "loss_last": losses[-1],
+              "converged": converged(losses),
               "layer_weights": w.numpy().copy(),
               "num_flows": flow_index.num_flows,
               # Fig. 5's sparsity quantities, on the reported scores.
@@ -184,3 +196,14 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
                   "context": flow_index.num_layer_edges},
               **(meta or {})},
     )
+
+
+def converged(losses: list[float]) -> bool:
+    """Whether the loss changed by less than :data:`CONVERGENCE_RTOL`
+    (relative) over the last 10% of epochs; ``False`` with too few epochs
+    to tell."""
+    window = max(1, len(losses) // 10)
+    if len(losses) <= window:
+        return False
+    before, last = losses[-1 - window], losses[-1]
+    return abs(last - before) < CONVERGENCE_RTOL * max(abs(before), 1e-12)

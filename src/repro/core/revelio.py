@@ -43,7 +43,7 @@ from ..explain.base import Explainer, Explanation, feature_digest
 from ..flows import FlowIndex, cached_enumerate_flows, graph_fingerprint
 from ..flows.cache import LRUCache
 from ..graph import Graph
-from ..nn.models import GNN
+from ..nn.models import GNN, LayerTrim
 from ..obs import PERF
 from ..rng import ensure_rng
 from .optimize import FlowMaskSettings, optimize_flow_masks
@@ -162,10 +162,10 @@ class Revelio(Explainer):
         class_idx = self.predicted_class(graph, target=target)
         tie, meta = self._mask_plan(graph, flow_index, class_idx, target, rng)
         row = target if target is not None else 0
+        trim = LayerTrim(flow_index.used_layer_edge_ids())
 
-        def log_prob(layer_masks: list[Tensor], layer_edges: list[np.ndarray]) -> Tensor:
-            logits = self.model.forward_graph(graph, edge_masks=layer_masks,
-                                              layer_edges=layer_edges)
+        def log_prob(layer_masks: list[Tensor]) -> Tensor:
+            logits = self.model.forward_graph(graph, edge_masks=layer_masks, trim=trim)
             return log_softmax(logits, axis=-1)[row, class_idx]
 
         return optimize_flow_masks(self.settings, flow_index, log_prob, mode, rng,

@@ -76,25 +76,21 @@ class FlowIndex:
         self._used_layer_edges: np.ndarray | None = None
         self._used_layer_edge_ids: list[np.ndarray] | None = None
 
-    def _aggregation_indices(self, reuse: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    def _aggregation_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """``(gather, scatter)`` index arrays for flow → layer-edge sums.
 
         ``gather`` repeats each flow id once per layer (layer-major);
         ``scatter`` maps those rows to flattened ``l * (E+N) + edge_id``
-        slots. Cached on first use; ``reuse=False`` rebuilds from scratch
-        (used by the autograd regression test to pin down bit-identity).
+        slots. Built on first use and reused by every later call.
         """
-        if reuse and self._gather_index is not None and self._scatter_index is not None:
-            return self._gather_index, self._scatter_index
-        width = self.num_layer_edges
-        gather = np.tile(np.arange(self.num_flows), self.num_layers)
-        scatter = (
-            np.repeat(np.arange(self.num_layers), self.num_flows) * width
-            + self.layer_edges.T.reshape(-1)
-        )
-        if reuse:
-            self._gather_index, self._scatter_index = gather, scatter
-        return gather, scatter
+        if self._gather_index is None or self._scatter_index is None:
+            width = self.num_layer_edges
+            self._gather_index = np.tile(np.arange(self.num_flows), self.num_layers)
+            self._scatter_index = (
+                np.repeat(np.arange(self.num_layers), self.num_flows) * width
+                + self.layer_edges.T.reshape(-1)
+            )
+        return self._gather_index, self._scatter_index
 
     def incidence(self):
         """Cached :class:`repro.flows.incidence.FlowIncidence` view."""
@@ -139,18 +135,13 @@ class FlowIndex:
         width = self.num_layer_edges
         return (np.arange(self.num_layers)[None, :] * width + self.layer_edges).reshape(-1)
 
-    def aggregate_scores(self, flow_scores: Tensor, reuse_indices: bool = True) -> Tensor:
+    def aggregate_scores(self, flow_scores: Tensor) -> Tensor:
         """Sum flow scores onto layer edges (Eq. 3, ``f`` = summation).
 
         Parameters
         ----------
         flow_scores:
             ``(F,)`` tensor of per-flow scores (e.g. ``tanh(M)``).
-        reuse_indices:
-            Reuse the precomputed gather/scatter index arrays (the default;
-            they depend only on the fixed incidence structure). ``False``
-            rebuilds them each call, matching the pre-optimization code
-            path exactly.
 
         Returns
         -------
@@ -163,7 +154,7 @@ class FlowIndex:
                 f"flow_scores has {flow_scores.shape[0]} entries, expected {self.num_flows}"
             )
         width = self.num_layer_edges
-        gather, scatter = self._aggregation_indices(reuse=reuse_indices)
+        gather, scatter = self._aggregation_indices()
         # tiled is ordered layer-major: flow block per layer.
         tiled = flow_scores.gather_rows(gather)
         flat = tiled.scatter_add(scatter, self.num_layers * width)

@@ -11,7 +11,7 @@ from .link_prediction import (
 )
 from .batched import apply_dense_np, scatter_rows_np, segment_softmax_np
 from .message_passing import GraphConv, augment_edges, num_layer_edges
-from .models import CONV_TYPES, GNN, build_model
+from .models import CONV_TYPES, GNN, LayerTrim, build_model
 from .pooling import (
     global_max_pool,
     global_max_pool_np,
@@ -31,6 +31,7 @@ __all__ = [
     "augment_edges",
     "num_layer_edges",
     "GNN",
+    "LayerTrim",
     "build_model",
     "CONV_TYPES",
     "global_mean_pool",

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Parameter, Tensor, concat, segment_softmax
+from ..autograd import Parameter, Tensor, segment_softmax
 from ..autograd.init import glorot_uniform, zeros
 from ..rng import ensure_rng
-from ..sparse import GraphSparseCache, edge_cache
+from ..sparse import GraphSparseCache
 from .message_passing import GraphConv
 
 __all__ = ["GATConv"]
@@ -58,37 +58,25 @@ class GATConv(GraphConv):
         bias_dim = heads * out_features if concat_heads else out_features
         self.bias = Parameter(zeros((bias_dim,)), name="bias")
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int,
-                edge_mask: Tensor | None = None,
-                cache: GraphSparseCache | None = None) -> Tensor:
-        if cache is None:
-            cache = edge_cache(edge_index, num_nodes)
-        src, dst = cache.src, cache.dst
-        src_plan, dst_plan = cache.src_plan, cache.dst_plan
-        edge_mask = self._check_mask(edge_mask, edge_index.shape[1], num_nodes,
-                                     src.shape[0])
-        num_aug = src.shape[0]
-
+    def message_parts(self, x: Tensor, cache: GraphSparseCache) -> tuple[Tensor, Tensor]:
+        num_nodes, num_aug = cache.num_nodes, cache.src.shape[0]
         h = (x @ self.weight).reshape(num_nodes, self.heads, self.out_features)
         # Attention logits: a_src·h_i + a_dst·h_j per head.
         alpha_src = (h * self.att_src).sum(axis=-1)  # (N, H)
         alpha_dst = (h * self.att_dst).sum(axis=-1)  # (N, H)
-        logits = (alpha_src.gather_rows(src, plan=src_plan)
-                  + alpha_dst.gather_rows(dst, plan=dst_plan)).leaky_relu(
+        logits = (alpha_src.gather_rows(cache.src, plan=cache.src_plan)
+                  + alpha_dst.gather_rows(cache.dst, plan=cache.dst_plan)).leaky_relu(
             self.negative_slope
         )  # (num_aug, H)
-        attention = segment_softmax(logits, dst, num_nodes, plan=dst_plan)  # (num_aug, H)
+        attention = segment_softmax(logits, cache.dst, num_nodes, plan=cache.dst_plan)
+        return h, attention.reshape(num_aug, self.heads, 1)
 
-        messages = h.gather_rows(src, plan=src_plan)  # (num_aug, H, F)
-        messages = messages * attention.reshape(num_aug, self.heads, 1)
-        if edge_mask is not None:
-            messages = messages * edge_mask.reshape(num_aug, 1, 1)
-        out = messages.scatter_add(dst, num_nodes, plan=dst_plan)  # (N, H, F)
-
+    def update(self, aggregated: Tensor) -> Tensor:
+        # aggregated: (N, H, F) attention-weighted (and masked) messages.
         if self.concat_heads:
-            out = out.reshape(num_nodes, self.heads * self.out_features)
+            out = aggregated.reshape(aggregated.shape[0], self.heads * self.out_features)
         else:
-            out = out.mean(axis=1)
+            out = aggregated.mean(axis=1)
         return out + self.bias
 
     def forward_np_batch(self, x: np.ndarray, edge_index: np.ndarray, num_nodes: int,

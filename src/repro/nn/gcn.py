@@ -12,7 +12,7 @@ import numpy as np
 from ..autograd import Parameter, Tensor, spmm
 from ..autograd.init import glorot_uniform, zeros
 from ..rng import ensure_rng
-from ..sparse import GraphSparseCache, edge_cache
+from ..sparse import GraphSparseCache
 from .message_passing import GraphConv
 
 __all__ = ["GCNConv"]
@@ -47,34 +47,21 @@ class GCNConv(GraphConv):
         self.weight = Parameter(glorot_uniform((in_features, out_features), rng), name="weight")
         self.bias = Parameter(zeros((out_features,)), name="bias") if bias else None
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int,
-                edge_mask: Tensor | None = None,
-                cache: GraphSparseCache | None = None) -> Tensor:
-        if cache is None:
-            cache = edge_cache(edge_index, num_nodes)
-        src, dst = cache.src, cache.dst
-        edge_mask = self._check_mask(edge_mask, edge_index.shape[1], num_nodes,
-                                     src.shape[0])
+    def message_parts(self, x: Tensor, cache: GraphSparseCache) -> tuple[Tensor, Tensor | None]:
+        # Symmetric normalization over the self-loop-augmented structure
+        # (per-edge coefficient cached on the graph).
+        coeff = Tensor(cache.edge_norm[:, None]) if self.normalize else None
+        return x @ self.weight, coeff
 
-        h = x @ self.weight
-        if edge_mask is None:
-            # Unmasked (training) fast path: the gather / normalize /
-            # scatter chain is one cached-CSR spmm, its adjoint one more.
-            if self.normalize:
-                out = spmm(h, cache.adj_norm, cache.adj_norm_t)
-            else:
-                out = spmm(h, cache.adj, cache.adj_t)
-        else:
-            messages = h.gather_rows(src, plan=cache.src_plan)
-            if self.normalize:
-                # Symmetric normalization over the self-loop-augmented
-                # structure (per-edge coefficient cached on the graph).
-                messages = messages * Tensor(cache.edge_norm[:, None])
-            messages = messages * edge_mask
-            out = messages.scatter_add(dst, num_nodes, plan=cache.dst_plan)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+    def update(self, aggregated: Tensor) -> Tensor:
+        return aggregated if self.bias is None else aggregated + self.bias
+
+    def forward_unmasked(self, x: Tensor, cache: GraphSparseCache) -> Tensor:
+        # The gather / normalize / scatter chain is one cached-CSR spmm,
+        # its adjoint one more.
+        adj, adj_t = (cache.adj_norm, cache.adj_norm_t) if self.normalize \
+            else (cache.adj, cache.adj_t)
+        return self.update(spmm(x @ self.weight, adj, adj_t))
 
     def forward_np_batch(self, x: np.ndarray, edge_index: np.ndarray, num_nodes: int,
                          edge_mask: np.ndarray | None = None,

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..autograd import MLP, Parameter, Tensor, spmm
 from ..rng import ensure_rng
-from ..sparse import GraphSparseCache, edge_cache
+from ..sparse import GraphSparseCache
 from .message_passing import GraphConv
 
 __all__ = ["GINConv"]
@@ -44,35 +44,25 @@ class GINConv(GraphConv):
             self.eps = None
             self._fixed_eps = 0.0
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int,
-                edge_mask: Tensor | None = None,
-                cache: GraphSparseCache | None = None) -> Tensor:
-        if cache is None:
-            cache = edge_cache(edge_index, num_nodes)
-        src, dst = cache.src, cache.dst
-        edge_mask = self._check_mask(edge_mask, edge_index.shape[1], num_nodes,
-                                     src.shape[0])
-
-        if edge_mask is None:
-            # Unmasked (training) fast path: the unit-weight aggregation
-            # (neighbors + self-loop) is one cached-CSR spmm, and the
-            # (1 + eps) self scale decomposes into an extra eps · x term —
-            # same math as scaling the self-loop messages, but without
-            # materializing the (E+N, F) message tensor.
-            aggregated = spmm(x, cache.adj, cache.adj_t)
-            if self.eps is not None:
-                aggregated = aggregated + x * self.eps
-            return self.mlp(aggregated)
-
-        messages = x.gather_rows(src, plan=cache.src_plan)
+    def message_parts(self, x: Tensor, cache: GraphSparseCache) -> tuple[Tensor, Tensor | None]:
         # Scale the self-loop messages by (1 + eps).
-        if self.eps is not None:
-            scale = Tensor(np.ones((messages.shape[0], 1)))
-            scale = scale + Tensor(cache.self_loop) * self.eps
-            messages = messages * scale
-        messages = messages * edge_mask
-        aggregated = messages.scatter_add(dst, num_nodes, plan=cache.dst_plan)
+        if self.eps is None:
+            return x, None
+        scale = Tensor(np.ones((cache.src.shape[0], 1)))
+        return x, scale + Tensor(cache.self_loop) * self.eps
+
+    def update(self, aggregated: Tensor) -> Tensor:
         return self.mlp(aggregated)
+
+    def forward_unmasked(self, x: Tensor, cache: GraphSparseCache) -> Tensor:
+        # The unit-weight aggregation (neighbors + self-loop) is one
+        # cached-CSR spmm, and the (1 + eps) self scale decomposes into an
+        # extra eps · x term — same math as scaling the self-loop
+        # messages, but without materializing the (E+N, F) message tensor.
+        aggregated = spmm(x, cache.adj, cache.adj_t)
+        if self.eps is not None:
+            aggregated = aggregated + x * self.eps
+        return self.update(aggregated)
 
     def forward_np_batch(self, x: np.ndarray, edge_index: np.ndarray, num_nodes: int,
                          edge_mask: np.ndarray | None = None,

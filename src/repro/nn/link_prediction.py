@@ -22,7 +22,7 @@ from ..sparse import sparse_cache
 from .gat import GATConv
 from .gcn import GCNConv
 from .gin import GINConv
-from .models import CONV_TYPES, layer_caches
+from .models import CONV_TYPES, LayerTrim, run_convs
 
 __all__ = ["LinkPredictor", "LinkTrainResult", "train_link_predictor",
            "sample_negative_edges"]
@@ -73,11 +73,11 @@ class LinkPredictor(Module):
 
     # ------------------------------------------------------------------
     def encode(self, graph: Graph, edge_masks: list[Tensor] | None = None,
-               layer_edges: list[np.ndarray] | None = None) -> Tensor:
+               trim: LayerTrim | None = None) -> Tensor:
         """Node embeddings ``(N, hidden)`` under optional layer masks.
 
-        ``layer_edges`` trims each layer to the given layer-edge ids, as
-        in :meth:`GNN.forward <repro.nn.GNN.forward>`: only rows the last
+        ``trim`` runs the masked forward of one explanation, as in
+        :meth:`GNN.forward <repro.nn.GNN.forward>`: only rows the last
         layer's kept edges reach are exact.
         """
         if edge_masks is not None and len(edge_masks) != self.num_layers:
@@ -86,21 +86,15 @@ class LinkPredictor(Module):
         # rather than letting each conv fall back to the bare-array memo:
         # sampled subgraphs preload this cache's degree vector with the
         # full graph's values, which is what makes the local forward exact.
-        caches = layer_caches(sparse_cache(graph), graph.edge_index, graph.num_nodes,
-                              layer_edges, self.num_layers)
-        h = Tensor(graph.x)
-        for l, conv in enumerate(self.convs):
-            mask = edge_masks[l] if edge_masks is not None else None
-            h = conv(h, graph.edge_index, graph.num_nodes, edge_mask=mask,
-                     cache=caches[l]).relu()
-        return h
+        return run_convs(self.convs, Tensor(graph.x), graph.edge_index, graph.num_nodes,
+                         edge_masks, sparse_cache(graph), trim)[-1]
 
     def link_logits(self, graph: Graph, pairs: np.ndarray,
                     edge_masks: list[Tensor] | None = None,
-                    layer_edges: list[np.ndarray] | None = None) -> Tensor:
+                    trim: LayerTrim | None = None) -> Tensor:
         """Raw dot-product scores for node ``pairs`` of shape ``(P, 2)``."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        z = self.encode(graph, edge_masks=edge_masks, layer_edges=layer_edges)
+        z = self.encode(graph, edge_masks=edge_masks, trim=trim)
         return (z.gather_rows(pairs[:, 0]) * z.gather_rows(pairs[:, 1])).sum(axis=1)
 
     def forward(self, graph: Graph, pairs: np.ndarray,

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Module, Tensor
+from ..autograd import Module, Tensor, propagate
 from ..errors import ShapeError
+from ..sparse import edge_cache
 
 # The layer-edge id helpers live with the sparse core (repro.graph builds
 # scatter caches from them without importing repro.nn); re-exported here
@@ -42,7 +43,7 @@ __all__ = ["GraphConv", "augment_edges", "num_layer_edges"]
 class GraphConv(Module):
     """Base class for message-passing layers.
 
-    Subclasses implement :meth:`forward` with the shared signature::
+    Every layer shares the signature::
 
         forward(x, edge_index, num_nodes, edge_mask=None, cache=None) -> Tensor
 
@@ -57,7 +58,38 @@ class GraphConv(Module):
     :meth:`~repro.sparse.GraphSparseCache.restrict` sub-cache runs the
     layer over its kept layer edges only; the mask then has one entry per
     kept edge, in id order.
+
+    Subclasses split the layer around the Eq. (6) hook point:
+    :meth:`message_parts` returns the mask-independent ``(h, coeff)`` of
+    ``m = h[src] · coeff``, :func:`~repro.autograd.propagate` masks and
+    aggregates the messages as one tape node, and :meth:`update` maps the
+    aggregate to the layer output. :meth:`forward_unmasked` may replace
+    the edge-wise path when no mask is given.
     """
+
+    def message_parts(self, x: Tensor, cache) -> tuple[Tensor, Tensor | None]:
+        """``(h, coeff)``: the layer's messages are ``h[src] · coeff``."""
+        raise NotImplementedError
+
+    def update(self, aggregated: Tensor) -> Tensor:
+        """The layer output from its ``(N, ...)`` aggregated messages."""
+        raise NotImplementedError
+
+    def forward_unmasked(self, x: Tensor, cache) -> Tensor:
+        """The layer without a mask (training, plain inference)."""
+        h, coeff = self.message_parts(x, cache)
+        return self.update(propagate(h, cache, coeff))
+
+    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int,
+                edge_mask: Tensor | None = None, cache=None) -> Tensor:
+        if cache is None:
+            cache = edge_cache(edge_index, num_nodes)
+        if edge_mask is None:
+            return self.forward_unmasked(x, cache)
+        edge_mask = self._check_mask(edge_mask, edge_index.shape[1], num_nodes,
+                                     cache.src.shape[0])
+        h, coeff = self.message_parts(x, cache)
+        return self.update(propagate(h, cache, coeff, edge_mask))
 
     def _check_mask(self, edge_mask: Tensor | None, num_edges: int, num_nodes: int,
                     num_kept: int | None = None) -> Tensor | None:
@@ -96,10 +128,6 @@ class GraphConv(Module):
                 f"({batch_size}, {expected})"
             )
         return edge_mask
-
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int,
-                edge_mask: Tensor | None = None, cache=None) -> Tensor:
-        raise NotImplementedError
 
     def forward_np_batch(self, x: np.ndarray, edge_index: np.ndarray, num_nodes: int,
                          edge_mask: np.ndarray | None = None,

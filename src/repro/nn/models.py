@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Linear, Module, Tensor, log_softmax, no_grad, softmax
+from ..autograd import Linear, Module, Tensor, log_softmax, no_grad, propagate, softmax
 from ..errors import ModelError, ShapeError
 from ..graph import Graph, GraphBatch
 from ..obs import PERF, span
@@ -24,7 +24,7 @@ from .gin import GINConv
 from .message_passing import num_layer_edges
 from .pooling import global_max_pool, global_mean_pool, global_sum_pool
 
-__all__ = ["GNN", "build_model", "CONV_TYPES"]
+__all__ = ["GNN", "LayerTrim", "build_model", "CONV_TYPES"]
 
 CONV_TYPES = ("gcn", "gin", "gat")
 
@@ -101,7 +101,7 @@ class GNN(Module):
                 batch: np.ndarray | None = None,
                 num_graphs: int | None = None,
                 cache=None,
-                layer_edges: list[np.ndarray] | None = None) -> Tensor:
+                trim: LayerTrim | None = None) -> Tensor:
         """Compute logits.
 
         Parameters
@@ -122,14 +122,13 @@ class GNN(Module):
             layers — ``forward_graph``/``forward_batch`` thread the
             per-graph cache so every epoch of a training loop reuses one
             compiled scatter plan per direction.
-        layer_edges:
-            Optional flow trim: per layer, the sorted layer-edge ids the
-            layer runs over (:meth:`FlowIndex.used_layer_edge_ids
-            <repro.flows.FlowIndex.used_layer_edge_ids>`); ``edge_masks``
-            then hold one entry per kept id. Each set must keep every
-            in-edge of its destinations. Rows reached through the last
-            layer's kept edges equal the untrimmed forward bit for bit;
-            other rows are not meaningful.
+        trim:
+            Optional :class:`LayerTrim` of one explanation: each layer runs
+            over only its kept layer edges (``edge_masks`` then hold one
+            entry per kept id), and a frozen layer 1 re-masks messages
+            computed once. Rows reached through the last layer's kept
+            edges equal the untrimmed forward bit for bit; other rows are
+            not meaningful.
         """
         PERF.single_forwards += 1
         if isinstance(x, Tensor):
@@ -145,13 +144,9 @@ class GNN(Module):
             raise ModelError(
                 f"expected {self.num_layers} edge masks, got {len(edge_masks)}"
             )
-        caches = layer_caches(cache, edge_index, num_nodes, layer_edges, self.num_layers)
-        embeddings = []
-        for l, conv in enumerate(self.convs):
-            mask = edge_masks[l] if edge_masks is not None else None
-            h = conv(h, edge_index, num_nodes, edge_mask=mask, cache=caches[l])
-            h = h.relu()
-            embeddings.append(h)
+        embeddings = run_convs(self.convs, h, edge_index, num_nodes, edge_masks,
+                               cache, trim)
+        h = embeddings[-1]
         self._last_embeddings = embeddings
 
         if self.task == "graph":
@@ -166,15 +161,15 @@ class GNN(Module):
         return self.head(h)
 
     def forward_graph(self, graph: Graph, edge_masks: list[Tensor] | None = None,
-                      layer_edges: list[np.ndarray] | None = None) -> Tensor:
+                      trim: LayerTrim | None = None) -> Tensor:
         """Logits for a single :class:`Graph` (node or graph task).
 
-        ``layer_edges`` trims each layer to the given layer-edge ids (see
+        ``trim`` runs the masked forward of one explanation (see
         :meth:`forward`).
         """
         return self.forward(graph.x, graph.edge_index, graph.num_nodes,
                             edge_masks=edge_masks, cache=sparse_cache(graph),
-                            layer_edges=layer_edges)
+                            trim=trim)
 
     def forward_batch(self, batch: GraphBatch, edge_masks: list[Tensor] | None = None) -> Tensor:
         """Logits for a :class:`GraphBatch` (graph task)."""
@@ -341,17 +336,79 @@ class GNN(Module):
         )
 
 
-def layer_caches(cache, edge_index: np.ndarray, num_nodes: int,
-                 layer_edges: list[np.ndarray] | None, num_layers: int) -> list:
-    """One sparse cache per layer: ``cache`` itself, or its flow-trimmed
-    :meth:`~repro.sparse.GraphSparseCache.restrict` sub-cache per layer."""
-    if layer_edges is None:
-        return [cache] * num_layers
-    if len(layer_edges) != num_layers:
-        raise ModelError(f"expected {num_layers} layer-edge sets, got {len(layer_edges)}")
+class LayerTrim:
+    """One explanation's masked forward, built once and passed every epoch.
+
+    Parameters
+    ----------
+    layer_edges:
+        Per layer, the sorted layer-edge ids the layer runs over
+        (:meth:`FlowIndex.used_layer_edge_ids
+        <repro.flows.FlowIndex.used_layer_edge_ids>`). Each set must keep
+        every in-edge of its destinations; layer ``l`` then runs on the
+        :meth:`~repro.sparse.GraphSparseCache.restrict` sub-cache of its
+        ids.
+
+    While layer 1's input and weights are frozen, its pre-mask messages
+    ``h[src] · coeff`` are the same every epoch: the first masked forward
+    computes them, with exactly the arithmetic
+    :func:`~repro.autograd.propagate` runs before the mask, and every
+    later one only re-masks and scatters them (one tape node). They are
+    kept for one (layer, input, cache) triple, so a trim serves one model
+    and one graph whose weights and features do not change while it is
+    in use.
+    """
+
+    def __init__(self, layer_edges: list[np.ndarray]):
+        self.layer_edges = list(layer_edges)
+        self._first: tuple | None = None  # (conv, x data, cache, messages)
+
+    def caches(self, cache, num_layers: int) -> list:
+        """The restricted sub-cache of each layer."""
+        if len(self.layer_edges) != num_layers:
+            raise ModelError(
+                f"expected {num_layers} layer-edge sets, got {len(self.layer_edges)}")
+        return [cache.restrict(ids) for ids in self.layer_edges]
+
+    def first_layer(self, conv, x: Tensor, cache) -> Tensor | None:
+        """Layer 1's constant pre-mask messages, or ``None`` if not frozen."""
+        if x.requires_grad or any(p.requires_grad for p in conv.parameters()):
+            return None
+        first = self._first
+        if first is None or first[0] is not conv or first[1] is not x.data \
+                or first[2] is not cache:
+            h, coeff = conv.message_parts(x, cache)  # frozen: records no tape
+            messages = h.data[cache.src]
+            if coeff is not None:
+                messages = messages * coeff.data
+            first = self._first = (conv, x.data, cache, Tensor(messages))
+        return first[3]
+
+
+def run_convs(convs: list, h: Tensor, edge_index: np.ndarray, num_nodes: int,
+              edge_masks: list[Tensor] | None, cache,
+              trim: LayerTrim | None) -> list[Tensor]:
+    """Every conv layer and its ReLU; returns each layer's embeddings.
+
+    With a ``trim``, each layer runs on its restricted cache and a frozen
+    masked layer 1 re-masks its memoized messages (one tape node).
+    """
     if cache is None:
         cache = edge_cache(edge_index, num_nodes)
-    return [cache.restrict(ids) for ids in layer_edges]
+    caches = [cache] * len(convs) if trim is None else trim.caches(cache, len(convs))
+    embeddings = []
+    for l, conv in enumerate(convs):
+        mask = edge_masks[l] if edge_masks is not None else None
+        messages = None
+        if l == 0 and trim is not None and mask is not None:
+            messages = trim.first_layer(conv, h, caches[0])
+        if messages is None:
+            h = conv(h, edge_index, num_nodes, edge_mask=mask, cache=caches[l])
+        else:
+            h = conv.update(propagate(messages, caches[0], mask=mask, gathered=True))
+        h = h.relu()
+        embeddings.append(h)
+    return embeddings
 
 
 def build_model(conv: str, task: str, in_features: int, num_classes: int,

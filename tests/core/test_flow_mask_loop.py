@@ -14,7 +14,7 @@ import pytest
 
 from repro.autograd import Adam, Tensor, log_softmax
 from repro.core import LinkRevelio, Revelio, TopKRevelio
-from repro.core.optimize import optimize_flow_masks
+from repro.core.optimize import CONVERGENCE_RTOL, converged, optimize_flow_masks
 from repro.core.revelio import explanation_cache_disabled
 from repro.errors import ExplainerError
 from repro.explain import ExplainTarget
@@ -22,7 +22,7 @@ from repro.explain.io import (explanation_from_jsonable, explanation_to_jsonable
                               load_explanation, save_explanation)
 from repro.flows import FlowIndex, enumerate_flows
 from repro.graph import Graph, extract_receptive_field, sbm_edges
-from repro.nn import LinkPredictor, Trainer, build_model
+from repro.nn import LayerTrim, LinkPredictor, Trainer, build_model
 from repro.obs import TRACER, tracing
 from repro.obs.names import SPAN_EPOCH, SPAN_EXPLAIN, SPAN_OPTIMIZE
 
@@ -107,8 +107,10 @@ def test_loop_reproduces_the_reference_bit_for_bit(node_model, conv_models, mini
     flow_ref, layer_ref, edge_ref, loss_ref = reference_revelio(
         flow_index, untrimmed, mode, **LOOP)
 
-    def log_prob(layer_masks, layer_edges):
-        logits = model.forward_graph(graph, edge_masks=layer_masks, layer_edges=layer_edges)
+    trim = LayerTrim(flow_index.used_layer_edge_ids())
+
+    def log_prob(layer_masks):
+        logits = model.forward_graph(graph, edge_masks=layer_masks, trim=trim)
         return log_softmax(logits, axis=-1)[target, class_idx]
 
     direct = optimize_flow_masks(explainer.settings, flow_index, log_prob, mode,
@@ -237,8 +239,24 @@ def test_one_meta_schema_and_trace_shape(family_member, name, mode, tmp_path):
                for l in range(flow_index.num_layers)]
     assert trimmed[-1] < flow_index.num_layer_edges
 
+    # The loss curve in three numbers, and whether its last 10% was flat.
+    assert meta["loss_last"] == meta["final_loss"]
+    assert meta["loss_min"] <= min(meta["loss_first"], meta["loss_last"])
+    assert all(isinstance(meta[key], float) for key in ("loss_first", "loss_min", "loss_last"))
+    assert isinstance(meta["converged"], bool)
+
     wire = explanation_from_jsonable(json.loads(json.dumps(explanation_to_jsonable(explanation))))
     save_explanation(explanation, tmp_path / "e.npz")
     for loaded in (wire, load_explanation(tmp_path / "e.npz")):
-        for key in ("flows_above_half", "mean_edge_mask", "forward_layer_edges"):
+        for key in ("flows_above_half", "mean_edge_mask", "forward_layer_edges",
+                    "loss_first", "loss_min", "loss_last", "converged"):
             assert loaded.meta[key] == meta[key]
+
+
+def test_converged_reads_the_relative_change_over_the_last_tenth():
+    flat_tail = [5.0, 3.0, 2.0] + [1.0] * 17 + [1.0 - CONVERGENCE_RTOL / 2]
+    assert converged(flat_tail)                         # window: last 2 of 21
+    moving = flat_tail[:-1] + [1.0 - 2 * CONVERGENCE_RTOL]
+    assert not converged(moving)
+    assert converged([2.0, 0.0, 0.0])                   # a zero loss that stays zero
+    assert not converged([1.0])                         # one epoch cannot tell

@@ -2,7 +2,8 @@
 
 The index arrays are built lazily once and reused on every mask-learning
 epoch; these tests pin down that the cached-index path is bit-identical to
-rebuilding, agrees with the numpy aggregation, and keeps gradients exact.
+a freshly built gather/scatter, agrees with the numpy aggregation, and
+keeps gradients exact.
 """
 
 from __future__ import annotations
@@ -23,12 +24,22 @@ def flow_index():
     return enumerate_flows(graph, 2, target=3)
 
 
+def fresh_aggregation(flow_index, scores):
+    """Eq. 3 through a gather/scatter index built from scratch."""
+    num_flows, num_layers = flow_index.num_flows, flow_index.num_layers
+    width = flow_index.num_layer_edges
+    gather = np.tile(np.arange(num_flows), num_layers)
+    scatter = (np.repeat(np.arange(num_layers), num_flows) * width
+               + flow_index.layer_edges.T.reshape(-1))
+    flat = Tensor(scores).gather_rows(gather).scatter_add(scatter, num_layers * width)
+    return flat.reshape(num_layers, width).numpy()
+
+
 def test_reused_indices_match_fresh_build(flow_index):
     rng = np.random.default_rng(0)
     scores = rng.normal(size=flow_index.num_flows)
-    cached = flow_index.aggregate_scores(Tensor(scores), reuse_indices=True).numpy()
-    rebuilt = flow_index.aggregate_scores(Tensor(scores), reuse_indices=False).numpy()
-    np.testing.assert_array_equal(cached, rebuilt)
+    cached = flow_index.aggregate_scores(Tensor(scores)).numpy()
+    np.testing.assert_array_equal(cached, fresh_aggregation(flow_index, scores))
     # Second cached call reuses the same arrays and stays identical.
     again = flow_index.aggregate_scores(Tensor(scores)).numpy()
     np.testing.assert_array_equal(cached, again)

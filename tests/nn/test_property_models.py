@@ -6,6 +6,8 @@ masked forwards must interpolate between the full and empty graphs, and
 a flow-trimmed forward must equal the full one at the explained node.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from repro.autograd import Tensor
 from repro.errors import ShapeError
 from repro.flows import enumerate_flows
 from repro.graph import Graph, coalesce_edges
-from repro.nn import GNN
+from repro.nn import GNN, LayerTrim
 
 
 @st.composite
@@ -162,7 +164,7 @@ def test_flow_trimmed_forward_is_exact_at_the_target(case, conv):
     trimmed = [Tensor(mask.data[ids], requires_grad=True) for mask, ids in zip(full, kept)]
 
     out_full = model.forward_graph(graph, edge_masks=full)
-    out_trim = model.forward_graph(graph, edge_masks=trimmed, layer_edges=kept)
+    out_trim = model.forward_graph(graph, edge_masks=trimmed, trim=LayerTrim(kept))
     assert np.array_equal(out_full.numpy()[target], out_trim.numpy()[target])
 
     weights = Tensor(rng.normal(size=out_full.shape[1]))
@@ -175,4 +177,41 @@ def test_flow_trimmed_forward_is_exact_at_the_target(case, conv):
 
     wrong = [Tensor(np.ones(ids.size + 1)) for ids in kept]
     with pytest.raises(ShapeError, match="edge mask has"):
-        model.forward_graph(graph, edge_masks=wrong, layer_edges=kept)
+        model.forward_graph(graph, edge_masks=wrong, trim=LayerTrim(kept))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=pathological_targets(), conv=st.sampled_from(["gcn", "gin", "gat"]))
+def test_hoisted_first_layer_is_exact_at_the_target(case, conv):
+    """A frozen layer 1 re-masks messages computed once per trim; its
+    target row and mask gradients equal the un-hoisted trimmed forward's
+    (layer 1 left trainable) bit for bit, epoch after epoch."""
+    graph, target, seed = case
+    model = GNN(conv, "node", 5, 8, 3, num_layers=3,
+                heads=2 if conv == "gat" else 1, rng=0)
+    model.eval()
+    model.freeze()
+    kept = enumerate_flows(graph, model.num_layers, target=target).used_layer_edge_ids()
+    rng = np.random.default_rng(seed)
+    data = [rng.uniform(0, 1, ids.size) for ids in kept]
+    weights = Tensor(rng.normal(size=model.num_classes))
+
+    def run(trim):
+        masks = [Tensor(d, requires_grad=True) for d in data]
+        out = model.forward_graph(graph, edge_masks=masks, trim=trim)[target]
+        (out * weights).sum().backward()
+        return out.numpy(), [m.grad for m in masks]
+
+    hoisted = LayerTrim(kept)
+    first = model.convs[0]
+    with mock.patch.object(first, "message_parts", wraps=first.message_parts) as parts:
+        epochs = [run(hoisted) for _ in range(2)]
+    assert parts.call_count == 1
+
+    for param in model.convs[0].parameters():
+        param.requires_grad = True
+    reference = run(LayerTrim(kept))
+    for out, grads in epochs:
+        assert np.array_equal(out, reference[0])
+        for mine, theirs in zip(grads, reference[1]):
+            assert np.array_equal(mine, theirs)
