@@ -123,7 +123,8 @@ def binary_cross_entropy(probs: Tensor, targets: np.ndarray, eps: float = 1e-12)
 
 
 def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int,
-                    plan: SegmentPlan | None = None) -> Tensor:
+                    plan: SegmentPlan | None = None,
+                    weights: np.ndarray | None = None) -> Tensor:
     """Softmax over groups of rows sharing a segment id.
 
     This is the attention normalization of GAT: for each destination node,
@@ -147,6 +148,12 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int,
         ``(segment_ids, num_segments)`` — e.g. a per-graph
         ``sparse_cache(graph).dst_plan``. Defaults to the identity-keyed
         ``plan_for`` memo.
+    weights:
+        Optional ``(n,)`` or ``(n, B)`` multipliers on the exponentials,
+        broadcast over the trailing axes of ``scores`` (``(n, B, H)``
+        logits of ``B`` stacked forwards). Binary weights renormalize
+        each segment over its kept rows only — structural edge removal —
+        and a segment with no kept row gets zeros instead of ``0/0``.
     """
     scores = as_tensor(scores)
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
@@ -164,7 +171,12 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int,
 
     shifted = scores - Tensor(seg_max[segment_ids])
     exp = shifted.exp()
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        exp = exp * Tensor(weights.reshape(weights.shape + (1,) * (exp.ndim - weights.ndim)))
     denom = exp.scatter_add(segment_ids, num_segments, plan=plan)
+    if weights is not None:
+        denom = denom.clip(1e-300, np.inf)  # segments with every row removed
     return exp / denom.gather_rows(segment_ids, plan=plan)
 
 

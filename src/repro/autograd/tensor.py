@@ -336,8 +336,15 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        if self.ndim != 2 or other.ndim != 2:
-            raise ShapeError(f"matmul expects 2-D tensors, got {self.shape} @ {other.shape}")
+        if self.ndim < 2 or other.ndim != 2:
+            raise ShapeError(f"matmul expects (..., K) @ (K, M) tensors, got "
+                             f"{self.shape} @ {other.shape}")
+        if self.ndim > 2:
+            # Stacked states (a batched forward's (N, B, F)) flatten their
+            # leading axes into one GEMM.
+            lead = self.shape[:-1]
+            flat = self.reshape(-1, self.shape[-1]) @ other
+            return flat.reshape(lead + (other.shape[1],))
 
         if self._csr is not None and not self.requires_grad:
             # Sparse-feature fast path (annotate_sparse): the left operand
@@ -548,6 +555,13 @@ def propagate(h: Tensor, cache, coeff: Tensor | None = None,
     chain's arithmetic in the same order, bit for bit, but the epoch
     records one node instead of four.
 
+    Batched states — ``(N, B, K)`` stacks of ``B`` forwards, as
+    :meth:`GNN.forward_masked_batch <repro.nn.GNN.forward_masked_batch>`
+    runs them — with a scalar per-edge ``coeff`` (GCN, GIN) and no
+    operand requiring grad skip the chain: the ``(A, B)`` product of
+    ``coeff`` and ``mask`` goes to the fused ``gather_scatter`` kernel,
+    which never materializes the ``(A, B, K)`` messages.
+
     Parameters
     ----------
     h:
@@ -564,30 +578,36 @@ def propagate(h: Tensor, cache, coeff: Tensor | None = None,
         Optional per-edge coefficient broadcasting against ``h[src]``:
         ``(A, 1)`` for ``(N, F)`` states (GCN's ``edge_norm``, GIN's
         ``(1 + ε)`` self-loop scale), ``(A, H, 1)`` for ``(N, H, F)``
-        (GAT attention). It may require grad.
+        (GAT attention); ``(A, 1)`` or ``(A, B)`` for ``(N, B, F)``
+        stacks. It may require grad.
     mask:
         Optional Eq. (6) layer-edge mask of ``A`` entries, shaped ``(A,)``
-        or ``(A, 1)``; its gradient comes back in its own shape.
+        or ``(A, 1)``, or ``(A, B)`` with one column per stacked forward;
+        its gradient comes back in its own shape.
     """
     src, dst, num_rows = cache.src, cache.dst, cache.num_nodes
     num_edges = src.shape[0]
     if gathered and h.shape[0] != num_edges:
         raise ShapeError(f"gathered messages have {h.shape[0]} rows, expected {num_edges}")
+    if mask is not None and (mask.shape[0] != num_edges or mask.ndim > 2):
+        raise ShapeError(
+            f"edge mask has shape {mask.shape}, expected {num_edges} entries "
+            "(one per layer edge) or one column of them per stacked forward")
+    parents = [t for t in (h, coeff, mask) if t is not None]
+    if not gathered and h.ndim == 3 and (coeff is None or coeff.ndim == 2) \
+            and not (is_grad_enabled() and any(t.requires_grad for t in parents)):
+        return Tensor(_gather_scatter(h.data, cache, coeff, mask))
     base = h.data if gathered else h.data[src]
-    parents: list[Tensor] = [h]
     scaled = base
     if coeff is not None:
-        scaled = base * coeff.data
-        parents.append(coeff)
+        # Per-edge operands lead with the edge axis and broadcast over the
+        # trailing axes of the messages.
+        coeff_b = coeff.data.reshape(coeff.shape + (1,) * (base.ndim - coeff.ndim))
+        scaled = base * coeff_b
     messages = scaled
     if mask is not None:
-        if mask.shape[0] != num_edges or mask.size != num_edges:
-            raise ShapeError(
-                f"edge mask has shape {mask.shape}, expected {num_edges} entries "
-                "(one per layer edge)")
-        mask_b = mask.data.reshape((num_edges,) + (1,) * (scaled.ndim - 1))
+        mask_b = mask.data.reshape(mask.shape + (1,) * (scaled.ndim - mask.ndim))
         messages = scaled * mask_b
-        parents.append(mask)
     data = _scatter_rows(messages, dst, num_rows, cache.dst_plan)
     upstream = h.requires_grad or (coeff is not None and coeff.requires_grad)
 
@@ -602,14 +622,28 @@ def propagate(h: Tensor, cache, coeff: Tensor | None = None,
             g = g * mask_b
         if coeff is not None:
             if coeff.requires_grad:
-                coeff._receive(_unbroadcast(g * base, coeff.shape), grads)
-            g = g * coeff.data
+                coeff._receive(_unbroadcast(g * base, coeff_b.shape).reshape(coeff.shape),
+                               grads)
+            g = g * coeff_b
         if h.requires_grad:
             # Adjoint of the gather: scatter back to source rows.
             h._receive(g if gathered else _scatter_rows(g, src, num_rows, cache.src_plan),
                        grads)
 
     return Tensor._make(data, parents, backward)
+
+
+def _gather_scatter(h: np.ndarray, cache, coeff: Tensor | None,
+                    mask: Tensor | None) -> np.ndarray:
+    """``(N, B, K)`` states aggregated under ``(A, 1|B)`` edge weights."""
+    weights = None if coeff is None else coeff.data
+    if mask is not None:
+        columns = mask.data if mask.ndim == 2 else mask.data[:, None]
+        weights = columns if weights is None else weights * columns
+    if weights is None:
+        weights = np.ones((cache.src.shape[0], 1))
+    dense = h[:, 0] if h.shape[1] == 1 else h      # batch-shared states
+    return kernel("gather_scatter")(cache.dst_plan, cache.src, weights, dense)
 
 
 def _scatter_rows(values: np.ndarray, index: np.ndarray, num_rows: int,

@@ -9,17 +9,9 @@ from .link_prediction import (
     sample_negative_edges,
     train_link_predictor,
 )
-from .batched import apply_dense_np, scatter_rows_np, segment_softmax_np
 from .message_passing import GraphConv, augment_edges, num_layer_edges
 from .models import CONV_TYPES, GNN, LayerTrim, build_model
-from .pooling import (
-    global_max_pool,
-    global_max_pool_np,
-    global_mean_pool,
-    global_mean_pool_np,
-    global_sum_pool,
-    global_sum_pool_np,
-)
+from .pooling import global_max_pool, global_mean_pool, global_sum_pool
 from .train import TrainResult, Trainer, train_graph_classifier, train_node_classifier
 from .zoo import RECIPES, TrainRecipe, get_model, train_target_model
 
@@ -37,12 +29,6 @@ __all__ = [
     "global_mean_pool",
     "global_sum_pool",
     "global_max_pool",
-    "global_mean_pool_np",
-    "global_sum_pool_np",
-    "global_max_pool_np",
-    "scatter_rows_np",
-    "segment_softmax_np",
-    "apply_dense_np",
     "Trainer",
     "TrainResult",
     "train_node_classifier",

@@ -58,74 +58,32 @@ class GATConv(GraphConv):
         bias_dim = heads * out_features if concat_heads else out_features
         self.bias = Parameter(zeros((bias_dim,)), name="bias")
 
-    def message_parts(self, x: Tensor, cache: GraphSparseCache) -> tuple[Tensor, Tensor]:
-        num_nodes, num_aug = cache.num_nodes, cache.src.shape[0]
-        h = (x @ self.weight).reshape(num_nodes, self.heads, self.out_features)
+    def message_parts(self, x: Tensor, cache: GraphSparseCache,
+                      keep: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+        # x is (N, F), or (N, B, F) for B stacked forwards.
+        lead = x.shape[:-1]
+        h = (x @ self.weight).reshape(lead + (self.heads, self.out_features))
         # Attention logits: a_src·h_i + a_dst·h_j per head.
-        alpha_src = (h * self.att_src).sum(axis=-1)  # (N, H)
-        alpha_dst = (h * self.att_dst).sum(axis=-1)  # (N, H)
+        alpha_src = (h * self.att_src).sum(axis=-1)  # (N, [B,] H)
+        alpha_dst = (h * self.att_dst).sum(axis=-1)  # (N, [B,] H)
         logits = (alpha_src.gather_rows(cache.src, plan=cache.src_plan)
                   + alpha_dst.gather_rows(cache.dst, plan=cache.dst_plan)).leaky_relu(
             self.negative_slope
-        )  # (num_aug, H)
-        attention = segment_softmax(logits, cache.dst, num_nodes, plan=cache.dst_plan)
-        return h, attention.reshape(num_aug, self.heads, 1)
+        )  # (num_aug, [B,] H)
+        # Structural removal renormalizes attention over the kept in-edges;
+        # Eq. (6) masking keeps the normalization intact.
+        attention = segment_softmax(logits, cache.dst, cache.num_nodes,
+                                    plan=cache.dst_plan, weights=keep)
+        return h, attention.reshape(attention.shape + (1,))
 
     def update(self, aggregated: Tensor) -> Tensor:
-        # aggregated: (N, H, F) attention-weighted (and masked) messages.
+        # aggregated: (N, [B,] H, F) attention-weighted (and masked) messages.
         if self.concat_heads:
-            out = aggregated.reshape(aggregated.shape[0], self.heads * self.out_features)
+            out = aggregated.reshape(aggregated.shape[:-2]
+                                     + (self.heads * self.out_features,))
         else:
-            out = aggregated.mean(axis=1)
+            out = aggregated.mean(axis=-2)
         return out + self.bias
-
-    def forward_np_batch(self, x: np.ndarray, edge_index: np.ndarray, num_nodes: int,
-                         edge_mask: np.ndarray | None = None,
-                         structural: bool = False,
-                         cache: GraphSparseCache | None = None) -> np.ndarray:
-        from .batched import scatter_edge_major, segment_softmax_edge_major
-
-        if cache is None:
-            cache = GraphSparseCache(edge_index, num_nodes)
-        src, dst, plan = cache.src, cache.dst, cache.dst_plan
-        B = x.shape[1]
-        edge_mask = self._check_mask_np(edge_mask, B, edge_index.shape[1], num_nodes)
-        mask_t = edge_mask.T if edge_mask is not None else None   # (A, B) view
-
-        shared_x = x.strides[1] == 0
-        if shared_x:
-            # Batch-broadcast features: one projection / attention-logit
-            # computation shared by all rows (batch axis kept at size 1;
-            # the mask multiplies below re-expand it).
-            h = (x[:, 0, :] @ self.weight.data).reshape(
-                num_nodes, 1, self.heads, self.out_features
-            )
-        else:
-            h = (x.reshape(-1, x.shape[-1]) @ self.weight.data).reshape(
-                num_nodes, B, self.heads, self.out_features
-            )
-        alpha_src = (h * self.att_src.data).sum(axis=-1)   # (N, B', H)
-        alpha_dst = (h * self.att_dst.data).sum(axis=-1)   # (N, B', H)
-        logits = alpha_src[src] + alpha_dst[dst]           # (A, B', H)
-        logits = np.where(logits > 0, logits, logits * self.negative_slope)
-        # Structural removal renormalizes attention over surviving edges;
-        # Eq. (6) masking keeps the normalization intact.
-        weights = mask_t if (structural and edge_mask is not None) else None
-        attention = segment_softmax_edge_major(logits, dst, num_nodes,
-                                               weights=weights, plan=plan)
-
-        messages = h[src] * attention[:, :, :, None]       # (A, B', H, F)
-        if edge_mask is not None and not structural:
-            messages = messages * mask_t[:, :, None, None]
-        out = scatter_edge_major(messages, dst, num_nodes, plan=plan)  # (N, B', H, F)
-        if out.shape[1] != B:
-            out = np.broadcast_to(out, (num_nodes, B) + out.shape[2:])
-
-        if self.concat_heads:
-            out = out.reshape(num_nodes, B, self.heads * self.out_features)
-        else:
-            out = out.mean(axis=2)
-        return out + self.bias.data
 
     def __repr__(self) -> str:
         return (

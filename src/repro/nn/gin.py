@@ -44,8 +44,11 @@ class GINConv(GraphConv):
             self.eps = None
             self._fixed_eps = 0.0
 
-    def message_parts(self, x: Tensor, cache: GraphSparseCache) -> tuple[Tensor, Tensor | None]:
-        # Scale the self-loop messages by (1 + eps).
+    def message_parts(self, x: Tensor, cache: GraphSparseCache,
+                      keep: np.ndarray | None = None) -> tuple[Tensor, Tensor | None]:
+        # Scale the self-loop messages by (1 + eps). Aggregation is a plain
+        # sum, so masking a message already equals removing its edge and a
+        # structural ``keep`` changes nothing here.
         if self.eps is None:
             return x, None
         scale = Tensor(np.ones((cache.src.shape[0], 1)))
@@ -63,43 +66,6 @@ class GINConv(GraphConv):
         if self.eps is not None:
             aggregated = aggregated + x * self.eps
         return self.update(aggregated)
-
-    def forward_np_batch(self, x: np.ndarray, edge_index: np.ndarray, num_nodes: int,
-                         edge_mask: np.ndarray | None = None,
-                         structural: bool = False,
-                         cache: GraphSparseCache | None = None) -> np.ndarray:
-        from .batched import apply_dense_np, gather_scatter_edge_major
-
-        if cache is None:
-            cache = GraphSparseCache(edge_index, num_nodes)
-        src, dst, plan = cache.src, cache.dst, cache.dst_plan
-        num_edges = edge_index.shape[1]
-        B = x.shape[1]
-        edge_mask = self._check_mask_np(edge_mask, B, num_edges, num_nodes)
-
-        # GIN aggregation is a plain sum, so masking a message already
-        # equals removing its edge; structural mode needs no extra work.
-        # Fold the (1 + eps) self-loop scale and the mask into one (A, B)
-        # coefficient; the gather_scatter kernel folds it into the sparse
-        # matmul so the (A, B, F) message tensor is never materialized.
-        coeff = None
-        if self.eps is not None:
-            scale = np.ones(src.shape[0])
-            scale[num_edges:] = 1.0 + float(self.eps.data[0])
-            coeff = scale[:, None]                    # (A, 1)
-        if edge_mask is not None:
-            mask_t = edge_mask.T                      # (A, B) view
-            coeff = mask_t if coeff is None else coeff * mask_t
-        if coeff is None:
-            coeff = np.ones((src.shape[0], 1))
-
-        shared_x = x.strides[1] == 0
-        h = x[:, 0, :] if shared_x else x             # (N, F) or (N, B, F)
-        aggregated = gather_scatter_edge_major(h, src, coeff, dst, num_nodes,
-                                               plan=plan)  # (N, B', F)
-        if aggregated.shape[1] != B:
-            aggregated = np.broadcast_to(aggregated, (num_nodes, B) + aggregated.shape[2:])
-        return apply_dense_np(self.mlp, aggregated)
 
     def __repr__(self) -> str:
         return f"GINConv({self.in_features}, {self.out_features})"

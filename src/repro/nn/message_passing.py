@@ -6,7 +6,10 @@ The paper's Eq. (6) rewrites message calculation as
 
 i.e. every layer edge carries a scalar multiplier. All convolutions in this
 package therefore accept an optional ``edge_mask`` tensor applied to
-messages *before* aggregation.
+messages *before* aggregation. Each conv has one masked forward body,
+``message_parts → propagate → update``: the Revelio mask loop records it
+on the tape, and the perturbation explainers run ``B`` masked forwards
+through it at once, on ``(N, B, F)`` states under ``no_grad``.
 
 Layer-edge convention
 ---------------------
@@ -45,7 +48,8 @@ class GraphConv(Module):
 
     Every layer shares the signature::
 
-        forward(x, edge_index, num_nodes, edge_mask=None, cache=None) -> Tensor
+        forward(x, edge_index, num_nodes, edge_mask=None, cache=None,
+                structural=False) -> Tensor
 
     where ``edge_mask`` (if given) is a :class:`Tensor` of shape
     ``(E + N,)`` or ``(E + N, 1)`` holding a multiplier per layer edge in
@@ -59,16 +63,30 @@ class GraphConv(Module):
     layer over its kept layer edges only; the mask then has one entry per
     kept edge, in id order.
 
+    The same body runs ``B`` stacked forwards at once (the tape-free
+    :meth:`GNN.forward_masked_batch <repro.nn.GNN.forward_masked_batch>`):
+    ``x`` is then ``(N, B, F)`` — ``(N, 1, F)`` when the features are
+    shared, so the projection runs once — and ``edge_mask`` is
+    ``(E + N, B)``, one column per forward. With ``structural=True`` a
+    binary mask removes edges instead of down-weighting messages: GCN
+    renormalizes over the kept degree and GAT's attention over the kept
+    in-edges, as ``Graph.with_edges`` would.
+
     Subclasses split the layer around the Eq. (6) hook point:
     :meth:`message_parts` returns the mask-independent ``(h, coeff)`` of
     ``m = h[src] · coeff``, :func:`~repro.autograd.propagate` masks and
     aggregates the messages as one tape node, and :meth:`update` maps the
     aggregate to the layer output. :meth:`forward_unmasked` may replace
-    the edge-wise path when no mask is given.
+    the edge-wise path for unmasked ``(N, F)`` states.
     """
 
-    def message_parts(self, x: Tensor, cache) -> tuple[Tensor, Tensor | None]:
-        """``(h, coeff)``: the layer's messages are ``h[src] · coeff``."""
+    def message_parts(self, x: Tensor, cache,
+                      keep: np.ndarray | None = None) -> tuple[Tensor, Tensor | None]:
+        """``(h, coeff)``: the layer's messages are ``h[src] · coeff``.
+
+        ``keep`` is a structural 0/1 mask, ``(A, B)`` or ``(A, 1)``:
+        ``coeff`` is then computed on the kept edges only.
+        """
         raise NotImplementedError
 
     def update(self, aggregated: Tensor) -> Tensor:
@@ -81,14 +99,18 @@ class GraphConv(Module):
         return self.update(propagate(h, cache, coeff))
 
     def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int,
-                edge_mask: Tensor | None = None, cache=None) -> Tensor:
+                edge_mask: Tensor | None = None, cache=None,
+                structural: bool = False) -> Tensor:
         if cache is None:
             cache = edge_cache(edge_index, num_nodes)
-        if edge_mask is None:
+        if edge_mask is None and x.ndim == 2:
             return self.forward_unmasked(x, cache)
-        edge_mask = self._check_mask(edge_mask, edge_index.shape[1], num_nodes,
-                                     cache.src.shape[0])
-        h, coeff = self.message_parts(x, cache)
+        keep = None
+        if edge_mask is not None:
+            edge_mask = self._check_mask(edge_mask, edge_index.shape[1], num_nodes,
+                                         cache.src.shape[0])
+            keep = edge_mask.data if structural else None
+        h, coeff = self.message_parts(x, cache, keep)
         return self.update(propagate(h, cache, coeff, edge_mask))
 
     def _check_mask(self, edge_mask: Tensor | None, num_edges: int, num_nodes: int,
@@ -113,52 +135,3 @@ class GraphConv(Module):
                 f"({kept}{num_edges} data edges + {num_nodes} self-loops)"
             )
         return edge_mask
-
-    @staticmethod
-    def _check_mask_np(edge_mask: np.ndarray | None, batch_size: int,
-                       num_edges: int, num_nodes: int) -> np.ndarray | None:
-        """Validate a batched ``(B, E+N)`` numpy mask for the fast path."""
-        if edge_mask is None:
-            return None
-        edge_mask = np.asarray(edge_mask, dtype=np.float64)
-        expected = num_layer_edges(num_edges, num_nodes)
-        if edge_mask.shape != (batch_size, expected):
-            raise ShapeError(
-                f"batched edge mask has shape {edge_mask.shape}, expected "
-                f"({batch_size}, {expected})"
-            )
-        return edge_mask
-
-    def forward_np_batch(self, x: np.ndarray, edge_index: np.ndarray, num_nodes: int,
-                         edge_mask: np.ndarray | None = None,
-                         structural: bool = False,
-                         cache=None) -> np.ndarray:
-        """Pure-numpy batched forward over a stack of edge-mask sets.
-
-        Parameters
-        ----------
-        x:
-            ``(N, B, F)`` *node-major* stacked features — the engine keeps
-            the batch axis second so scatters reduce to zero-copy CSR
-            matmuls and projections to single GEMMs (see
-            :mod:`repro.nn.batched`). A zero-stride batch axis marks
-            batch-shared features; implementations then compute the shared
-            work once.
-        edge_mask:
-            Optional ``(B, E+N)`` per-layer-edge multipliers, one row per
-            batch element (batch-major, as callers build them).
-        structural:
-            With binary masks, emulate edge *removal* instead of message
-            down-weighting (see :mod:`repro.nn.batched`).
-        cache:
-            Optional :class:`~repro.sparse.GraphSparseCache` for
-            ``(edge_index, num_nodes)`` — ``GNN.forward_masked_batch``
-            fetches the per-graph cache once and threads it through every
-            layer so no scatter structure is rebuilt. Compiled ad hoc when
-            omitted.
-
-        Returns ``(N, B, F_out)``. No Tensor/tape objects are allocated —
-        this is the ``no_grad`` fast path the perturbation explainers
-        batch over.
-        """
-        raise NotImplementedError

@@ -155,10 +155,14 @@ class GNN(Module):
                 num_graphs = 1
             if num_graphs is None:
                 num_graphs = int(batch.max()) + 1
-            pool_fn = {"sum": global_sum_pool, "mean": global_mean_pool,
-                       "max": global_max_pool}[self.pool]
-            h = pool_fn(h, batch, num_graphs)
+            h = self._pool(h, batch, num_graphs)
         return self.head(h)
+
+    def _pool(self, h: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
+        """The graph-task readout: ``(N, ...) -> (num_graphs, ...)``."""
+        pool_fn = {"sum": global_sum_pool, "mean": global_mean_pool,
+                   "max": global_max_pool}[self.pool]
+        return pool_fn(h, batch, num_graphs)
 
     def forward_graph(self, graph: Graph, edge_masks: list[Tensor] | None = None,
                       trim: LayerTrim | None = None) -> Tensor:
@@ -182,7 +186,7 @@ class GNN(Module):
         )
 
     # ------------------------------------------------------------------
-    # batched masked inference (pure numpy, no tape)
+    # batched masked inference (no tape)
     # ------------------------------------------------------------------
     def forward_masked_batch(self, graph: Graph, mask_stack: np.ndarray | None = None,
                              *, structural: bool = False,
@@ -190,9 +194,10 @@ class GNN(Module):
         """Logits for a *stack* of per-layer edge-mask sets in one pass.
 
         Evaluates ``B`` mask (and/or feature) variations of ``graph`` under
-        the shared frozen weights by broadcasting a leading batch axis —
-        the vectorized equivalent of ``B`` calls to :meth:`forward_graph`,
-        without allocating a single Tensor or tape node.
+        the shared frozen weights — the vectorized equivalent of ``B``
+        calls to :meth:`forward_graph`. The conv loop is the one
+        :meth:`forward` runs, under ``no_grad`` on ``(N, B, F)`` states,
+        so no tape is recorded.
 
         Parameters
         ----------
@@ -209,8 +214,8 @@ class GNN(Module):
             ``forward_graph(graph.with_edges(mask_stack[b, 0, :E] > 0))``.
         x_stack:
             Optional ``(B, N, F)`` perturbed node-feature stacks (e.g.
-            PGM-Explainer's perturbation tables). Defaults to broadcasting
-            ``graph.x``.
+            PGM-Explainer's perturbation tables). Defaults to ``graph.x``,
+            shared by every row.
 
         Returns
         -------
@@ -245,41 +250,22 @@ class GNN(Module):
         PERF.batched_rows += B
 
         with PERF.stage(STAGE_MASKED_FORWARD_BATCH), \
-                span(SPAN_MASKED_FORWARD_BATCH, rows=B):
-            # The engine runs node-major — hidden state (N, B, F) — so every
-            # scatter is a zero-copy CSR matmul and every projection a single
-            # GEMM (see repro.nn.batched). Only the final logits transpose
-            # back to the caller's (B, rows, C) convention. The per-graph
-            # scatter plan is compiled once (and cached on the graph across
-            # calls); every layer and mask variant dispatches over it.
-            cache = sparse_cache(graph)
-            if x_stack is not None:
-                h = np.ascontiguousarray(x_stack.transpose(1, 0, 2))  # (N, B, F)
-            else:
-                # Zero-stride batch axis: convs detect this and compute
-                # batch-shared work once.
-                h = np.broadcast_to(graph.x[:, None, :],
-                                    (num_nodes, B, graph.x.shape[1]))
-            for l, conv in enumerate(self.convs):
-                mask = mask_stack[:, l, :] if mask_stack is not None else None
-                h = conv.forward_np_batch(h, graph.edge_index, num_nodes,
-                                          edge_mask=mask, structural=structural,
-                                          cache=cache)
-                h = np.maximum(h, 0.0)
-
+                span(SPAN_MASKED_FORWARD_BATCH, rows=B), no_grad():
+            # Node-major states (N, B, F): every projection is one GEMM
+            # and every aggregation one kernel call over the graph's
+            # cached plan; shared features enter as (N, 1, F), so layer
+            # 1's projection runs once for the whole stack. Masks are
+            # (E+N, B) column views, one column per row.
+            x = graph.x[:, None, :] if x_stack is None \
+                else np.ascontiguousarray(x_stack.transpose(1, 0, 2))
+            masks = None if mask_stack is None \
+                else [Tensor(mask_stack[:, l, :].T) for l in range(self.num_layers)]
+            h = run_convs(self.convs, Tensor(x), graph.edge_index, num_nodes, masks,
+                          sparse_cache(graph), None, structural=structural)[-1]
             if self.task == "graph":
-                pooled = {"sum": np.sum, "mean": np.mean, "max": np.max}[self.pool](
-                    h, axis=0
-                )  # (B, F) — the whole stack is one graph
-                out = pooled @ self.head.weight.data
-                if self.head.bias is not None:
-                    out = out + self.head.bias.data
-                return out[:, None, :]
-            out = h.reshape(-1, h.shape[-1]) @ self.head.weight.data
-            if self.head.bias is not None:
-                out = out + self.head.bias.data
-            out = out.reshape(num_nodes, B, -1).transpose(1, 0, 2)
-        return out
+                # The whole stack is one graph: pool every node into row 0.
+                h = self._pool(h, np.zeros(num_nodes, dtype=np.int64), 1)
+            return self.head(h).numpy().transpose(1, 0, 2)
 
     def predict_proba_batch(self, graph: Graph, mask_stack: np.ndarray | None = None,
                             *, structural: bool = False,
@@ -387,11 +373,13 @@ class LayerTrim:
 
 def run_convs(convs: list, h: Tensor, edge_index: np.ndarray, num_nodes: int,
               edge_masks: list[Tensor] | None, cache,
-              trim: LayerTrim | None) -> list[Tensor]:
+              trim: LayerTrim | None, *, structural: bool = False) -> list[Tensor]:
     """Every conv layer and its ReLU; returns each layer's embeddings.
 
     With a ``trim``, each layer runs on its restricted cache and a frozen
     masked layer 1 re-masks its memoized messages (one tape node).
+    ``structural`` makes binary masks remove edges (see
+    :class:`~repro.nn.message_passing.GraphConv`).
     """
     if cache is None:
         cache = edge_cache(edge_index, num_nodes)
@@ -403,7 +391,8 @@ def run_convs(convs: list, h: Tensor, edge_index: np.ndarray, num_nodes: int,
         if l == 0 and trim is not None and mask is not None:
             messages = trim.first_layer(conv, h, caches[0])
         if messages is None:
-            h = conv(h, edge_index, num_nodes, edge_mask=mask, cache=caches[l])
+            h = conv(h, edge_index, num_nodes, edge_mask=mask, cache=caches[l],
+                     structural=structural)
         else:
             h = conv.update(propagate(messages, caches[0], mask=mask, gathered=True))
         h = h.relu()

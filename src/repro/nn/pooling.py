@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor
-from ..sparse import SegmentPlan, kernel, plan_for
+from ..sparse import kernel, plan_for
 
-__all__ = ["global_mean_pool", "global_sum_pool", "global_max_pool",
-           "global_sum_pool_np", "global_mean_pool_np", "global_max_pool_np"]
+__all__ = ["global_mean_pool", "global_sum_pool", "global_max_pool"]
 
 
 def global_sum_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
@@ -48,30 +47,3 @@ def global_max_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
     selected = where(is_max, x, Tensor(np.zeros(x.shape)))
     pooled = selected.scatter_add(batch, num_graphs, plan=plan)
     return pooled / Tensor(np.maximum(ties, 1.0))
-
-
-# ----------------------------------------------------------------------
-# batched numpy fast path (no tape) — see repro.nn.batched
-# ----------------------------------------------------------------------
-def global_sum_pool_np(x: np.ndarray, batch: np.ndarray, num_graphs: int) -> np.ndarray:
-    """Batched sum pooling: ``(B, N, F) -> (B, G, F)``."""
-    from .batched import scatter_rows_np
-
-    return scatter_rows_np(x, batch, num_graphs)
-
-
-def global_mean_pool_np(x: np.ndarray, batch: np.ndarray, num_graphs: int) -> np.ndarray:
-    """Batched mean pooling: ``(B, N, F) -> (B, G, F)``."""
-    sums = global_sum_pool_np(x, batch, num_graphs)
-    counts = np.bincount(batch, minlength=num_graphs).astype(np.float64)
-    return sums / np.maximum(counts, 1.0)[None, :, None]
-
-
-def global_max_pool_np(x: np.ndarray, batch: np.ndarray, num_graphs: int) -> np.ndarray:
-    """Batched elementwise-max pooling: ``(B, N, F) -> (B, G, F)``."""
-    B, _, F = x.shape
-    flat_ids = (np.arange(B)[:, None] * num_graphs + batch[None, :]).reshape(-1)
-    plan = SegmentPlan(flat_ids, B * num_graphs)
-    out = kernel("segment_max")(plan, x.reshape(-1, F))
-    out[~np.isfinite(out)] = 0.0  # empty graphs
-    return out.reshape(B, num_graphs, F)

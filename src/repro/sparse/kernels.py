@@ -181,13 +181,19 @@ def _scipy_gather_scatter(plan: SegmentPlan, cols: np.ndarray,
     if plan.num_items < _FUSED_MIN_ITEMS:
         # Small graphs: materialize the (A, B, K) messages and reduce them
         # with one unit-data incidence matmul amortized over all B rows.
+        # The messages are built C-ordered (contiguous weights) and, when
+        # the gather already has all B rows, scaled in place in that fresh
+        # copy, so the only (A, B, K) buffer is the messages themselves.
         gathered = dense[cols]
         if dense.ndim == 2:
             gathered = gathered[:, None, :]
-        messages = weights[:, :, None] * gathered
-        if messages.shape[1] != B:
-            messages = np.broadcast_to(messages, (plan.num_items, B, K))
-        flat = np.ascontiguousarray(messages).reshape(plan.num_items, B * K)
+        scale = np.ascontiguousarray(weights)[:, :, None]
+        if gathered.shape[1] == B:
+            gathered *= scale
+            messages = gathered
+        else:
+            messages = scale * gathered
+        flat = messages.reshape(plan.num_items, B * K)
         return (plan.matrix @ flat).reshape(plan.num_rows, B, K)
     # Million-edge regime: one CSR per mask row, all sharing the cached
     # (indices, indptr) structure — only the data vector (the edge

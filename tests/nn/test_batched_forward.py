@@ -3,10 +3,13 @@
 The engine's contract: ``GNN.forward_masked_batch(graph, mask_stack)``
 equals stacking ``forward_graph`` calls with the same per-layer masks, for
 every conv type and both tasks; structural binary masks reproduce
-``Graph.with_edges`` removal exactly.
+``Graph.with_edges`` removal exactly. Its kernel dispatches per call are
+pinned op by op.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from repro.errors import ModelError, ShapeError
 from repro.graph import Graph
 from repro.nn import build_model
 from repro.nn.message_passing import num_layer_edges
+from repro.sparse import OPS, kernel, register_kernel, use_backend
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +120,62 @@ def test_mask_stack_shape_validation(wheel_graph):
         model.forward_masked_batch(g, np.ones((2, model.num_layers + 1, width)))
     with pytest.raises(ModelError):
         model.forward_masked_batch(g)  # neither masks nor features
+
+
+#: Kernel dispatches of one node-task ``forward_masked_batch`` call of a
+#: 3-layer model, per op: GCN and GIN run one fused ``gather_scatter`` per
+#: layer (structural GCN adds one degree ``scatter_add``); GAT runs its
+#: softmax's ``segment_max`` and denominator ``scatter_add`` plus the
+#: aggregation ``scatter_add``.
+KERNEL_DISPATCHES = {
+    "gcn": {"eq6": {"gather_scatter": 3},
+            "structural": {"gather_scatter": 3, "scatter_add": 3},
+            "x_stack": {"gather_scatter": 3}},
+    "gin": dict.fromkeys(("eq6", "structural", "x_stack"), {"gather_scatter": 3}),
+    "gat": dict.fromkeys(("eq6", "structural", "x_stack"),
+                         {"scatter_add": 6, "segment_max": 3}),
+}
+
+
+@pytest.fixture()
+def dispatch_counts():
+    """Count kernel calls through a backend registered like any plugin."""
+    counts = Counter()
+
+    def counted(op):
+        fn = kernel(op)
+
+        def wrapper(*args):
+            counts[op] += 1
+            return fn(*args)
+        return wrapper
+
+    register_kernel("scatter_add", "dispatch-count", counted("scatter_add"))
+    register_kernel("segment_max", "dispatch-count", counted("segment_max"))
+    register_kernel("spmm", "dispatch-count", counted("spmm"))
+    register_kernel("gather_scatter", "dispatch-count", counted("gather_scatter"))
+    assert len(OPS) == 4  # every op counted, none falls back uncounted
+    with use_backend("dispatch-count"):
+        yield counts
+
+
+@pytest.mark.parametrize("conv", ["gcn", "gin", "gat"])
+@pytest.mark.parametrize("mode", ["eq6", "structural", "x_stack"])
+def test_kernel_dispatches_per_call(wheel_graph, dispatch_counts, conv, mode):
+    g = wheel_graph
+    model = build_model(conv, "node", g.x.shape[1], 3, hidden=8, rng=0)
+    model.eval()
+    rng = np.random.default_rng(1)
+    width = num_layer_edges(g.num_edges, g.num_nodes)
+    B = 4
+    if mode == "eq6":
+        kwargs = {"mask_stack": rng.uniform(size=(B, model.num_layers, width))}
+    elif mode == "structural":
+        stack = np.ones((B, model.num_layers, width))
+        stack[:, :, :g.num_edges] = rng.random((B, 1, g.num_edges)) < 0.7
+        kwargs = {"mask_stack": stack, "structural": True}
+    else:
+        kwargs = {"x_stack": g.x[None] + 0.1 * rng.normal(size=(B,) + g.x.shape)}
+
+    model.forward_masked_batch(g, **kwargs)
+    assert dict(dispatch_counts) == KERNEL_DISPATCHES[conv][mode]

@@ -2,8 +2,9 @@
 
 The deep ones: graph-level predictions must be invariant to node
 relabelling (message passing + pooling is permutation equivariant),
-masked forwards must interpolate between the full and empty graphs, and
-a flow-trimmed forward must equal the full one at the explained node.
+masked forwards must interpolate between the full and empty graphs, a
+flow-trimmed forward must equal the full one at the explained node, and
+a batched masked forward must equal its rows run one at a time.
 """
 
 from unittest import mock
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad
 from repro.errors import ShapeError
 from repro.flows import enumerate_flows
 from repro.graph import Graph, coalesce_edges
@@ -215,3 +216,39 @@ def test_hoisted_first_layer_is_exact_at_the_target(case, conv):
         assert np.array_equal(out, reference[0])
         for mine, theirs in zip(grads, reference[1]):
             assert np.array_equal(mine, theirs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=pathological_targets(), conv=st.sampled_from(["gcn", "gin", "gat"]),
+       task=st.sampled_from(["node", "graph"]))
+def test_batched_forward_equals_its_rows(case, conv, task):
+    """``forward_masked_batch`` row ``b`` equals one ``forward_graph``:
+    under random Eq. 6 masks, as structural 0/1 masks against
+    ``with_edges`` removal, and under an ``x_stack`` of perturbed
+    features."""
+    graph, _, seed = case
+    model = GNN(conv, task, 5, 8, 3, num_layers=3,
+                heads=2 if conv == "gat" else 1, rng=0)
+    model.eval()
+    rng = np.random.default_rng(seed)
+    E, B = graph.num_edges, 3
+    width = E + graph.num_nodes
+
+    soft = rng.uniform(0, 1, size=(B, model.num_layers, width))
+    keeps = rng.random((B, E)) < 0.6
+    structural = np.ones((B, model.num_layers, width))
+    structural[:, :, :E] = keeps[:, None, :]
+    x_stack = graph.x[None] + rng.normal(size=(B,) + graph.x.shape)
+    batched = (model.forward_masked_batch(graph, soft),
+               model.forward_masked_batch(graph, structural, structural=True),
+               model.forward_masked_batch(graph, x_stack=x_stack))
+
+    with no_grad():
+        for b in range(B):
+            perturbed = graph.copy()
+            perturbed.x = x_stack[b]
+            rows = (model.forward_graph(graph, edge_masks=[Tensor(m) for m in soft[b]]),
+                    model.forward_graph(graph.with_edges(keeps[b])),
+                    model.forward_graph(perturbed))
+            for stack, row in zip(batched, rows):
+                np.testing.assert_allclose(stack[b], row.numpy(), rtol=0, atol=1e-10)

@@ -3,10 +3,12 @@
 The scipy backend (cached-CSR matmuls, fused gather_scatter) is the
 engine's default; the numpy backend re-implements every op with
 ``np.add.at`` / ``np.maximum.at`` exactly as the pre-kernel code paths
-did. This suite pins the two against each other through the full batched
+did. This suite pins the two (and numba's segment kernels, wherever
+numba is installed) against each other through the full batched
 forward for every conv and both masking semantics, through one training
-epoch's parameter gradients, and through the edge-major / node-major
-scatter helpers directly — so a new backend (or a
+epoch's parameter gradients, and through the two primitives the batched
+forward dispatches through — ``propagate`` with an ``(A, B)`` mask and
+``segment_softmax`` with and without ``weights`` — so a new backend (or a
 kernel rewrite) has a complete equivalence oracle to clear.
 """
 
@@ -15,19 +17,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd import cross_entropy
+from repro.autograd import Tensor, cross_entropy, no_grad, propagate, segment_softmax
 from repro.graph import Graph
 from repro.nn import build_model
-from repro.nn.batched import (
-    scatter_edge_major,
-    scatter_rows_np,
-    segment_softmax_edge_major,
-    segment_softmax_np,
-)
 from repro.nn.message_passing import num_layer_edges
-from repro.sparse import use_backend
+from repro.sparse import NUMBA_AVAILABLE, GraphSparseCache, use_backend
 
 EQ_TOL = 1e-8
+#: The numpy reference first; numba's segment kernels join wherever installed.
+BACKENDS = ("numpy", "scipy") + (("numba",) if NUMBA_AVAILABLE else ())
 
 
 @pytest.fixture(scope="module")
@@ -64,11 +62,12 @@ def test_batched_forward_backends_agree(wheel_graph, conv, structural):
     model.eval()
     stack = _mask_stack(g, model.num_layers, B=6, structural=structural)
 
-    with use_backend("scipy"):
-        csr = model.forward_masked_batch(g, stack, structural=structural)
-    with use_backend("numpy"):
-        dense = model.forward_masked_batch(g, stack, structural=structural)
-    np.testing.assert_allclose(csr, dense, rtol=0, atol=EQ_TOL)
+    outs = []
+    for backend in BACKENDS:
+        with use_backend(backend):
+            outs.append(model.forward_masked_batch(g, stack, structural=structural))
+    for out in outs[1:]:
+        np.testing.assert_allclose(out, outs[0], rtol=0, atol=EQ_TOL)
 
 
 @pytest.mark.parametrize("conv", ["gcn", "gin", "gat"])
@@ -84,13 +83,13 @@ def test_x_stack_forward_backends_agree(wheel_graph, conv, structural):
     rng = np.random.default_rng(23)
     x_stack = g.x[None] + 0.1 * rng.normal(size=(B,) + g.x.shape)
 
-    with use_backend("scipy"):
-        csr = model.forward_masked_batch(g, stack, structural=structural,
-                                         x_stack=x_stack)
-    with use_backend("numpy"):
-        dense = model.forward_masked_batch(g, stack, structural=structural,
-                                           x_stack=x_stack)
-    np.testing.assert_allclose(csr, dense, rtol=0, atol=EQ_TOL)
+    outs = []
+    for backend in BACKENDS:
+        with use_backend(backend):
+            outs.append(model.forward_masked_batch(g, stack, structural=structural,
+                                                   x_stack=x_stack))
+    for out in outs[1:]:
+        np.testing.assert_allclose(out, outs[0], rtol=0, atol=EQ_TOL)
 
 
 @pytest.mark.parametrize("conv", ["gcn", "gin", "gat"])
@@ -118,50 +117,80 @@ def test_training_epoch_gradients_backends_agree(wheel_graph, conv):
 
 
 class TestScatterHelpers:
-    """Edge-major and batch-major helpers, both backends, same numbers."""
+    """Batched ``(A, B)`` and per-row layouts, every backend, same numbers."""
 
-    @pytest.fixture()
-    def scatter_inputs(self):
+    def test_scatter_layouts_and_backends_agree(self):
+        """``propagate`` with an ``(A, B)`` mask (the fused gather_scatter
+        kernel) equals ``B`` per-row ``(A,)`` propagates (the chain), on
+        random edges with duplicates; the larger graph crosses the scipy
+        kernel's per-row fused-CSR threshold."""
         rng = np.random.default_rng(3)
-        index = rng.integers(0, 10, size=50)
-        values = rng.normal(size=(4, 50, 6))  # (B, A, F)
-        return index, values
+        for num_nodes, num_edges in ((10, 50), (200, 2100)):
+            cache = GraphSparseCache(rng.integers(0, num_nodes, size=(2, num_edges)),
+                                     num_nodes)
+            self._check_propagate_layouts(cache, rng)
 
-    def test_scatter_layouts_and_backends_agree(self, scatter_inputs):
-        index, values = scatter_inputs
-        outs = []
-        for backend in ("scipy", "numpy"):
-            with use_backend(backend):
-                batch_major = scatter_rows_np(values, index, 10)
-                edge_major = scatter_edge_major(
-                    np.ascontiguousarray(values.transpose(1, 0, 2)), index, 10
-                )
-            outs.append((batch_major, edge_major))
-            np.testing.assert_allclose(
-                batch_major, edge_major.transpose(1, 0, 2), rtol=0, atol=EQ_TOL
-            )
-        np.testing.assert_allclose(outs[0][0], outs[1][0], rtol=0, atol=EQ_TOL)
+    @staticmethod
+    def _check_propagate_layouts(cache, rng):
+        A, N, B = cache.src.shape[0], cache.num_nodes, 4
+        mask = rng.uniform(size=(A, B))
+        cases = [  # (states, coeff): per-row/shared states, (A, 1)/(A, B)/no coeff
+            (rng.normal(size=(N, B, 6)), rng.uniform(0.1, 1.0, size=(A, 1))),
+            (rng.normal(size=(N, 1, 6)), rng.uniform(0.1, 1.0, size=(A, B))),
+            (rng.normal(size=(N, B, 6)), None),
+        ]
+        for states, coeff in cases:
+            outs = []
+            for backend in BACKENDS:
+                with use_backend(backend), no_grad():
+                    batched = propagate(Tensor(states), cache,
+                                        None if coeff is None else Tensor(coeff),
+                                        Tensor(mask)).numpy()
+                    rows = np.stack([
+                        propagate(Tensor(states[:, min(b, states.shape[1] - 1)]), cache,
+                                  None if coeff is None
+                                  else Tensor(coeff[:, min(b, coeff.shape[1] - 1), None]),
+                                  Tensor(mask[:, b])).numpy()
+                        for b in range(B)], axis=1)
+                outs.append(batched)
+                assert batched.shape == (N, B, 6)
+                np.testing.assert_allclose(batched, rows, rtol=0, atol=EQ_TOL)
+            for out in outs[1:]:
+                np.testing.assert_allclose(out, outs[0], rtol=0, atol=EQ_TOL)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_softmax_layouts_and_backends_agree(self, weighted):
+        """``segment_softmax`` over ``(A, B, H)`` logits equals ``B``
+        per-row calls; binary ``weights`` renormalize over kept rows and
+        a segment with none kept is all zeros."""
         rng = np.random.default_rng(4)
         A, B, H, N = 40, 3, 2, 8
         segment_ids = rng.integers(0, N, size=A)
-        scores = rng.normal(size=(B, A, H))
-        weights = (rng.random((B, A)) < 0.8).astype(np.float64) if weighted else None
+        scores = rng.normal(size=(A, B, H))
+        weights = None
+        if weighted:
+            weights = (rng.random((A, B)) < 0.8).astype(np.float64)
+            weights[segment_ids == segment_ids[0], 0] = 0.0
         outs = []
-        for backend in ("scipy", "numpy"):
+        for backend in BACKENDS:
             with use_backend(backend):
-                batch_major = segment_softmax_np(scores, segment_ids, N,
-                                                 weights=weights)
-                edge_major = segment_softmax_edge_major(
-                    np.ascontiguousarray(scores.transpose(1, 0, 2)),
-                    segment_ids, N,
-                    weights=None if weights is None
-                    else np.ascontiguousarray(weights.T),
-                )
-            outs.append(batch_major)
-            np.testing.assert_allclose(
-                batch_major, edge_major.transpose(1, 0, 2), rtol=0, atol=EQ_TOL
-            )
-        np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=EQ_TOL)
+                batched = segment_softmax(Tensor(scores), segment_ids, N,
+                                          weights=weights).numpy()
+                rows = np.stack([
+                    segment_softmax(Tensor(scores[:, b]), segment_ids, N,
+                                    weights=None if weights is None else weights[:, b]
+                                    ).numpy()
+                    for b in range(B)], axis=1)
+            outs.append(batched)
+            np.testing.assert_allclose(batched, rows, rtol=0, atol=EQ_TOL)
+        for out in outs[1:]:
+            np.testing.assert_allclose(out, outs[0], rtol=0, atol=EQ_TOL)
+
+        kept = np.ones((A, B)) if weights is None else weights
+        totals = np.zeros((N, B, H))
+        np.add.at(totals, segment_ids, outs[0])
+        has_kept = np.zeros((N, B))
+        np.add.at(has_kept, segment_ids, kept)
+        np.testing.assert_allclose(totals, np.broadcast_to(has_kept[:, :, None] > 0, totals.shape),
+                                   rtol=0, atol=EQ_TOL)
+        assert not outs[0][kept == 0].any()

@@ -120,7 +120,9 @@ class TestBackendAgreement:
 
     @pytest.mark.parametrize("backend", ["scipy", "numpy"])
     def test_gather_scatter_broadcasts_shared_operands(self, backend):
-        """Bw==1 coefficients and 2-D dense both re-expand correctly."""
+        """Bw==1 coefficients and 2-D dense both re-expand correctly; column-
+        major coefficients (the batched forward's mask views) work, and no
+        operand is written to."""
         rng = np.random.default_rng(5)
         index = rng.integers(0, 4, size=12)
         cols = rng.integers(0, 6, size=12)
@@ -143,7 +145,12 @@ class TestBackendAgreement:
 
         with use_backend(backend):
             for weights, dense in ((shared_w, dense3), (per_row_w, dense2),
-                                   (per_row_w, dense3), (shared_w, dense2)):
+                                   (per_row_w, dense3), (shared_w, dense2),
+                                   (np.asfortranarray(per_row_w), dense2),
+                                   (np.asfortranarray(per_row_w), dense3)):
+                before = weights.copy(), dense.copy()
                 out = kernel("gather_scatter")(plan, cols, weights, dense)
                 np.testing.assert_allclose(out, reference(weights, dense),
                                            rtol=0, atol=1e-8)
+                np.testing.assert_array_equal(weights, before[0])
+                np.testing.assert_array_equal(dense, before[1])
