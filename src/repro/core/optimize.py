@@ -1,13 +1,14 @@
-"""The Revelio family's one mask-optimization loop (paper §IV, Eqs. 1–9).
+"""The Revelio family's caller of the mask-learning loop (paper §IV, Eqs. 1–9).
 
 :class:`Revelio`, :class:`TopKRevelio` and :class:`LinkRevelio` differ only
 in what they explain (a node or graph class, a link) and in how flow masks
 map to parameters (one per flow, or tied to ``k + 1`` slots). Everything
-else — the Eq. 4/5 flow→edge transform, the Eq. 1/2 objective with the
-Eq. 8/9 regularizer, Adam, the optimize/epoch spans, the counterfactual
-flip and the edge transfer — is :func:`optimize_flow_masks`. Callers pass
-the instance as a closure from per-layer edge masks to ``log P(explained
-outcome)``.
+else — the Eq. 4/5 flow→edge transform, the Eq. 8/9 regularizer, the
+counterfactual flip and the edge transfer — is :func:`optimize_flow_masks`,
+which runs them on the one loop every mask learner shares
+(:func:`repro.explain.mask_loop.learn_masks`: Adam, the Eq. 1/2 objective,
+the optimize/epoch spans and the loss ``meta``). Callers pass the instance
+as a closure from per-layer edge masks to ``log P(explained outcome)``.
 
 The loop is flow-trimmed: layer ``l``'s masked forward runs over only the
 layer edges a flow crosses there (``FlowIndex.used_layer_edge_ids``), the
@@ -27,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autograd import Adam, Tensor
+from ..autograd import Tensor
 from ..errors import ExplainerError
 from ..explain.base import Explanation, check_int, check_real
 from ..explain.flow_common import layer_scores_to_edge_scores
+from ..explain.mask_loop import forward_layer_edges, learn_masks
 from ..flows import FlowIndex
-from ..obs import span
-from ..obs.names import SPAN_EPOCH, SPAN_OPTIMIZE
 
 __all__ = ["FlowMaskSettings", "optimize_flow_masks",
            "MASK_ACTIVATIONS", "LAYER_WEIGHT_ACTIVATIONS"]
@@ -41,11 +41,6 @@ __all__ = ["FlowMaskSettings", "optimize_flow_masks",
 # Ablation knobs discussed in §IV-B of the paper.
 MASK_ACTIVATIONS = ("tanh", "sigmoid")
 LAYER_WEIGHT_ACTIVATIONS = ("exp", "softplus", "identity")
-
-#: ``meta["converged"]``: the loss moved by less than this fraction of
-#: itself over the last 10% of epochs.
-CONVERGENCE_RTOL = 1e-3
-
 
 @dataclass(frozen=True)
 class FlowMaskSettings:
@@ -141,30 +136,21 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
 
     params = Tensor(rng.normal(0.0, 0.1, size=num_slots), requires_grad=True)
     w = Tensor(np.zeros(flow_index.num_layers), requires_grad=True)
-    optimizer = Adam([params, w], lr=settings.lr)
 
     def flow_masks() -> Tensor:
         return params if slot is None else params.gather_rows(slot)
 
-    losses = []
-    with span(SPAN_OPTIMIZE, epochs=settings.epochs, num_flows=flow_index.num_flows):
-        for _ in range(settings.epochs):
-            with span(SPAN_EPOCH):
-                optimizer.zero_grad()
-                omega_e = settings.layer_edge_scores(flow_masks(), w, flow_index)
-                log_p = log_prob([omega_e[l, ids] for l, ids in enumerate(kept)])
-                if mode == "factual":
-                    objective = -log_p                                          # Eq. (1)
-                    regularizer = (omega_e * used_tensor).sum() / num_used      # Eq. (8)
-                else:
-                    # Eq. (2): BCE against target 0 for the explained outcome.
-                    p = log_p.exp()
-                    objective = -(1.0 - p.clip(0.0, 1.0 - 1e-12)).log()
-                    regularizer = ((1.0 - omega_e) * used_tensor).sum() / num_used  # Eq. (9)
-                loss = objective + settings.alpha * regularizer
-                loss.backward()
-                optimizer.step()
-                losses.append(loss.item())
+    def step() -> tuple[Tensor, Tensor]:
+        omega_e = settings.layer_edge_scores(flow_masks(), w, flow_index)
+        log_p = log_prob([omega_e[l, ids] for l, ids in enumerate(kept)])
+        if mode == "factual":
+            regularizer = (omega_e * used_tensor).sum() / num_used          # Eq. (8)
+        else:
+            regularizer = ((1.0 - omega_e) * used_tensor).sum() / num_used  # Eq. (9)
+        return log_p, settings.alpha * regularizer
+
+    loss_meta = learn_masks([params, w], step, epochs=settings.epochs, lr=settings.lr,
+                            mode=mode, num_flows=flow_index.num_flows)
 
     # Final scores (no gradient needed).
     masks = flow_masks()
@@ -181,29 +167,13 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
         layer_edge_scores=omega_e,
         flow_scores=omega_f,
         flow_index=flow_index,
-        meta={"final_loss": losses[-1], "params": settings.params(),
-              # The loss curve in three numbers, and whether it flattened.
-              "loss_first": losses[0], "loss_min": min(losses), "loss_last": losses[-1],
-              "converged": converged(losses),
+        meta={**loss_meta, "params": settings.params(),
               "layer_weights": w.numpy().copy(),
               "num_flows": flow_index.num_flows,
               # Fig. 5's sparsity quantities, on the reported scores.
               "flows_above_half": float((omega_f > 0.5).mean()),
               "mean_edge_mask": float(omega_e[used].mean()),
-              # Layer edges each trimmed forward ran over, beside E+N.
-              "forward_layer_edges": {
-                  **{f"layer_{l + 1}": int(ids.size) for l, ids in enumerate(kept)},
-                  "context": flow_index.num_layer_edges},
+              "forward_layer_edges": forward_layer_edges(kept, flow_index.num_layer_edges),
               **(meta or {})},
     )
 
-
-def converged(losses: list[float]) -> bool:
-    """Whether the loss changed by less than :data:`CONVERGENCE_RTOL`
-    (relative) over the last 10% of epochs; ``False`` with too few epochs
-    to tell."""
-    window = max(1, len(losses) // 10)
-    if len(losses) <= window:
-        return False
-    before, last = losses[-1 - window], losses[-1]
-    return abs(last - before) < CONVERGENCE_RTOL * max(abs(before), 1e-12)

@@ -29,6 +29,7 @@ from ..nn.models import GNN
 from ..rng import ensure_rng
 from .base import Explainer, Explanation, check_int, check_real
 from .flow_common import flow_scores_to_edge_scores, masked_probability_batch
+from .mask_loop import outcome_loss
 
 __all__ = ["FlowX"]
 
@@ -157,12 +158,7 @@ class FlowX(Explainer):
             log_probs = log_softmax(
                 self.model.forward_graph(graph, edge_masks=layer_masks), axis=-1
             )
-            log_p = log_probs[row, class_idx]
-            if mode == "factual":
-                loss = -log_p
-            else:
-                p = log_p.exp()
-                loss = -(1.0 - p.clip(0.0, 1.0 - 1e-12)).log()
+            loss = outcome_loss(log_probs[row, class_idx], mode)
             loss.backward()
             optimizer.step()
 

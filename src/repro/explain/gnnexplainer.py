@@ -9,17 +9,28 @@ Counterfactual mode follows the paper's adaptation (§V-B): the objective
 switches to Eq. (2) with the inverted sparsity regularizer, and the final
 edge importance is ``1 − σ(m)`` — the edges the optimizer *removed* to
 flip the prediction.
+
+The mask is learned on the loop Revelio uses
+(:func:`~repro.explain.mask_loop.learn_masks`), against the exact context
+forward that :meth:`~Explainer.predicted_class` reads. A shared mask only
+scales messages (Eq. 6), so a node target's forward runs layer ``l`` over
+only the layer edges that can still reach the target
+(:func:`~repro.explain.mask_loop.hop_layer_edges`), and a frozen layer 1
+computes its messages once; both are bit-exact at the target row. With a
+feature mask, layer 1's input is trainable and is recomputed every epoch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Adam, Tensor, log_softmax
+from ..autograd import Tensor, concat, log_softmax
 from ..graph import Graph
-from ..nn.models import GNN
+from ..nn.models import GNN, LayerTrim
 from ..rng import ensure_rng
-from .base import Explainer, Explanation
+from ..sparse import sparse_cache
+from .base import Explainer, Explanation, check_int, check_real
+from .mask_loop import forward_layer_edges, hop_layer_edges, learn_masks
 
 __all__ = ["GNNExplainer"]
 
@@ -52,6 +63,11 @@ class GNNExplainer(Explainer):
                  feature_mask: bool = False, feature_size_weight: float = 0.1,
                  seed: int = 0):
         super().__init__(model, seed=seed)
+        check_int("epochs", epochs, 1)
+        check_real("lr", lr, 0, strict=True)
+        check_real("size_weight", size_weight, 0)
+        check_real("entropy_weight", entropy_weight, 0)
+        check_real("feature_size_weight", feature_size_weight, 0)
         self.epochs = epochs
         self.lr = lr
         self.size_weight = size_weight
@@ -63,52 +79,48 @@ class GNNExplainer(Explainer):
                           mode: str) -> Explanation:
         rng = ensure_rng(self.seed)
         class_idx = self.predicted_class(graph, target=target)
-        num_edges, num_nodes = graph.num_edges, graph.num_nodes
-
-        raw_mask = Tensor(rng.normal(0.0, 0.1, size=num_edges), requires_grad=True)
-        loop_block = Tensor(np.ones(num_nodes))  # self-loops are never masked
+        raw_mask = Tensor(rng.normal(0.0, 0.1, size=graph.num_edges), requires_grad=True)
+        loop_block = Tensor(np.ones(graph.num_nodes))  # self-loops are never masked
         params = [raw_mask]
         raw_feature = None
         if self.feature_mask:
             raw_feature = Tensor(rng.normal(0.0, 0.1, size=graph.num_features),
                                  requires_grad=True)
             params.append(raw_feature)
-        optimizer = Adam(params, lr=self.lr)
+        kept = hop_layer_edges(graph, target, self.model.num_layers)
+        trim = LayerTrim(kept)
         row = target if target is not None else 0
 
-        from ..autograd import concat
-
-        for _ in range(self.epochs):
-            optimizer.zero_grad()
+        def step() -> tuple[Tensor, Tensor]:
             mask = raw_mask.sigmoid()
             layer_mask = concat([mask, loop_block])
-            layer_masks = [layer_mask] * self.model.num_layers
-            x = Tensor(graph.x)
-            if raw_feature is not None:
-                x = x * raw_feature.sigmoid()
-            logits = self.model.forward(x, graph.edge_index, graph.num_nodes,
-                                        edge_masks=layer_masks)
-            log_probs = log_softmax(logits, axis=-1)
-            log_p = log_probs[row, class_idx]
+            layer_masks = [layer_mask.gather_rows(ids) for ids in kept]
+            if raw_feature is None:
+                logits = self.model.forward_graph(graph, edge_masks=layer_masks, trim=trim)
+            else:
+                x = Tensor(graph.x) * raw_feature.sigmoid()
+                logits = self.model.forward(x, graph.edge_index, graph.num_nodes,
+                                            edge_masks=layer_masks,
+                                            cache=sparse_cache(graph), trim=trim)
+            log_p = log_softmax(logits, axis=-1)[row, class_idx]
             entropy = -(mask * mask.clip(1e-8, 1.0).log()
                         + (1.0 - mask) * (1.0 - mask).clip(1e-8, 1.0).log()).mean()
-            if mode == "factual":
-                objective = -log_p
-                size = mask.sum()
-            else:
-                p = log_p.exp()
-                objective = -(1.0 - p.clip(0.0, 1.0 - 1e-12)).log()
-                size = (1.0 - mask).sum()
-            loss = objective + self.size_weight * size + self.entropy_weight * entropy
+            size = mask.sum() if mode == "factual" else (1.0 - mask).sum()
+            regularizer = self.size_weight * size + self.entropy_weight * entropy
             if raw_feature is not None:
-                loss = loss + self.feature_size_weight * raw_feature.sigmoid().sum()
-            loss.backward()
-            optimizer.step()
+                regularizer = regularizer + self.feature_size_weight * raw_feature.sigmoid().sum()
+            return log_p, regularizer
+
+        loss_meta = learn_masks(params, step, epochs=self.epochs, lr=self.lr, mode=mode,
+                                num_edges=graph.num_edges)
 
         scores = raw_mask.sigmoid().numpy().copy()
         if mode == "counterfactual":
             scores = 1.0 - scores
-        meta: dict = {"params": {"epochs": self.epochs, "lr": self.lr}}
+        meta: dict = {**loss_meta, "params": {"epochs": self.epochs, "lr": self.lr},
+                      "mean_edge_mask": float(scores.mean()) if scores.size else 0.0,
+                      "forward_layer_edges": forward_layer_edges(
+                          kept, graph.num_edges + graph.num_nodes)}
         if raw_feature is not None:
             meta["feature_scores"] = raw_feature.sigmoid().numpy().copy()
         return Explanation(

@@ -14,6 +14,7 @@ import numpy as np
 from ..autograd import log_softmax
 from ..graph import Graph
 from ..nn.models import GNN
+from ..sparse import sparse_cache
 from .base import Explainer, Explanation
 
 __all__ = ["GradCAM"]
@@ -44,7 +45,8 @@ class GradCAM(Explainer):
         # The model is frozen, so the tape must be rooted at the input for
         # intermediate gradients to exist.
         x = Tensor(graph.x, requires_grad=True)
-        logits = self.model.forward(x, graph.edge_index, graph.num_nodes)
+        logits = self.model.forward(x, graph.edge_index, graph.num_nodes,
+                                    cache=sparse_cache(graph))
         # Retain gradient on the final conv layer's embeddings.
         embeddings = self.model._last_embeddings[-1]
         embeddings.retain_grad()

@@ -21,6 +21,7 @@ from ..graph import Graph
 from ..nn.models import GNN
 from ..rng import ensure_rng
 from .base import Explainer, Explanation
+from .mask_loop import outcome_loss
 from .target import ExplainTarget, as_node_id
 
 __all__ = ["GraphMask"]
@@ -151,12 +152,9 @@ class GraphMask(Explainer):
                         s = m[:graph.num_edges].mean()
                         open_gates = s if open_gates is None else open_gates + s
                 open_gates = open_gates / self.model.num_layers
-                if mode == "factual":
-                    loss = -log_p + self.sparsity_weight * open_gates
-                else:
-                    p = log_p.exp()
-                    loss = -(1.0 - p.clip(0.0, 1.0 - 1e-12)).log() \
-                        + self.sparsity_weight * (1.0 - open_gates)
+                if mode == "counterfactual":
+                    open_gates = 1.0 - open_gates
+                loss = outcome_loss(log_p, mode) + self.sparsity_weight * open_gates
                 total = loss if total is None else total + loss
             total = total / len(contexts)
             total.backward()

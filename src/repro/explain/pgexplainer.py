@@ -21,6 +21,7 @@ from ..graph import Graph
 from ..nn.models import GNN
 from ..rng import ensure_rng
 from .base import Explainer, Explanation
+from .mask_loop import outcome_loss
 from .target import ExplainTarget, as_node_id
 
 __all__ = ["PGExplainer"]
@@ -128,14 +129,9 @@ class PGExplainer(Explainer):
 
         entropy = -(mask * mask.clip(1e-8, 1.0).log()
                     + (1.0 - mask) * (1.0 - mask).clip(1e-8, 1.0).log()).mean()
-        if mode == "factual":
-            objective = -log_p
-            size = mask.mean()
-        else:
-            p = log_p.exp()
-            objective = -(1.0 - p.clip(0.0, 1.0 - 1e-12)).log()
-            size = (1.0 - mask).mean()
-        return objective + self.size_weight * size + self.entropy_weight * entropy
+        size = mask.mean() if mode == "factual" else (1.0 - mask).mean()
+        return (outcome_loss(log_p, mode) + self.size_weight * size
+                + self.entropy_weight * entropy)
 
     # ------------------------------------------------------------------
     # per-instance inference

@@ -4,7 +4,8 @@ An oracle keeps Revelio's mask loop written out in ``Tensor`` ops — the
 Eq. 4/5 transform, the Eq. 1/2 objective and the Eq. 8/9 regularizer —
 and checks that :func:`optimize_flow_masks` reproduces it bit for bit.
 Revelio, TopKRevelio and LinkRevelio then share one settings validation,
-one ``meta`` schema and one trace shape.
+one ``meta`` schema and one trace shape; GNNExplainer, the loop's other
+caller, validates its settings and reports the loss and trim fields too.
 """
 
 import json
@@ -14,12 +15,13 @@ import pytest
 
 from repro.autograd import Adam, Tensor, log_softmax
 from repro.core import LinkRevelio, Revelio, TopKRevelio
-from repro.core.optimize import CONVERGENCE_RTOL, converged, optimize_flow_masks
+from repro.core.optimize import optimize_flow_masks
 from repro.core.revelio import explanation_cache_disabled
 from repro.errors import ExplainerError
-from repro.explain import ExplainTarget
+from repro.explain import ExplainTarget, GNNExplainer
 from repro.explain.io import (explanation_from_jsonable, explanation_to_jsonable,
                               load_explanation, save_explanation)
+from repro.explain.mask_loop import CONVERGENCE_RTOL, converged
 from repro.flows import FlowIndex, enumerate_flows
 from repro.graph import Graph, extract_receptive_field, sbm_edges
 from repro.nn import LayerTrim, LinkPredictor, Trainer, build_model
@@ -197,6 +199,20 @@ def test_bad_loop_settings_rejected_at_construction(family_member, name, bad, fi
         family_member(name, **bad)
 
 
+@pytest.mark.parametrize("bad, field", [
+    ({"epochs": 0}, "epochs"), ({"epochs": -3}, "epochs"), ({"epochs": 2.5}, "epochs"),
+    ({"lr": float("nan")}, "lr"), ({"lr": 0.0}, "lr"), ({"lr": "0.01"}, "lr"),
+    ({"size_weight": float("nan")}, "size_weight"), ({"size_weight": -1.0}, "size_weight"),
+    ({"entropy_weight": float("inf")}, "entropy_weight"),
+    ({"entropy_weight": -0.1}, "entropy_weight"),
+    ({"feature_size_weight": float("nan")}, "feature_size_weight"),
+    ({"feature_size_weight": -0.2}, "feature_size_weight"),
+])
+def test_bad_gnnexplainer_settings_rejected_at_construction(node_model, bad, field):
+    with pytest.raises(ExplainerError, match=field):
+        GNNExplainer(node_model, **bad)
+
+
 @pytest.mark.parametrize("mode", ["factual", "counterfactual"])
 @pytest.mark.parametrize("name", FAMILY)
 def test_one_meta_schema_and_trace_shape(family_member, name, mode, tmp_path):
@@ -249,6 +265,48 @@ def test_one_meta_schema_and_trace_shape(family_member, name, mode, tmp_path):
     save_explanation(explanation, tmp_path / "e.npz")
     for loaded in (wire, load_explanation(tmp_path / "e.npz")):
         for key in ("flows_above_half", "mean_edge_mask", "forward_layer_edges",
+                    "loss_first", "loss_min", "loss_last", "converged"):
+            assert loaded.meta[key] == meta[key]
+
+
+@pytest.mark.parametrize("mode", ["factual", "counterfactual"])
+def test_gnnexplainer_meta_schema_and_trace_shape(node_model, mini_ba_shapes, good_motif_node,
+                                                  mode, tmp_path):
+    explainer = GNNExplainer(node_model, epochs=3, lr=0.05)
+    with tracing() as tracer:
+        explanation = explainer.explain(mini_ba_shapes.graph,
+                                        ExplainTarget.node(good_motif_node), mode=mode)
+        trace_id = tracer.trace_id
+    records = [r for r in TRACER.records() if r["trace_id"] == trace_id]
+    optimize = [r for r in records if r["name"] == SPAN_OPTIMIZE]
+    assert len(optimize) == 1
+    epochs = [r for r in records if r["name"] == SPAN_EPOCH]
+    assert len(epochs) == 3
+    assert all(r["parent_id"] == optimize[0]["span_id"] for r in epochs)
+
+    meta = explanation.meta
+    assert meta["params"] == {"epochs": 3, "lr": 0.05}
+    assert meta["loss_last"] == meta["final_loss"]
+    assert meta["loss_min"] <= min(meta["loss_first"], meta["loss_last"])
+    assert all(isinstance(meta[key], float) for key in ("loss_first", "loss_min", "loss_last"))
+    assert isinstance(meta["converged"], bool)
+    local = explanation.edge_scores[explanation.context_edge_positions]
+    assert meta["mean_edge_mask"] == float(local.mean())
+
+    # The hop trim: the same layer edges Revelio's flow trim keeps.
+    context = explainer.node_context(mini_ba_shapes.graph, good_motif_node)
+    flow_index = enumerate_flows(context.subgraph, node_model.num_layers,
+                                 target=context.local_target)
+    assert meta["forward_layer_edges"] == {
+        **{f"layer_{l + 1}": int(ids.size)
+           for l, ids in enumerate(flow_index.used_layer_edge_ids())},
+        "context": flow_index.num_layer_edges}
+    assert meta["forward_layer_edges"]["layer_3"] < flow_index.num_layer_edges
+
+    wire = explanation_from_jsonable(json.loads(json.dumps(explanation_to_jsonable(explanation))))
+    save_explanation(explanation, tmp_path / "e.npz")
+    for loaded in (wire, load_explanation(tmp_path / "e.npz")):
+        for key in ("mean_edge_mask", "forward_layer_edges", "final_loss",
                     "loss_first", "loss_min", "loss_last", "converged"):
             assert loaded.meta[key] == meta[key]
 

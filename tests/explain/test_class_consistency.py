@@ -9,6 +9,8 @@ consequences: the context forward, and a structural edge removal on it,
 are exact on pathological graphs for GCN, GIN and GAT; every registered
 node explainer reports the full-graph argmax; and no ``explain_node``
 call runs a forward over, or hashes the features of, the full graph.
+Every forward a node explainer differentiates runs on the context's own
+sparse cache, so it is the forward whose class the explanation reports.
 """
 
 import functools
@@ -19,13 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import no_grad
+from repro.autograd import is_grad_enabled, no_grad
 from repro.core.revelio import clear_explanation_cache
 from repro.explain import EXPLAINERS, ExplainTarget, make_explainer
 from repro.explain.base import clear_context_cache
 from repro.flows import invalidate
 from repro.graph import Graph
+from repro.nn import models
 from repro.nn.models import GNN, build_model
+from repro.sparse import sparse_cache
 
 FAST = {
     "gradcam": {},
@@ -227,3 +231,32 @@ def test_explain_node_never_touches_the_full_graph(method, node_model, mini_ba_s
     assert forwards, f"{method} ran no forward at all"
     assert all(g is not graph and g.num_nodes <= context_size for g in forwards)
     assert not full_hashes, f"{method} hashed the full feature matrix"
+
+
+@pytest.mark.parametrize("method", sorted(FAST))
+def test_differentiated_forwards_run_on_the_context_cache(method, node_model, mini_ba_shapes,
+                                                          monkeypatch):
+    """A forward without the context's cache falls back to one keyed on the
+    bare edge list, whose degrees are the context's own; at a boundary
+    node those differ from the source graph's, so the gradient would be
+    that of another model than the one ``predicted_class`` reads."""
+    graph = mini_ba_shapes.graph
+    node = int(mini_ba_shapes.motif_nodes[0])
+    explainer = _make(method, node_model, graph, [node])
+    context = explainer.node_context(graph, node)
+    own = np.bincount(context.subgraph.dst, minlength=context.subgraph.num_nodes)
+    assert (own < np.bincount(graph.dst, minlength=graph.num_nodes)[context.node_ids]).any()
+    clear_explanation_cache()
+    invalidate()
+
+    caches = []
+
+    def spy(*args, _original=models.run_convs, **kwargs):
+        if is_grad_enabled():
+            caches.append(args[5])
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(models, "run_convs", spy)
+    explainer.explain(graph, ExplainTarget.node(node))
+    expected = sparse_cache(context.subgraph)
+    assert all(cache is expected for cache in caches), method
