@@ -23,6 +23,7 @@ from .module import Module, Parameter
 from .optim import SGD, Adam, Optimizer
 from .schedulers import CosineAnnealingLR, LinearWarmup, Scheduler, StepLR
 from .tensor import (
+    Tape,
     Tensor,
     as_tensor,
     concat,
@@ -35,6 +36,7 @@ from .tensor import (
 
 __all__ = [
     "Tensor",
+    "Tape",
     "as_tensor",
     "concat",
     "stack",

@@ -3,6 +3,8 @@
 Everything here composes the primitive ops from :mod:`repro.autograd.tensor`
 (so gradients come for free) except where a fused implementation is clearer
 or numerically safer (softmax family, segment softmax for GAT attention).
+A stabilizing shift (a max) is computed inside its op's forward thunk, so a
+replayed :class:`~repro.autograd.Tape` recomputes it.
 """
 
 from __future__ import annotations
@@ -55,23 +57,43 @@ def spmm(x: Tensor, matrix, matrix_t) -> Tensor:
     def backward(g, grads):
         x._receive(kernel("spmm")(matrix_t, g), grads)
 
-    return x._unary_op(kernel("spmm")(matrix, x.data), backward)
+    return x._unary_op(lambda: kernel("spmm")(matrix, x.data), backward)
+
+
+def _shifted(x: Tensor, shift) -> Tensor:
+    """``x − shift(x.data)``, the shift a constant of the op: softmax is
+    shift-invariant, so the gradient passes straight through."""
+    return x._unary_op(lambda: x.data - shift(x.data), lambda g, grads: x._receive(g, grads))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
+    exp = _shifted(x, lambda data: data.max(axis=axis, keepdims=True)).exp()
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
+    """Numerically stable log-softmax along ``axis``, as one tape node.
+
+    ``x − m − log Σ exp(x − m)`` with ``m`` the max; the gradient
+    ``g − exp(x − m) · Σg / Σexp(x − m)`` repeats the arithmetic of that
+    chain's backward in the same order.
+    """
     x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    log_sum = shifted.exp().sum(axis=axis, keepdims=True).log()
-    return shifted - log_sum
+    exp = total = None
+
+    def forward():
+        nonlocal exp, total
+        shifted = x.data - x.data.max(axis=axis, keepdims=True)
+        exp = np.exp(shifted)
+        total = exp.sum(axis=axis, keepdims=True)
+        return shifted - np.log(total)
+
+    def backward(g, grads):
+        x._receive(g + (-g).sum(axis=axis, keepdims=True) / total * exp, grads)
+
+    return x._unary_op(forward, backward)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -161,16 +183,18 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int,
         plan = plan_for(segment_ids, num_segments)
     else:
         plan.check_shape(segment_ids.shape[0], int(num_segments))
-    # Per-segment max for stability (data-level; constant w.r.t. autograd,
-    # which is valid because subtracting any constant leaves softmax fixed).
     tail = scores.shape[1:]
     width = int(np.prod(tail)) if tail else 1
-    flat = scores.data.reshape(scores.shape[0], width)
-    seg_max = kernel("segment_max")(plan, flat).reshape((num_segments,) + tail)
-    seg_max[~np.isfinite(seg_max)] = 0.0  # empty segments
 
-    shifted = scores - Tensor(seg_max[segment_ids])
-    exp = shifted.exp()
+    def segment_max(data):
+        # Per-segment max for stability (a constant of the shift, which is
+        # valid because subtracting any constant leaves softmax fixed).
+        seg_max = kernel("segment_max")(plan, data.reshape(data.shape[0], width))
+        seg_max = seg_max.reshape((num_segments,) + tail)
+        seg_max[~np.isfinite(seg_max)] = 0.0  # empty segments
+        return seg_max[segment_ids]
+
+    exp = _shifted(scores, segment_max).exp()
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         exp = exp * Tensor(weights.reshape(weights.shape + (1,) * (exp.ndim - weights.ndim)))

@@ -2,9 +2,20 @@
 
 This module provides the :class:`Tensor` class used throughout the library.
 It is a deliberately small but complete tape-based autograd implementation:
-each differentiable operation records its parents and a backward closure;
-:meth:`Tensor.backward` topologically sorts the tape and accumulates
-gradients.
+each differentiable operation records its parents, a backward closure and
+a forward thunk; :meth:`Tensor.backward` topologically sorts the tape and
+accumulates gradients.
+
+Record and replay: an op's forward is written once, as a thunk that
+computes its output (and any intermediate its backward reads) from its
+parents' current ``.data``. Building the op calls it once. Inside
+``with Tape() as tape:`` every tape node is also kept in creation order,
+and :meth:`Tape.replay` re-runs those thunks after the leaves change — the
+same numpy calls in the same order, so a replayed step is bit-exact with
+building it again. Nodes whose parents are all frozen never enter the
+tape, so their values are computed once. A value an op reads from
+``.data`` outside its thunk would go stale on replay; recording an op
+built without a thunk raises :class:`~repro.errors.AutogradError`.
 
 The op set covers everything message-passing GNNs and mask-learning
 explainers need: dense linear algebra, elementwise nonlinearities,
@@ -15,6 +26,7 @@ finite differences in ``tests/autograd``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -23,14 +35,18 @@ import numpy as np
 from ..errors import AutogradError, ShapeError
 from ..sparse import SegmentPlan, kernel, plan_for
 
-__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled", "concat", "stack", "where",
-           "propagate"]
+__all__ = ["Tensor", "Tape", "as_tensor", "no_grad", "is_grad_enabled", "concat", "stack",
+           "where", "propagate"]
 
 _GRAD_ENABLED = [True]
+# The node list of the Tape being recorded, or None.
+_RECORDING: list = [None]
 
 # Backward closures receive (upstream_grad, grads_dict) and route
-# contributions to parents via Tensor._receive.
+# contributions to parents via Tensor._receive; forward thunks return the
+# op's output array from its parents' current data.
 BackwardFn = Callable[[np.ndarray, dict], None]
+ForwardFn = Callable[[], np.ndarray]
 
 
 class no_grad:
@@ -55,11 +71,58 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED[0]
 
 
+class Tape:
+    """The tape nodes one computation built, replayable on new leaf values.
+
+    ``with tape:`` keeps every tape node created inside, in creation
+    order. After the leaves' ``.data`` change (an optimizer step),
+    :meth:`replay` re-runs each node's forward thunk on its parents'
+    current values: the outputs — and, through ``backward()`` on the same
+    root, the gradients — are those a fresh build would give, bit for
+    bit. Values derived only from frozen tensors are not on the tape and
+    keep their recorded values. Like :class:`no_grad`, recording is
+    process-wide: one tape records at a time, on the thread that runs
+    the numerics.
+    """
+
+    __slots__ = ("nodes",)
+
+    def __init__(self):
+        self.nodes: list[Tensor] = []
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __enter__(self) -> "Tape":
+        if _RECORDING[0] is not None:
+            raise AutogradError("a tape is already recording")
+        _RECORDING[0] = self.nodes
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _RECORDING[0] = None
+
+    def replay(self) -> None:
+        """Recompute every recorded node from its parents' current data."""
+        for node in self.nodes:
+            node.data = node._forward()
+
+
 def as_tensor(value, requires_grad: bool = False) -> "Tensor":
     """Coerce ``value`` (Tensor, array or scalar) into a :class:`Tensor`."""
     if isinstance(value, Tensor):
         return value
     return Tensor(np.asarray(value, dtype=np.float64), requires_grad=requires_grad)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic function."""
+    clipped = np.clip(x, -500, 500)
+    return np.where(
+        clipped >= 0,
+        1.0 / (1.0 + np.exp(-clipped)),
+        np.exp(clipped) / (1.0 + np.exp(clipped)),
+    )
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -89,8 +152,8 @@ class Tensor:
         Optional label used in ``repr`` and error messages.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "_retain", "_csr", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_forward", "_parents",
+                 "_retain", "_csr", "_order", "name")
 
     # Make numpy defer binary ops (np.ndarray * Tensor) to Tensor.
     __array_priority__ = 100.0
@@ -100,9 +163,11 @@ class Tensor:
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self.grad: np.ndarray | None = None
         self._backward: BackwardFn | None = None
+        self._forward: ForwardFn | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._retain = False
         self._csr = None
+        self._order: list[Tensor] | None = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -175,19 +240,38 @@ class Tensor:
     # tape construction & backward
     # ------------------------------------------------------------------
     @staticmethod
-    def _make(data: np.ndarray, parents: Sequence["Tensor"], backward: BackwardFn | None) -> "Tensor":
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+    def _make(data: np.ndarray, parents: Sequence["Tensor"], backward: BackwardFn | None,
+              forward: ForwardFn | None = None) -> "Tensor":
+        """The op's output; a tape node when a parent requires grad.
+
+        ``forward`` is the thunk that computed ``data``. While a
+        :class:`Tape` records, a tape node without one raises: replay
+        could not recompute it.
+        """
+        requires = _GRAD_ENABLED[0] and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
             out._backward = backward
+            recording = _RECORDING[0]
+            if recording is not None:
+                if forward is None:
+                    raise AutogradError("cannot record an op without a forward thunk: "
+                                        "replay could not recompute it")
+                out._forward = forward
+                recording.append(out)
         return out
 
-    def _unary_op(self, data: np.ndarray, backward: BackwardFn) -> "Tensor":
-        return Tensor._make(data, (self,), backward)
+    @staticmethod
+    def _op(forward: ForwardFn, parents: Sequence["Tensor"], backward: BackwardFn) -> "Tensor":
+        """Build an op from its forward thunk (called once here)."""
+        return Tensor._make(forward(), parents, backward, forward)
 
-    def _binary_op(self, other: "Tensor", data: np.ndarray, backward: BackwardFn) -> "Tensor":
-        return Tensor._make(data, (self, other), backward)
+    def _unary_op(self, forward: ForwardFn, backward: BackwardFn) -> "Tensor":
+        return Tensor._make(forward(), (self,), backward, forward)
+
+    def _binary_op(self, other: "Tensor", forward: ForwardFn, backward: BackwardFn) -> "Tensor":
+        return Tensor._make(forward(), (self, other), backward, forward)
 
     def _receive(self, grad: np.ndarray, grads: dict) -> None:
         """Accumulate an upstream gradient contribution during backward."""
@@ -228,10 +312,29 @@ class Tensor:
                 )
             grad = np.ones_like(self.data)
         grad = np.broadcast_to(np.asarray(grad, dtype=np.float64), self.data.shape)
+        # The tape below a node never changes, so its order is computed
+        # once: a replayed epoch backpropagates without the DFS. The cache
+        # leaves ``self`` out (no reference cycle): it always comes first.
+        if self._order is None:
+            self._order = self._topological_order()[:-1]
 
-        # Topological order via iterative DFS: deep tapes (hundreds of mask
-        # learning epochs over multi-layer GNNs) would overflow recursion.
-        # Tensors hash by identity, so they key the sets and dicts directly.
+        grads: dict[Tensor, np.ndarray] = {self: np.array(grad, copy=True)}
+        for node in itertools.chain((self,), reversed(self._order)):
+            node_grad = grads.pop(node, None)
+            if node_grad is None:
+                continue
+            if node._backward is None or node._retain:
+                node._accumulate(node_grad)
+            if node._backward is not None:
+                node._backward(node_grad, grads)
+
+    def _topological_order(self) -> list["Tensor"]:
+        """The tape below ``self`` in DFS post-order (parents first).
+
+        Iterative: deep tapes (hundreds of mask learning epochs over
+        multi-layer GNNs) would overflow recursion. Tensors hash by
+        identity, so they key the sets and dicts directly.
+        """
         order: list[Tensor] = []
         visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -247,16 +350,7 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and parent not in visited:
                     stack.append((parent, False))
-
-        grads: dict[Tensor, np.ndarray] = {self: np.array(grad, copy=True)}
-        for node in reversed(order):
-            node_grad = grads.pop(node, None)
-            if node_grad is None:
-                continue
-            if node._backward is None or node._retain:
-                node._accumulate(node_grad)
-            if node._backward is not None:
-                node._backward(node_grad, grads)
+        return order
 
     # ------------------------------------------------------------------
     # arithmetic — a parent's gradient is computed only when that parent
@@ -273,7 +367,7 @@ class Tensor:
             if other.requires_grad:
                 other._receive(_unbroadcast(g, other.shape), grads)
 
-        return self._binary_op(other, self.data + other.data, backward)
+        return self._binary_op(other, lambda: self.data + other.data, backward)
 
     def __radd__(self, other) -> "Tensor":
         return self.__add__(other)
@@ -287,7 +381,7 @@ class Tensor:
             if other.requires_grad:
                 other._receive(_unbroadcast(-g, other.shape), grads)
 
-        return self._binary_op(other, self.data - other.data, backward)
+        return self._binary_op(other, lambda: self.data - other.data, backward)
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other).__sub__(self)
@@ -301,7 +395,7 @@ class Tensor:
             if other.requires_grad:
                 other._receive(_unbroadcast(g * self.data, other.shape), grads)
 
-        return self._binary_op(other, self.data * other.data, backward)
+        return self._binary_op(other, lambda: self.data * other.data, backward)
 
     def __rmul__(self, other) -> "Tensor":
         return self.__mul__(other)
@@ -316,13 +410,13 @@ class Tensor:
                 other._receive(_unbroadcast(-g * self.data / (other.data**2), other.shape),
                                grads)
 
-        return self._binary_op(other, self.data / other.data, backward)
+        return self._binary_op(other, lambda: self.data / other.data, backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
-        return self._unary_op(-self.data, lambda g, grads: self._receive(-g, grads))
+        return self._unary_op(lambda: -self.data, lambda g, grads: self._receive(-g, grads))
 
     def __pow__(self, exponent) -> "Tensor":
         if isinstance(exponent, Tensor):
@@ -332,7 +426,7 @@ class Tensor:
         def backward(g, grads):
             self._receive(g * exponent * self.data ** (exponent - 1), grads)
 
-        return self._unary_op(self.data**exponent, backward)
+        return self._unary_op(lambda: self.data**exponent, backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -356,7 +450,7 @@ class Tensor:
                 if other.requires_grad:
                     other._receive(matrix_t @ g, grads)
 
-            return self._binary_op(other, matrix @ other.data, sparse_backward)
+            return self._binary_op(other, lambda: matrix @ other.data, sparse_backward)
 
         def backward(g, grads):
             # Guard each GEMM on the parent actually needing it: the first
@@ -368,7 +462,7 @@ class Tensor:
             if other.requires_grad:
                 other._receive(self.data.T @ g, grads)
 
-        return self._binary_op(other, self.data @ other.data, backward)
+        return self._binary_op(other, lambda: self.data @ other.data, backward)
 
     # Comparisons yield plain numpy boolean arrays (non-differentiable).
     def __gt__(self, other):
@@ -386,64 +480,70 @@ class Tensor:
     # ------------------------------------------------------------------
     # elementwise nonlinearities
     # ------------------------------------------------------------------
+    def _pointwise(self, forward, backward) -> "Tensor":
+        """An elementwise op: ``forward(x)`` returns ``(y, saved)`` and
+        ``backward(g, saved)`` the gradient of ``x``.
+
+        ``saved`` (the output, a mask, ...) lives in a cell the thunk
+        refills, never on the output tensor: a closure over the tensor
+        that owns it would be a reference cycle, and every tape would wait
+        for the garbage collector.
+        """
+        saved = None
+
+        def thunk():
+            nonlocal saved
+            out, saved = forward(self.data)
+            return out
+
+        return self._unary_op(thunk, lambda g, grads: self._receive(backward(g, saved), grads))
+
     def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-        return self._unary_op(data, lambda g, grads: self._receive(g * data, grads))
+        return self._pointwise(lambda x: (y := np.exp(x), y), lambda g, y: g * y)
 
     def log(self) -> "Tensor":
-        return self._unary_op(np.log(self.data), lambda g, grads: self._receive(g / self.data, grads))
+        return self._pointwise(lambda x: (np.log(x), x), lambda g, x: g / x)
 
     def sqrt(self) -> "Tensor":
-        data = np.sqrt(self.data)
-        return self._unary_op(data, lambda g, grads: self._receive(g * 0.5 / data, grads))
+        return self._pointwise(lambda x: (y := np.sqrt(x), y), lambda g, y: g * 0.5 / y)
 
     def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-        return self._unary_op(data, lambda g, grads: self._receive(g * (1.0 - data**2), grads))
+        return self._pointwise(lambda x: (y := np.tanh(x), y), lambda g, y: g * (1.0 - y**2))
 
     def sigmoid(self) -> "Tensor":
-        clipped = np.clip(self.data, -500, 500)
-        data = np.where(
-            clipped >= 0,
-            1.0 / (1.0 + np.exp(-clipped)),
-            np.exp(clipped) / (1.0 + np.exp(clipped)),
-        )
-        return self._unary_op(data, lambda g, grads: self._receive(g * data * (1.0 - data), grads))
+        return self._pointwise(lambda x: (y := _sigmoid(x), y), lambda g, y: g * y * (1.0 - y))
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        return self._unary_op(self.data * mask, lambda g, grads: self._receive(g * mask, grads))
+        return self._pointwise(lambda x: (x * (mask := x > 0), mask), lambda g, mask: g * mask)
 
     def leaky_relu(self, negative_slope: float = 0.2) -> "Tensor":
-        factor = np.where(self.data > 0, 1.0, negative_slope)
-        return self._unary_op(self.data * factor, lambda g, grads: self._receive(g * factor, grads))
+        return self._pointwise(
+            lambda x: (x * (factor := np.where(x > 0, 1.0, negative_slope)), factor),
+            lambda g, factor: g * factor)
 
     def softplus(self) -> "Tensor":
-        data = np.logaddexp(0.0, self.data)
-        sig = 1.0 / (1.0 + np.exp(-np.clip(self.data, -500, 500)))
-        return self._unary_op(data, lambda g, grads: self._receive(g * sig, grads))
+        return self._pointwise(
+            lambda x: (np.logaddexp(0.0, x), 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))),
+            lambda g, sig: g * sig)
 
     def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        return self._unary_op(np.abs(self.data), lambda g, grads: self._receive(g * sign, grads))
+        return self._pointwise(lambda x: (np.abs(x), np.sign(x)), lambda g, sign: g * sign)
 
     def clip(self, lo: float, hi: float) -> "Tensor":
-        mask = (self.data >= lo) & (self.data <= hi)
-        return self._unary_op(np.clip(self.data, lo, hi), lambda g, grads: self._receive(g * mask, grads))
+        return self._pointwise(lambda x: (np.clip(x, lo, hi), (x >= lo) & (x <= hi)),
+                               lambda g, mask: g * mask)
 
     # ------------------------------------------------------------------
     # reductions
     # ------------------------------------------------------------------
     def sum(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
         def backward(g, grads):
             grad = g
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis=axis)
             self._receive(np.broadcast_to(grad, self.shape), grads)
 
-        return self._unary_op(data, backward)
+        return self._unary_op(lambda: self.data.sum(axis=axis, keepdims=keepdims), backward)
 
     def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -455,7 +555,12 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) / float(count)
 
     def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
+        data = None
+
+        def forward():
+            nonlocal data
+            data = self.data.max(axis=axis, keepdims=keepdims)
+            return data
 
         def backward(g, grads):
             expanded = data if (keepdims or axis is None) else np.expand_dims(data, axis=axis)
@@ -464,7 +569,7 @@ class Tensor:
             grad = g if (keepdims or axis is None) else np.expand_dims(g, axis=axis)
             self._receive(mask * grad / counts, grads)
 
-        return self._unary_op(data, backward)
+        return self._unary_op(forward, backward)
 
     # ------------------------------------------------------------------
     # shape manipulation & indexing
@@ -474,7 +579,7 @@ class Tensor:
             shape = tuple(shape[0])
         original = self.shape
         return self._unary_op(
-            self.data.reshape(shape),
+            lambda: self.data.reshape(shape),
             lambda g, grads: self._receive(g.reshape(original), grads),
         )
 
@@ -484,7 +589,7 @@ class Tensor:
     def transpose(self, axes: tuple[int, ...] | None = None) -> "Tensor":
         inverse = None if axes is None else tuple(np.argsort(axes))
         return self._unary_op(
-            self.data.transpose(axes),
+            lambda: self.data.transpose(axes),
             lambda g, grads: self._receive(g.transpose(inverse), grads),
         )
 
@@ -497,7 +602,7 @@ class Tensor:
             np.add.at(full, index, g)  # repro: noqa[RPR050]
             self._receive(full, grads)
 
-        return self._unary_op(self.data[index], backward)
+        return self._unary_op(lambda: self.data[index], backward)
 
     # ------------------------------------------------------------------
     # message-passing primitives (plan-backed: forward and adjoint both
@@ -523,7 +628,7 @@ class Tensor:
         def backward(g, grads):
             self._receive(_scatter_rows(g, index, num_rows, plan), grads)
 
-        return self._unary_op(self.data[index], backward)
+        return self._unary_op(lambda: self.data[index], backward)
 
     def scatter_add(self, index: np.ndarray, num_rows: int,
                     plan: SegmentPlan | None = None) -> "Tensor":
@@ -542,18 +647,22 @@ class Tensor:
             )
         if plan is not None:
             plan.check_shape(index.shape[0], int(num_rows))
-        data = _scatter_rows(self.data, index, int(num_rows), plan)
-        return self._unary_op(data, lambda g, grads: self._receive(g[index], grads))
+        num_rows = int(num_rows)
+        return self._unary_op(lambda: _scatter_rows(self.data, index, num_rows, plan),
+                              lambda g, grads: self._receive(g[index], grads))
 
 
 def propagate(h: Tensor, cache, coeff: Tensor | None = None,
-              mask: Tensor | None = None, *, gathered: bool = False) -> Tensor:
+              mask: Tensor | None = None) -> Tensor:
     """Message passing as one tape node: ``out[dst] += (h[src] · coeff) · mask``.
 
     The fused form of ``h.gather_rows(src) * coeff * mask`` followed by
     ``.scatter_add(dst)``: the forward and every gradient repeat that
     chain's arithmetic in the same order, bit for bit, but the epoch
-    records one node instead of four.
+    records one node instead of four. When neither ``h`` nor ``coeff``
+    requires grad (a frozen first layer), the pre-mask messages
+    ``h[src] · coeff`` are computed once, off the tape, and a replayed
+    epoch only re-masks and scatters them.
 
     Batched states — ``(N, B, K)`` stacks of ``B`` forwards, as
     :meth:`GNN.forward_masked_batch <repro.nn.GNN.forward_masked_batch>`
@@ -565,9 +674,7 @@ def propagate(h: Tensor, cache, coeff: Tensor | None = None,
     Parameters
     ----------
     h:
-        ``(N, ...)`` node states, gathered by ``cache.src``; with
-        ``gathered=True``, ``(A, ...)`` messages already gathered (and
-        scaled), one row per layer edge.
+        ``(N, ...)`` node states, gathered by ``cache.src``.
     cache:
         The :class:`~repro.sparse.GraphSparseCache` (or a
         :meth:`~repro.sparse.GraphSparseCache.restrict` sub-cache) whose
@@ -587,29 +694,35 @@ def propagate(h: Tensor, cache, coeff: Tensor | None = None,
     """
     src, dst, num_rows = cache.src, cache.dst, cache.num_nodes
     num_edges = src.shape[0]
-    if gathered and h.shape[0] != num_edges:
-        raise ShapeError(f"gathered messages have {h.shape[0]} rows, expected {num_edges}")
     if mask is not None and (mask.shape[0] != num_edges or mask.ndim > 2):
         raise ShapeError(
             f"edge mask has shape {mask.shape}, expected {num_edges} entries "
             "(one per layer edge) or one column of them per stacked forward")
     parents = [t for t in (h, coeff, mask) if t is not None]
-    if not gathered and h.ndim == 3 and (coeff is None or coeff.ndim == 2) \
+    if h.ndim == 3 and (coeff is None or coeff.ndim == 2) \
             and not (is_grad_enabled() and any(t.requires_grad for t in parents)):
         return Tensor(_gather_scatter(h.data, cache, coeff, mask))
-    base = h.data if gathered else h.data[src]
-    scaled = base
-    if coeff is not None:
-        # Per-edge operands lead with the edge axis and broadcast over the
-        # trailing axes of the messages.
-        coeff_b = coeff.data.reshape(coeff.shape + (1,) * (base.ndim - coeff.ndim))
-        scaled = base * coeff_b
-    messages = scaled
-    if mask is not None:
-        mask_b = mask.data.reshape(mask.shape + (1,) * (scaled.ndim - mask.ndim))
-        messages = scaled * mask_b
-    data = _scatter_rows(messages, dst, num_rows, cache.dst_plan)
     upstream = h.requires_grad or (coeff is not None and coeff.requires_grad)
+    base = scaled = coeff_b = mask_b = None
+
+    def premask():
+        nonlocal base, scaled, coeff_b
+        base = scaled = h.data[src]
+        if coeff is not None:
+            # Per-edge operands lead with the edge axis and broadcast over
+            # the trailing axes of the messages.
+            coeff_b = coeff.data.reshape(coeff.shape + (1,) * (base.ndim - coeff.ndim))
+            scaled = base * coeff_b
+
+    def forward():
+        nonlocal mask_b
+        if upstream:
+            premask()
+        messages = scaled
+        if mask is not None:
+            mask_b = mask.data.reshape(mask.shape + (1,) * (scaled.ndim - mask.ndim))
+            messages = scaled * mask_b
+        return _scatter_rows(messages, dst, num_rows, cache.dst_plan)
 
     def backward(g, grads):
         g = g[dst]                                 # adjoint of the scatter
@@ -627,10 +740,11 @@ def propagate(h: Tensor, cache, coeff: Tensor | None = None,
             g = g * coeff_b
         if h.requires_grad:
             # Adjoint of the gather: scatter back to source rows.
-            h._receive(g if gathered else _scatter_rows(g, src, num_rows, cache.src_plan),
-                       grads)
+            h._receive(_scatter_rows(g, src, num_rows, cache.src_plan), grads)
 
-    return Tensor._make(data, parents, backward)
+    if not upstream:
+        premask()                                  # frozen: once, off the tape
+    return Tensor._op(forward, parents, backward)
 
 
 def _gather_scatter(h: np.ndarray, cache, coeff: Tensor | None,
@@ -666,7 +780,6 @@ def _scatter_rows(values: np.ndarray, index: np.ndarray, num_rows: int,
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0, *sizes])
 
@@ -676,19 +789,19 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             slicer[axis] = slice(int(start), int(stop))
             tensor._receive(grad[tuple(slicer)], grads)
 
-    return Tensor._make(data, tensors, backward)
+    return Tensor._op(lambda: np.concatenate([t.data for t in tensors], axis=axis),
+                      tensors, backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient support."""
     tensors = [as_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
 
     def backward(grad, grads):
         for i, tensor in enumerate(tensors):
             tensor._receive(np.take(grad, i, axis=axis), grads)
 
-    return Tensor._make(data, tensors, backward)
+    return Tensor._op(lambda: np.stack([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def where(condition: np.ndarray, a, b) -> Tensor:
@@ -701,4 +814,4 @@ def where(condition: np.ndarray, a, b) -> Tensor:
         a._receive(_unbroadcast(grad * condition, a.shape), grads)
         b._receive(_unbroadcast(grad * (~condition), b.shape), grads)
 
-    return Tensor._make(np.where(condition, a.data, b.data), (a, b), backward)
+    return Tensor._op(lambda: np.where(condition, a.data, b.data), (a, b), backward)

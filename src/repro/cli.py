@@ -33,6 +33,7 @@ import argparse
 import sys
 
 from .datasets import DATASET_NAMES, dataset_task, load_dataset
+from .errors import ReproError
 from .eval.experiments import (
     ALL_METHODS,
     COUNTERFACTUAL_METHODS,
@@ -169,9 +170,21 @@ def _common(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    """CLI entry point; returns a process exit code.
 
+    A :class:`~repro.errors.ReproError` (a bad target, an unknown
+    explainer, ...) prints one ``error: <message>`` line to stderr and
+    exits with code 2, without a traceback.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "datasets":
         for name in DATASET_NAMES:
             ds = load_dataset(name)

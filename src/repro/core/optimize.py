@@ -18,7 +18,7 @@ gathers its kept entries before the forward. A reached row sums the same
 messages in the same order, and an unreached row fed only layer edges the
 outcome's gradient never reaches, so the trim is bit-exact. The callers'
 closures run the forward through one :class:`~repro.nn.LayerTrim` per
-explanation, which also computes layer 1's frozen pre-mask messages once.
+explanation.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ The mask is learned on the loop Revelio uses
 forward that :meth:`~Explainer.predicted_class` reads. A shared mask only
 scales messages (Eq. 6), so a node target's forward runs layer ``l`` over
 only the layer edges that can still reach the target
-(:func:`~repro.explain.mask_loop.hop_layer_edges`), and a frozen layer 1
-computes its messages once; both are bit-exact at the target row. With a
-feature mask, layer 1's input is trainable and is recomputed every epoch.
+(:func:`~repro.explain.mask_loop.hop_layer_edges`), bit-exact at the target
+row. Epochs after the first replay the first epoch's tape, so a frozen
+layer 1's pre-mask messages are computed once; with a feature mask, layer
+1's input is trainable and its messages are recomputed every epoch.
 """
 
 from __future__ import annotations

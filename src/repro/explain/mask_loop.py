@@ -6,8 +6,13 @@ they share everything else. :func:`learn_masks` is that shared part: Adam
 over the trainable tensors, the Eq. 1 (factual) or Eq. 2
 (counterfactual) objective on ``log P(explained outcome)``, the
 ``optimize``/``epoch`` spans, the loss record and the convergence
-``meta``. A caller passes one per-epoch closure that runs its masked
-forward and returns ``(log P, regularizer)``.
+``meta``. A caller passes one closure that runs its masked forward and
+returns ``(log P, regularizer)``. The loop calls it once: epoch 1 records
+its tape (:class:`~repro.autograd.Tape`) and epochs 2..T replay it on the
+updated parameters — the same numpy calls in the same order, so each
+epoch is bit-exact with rebuilding it, without rebuilding its tensors,
+closures or backward order. Work on frozen inputs (a frozen layer 1's
+pre-mask messages) is off the tape and done once.
 
 :func:`hop_layer_edges` is the layer trim of a node-level mask learner
 whose masks only scale messages (Eq. 6): layer ``l`` of an ``L``-layer
@@ -23,7 +28,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from ..autograd import Adam, Tensor
+from ..autograd import Adam, Tape, Tensor
 from ..graph import Graph, khop_in_nodes
 from ..obs import span
 from ..obs.names import SPAN_EPOCH, SPAN_OPTIMIZE
@@ -49,26 +54,37 @@ def learn_masks(params: Sequence[Tensor], step: Callable[[], tuple[Tensor, Tenso
                 *, epochs: int, lr: float, mode: str, **span_attrs) -> dict:
     """Minimize ``outcome_loss(log P, mode) + regularizer`` over ``params``.
 
-    ``step()`` runs one epoch's masked forward and returns ``(log P,
+    ``step()`` runs the masked forward and returns ``(log P,
     regularizer)``, the regularizer already weighted and chosen for
-    ``mode``. ``span_attrs`` annotate the ``optimize`` span. Returns the
-    loss record as ``meta`` entries: ``final_loss``, ``loss_first``,
-    ``loss_min``, ``loss_last`` and ``converged``.
+    ``mode``; it is called once, and its tape replayed for every later
+    epoch, so it must compute everything that changes with ``params``
+    as ``Tensor`` ops on them. ``span_attrs`` annotate the ``optimize``
+    span. Returns the loss record as ``meta`` entries: ``final_loss``,
+    ``loss_first``, ``loss_min``, ``loss_last``, ``converged`` and
+    ``tape_nodes`` (the nodes each epoch runs, also on the span).
     """
     optimizer = Adam(list(params), lr=lr)
+    tape = Tape()
     losses = []
-    with span(SPAN_OPTIMIZE, epochs=epochs, **span_attrs):
-        for _ in range(epochs):
+    with span(SPAN_OPTIMIZE, epochs=epochs, **span_attrs) as optimize:
+        for epoch in range(epochs):
             with span(SPAN_EPOCH):
                 optimizer.zero_grad()
-                log_p, regularizer = step()
-                loss = outcome_loss(log_p, mode) + regularizer
+                if epoch == 0:
+                    with tape:
+                        log_p, regularizer = step()
+                        loss = outcome_loss(log_p, mode) + regularizer
+                else:
+                    tape.replay()
                 loss.backward()
                 optimizer.step()
                 losses.append(loss.item())
+        if optimize is not None:
+            optimize.set(tape_nodes=len(tape))
     # The loss curve in three numbers, and whether it flattened.
     return {"final_loss": losses[-1], "loss_first": losses[0], "loss_min": min(losses),
-            "loss_last": losses[-1], "converged": converged(losses)}
+            "loss_last": losses[-1], "converged": converged(losses),
+            "tape_nodes": len(tape)}
 
 
 def converged(losses: list[float]) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Linear, Module, Tensor, log_softmax, no_grad, propagate, softmax
+from ..autograd import Linear, Module, Tensor, log_softmax, no_grad, softmax
 from ..errors import ModelError, ShapeError
 from ..graph import Graph, GraphBatch
 from ..obs import PERF, span
@@ -125,8 +125,7 @@ class GNN(Module):
         trim:
             Optional :class:`LayerTrim` of one explanation: each layer runs
             over only its kept layer edges (``edge_masks`` then hold one
-            entry per kept id), and a frozen layer 1 re-masks messages
-            computed once. Rows reached through the last layer's kept
+            entry per kept id). Rows reached through the last layer's kept
             edges equal the untrimmed forward bit for bit; other rows are
             not meaningful.
         """
@@ -323,7 +322,7 @@ class GNN(Module):
 
 
 class LayerTrim:
-    """One explanation's masked forward, built once and passed every epoch.
+    """The layer edges one explanation's masked forward runs over.
 
     Parameters
     ----------
@@ -334,20 +333,10 @@ class LayerTrim:
         every in-edge of its destinations; layer ``l`` then runs on the
         :meth:`~repro.sparse.GraphSparseCache.restrict` sub-cache of its
         ids.
-
-    While layer 1's input and weights are frozen, its pre-mask messages
-    ``h[src] · coeff`` are the same every epoch: the first masked forward
-    computes them, with exactly the arithmetic
-    :func:`~repro.autograd.propagate` runs before the mask, and every
-    later one only re-masks and scatters them (one tape node). They are
-    kept for one (layer, input, cache) triple, so a trim serves one model
-    and one graph whose weights and features do not change while it is
-    in use.
     """
 
     def __init__(self, layer_edges: list[np.ndarray]):
         self.layer_edges = list(layer_edges)
-        self._first: tuple | None = None  # (conv, x data, cache, messages)
 
     def caches(self, cache, num_layers: int) -> list:
         """The restricted sub-cache of each layer."""
@@ -356,28 +345,13 @@ class LayerTrim:
                 f"expected {num_layers} layer-edge sets, got {len(self.layer_edges)}")
         return [cache.restrict(ids) for ids in self.layer_edges]
 
-    def first_layer(self, conv, x: Tensor, cache) -> Tensor | None:
-        """Layer 1's constant pre-mask messages, or ``None`` if not frozen."""
-        if x.requires_grad or any(p.requires_grad for p in conv.parameters()):
-            return None
-        first = self._first
-        if first is None or first[0] is not conv or first[1] is not x.data \
-                or first[2] is not cache:
-            h, coeff = conv.message_parts(x, cache)  # frozen: records no tape
-            messages = h.data[cache.src]
-            if coeff is not None:
-                messages = messages * coeff.data
-            first = self._first = (conv, x.data, cache, Tensor(messages))
-        return first[3]
-
 
 def run_convs(convs: list, h: Tensor, edge_index: np.ndarray, num_nodes: int,
               edge_masks: list[Tensor] | None, cache,
               trim: LayerTrim | None, *, structural: bool = False) -> list[Tensor]:
     """Every conv layer and its ReLU; returns each layer's embeddings.
 
-    With a ``trim``, each layer runs on its restricted cache and a frozen
-    masked layer 1 re-masks its memoized messages (one tape node).
+    With a ``trim``, each layer runs on its restricted cache.
     ``structural`` makes binary masks remove edges (see
     :class:`~repro.nn.message_passing.GraphConv`).
     """
@@ -387,15 +361,8 @@ def run_convs(convs: list, h: Tensor, edge_index: np.ndarray, num_nodes: int,
     embeddings = []
     for l, conv in enumerate(convs):
         mask = edge_masks[l] if edge_masks is not None else None
-        messages = None
-        if l == 0 and trim is not None and mask is not None:
-            messages = trim.first_layer(conv, h, caches[0])
-        if messages is None:
-            h = conv(h, edge_index, num_nodes, edge_mask=mask, cache=caches[l],
-                     structural=structural)
-        else:
-            h = conv.update(propagate(messages, caches[0], mask=mask, gathered=True))
-        h = h.relu()
+        h = conv(h, edge_index, num_nodes, edge_mask=mask, cache=caches[l],
+                 structural=structural).relu()
         embeddings.append(h)
     return embeddings
 

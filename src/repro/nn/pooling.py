@@ -26,24 +26,26 @@ def global_mean_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
 def global_max_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
     """Elementwise max of node embeddings per graph: ``(N, F) -> (G, F)``.
 
-    Implemented by shifting each graph's rows so the max reduction can run
-    per segment via a one-hot selection; gradient flows to the argmax rows.
+    One op: the per-graph max, its argmax rows and their tie counts are
+    computed in the forward thunk, and the gradient flows to the argmax
+    rows (ties share it equally).
     """
-    # Compute per-segment max at the data level, then rebuild a
-    # differentiable selection using where().
-    from ..autograd.tensor import where
-
     plan = plan_for(batch, num_graphs)
     tail = x.shape[1:]
     width = int(np.prod(tail)) if tail else 1
-    data_max = kernel("segment_max")(plan, x.data.reshape(x.shape[0], width))
-    data_max = data_max.reshape((num_graphs,) + tail)
-    is_max = x.data == data_max[batch]
-    # Zero out non-max entries (ties share gradient via scatter_add below,
-    # then are divided by the tie count).
-    ties = kernel("scatter_add")(
-        plan, is_max.reshape(x.shape[0], width).astype(np.float64)
-    ).reshape((num_graphs,) + tail)
-    selected = where(is_max, x, Tensor(np.zeros(x.shape)))
-    pooled = selected.scatter_add(batch, num_graphs, plan=plan)
-    return pooled / Tensor(np.maximum(ties, 1.0))
+    is_max = ties = None
+
+    def segments(values: np.ndarray, op: str) -> np.ndarray:
+        out = kernel(op)(plan, values.reshape(x.shape[0], width))
+        return out.reshape((num_graphs,) + tail)
+
+    def forward():
+        nonlocal is_max, ties
+        is_max = x.data == segments(x.data, "segment_max")[batch]
+        ties = np.maximum(segments(is_max.astype(np.float64), "scatter_add"), 1.0)
+        return segments(np.where(is_max, x.data, 0.0), "scatter_add") / ties
+
+    def backward(g, grads):
+        x._receive((g / ties)[batch] * is_max, grads)
+
+    return x._unary_op(forward, backward)

@@ -93,24 +93,6 @@ def test_propagate_matches_the_composite_chain_bit_for_bit(case, heads, coeff_mo
         assert np.array_equal(mine.grad, theirs.grad)
 
 
-@settings(max_examples=30, deadline=None)
-@given(case=message_graphs(), heads=st.sampled_from([None, 2]))
-def test_pregathered_messages_match_the_composite_chain(case, heads):
-    """``gathered=True`` (layer 1's memoized messages) re-masks exactly."""
-    cache, seed = case
-    h, coeff, mask = leaves(cache, heads, "frozen", seed)
-    chain_mask = Tensor(mask.data, requires_grad=True)
-    pre = Tensor(h.data[cache.src] * coeff.data)
-
-    fused = propagate(pre, cache, mask=mask, gathered=True)
-    chain = composite(Tensor(h.data), cache, coeff, chain_mask)
-    assert np.array_equal(fused.numpy(), chain.numpy())
-    weights = np.random.default_rng(seed + 1).normal(size=fused.shape)
-    (fused * Tensor(weights)).sum().backward()
-    (chain * Tensor(weights)).sum().backward()
-    assert np.array_equal(mask.grad, chain_mask.grad)
-
-
 def small_cache():
     edge_index = np.array([[0, 1, 1, 2, 0], [1, 2, 0, 0, 1]])  # (0, 1) twice
     return GraphSparseCache(edge_index, 4)                       # node 3 isolated
@@ -141,9 +123,3 @@ def test_wrong_length_mask_raises(width):
     h, coeff, _ = leaves(cache, None, "frozen", seed=0)
     with pytest.raises(ShapeError, match="edge mask"):
         propagate(h, cache, coeff, Tensor(np.ones(width)))
-
-
-def test_wrong_row_count_of_gathered_messages_raises():
-    cache = small_cache()
-    with pytest.raises(ShapeError, match="gathered messages"):
-        propagate(Tensor(np.ones((4, 3))), cache, mask=Tensor(np.ones(9)), gathered=True)

@@ -1,0 +1,204 @@
+"""Record and replay (``repro.autograd.Tape``).
+
+Every op that can land on a tape is built inside a recording, its leaves
+get new values, and the tape is replayed: the output and every leaf
+gradient must be ``array_equal`` to a fresh build on the new values.
+Recording an op that has no forward thunk raises.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.autograd import Tape, Tensor, concat, propagate, stack, where
+from repro.autograd import functional as F
+from repro.autograd import tensor as T
+from repro.errors import AutogradError
+from repro.nn.pooling import global_max_pool, global_mean_pool, global_sum_pool
+from repro.sparse import GraphSparseCache
+
+# A duplicate edge (0 → 1 twice) and an isolated node (4).
+CACHE = GraphSparseCache(np.array([[0, 1, 1, 2, 0, 3], [1, 2, 0, 0, 1, 2]]), 5)
+LAYER_EDGES = CACHE.src.shape[0]
+GRAPH_OF_NODE = np.array([0, 0, 1, 2, 2])     # three pooled graphs
+
+
+def leaf(shape, kind="any"):
+    return (shape, kind)
+
+
+# name → (leaf specs, op). Kinds: "any" (normal draws), "pos"
+# (bounded away from 0), "frozen" (does not require grad: a constant of
+# the tape, equal in the recording and the fresh build).
+OPS = {
+    "__add__": ([leaf((3, 4)), leaf((4,))], lambda a, b: a + b),
+    "__radd__": ([leaf((3, 4))], lambda a: 2.0 + a),
+    "__sub__": ([leaf((3, 4)), leaf((3, 1))], lambda a, b: a - b),
+    "__rsub__": ([leaf((3, 4))], lambda a: 1.0 - a),
+    "__mul__": ([leaf((3, 4)), leaf((3, 4), "frozen")], lambda a, b: a * b),
+    "__rmul__": ([leaf((3, 4))], lambda a: 0.5 * a),
+    "__truediv__": ([leaf((3, 4)), leaf((4,), "pos")], lambda a, b: a / b),
+    "__rtruediv__": ([leaf((3, 4), "pos")], lambda a: 1.0 / a),
+    "__neg__": ([leaf((3, 4))], lambda a: -a),
+    "__pow__": ([leaf((3, 4))], lambda a: a**3),
+    "__matmul__": ([leaf((3, 4)), leaf((4, 2))], lambda a, b: a @ b),
+    "__matmul__[stacked]": ([leaf((3, 2, 4)), leaf((4, 2))], lambda a, b: a @ b),
+    "__matmul__[sparse]": ([leaf((5, 2))], lambda b: Tensor(CACHE.adj_norm.toarray())
+                           .annotate_sparse(CACHE.adj_norm, CACHE.adj_norm_t) @ b),
+    "__getitem__": ([leaf((3, 4))], lambda a: a[np.array([0, 2, 2]), 1:3]),
+    "exp": ([leaf((3, 4))], lambda a: a.exp()),
+    "log": ([leaf((3, 4), "pos")], lambda a: a.log()),
+    "sqrt": ([leaf((3, 4), "pos")], lambda a: a.sqrt()),
+    "tanh": ([leaf((3, 4))], lambda a: a.tanh()),
+    "sigmoid": ([leaf((3, 4))], lambda a: a.sigmoid()),
+    "relu": ([leaf((3, 4))], lambda a: a.relu()),
+    "leaky_relu": ([leaf((3, 4))], lambda a: a.leaky_relu(0.1)),
+    "softplus": ([leaf((3, 4))], lambda a: a.softplus()),
+    "abs": ([leaf((3, 4))], lambda a: a.abs()),
+    "clip": ([leaf((3, 4))], lambda a: a.clip(-0.5, 0.5)),
+    "sum": ([leaf((3, 4))], lambda a: a.sum()),
+    "sum[axis]": ([leaf((3, 4))], lambda a: a.sum(axis=0)),
+    "sum[keepdims]": ([leaf((3, 4))], lambda a: a.sum(axis=1, keepdims=True)),
+    "mean": ([leaf((3, 4))], lambda a: a.mean(axis=(0, 1))),
+    "max": ([leaf((3, 4))], lambda a: a.max(axis=1)),
+    "max[all]": ([leaf((3, 4))], lambda a: a.max()),
+    "reshape": ([leaf((3, 4))], lambda a: a.reshape(2, 6)),
+    "flatten": ([leaf((3, 4))], lambda a: a.flatten()),
+    "transpose": ([leaf((2, 3, 4))], lambda a: a.transpose((2, 0, 1))),
+    "gather_rows": ([leaf((3, 4))], lambda a: a.gather_rows(np.array([0, 2, 2, 1]))),
+    "scatter_add": ([leaf((3, 4))], lambda a: a.scatter_add(np.array([1, 0, 1]), 3)),
+    "concat": ([leaf((3, 4)), leaf((2, 4))], lambda a, b: concat([a, b], axis=0)),
+    "stack": ([leaf((3, 4)), leaf((3, 4), "frozen")], lambda a, b: stack([a, b], axis=1)),
+    "where": ([leaf((3, 4)), leaf((4,))],
+              lambda a, b: where(np.arange(12).reshape(3, 4) % 3 == 0, a, b)),
+    "propagate": ([leaf((5, 3)), leaf((LAYER_EDGES, 1)), leaf((LAYER_EDGES,))],
+                  lambda h, c, m: propagate(h, CACHE, c, m)),
+    # A frozen layer 1: the pre-mask messages are computed once, off the tape.
+    "propagate[frozen]": ([leaf((5, 3), "frozen"), leaf((LAYER_EDGES, 1), "frozen"),
+                           leaf((LAYER_EDGES,))],
+                          lambda h, c, m: propagate(h, CACHE, c, m)),
+    "propagate[heads]": ([leaf((5, 2, 3), "frozen"), leaf((LAYER_EDGES, 2, 1)),
+                          leaf((LAYER_EDGES, 1))],
+                         lambda h, c, m: propagate(h, CACHE, c, m)),
+    "spmm": ([leaf((5, 3))], lambda a: F.spmm(a, CACHE.adj_norm, CACHE.adj_norm_t)),
+    "softmax": ([leaf((3, 4))], lambda a: F.softmax(a, axis=-1)),
+    "log_softmax": ([leaf((3, 4))], lambda a: F.log_softmax(a, axis=-1)),
+    "log_softmax[axis0]": ([leaf((3, 4))], lambda a: F.log_softmax(a, axis=0)),
+    "segment_softmax": ([leaf((LAYER_EDGES, 2))],
+                        lambda a: F.segment_softmax(a, CACHE.dst, 5, plan=CACHE.dst_plan)),
+    "segment_softmax[weights]": (
+        [leaf((LAYER_EDGES, 2))],
+        lambda a: F.segment_softmax(a, CACHE.dst, 5, plan=CACHE.dst_plan,
+                                    weights=np.arange(LAYER_EDGES) % 3 != 0)),
+    "nll_loss": ([leaf((3, 4))], lambda a: F.nll_loss(a, np.array([0, 3, 3]))),
+    "cross_entropy": ([leaf((3, 4))], lambda a: F.cross_entropy(a, np.array([1, 0, 3]))),
+    "binary_cross_entropy": ([leaf((4,))], lambda a: F.binary_cross_entropy(
+        a.sigmoid(), np.array([0.0, 1.0, 1.0, 0.0]))),
+    "dropout": ([leaf((3, 4))], lambda a: F.dropout(a, 0.5, np.random.default_rng(0))),
+    "global_max_pool": ([leaf((5, 3))], lambda a: global_max_pool(a, GRAPH_OF_NODE, 3)),
+    "global_mean_pool": ([leaf((5, 3))], lambda a: global_mean_pool(a, GRAPH_OF_NODE, 3)),
+    "global_sum_pool": ([leaf((5, 3))], lambda a: global_sum_pool(a, GRAPH_OF_NODE, 3)),
+}
+
+# Tensor methods that build no tape node.
+NOT_OPS = {"numpy", "item", "detach", "copy", "annotate_sparse", "retain_grad",
+           "zero_grad", "backward"}
+
+
+def draw(specs, rng, ties):
+    values = []
+    for shape, kind in specs:
+        value = rng.normal(size=shape)
+        if ties:
+            value = np.round(value * 2) / 2     # repeated maxima, exact zeros
+        if kind == "pos":
+            value = np.abs(value) + 0.5
+        values.append(value)
+    return values
+
+
+def build(name, values):
+    """``(leaves, out, loss)``: the op on fresh leaves, reduced to a scalar."""
+    specs, op = OPS[name]
+    leaves = [Tensor(v, requires_grad=kind != "frozen") for v, (_, kind) in zip(values, specs)]
+    out = op(*leaves)
+    weights = np.random.default_rng(len(out.shape)).normal(size=out.shape)
+    return leaves, out, (out * Tensor(weights)).sum()
+
+
+def test_every_op_is_covered():
+    methods = {name for name, value in vars(Tensor).items()
+               if callable(value) and not name.startswith("_")} - NOT_OPS
+    functions = (set(F.__all__) - {"one_hot"}
+                 | set(T.__all__) - {"Tensor", "Tape", "as_tensor", "no_grad", "is_grad_enabled"})
+    covered = {name.split("[")[0] for name in OPS}
+    assert methods | functions <= covered
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(OPS))
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**16), ties=st.booleans())
+def test_replay_equals_a_fresh_build(name, seed, ties):
+    specs = OPS[name][0]
+    rng = np.random.default_rng(seed)
+    first, second = draw(specs, rng, ties), draw(specs, rng, ties)
+    # Frozen leaves are constants of the tape: they keep their values.
+    second = [b if kind != "frozen" else a for a, b, (_, kind) in zip(first, second, specs)]
+
+    with Tape() as tape:
+        leaves, out, loss = build(name, first)
+    assert len(tape) >= 3                      # the op, the weighting, the sum
+    loss.backward()
+    for leaf_, value in zip(leaves, second):
+        leaf_.data = value
+        leaf_.zero_grad()
+    tape.replay()
+    loss.backward()
+
+    fresh_leaves, fresh_out, fresh_loss = build(name, second)
+    fresh_loss.backward()
+    # A segment with every row removed has a 0/0 gradient: NaN in both.
+    assert np.array_equal(out.data, fresh_out.data)
+    assert np.array_equal(loss.data, fresh_loss.data)
+    for mine, theirs in zip(leaves, fresh_leaves):
+        if theirs.requires_grad:
+            assert np.array_equal(mine.grad, theirs.grad, equal_nan=True)
+
+
+def test_recording_an_op_without_a_thunk_raises():
+    x = Tensor(np.ones(3), requires_grad=True)
+
+    def backward(g, grads):
+        x._receive(2.0 * g, grads)
+
+    assert Tensor._make(x.data * 2.0, (x,), backward).requires_grad   # eager: fine
+    with Tape(), pytest.raises(AutogradError, match="forward thunk"):
+        Tensor._make(x.data * 2.0, (x,), backward)
+    frozen = Tensor(np.ones(3))
+    with Tape() as tape:                                  # off the tape: fine
+        Tensor._make(frozen.data * 2.0, (frozen,), backward)
+    assert len(tape) == 0
+
+
+def test_frozen_work_stays_off_the_tape():
+    frozen = Tensor(np.arange(4.0))
+    x = Tensor(np.ones(4), requires_grad=True)
+    with Tape() as tape:
+        scale = (frozen * 2.0).exp()               # all parents frozen
+        out = (scale * x).sum()
+    assert len(tape) == 2
+    x.data = np.full(4, 3.0)
+    tape.replay()
+    assert out.item() == float((np.exp(np.arange(4.0) * 2.0) * 3.0).sum())
+
+
+def test_tapes_do_not_nest():
+    with Tape(), pytest.raises(AutogradError, match="already recording"):
+        with Tape():
+            pass
+    x = Tensor(np.ones(2), requires_grad=True)
+    with Tape() as tape:                                  # the outer one closed
+        x.exp()
+    assert len(tape) == 1

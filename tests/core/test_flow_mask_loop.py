@@ -233,6 +233,8 @@ def test_one_meta_schema_and_trace_shape(family_member, name, mode, tmp_path):
 
     meta = explanation.meta
     assert {"final_loss", "num_flows", "layer_weights", "params"} <= set(meta)
+    assert isinstance(meta["tape_nodes"], int) and meta["tape_nodes"] > 0
+    assert optimize[0]["attrs"]["tape_nodes"] == meta["tape_nodes"]
     assert meta["trace_id"] == trace_id
     assert meta["perf"]["explain_seconds"] > 0
     assert np.isfinite(meta["final_loss"])
@@ -265,7 +267,7 @@ def test_one_meta_schema_and_trace_shape(family_member, name, mode, tmp_path):
     save_explanation(explanation, tmp_path / "e.npz")
     for loaded in (wire, load_explanation(tmp_path / "e.npz")):
         for key in ("flows_above_half", "mean_edge_mask", "forward_layer_edges",
-                    "loss_first", "loss_min", "loss_last", "converged"):
+                    "loss_first", "loss_min", "loss_last", "converged", "tape_nodes"):
             assert loaded.meta[key] == meta[key]
 
 
@@ -286,6 +288,7 @@ def test_gnnexplainer_meta_schema_and_trace_shape(node_model, mini_ba_shapes, go
 
     meta = explanation.meta
     assert meta["params"] == {"epochs": 3, "lr": 0.05}
+    assert optimize[0]["attrs"]["tape_nodes"] == meta["tape_nodes"] > 0
     assert meta["loss_last"] == meta["final_loss"]
     assert meta["loss_min"] <= min(meta["loss_first"], meta["loss_last"])
     assert all(isinstance(meta[key], float) for key in ("loss_first", "loss_min", "loss_last"))
@@ -307,8 +310,29 @@ def test_gnnexplainer_meta_schema_and_trace_shape(node_model, mini_ba_shapes, go
     save_explanation(explanation, tmp_path / "e.npz")
     for loaded in (wire, load_explanation(tmp_path / "e.npz")):
         for key in ("mean_edge_mask", "forward_layer_edges", "final_loss",
-                    "loss_first", "loss_min", "loss_last", "converged"):
+                    "loss_first", "loss_min", "loss_last", "converged", "tape_nodes"):
             assert loaded.meta[key] == meta[key]
+
+
+def test_tape_nodes_pin_a_revelio_epoch(node_model, mini_ba_shapes, good_motif_node):
+    """A factual Revelio epoch on a 3-layer GCN replays 35 tape nodes, so
+    a node added to this path shows up here as a diff:
+
+    - Eqs. 4–5: tanh, the flow gather and scatter, a reshape, exp(w), its
+      reshape, the product and the sigmoid (8);
+    - one gather of kept ids per layer (3);
+    - layer 1, frozen below the mask: mask reshape, propagate, bias, ReLU
+      (4); layers 2–3 add their projection (5 each);
+    - the head's projection and bias (2), log-softmax and the target's
+      entry (2), Eq. 1's negation (1);
+    - Eq. 8: product, sum, mean, α, and the total (5).
+    """
+    explainer = Revelio(node_model, epochs=2)
+    with explanation_cache_disabled():
+        explanation = explainer.explain(mini_ba_shapes.graph,
+                                        ExplainTarget.node(good_motif_node))
+    assert node_model.num_layers == 3 and node_model.conv_name == "gcn"
+    assert explanation.meta["tape_nodes"] == 35
 
 
 def test_converged_reads_the_relative_change_over_the_last_tenth():

@@ -3,8 +3,8 @@
 An oracle keeps GNNExplainer's loop written out in ``Tensor`` ops over the
 untrimmed exact-context forward: one shared ``σ(m)`` per data edge, the
 Eq. 1/2 objective, the size and entropy regularizers and the optional
-feature mask. The explainer runs the same loop through the hop trim and
-the hoisted layer 1 and must reproduce it bit for bit. The hop trim is
+feature mask. The explainer runs the same loop through the hop trim, replaying
+epoch 1's tape, and must reproduce it bit for bit. The hop trim is
 the flow trim, and at equal epochs GNNExplainer and Revelio do the same
 work per explanation (Table V's claim 3).
 """
@@ -132,7 +132,8 @@ def test_graph_targets_keep_every_layer_edge(mini_mutag):
 
 def test_claim_3_equal_work_at_equal_epochs(node_model, mini_ba_shapes, good_motif_node):
     """One node at equal epochs: the same forwards, backwards and Adam
-    steps, over the same trimmed layer edges."""
+    steps, over the same trimmed layer edges. The masked forward is
+    built once; later epochs replay its tape."""
     graph, target = mini_ba_shapes.graph, ExplainTarget.node(good_motif_node)
     work = {}
     for explainer in (Revelio(node_model, epochs=7), GNNExplainer(node_model, epochs=7)):
@@ -147,4 +148,4 @@ def test_claim_3_equal_work_at_equal_epochs(node_model, mini_ba_shapes, good_mot
         work[explainer.name] = (forwards.call_count, backwards.call_count,
                                 steps.call_count, explanation.meta["forward_layer_edges"])
     assert work["revelio"] == work["gnnexplainer"]
-    assert work["revelio"][:3] == (1 + 7, 7, 7)  # predicted_class, then one per epoch
+    assert work["revelio"][:3] == (1 + 1, 7, 7)  # predicted_class, then epoch 1

@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Adam, Tensor, log_softmax, no_grad
 from repro.errors import ShapeError
+from repro.explain.mask_loop import learn_masks, outcome_loss
 from repro.flows import enumerate_flows
 from repro.graph import Graph, coalesce_edges
 from repro.nn import GNN, LayerTrim
+from repro.nn.message_passing import GraphConv
 
 
 @st.composite
@@ -183,10 +185,10 @@ def test_flow_trimmed_forward_is_exact_at_the_target(case, conv):
 
 @settings(max_examples=30, deadline=None)
 @given(case=pathological_targets(), conv=st.sampled_from(["gcn", "gin", "gat"]))
-def test_hoisted_first_layer_is_exact_at_the_target(case, conv):
-    """A frozen layer 1 re-masks messages computed once per trim; its
-    target row and mask gradients equal the un-hoisted trimmed forward's
-    (layer 1 left trainable) bit for bit, epoch after epoch."""
+def test_mask_loop_builds_each_layer_once_and_replays_it_exactly(case, conv):
+    """``learn_masks`` records epoch 1 and replays it: every conv method
+    runs once per layer per explanation, a replayed epoch calls none, and
+    the learned masks and losses equal an eager loop's bit for bit."""
     graph, target, seed = case
     model = GNN(conv, "node", 5, 8, 3, num_layers=3,
                 heads=2 if conv == "gat" else 1, rng=0)
@@ -194,28 +196,52 @@ def test_hoisted_first_layer_is_exact_at_the_target(case, conv):
     model.freeze()
     kept = enumerate_flows(graph, model.num_layers, target=target).used_layer_edge_ids()
     rng = np.random.default_rng(seed)
-    data = [rng.uniform(0, 1, ids.size) for ids in kept]
-    weights = Tensor(rng.normal(size=model.num_classes))
+    init = [rng.uniform(-1, 1, ids.size) for ids in kept]
+    epochs, lr = 4, 0.1
 
-    def run(trim):
-        masks = [Tensor(d, requires_grad=True) for d in data]
-        out = model.forward_graph(graph, edge_masks=masks, trim=trim)[target]
-        (out * weights).sum().backward()
-        return out.numpy(), [m.grad for m in masks]
+    def problem():
+        masks = [Tensor(value, requires_grad=True) for value in init]
+        trim = LayerTrim(kept)
 
-    hoisted = LayerTrim(kept)
-    first = model.convs[0]
-    with mock.patch.object(first, "message_parts", wraps=first.message_parts) as parts:
-        epochs = [run(hoisted) for _ in range(2)]
-    assert parts.call_count == 1
+        def step():
+            layer_masks = [mask.sigmoid() for mask in masks]
+            logits = model.forward_graph(graph, edge_masks=layer_masks, trim=trim)
+            size = layer_masks[0].sum() + layer_masks[1].sum() + layer_masks[2].sum()
+            return log_softmax(logits, axis=-1)[target, 0], 0.01 * size
+        return masks, step
 
-    for param in model.convs[0].parameters():
-        param.requires_grad = True
-    reference = run(LayerTrim(kept))
-    for out, grads in epochs:
-        assert np.array_equal(out, reference[0])
-        for mine, theirs in zip(grads, reference[1]):
-            assert np.array_equal(mine, theirs)
+    masks, step = problem()
+    conv_class = type(model.convs[0])
+    calls = []
+    original_step = Adam.step
+
+    def counted_step(optimizer):
+        original_step(optimizer)
+        calls.append((parts.call_count, updates.call_count, forwards.call_count))
+
+    with mock.patch.object(conv_class, "message_parts", autospec=True,
+                           side_effect=conv_class.message_parts) as parts, \
+            mock.patch.object(conv_class, "update", autospec=True,
+                              side_effect=conv_class.update) as updates, \
+            mock.patch.object(GraphConv, "forward", autospec=True,
+                              side_effect=GraphConv.forward) as forwards, \
+            mock.patch.object(Adam, "step", counted_step):
+        meta = learn_masks(masks, step, epochs=epochs, lr=lr, mode="factual")
+    assert calls == [(model.num_layers,) * 3] * epochs
+
+    eager_masks, eager_step = problem()
+    optimizer = Adam(eager_masks, lr=lr)
+    losses = []
+    for _ in range(epochs):
+        optimizer.zero_grad()
+        log_p, regularizer = eager_step()
+        loss = outcome_loss(log_p, "factual") + regularizer
+        loss.backward()
+        optimizer.step()
+        losses.append(loss.item())
+    for mine, theirs in zip(masks, eager_masks):
+        assert np.array_equal(mine.data, theirs.data)
+    assert (meta["loss_first"], meta["loss_last"]) == (losses[0], losses[-1])
 
 
 @settings(max_examples=40, deadline=None)

@@ -65,6 +65,18 @@ class TestCommands:
         assert "explanatory edges" in out
         assert "Message Flow" in out  # flow table printed for flow methods
 
+    @pytest.mark.parametrize("flag, message", [
+        (["-t", "99999"], "target 99999 out of range"),
+        (["-e", "nosuch"], "unknown explainer 'nosuch'"),
+    ])
+    def test_explain_errors_are_one_line(self, capsys, flag, message):
+        code = main(["explain", "-d", "tree_cycles", "-m", "gcn", "--scale", "0.12",
+                     "--epochs", "2", *flag])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_explain_edge_method_no_flow_table(self, capsys):
         code = main(["explain", "-d", "tree_cycles", "-m", "gcn", "--scale", "0.12",
                      "-e", "gradcam"])
