@@ -452,13 +452,22 @@ class Tensor:
 
             return self._binary_op(other, lambda: matrix @ other.data, sparse_backward)
 
+        # A frozen right operand's adjoint multiplies by a C-contiguous copy
+        # of its transpose, made once per op: BLAS's transposed-operand
+        # kernel makes a row of dX depend on how many rows share the GEMM,
+        # which a row-trimmed forward must not see (DESIGN.md, "Flow-trimmed
+        # forward"). A trainable operand keeps the view of its current data.
+        frozen_t = None
+        if _GRAD_ENABLED[0] and self.requires_grad and not other.requires_grad:
+            frozen_t = np.ascontiguousarray(other.data.T)
+
         def backward(g, grads):
             # Guard each GEMM on the parent actually needing it: the first
             # GNN layer multiplies a constant feature matrix (N, F) with
             # F ≫ hidden, and the unused dX = g @ W.T would be the single
             # most expensive allocation of the whole backward pass.
             if self.requires_grad:
-                self._receive(g @ other.data.T, grads)
+                self._receive(g @ (other.data.T if frozen_t is None else frozen_t), grads)
             if other.requires_grad:
                 other._receive(self.data.T @ g, grads)
 
@@ -679,8 +688,9 @@ def propagate(h: Tensor, cache, coeff: Tensor | None = None,
         The :class:`~repro.sparse.GraphSparseCache` (or a
         :meth:`~repro.sparse.GraphSparseCache.restrict` sub-cache) whose
         ``A`` layer edges the layer runs over. Both scatters — the forward
-        over ``dst_plan`` and the adjoint of the gather over ``src_plan``
-        — dispatch through the ``scatter_add`` kernel.
+        over ``dst_plan`` into the ``cache.num_nodes`` output rows and the
+        adjoint of the gather over ``src_plan`` into the rows ``h`` has —
+        dispatch through the ``scatter_add`` kernel.
     coeff:
         Optional per-edge coefficient broadcasting against ``h[src]``:
         ``(A, 1)`` for ``(N, F)`` states (GCN's ``edge_norm``, GIN's
@@ -739,8 +749,10 @@ def propagate(h: Tensor, cache, coeff: Tensor | None = None,
                                grads)
             g = g * coeff_b
         if h.requires_grad:
-            # Adjoint of the gather: scatter back to source rows.
-            h._receive(_scatter_rows(g, src, num_rows, cache.src_plan), grads)
+            # Adjoint of the gather: scatter back to the layer's input rows,
+            # which a row-trimmed layer numbers apart from its output rows.
+            plan = cache.src_plan
+            h._receive(_scatter_rows(g, src, plan.num_rows, plan), grads)
 
     if not upstream:
         premask()                                  # frozen: once, off the tape

@@ -137,7 +137,7 @@ class LinkRevelio:
         explanation = optimize_flow_masks(
             self.settings, flow_index, log_prob, mode, ensure_rng(self.seed),
             method=self.name, predicted_class=1,  # the positive link class
-            meta={"link": (int(u), int(v))})
+            meta={"link": (int(u), int(v))}, trim=trim)
         local_scores = explanation.edge_scores
         explanation.edge_scores = np.zeros(graph.num_edges)
         explanation.edge_scores[edge_positions] = local_scores

@@ -32,8 +32,9 @@ from ..autograd import Tensor
 from ..errors import ExplainerError
 from ..explain.base import Explanation, check_int, check_real
 from ..explain.flow_common import layer_scores_to_edge_scores
-from ..explain.mask_loop import forward_layer_edges, learn_masks
+from ..explain.mask_loop import forward_layer_edges, forward_layer_rows, learn_masks
 from ..flows import FlowIndex
+from ..nn.models import LayerTrim
 
 __all__ = ["FlowMaskSettings", "optimize_flow_masks",
            "MASK_ACTIVATIONS", "LAYER_WEIGHT_ACTIVATIONS"]
@@ -97,7 +98,8 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
                         mode: str,
                         rng: np.random.Generator, *, method: str, predicted_class: int,
                         tie: tuple[np.ndarray, int] | None = None,
-                        meta: dict | None = None) -> Explanation:
+                        meta: dict | None = None,
+                        trim: LayerTrim | None = None) -> Explanation:
     """Learn flow masks for one instance; return its context-local explanation.
 
     Parameters
@@ -125,6 +127,9 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
     meta:
         Extra ``meta`` entries; a ``"params"`` entry replaces
         ``settings.params()``.
+    trim:
+        The :class:`~repro.nn.LayerTrim` ``log_prob`` runs its forward
+        through; its rows per layer go to ``meta["forward_layer_rows"]``.
     """
     if flow_index.num_flows == 0:
         raise ExplainerError("instance has no message flows to explain")
@@ -174,6 +179,8 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
               "flows_above_half": float((omega_f > 0.5).mean()),
               "mean_edge_mask": float(omega_e[used].mean()),
               "forward_layer_edges": forward_layer_edges(kept, flow_index.num_layer_edges),
+              **({} if trim is None else
+                 {"forward_layer_rows": forward_layer_rows(trim, flow_index.num_nodes)}),
               **(meta or {})},
     )
 

@@ -170,7 +170,7 @@ class Revelio(Explainer):
 
         return optimize_flow_masks(self.settings, flow_index, log_prob, mode, rng,
                                    method=self.name, predicted_class=class_idx,
-                                   tie=tie, meta=meta)
+                                   tie=tie, meta=meta, trim=trim)
 
     def _mask_plan(self, graph: Graph, flow_index: FlowIndex, class_idx: int,
                    target: int | None, rng: np.random.Generator

@@ -31,7 +31,7 @@ from ..nn.models import GNN, LayerTrim
 from ..rng import ensure_rng
 from ..sparse import sparse_cache
 from .base import Explainer, Explanation, check_int, check_real
-from .mask_loop import forward_layer_edges, hop_layer_edges, learn_masks
+from .mask_loop import forward_layer_edges, forward_layer_rows, hop_layer_edges, learn_masks
 
 __all__ = ["GNNExplainer"]
 
@@ -121,7 +121,8 @@ class GNNExplainer(Explainer):
         meta: dict = {**loss_meta, "params": {"epochs": self.epochs, "lr": self.lr},
                       "mean_edge_mask": float(scores.mean()) if scores.size else 0.0,
                       "forward_layer_edges": forward_layer_edges(
-                          kept, graph.num_edges + graph.num_nodes)}
+                          kept, graph.num_edges + graph.num_nodes),
+                      "forward_layer_rows": forward_layer_rows(trim, graph.num_nodes)}
         if raw_feature is not None:
             meta["feature_scores"] = raw_feature.sigmoid().numpy().copy()
         return Explanation(

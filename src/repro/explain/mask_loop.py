@@ -34,7 +34,7 @@ from ..obs import span
 from ..obs.names import SPAN_EPOCH, SPAN_OPTIMIZE
 
 __all__ = ["learn_masks", "outcome_loss", "hop_layer_edges", "forward_layer_edges",
-           "converged", "CONVERGENCE_RTOL"]
+           "forward_layer_rows", "converged", "CONVERGENCE_RTOL"]
 
 #: ``meta["converged"]``: the loss moved by less than this fraction of
 #: itself over the last 10% of epochs.
@@ -123,3 +123,9 @@ def forward_layer_edges(kept: list[np.ndarray], width: int) -> dict:
     forward ran over, beside the context's ``E + N``."""
     return {**{f"layer_{l + 1}": int(ids.size) for l, ids in enumerate(kept)},
             "context": int(width)}
+
+
+def forward_layer_rows(trim, num_nodes: int) -> dict:
+    """``meta["forward_layer_rows"]``: the node rows each layer of a
+    :class:`~repro.nn.LayerTrim` computed, beside the context's ``N``."""
+    return forward_layer_edges(trim.rows, num_nodes)

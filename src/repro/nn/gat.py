@@ -66,8 +66,10 @@ class GATConv(GraphConv):
         # Attention logits: a_src·h_i + a_dst·h_j per head.
         alpha_src = (h * self.att_src).sum(axis=-1)  # (N, [B,] H)
         alpha_dst = (h * self.att_dst).sum(axis=-1)  # (N, [B,] H)
+        # Both endpoints' states are input rows; the softmax groups edges by
+        # output row (the two coincide unless the layer is row-trimmed).
         logits = (alpha_src.gather_rows(cache.src, plan=cache.src_plan)
-                  + alpha_dst.gather_rows(cache.dst, plan=cache.dst_plan)).leaky_relu(
+                  + alpha_dst.gather_rows(cache.dst_in, plan=cache.dst_in_plan)).leaky_relu(
             self.negative_slope
         )  # (num_aug, [B,] H)
         # Structural removal renormalizes attention over the kept in-edges;

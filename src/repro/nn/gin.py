@@ -31,6 +31,8 @@ class GINConv(GraphConv):
         Seed or generator for initialization.
     """
 
+    dense_update = True
+
     def __init__(self, in_features: int, out_features: int, train_eps: bool = True,
                  rng: int | np.random.Generator | None = None):
         super().__init__()

@@ -77,8 +77,8 @@ class LinkPredictor(Module):
         """Node embeddings ``(N, hidden)`` under optional layer masks.
 
         ``trim`` runs the masked forward of one explanation, as in
-        :meth:`GNN.forward <repro.nn.GNN.forward>`: only rows the last
-        layer's kept edges reach are exact.
+        :meth:`GNN.forward <repro.nn.GNN.forward>`: the embeddings are
+        then the rows of ``trim.rows[-1]`` alone.
         """
         if edge_masks is not None and len(edge_masks) != self.num_layers:
             raise ModelError(f"expected {self.num_layers} edge masks, got {len(edge_masks)}")
@@ -92,9 +92,15 @@ class LinkPredictor(Module):
     def link_logits(self, graph: Graph, pairs: np.ndarray,
                     edge_masks: list[Tensor] | None = None,
                     trim: LayerTrim | None = None) -> Tensor:
-        """Raw dot-product scores for node ``pairs`` of shape ``(P, 2)``."""
+        """Raw dot-product scores for node ``pairs`` of shape ``(P, 2)``.
+
+        With a ``trim``, both endpoints of each pair must be rows it
+        computes.
+        """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         z = self.encode(graph, edge_masks=edge_masks, trim=trim)
+        if trim is not None:
+            pairs = trim.row(pairs)
         return (z.gather_rows(pairs[:, 0]) * z.gather_rows(pairs[:, 1])).sum(axis=1)
 
     def forward(self, graph: Graph, pairs: np.ndarray,

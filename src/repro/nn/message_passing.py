@@ -60,8 +60,8 @@ class GraphConv(Module):
     :func:`~repro.sparse.edge_cache` memo, so training loops that pass
     the same ``edge_index`` array each epoch never recompile. A
     :meth:`~repro.sparse.GraphSparseCache.restrict` sub-cache runs the
-    layer over its kept layer edges only; the mask then has one entry per
-    kept edge, in id order.
+    layer over its kept layer edges only, reading and writing the rows it
+    renumbers; the mask then has one entry per kept edge, in id order.
 
     The same body runs ``B`` stacked forwards at once (the tape-free
     :meth:`GNN.forward_masked_batch <repro.nn.GNN.forward_masked_batch>`):
@@ -79,6 +79,12 @@ class GraphConv(Module):
     aggregate to the layer output. :meth:`forward_unmasked` may replace
     the edge-wise path for unmasked ``(N, F)`` states.
     """
+
+    #: Whether :meth:`update` multiplies the aggregate by a weight (GIN's
+    #: MLP): its adjoint then has the layer's input width, which is exact
+    #: only over the untrimmed rows, so a row-trimmed forward
+    #: (:class:`~repro.nn.LayerTrim`) writes every row of such a layer.
+    dense_update = False
 
     def message_parts(self, x: Tensor, cache,
                       keep: np.ndarray | None = None) -> tuple[Tensor, Tensor | None]:
@@ -103,7 +109,7 @@ class GraphConv(Module):
                 structural: bool = False) -> Tensor:
         if cache is None:
             cache = edge_cache(edge_index, num_nodes)
-        if edge_mask is None and x.ndim == 2:
+        if edge_mask is None and x.ndim == 2 and not cache.renumbered:
             return self.forward_unmasked(x, cache)
         keep = None
         if edge_mask is not None:

@@ -125,9 +125,12 @@ class GNN(Module):
         trim:
             Optional :class:`LayerTrim` of one explanation: each layer runs
             over only its kept layer edges (``edge_masks`` then hold one
-            entry per kept id). Rows reached through the last layer's kept
-            edges equal the untrimmed forward bit for bit; other rows are
-            not meaningful.
+            entry per kept id), and the layers below the last compute only
+            the rows those edges write. The last layer writes every row,
+            because the class head's product is exact only over the
+            untrimmed rows. The logits equal the untrimmed forward's bit
+            for bit at every node the last layer's kept edges end at;
+            other rows aggregate no messages.
         """
         PERF.single_forwards += 1
         if isinstance(x, Tensor):
@@ -144,7 +147,7 @@ class GNN(Module):
                 f"expected {self.num_layers} edge masks, got {len(edge_masks)}"
             )
         embeddings = run_convs(self.convs, h, edge_index, num_nodes, edge_masks,
-                               cache, trim)
+                               cache, trim, dense_readout=True)
         h = embeddings[-1]
         self._last_embeddings = embeddings
 
@@ -322,7 +325,7 @@ class GNN(Module):
 
 
 class LayerTrim:
-    """The layer edges one explanation's masked forward runs over.
+    """The layer edges and node rows one explanation's masked forward runs.
 
     Parameters
     ----------
@@ -330,34 +333,90 @@ class LayerTrim:
         Per layer, the sorted layer-edge ids the layer runs over
         (:meth:`FlowIndex.used_layer_edge_ids
         <repro.flows.FlowIndex.used_layer_edge_ids>`). Each set must keep
-        every in-edge of its destinations; layer ``l`` then runs on the
-        :meth:`~repro.sparse.GraphSparseCache.restrict` sub-cache of its
-        ids.
+        every in-edge of its destinations, and read only nodes the layer
+        before writes.
+
+    Each layer runs on a :meth:`~repro.sparse.GraphSparseCache.restrict`
+    sub-cache. A row-trimmed layer writes only :attr:`rows` ``[l]``, the
+    sorted destinations of its kept edges, and the next layer reads only
+    those; every row it writes equals the untrimmed forward's there, bit
+    for bit. Two rules keep that exact, because BLAS computes a row of a
+    matrix product by kernels chosen by the product's shape:
+
+    - A row set that would hold one node of a multi-node graph gets a
+      second, lowest-numbered one: numpy runs a one-row product as a
+      GEMV, whose sums differ from the GEMM the untrimmed forward runs.
+    - A layer whose rows feed a product of a width the model does not
+      choose writes every row (``every_row`` of :meth:`caches`): a GNN's
+      last layer (the class head) and GIN layers (the MLP's adjoint has
+      the layer's input width). Hidden-width products give each row the
+      same bits at any row count; class- and feature-width ones do not.
     """
 
     def __init__(self, layer_edges: list[np.ndarray]):
         self.layer_edges = list(layer_edges)
+        self._rows: list[np.ndarray] | None = None
 
-    def caches(self, cache, num_layers: int) -> list:
-        """The restricted sub-cache of each layer."""
-        if len(self.layer_edges) != num_layers:
+    def caches(self, cache, every_row: list[bool]) -> list:
+        """Each layer's sub-cache; layer ``l`` writes every row if
+        ``every_row[l]``."""
+        if len(self.layer_edges) != len(every_row):
             raise ModelError(
-                f"expected {num_layers} layer-edge sets, got {len(self.layer_edges)}")
-        return [cache.restrict(ids) for ids in self.layer_edges]
+                f"expected {len(every_row)} layer-edge sets, got {len(self.layer_edges)}")
+        subs, rows, reads = [], [], None
+        least = min(2, cache.num_nodes)
+        for ids, full in zip(self.layer_edges, every_row):
+            writes = None
+            if not full:
+                writes = np.unique(cache.dst[ids])
+                if writes.size < least:
+                    spare = np.setdiff1d(np.arange(least), writes)
+                    writes = np.union1d(writes, spare[:least - writes.size])
+            subs.append(cache.restrict(ids, reads, writes))
+            rows.append(np.arange(cache.num_nodes) if writes is None else writes)
+            reads = writes
+        self._rows = rows
+        return subs
+
+    @property
+    def rows(self) -> list[np.ndarray]:
+        """Per layer, the sorted node ids it computed in the last forward."""
+        if self._rows is None:
+            raise ModelError("a LayerTrim's rows are known once a forward has run it")
+        return self._rows
+
+    def row(self, nodes):
+        """The output row of each node in ``nodes`` (an int or an array)."""
+        last = self.rows[-1]
+        pos = np.searchsorted(last, nodes)
+        if np.any(pos >= last.size) or not np.array_equal(last[pos], nodes):
+            raise ModelError(f"node(s) {nodes!r} are not computed by this trim")
+        return pos
 
 
 def run_convs(convs: list, h: Tensor, edge_index: np.ndarray, num_nodes: int,
               edge_masks: list[Tensor] | None, cache,
-              trim: LayerTrim | None, *, structural: bool = False) -> list[Tensor]:
+              trim: LayerTrim | None, *, structural: bool = False,
+              dense_readout: bool = False) -> list[Tensor]:
     """Every conv layer and its ReLU; returns each layer's embeddings.
 
-    With a ``trim``, each layer runs on its restricted cache.
+    With a ``trim``, each layer runs on its trimmed cache and returns the
+    rows :attr:`LayerTrim.rows` lists; ``dense_readout`` (a class head
+    reads the output) makes the last layer write every row.
     ``structural`` makes binary masks remove edges (see
-    :class:`~repro.nn.message_passing.GraphConv`).
+    :class:`~repro.nn.message_passing.GraphConv`); it reads the full
+    graph's degrees, so it takes no trim.
     """
     if cache is None:
         cache = edge_cache(edge_index, num_nodes)
-    caches = [cache] * len(convs) if trim is None else trim.caches(cache, len(convs))
+    if trim is None:
+        caches = [cache] * len(convs)
+    elif structural:
+        raise ModelError("a trimmed forward cannot remove edges structurally")
+    else:
+        every_row = [conv.dense_update for conv in convs]
+        every_row[-1] = every_row[-1] or dense_readout
+        caches = trim.caches(cache, every_row)
     embeddings = []
     for l, conv in enumerate(convs):
         mask = edge_masks[l] if edge_masks is not None else None

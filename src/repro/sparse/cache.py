@@ -44,6 +44,7 @@ import weakref
 import numpy as np
 import scipy.sparse as sp
 
+from ..errors import KernelError
 from .structure import SegmentPlan, augmented_edges
 
 __all__ = ["GraphSparseCache", "sparse_cache", "edge_cache", "plan_for",
@@ -62,14 +63,22 @@ class GraphSparseCache:
     src, dst:
         ``(E+N,)`` endpoints of the augmented (self-loop-appended) edge set
         — the layer-edge id space shared by convs, masks and flows. A
-        :meth:`restrict` sub-cache holds only its kept layer edges.
+        :meth:`restrict` sub-cache holds only its kept layer edges, ``src``
+        numbered by the layer's input rows and ``dst`` by its output rows.
+    num_nodes, num_inputs:
+        The rows ``dst`` and ``src`` index: both ``N``, or a sub-cache's
+        output and input row counts.
+    dst_in:
+        ``dst`` numbered by input row (GAT reads destination states there);
+        ``dst`` itself unless a sub-cache renumbers rows.
     dst_plan:
         :class:`SegmentPlan` over ``dst`` — the message-aggregation scatter
         every conv layer dispatches through.
-    src_plan:
-        :class:`SegmentPlan` over ``src`` (lazy) — the adjoint structure:
-        the backward pass of a per-edge gather ``x[src]`` is a scatter-add
-        over ``src``, so training needs both directions compiled.
+    src_plan, dst_in_plan:
+        :class:`SegmentPlan` over ``src`` and ``dst_in`` into the input
+        rows (lazy) — the adjoint structures: the backward pass of a
+        per-edge gather ``x[src]`` is a scatter-add over ``src``, so
+        training needs both directions compiled.
     deg:
         ``(N,)`` float augmented in-degree ``D̂`` of the intact adjacency
         (lazy; read straight off ``dst_plan.counts``, no second bincount).
@@ -82,7 +91,7 @@ class GraphSparseCache:
         ``(E+N,)`` per-layer-edge GCN coefficient
         ``deg_inv_sqrt[src] · deg_inv_sqrt[dst]`` (lazy) — the vector the
         normalized message path multiplies into every message, hoisted out
-        of the per-forward hot loop.
+        of the per-forward hot loop. A sub-cache slices its parent's.
     self_loop:
         ``(A, 1)`` float flag, 1 on self-loop layer edges (lazy) — GIN's
         ``(1 + eps)`` block, wherever the kept self-loops sit.
@@ -96,27 +105,34 @@ class GraphSparseCache:
         that materializes ``(E+N, F)`` intermediates four times per layer.
     """
 
-    __slots__ = ("edge_index", "num_nodes", "src", "dst", "dst_plan",
-                 "_src_plan", "_deg", "_deg_inv_sqrt", "_edge_norm", "_self_loop",
-                 "_adj", "_adj_t", "_adj_norm", "_adj_norm_t", "_subsets",
-                 "__weakref__")
+    __slots__ = ("edge_index", "num_nodes", "num_inputs", "src", "dst", "dst_in",
+                 "dst_plan", "_edge_ids", "renumbered", "_parent", "_src_plan",
+                 "_dst_in_plan", "_deg", "_deg_inv_sqrt", "_edge_norm", "_self_loop",
+                 "_adj", "_adj_t", "_adj_norm", "_adj_norm_t", "__weakref__")
 
-    def __init__(self, edge_index: np.ndarray, num_nodes: int,
-                 edge_ids: np.ndarray | None = None, deg: np.ndarray | None = None):
+    def __init__(self, edge_index: np.ndarray, num_nodes: int):
+        num_nodes = int(num_nodes)
+        src, dst = augmented_edges(edge_index, num_nodes)
+        self._setup(edge_index, src, dst, dst, num_nodes, num_nodes)
+
+    def _setup(self, edge_index: np.ndarray, src: np.ndarray, dst: np.ndarray,
+               dst_in: np.ndarray, num_nodes: int, num_inputs: int,
+               parent: "GraphSparseCache | None" = None,
+               edge_ids: np.ndarray | None = None) -> None:
         self.edge_index = edge_index
-        self.num_nodes = int(num_nodes)
-        self.src, self.dst = augmented_edges(edge_index, self.num_nodes)
-        self._self_loop: np.ndarray | None = None
-        if edge_ids is not None:
-            # No reference to edge_ids is kept: it is the restrict() memo key.
-            self.src, self.dst = self.src[edge_ids], self.dst[edge_ids]
-            self._self_loop = self._loop_flag(edge_ids)
-        self.dst_plan = SegmentPlan(self.dst, self.num_nodes)
+        self.num_nodes, self.num_inputs = num_nodes, num_inputs
+        self.src, self.dst, self.dst_in = src, dst, dst_in
+        self.dst_plan = SegmentPlan(dst, num_nodes)
+        self._edge_ids = edge_ids   # a restrict() sub-cache's kept layer edges
+        #: Whether a sub-cache numbers its rows apart from the graph's nodes.
+        self.renumbered = dst_in is not dst or num_inputs != num_nodes
+        self._parent = parent
         self._src_plan: SegmentPlan | None = None
-        self._deg = deg
-        self._subsets: dict | None = None
+        self._dst_in_plan = None if self.renumbered else self.dst_plan
+        self._deg: np.ndarray | None = None
         self._deg_inv_sqrt: np.ndarray | None = None
         self._edge_norm: np.ndarray | None = None
+        self._self_loop: np.ndarray | None = None
         self._adj: sp.csr_matrix | None = None
         self._adj_t: sp.csr_matrix | None = None
         self._adj_norm: sp.csr_matrix | None = None
@@ -125,12 +141,20 @@ class GraphSparseCache:
     @property
     def src_plan(self) -> SegmentPlan:
         if self._src_plan is None:
-            self._src_plan = SegmentPlan(self.src, self.num_nodes)
+            self._src_plan = SegmentPlan(self.src, self.num_inputs)
         return self._src_plan
+
+    @property
+    def dst_in_plan(self) -> SegmentPlan:
+        if self._dst_in_plan is None:
+            self._dst_in_plan = SegmentPlan(self.dst_in, self.num_inputs)
+        return self._dst_in_plan
 
     @property
     def deg(self) -> np.ndarray:
         # dst_plan.counts *is* the augmented in-degree.
+        if self._parent is not None:
+            return self._parent.deg
         return self.dst_plan.counts if self._deg is None else self._deg
 
     @property
@@ -142,46 +166,52 @@ class GraphSparseCache:
     @property
     def edge_norm(self) -> np.ndarray:
         if self._edge_norm is None:
-            d = self.deg_inv_sqrt
-            self._edge_norm = d[self.src] * d[self.dst]
+            if self._parent is not None:
+                self._edge_norm = self._parent.edge_norm[self._edge_ids]
+            else:
+                d = self.deg_inv_sqrt
+                self._edge_norm = d[self.src] * d[self.dst]
         return self._edge_norm
-
-    def _loop_flag(self, edge_ids: np.ndarray) -> np.ndarray:
-        return (edge_ids >= self.edge_index.shape[1]).astype(np.float64)[:, None]
 
     @property
     def self_loop(self) -> np.ndarray:
         if self._self_loop is None:
-            self._self_loop = self._loop_flag(np.arange(self.src.shape[0]))
+            ids = np.arange(self.src.shape[0]) if self._edge_ids is None else self._edge_ids
+            self._self_loop = (ids >= self.edge_index.shape[1]).astype(np.float64)[:, None]
         return self._self_loop
 
-    def restrict(self, edge_ids: np.ndarray) -> "GraphSparseCache":
-        """The cache of the layer-edge subset ``edge_ids`` (sorted, unique).
+    def restrict(self, edge_ids: np.ndarray, in_rows: np.ndarray | None = None,
+                 out_rows: np.ndarray | None = None) -> "GraphSparseCache":
+        """The cache of one trimmed layer: kept layer edges, renumbered rows.
 
-        A flow-trimmed forward runs each layer over only the layer edges a
+        A flow-trimmed forward runs layer ``l`` over only the layer edges a
         message flow crosses there (:meth:`FlowIndex.used_layer_edge_ids
-        <repro.flows.FlowIndex.used_layer_edge_ids>`). The sub-cache keeps
-        this cache's degree vector, so its ``edge_norm`` is this cache's
-        slice bit for bit, and compiles its own ``src``/``dst`` plans. Kept
-        edges stay in id order, so every destination row sums the same
-        messages in the same order as the full cache. Memoized here by
-        the identity of ``edge_ids``: once per flow index, not per epoch;
-        the entry dies with the array.
+        <repro.flows.FlowIndex.used_layer_edge_ids>`), reading only the
+        rows ``in_rows`` and writing only the rows ``out_rows`` (sorted
+        node ids; ``None`` keeps every node). The sub-cache numbers ``src``
+        and ``dst_in`` by position in ``in_rows`` and ``dst`` by position
+        in ``out_rows``. Kept edges stay in id order and both maps keep
+        row order, so every output row sums the same messages in the same
+        order as this cache. ``edge_norm`` is this cache's slice (its
+        degrees are the parent's, a context's preloaded ones), so GCN's
+        coefficients match bit for bit. Built once per trimmed forward;
+        record/replay runs that forward once per explanation.
         """
-        if self._subsets is None:
-            self._subsets = {}
-        key = (id(edge_ids), int(edge_ids.shape[0]))
-        sub = _memo_get(self._subsets, key, edge_ids, "subset")
-        if sub is None:
-            sub = GraphSparseCache(self.edge_index, self.num_nodes,
-                                   edge_ids=edge_ids, deg=self.deg)
-            _memo_put(self._subsets, key, edge_ids, sub)
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        src, dst = self.src[edge_ids], self.dst[edge_ids]
+        sub = GraphSparseCache.__new__(GraphSparseCache)
+        dst_out = _renumber(dst, out_rows, "write")
+        dst_in = dst_out if in_rows is None and out_rows is None \
+            else _renumber(dst, in_rows, "read")
+        sub._setup(self.edge_index, _renumber(src, in_rows, "read"), dst_out, dst_in,
+                   _row_count(out_rows, self.num_nodes), _row_count(in_rows, self.num_nodes),
+                   parent=self, edge_ids=edge_ids)
         return sub
 
     def _aggregator(self, weights: np.ndarray) -> sp.csr_matrix:
         # out[dst] += w · x[src]  ⇒  rows are destinations, cols sources.
-        n = self.num_nodes
-        return sp.csr_matrix((weights, (self.dst, self.src)), shape=(n, n))
+        return sp.csr_matrix((weights, (self.dst, self.src)),
+                             shape=(self.num_nodes, self.num_inputs))
 
     @property
     def adj(self) -> sp.csr_matrix:
@@ -212,12 +242,25 @@ class GraphSparseCache:
                 f"num_layer_edges={self.src.shape[0]})")
 
 
+def _row_count(rows: np.ndarray | None, num_nodes: int) -> int:
+    return num_nodes if rows is None else int(rows.shape[0])
+
+
+def _renumber(nodes: np.ndarray, rows: np.ndarray | None, verb: str) -> np.ndarray:
+    """Each node's position in the sorted ``rows`` (``None``: unchanged)."""
+    if rows is None:
+        return nodes
+    pos = np.searchsorted(rows, nodes)
+    if nodes.size and (pos.max() >= rows.shape[0] or not np.array_equal(rows[pos], nodes)):
+        raise KernelError(f"kept layer edges {verb} nodes outside the layer's row set")
+    return pos
+
+
 #: memo name -> [hits, misses]; read by :func:`memo_info` (and through it
 #: the ``repro stats`` CLI and the serving daemon's ``/caches`` endpoint).
 #: A miss is any lookup that had to compile a fresh structure.
 _MEMO_STATS: dict[str, list] = {
     "graph": [0, 0], "edge": [0, 0], "plan": [0, 0], "feature": [0, 0],
-    "subset": [0, 0],
 }
 
 
@@ -300,9 +343,8 @@ def plan_for(index: np.ndarray, num_rows: int) -> SegmentPlan:
 def memo_info() -> dict:
     """Hit/miss/size counters for every sparse-structure memo.
 
-    ``graph`` counts :func:`sparse_cache` lookups and ``subset``
-    :meth:`GraphSparseCache.restrict` lookups (entries live on the graph
-    and parent-cache objects, so no entry count is reported); ``edge`` /
+    ``graph`` counts :func:`sparse_cache` lookups (entries live on the
+    graph objects, so no entry count is reported); ``edge`` /
     ``plan`` / ``feature`` are the identity-keyed module memos. Feeds
     :func:`repro.obs.summary.cache_summary`.
     """

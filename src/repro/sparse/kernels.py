@@ -51,6 +51,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from ..errors import KernelError
 from .structure import SegmentPlan
@@ -142,9 +143,22 @@ def kernel(op: str) -> Callable:
 # scipy backend (required): cached-CSR matmuls + reduceat reductions
 # ----------------------------------------------------------------------
 def _scipy_scatter_add(plan: SegmentPlan, values: np.ndarray) -> np.ndarray:
+    rows, width = plan.num_rows, values.shape[1]
+    out = np.zeros((rows, width))
     if plan.num_items == 0:
-        return np.zeros((plan.num_rows, values.shape[1]))
-    return plan.matrix @ values
+        return out
+    # The routines ``plan.matrix @ values`` ends in (csr_matvec for one
+    # column, csr_matvecs for more), called without scipy's per-call
+    # dispatch: the same sums in the same order, into ``out``.
+    matrix = plan.matrix
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if width == 1:
+        _sparsetools.csr_matvec(rows, plan.num_items, matrix.indptr, matrix.indices,
+                                matrix.data, flat, out.ravel())
+    else:
+        _sparsetools.csr_matvecs(rows, plan.num_items, width, matrix.indptr,
+                                 matrix.indices, matrix.data, flat, out.ravel())
+    return out
 
 
 def _scipy_segment_max(plan: SegmentPlan, values: np.ndarray) -> np.ndarray:

@@ -4,6 +4,10 @@
 grad; the constant side (an edge norm, a frozen bias, a loss constant) is
 never unbroadcast. The gradient of the side that does require grad is
 unchanged, bit for bit.
+
+A matmul by a frozen weight back-propagates through a contiguous copy of
+its transpose, so a row of the input gradient does not depend on how many
+rows share the GEMM — the invariant a row-trimmed forward relies on.
 """
 
 import numpy as np
@@ -70,3 +74,39 @@ def test_both_operands_requiring_grad_still_get_both(unbroadcast_calls, op):
     assert unbroadcast_calls == [a.shape, b.shape]
     assert np.array_equal(a.grad, expected_grad(op, "left", a.data, b.data))
     assert np.array_equal(b.grad, expected_grad(op, "right", a.data, b.data))
+
+
+#: The frozen weights a row-trimmed forward back-propagates through: the
+#: zoo's 32-wide hidden layers (GCN, GIN's MLP, GAT's 8×4 heads) and class
+#: heads, and the 16- and 8-wide test models.
+WEIGHT_SHAPES = [(32, 32), (32, 7), (32, 4), (32, 2), (16, 16), (16, 4), (8, 8), (8, 3)]
+
+
+@pytest.mark.parametrize("shape", WEIGHT_SHAPES)
+def test_frozen_weight_matmul_rows_do_not_depend_on_the_row_count(shape):
+    """Each row's input gradient has the same bits at every row count, and
+    so does the forward product at a hidden width (``K == M``). A class
+    width may not: the last layer of a trimmed GNN keeps every row."""
+    rng = np.random.default_rng(7)
+    weight = Tensor(rng.normal(size=shape))
+    x = rng.normal(size=(600, shape[0]))
+    upstream = rng.normal(size=(600, shape[1]))
+    full = Tensor(x, requires_grad=True)
+    out = full @ weight
+    out.backward(upstream)
+    for rows in range(2, 601):
+        part = Tensor(x[:rows], requires_grad=True)
+        part_out = part @ weight
+        part_out.backward(upstream[:rows])
+        assert np.array_equal(part.grad, full.grad[:rows])
+        if shape[0] == shape[1]:
+            assert np.array_equal(part_out.numpy(), out.numpy()[:rows])
+
+
+def test_trainable_weight_matmul_keeps_the_transposed_view():
+    rng = np.random.default_rng(8)
+    weight = Tensor(rng.normal(size=(32, 32)), requires_grad=True)
+    x = Tensor(rng.normal(size=(20, 32)), requires_grad=True)
+    upstream = rng.normal(size=(20, 32))
+    (x @ weight).backward(upstream)
+    assert np.array_equal(x.grad, upstream @ weight.data.T)

@@ -17,6 +17,7 @@ from repro.autograd import Adam, Tensor, log_softmax
 from repro.core import LinkRevelio, Revelio, TopKRevelio
 from repro.core.optimize import optimize_flow_masks
 from repro.core.revelio import explanation_cache_disabled
+from repro.datasets import cora, tree_cycles
 from repro.errors import ExplainerError
 from repro.explain import ExplainTarget, GNNExplainer
 from repro.explain.io import (explanation_from_jsonable, explanation_to_jsonable,
@@ -134,6 +135,13 @@ def test_link_loop_reproduces_the_reference_bit_for_bit(link_setup, mode):
     graph, model = link_setup
     u, v = (int(x) for x in graph.edge_index[:, 0])
     explainer = LinkRevelio(model, **LOOP)
+    assert_link_loop_is_the_reference(explainer, graph, u, v, mode, LOOP)
+
+
+def assert_link_loop_is_the_reference(explainer, graph, u, v, mode, loop):
+    """LinkRevelio's explanation of ``(u, v)`` equals :func:`reference_revelio`
+    run on the untrimmed link forward over the endpoints' joint context."""
+    model = explainer.model
     field = extract_receptive_field(graph, [u, v], model.num_layers)
     subgraph, pair = field.graph, np.array([field.local_targets])
     parts = [enumerate_flows(subgraph, model.num_layers, target=int(t))
@@ -148,13 +156,90 @@ def test_link_loop_reproduces_the_reference_bit_for_bit(link_setup, mode):
         return logit.sigmoid().clip(1e-12, 1.0 - 1e-12).log()
 
     flow_ref, layer_ref, edge_ref, loss_ref = reference_revelio(
-        flow_index, untrimmed, mode, **LOOP)
+        flow_index, untrimmed, mode, **loop)
     with explanation_cache_disabled():
         e = explainer.explain(graph, ExplainTarget.link(u, v), mode=mode)
     assert np.array_equal(e.flow_scores, flow_ref)
     assert np.array_equal(e.layer_edge_scores, layer_ref)
     assert e.meta["final_loss"] == loss_ref
     assert np.array_equal(e.edge_scores[field.edge_positions], edge_ref)
+    return subgraph
+
+
+# ----------------------------------------------------------------------
+# Cora scale: contexts wide enough for BLAS's row-count-dependent kernels
+# ----------------------------------------------------------------------
+#: Untrained 32-wide models, as in the locality sweep: exactness is a
+#: property of the forward machinery, not of the fit.
+CORA_LOOP = {"epochs": 4, "lr": 0.05, "alpha": 0.1, "seed": 3}
+
+
+@pytest.fixture(scope="module")
+def cora_graph():
+    return cora(scale=1.0, seed=0).graph
+
+
+def assert_node_loop_is_the_reference(explainer, graph, node, mode, loop):
+    """Revelio's explanation of ``node`` equals :func:`reference_revelio`
+    run on the untrimmed forward over its context; returns the meta."""
+    model = explainer.model
+    context = explainer.node_context(graph, node)
+    local, target = context.subgraph, context.local_target
+    flow_index = enumerate_flows(local, model.num_layers, target=target)
+    class_idx = explainer.predicted_class(local, target=target)
+
+    def untrimmed(layer_masks):
+        logits = model.forward_graph(local, edge_masks=layer_masks)
+        return log_softmax(logits, axis=-1)[target, class_idx]
+
+    flow_ref, layer_ref, edge_ref, loss_ref = reference_revelio(
+        flow_index, untrimmed, mode, **loop)
+    with explanation_cache_disabled():
+        e = explainer.explain(graph, ExplainTarget.node(node), mode=mode)
+    assert np.array_equal(e.flow_scores, flow_ref)
+    assert np.array_equal(e.layer_edge_scores, layer_ref)
+    assert e.meta["final_loss"] == loss_ref
+    assert np.array_equal(e.edge_scores[context.edge_positions], edge_ref)
+    return e.meta
+
+
+@pytest.mark.parametrize("mode", ["factual", "counterfactual"])
+@pytest.mark.parametrize("conv", ["gcn", "gin", "gat"])
+def test_row_trimmed_loop_is_the_reference_on_cora_contexts(cora_graph, conv, mode):
+    """Contexts of 100+ rows trimmed to a few dozen at layer 1 and a few
+    at layer 2: the products of the trimmed and untrimmed forwards see
+    different row counts, and the loop still reproduces the reference
+    bit for bit (GIN, whose MLP has Cora's 1,433-feature width, keeps
+    every row)."""
+    model = build_model(conv, "node", cora_graph.num_features, 7, rng=0)
+    explainer = Revelio(model, **CORA_LOOP)
+    for node in (0, 6, 8):
+        rows = assert_node_loop_is_the_reference(explainer, cora_graph, node, mode,
+                                                 CORA_LOOP)["forward_layer_rows"]
+        assert rows["context"] >= 100 and rows["layer_3"] == rows["context"]
+        if conv != "gin":
+            assert rows["layer_2"] < rows["layer_1"] < rows["context"]
+
+
+def test_row_trimmed_loop_is_the_reference_under_a_two_class_head():
+    """A two-wide head's product gives a row different bits at different
+    row counts, so the last layer keeps every row."""
+    ds = tree_cycles(scale=1.0, seed=0)
+    model = build_model("gcn", "node", ds.num_features, ds.num_classes, rng=0)
+    explainer = Revelio(model, **CORA_LOOP)
+    assert ds.num_classes == 2
+    for node in range(0, 60, 4):
+        assert_node_loop_is_the_reference(explainer, ds.graph, node, "factual", CORA_LOOP)
+
+
+@pytest.mark.parametrize("mode", ["factual", "counterfactual"])
+def test_row_trimmed_link_loop_is_the_reference_on_a_cora_context(cora_graph, mode):
+    u, v = (int(x) for x in cora_graph.edge_index[:, 0])
+    model = LinkPredictor("gcn", cora_graph.num_features, 32, rng=0)
+    explainer = LinkRevelio(model, **CORA_LOOP)
+    subgraph = assert_link_loop_is_the_reference(explainer, cora_graph, u, v, mode,
+                                                 CORA_LOOP)
+    assert subgraph.num_nodes >= 100
 
 
 # ----------------------------------------------------------------------
@@ -256,6 +341,12 @@ def test_one_meta_schema_and_trace_shape(family_member, name, mode, tmp_path):
     trimmed = [meta["forward_layer_edges"][f"layer_{l + 1}"]
                for l in range(flow_index.num_layers)]
     assert trimmed[-1] < flow_index.num_layer_edges
+    # The rows each layer computed: a node's head reads every row, a
+    # link's dot product only its endpoints' (two rows, or a padded one).
+    rows = meta["forward_layer_rows"]
+    assert rows["context"] == flow_index.num_nodes
+    assert 2 <= rows["layer_1"] <= flow_index.num_nodes
+    assert rows["layer_3"] == (2 if name == "link_revelio" else flow_index.num_nodes)
 
     # The loss curve in three numbers, and whether its last 10% was flat.
     assert meta["loss_last"] == meta["final_loss"]
@@ -267,6 +358,7 @@ def test_one_meta_schema_and_trace_shape(family_member, name, mode, tmp_path):
     save_explanation(explanation, tmp_path / "e.npz")
     for loaded in (wire, load_explanation(tmp_path / "e.npz")):
         for key in ("flows_above_half", "mean_edge_mask", "forward_layer_edges",
+                    "forward_layer_rows",
                     "loss_first", "loss_min", "loss_last", "converged", "tape_nodes"):
             assert loaded.meta[key] == meta[key]
 
@@ -305,11 +397,16 @@ def test_gnnexplainer_meta_schema_and_trace_shape(node_model, mini_ba_shapes, go
            for l, ids in enumerate(flow_index.used_layer_edge_ids())},
         "context": flow_index.num_layer_edges}
     assert meta["forward_layer_edges"]["layer_3"] < flow_index.num_layer_edges
+    # Its rows, pinned: layer 1 writes the target's 2-hop field, layer 2
+    # its 1-hop field, and layer 3 every row of the context.
+    assert context.subgraph.num_nodes == 21
+    assert meta["forward_layer_rows"] == {"layer_1": 7, "layer_2": 4, "layer_3": 21,
+                                          "context": 21}
 
     wire = explanation_from_jsonable(json.loads(json.dumps(explanation_to_jsonable(explanation))))
     save_explanation(explanation, tmp_path / "e.npz")
     for loaded in (wire, load_explanation(tmp_path / "e.npz")):
-        for key in ("mean_edge_mask", "forward_layer_edges", "final_loss",
+        for key in ("mean_edge_mask", "forward_layer_edges", "forward_layer_rows", "final_loss",
                     "loss_first", "loss_min", "loss_last", "converged", "tape_nodes"):
             assert loaded.meta[key] == meta[key]
 

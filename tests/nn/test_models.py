@@ -6,7 +6,8 @@ import pytest
 from repro.autograd import Tensor
 from repro.errors import ModelError
 from repro.graph import Graph, GraphBatch
-from repro.nn import GNN, build_model
+from repro.explain.mask_loop import hop_layer_edges
+from repro.nn import GNN, LayerTrim, LinkPredictor, build_model
 
 
 @pytest.fixture
@@ -136,3 +137,42 @@ class TestInference:
         twin.head.weight.data += 1.0
         assert not np.allclose(model.forward_graph(graph).numpy(),
                                twin.forward_graph(graph).numpy())
+
+
+class TestLayerTrimRows:
+    """The rows a trimmed forward computes (``LayerTrim.rows``)."""
+
+    def test_a_one_node_row_set_computes_two_rows(self):
+        """Node 0 has no in-edges, so each trimmed layer writes only node 0.
+        numpy would run a one-row product as a GEMV, whose sums differ from
+        the untrimmed GEMM's, so the row set takes node 1 as well; the
+        class head's layer writes every row."""
+        graph = Graph(edge_index=np.array([[0, 1], [1, 2]]),
+                      x=np.random.default_rng(0).normal(size=(4, 32)))
+        model = build_model("gcn", "node", 32, 3, rng=0)
+        model.freeze()
+        kept = hop_layer_edges(graph, 0, 3)
+        trim = LayerTrim(kept)
+        masks = [Tensor(np.ones(ids.size), requires_grad=True) for ids in kept]
+        trimmed = model.forward_graph(graph, edge_masks=masks, trim=trim)
+        assert [rows.tolist() for rows in trim.rows] == [[0, 1], [0, 1], [0, 1, 2, 3]]
+        assert trim.row(0) == 0
+        full = model.forward_graph(graph, edge_masks=[Tensor(np.ones(6))] * 3)
+        assert np.array_equal(trimmed.numpy()[0], full.numpy()[0])
+
+    def test_a_self_link_computes_two_rows(self):
+        graph = Graph(edge_index=np.array([[0, 1], [1, 2]]),
+                      x=np.random.default_rng(0).normal(size=(4, 8)))
+        model = LinkPredictor("gcn", 8, 16, rng=0)
+        trim = LayerTrim(hop_layer_edges(graph, 2, 3))
+        masks = [Tensor(np.ones(ids.size)) for ids in trim.layer_edges]
+        logit = model.link_logits(graph, np.array([[2, 2]]), edge_masks=masks, trim=trim)
+        assert trim.rows[-1].tolist() == [0, 2]
+        full = model.link_logits(graph, np.array([[2, 2]]), edge_masks=[Tensor(np.ones(6))] * 3)
+        assert logit.numpy()[0] == full.numpy()[0]
+        with pytest.raises(ModelError, match="not computed by this trim"):
+            trim.row(1)
+
+    def test_rows_are_known_once_a_forward_ran(self):
+        with pytest.raises(ModelError, match="once a forward has run it"):
+            LayerTrim([np.arange(3)]).rows

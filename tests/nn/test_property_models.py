@@ -167,8 +167,19 @@ def test_flow_trimmed_forward_is_exact_at_the_target(case, conv):
     trimmed = [Tensor(mask.data[ids], requires_grad=True) for mask, ids in zip(full, kept)]
 
     out_full = model.forward_graph(graph, edge_masks=full)
-    out_trim = model.forward_graph(graph, edge_masks=trimmed, trim=LayerTrim(kept))
+    trim = LayerTrim(kept)
+    out_trim = model.forward_graph(graph, edge_masks=trimmed, trim=trim)
     assert np.array_equal(out_full.numpy()[target], out_trim.numpy()[target])
+    # GCN and GAT layers below the head wrote only their kept edges'
+    # destinations (two rows at least); the head's layer and GIN's MLP
+    # layers wrote every row.
+    dst = np.concatenate([graph.dst, np.arange(graph.num_nodes)])
+    for l, (ids, rows) in enumerate(zip(kept, trim.rows)):
+        written = np.unique(dst[ids])
+        if conv == "gin" or l == len(kept) - 1:
+            written = np.arange(graph.num_nodes)
+        assert np.isin(written, rows).all()
+        assert rows.size == max(written.size, min(2, graph.num_nodes))
 
     weights = Tensor(rng.normal(size=out_full.shape[1]))
     (out_full[target] * weights).sum().backward()

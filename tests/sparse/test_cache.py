@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from repro.errors import KernelError
 from repro.graph import Graph
 from repro.sparse import GraphSparseCache, feature_csr, sparse_cache
 
@@ -45,19 +47,28 @@ class TestGraphSparseCache:
         g.edge_index = g.edge_index.copy()  # same content, new array
         assert sparse_cache(g) is not first
 
-    def test_restrict_is_the_parent_slice_and_dies_with_its_ids(self):
+    def test_restrict_slices_the_parent_and_renumbers_rows(self):
         parent = sparse_cache(_triangle())
         parent._deg = np.array([2.0, 5.0, 3.0])  # a context's preloaded degrees
         ids = np.array([0, 2, 4, 5])              # two data edges, two self-loops
         sub = parent.restrict(ids)
-        assert parent.restrict(ids) is sub
         assert np.array_equal(sub.src, parent.src[ids])
         assert np.array_equal(sub.dst, parent.dst[ids])
         assert np.array_equal(sub.edge_norm, parent.edge_norm[ids])
         assert sub.self_loop[:, 0].tolist() == [0.0, 0.0, 1.0, 1.0]
-        assert parent.restrict(ids.copy()) is not sub
-        del ids
-        assert not parent._subsets  # both keys are gone, so are their entries
+        assert not sub.renumbered and sub.dst_in_plan is sub.dst_plan
+
+        # Edge 2→0 and node 0's self-loop, reading rows {0, 2}, writing {0}.
+        rows = parent.restrict(np.array([2, 3]), np.array([0, 2]), np.array([0]))
+        assert rows.renumbered
+        assert (rows.num_inputs, rows.num_nodes) == (2, 1)
+        assert rows.src.tolist() == [1, 0] and rows.dst.tolist() == [0, 0]
+        assert rows.dst_in.tolist() == [0, 0]
+        assert (rows.src_plan.num_rows, rows.dst_in_plan.num_rows) == (2, 2)
+        assert np.array_equal(rows.edge_norm, parent.edge_norm[[2, 3]])
+        assert rows.self_loop[:, 0].tolist() == [0.0, 1.0]
+        with pytest.raises(KernelError, match="outside the layer's row set"):
+            parent.restrict(np.array([2, 3]), np.array([0, 1]), np.array([0]))
 
 
 class TestFeatureCsr:

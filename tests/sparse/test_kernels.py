@@ -154,3 +154,27 @@ class TestBackendAgreement:
                                            rtol=0, atol=1e-8)
                 np.testing.assert_array_equal(weights, before[0])
                 np.testing.assert_array_equal(dense, before[1])
+
+
+class TestDirectScatter:
+    """The scipy ``scatter_add`` calls ``csr_matvec``/``csr_matvecs`` itself:
+    bit for bit the product ``plan.matrix @ values`` it skips dispatching."""
+
+    @pytest.mark.parametrize("width", [1, 2, 32])
+    def test_equals_the_incidence_product(self, plan, width):
+        values = np.random.default_rng(5).normal(size=(plan.num_items, width))
+        out = kernel("scatter_add")(plan, values)
+        assert out.shape == (plan.num_rows, width)
+        assert np.array_equal(out, plan.matrix @ values)
+
+    @pytest.mark.parametrize("width", [1, 5])
+    def test_non_contiguous_input(self, plan, width):
+        wide = np.random.default_rng(6).normal(size=(plan.num_items, 2 * width))
+        values = wide[:, ::2]                     # a strided view
+        assert not values.flags.c_contiguous
+        assert np.array_equal(kernel("scatter_add")(plan, values), plan.matrix @ values)
+
+    def test_empty_plan_gives_zero_rows(self):
+        empty = SegmentPlan(np.zeros(0, dtype=np.int64), 4)
+        out = kernel("scatter_add")(empty, np.zeros((0, 3)))
+        assert np.array_equal(out, np.zeros((4, 3)))
