@@ -15,6 +15,7 @@ import pytest
 from repro.analysis import mass_through_nodes
 from repro.core import LinkRevelio
 from repro.eval.sparsity import select_explanatory_edges
+from repro.explain import ExplainTarget
 from repro.graph import Graph, sbm_edges
 from repro.nn import LinkPredictor, sample_negative_edges, train_link_predictor
 
@@ -44,8 +45,9 @@ def test_link_prediction_extension(benchmark):
         for u, v in top:
             u, v = int(u), int(v)
             p = float(model.predict_proba(graph, np.array([[u, v]]))[0])
-            factual = explainer.explain(graph, u, v)
-            counterfactual = explainer.explain(graph, u, v, mode="counterfactual")
+            link = ExplainTarget.link(u, v)
+            factual = explainer.explain(graph, link)
+            counterfactual = explainer.explain(graph, link, mode="counterfactual")
 
             community = {int(n) for n in np.flatnonzero(communities == communities[u])}
             mass = mass_through_nodes(factual, community)

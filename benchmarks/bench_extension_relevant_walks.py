@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis import top_flow_overlap
 from repro.core import Revelio
-from repro.explain import GNNLRP, RelevantWalks
+from repro.explain import GNNLRP, ExplainTarget, RelevantWalks
 from repro.flows import count_flows
 from repro.graph import Graph, erdos_renyi_edges
 from repro.nn import build_model
@@ -63,7 +63,7 @@ def test_relevant_walks_extension(benchmark):
                 ("revelio", Revelio(model, epochs=30, seed=0)),
             ):
                 t0 = time.perf_counter()
-                explanations[name] = explainer.explain(graph, target=0)
+                explanations[name] = explainer.explain(graph, target=ExplainTarget.node(0))
                 timings[name] = time.perf_counter() - t0
 
             ovl_lrp = top_flow_overlap(explanations["walks"],

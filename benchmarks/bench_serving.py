@@ -105,7 +105,8 @@ def _percentile(values, q):
 def _request_bodies(targets, concurrency, per_client):
     params = _params()
     return [[{"dataset": DATASET, "model": CONV, "explainer": EXPLAINER,
-              "target": targets[(i + j) % len(targets)], "params": params,
+              "target": {"node": targets[(i + j) % len(targets)]},
+              "params": params,
               "scale": _scale()}
              for j in range(per_client)]
             for i in range(concurrency)]
@@ -157,15 +158,16 @@ async def _healthz(port):
 def _library_bytes(pool, model_key, targets):
     """The serial ``explain_instances`` answer, canonicalised per target."""
     from repro.eval.fidelity import Instance
-    from repro.explain import explain_instances, make_explainer
+    from repro.explain import ExplainTarget, explain_instances, make_explainer
     from repro.serve import canonical_bytes, wire_explanation
 
     model, dataset = pool.get(model_key)
     expected = {}
     for target in targets:
         explainer = make_explainer(EXPLAINER, model, **_params())
-        batch = explain_instances(explainer, [Instance(dataset.graph, target)],
-                                  mode="factual", raise_on_error=True)
+        instance = Instance(dataset.graph, ExplainTarget.node(target))
+        batch = explain_instances(explainer, [instance], mode="factual",
+                                  raise_on_error=True)
         payload, _, _ = wire_explanation(batch.explanations[0])
         expected[target] = canonical_bytes(payload)
     return expected

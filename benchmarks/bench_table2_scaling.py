@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import Revelio
-from repro.explain import FlowX, GNNLRP, GNNExplainer
+from repro.explain import ExplainTarget, FlowX, GNNLRP, GNNExplainer
 from repro.flows import count_flows
 from repro.graph import Graph, erdos_renyi_edges
 from repro.nn import build_model
@@ -55,7 +55,7 @@ def test_table2_scaling(benchmark):
             }
             for name, explainer in methods.items():
                 t0 = time.perf_counter()
-                explainer.explain(graph, target=target)
+                explainer.explain(graph, target=ExplainTarget.node(target))
                 times[name] = time.perf_counter() - t0
             raw[flows] = times
             rows.append(f"{flows:>8} {times['gnnexplainer']:>12.3f}s "

@@ -18,6 +18,7 @@ import numpy as np
 from repro import Revelio
 from repro.eval import Instance, class_probability, fidelity_minus, fidelity_plus
 from repro.eval.sparsity import unexplanatory_subgraph
+from repro.explain import ExplainTarget
 from repro.nn import get_model
 from repro.viz import format_top_flows
 
@@ -31,13 +32,14 @@ def main() -> None:
     predictions = model.predict(graph)
     node = next(int(v) for v in dataset.motif_nodes
                 if predictions[v] == graph.y[v] == 1)
-    p_original = class_probability(model, graph, 1, target=node)
+    target = ExplainTarget.node(node)
+    p_original = class_probability(model, graph, 1, target=target)
     print(f"node {node} is on a cycle motif; P(cycle) = {p_original:.3f}\n")
 
     explainer = Revelio(model, epochs=300, lr=1e-2, alpha=0.05, seed=0)
 
-    factual = explainer.explain(graph, target=node, mode="factual")
-    counterfactual = explainer.explain(graph, target=node, mode="counterfactual")
+    factual = explainer.explain(graph, target=target, mode="factual")
+    counterfactual = explainer.explain(graph, target=target, mode="counterfactual")
 
     print(format_top_flows(factual, k=6,
                            title="factual: flows SUFFICIENT for the prediction"))
@@ -48,7 +50,7 @@ def main() -> None:
 
     # Demonstrate the counterfactual semantics end to end: remove the
     # counterfactual explanation's top edges and watch P(cycle) drop.
-    instance = [Instance(graph, node)]
+    instance = [Instance(graph, target)]
     print(f"{'sparsity':>9} {'Fidelity-':>10} {'Fidelity+':>10}")
     for sparsity in (0.5, 0.6, 0.7, 0.8, 0.9):
         fm = fidelity_minus(model, instance, [factual], sparsity)
@@ -57,7 +59,7 @@ def main() -> None:
 
     perturbed = unexplanatory_subgraph(graph, counterfactual.edge_scores, 0.7,
                                        candidate_edges=counterfactual.context_edge_positions)
-    p_after = class_probability(model, perturbed, 1, target=node)
+    p_after = class_probability(model, perturbed, 1, target=target)
     print(f"\nafter removing the top counterfactual edges: "
           f"P(cycle) {p_original:.3f} -> {p_after:.3f}")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import Revelio, count_flows, enumerate_flows, match_flows
-from repro.explain import FlowX, GNNLRP
+from repro.explain import ExplainTarget, FlowX, GNNLRP
 from repro.nn import get_model
 from repro.viz import format_flow_comparison
 
@@ -63,7 +63,7 @@ def main() -> None:
     for explainer in (GNNLRP(model),
                       FlowX(model, samples=4, finetune_epochs=60, seed=0),
                       Revelio(model, epochs=200, seed=0)):
-        explanations.append(explainer.explain(graph, target=node))
+        explanations.append(explainer.explain(graph, target=ExplainTarget.node(node)))
     print()
     print(format_flow_comparison(explanations, k=10))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import LinkRevelio
+from repro.explain import ExplainTarget
 from repro.graph import Graph, sbm_edges
 from repro.nn import LinkPredictor, train_link_predictor
 from repro.viz import format_top_flows
@@ -48,13 +49,14 @@ def main() -> None:
 
     explainer = LinkRevelio(model, epochs=250, lr=1e-2, alpha=0.05, seed=0)
 
-    factual = explainer.explain(graph, u, v)
+    factual = explainer.explain(graph, ExplainTarget.link(u, v))
     print(format_top_flows(
         factual, k=8,
         title=f"why the model recommends {u} -> {v} (factual flows):"))
     print()
 
-    counterfactual = explainer.explain(graph, u, v, mode="counterfactual")
+    counterfactual = explainer.explain(graph, ExplainTarget.link(u, v),
+                                       mode="counterfactual")
     print(format_top_flows(
         counterfactual, k=8,
         title="flows whose removal would break the recommendation:"))

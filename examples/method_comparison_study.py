@@ -23,7 +23,7 @@ from repro.analysis import (
     seed_stability,
 )
 from repro.core import Revelio
-from repro.explain import make_explainer
+from repro.explain import ExplainTarget, make_explainer
 from repro.nn import get_model
 
 METHODS = ("gradcam", "gnnexplainer", "flowx", "revelio")
@@ -45,11 +45,11 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. Method agreement on one instance.
     # ------------------------------------------------------------------
-    node = panel[0]
+    target = ExplainTarget.node(panel[0])
     explanations = []
     for method in METHODS:
         explainer = make_explainer(method, model, seed=0, **CONFIG.get(method, {}))
-        explanations.append(explainer.explain(graph, target=node))
+        explanations.append(explainer.explain(graph, target=target))
     matrix, names = agreement_matrix(explanations, k=10)
     print("top-10 edge agreement (Jaccard):")
     header = " " * 14 + " ".join(f"{n[:9]:>9}" for n in names)
@@ -66,7 +66,7 @@ def main() -> None:
         report = seed_stability(
             lambda seed: make_explainer(method, model, seed=seed,
                                         **CONFIG.get(method, {})),
-            graph, target=node, num_seeds=3)
+            graph, target=target, num_seeds=3)
         print(f"  {method:<14} {report}")
     print()
 
@@ -77,7 +77,7 @@ def main() -> None:
     revelio = Revelio(model, epochs=150, seed=0)
     concentrations, masses = [], []
     for v in panel:
-        e = revelio.explain(graph, target=v)
+        e = revelio.explain(graph, target=ExplainTarget.node(v))
         concentrations.append(explanation_concentration(e, k=10))
         masses.append(mass_through_nodes(e, motif_nodes))
     print("revelio across the panel:")

@@ -10,6 +10,7 @@ Run:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro import Revelio
+from repro.explain import ExplainTarget
 from repro.nn import get_model
 from repro.viz import format_top_flows, render_explanation
 
@@ -30,7 +31,7 @@ def main() -> None:
 
     # 3. Explain it: Revelio learns one mask per message flow.
     explainer = Revelio(model, epochs=300, lr=1e-2, alpha=0.05, seed=0)
-    explanation = explainer.explain(graph, target=node)
+    explanation = explainer.explain(graph, target=ExplainTarget.node(node))
 
     # 4. The result, at both granularities.
     print()

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import EvaluationError
 from ..explain.base import Explanation
+from ..explain.target import ExplainTarget
 from ..graph import Graph
 from ..rng import spawn_rngs
 from .agreement import edge_rank_correlation, top_edge_overlap
@@ -58,7 +59,7 @@ def _pairwise_report(explanations: list[Explanation], k: int) -> StabilityReport
 
 
 def seed_stability(make_explainer: Callable[[int], object], graph: Graph,
-                   target: int | None = None, num_seeds: int = 5,
+                   target: ExplainTarget | None = None, num_seeds: int = 5,
                    mode: str = "factual", k: int = 10) -> StabilityReport:
     """Stability of one method across its own random seeds.
 
@@ -74,7 +75,7 @@ def seed_stability(make_explainer: Callable[[int], object], graph: Graph,
     return _pairwise_report(explanations, k)
 
 
-def perturbation_stability(explainer, graph: Graph, target: int | None = None,
+def perturbation_stability(explainer, graph: Graph, target: ExplainTarget | None = None,
                            num_perturbations: int = 5, feature_noise: float = 0.05,
                            mode: str = "factual", k: int = 10,
                            seed: int | np.random.Generator | None = 0) -> StabilityReport:

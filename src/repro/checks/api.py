@@ -1,12 +1,10 @@
-"""API-contract rules: RPR020 (keyword-only public surfaces) and RPR021
-(no re-exploded ExecutionConfig flat kwargs).
+"""API-contract rule: RPR020 (keyword-only public surfaces).
 
-The PR-3 API redesign made every public ``repro.explain`` /
-``repro.eval`` entry point keyword-only past its core positionals and
-funnelled all execution options through one ``ExecutionConfig``. These
-rules stop the tree from regressing: a new public helper with optional
-positional parameters, or a call site resurrecting ``jobs=4`` flat
-kwargs, fails lint instead of review.
+Every public ``repro.explain`` / ``repro.eval`` entry point is
+keyword-only past its core positionals. This rule stops the tree from
+regressing: a new public helper with optional positional parameters
+fails lint instead of review. (Flat execution kwargs such as ``jobs=4``
+need no rule: the drivers reject them at runtime.)
 """
 
 from __future__ import annotations
@@ -14,23 +12,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .engine import FileContext, Violation, dotted_name
+from .engine import FileContext, Violation
 from .registry import Rule, register
 
 __all__: list[str] = []
-
-#: Entry points that take an ``execution=ExecutionConfig(...)`` object.
-_EXECUTION_ENTRY_POINTS = frozenset({
-    "run_fidelity_experiment", "run_auc_experiment", "run_runtime_experiment",
-})
-
-
-def _legacy_execution_fields() -> frozenset[str]:
-    """The flat kwargs the deprecation shim still accepts, read from the
-    shim itself so the rule and runtime can never disagree."""
-    from ..execution import _LEGACY_FIELDS
-
-    return frozenset(_LEGACY_FIELDS)
 
 
 def _public_names(tree: ast.Module) -> set[str] | None:
@@ -53,7 +38,7 @@ class PositionalDefaults(Rule):
     rationale = ("Optional parameters of public explain/eval entry points "
                  "must be keyword-only: positional optionals freeze "
                  "parameter order into every call site, which is exactly "
-                 "what the PR-3 keyword-only redesign removed.")
+                 "what the keyword-only redesign removed.")
 
     _SCOPED = ("repro.explain", "repro.eval")
 
@@ -78,31 +63,3 @@ class PositionalDefaults(Rule):
                     f"public function {node.name}(): optional "
                     f"parameter(s) {names} must be keyword-only — move "
                     f"them behind `*`")
-
-
-@register
-class FlatExecutionKwargs(Rule):
-    code = "RPR021"
-    name = "flat-execution-kwargs"
-    rationale = ("Passing jobs=/resume=/trace=/... directly to the "
-                 "experiment drivers re-explodes ExecutionConfig into "
-                 "flat kwargs; that shape only exists in the deprecation "
-                 "shim and dies with it.")
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        legacy = _legacy_execution_fields()
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            if dotted is None \
-                    or dotted.split(".")[-1] not in _EXECUTION_ENTRY_POINTS:
-                continue
-            flat = sorted(kw.arg for kw in node.keywords
-                          if kw.arg is not None and kw.arg in legacy)
-            if flat:
-                yield self.violation(
-                    ctx, node,
-                    f"{dotted.split('.')[-1]}() called with deprecated "
-                    f"flat execution kwarg(s) {', '.join(flat)}; pass "
-                    f"execution=ExecutionConfig(...)")

@@ -86,7 +86,7 @@ class BlockingCallInCoroutine(Rule):
         return ctx.module_is("repro.serve")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for scope in ast.walk(ctx.tree):
+        for scope in ctx.nodes:
             if not isinstance(scope, ast.AsyncFunctionDef):
                 continue
             for call in _calls_with_async_scope(scope):

@@ -49,10 +49,10 @@ _SET_METHODS = frozenset({
 })
 
 
-def _random_module_aliases(tree: ast.Module) -> set[str]:
+def _random_module_aliases(nodes: list[ast.AST]) -> set[str]:
     """Local names bound to the stdlib ``random`` module by imports."""
     aliases: set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "random":
@@ -70,8 +70,8 @@ class GlobalRandomState(Rule):
                  "Generator (repro.rng.ensure_rng).")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        random_aliases = _random_module_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        random_aliases = _random_module_aliases(ctx.nodes)
+        for node in ctx.nodes:
             if isinstance(node, ast.ImportFrom) and node.level == 0:
                 if node.module == "random":
                     for alias in node.names:
@@ -122,7 +122,7 @@ class WallClockSeed(Rule):
                  "reproduced from the logged config.")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             dotted = dotted_name(node.func)
@@ -174,7 +174,7 @@ class SetOrderIteration(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         iter_exprs: list[ast.AST] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.For):
                 iter_exprs.append(node.iter)
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,

@@ -85,7 +85,7 @@ class BareExcept(Rule):
                  "success; name the exception type.")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield self.violation(
                     ctx, node,
@@ -102,7 +102,7 @@ class SwallowedException(Rule):
                  "corrupting aggregated results.")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ExceptHandler) \
                     and _covers_everything(node) \
                     and _body_is_noop(node.body):
@@ -126,7 +126,7 @@ class ForeignRaise(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         hierarchy = sorted(_repro_error_names())
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             exc = node.exc

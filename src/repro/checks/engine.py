@@ -6,11 +6,12 @@ selected per-file rule; :func:`lint_paths` folds the per-file findings
 into a :class:`LintResult`. Whole-program rules (scope ``"program"``,
 see :mod:`repro.checks.program`) run after the per-file sweep over a
 :class:`~repro.checks.program.context.ProgramContext` assembled from
-one :class:`~repro.checks.program.summary.FileSummary` per file — the
-JSON-serializable module digest that also backs the warm-run parse
-cache (:mod:`repro.checks.cache`). The engine is pure stdlib — linting
-must not require the numeric stack — and deterministic: files are
-visited in sorted order and violations are reported sorted by location.
+one :class:`~repro.checks.program.summary.FileSummary` per file. Each
+file is parsed and walked once: :attr:`FileContext.nodes` holds the
+flattened tree every rule, the noqa expansion and the summary iterate.
+The engine is pure stdlib — linting must not require the numeric stack —
+and deterministic: files are visited in sorted order and violations are
+reported sorted by location.
 """
 
 from __future__ import annotations
@@ -19,12 +20,9 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .registry import Rule, resolve_codes
-
-if TYPE_CHECKING:
-    from .cache import LintCache
 
 __all__ = ["Violation", "FileContext", "LintResult", "lint_paths",
            "collect_files", "dotted_name", "module_name",
@@ -90,7 +88,9 @@ def module_name(path: Path) -> str:
     return ".".join(reversed(parts))
 
 
-def statement_spans(tree: ast.Module) -> Iterable[tuple[int, int]]:
+def statement_spans(tree: ast.Module,
+                    nodes: Sequence[ast.AST] | None = None,
+                    ) -> Iterable[tuple[int, int]]:
     """``(start, end)`` logical-line ranges for every statement.
 
     A simple statement spans its whole node (a call broken over four
@@ -99,9 +99,10 @@ def statement_spans(tree: ast.Module) -> Iterable[tuple[int, int]]:
     first body statement. A ``# repro: noqa`` anywhere in the range
     applies to the whole range, which is what lets a suppression on a
     decorator or a trailing argument line cover the finding reported on
-    the statement's first line.
+    the statement's first line. ``nodes`` is the tree already flattened
+    by :func:`ast.walk` (:attr:`FileContext.nodes`), to skip a second walk.
     """
-    for node in ast.walk(tree):
+    for node in nodes if nodes is not None else ast.walk(tree):
         if not isinstance(node, ast.stmt):
             continue
         decorators = getattr(node, "decorator_list", [])
@@ -116,10 +117,14 @@ def statement_spans(tree: ast.Module) -> Iterable[tuple[int, int]]:
 
 
 def expand_noqa_map(literal: dict[int, frozenset[str] | None],
-                    tree: ast.Module) -> dict[int, frozenset[str] | None]:
+                    tree: ast.Module,
+                    nodes: Sequence[ast.AST] | None = None,
+                    ) -> dict[int, frozenset[str] | None]:
     """Spread per-line noqa entries across their logical lines."""
+    if not literal:
+        return {}
     effective: dict[int, frozenset[str] | None] = dict(literal)
-    for start, end in statement_spans(tree):
+    for start, end in statement_spans(tree, nodes):
         span = [n for n in range(start, end + 1) if n in literal]
         if not span:
             continue
@@ -135,23 +140,29 @@ def expand_noqa_map(literal: dict[int, frozenset[str] | None],
 
 
 class FileContext:
-    """Everything a rule may need about one source file."""
+    """Everything a rule may need about one source file.
+
+    ``nodes`` is ``list(ast.walk(tree))``, built once: rules iterate it
+    instead of walking the tree again.
+    """
 
     def __init__(self, path: Path, display: str, source: str):
         self.path = path
         self.display = display
         self.source = source
         self.tree = ast.parse(source, filename=display)
+        self.nodes: list[ast.AST] = list(ast.walk(self.tree))
         self.module = module_name(path)
         literal: dict[int, frozenset[str] | None] = {}
-        for lineno, line in enumerate(source.splitlines(), start=1):
+        lines = source.splitlines() if "noqa" in source else []
+        for lineno, line in enumerate(lines, start=1):
             match = _NOQA_RE.search(line)
             if match is None:
                 continue
             codes = match.group("codes")
             literal[lineno] = None if codes is None else frozenset(
                 c.strip().upper() for c in codes.split(",") if c.strip())
-        self._noqa = expand_noqa_map(literal, self.tree)
+        self._noqa = expand_noqa_map(literal, self.tree, self.nodes)
 
     def module_is(self, *prefixes: str) -> bool:
         """Whether this file's module equals or lives under any prefix."""
@@ -175,9 +186,6 @@ class LintResult:
     #: (unreadable, syntax error) — these fail the run independently.
     errors: list[tuple[str, str]] = field(default_factory=list)
     files_checked: int = 0
-    #: Of :attr:`files_checked`, how many were served from the parse
-    #: cache without re-reading or re-parsing the source.
-    files_from_cache: int = 0
     rule_codes: list[str] = field(default_factory=list)
 
     @property
@@ -195,7 +203,6 @@ class LintResult:
         return {
             "clean": self.clean,
             "files_checked": self.files_checked,
-            "files_from_cache": self.files_from_cache,
             "rules": list(self.rule_codes),
             "violations": [v.to_dict() for v in self.violations],
             "errors": [{"path": p, "message": m} for p, m in self.errors],
@@ -224,18 +231,13 @@ def collect_files(paths: Sequence[str | Path]) -> list[tuple[Path, str]]:
 
 def lint_paths(paths: Sequence[str | Path],
                select: Iterable[str] | None = None,
-               rules: Sequence[Rule] | None = None,
-               cache: "LintCache | None" = None) -> LintResult:
+               rules: Sequence[Rule] | None = None) -> LintResult:
     """Run the rule set over ``paths`` and return a :class:`LintResult`.
 
     ``select`` limits the run to specific codes (unknown codes raise
     :class:`~repro.errors.CheckError`); ``rules`` injects pre-built rule
     instances instead (tests). Violations on lines carrying a matching
-    ``# repro: noqa[...]`` comment are dropped. With a ``cache``, files
-    whose mtime+size match a prior run are served from their cached
-    per-file findings and :class:`FileSummary` instead of being
-    re-parsed; whole-program rules always run afresh over the assembled
-    summaries — they are cheap once parsing is paid for.
+    ``# repro: noqa[...]`` comment are dropped.
     """
     # Imported lazily: the program package registers rules through
     # repro.checks.__init__, so a top-level import here would be circular.
@@ -245,25 +247,9 @@ def lint_paths(paths: Sequence[str | Path],
     active = list(rules) if rules is not None else resolve_codes(select)
     file_rules = [r for r in active if r.scope == "file"]
     program_rules = [r for r in active if r.scope == "program"]
-    file_codes = sorted(r.code for r in file_rules)
-    need_summary = bool(program_rules) or cache is not None
     result = LintResult(rule_codes=[r.code for r in active])
     summaries: list[FileSummary] = []
     for path, display in collect_files(paths):
-        try:
-            stat = path.stat()
-        except OSError as exc:
-            result.errors.append((display, f"unreadable: {exc}"))
-            continue
-        entry = cache.lookup(display, stat, file_codes) if cache else None
-        if entry is not None:
-            result.files_checked += 1
-            result.files_from_cache += 1
-            result.violations.extend(
-                Violation(**v) for v in entry["violations"])
-            if program_rules:
-                summaries.append(FileSummary.from_dict(entry["summary"]))
-            continue
         try:
             source = path.read_text(encoding="utf-8")
         except OSError as exc:
@@ -276,21 +262,14 @@ def lint_paths(paths: Sequence[str | Path],
                                            f"(line {exc.lineno})"))
             continue
         result.files_checked += 1
-        file_violations = []
         for rule in file_rules:
             if not rule.applies(ctx):
                 continue
             for violation in rule.check(ctx):
                 if not ctx.suppressed(violation.line, violation.code):
-                    file_violations.append(violation)
-        result.violations.extend(file_violations)
-        if need_summary:
-            summary = summarize(ctx)
-            if program_rules:
-                summaries.append(summary)
-            if cache is not None:
-                cache.store(display, stat, file_codes, file_violations,
-                            summary)
+                    result.violations.append(violation)
+        if program_rules:
+            summaries.append(summarize(ctx))
     if program_rules:
         program = ProgramContext(summaries)
         for rule in program_rules:
@@ -298,7 +277,5 @@ def lint_paths(paths: Sequence[str | Path],
                 if not program.suppressed(violation.path, violation.line,
                                           violation.code):
                     result.violations.append(violation)
-    if cache is not None:
-        cache.save()
     result.violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return result

@@ -57,7 +57,7 @@ class UnregisteredSpanName(_ObsRule):
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         span_names, _, _ = _registry()
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call) or not node.args:
                 continue
             func = node.func
@@ -85,7 +85,7 @@ class UnregisteredPerfName(_ObsRule):
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         _, stage_names, counter_names = _registry()
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             # PERF.stage("...") literals must be registered stages.
             if isinstance(node, ast.Call) and node.args \
                     and isinstance(node.func, ast.Attribute) \

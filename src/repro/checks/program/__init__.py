@@ -1,6 +1,6 @@
 """repro.checks.program — whole-program analysis for ``repro lint``.
 
-The per-file rules (RPR001–RPR070) see one module at a time; this
+The per-file rules (RPR001–RPR060) see one module at a time; this
 package parses the linted tree once into a :class:`ProgramContext`
 (module symbol tables, ``__all__`` resolution, the import DAG, call
 graphs) and runs the cross-file rule families over it:
@@ -9,24 +9,22 @@ graphs) and runs the cross-file rule families over it:
   contract (:data:`~repro.checks.program.layering.LAYERS`);
 * **RPR110 API surface** — dead public exports, ``__all__`` drift,
   cross-subpackage reach-ins to underscore-private modules;
-* **RPR120 cross-file contracts** — kernel-registry backend signatures,
-  deprecation shims with enforced ``# repro: sunset[X.Y]`` releases;
+* **RPR120 cross-file contracts** — kernel-registry backend signatures;
 * **RPR130 dataflow** — blocking calls transitively reachable from
   :mod:`repro.serve` coroutines through the call graph.
 
 Program rules run through the same CLI, ``--select``, suppression,
 ``--json``/``--format`` and exit-code contract as the per-file rules.
 They consume :class:`~repro.checks.program.summary.FileSummary` digests
-— plain JSON-serializable data the warm-run parse cache persists — so a
-cached file still contributes its imports, exports and call edges
-without being re-read. Like the rest of :mod:`repro.checks`, this
+— plain data (no AST nodes) extracted once per file from the tree the
+per-file rules already walked. Like the rest of :mod:`repro.checks`, this
 package is pure stdlib: it must import (and lint) without the numeric
 stack installed.
 """
 
 from __future__ import annotations
 
-from .context import ImportEdge, ProgramContext, parse_version
+from .context import ImportEdge, ProgramContext
 from .summary import FileSummary, FunctionSummary, summarize
 
 # Importing the rule modules registers their rules (stable-code registry).
@@ -38,5 +36,4 @@ __all__ = [
     "FileSummary",
     "FunctionSummary",
     "summarize",
-    "parse_version",
 ]

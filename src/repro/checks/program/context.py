@@ -11,26 +11,20 @@ the cross-file machinery the rules share:
   sanctioned way to break a layering inversion);
 * export-usage accounting for the API-surface rules (who imports, star
   imports, and attribute access through module aliases);
-* per-module binding maps and function tables for the dataflow rules;
-* the project version (read from the nearest ``pyproject.toml``) for
-  deprecation-sunset enforcement.
+* per-module binding maps and function tables for the dataflow rules.
 
-Everything here is derived data over plain summaries, so a context can
-be built from cached summaries without touching the source tree.
+Everything here is derived data over plain summaries: a context never
+touches the source tree.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .summary import FileSummary, FunctionSummary
 
-__all__ = ["ImportEdge", "ProgramContext", "parse_version"]
-
-_VERSION_RE = re.compile(r'^\s*version\s*=\s*["\']([^"\']+)["\']', re.M)
+__all__ = ["ImportEdge", "ProgramContext"]
 
 
 @dataclass(frozen=True)
@@ -50,15 +44,6 @@ class ImportEdge:
         return self.toplevel and not self.type_checking
 
 
-def parse_version(text: str) -> tuple[int, ...] | None:
-    """``(1, 2, 3)`` for ``"1.2.3"``-shaped strings, else ``None``."""
-    parts = text.strip().split(".")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        return None
-
-
 class ProgramContext:
     """Symbol tables and graphs over every summarized module."""
 
@@ -71,8 +56,6 @@ class ProgramContext:
             self.modules[summary.module] = summary
             self._by_display[summary.display] = summary
         self._edges: list[ImportEdge] | None = None
-        self._version: tuple[int, ...] | None = None
-        self._version_resolved = False
 
     # ------------------------------------------------------------------
     # suppression
@@ -342,31 +325,6 @@ class ProgramContext:
                             return prefix, remote
                     break
         return None
-
-    # ------------------------------------------------------------------
-    # project version (deprecation sunsets)
-    # ------------------------------------------------------------------
-    def project_version(self) -> tuple[int, ...] | None:
-        """The ``version = "X.Y.Z"`` of the nearest ``pyproject.toml``
-        above the summarized files, or ``None`` when there is none."""
-        if self._version_resolved:
-            return self._version
-        self._version_resolved = True
-        for summary in self.iter_modules():
-            directory = Path(summary.path).resolve().parent
-            for candidate in [directory, *directory.parents]:
-                pyproject = candidate / "pyproject.toml"
-                if not pyproject.is_file():
-                    continue
-                try:
-                    match = _VERSION_RE.search(
-                        pyproject.read_text(encoding="utf-8"))
-                except OSError:
-                    match = None
-                if match is not None:
-                    self._version = parse_version(match.group(1))
-                return self._version
-        return self._version
 
     # ------------------------------------------------------------------
     def iter_modules(self) -> Iterator[FileSummary]:

@@ -1,20 +1,11 @@
-"""Cross-file contract rules: RPR120 (kernel backend signatures) and
-RPR121 (deprecation sunsets).
+"""Cross-file contract rule: RPR120 (kernel backend signatures).
 
-Two promises the tree makes in prose become machine-checked facts here:
-
-* The kernel registry's plugin contract — "a backend implements the ops
-  it accelerates with the required backend's signatures" — is verified
-  statically: every ``register_kernel(op, backend, fn)`` call site in
-  the program is collected, the required backend's implementations
-  define the reference arity per op, and every other backend's
-  registered function must match it (RPR120).
-* The "legacy shapes work one release behind a DeprecationWarning"
-  promise (flat ExecutionConfig kwargs, bare-int targets, two-tuple
-  subgraphs) is only a promise if the shims actually die. Every
-  ``DeprecationWarning`` in library code must carry a machine-readable
-  ``# repro: sunset[X.Y]`` marker, and once the ``pyproject.toml``
-  version reaches X.Y the shim fails lint until deleted (RPR121).
+The kernel registry's plugin contract — "a backend implements the ops it
+accelerates with the required backend's signatures" — is verified
+statically: every ``register_kernel(op, backend, fn)`` call site in the
+program is collected, the required backend's implementations define the
+reference arity per op, and every other backend's registered function
+must match it.
 """
 
 from __future__ import annotations
@@ -22,10 +13,10 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..registry import ProgramRule, register
-from .context import ProgramContext, parse_version
+from .context import ProgramContext
 from .summary import FileSummary, FunctionSummary
 
-__all__ = ["KernelBackendContract", "DeprecationSunset"]
+__all__ = ["KernelBackendContract"]
 
 
 @register
@@ -96,52 +87,3 @@ class KernelBackendContract(ProgramRule):
                         f"parameter(s) ({', '.join(fn.params) or 'none'}) "
                         f"but the required backend's signature is "
                         f"({', '.join(expected)})")
-
-
-@register
-class DeprecationSunset(ProgramRule):
-    code = "RPR121"
-    name = "deprecation-sunset"
-    rationale = ("'One release behind a DeprecationWarning' is only a "
-                 "promise if the shim dies on schedule: every "
-                 "DeprecationWarning needs a machine-readable "
-                 "`# repro: sunset[X.Y]`, and lint fails the shim once "
-                 "the pyproject version reaches it.")
-
-    #: Library scope: shims live in the package, not in tests that
-    #: deliberately exercise them.
-    _SCOPE = "repro"
-
-    def check_program(self, program: ProgramContext) -> Iterator:
-        version = program.project_version()
-        for summary in program.iter_modules():
-            if not (summary.module == self._SCOPE
-                    or summary.module.startswith(self._SCOPE + ".")):
-                continue
-            for warn in summary.warns:
-                if warn.category != "DeprecationWarning":
-                    continue
-                if warn.sunset is None:
-                    yield self.program_violation(
-                        summary.display, warn.lineno, warn.col,
-                        "DeprecationWarning without a sunset: add "
-                        "`# repro: sunset[X.Y]` on the warn statement "
-                        "so the shim's removal release is machine-"
-                        "checkable")
-                    continue
-                sunset = parse_version(warn.sunset)
-                if sunset is None:
-                    yield self.program_violation(
-                        summary.display, warn.lineno, warn.col,
-                        f"malformed sunset marker "
-                        f"`# repro: sunset[{warn.sunset}]`: expected a "
-                        f"dotted version like 2.0")
-                    continue
-                if version is not None and version >= sunset:
-                    yield self.program_violation(
-                        summary.display, warn.lineno, warn.col,
-                        f"deprecation shim past its sunset: marked "
-                        f"`sunset[{warn.sunset}]` but the project is at "
-                        f"{'.'.join(str(p) for p in version)}; delete "
-                        f"the shim and its legacy path")
-

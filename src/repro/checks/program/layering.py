@@ -53,8 +53,7 @@ LAYERS: tuple[tuple[str, frozenset[str]], ...] = (
     ("evaluation", frozenset({"repro.eval", "repro.viz"})),
     ("orchestration", frozenset({"repro.runner", "repro.serve",
                                  "repro.checks", "repro.cli",
-                                 "repro.instrumentation", "repro.__main__",
-                                 "repro"})),
+                                 "repro.__main__", "repro"})),
 )
 
 

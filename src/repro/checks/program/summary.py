@@ -3,27 +3,21 @@
 A :class:`FileSummary` is everything the cross-file rules need to know
 about one module, extracted from its AST exactly once: resolved import
 records, top-level bindings, the literal ``__all__``, per-function call
-lists, ``register_kernel`` registrations and ``DeprecationWarning``
-sites with their ``# repro: sunset[X.Y]`` markers. Summaries are plain
-JSON-serializable data — no AST nodes — which is what lets the warm-run
-parse cache (:mod:`repro.checks.cache`) persist them: a cached file
-contributes to the import DAG and call graph without ever being re-read.
+lists and ``register_kernel`` registrations. Summaries are plain data —
+no AST nodes — so the whole-program rules reason over every module
+without holding every tree.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     from ..engine import FileContext
 
 __all__ = ["CallRecord", "FunctionSummary", "FileSummary", "summarize"]
-
-#: Machine-readable deprecation sunset: ``# repro: sunset[2.0]``.
-_SUNSET_RE = re.compile(r"#\s*repro:\s*sunset\[(?P<version>[^\]]*)\]")
 
 
 @dataclass
@@ -77,18 +71,8 @@ class RegisterCall:
 
 
 @dataclass
-class WarnSite:
-    """A ``warnings.warn(...)`` call and its sunset marker, if any."""
-
-    lineno: int
-    col: int
-    category: str | None      # dotted name of the category argument
-    sunset: str | None        # the X.Y inside `# repro: sunset[X.Y]`
-
-
-@dataclass
 class FileSummary:
-    """The JSON-serializable digest of one linted file."""
+    """The digest of one linted file."""
 
     module: str
     display: str
@@ -106,11 +90,10 @@ class FileSummary:
     imports: list[ImportRecord]
     functions: list[FunctionSummary]
     register_calls: list[RegisterCall]
-    warns: list[WarnSite]
     #: Dotted attribute chains whose root is an import binding.
     attr_uses: list[str]
     #: Effective noqa map (logical lines already expanded); None = all.
-    noqa: dict[int, list[str] | None]
+    noqa: dict[int, frozenset[str] | None]
 
     def suppressed(self, line: int, code: str) -> bool:
         """Whether ``code`` is noqa-suppressed at ``line``."""
@@ -129,37 +112,6 @@ class FileSummary:
                 if name != "*":
                     bound.add(binding)
         return bound
-
-    def to_dict(self) -> dict[str, Any]:
-        payload = asdict(self)
-        # JSON object keys are strings; widen back in from_dict.
-        payload["noqa"] = {str(k): v for k, v in self.noqa.items()}
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "FileSummary":
-        return cls(
-            module=payload["module"],
-            display=payload["display"],
-            path=payload["path"],
-            is_package=payload["is_package"],
-            defs=dict(payload["defs"]),
-            consts=dict(payload["consts"]),
-            dunder_all=payload["dunder_all"],
-            all_lineno=payload["all_lineno"],
-            all_dynamic=payload["all_dynamic"],
-            imports=[ImportRecord(**{**r, "names": [list(p) for p in r["names"]]})
-                     for r in payload["imports"]],
-            functions=[FunctionSummary(
-                **{**f, "calls": [CallRecord(**c) for c in f["calls"]]})
-                for f in payload["functions"]],
-            register_calls=[RegisterCall(**r)
-                            for r in payload["register_calls"]],
-            warns=[WarnSite(**w) for w in payload["warns"]],
-            attr_uses=list(payload["attr_uses"]),
-            noqa={int(k): (None if v is None else list(v))
-                  for k, v in payload["noqa"].items()},
-        )
 
 
 def _resolve_relative(module: str, is_package: bool, level: int,
@@ -214,20 +166,10 @@ def _direct_calls(func: ast.FunctionDef | ast.AsyncFunctionDef) \
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _sunset_for(lines: list[str], start: int, end: int) -> str | None:
-    """The first sunset marker on the statement's physical lines."""
-    for lineno in range(start, min(end, len(lines)) + 1):
-        match = _SUNSET_RE.search(lines[lineno - 1])
-        if match is not None:
-            return match.group("version")
-    return None
-
-
 def summarize(ctx: "FileContext") -> FileSummary:
     """Extract a :class:`FileSummary` from a parsed :class:`FileContext`."""
     module = ctx.module
     is_package = ctx.path.name == "__init__.py"
-    source_lines = ctx.source.splitlines()
 
     defs: dict[str, str] = {}
     consts: dict[str, str] = {}
@@ -237,7 +179,6 @@ def summarize(ctx: "FileContext") -> FileSummary:
     imports: list[ImportRecord] = []
     functions: list[FunctionSummary] = []
     register_calls: list[RegisterCall] = []
-    warns: list[WarnSite] = []
     attr_uses: set[str] = set()
 
     def record_import(node: ast.Import | ast.ImportFrom, toplevel: bool,
@@ -341,14 +282,10 @@ def summarize(ctx: "FileContext") -> FileSummary:
     walk_scope(ctx.tree.body, toplevel=True, type_checking=False,
                qualprefix="")
 
-    # Whole-tree sweeps that do not care about scope nesting.
+    # Whole-tree sweep that does not care about scope nesting.
     import_bindings = {binding for record in imports
                        for _, binding in record.names}
-    stmt_end: dict[int, int] = {}
-    for stmt in ast.walk(ctx.tree):
-        if isinstance(stmt, ast.stmt):
-            stmt_end.setdefault(stmt.lineno, stmt.end_lineno or stmt.lineno)
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Attribute):
             dotted = _dotted(node)
             if dotted and dotted.split(".")[0] in import_bindings:
@@ -370,27 +307,12 @@ def summarize(ctx: "FileContext") -> FileSummary:
                 register_calls.append(RegisterCall(
                     op=args[0], backend=args[1], fn=args[2],
                     lineno=node.lineno, col=node.col_offset))
-            elif callee in ("warnings.warn", "warn"):
-                category: str | None = None
-                if len(node.args) >= 2:
-                    category = _dotted(node.args[1])
-                for keyword in node.keywords:
-                    if keyword.arg == "category":
-                        category = _dotted(keyword.value)
-                end = stmt_end.get(node.lineno, node.end_lineno or node.lineno)
-                warns.append(WarnSite(
-                    lineno=node.lineno, col=node.col_offset,
-                    category=category,
-                    sunset=_sunset_for(source_lines, node.lineno, end)))
 
     register_calls.sort(key=lambda r: (r.lineno, r.col))
-    warns.sort(key=lambda w: (w.lineno, w.col))
-    noqa = {line: (None if codes is None else sorted(codes))
-            for line, codes in ctx._noqa.items()}
     return FileSummary(
         module=module, display=ctx.display, path=str(ctx.path),
         is_package=is_package, defs=defs, consts=consts,
         dunder_all=dunder_all, all_lineno=all_lineno,
         all_dynamic=all_dynamic, imports=imports, functions=functions,
-        register_calls=register_calls, warns=warns,
-        attr_uses=sorted(attr_uses), noqa=noqa)
+        register_calls=register_calls, attr_uses=sorted(attr_uses),
+        noqa=ctx._noqa)

@@ -2,9 +2,8 @@
 
 :func:`run_lint` is the single entry point both the ``repro lint`` CLI
 subcommand and tests call: it resolves the rule selection (optionally
-narrowed to the per-file or whole-program scope), lints — through the
-warm-run parse cache when given a ``cache_path`` — prints to the given
-stream in the requested format, and returns the process exit code
+narrowed to the per-file or whole-program scope), lints, prints to the
+given stream in the requested format, and returns the process exit code
 (0 clean, 1 violations, 2 engine/usage errors).
 """
 
@@ -35,14 +34,12 @@ def format_rule_listing() -> list[str]:
 def run_lint(paths: Sequence[str], *, select: Sequence[str] | None = None,
              json_output: bool = False, list_rules: bool = False,
              output_format: str | None = None, scope: str = "all",
-             cache_path: str | None = None,
              stream: TextIO | None = None) -> int:
     """Lint ``paths`` and print findings; returns the exit code.
 
     ``json_output=True`` is the legacy spelling of
     ``output_format="json"``; ``scope`` narrows the run to per-file or
-    whole-program rules (the CI job split); ``cache_path`` enables the
-    mtime+size parse cache at that location.
+    whole-program rules (the CI job split).
     """
     out = stream if stream is not None else sys.stdout
     fmt = output_format or ("json" if json_output else "text")
@@ -70,12 +67,7 @@ def run_lint(paths: Sequence[str], *, select: Sequence[str] | None = None,
         return usage_error(str(exc))
     if scope != "all":
         rules = [r for r in rules if r.scope == scope]
-    cache = None
-    if cache_path is not None:
-        from .cache import LintCache
-
-        cache = LintCache(cache_path)
-    result = lint_paths(paths, rules=rules, cache=cache)
+    result = lint_paths(paths, rules=rules)
     if fmt == "json":
         print(json.dumps(result.to_dict(), indent=2), file=out)
         return result.exit_code
@@ -89,12 +81,10 @@ def run_lint(paths: Sequence[str], *, select: Sequence[str] | None = None,
     for path, message in result.errors:
         print(f"{path}: error: {message}", file=out)
     n = len(result.violations)
-    cached = f", {result.files_from_cache} from cache" \
-        if result.files_from_cache else ""
     if result.clean:
         print(f"{result.files_checked} file(s) clean "
-              f"({len(result.rule_codes)} rules{cached})", file=out)
+              f"({len(result.rule_codes)} rules)", file=out)
     else:
         print(f"{n} violation(s), {len(result.errors)} error(s) in "
-              f"{result.files_checked} file(s){cached}", file=out)
+              f"{result.files_checked} file(s)", file=out)
     return result.exit_code

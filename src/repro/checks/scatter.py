@@ -47,7 +47,7 @@ class RawUfuncScatter(Rule):
         return ctx.module_is("repro") and not ctx.module_is("repro.sparse")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             called = dotted_name(node.func)

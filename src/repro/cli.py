@@ -16,9 +16,7 @@ Commands
                                         per-method, per-stage time breakdown
 ``repro lint``                          repo-aware static analysis (RPRxxx
                                         rules, per-file + whole-program) over
-                                        src/tests/benchmarks/examples; warm
-                                        runs reuse a parse cache
-                                        (``--no-cache`` to bypass) and
+                                        src/tests/benchmarks/examples;
                                         ``--format sarif`` emits SARIF 2.1.0
 ``repro stats``                         hit/miss/size snapshot of every
                                         process-global cache
@@ -124,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("all", "file", "program"),
                         help="run only per-file or only whole-program rules "
                              "(default: all)")
-    p_lint.add_argument("--no-cache", action="store_true",
-                        help="bypass the .repro_lint_cache.json parse cache")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="print every registered rule and exit")
 
@@ -206,6 +202,8 @@ def _run(args: argparse.Namespace) -> int:
                                       else {}))
         from .explain import ExplainTarget
 
+        # `-t` is a bare id typed by a user: promote it to the typed target
+        # here, at the edge, because the explain API takes no bare ints.
         if dataset.task == "node":
             node = args.target if args.target is not None else int(
                 dataset.graph.test_mask.nonzero()[0][0]
@@ -232,7 +230,6 @@ def _run(args: argparse.Namespace) -> int:
         from pathlib import Path
 
         from .checks import run_lint
-        from .checks.cache import DEFAULT_CACHE_PATH
 
         paths = args.paths
         if not paths:
@@ -243,8 +240,6 @@ def _run(args: argparse.Namespace) -> int:
                         json_output=args.json_output,
                         output_format=args.output_format,
                         scope=args.scope,
-                        cache_path=None if args.no_cache
-                        else DEFAULT_CACHE_PATH,
                         list_rules=args.list_rules)
 
     if args.command == "trace":

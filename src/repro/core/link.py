@@ -16,14 +16,12 @@ passes its log-probability as the objective's ``log P``.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..autograd import Tensor
 from ..errors import ExplainerError
 from ..explain.base import Explanation, traced_explain
-from ..explain.target import ExplainTarget
+from ..explain.target import ExplainTarget, require_target
 from ..flows import FlowIndex, cached_enumerate_flows
 from ..graph import Graph, extract_receptive_field
 from ..nn.link_prediction import LinkPredictor
@@ -93,24 +91,16 @@ class LinkRevelio:
         )
 
     # ------------------------------------------------------------------
-    def explain(self, graph: Graph, target: ExplainTarget | int | None = None,
-                _legacy_v: int | None = None, mode: str = "factual") -> Explanation:
+    def explain(self, graph: Graph, target: ExplainTarget | None = None,
+                mode: str = "factual") -> Explanation:
         """Explain a predicted link via message-flow masks.
 
-        ``target`` is an ``ExplainTarget.link(u, v)``. The historical
-        ``explain(graph, u, v[, mode])`` positional form (and a bare
-        ``(u, v)`` tuple) keeps working one release behind a
-        ``DeprecationWarning``.
+        ``target`` is an ``ExplainTarget.link(u, v)``; any other shape
+        (including a bare ``(u, v)`` tuple) raises
+        :class:`~repro.errors.ExplainerError`.
         """
-        if _legacy_v is not None:
-            warnings.warn(  # repro: sunset[2.0]
-                "link_revelio.explain(graph, u, v) is deprecated; pass "
-                "ExplainTarget.link(u, v)", DeprecationWarning, stacklevel=2)
-            target = ExplainTarget.link(int(target), int(_legacy_v))  # type: ignore[arg-type]
-        else:
-            target = ExplainTarget.coerce(target, task="node",
-                                          where=f"{self.name}.explain")
-        if not isinstance(target, ExplainTarget) or target.kind != "link":
+        target = require_target(target, task="link", where=f"{self.name}.explain")
+        if target is None or target.kind != "link":
             raise ExplainerError(
                 f"link explanation requires an ExplainTarget.link(u, v) target, "
                 f"got {target!r}")

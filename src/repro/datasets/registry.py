@@ -8,6 +8,7 @@ harness is tractable on CPU; ``REPRO_SCALE=1`` reproduces paper sizes.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable
 
@@ -46,9 +47,20 @@ _TASKS = {
 }
 
 
+def _check_scale(scale: str | float, source: str) -> float:
+    """``scale`` as a float; :class:`DatasetError` unless finite and > 0."""
+    try:
+        value = float(scale)
+    except (TypeError, ValueError):
+        raise DatasetError(f"{source} must be a number, got {scale!r}") from None
+    if not math.isfinite(value) or value <= 0:
+        raise DatasetError(f"{source} must be a positive finite number, got {scale!r}")
+    return value
+
+
 def default_scale() -> float:
     """Experiment scale from ``REPRO_SCALE`` (default 0.25)."""
-    return float(os.environ.get("REPRO_SCALE", "0.25"))
+    return _check_scale(os.environ.get("REPRO_SCALE", "0.25"), "REPRO_SCALE")
 
 
 def dataset_task(name: str) -> str:
@@ -67,13 +79,13 @@ def load_dataset(name: str, scale: float | None = None,
     name:
         One of :data:`DATASET_NAMES` (case-insensitive; hyphens allowed).
     scale:
-        Size multiplier; ``None`` uses :func:`default_scale`.
+        Size multiplier, positive and finite; ``None`` uses
+        :func:`default_scale`.
     seed:
         Generator seed for reproducibility.
     """
     key = name.lower().replace("-", "_")
     if key not in _BUILDERS:
         raise DatasetError(f"unknown dataset {name!r}; available: {sorted(_BUILDERS)}")
-    if scale is None:
-        scale = default_scale()
+    scale = default_scale() if scale is None else _check_scale(scale, "scale")
     return _BUILDERS[key](scale=scale, seed=seed)

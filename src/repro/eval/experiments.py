@@ -13,11 +13,11 @@ reproduces the paper's §V-A settings). Numbers produced at the defaults
 are smoke-scale and must not be read as paper-grade reproductions — set
 ``REPRO_INSTANCES=50 REPRO_EFFORT=1`` (and ``REPRO_SCALE=1``) for those.
 
-The grid runners (fidelity / AUC / runtime) also accept ``jobs=`` and
-``resume=``: ``jobs=N`` shards the artifact into per-``(method,
-instance-chunk)`` work units executed by :mod:`repro.runner` (``N=1``
-inline, ``N>1`` across a crash-isolated worker pool), and ``resume=``
-names a JSONL journal that checkpoints every job so an interrupted run
+The grid runners (fidelity / AUC / runtime) also accept
+``execution=ExecutionConfig(jobs=..., resume=...)``: ``jobs=N`` shards
+the artifact into per-``(method, instance-chunk)`` work units executed
+by :mod:`repro.runner` (``N=1`` inline, ``N>1`` across a crash-isolated
+worker pool), and ``resume=`` names a JSONL journal that checkpoints every job so an interrupted run
 picks up where it left off.
 """
 
@@ -28,12 +28,7 @@ from dataclasses import dataclass, field
 
 from ..datasets import GraphDataset, NodeDataset, load_dataset
 from ..errors import EvaluationError
-from ..execution import (
-    ExecutionConfig,
-    accept_legacy_positionals,
-    coerce_execution,
-    resolve_trace_path,
-)
+from ..execution import ExecutionConfig, reject_driver_kwargs, resolve_trace_path
 from ..explain import make_explainer
 from ..explain.base import Explainer
 from ..explain.target import ExplainTarget, as_node_id
@@ -241,7 +236,7 @@ def _run_serial(artifact: str, dataset_name: str, conv: str,
 
 
 def run_fidelity_experiment(dataset_name: str, conv: str, methods: tuple[str, ...],
-                            *legacy_args,
+                            *,
                             mode: str = "factual",
                             config: ExperimentConfig | None = None,
                             execution: ExecutionConfig | None = None,
@@ -254,16 +249,14 @@ def run_fidelity_experiment(dataset_name: str, conv: str, methods: tuple[str, ..
     :class:`~repro.execution.ExecutionConfig`. With ``jobs``/``resume``
     set the artifact runs through the sharded runner (see module
     docstring); for a fixed config the aggregated rows are byte-identical
-    for any worker count and across ``resume``. Old flat kwargs
-    (``jobs=4``) and positional ``mode``/``config`` still work for one
-    release with a :class:`DeprecationWarning`.
+    for any worker count and across ``resume``. A flat execution kwarg
+    (``jobs=4``) raises :class:`~repro.errors.ReproError` naming
+    ``execution=ExecutionConfig(jobs=...)``.
     """
-    legacy = accept_legacy_positionals("run_fidelity_experiment", legacy_args,
-                                       ("mode", "config"))
-    mode = legacy.get("mode", mode)
-    config = legacy.get("config", config) or ExperimentConfig()
-    execution = coerce_execution("run_fidelity_experiment", execution, kwargs,
-                                 extra_valid=("mode", "config"))
+    reject_driver_kwargs("run_fidelity_experiment", kwargs,
+                         ("mode", "config", "execution"))
+    config = config or ExperimentConfig()
+    execution = execution or ExecutionConfig()
     if execution.sharded:
         from ..runner import run_planned_experiment
 
@@ -299,18 +292,16 @@ def run_fidelity_experiment(dataset_name: str, conv: str, methods: tuple[str, ..
 
 
 def run_auc_experiment(dataset_name: str, conv: str, methods: tuple[str, ...],
-                       *legacy_args,
+                       *,
                        mode: str = "factual",
                        config: ExperimentConfig | None = None,
                        execution: ExecutionConfig | None = None,
                        **kwargs) -> dict:
     """Table IV: explanation AUC against planted motifs (synthetics only)."""
-    legacy = accept_legacy_positionals("run_auc_experiment", legacy_args,
-                                       ("mode", "config"))
-    mode = legacy.get("mode", mode)
-    config = legacy.get("config", config) or ExperimentConfig()
-    execution = coerce_execution("run_auc_experiment", execution, kwargs,
-                                 extra_valid=("mode", "config"))
+    reject_driver_kwargs("run_auc_experiment", kwargs,
+                         ("mode", "config", "execution"))
+    config = config or ExperimentConfig()
+    execution = execution or ExecutionConfig()
     if execution.sharded:
         from ..runner import run_planned_experiment
 
@@ -343,16 +334,15 @@ def run_auc_experiment(dataset_name: str, conv: str, methods: tuple[str, ...],
 
 
 def run_runtime_experiment(dataset_name: str, conv: str, methods: tuple[str, ...],
-                           *legacy_args,
+                           *,
                            config: ExperimentConfig | None = None,
                            execution: ExecutionConfig | None = None,
                            **kwargs) -> dict:
     """Table V: mean running time per instance for each method."""
-    legacy = accept_legacy_positionals("run_runtime_experiment", legacy_args,
-                                       ("config",))
-    config = legacy.get("config", config) or ExperimentConfig()
-    execution = coerce_execution("run_runtime_experiment", execution, kwargs,
-                                 extra_valid=("config",))
+    reject_driver_kwargs("run_runtime_experiment", kwargs,
+                         ("config", "execution"))
+    config = config or ExperimentConfig()
+    execution = execution or ExecutionConfig()
     if execution.sharded:
         from ..runner import run_planned_experiment
 

@@ -43,17 +43,16 @@ class Instance:
 
     ``target`` is an :class:`~repro.explain.target.ExplainTarget`
     (``ExplainTarget.node(i)`` for node tasks, ``None`` for whole-graph
-    instances); legacy records carrying bare node ids keep working one
-    release — consumers resolve through
+    instances); consumers read the node id through
     :func:`~repro.explain.target.as_node_id`.
     """
 
     graph: Graph
-    target: ExplainTarget | int | None = None
+    target: ExplainTarget | None = None
 
 
 def class_probability(model: GNN, graph: Graph, class_idx: int, *,
-                      target: ExplainTarget | int | None = None) -> float:
+                      target: ExplainTarget | None = None) -> float:
     """``P_Φ(class | graph)`` at the target node / for the graph."""
     proba = model.predict_proba(graph)
     node = as_node_id(target)

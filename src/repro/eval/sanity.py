@@ -60,7 +60,7 @@ def randomize_model(model: GNN, *, rng: int | np.random.Generator | None = 0,
 
 
 def model_randomization_check(explainer_factory, model: GNN, graph: Graph,
-                              *, target: ExplainTarget | int | None = None, k: int = 10,
+                              *, target: ExplainTarget | None = None, k: int = 10,
                               overlap_threshold: float = 0.6,
                               seed: int = 0) -> SanityCheckResult:
     """Run the Adebayo-style model-randomization test for one method.

@@ -5,33 +5,21 @@ work — ``jobs=``/``resume=``/``timeout=``/``retries=``/``trace=`` on the
 experiment drivers, each accepted by a different subset of entry points. :class:`ExecutionConfig` consolidates
 them: every public driver (``run_fidelity_experiment``,
 ``run_auc_experiment``, ``run_runtime_experiment``) and the CLI accept
-the same ``execution=`` object, and the old flat kwargs keep working for
-one release through a :func:`DeprecationWarning` shim
-(:func:`coerce_execution`).
+the same ``execution=`` object. A field passed flat (``jobs=4``) raises
+:class:`~repro.errors.ReproError` naming ``execution=ExecutionConfig(...)``
+(:func:`reject_driver_kwargs`).
 """
 
 from __future__ import annotations
 
 import difflib
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ReproError
 
-__all__ = ["ExecutionConfig", "coerce_execution", "reject_unknown_kwargs",
-           "accept_legacy_positionals", "resolve_trace_path"]
-
-#: Old flat keyword names accepted (with a DeprecationWarning) by the
-#: experiment drivers, mapped to their ExecutionConfig field.
-_LEGACY_FIELDS = {
-    "jobs": "jobs",
-    "resume": "resume",
-    "chunk_size": "chunk_size",
-    "timeout": "timeout",
-    "retries": "retries",
-    "trace": "trace",
-}
+__all__ = ["ExecutionConfig", "reject_unknown_kwargs", "reject_driver_kwargs",
+           "resolve_trace_path"]
 
 
 @dataclass(frozen=True)
@@ -103,62 +91,26 @@ def reject_unknown_kwargs(func_name: str, kwargs: dict,
                      f"{name!r}{hint}")
 
 
-def coerce_execution(func_name: str, execution: ExecutionConfig | None,
-                     kwargs: dict, *,
-                     extra_valid: tuple[str, ...] = ()) -> ExecutionConfig:
-    """Fold legacy flat execution kwargs into an :class:`ExecutionConfig`.
+def reject_driver_kwargs(func_name: str, kwargs: dict,
+                         valid: tuple[str, ...]) -> None:
+    """Raise :class:`ReproError` for any keyword left in a driver's ``**kwargs``.
 
-    Pops any of ``jobs``/``resume``/``chunk_size``/``timeout``/``retries``/
-    ``trace`` out of ``kwargs`` with a single
-    :class:`DeprecationWarning`, overlaying them on ``execution`` (or a
-    default config). Anything left in ``kwargs`` afterwards raises
-    :class:`ReproError` via :func:`reject_unknown_kwargs`.
+    An :class:`ExecutionConfig` field passed flat (``jobs=2``), or a near
+    miss of one (``job=2``), names the one place execution options go;
+    any other name gets :func:`reject_unknown_kwargs`' did-you-mean hint.
     """
-    legacy = {}
-    for old, field_name in _LEGACY_FIELDS.items():
-        if old in kwargs:
-            value = kwargs.pop(old)
-            if value is not None:
-                legacy[field_name] = value
-    if legacy:
-        warnings.warn(  # repro: sunset[2.0]
-            f"passing {', '.join(sorted(legacy))} directly to {func_name}() "
-            f"is deprecated; pass execution=ExecutionConfig(...) instead",
-            DeprecationWarning, stacklevel=3,
-        )
-    valid = tuple(f.name for f in fields(ExecutionConfig)) + \
-        ("execution",) + extra_valid
+    if not kwargs:
+        return
+    name = next(iter(kwargs))
+    execution_fields = tuple(f.name for f in fields(ExecutionConfig))
+    close = difflib.get_close_matches(name, (*valid, *execution_fields), n=1)
+    field = name if name in execution_fields else next(iter(close), None)
+    if field in execution_fields:
+        hint = "" if field == name else f" (did you mean {field!r}?)"
+        raise ReproError(f"{func_name}() got an unexpected keyword argument "
+                         f"{name!r}{hint}; execution options go in "
+                         f"execution=ExecutionConfig({field}=...)")
     reject_unknown_kwargs(func_name, kwargs, valid)
-    config = execution if execution is not None else ExecutionConfig()
-    if legacy:
-        config = replace(config, **legacy)
-    return config
-
-
-def accept_legacy_positionals(func_name: str, legacy_args: tuple,
-                              names: tuple[str, ...]) -> dict:
-    """Map extra positional args to their old parameter names, warning once.
-
-    The keyword-only redesign moved everything after the leading
-    positionals behind ``*``; callers still passing them positionally get
-    one release of grace with a :class:`DeprecationWarning`.
-    """
-    if not legacy_args:
-        return {}
-    if len(legacy_args) > len(names):
-        # Mirrors Python's own too-many-positionals TypeError (pinned by
-        # tests/obs/test_api_compat.py).
-        raise TypeError(  # repro: noqa[RPR012]
-            f"{func_name}() takes at most {len(names)} optional positional "
-            f"argument{'s' if len(names) != 1 else ''} "
-            f"({', '.join(names)}); got {len(legacy_args)}")
-    taken = names[:len(legacy_args)]
-    warnings.warn(  # repro: sunset[2.0]
-        f"passing {', '.join(taken)} positionally to {func_name}() is "
-        f"deprecated; pass them as keyword arguments",
-        DeprecationWarning, stacklevel=3,
-    )
-    return dict(zip(taken, legacy_args))
 
 
 def resolve_trace_path(trace: bool | str | None, resume: str | None,

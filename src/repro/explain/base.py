@@ -36,7 +36,7 @@ from ..graph import Graph, extract_receptive_field
 from ..nn.models import GNN
 from ..obs import PERF, span
 from ..obs.names import SPAN_CONTEXT_EXTRACT, SPAN_EXPLAIN
-from .target import ExplainTarget
+from .target import ExplainTarget, require_target
 
 __all__ = ["Explanation", "Explainer", "NodeContext", "MODES",
            "CONTEXT_CACHE", "context_cache_disabled", "clear_context_cache",
@@ -275,20 +275,21 @@ class Explainer:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def explain(self, graph: Graph, target: ExplainTarget | int | None = None,
+    def explain(self, graph: Graph, target: ExplainTarget | None = None,
                 mode: str = "factual") -> Explanation:
         """Explain one instance.
 
         ``target`` is an :class:`~repro.explain.target.ExplainTarget`
         (``ExplainTarget.node(i)`` for node classification; ``None`` or
         ``ExplainTarget.graph(j)`` for graph classification, where the
-        caller has already selected graph ``j``). Bare-int targets keep
-        working one release behind a ``DeprecationWarning``.
+        caller has already selected graph ``j``). A bare int or tuple
+        raises :class:`~repro.errors.ExplainerError` naming the typed
+        constructor.
         """
         if mode not in MODES:
             raise ExplainerError(f"unknown mode {mode!r}; expected one of {MODES}")
-        target = ExplainTarget.coerce(target, task=self.model.task,
-                                      where=f"{self.name}.explain")
+        target = require_target(target, task=self.model.task,
+                                where=f"{self.name}.explain")
 
         def explain() -> Explanation:
             if self.model.task == "node":
@@ -373,19 +374,16 @@ class Explainer:
             CONTEXT_CACHE.put(key, context)
         return context
 
-    def predicted_class(self, graph: Graph,
-                        target: ExplainTarget | int | None = None) -> int:
-        """The model's predicted class for the instance.
+    def predicted_class(self, graph: Graph, target: int | None = None) -> int:
+        """The model's predicted class at row ``target`` of ``graph``
+        (row 0 when ``None``, the graph-task readout).
 
         Node explainers pass ``(context.subgraph, context.local_target)``:
         the context forward is exact at the target, so this is the
         full-graph prediction at the cost of the receptive field.
         """
-        from .target import as_node_id
-
         proba = self.model.predict_proba(graph)
-        node = as_node_id(target)
-        row = proba[node] if node is not None else proba[0]
+        row = proba[target] if target is not None else proba[0]
         return int(row.argmax())
 
     def lift_edge_scores(self, context: NodeContext, local_scores: np.ndarray,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from ..execution import accept_legacy_positionals, reject_unknown_kwargs
+from ..execution import reject_unknown_kwargs
 from .base import Explainer, Explanation
 from .io import save_explanation
 
@@ -51,7 +51,7 @@ class BatchResult:
 
 
 def explain_instances(explainer: Explainer, instances: "Sequence[Instance]",
-                      *legacy_args,
+                      *,
                       mode: str = "factual",
                       progress: Callable[[int, int], None] | None = None,
                       save_dir: str | Path | None = None,
@@ -59,10 +59,9 @@ def explain_instances(explainer: Explainer, instances: "Sequence[Instance]",
                       **kwargs) -> BatchResult:
     """Explain a list of instances, collecting failures instead of dying.
 
-    Everything after ``(explainer, instances)`` is keyword-only; the old
-    positional shapes still work for one release with a
-    :class:`DeprecationWarning`, and unknown keywords raise
-    :class:`~repro.errors.ReproError` naming the nearest valid option.
+    Everything after ``(explainer, instances)`` is keyword-only; unknown
+    keywords raise :class:`~repro.errors.ReproError` naming the nearest
+    valid option.
 
     Parameters
     ----------
@@ -70,9 +69,8 @@ def explain_instances(explainer: Explainer, instances: "Sequence[Instance]",
         Any :class:`Explainer` (already fitted, for group-level methods).
     instances:
         ``Instance(graph, target)`` records whose ``target`` is an
-        :class:`~repro.explain.target.ExplainTarget` (bare ints keep
-        working one release behind a ``DeprecationWarning``, raised by
-        ``Explainer.explain`` when it coerces them).
+        :class:`~repro.explain.target.ExplainTarget` (or ``None`` for
+        graph tasks).
     progress:
         Optional callback ``(done, total)`` after each instance.
     save_dir:
@@ -81,13 +79,6 @@ def explain_instances(explainer: Explainer, instances: "Sequence[Instance]",
     raise_on_error:
         Re-raise the first per-instance error instead of recording it.
     """
-    legacy = accept_legacy_positionals(
-        "explain_instances", legacy_args,
-        ("mode", "progress", "save_dir", "raise_on_error"))
-    mode = legacy.get("mode", mode)
-    progress = legacy.get("progress", progress)
-    save_dir = legacy.get("save_dir", save_dir)
-    raise_on_error = legacy.get("raise_on_error", raise_on_error)
     reject_unknown_kwargs("explain_instances", kwargs,
                           ("mode", "progress", "save_dir", "raise_on_error"))
     if save_dir is not None:

@@ -194,7 +194,7 @@ class GraphMask(Explainer):
 
     def prepare_instances(
             self, graph_or_graphs,
-            targets: list[ExplainTarget | int] | None = None,
+            targets: list[ExplainTarget] | None = None,
     ) -> list[tuple[Graph, int | None]]:
         """Build fit() inputs (same contract as PGExplainer)."""
         if self.model.task == "node":

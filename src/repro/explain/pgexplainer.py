@@ -156,7 +156,7 @@ class PGExplainer(Explainer):
                                  "train it on a group of instances first")
 
     def prepare_instances(self, graph_or_graphs,
-                          targets: list[ExplainTarget | int] | None = None,
+                          targets: list[ExplainTarget] | None = None,
                           mode: str = "factual") -> list[tuple[Graph, int | None]]:
         """Build fit() inputs: context subgraphs for node targets, or the
         graphs themselves for graph tasks."""

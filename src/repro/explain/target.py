@@ -16,28 +16,21 @@ paper's §II lists:
 ``ExplainTarget.graph(j)``
     graph ``j`` of a multi-graph dataset (graph classification).
 
-Legacy shapes keep working for one release: :meth:`ExplainTarget.coerce`
-accepts a bare ``int`` or an ``(u, v)`` tuple behind a
-:class:`DeprecationWarning`, and :meth:`ExplainTarget.resolve` performs the
-same conversion silently for *internal* plumbing whose records predate the
-redesign (e.g. :class:`~repro.eval.fidelity.Instance` built from resolved
-node ids). New code should construct targets explicitly.
+A bare ``int`` or ``(u, v)`` tuple is not a target: :func:`require_target`
+rejects it with an :class:`~repro.errors.ExplainerError` naming the typed
+constructor to call instead.
 """
 
 from __future__ import annotations
 
-import warnings
+import operator
 from dataclasses import dataclass
 
 from ..errors import ExplainerError
 
-__all__ = ["ExplainTarget", "as_node_id"]
+__all__ = ["ExplainTarget", "as_node_id", "require_target"]
 
 TARGET_KINDS = ("node", "link", "graph")
-
-#: stacklevel puts the warning on the caller of the public entry point,
-#: two frames above the coercion helper itself.
-_WARN_STACKLEVEL = 3
 
 
 def _as_index(value: object, what: str) -> int:
@@ -162,57 +155,44 @@ class ExplainTarget:
             return cls.link(value[0], value[1])
         return cls(kind, (_as_index(value, f"{kind} target"),))
 
-    # ------------------------------------------------------------------
-    # legacy coercion
-    # ------------------------------------------------------------------
-    @classmethod
-    def resolve(cls, value: "ExplainTarget | int | tuple | None", *,
-                task: str = "node") -> "ExplainTarget | None":
-        """Silent conversion of legacy shapes (internal plumbing).
-
-        ``None`` passes through (graph tasks explain the given instance);
-        a bare int resolves per ``task`` — a node id for node tasks, a
-        graph index otherwise; an ``(u, v)`` pair resolves to a link.
-        Records that predate the redesign (``Instance.target``, journal
-        payloads) go through here; *public* entry points use
-        :meth:`coerce`, which additionally warns.
-        """
-        if value is None or isinstance(value, ExplainTarget):
-            return value
-        if isinstance(value, (tuple, list)) and len(value) == 2:
-            return cls.link(value[0], value[1])
-        index = _as_index(value, "explain target")
-        if task == "node":
-            return cls.node(index)
-        return cls.graph(index)
-
-    @classmethod
-    def coerce(cls, value: "ExplainTarget | int | tuple | None", *,
-               task: str = "node",
-               where: str = "explain") -> "ExplainTarget | None":
-        """:meth:`resolve`, plus a :class:`DeprecationWarning` on legacy
-        shapes — the one-release compatibility path of the public API."""
-        if value is None or isinstance(value, ExplainTarget):
-            return value
-        target = cls.resolve(value, task=task)
-        hint = {"node": f"ExplainTarget.node({target.ids[0]})",
-                "link": f"ExplainTarget.link{target.ids}",
-                "graph": f"ExplainTarget.graph({target.ids[0]})"}[target.kind]
-        warnings.warn(  # repro: sunset[2.0]
-            f"{where}: bare {type(value).__name__} targets are deprecated; "
-            f"pass {hint}", DeprecationWarning, stacklevel=_WARN_STACKLEVEL)
-        return target
-
     def __str__(self) -> str:
         return self.describe()
 
 
-def as_node_id(target: "ExplainTarget | int | None") -> int | None:
+def _typed_hint(value: object, task: str) -> str:
+    """The typed constructor call that replaces an untyped target."""
+    if isinstance(value, (tuple, list)) and len(value) == 2:
+        return f"ExplainTarget.link({value[0]}, {value[1]})"
+    if task == "link":
+        return "ExplainTarget.link(u, v)"
+    try:
+        index = operator.index(value)
+    except TypeError:
+        return "ExplainTarget.node(i), ExplainTarget.link(u, v) or ExplainTarget.graph(j)"
+    return f"ExplainTarget.{'node' if task == 'node' else 'graph'}({index})"
+
+
+def require_target(value: object, *, task: str = "node",
+                   where: str = "explain") -> "ExplainTarget | None":
+    """``value`` itself when it is an :class:`ExplainTarget` or ``None``.
+
+    Anything else (a bare node id, an ``(u, v)`` tuple) raises
+    :class:`~repro.errors.ExplainerError` naming the constructor to call,
+    e.g. ``pass ExplainTarget.node(4)``; ``task`` (``"node"``, ``"graph"``
+    or ``"link"``) picks the constructor the hint names for a bare int.
+    """
+    if value is None or isinstance(value, ExplainTarget):
+        return value
+    raise ExplainerError(
+        f"{where}: bare {type(value).__name__} targets are not accepted; "
+        f"pass {_typed_hint(value, task)}")
+
+
+def as_node_id(target: "ExplainTarget | None") -> int | None:
     """The node id a target addresses, or ``None`` for whole-instance
-    targets — the helper the evaluation layer uses to index probability
-    rows regardless of which target shape a record carries."""
-    if target is None:
+    (graph or link) targets — the helper the evaluation layer uses to
+    index probability rows."""
+    target = require_target(target, where="as_node_id")
+    if target is None or target.kind != "node":
         return None
-    if isinstance(target, ExplainTarget):
-        return target.node_id if target.kind == "node" else None
-    return int(target)
+    return target.node_id

@@ -14,14 +14,12 @@ compiled :func:`~repro.sparse.cache.sparse_cache` aggregation operator
 set), replacing the per-hop ``np.isin`` scan over all ``E`` edges that the
 original :func:`~repro.graph.utils.k_hop_subgraph` performed.
 
-``k_hop_subgraph`` now returns a :class:`SampledSubgraph`; unpacking it as
-the historical ``(node_ids, edge_mask)`` two-tuple still works for one
-release behind a :class:`DeprecationWarning`.
+``k_hop_subgraph`` returns a :class:`SampledSubgraph`; read its fields
+(``.node_ids``, ``.edge_mask``, ``.graph``, ``.edge_positions``) — it is
+not a ``(node_ids, edge_mask)`` tuple and does not unpack as one.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -85,9 +83,6 @@ class SampledSubgraph:
     edge ``edge_positions[j]``. The relabeled :class:`Graph` itself is
     built lazily — callers that only need the id maps (the historical
     ``k_hop_subgraph`` contract) never pay for feature slicing.
-
-    Unpacking as the legacy ``(node_ids, edge_mask)`` two-tuple still
-    works behind a :class:`DeprecationWarning`.
     """
 
     __slots__ = ("node_ids", "edge_mask", "targets", "num_hops",
@@ -174,31 +169,6 @@ class SampledSubgraph:
     def local_targets(self) -> tuple[int, ...]:
         """The extraction targets, relabeled into local ids."""
         return tuple(int(i) for i in np.atleast_1d(self.local_index(list(self.targets))))
-
-    # ------------------------------------------------------------------
-    # legacy (node_ids, edge_mask) tuple shim — one release
-    # ------------------------------------------------------------------
-    def astuple(self) -> tuple[np.ndarray, np.ndarray]:
-        """The historical ``(node_ids, edge_mask)`` pair, without warning."""
-        return self.node_ids, self.edge_mask
-
-    def _warn_tuple(self) -> None:
-        warnings.warn(  # repro: sunset[2.0]
-            "unpacking k_hop_subgraph() as a (node_ids, edge_mask) tuple is "
-            "deprecated; use the SampledSubgraph fields (.node_ids, "
-            ".edge_mask, .graph, .edge_positions) instead",
-            DeprecationWarning, stacklevel=3)
-
-    def __iter__(self):
-        self._warn_tuple()
-        return iter((self.node_ids, self.edge_mask))
-
-    def __len__(self) -> int:
-        return 2
-
-    def __getitem__(self, index):
-        self._warn_tuple()
-        return (self.node_ids, self.edge_mask)[index]
 
     def __repr__(self) -> str:
         return (f"SampledSubgraph(num_nodes={self.num_nodes}, "

@@ -69,10 +69,8 @@ def k_hop_subgraph(graph: Graph, node: int, num_hops: int) -> SampledSubgraph:
 
     Follows edges backwards (an L-layer GNN's prediction at ``node`` depends
     only on nodes with a directed path of length ≤ L *to* it). Returns a
-    :class:`SampledSubgraph` whose ``node_ids`` / ``edge_mask`` match the
-    historical two-tuple contract: ``edge_mask`` marks original edges whose
-    endpoints both lie in the neighborhood. Unpacking the result as a
-    two-tuple still works one release behind a ``DeprecationWarning``; the
+    :class:`SampledSubgraph`: ``node_ids`` are the neighborhood's nodes and
+    ``edge_mask`` marks original edges whose endpoints both lie in it. The
     batched generalization is :func:`extract_receptive_field`.
     """
     return extract_receptive_field(graph, [int(node)], num_hops)

@@ -11,9 +11,6 @@ Counters answer *how much* work ran; the tracer in
 :mod:`repro.obs.trace` answers *where the time went*. The worker pool
 ships deltas of both with every job result (see
 :meth:`PerfCounters.merge` and :meth:`repro.obs.trace.Tracer.absorb`).
-
-``repro.instrumentation`` re-exports everything here for backward
-compatibility.
 """
 
 from __future__ import annotations

@@ -26,8 +26,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 from ..errors import RunnerError
+
+if TYPE_CHECKING:
+    from ..explain.target import ExplainTarget
 
 __all__ = ["JobSpec", "ExperimentPlan", "derive_seed", "plan_experiment",
            "plan_sampled_explain", "GROUP_FIT_METHODS", "DEFAULT_CHUNKS"]
@@ -207,28 +211,28 @@ def plan_experiment(artifact: str, dataset_name: str, conv: str,
 
 
 def plan_sampled_explain(dataset_name: str, conv: str, explainer: str,
-                         targets, *, mode: str = "factual",
+                         targets: "Sequence[ExplainTarget]", *, mode: str = "factual",
                          scale: float | None = None, config_seed: int = 0,
                          params: dict | None = None,
                          chunk_size: int = 8) -> ExperimentPlan:
     """Decompose a large-graph explanation sweep into streamed shards.
 
-    Each job carries an explicit slice of ``targets`` (as
-    :class:`~repro.explain.target.ExplainTarget` values — bare ints are
-    promoted to node targets here, once, so every downstream consumer sees
-    the typed form). The ``sampled_explain_chunk`` executor streams its
+    Each job carries an explicit slice of ``targets``, node or link
+    :class:`~repro.explain.target.ExplainTarget` values (a bare int raises
+    :class:`~repro.errors.ExplainerError` naming ``ExplainTarget.node(i)``).
+    The ``sampled_explain_chunk`` executor streams its
     shard one target at a time, and each explanation runs on the target's
     receptive field, so a worker's peak memory is bounded by the largest
     single receptive field, never by the shard. The job kind keeps its
     name because journals written by earlier runs record it.
     """
-    from ..explain.target import ExplainTarget
+    from ..explain.target import require_target
 
     if not targets:
         raise RunnerError("plan_sampled_explain requires at least one target")
     if chunk_size < 1:
         raise RunnerError(f"chunk_size must be >= 1, got {chunk_size}")
-    typed = [ExplainTarget.resolve(t, task="node") for t in targets]
+    typed = [require_target(t, where="plan_sampled_explain") for t in targets]
     if any(t is None or t.kind == "graph" for t in typed):
         raise RunnerError("sampled explanation targets must be node or link targets")
     if scale is None:

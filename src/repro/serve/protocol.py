@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import difflib
 import json
-import warnings
+import math
 from dataclasses import dataclass, fields
 
 from ..datasets import DATASET_NAMES, dataset_task
@@ -66,7 +66,7 @@ class ExplainRequest:
     dataset: str
     conv: str
     explainer: str
-    target: ExplainTarget | int | None = None
+    target: ExplainTarget | None = None
     mode: str = "factual"
     scale: float | None = None
     model_seed: int = 0
@@ -148,9 +148,9 @@ def _parse_target(value: object, dataset: str) -> ExplainTarget | None:
     """Decode the request's ``target`` field into an :class:`ExplainTarget`.
 
     Accepts the wire forms (``{"node": i}`` / ``{"link": [u, v]}`` /
-    ``{"graph": j}`` / ``{"kind": ..., "ids": [...]}``) and, one release
-    behind a ``DeprecationWarning``, a bare integer — resolved against the
-    dataset's task: a node id for node tasks, a graph index otherwise.
+    ``{"graph": j}`` / ``{"kind": ..., "ids": [...]}``) or null. A bare
+    integer is rejected with the object form to send instead, chosen by
+    the dataset's task.
     """
     if value is None:
         return None
@@ -159,18 +159,14 @@ def _parse_target(value: object, dataset: str) -> ExplainTarget | None:
             return ExplainTarget.from_wire(value)
         except ExplainerError as exc:
             raise ServeError(f'invalid request field "target": {exc}') from exc
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
+        kind = "node" if dataset_task(dataset) == "node" else "graph"
         raise ServeError(
-            'request field "target" must be a target object '
-            '({"node": i} / {"link": [u, v]} / {"graph": j}), an integer '
-            "(deprecated) or null")
-    warnings.warn(  # repro: sunset[2.0]
-        'integer "target" request fields are deprecated; send {"node": i} '
-        'or {"graph": i}', DeprecationWarning, stacklevel=3)
-    try:
-        return ExplainTarget.resolve(value, task=dataset_task(dataset))
-    except ExplainerError as exc:
-        raise ServeError(f'invalid request field "target": {exc}') from exc
+            f'request field "target" must be a target object, not a bare '
+            f'integer; send {{"{kind}": {value}}}')
+    raise ServeError(
+        'request field "target" must be a target object '
+        '({"node": i} / {"link": [u, v]} / {"graph": j}) or null')
 
 
 def parse_explain_request(payload: object) -> ExplainRequest:
@@ -199,9 +195,10 @@ def parse_explain_request(payload: object) -> ExplainRequest:
 
     scale = payload.get("scale")
     if scale is not None:
+        # json.loads accepts NaN and Infinity; neither is a dataset size.
         if not isinstance(scale, (int, float)) or isinstance(scale, bool) \
-                or scale <= 0:
-            raise ServeError('request field "scale" must be a positive number')
+                or not math.isfinite(scale) or scale <= 0:
+            raise ServeError('request field "scale" must be a positive finite number')
         scale = float(scale)
 
     model_seed = payload.get("model_seed", 0)

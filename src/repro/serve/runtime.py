@@ -29,7 +29,7 @@ from pathlib import Path
 from ..errors import ServeError
 from ..eval.fidelity import Instance
 from ..explain import explain_instances, make_explainer
-from ..explain.target import ExplainTarget
+from ..explain.target import require_target
 from ..obs import PERF, PerfCounters, TraceSession, build_manifest, span
 from ..obs.names import SPAN_SERVE_BATCH
 from .protocol import ExplainRequest, wire_explanation
@@ -41,12 +41,12 @@ __all__ = ["ExplainRuntime", "resolve_instance"]
 def resolve_instance(dataset, request: ExplainRequest) -> Instance:
     """The evaluation instance a request addresses, validated.
 
-    ``request.target`` is an :class:`ExplainTarget` (bare ints — accepted
-    for one release when constructing requests directly — resolve against
-    the dataset's task). Node tasks require an in-range node target;
-    graph tasks take a graph index (default 0), explained without a node.
+    ``request.target`` is an :class:`ExplainTarget` or ``None``. Node
+    tasks require an in-range node target; graph tasks take a graph index
+    (default 0), explained without a node.
     """
-    target = ExplainTarget.resolve(request.target, task=dataset.task)
+    target = require_target(request.target, task=dataset.task,
+                            where="ExplainRequest.target")
     if dataset.task == "node":
         if target is None:
             raise ServeError(
@@ -136,8 +136,8 @@ class ExplainRuntime:
             "model_seed": head.model_seed,
             "params": dict(head.params),
             "batch_size": len(requests),
-            "targets": [str(r.target) if isinstance(r.target, ExplainTarget)
-                        else r.target for r in requests],
+            "targets": [None if r.target is None else str(r.target)
+                        for r in requests],
         }
 
     # ------------------------------------------------------------------

@@ -62,32 +62,32 @@ class TestLogicalLineNoqa:
             "import functools\n"
             "\n"
             "\n"
-            "@functools.wraps(dict)  # repro: noqa[RPR070]\n"
-            "def explain(target):\n"
+            "@functools.wraps(dict)  # repro: noqa[RPR020]\n"
+            "def explain(target=None):\n"
             "    return target\n"
         )
         result = lint_paths([make_module("repro.explain.scratch", source)])
-        assert "RPR070" not in codes(result)
+        assert "RPR020" not in codes(result)
 
     def test_noqa_on_closing_line_of_multiline_def(self, make_module):
         source = (
             "def explain(\n"
-            "    target,\n"
-            "):  # repro: noqa[RPR070]\n"
+            "    target=None,\n"
+            "):  # repro: noqa[RPR020]\n"
             "    return target\n"
         )
         result = lint_paths([make_module("repro.explain.scratch", source)])
-        assert "RPR070" not in codes(result)
+        assert "RPR020" not in codes(result)
 
     def test_unsuppressed_twin_still_fires(self, make_module):
         source = (
             "def explain(\n"
-            "    target,\n"
+            "    target=None,\n"
             "):\n"
             "    return target\n"
         )
         result = lint_paths([make_module("repro.explain.scratch", source)])
-        assert "RPR070" in codes(result)
+        assert "RPR020" in codes(result)
 
     def test_statement_spans_cover_decorators_and_headers(self):
         tree = ast.parse(

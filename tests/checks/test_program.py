@@ -5,11 +5,9 @@ import textwrap
 
 from repro.checks import lint_paths
 from repro.checks.blocking import BLOCKING_BARE, BLOCKING_CALLS
-from repro.checks.program import ProgramContext, parse_version, summarize
 from repro.checks.program.api_surface import (DeadExport, DunderAllDrift,
                                               PrivateModuleReachIn)
-from repro.checks.program.contracts import (DeprecationSunset,
-                                            KernelBackendContract)
+from repro.checks.program.contracts import KernelBackendContract
 from repro.checks.program.dataflow import TransitiveBlockingCall
 from repro.checks.program.layering import (LAYERS, ImportCycle,
                                            LayeringContract, layer_of)
@@ -248,51 +246,6 @@ class TestKernelBackendContract:
         assert "unknown op 'segment_max'" in found[0]
 
 
-class TestDeprecationSunset:
-    def _project(self, make_module, tmp_path, version, marker):
-        (tmp_path / "pyproject.toml").write_text(
-            f'[project]\nname = "pkg"\nversion = "{version}"\n')
-        make_module("repro.shim", textwrap.dedent(f"""\
-            import warnings
-
-
-            def old():
-                warnings.warn("old() is deprecated",
-                              DeprecationWarning, stacklevel=2){marker}
-            """))
-
-    def test_missing_marker_is_flagged(self, make_module, tmp_path):
-        self._project(make_module, tmp_path, "1.0.0", "")
-        found = lint(tmp_path, "RPR121")
-        assert len(found) == 1
-        assert "without a sunset" in found[0]
-
-    def test_future_sunset_is_clean(self, make_module, tmp_path):
-        self._project(make_module, tmp_path, "1.0.0",
-                      "  # repro: sunset[2.0]")
-        assert lint(tmp_path, "RPR121") == []
-
-    def test_past_sunset_demands_deletion(self, make_module, tmp_path):
-        self._project(make_module, tmp_path, "2.1.0",
-                      "  # repro: sunset[2.0]")
-        found = lint(tmp_path, "RPR121")
-        assert len(found) == 1
-        assert "past its sunset" in found[0]
-        assert "2.1.0" in found[0]
-
-    def test_malformed_marker_is_flagged(self, make_module, tmp_path):
-        self._project(make_module, tmp_path, "1.0.0",
-                      "  # repro: sunset[soon]")
-        found = lint(tmp_path, "RPR121")
-        assert len(found) == 1
-        assert "malformed sunset marker" in found[0]
-
-    def test_parse_version(self):
-        assert parse_version("2.0") == (2, 0)
-        assert parse_version("1.2.3") == (1, 2, 3)
-        assert parse_version("soon") is None
-
-
 class TestTransitiveBlockingCall:
     def test_seeded_two_hop_chain(self, make_module, tmp_path):
         assert "time.sleep" in BLOCKING_CALLS and "open" in BLOCKING_BARE
@@ -397,47 +350,11 @@ class TestProgramContextPathologies:
         assert runs[0] == runs[1] == runs[2]
         assert runs[0] == sorted(runs[0])
 
-    def test_summarize_roundtrips_through_dict(self, make_module, tmp_path):
-        from repro.checks.engine import FileContext
-
-        path = make_module("pkg.mod", textwrap.dedent("""\
-            from os.path import join
-
-            __all__ = ["helper"]
-
-
-            def helper(a, b):
-                return join(a, b)
-            """))
-        ctx = FileContext(path, path.as_posix(), path.read_text())
-        summary = summarize(ctx)
-        clone = type(summary).from_dict(summary.to_dict())
-        assert clone == summary
-        program = ProgramContext([clone])
-        assert program.modules["pkg.mod"].dunder_all == ["helper"]
-
-    def test_program_rules_see_cached_summaries(self, make_module, tmp_path):
-        from repro.checks.cache import LintCache
-
-        make_module("pkg.__init__", "")
-        make_module("pkg.alpha", "from pkg.beta import b\n\na = 1\n")
-        make_module("pkg.beta", "from pkg.alpha import a\n\nb = 2\n")
-        cache_path = tmp_path / "cache.json"
-        cold = lint_paths([tmp_path / "src"], select=["RPR100"],
-                          cache=LintCache(cache_path))
-        warm = lint_paths([tmp_path / "src"], select=["RPR100"],
-                          cache=LintCache(cache_path))
-        assert warm.files_from_cache == warm.files_checked
-        assert [v.format() for v in warm.violations] == \
-            [v.format() for v in cold.violations]
-        assert warm.violations  # the cycle is still found without parsing
-
 
 class TestProgramRuleClasses:
     def test_rule_classes_carry_program_scope(self):
         for cls in (ImportCycle, LayeringContract, DeadExport,
                     DunderAllDrift, PrivateModuleReachIn,
-                    KernelBackendContract, DeprecationSunset,
-                    TransitiveBlockingCall):
+                    KernelBackendContract, TransitiveBlockingCall):
             assert cls.scope == "program"
             assert cls.code.startswith("RPR1")

@@ -159,24 +159,6 @@ class TestPositionalDefaults:
                         select=["RPR020"]).clean
 
 
-class TestFlatExecutionKwargs:
-    def test_flat_jobs_kwarg_flagged_even_in_tests(self, make_module):
-        source = ("from repro.eval.experiments import run_fidelity_experiment\n"
-                  "run_fidelity_experiment('d', 'gcn', ('gradcam',), jobs=2)\n")
-        result = lint_one(make_module, "tests.scratch", source,
-                          select=["RPR021"])
-        assert codes(result) == ["RPR021"]
-        assert "ExecutionConfig" in result.violations[0].message
-
-    def test_execution_object_is_clean(self, make_module):
-        source = ("from repro.eval.experiments import run_fidelity_experiment\n"
-                  "from repro.execution import ExecutionConfig\n"
-                  "run_fidelity_experiment('d', 'gcn', ('gradcam',),\n"
-                  "                        execution=ExecutionConfig(jobs=2))\n")
-        assert lint_one(make_module, "tests.scratch", source,
-                        select=["RPR021"]).clean
-
-
 class TestObservabilityConformance:
     def test_unregistered_span_literal_flagged(self, make_module):
         source = ("from repro.obs import span\n"

@@ -13,12 +13,12 @@ REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 EXPECTED_CODES = {
     "RPR001", "RPR002", "RPR003",          # determinism
     "RPR010", "RPR011", "RPR012",          # error discipline
-    "RPR020", "RPR021",                    # API contracts
+    "RPR020",                              # API contracts
     "RPR030", "RPR031",                    # observability conformance
     "RPR050",                              # scatter discipline
     "RPR100", "RPR101",                    # architecture (whole-program)
     "RPR110", "RPR111", "RPR112",          # API surface (whole-program)
-    "RPR120", "RPR121",                    # cross-file contracts
+    "RPR120",                              # cross-file contracts
     "RPR130",                              # dataflow
 }
 

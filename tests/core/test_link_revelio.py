@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import LinkRevelio
 from repro.errors import ExplainerError
+from repro.explain import ExplainTarget
 from repro.graph import Graph, sbm_edges
 from repro.nn import LinkPredictor, train_link_predictor
 
@@ -29,7 +30,7 @@ class TestLinkRevelio:
     def test_explains_link(self, link_setup):
         graph, model, u, v = link_setup
         explainer = LinkRevelio(model, epochs=30, seed=0)
-        e = explainer.explain(graph, u, v)
+        e = explainer.explain(graph, ExplainTarget.link(u, v))
         assert e.method == "link_revelio"
         assert e.edge_scores.shape == (graph.num_edges,)
         assert e.meta["link"] == (u, v)
@@ -46,14 +47,14 @@ class TestLinkRevelio:
 
     def test_flows_end_at_an_endpoint(self, link_setup):
         graph, model, u, v = link_setup
-        e = LinkRevelio(model, epochs=15, seed=0).explain(graph, u, v)
+        e = LinkRevelio(model, epochs=15, seed=0).explain(graph, ExplainTarget.link(u, v))
         ends = e.context_node_ids[e.flow_index.nodes[:, -1]]
         assert set(ends.tolist()) <= {u, v}
         assert u in ends and v in ends  # both endpoints covered
 
     def test_counterfactual_mode(self, link_setup):
         graph, model, u, v = link_setup
-        e = LinkRevelio(model, epochs=15, seed=0).explain(graph, u, v,
+        e = LinkRevelio(model, epochs=15, seed=0).explain(graph, ExplainTarget.link(u, v),
                                                           mode="counterfactual")
         assert e.mode == "counterfactual"
         assert np.isfinite(e.edge_scores).all()
@@ -66,7 +67,7 @@ class TestLinkRevelio:
         graph, model, u, v = link_setup
         explainer = LinkRevelio(model, epochs=60, lr=0.05, alpha=0.0, seed=0)
         subgraph, node_ids, _, lu, lv = explainer.link_context(graph, u, v)
-        e = explainer.explain(graph, u, v)
+        e = explainer.explain(graph, ExplainTarget.link(u, v))
 
         def masked_p(mask_rows):
             with no_grad():
@@ -82,35 +83,34 @@ class TestLinkRevelio:
     def test_bad_mode(self, link_setup):
         graph, model, u, v = link_setup
         with pytest.raises(ExplainerError):
-            LinkRevelio(model, epochs=5).explain(graph, u, v, mode="why")
+            LinkRevelio(model, epochs=5).explain(graph, ExplainTarget.link(u, v), mode="why")
 
     def test_bad_node(self, link_setup):
         graph, model, u, _ = link_setup
         with pytest.raises(ExplainerError):
-            LinkRevelio(model, epochs=5).explain(graph, u, 10**6)
+            LinkRevelio(model, epochs=5).explain(graph, ExplainTarget.link(u, 10**6))
 
     def test_deterministic(self, link_setup):
         graph, model, u, v = link_setup
-        e1 = LinkRevelio(model, epochs=10, seed=4).explain(graph, u, v)
-        e2 = LinkRevelio(model, epochs=10, seed=4).explain(graph, u, v)
+        e1 = LinkRevelio(model, epochs=10, seed=4).explain(graph, ExplainTarget.link(u, v))
+        e2 = LinkRevelio(model, epochs=10, seed=4).explain(graph, ExplainTarget.link(u, v))
         assert np.allclose(e1.edge_scores, e2.edge_scores)
 
     def test_scores_zero_outside_context(self, link_setup):
         graph, model, u, v = link_setup
-        e = LinkRevelio(model, epochs=10, seed=0).explain(graph, u, v)
+        e = LinkRevelio(model, epochs=10, seed=0).explain(graph, ExplainTarget.link(u, v))
         outside = np.setdiff1d(np.arange(graph.num_edges), e.context_edge_positions)
         assert np.allclose(e.edge_scores[outside], 0.0)
 
     def test_top_flows_translated(self, link_setup):
         graph, model, u, v = link_setup
-        e = LinkRevelio(model, epochs=10, seed=0).explain(graph, u, v)
+        e = LinkRevelio(model, epochs=10, seed=0).explain(graph, ExplainTarget.link(u, v))
         for seq, _ in e.top_flows(5):
             assert seq[-1] in (u, v)
 
     def test_self_link_counts_each_flow_once(self, link_setup):
         """A self-link's two endpoints share one flow set, so Eq. 5 sees
         each flow under a single mask."""
-        from repro.explain import ExplainTarget
         from repro.flows import enumerate_flows
 
         graph, model, u, _ = link_setup

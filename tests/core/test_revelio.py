@@ -7,6 +7,7 @@ from repro.autograd import Tensor
 from repro.core import Revelio
 from repro.errors import ExplainerError
 from repro.eval import Instance, fidelity_minus
+from repro.explain import ExplainTarget
 from repro.flows import enumerate_flows
 
 
@@ -99,7 +100,7 @@ class TestMaskTransformation:
 class TestNodeExplanation:
     def test_output_structure(self, revelio, mini_ba_shapes, good_motif_node):
         graph = mini_ba_shapes.graph
-        e = revelio.explain(graph, target=good_motif_node)
+        e = revelio.explain(graph, target=ExplainTarget.node(good_motif_node))
         assert e.method == "revelio"
         assert e.edge_scores.shape == (graph.num_edges,)
         assert e.flow_scores is not None
@@ -108,29 +109,29 @@ class TestNodeExplanation:
         assert e.context_edge_positions is not None
 
     def test_flow_scores_in_tanh_range(self, revelio, mini_ba_shapes, good_motif_node):
-        e = revelio.explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = revelio.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert (np.abs(e.flow_scores) <= 1.0).all()
 
     def test_scores_zero_outside_context(self, revelio, mini_ba_shapes, good_motif_node):
         graph = mini_ba_shapes.graph
-        e = revelio.explain(graph, target=good_motif_node)
+        e = revelio.explain(graph, target=ExplainTarget.node(good_motif_node))
         outside = np.setdiff1d(np.arange(graph.num_edges), e.context_edge_positions)
         assert np.allclose(e.edge_scores[outside], 0.0)
 
     def test_top_flows_end_at_target(self, revelio, mini_ba_shapes, good_motif_node):
-        e = revelio.explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = revelio.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         for seq, _ in e.top_flows(5):
             assert seq[-1] == good_motif_node
 
     def test_factual_objective_decreases(self, revelio, mini_ba_shapes, good_motif_node):
-        e = revelio.explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = revelio.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert np.isfinite(e.meta["final_loss"])
 
     def test_deterministic_given_seed(self, node_model, mini_ba_shapes, good_motif_node):
         e1 = Revelio(node_model, epochs=20, seed=3).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         e2 = Revelio(node_model, epochs=20, seed=3).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert np.allclose(e1.edge_scores, e2.edge_scores)
 
     def test_requires_target_for_node_model(self, revelio, mini_ba_shapes):
@@ -139,13 +140,13 @@ class TestNodeExplanation:
 
     def test_bad_mode(self, revelio, mini_ba_shapes, good_motif_node):
         with pytest.raises(ExplainerError):
-            revelio.explain(mini_ba_shapes.graph, target=good_motif_node, mode="why")
+            revelio.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node), mode="why")
 
 
 class TestCounterfactual:
     def test_scores_negated(self, node_model, mini_ba_shapes, good_motif_node):
         rev = Revelio(node_model, epochs=40, seed=0)
-        e = rev.explain(mini_ba_shapes.graph, target=good_motif_node,
+        e = rev.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node),
                         mode="counterfactual")
         assert e.mode == "counterfactual"
         assert (np.abs(e.flow_scores) <= 1.0).all()
@@ -162,7 +163,7 @@ class TestCounterfactual:
         graph = mini_ba_shapes.graph
         rev = Revelio(node_model, epochs=80, lr=0.05, alpha=0.0, seed=0)
         ctx = rev.node_context(graph, good_motif_node)
-        e = rev.explain(graph, target=good_motif_node, mode="counterfactual")
+        e = rev.explain(graph, target=ExplainTarget.node(good_motif_node), mode="counterfactual")
         # layer_edge_scores were inverted (1 - ω); undo to get the learned mask.
         learned = 1.0 - e.layer_edge_scores
         init = np.full_like(learned, 0.5)
@@ -227,14 +228,14 @@ class TestAblations:
     def test_layer_weight_variants_run(self, node_model, mini_ba_shapes,
                                        good_motif_node, activation):
         rev = Revelio(node_model, epochs=15, layer_weight_activation=activation, seed=0)
-        e = rev.explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = rev.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert np.isfinite(e.edge_scores).all()
 
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
     def test_mask_activation_variants_run(self, node_model, mini_ba_shapes,
                                           good_motif_node, activation):
         rev = Revelio(node_model, epochs=15, mask_activation=activation, seed=0)
-        e = rev.explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = rev.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert np.isfinite(e.edge_scores).all()
 
 
@@ -248,9 +249,9 @@ class TestExplanationMemo:
 
         rev = Revelio(node_model, epochs=15, seed=0)
         clear_explanation_cache()
-        first = rev.explain(mini_ba_shapes.graph, target=good_motif_node)
+        first = rev.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         hits_before = PERF.explanation_cache_hits
-        second = rev.explain(mini_ba_shapes.graph, target=good_motif_node)
+        second = rev.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert PERF.explanation_cache_hits == hits_before + 1
         np.testing.assert_array_equal(first.edge_scores, second.edge_scores)
         np.testing.assert_array_equal(first.flow_scores, second.flow_scores)
@@ -258,7 +259,7 @@ class TestExplanationMemo:
         # into the cache or other callers.
         assert second.edge_scores is not first.edge_scores
         second.edge_scores[:] = -1.0
-        third = rev.explain(mini_ba_shapes.graph, target=good_motif_node)
+        third = rev.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         np.testing.assert_array_equal(third.edge_scores, first.edge_scores)
 
     def test_disabled_context_bypasses_memo(self, node_model, mini_ba_shapes,
@@ -269,10 +270,10 @@ class TestExplanationMemo:
 
         rev = Revelio(node_model, epochs=15, seed=0)
         clear_explanation_cache()
-        rev.explain(mini_ba_shapes.graph, target=good_motif_node)
+        rev.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         hits_before = PERF.explanation_cache_hits
         with explanation_cache_disabled():
-            rev.explain(mini_ba_shapes.graph, target=good_motif_node)
+            rev.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert PERF.explanation_cache_hits == hits_before
 
     def test_hyperparameters_separate_entries(self, node_model, mini_ba_shapes,
@@ -282,10 +283,10 @@ class TestExplanationMemo:
 
         clear_explanation_cache()
         Revelio(node_model, epochs=15, seed=0).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         hits_before = PERF.explanation_cache_hits
         Revelio(node_model, epochs=16, seed=0).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert PERF.explanation_cache_hits == hits_before
 
     def test_subclasses_do_not_collide(self, node_model, mini_ba_shapes,
@@ -296,12 +297,12 @@ class TestExplanationMemo:
 
         clear_explanation_cache()
         Revelio(node_model, epochs=15, seed=0).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         topk = TopKRevelio(node_model, k=4, epochs=15, seed=0)
-        e = topk.explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = topk.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.method == "revelio_topk"
         assert "selected_flows" in e.meta
         # Two differently-configured TopK instances stay separate too.
         e8 = TopKRevelio(node_model, k=8, epochs=15, seed=0).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e8.meta["params"]["k"] == 8

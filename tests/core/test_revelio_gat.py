@@ -11,7 +11,7 @@ import pytest
 from repro.core import Revelio, TopKRevelio
 from repro.datasets import citation_surrogate, mutag
 from repro.errors import ExplainerError
-from repro.explain import GNNLRP, FlowX, GNNExplainer
+from repro.explain import ExplainTarget, FlowX, GNNExplainer, GNNLRP
 from repro.nn import Trainer, build_model
 
 
@@ -27,30 +27,30 @@ def gat_setup():
 class TestRevelioOnGAT:
     def test_explains_gat_node_model(self, gat_setup):
         ds, model = gat_setup
-        e = Revelio(model, epochs=15, seed=0).explain(ds.graph, target=5)
+        e = Revelio(model, epochs=15, seed=0).explain(ds.graph, target=ExplainTarget.node(5))
         assert np.isfinite(e.edge_scores).all()
         assert e.flow_scores is not None
 
     def test_topk_on_gat(self, gat_setup):
         ds, model = gat_setup
-        e = TopKRevelio(model, k=8, epochs=10, seed=0).explain(ds.graph, target=5)
+        e = TopKRevelio(model, k=8, epochs=10, seed=0).explain(ds.graph, target=ExplainTarget.node(5))
         assert e.meta["params"]["k"] == 8
 
     def test_counterfactual_on_gat(self, gat_setup):
         ds, model = gat_setup
-        e = Revelio(model, epochs=10, seed=0).explain(ds.graph, target=5,
+        e = Revelio(model, epochs=10, seed=0).explain(ds.graph, target=ExplainTarget.node(5),
                                                       mode="counterfactual")
         assert e.mode == "counterfactual"
 
     def test_flowx_on_gat(self, gat_setup):
         ds, model = gat_setup
         e = FlowX(model, samples=1, finetune_epochs=5, seed=0).explain(
-            ds.graph, target=5)
+            ds.graph, target=ExplainTarget.node(5))
         assert np.isfinite(e.edge_scores).all()
 
     def test_gnnexplainer_on_gat(self, gat_setup):
         ds, model = gat_setup
-        e = GNNExplainer(model, epochs=10).explain(ds.graph, target=5)
+        e = GNNExplainer(model, epochs=10).explain(ds.graph, target=ExplainTarget.node(5))
         assert np.isfinite(e.edge_scores).all()
 
     def test_gnn_lrp_rejects_gat(self, gat_setup):

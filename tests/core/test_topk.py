@@ -12,6 +12,7 @@ from repro.core import (
     walk_weight_flow_scores,
 )
 from repro.errors import ExplainerError
+from repro.explain import ExplainTarget
 from repro.flows import enumerate_flows
 
 
@@ -82,7 +83,7 @@ class TestPreselection:
 class TestTopKRevelio:
     def test_explains_with_small_k(self, node_model, mini_ba_shapes, good_motif_node):
         topk = TopKRevelio(node_model, k=8, epochs=30, seed=0)
-        e = topk.explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = topk.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.method == "revelio_topk"
         assert e.meta["params"]["k"] == 8
         assert e.meta["selected_flows"].shape == (8,)
@@ -91,7 +92,7 @@ class TestTopKRevelio:
     def test_background_flows_share_one_score(self, node_model, mini_ba_shapes,
                                               good_motif_node):
         topk = TopKRevelio(node_model, k=4, epochs=20, seed=0)
-        e = topk.explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = topk.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         selected = set(e.meta["selected_flows"].tolist())
         background = [f for f in range(e.meta["num_flows"]) if f not in selected]
         if len(background) > 1:
@@ -101,12 +102,12 @@ class TestTopKRevelio:
     def test_k_exceeding_flows_equivalent_to_full(self, node_model, mini_ba_shapes,
                                                   good_motif_node):
         topk = TopKRevelio(node_model, k=10**6, epochs=15, seed=0)
-        e = topk.explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = topk.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.meta["params"]["k"] == e.meta["num_flows"]
 
     def test_counterfactual_mode(self, node_model, mini_ba_shapes, good_motif_node):
         topk = TopKRevelio(node_model, k=8, epochs=15, seed=0)
-        e = topk.explain(mini_ba_shapes.graph, target=good_motif_node,
+        e = topk.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node),
                          mode="counterfactual")
         assert e.mode == "counterfactual"
         assert np.isfinite(e.edge_scores).all()
@@ -127,9 +128,9 @@ class TestTopKRevelio:
     def test_deterministic(self, node_model, mini_ba_shapes, good_motif_node):
         g = mini_ba_shapes.graph
         e1 = TopKRevelio(node_model, k=8, epochs=10, seed=2).explain(
-            g, target=good_motif_node)
+            g, target=ExplainTarget.node(good_motif_node))
         e2 = TopKRevelio(node_model, k=8, epochs=10, seed=2).explain(
-            g, target=good_motif_node)
+            g, target=ExplainTarget.node(good_motif_node))
         assert np.allclose(e1.edge_scores, e2.edge_scores)
 
     def test_quality_comparable_to_full(self, node_model, mini_ba_shapes,
@@ -139,10 +140,10 @@ class TestTopKRevelio:
 
         graph = mini_ba_shapes.graph
         full = Revelio(node_model, epochs=60, lr=0.05, seed=0).explain(
-            graph, target=good_motif_node)
+            graph, target=ExplainTarget.node(good_motif_node))
         k = max(4, full.meta["num_flows"] // 2)
         pruned = TopKRevelio(node_model, k=k, epochs=60, lr=0.05, seed=0).explain(
-            graph, target=good_motif_node)
+            graph, target=ExplainTarget.node(good_motif_node))
         auc_full = explanation_auc(graph, full)
         auc_pruned = explanation_auc(graph, pruned)
         assert auc_pruned > 0.5  # well above chance

@@ -39,6 +39,17 @@ class TestRegistry:
         monkeypatch.setenv("REPRO_SCALE", "0.42")
         assert default_scale() == 0.42
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_non_finite_or_non_positive_scale_rejected(self, scale):
+        with pytest.raises(DatasetError, match="positive finite"):
+            load_dataset("ba_shapes", scale=scale)
+
+    @pytest.mark.parametrize("raw", ["abc", "nan", "-0.5"])
+    def test_bad_scale_env_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SCALE", raw)
+        with pytest.raises(DatasetError, match="REPRO_SCALE"):
+            default_scale()
+
     def test_load_uses_env_scale(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.12")
         small = load_dataset("tree_cycles", seed=0)

@@ -15,6 +15,7 @@ from repro.eval import (
     time_explainer,
 )
 from repro.eval.experiments import method_applicable
+from repro.explain import ExplainTarget
 
 
 TINY = ExperimentConfig(scale=0.12, num_instances=2, effort=0.05,
@@ -126,7 +127,7 @@ class TestRunners:
 
     def test_run_explainer_group_method(self, node_model, mini_ba_shapes,
                                         good_motif_node):
-        instances = [Instance(mini_ba_shapes.graph, good_motif_node)]
+        instances = [Instance(mini_ba_shapes.graph, ExplainTarget.node(good_motif_node))]
         result = run_explainer("pgexplainer", node_model, instances,
                                effort=0.02, seed=0)
         assert len(result.explanations) == 1
@@ -135,7 +136,8 @@ class TestRunners:
         from repro.explain import make_explainer
 
         expl = make_explainer("gradcam", node_model)
-        result = time_explainer(expl, [Instance(mini_ba_shapes.graph, good_motif_node)])
+        instance = Instance(mini_ba_shapes.graph, ExplainTarget.node(good_motif_node))
+        result = time_explainer(expl, [instance])
         assert result.mean_seconds > 0
         assert result.total_seconds >= result.mean_seconds
         assert "gradcam" in repr(result)

@@ -11,6 +11,7 @@ from repro.eval import (
     fidelity_minus,
     fidelity_plus,
 )
+from repro.explain import ExplainTarget
 from repro.explain.base import Explanation
 
 
@@ -35,7 +36,8 @@ class TestClassProbability:
         assert 0.0 <= p <= 1.0
 
     def test_node_task(self, node_model, mini_ba_shapes):
-        p = class_probability(node_model, mini_ba_shapes.graph, 1, target=3)
+        p = class_probability(node_model, mini_ba_shapes.graph, 1,
+                              target=ExplainTarget.node(3))
         assert 0.0 <= p <= 1.0
 
     def test_probabilities_sum(self, graph_model, mini_mutag):
@@ -104,7 +106,7 @@ class TestFidelityMechanics:
                         method="r", target=good_motif_node,
                         context_edge_positions=ctx_edges)
         # only 3 candidate edges; fidelity must be computable
-        v = fidelity_minus(node_model, [Instance(graph, good_motif_node)], [e], 0.5)
+        v = fidelity_minus(node_model, [Instance(graph, ExplainTarget.node(good_motif_node))], [e], 0.5)
         assert np.isfinite(v)
 
     def test_averages_over_instances(self, graph_model, mini_mutag):

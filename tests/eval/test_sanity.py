@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.core import Revelio
 from repro.eval import model_randomization_check, randomize_model
-from repro.explain import GradCAM, RandomExplainer
+from repro.explain import ExplainTarget, GradCAM, RandomExplainer
 
 
 class TestRandomizeModel:
@@ -36,7 +36,7 @@ class TestModelRandomizationCheck:
     def test_revelio_tracks_model(self, node_model, mini_ba_shapes, good_motif_node):
         result = model_randomization_check(
             lambda m: Revelio(m, epochs=25, lr=0.05, seed=0),
-            node_model, mini_ba_shapes.graph, target=good_motif_node)
+            node_model, mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert -1.0 <= result.rank_correlation <= 1.0
         assert 0.0 <= result.top_k_overlap <= 1.0
 
@@ -44,7 +44,7 @@ class TestModelRandomizationCheck:
                                           good_motif_node):
         result = model_randomization_check(
             lambda m: GradCAM(m), node_model, mini_ba_shapes.graph,
-            target=good_motif_node)
+            target=ExplainTarget.node(good_motif_node))
         assert np.isfinite(result.rank_correlation)
 
     def test_model_independent_method_fails(self, node_model, mini_ba_shapes,
@@ -53,12 +53,12 @@ class TestModelRandomizationCheck:
         — the check must flag it (overlap 1.0 ≥ threshold)."""
         result = model_randomization_check(
             lambda m: RandomExplainer(m, seed=0),
-            node_model, mini_ba_shapes.graph, target=good_motif_node)
+            node_model, mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert result.top_k_overlap == 1.0
         assert not result.passes
 
     def test_repr_verdict(self, node_model, mini_ba_shapes, good_motif_node):
         result = model_randomization_check(
             lambda m: RandomExplainer(m, seed=0),
-            node_model, mini_ba_shapes.graph, target=good_motif_node)
+            node_model, mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert "FAIL" in repr(result)

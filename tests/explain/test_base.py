@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExplainerError
-from repro.explain import EXPLAINERS, Explanation, make_explainer
+from repro.explain import EXPLAINERS, ExplainTarget, Explanation, make_explainer
 from repro.explain.base import Explainer
 from repro.flows import enumerate_flows
 
@@ -78,17 +78,17 @@ class TestDispatch:
     def test_bad_mode(self, node_model, mini_ba_shapes):
         expl = make_explainer("random", node_model)
         with pytest.raises(ExplainerError):
-            expl.explain(mini_ba_shapes.graph, target=0, mode="maybe")
+            expl.explain(mini_ba_shapes.graph, target=ExplainTarget.node(0), mode="maybe")
 
     def test_graph_model_ignores_target(self, graph_model, mini_mutag):
         expl = make_explainer("random", graph_model)
-        e = expl.explain(mini_mutag.graphs[0], target=5)
+        e = expl.explain(mini_mutag.graphs[0], target=ExplainTarget.graph(5))
         assert e.target is None
 
     def test_base_class_abstract(self, node_model, mini_ba_shapes):
         expl = Explainer(node_model)
         with pytest.raises(NotImplementedError):
-            expl.explain(mini_ba_shapes.graph, target=0)
+            expl.explain(mini_ba_shapes.graph, target=ExplainTarget.node(0))
 
 
 class TestRegistry:

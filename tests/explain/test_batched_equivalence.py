@@ -17,6 +17,7 @@ import pytest
 
 from repro.autograd import Tensor, no_grad, softmax
 from repro.eval.fidelity import Instance, fidelity_curve, fidelity_minus, fidelity_plus
+from repro.explain import ExplainTarget
 from repro.explain.base import Explanation, clear_context_cache
 from repro.explain.flowx import FlowX
 from repro.explain.gnn_lrp import GNNLRP
@@ -189,7 +190,8 @@ def _assert_pair_matches(case, model, graph, target=None):
 
 @pytest.mark.parametrize("name", sorted(NODE_CASES))
 def test_batched_matches_serial_node_task(mini_ba_shapes, node_model, good_motif_node, name):
-    _assert_pair_matches(NODE_CASES[name], node_model, mini_ba_shapes.graph, good_motif_node)
+    _assert_pair_matches(NODE_CASES[name], node_model, mini_ba_shapes.graph,
+                         ExplainTarget.node(good_motif_node))
 
 
 @pytest.mark.parametrize("name", sorted(GRAPH_CASES))
@@ -199,9 +201,10 @@ def test_batched_matches_serial_graph_task(mini_mutag, graph_model, name):
 
 def test_fidelity_curve_batched_matches_serial(mini_ba_shapes, node_model, good_motif_node):
     graph = mini_ba_shapes.graph
+    target = ExplainTarget.node(good_motif_node)
     explanation = FlowX(node_model, samples=2, finetune_epochs=3, seed=0).explain(
-        graph, good_motif_node)
-    instances = [Instance(graph, good_motif_node)]
+        graph, target)
+    instances = [Instance(graph, target)]
     grid = [0.1, 0.3, 0.5, 0.7, 0.9]
     for metric, serial in (("minus", fidelity_minus), ("plus", fidelity_plus)):
         curve = fidelity_curve(node_model, instances, [explanation], grid, metric=metric)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ExplainerError
-from repro.explain import GNNLRP, FlowX, PGMExplainer, RandomExplainer, SubgraphX
+from repro.explain import ExplainTarget, FlowX, GNNLRP, PGMExplainer, RandomExplainer, SubgraphX
 
 
 class TestPGMExplainer:
     def test_node_explanation(self, node_model, mini_ba_shapes, good_motif_node):
         e = PGMExplainer(node_model, num_samples=30, seed=0).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.edge_scores.shape == (mini_ba_shapes.graph.num_edges,)
         assert e.meta["params"]["num_samples"] == 30
 
@@ -50,7 +50,7 @@ class TestSubgraphX:
     def test_node_explanation_keeps_target(self, node_model, mini_ba_shapes,
                                            good_motif_node):
         subx = SubgraphX(node_model, rollouts=3, shapley_samples=2, seed=0)
-        e = subx.explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = subx.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.edge_scores.shape == (mini_ba_shapes.graph.num_edges,)
 
     def test_graded_scores_for_ranking(self, subx, mini_mutag):
@@ -72,7 +72,7 @@ class TestSubgraphX:
 class TestRandomExplainer:
     def test_scores_uniform(self, node_model, mini_ba_shapes, good_motif_node):
         e = RandomExplainer(node_model, seed=0).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         ctx = e.edge_scores[e.context_edge_positions]
         assert ((ctx >= 0) & (ctx <= 1)).all()
 

@@ -57,7 +57,8 @@ def _make(method, model, graph, nodes):
     """A ready explainer; group methods are fitted on ``nodes`` first."""
     explainer = make_explainer(method, model, **FAST[method])
     if hasattr(explainer, "fit"):
-        explainer.fit(explainer.prepare_instances(graph, list(nodes)))
+        explainer.fit(explainer.prepare_instances(
+            graph, [ExplainTarget.node(v) for v in nodes]))
     return explainer
 
 

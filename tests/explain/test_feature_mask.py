@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.explain import GNNExplainer
+from repro.explain import ExplainTarget, GNNExplainer
 
 
 class TestFeatureMask:
@@ -20,7 +20,7 @@ class TestFeatureMask:
     def test_node_task_feature_mask(self, node_model, mini_ba_shapes,
                                     good_motif_node):
         e = GNNExplainer(node_model, epochs=10, feature_mask=True).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.meta["feature_scores"].shape == (mini_ba_shapes.num_features,)
 
     def test_edge_scores_still_produced(self, graph_model, mini_mutag):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExplainerError
-from repro.explain import FlowX, GNNLRP
+from repro.explain import ExplainTarget, FlowX, GNNLRP
 from repro.explain.flow_common import (
     flow_scores_to_edge_scores,
     masked_probability_batch,
@@ -47,7 +47,7 @@ class TestFlowX:
         return FlowX(node_model, samples=2, finetune_epochs=15, seed=0)
 
     def test_node_explanation(self, flowx, mini_ba_shapes, good_motif_node):
-        e = flowx.explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = flowx.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.method == "flowx"
         assert e.flow_scores is not None
         assert e.flow_index is not None
@@ -61,24 +61,24 @@ class TestFlowX:
 
     def test_deterministic(self, node_model, mini_ba_shapes, good_motif_node):
         e1 = FlowX(node_model, samples=2, finetune_epochs=5, seed=1).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         e2 = FlowX(node_model, samples=2, finetune_epochs=5, seed=1).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert np.allclose(e1.edge_scores, e2.edge_scores)
 
     def test_counterfactual_negates(self, node_model, mini_ba_shapes, good_motif_node):
         e = FlowX(node_model, samples=2, finetune_epochs=5, seed=0).explain(
-            mini_ba_shapes.graph, target=good_motif_node, mode="counterfactual")
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node), mode="counterfactual")
         assert e.mode == "counterfactual"
         assert np.isfinite(e.flow_scores).all()
 
     def test_edges_per_sample_bound(self, node_model, mini_ba_shapes, good_motif_node):
         fx = FlowX(node_model, samples=2, edges_per_sample=5, finetune_epochs=5, seed=0)
-        e = fx.explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = fx.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert np.isfinite(e.edge_scores).all()
 
     def test_meta_records_flow_count(self, flowx, mini_ba_shapes, good_motif_node):
-        e = flowx.explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = flowx.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.meta["num_flows"] == e.flow_index.num_flows
 
 
@@ -92,7 +92,7 @@ class TestGNNLRP:
             GNNLRP(gat)
 
     def test_node_explanation(self, node_model, mini_ba_shapes, good_motif_node):
-        e = GNNLRP(node_model).explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = GNNLRP(node_model).explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.method == "gnn_lrp"
         assert e.flow_scores is not None
 
@@ -113,7 +113,7 @@ class TestGNNLRP:
         g = Graph(edge_index=np.array([[0], [1]]), x=np.array([[1.0], [2.0]]))
         model = GNN("gcn", "node", 1, 4, 2, num_layers=1, rng=0)
         model.eval()
-        e = GNNLRP(model, step=0.05).explain(g, target=1)
+        e = GNNLRP(model, step=0.05).explain(g, target=ExplainTarget.node(1))
         # flows into node 1: edge 0->1 and self-loop 1->1
         assert e.flow_index.num_flows == 2
         assert np.isfinite(e.flow_scores).all()
@@ -121,16 +121,16 @@ class TestGNNLRP:
     def test_relevance_conservation_tendency(self, node_model, mini_ba_shapes,
                                              good_motif_node):
         # decomposition methods: flow relevances are signed and non-trivial
-        e = GNNLRP(node_model).explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = GNNLRP(node_model).explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.flow_scores.std() > 0
 
     def test_deterministic(self, node_model, mini_ba_shapes, good_motif_node):
-        e1 = GNNLRP(node_model).explain(mini_ba_shapes.graph, target=good_motif_node)
-        e2 = GNNLRP(node_model).explain(mini_ba_shapes.graph, target=good_motif_node)
+        e1 = GNNLRP(node_model).explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
+        e2 = GNNLRP(node_model).explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert np.allclose(e1.flow_scores, e2.flow_scores)
 
     def test_stencil_cache_reduces_evals(self, node_model, mini_ba_shapes,
                                          good_motif_node):
-        e = GNNLRP(node_model).explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = GNNLRP(node_model).explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         full_cost = e.flow_index.num_flows * 2 ** node_model.num_layers
         assert e.meta["perf"]["stencil_evals"] <= full_cost

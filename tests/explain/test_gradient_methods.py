@@ -2,18 +2,18 @@
 
 import numpy as np
 
-from repro.explain import DeepLIFT, GradCAM
+from repro.explain import DeepLIFT, ExplainTarget, GradCAM
 
 
 class TestGradCAM:
     def test_node_explanation_shape(self, node_model, mini_ba_shapes, good_motif_node):
-        e = GradCAM(node_model).explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = GradCAM(node_model).explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.edge_scores.shape == (mini_ba_shapes.graph.num_edges,)
         assert e.method == "gradcam"
 
     def test_scores_nonnegative(self, node_model, mini_ba_shapes, good_motif_node):
         # GradCAM heat is ReLU'd, so edge scores are >= 0.
-        e = GradCAM(node_model).explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = GradCAM(node_model).explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert (e.edge_scores >= 0).all()
 
     def test_graph_explanation(self, graph_model, mini_mutag):
@@ -22,15 +22,15 @@ class TestGradCAM:
         assert e.context_edge_positions is None
 
     def test_deterministic(self, node_model, mini_ba_shapes, good_motif_node):
-        e1 = GradCAM(node_model).explain(mini_ba_shapes.graph, target=good_motif_node)
-        e2 = GradCAM(node_model).explain(mini_ba_shapes.graph, target=good_motif_node)
+        e1 = GradCAM(node_model).explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
+        e2 = GradCAM(node_model).explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert np.allclose(e1.edge_scores, e2.edge_scores)
 
     def test_counterfactual_mode_reuses_scores(self, node_model, mini_ba_shapes,
                                                good_motif_node):
         g = mini_ba_shapes.graph
-        ef = GradCAM(node_model).explain(g, target=good_motif_node, mode="factual")
-        ec = GradCAM(node_model).explain(g, target=good_motif_node, mode="counterfactual")
+        ef = GradCAM(node_model).explain(g, target=ExplainTarget.node(good_motif_node), mode="factual")
+        ec = GradCAM(node_model).explain(g, target=ExplainTarget.node(good_motif_node), mode="counterfactual")
         assert np.allclose(ef.edge_scores, ec.edge_scores)
         assert ec.mode == "counterfactual"
 
@@ -40,7 +40,7 @@ class TestGradCAM:
 
 class TestDeepLIFT:
     def test_node_explanation_shape(self, node_model, mini_ba_shapes, good_motif_node):
-        e = DeepLIFT(node_model).explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = DeepLIFT(node_model).explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.edge_scores.shape == (mini_ba_shapes.graph.num_edges,)
 
     def test_graph_explanation(self, graph_model, mini_mutag):
@@ -61,6 +61,6 @@ class TestDeepLIFT:
 
     def test_signed_attributions_allowed(self, node_model, mini_ba_shapes,
                                          good_motif_node):
-        e = DeepLIFT(node_model).explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = DeepLIFT(node_model).explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         # gradient × input is signed — nothing should force positivity
         assert np.isfinite(e.edge_scores).all()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.errors import ExplainerError
-from repro.explain import GraphMask
+from repro.explain import ExplainTarget, GraphMask
 
 
 class TestHardConcreteGates:
@@ -51,8 +51,8 @@ class TestHardConcreteGates:
                                      good_motif_node):
         gm = GraphMask(node_model, epochs=10, gate="hard_concrete", seed=0)
         gm.fit(gm.prepare_instances(mini_ba_shapes.graph,
-                                    targets=[good_motif_node]))
-        e = gm.explain(mini_ba_shapes.graph, target=good_motif_node)
+                                    targets=[ExplainTarget.node(good_motif_node)]))
+        e = gm.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.edge_scores.shape == (mini_ba_shapes.graph.num_edges,)
 
     def test_sparsity_pressure_closes_gates(self, graph_model, mini_mutag):

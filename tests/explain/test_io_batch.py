@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ExplainerError
 from repro.eval import Instance
 from repro.explain import (
+    ExplainTarget,
     Explanation,
     RandomExplainer,
     explain_instances,
@@ -19,7 +20,7 @@ class TestExplanationIO:
     def test_roundtrip_flow_explanation(self, node_model, mini_ba_shapes,
                                         good_motif_node, tmp_path):
         e = make_explainer("revelio", node_model, epochs=10).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         path = tmp_path / "e.npz"
         save_explanation(e, path)
         back = load_explanation(path)
@@ -41,7 +42,7 @@ class TestExplanationIO:
     def test_top_flows_work_after_reload(self, node_model, mini_ba_shapes,
                                          good_motif_node, tmp_path):
         e = make_explainer("revelio", node_model, epochs=10).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         save_explanation(e, tmp_path / "e.npz")
         back = load_explanation(tmp_path / "e.npz")
         assert back.top_flows(3) == e.top_flows(3)
@@ -85,7 +86,8 @@ class TestBatchExplain:
 
         # max_flows=1 forces a FlowError on real instances
         explainer = Revelio(node_model, epochs=2, max_flows=1)
-        instances = [Instance(mini_ba_shapes.graph, int(mini_ba_shapes.motif_nodes[0]))]
+        instances = [Instance(mini_ba_shapes.graph,
+                               ExplainTarget.node(int(mini_ba_shapes.motif_nodes[0])))]
         result = explain_instances(explainer, instances)
         assert result.num_failed == 1
         assert "FlowError" in result.failures[0][1]
@@ -127,7 +129,8 @@ class TestBatchExplain:
         from repro.errors import FlowError
 
         explainer = Revelio(node_model, epochs=2, max_flows=1)
-        instances = [Instance(mini_ba_shapes.graph, int(mini_ba_shapes.motif_nodes[0]))]
+        instances = [Instance(mini_ba_shapes.graph,
+                               ExplainTarget.node(int(mini_ba_shapes.motif_nodes[0])))]
         with pytest.raises(FlowError):
             explain_instances(explainer, instances, raise_on_error=True)
 
@@ -141,7 +144,7 @@ class TestLayerEdgeScores:
     def test_flow_method_layer_extraction(self, node_model, mini_ba_shapes,
                                           good_motif_node):
         e = make_explainer("revelio", node_model, epochs=10).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         for l in (1, 2, 3):
             per_layer = e.edge_scores_at_layer(l)
             assert per_layer.shape == (e.flow_index.num_edges,)
@@ -149,7 +152,7 @@ class TestLayerEdgeScores:
 
     def test_bad_layer(self, node_model, mini_ba_shapes, good_motif_node):
         e = make_explainer("revelio", node_model, epochs=5).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         with pytest.raises(ExplainerError):
             e.edge_scores_at_layer(0)
         with pytest.raises(ExplainerError):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExplainerError
-from repro.explain import make_explainer
+from repro.explain import ExplainTarget, make_explainer
 from repro.explain.base import Explanation
 from repro.explain.io import (
     JSON_SCHEMA_VERSION,
@@ -94,7 +94,7 @@ class TestExplainerRoundTrips:
                               good_motif_node, name, kwargs):
         explainer = make_explainer(name, node_model, **kwargs)
         explanation = explainer.explain(mini_ba_shapes.graph,
-                                        target=good_motif_node)
+                                        target=ExplainTarget.node(good_motif_node))
         assert_explanations_equal(explanation, roundtrip(explanation))
 
     def test_graph_task_shape(self, graph_model, mini_mutag):
@@ -107,7 +107,7 @@ class TestExplainerRoundTrips:
                                  good_motif_node):
         explainer = make_explainer("random", node_model)
         explanation = explainer.explain(mini_ba_shapes.graph,
-                                        target=good_motif_node,
+                                        target=ExplainTarget.node(good_motif_node),
                                         mode="counterfactual")
         restored = roundtrip(explanation)
         assert restored.mode == "counterfactual"

@@ -74,7 +74,7 @@ def test_node_locality(small_cora, name, mode):
     if hasattr(full_explainer, "fit"):
         # Group-fit methods are deterministic at explain time; share one
         # fitted instance so both sides query the same trained masks.
-        instances = full_explainer.prepare_instances(graph, [target])
+        instances = full_explainer.prepare_instances(graph, [ExplainTarget.node(target)])
         full_explainer.fit(instances, mode=mode)
         local_explainer = full_explainer
 

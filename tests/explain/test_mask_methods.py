@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from repro.errors import ExplainerError
-from repro.explain import GNNExplainer, GraphMask, PGExplainer
+from repro.explain import ExplainTarget, GNNExplainer, GraphMask, PGExplainer
 
 
 class TestGNNExplainer:
     def test_node_explanation(self, node_model, mini_ba_shapes, good_motif_node):
         e = GNNExplainer(node_model, epochs=30).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.edge_scores.shape == (mini_ba_shapes.graph.num_edges,)
 
     def test_scores_in_unit_interval(self, node_model, mini_ba_shapes, good_motif_node):
         e = GNNExplainer(node_model, epochs=30).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         ctx_scores = e.edge_scores[e.context_edge_positions]
         assert ((ctx_scores >= 0) & (ctx_scores <= 1)).all()
 
@@ -46,14 +46,14 @@ class TestGNNExplainer:
 class TestPGExplainer:
     def test_requires_fit(self, node_model, mini_ba_shapes):
         with pytest.raises(ExplainerError):
-            PGExplainer(node_model).explain(mini_ba_shapes.graph, target=0)
+            PGExplainer(node_model).explain(mini_ba_shapes.graph, target=ExplainTarget.node(0))
 
     def test_fit_then_explain_node(self, node_model, mini_ba_shapes, good_motif_node):
         expl = PGExplainer(node_model, epochs=10)
         instances = expl.prepare_instances(mini_ba_shapes.graph,
-                                           targets=[good_motif_node])
+                                           targets=[ExplainTarget.node(good_motif_node)])
         expl.fit(instances)
-        e = expl.explain(mini_ba_shapes.graph, target=good_motif_node)
+        e = expl.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.edge_scores.shape == (mini_ba_shapes.graph.num_edges,)
         assert e.meta["perf"]["train_seconds"] > 0
 
@@ -91,7 +91,7 @@ class TestPGExplainer:
 class TestGraphMask:
     def test_requires_fit(self, node_model, mini_ba_shapes):
         with pytest.raises(ExplainerError):
-            GraphMask(node_model).explain(mini_ba_shapes.graph, target=0)
+            GraphMask(node_model).explain(mini_ba_shapes.graph, target=ExplainTarget.node(0))
 
     def test_fit_then_explain(self, graph_model, mini_mutag):
         expl = GraphMask(graph_model, epochs=10)
@@ -109,8 +109,9 @@ class TestGraphMask:
 
     def test_node_task(self, node_model, mini_ba_shapes, good_motif_node):
         expl = GraphMask(node_model, epochs=10)
-        expl.fit(expl.prepare_instances(mini_ba_shapes.graph, targets=[good_motif_node]))
-        e = expl.explain(mini_ba_shapes.graph, target=good_motif_node)
+        expl.fit(expl.prepare_instances(mini_ba_shapes.graph,
+                                        targets=[ExplainTarget.node(good_motif_node)]))
+        e = expl.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert e.edge_scores.shape == (mini_ba_shapes.graph.num_edges,)
 
     def test_counterfactual_flips_scores(self, graph_model, mini_mutag):

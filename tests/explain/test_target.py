@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ExplainerError
 from repro.explain import ExplainTarget, as_node_id
+from repro.explain.target import require_target
 
 
 class TestConstructors:
@@ -86,57 +87,50 @@ class TestWireCodec:
             ExplainTarget.from_wire(bad)
 
 
-class TestLegacyCoercion:
-    def test_resolve_silent(self, recwarn):
-        assert ExplainTarget.resolve(4, task="node") == ExplainTarget.node(4)
-        assert ExplainTarget.resolve(4, task="graph") == ExplainTarget.graph(4)
-        assert ExplainTarget.resolve((3, 7)) == ExplainTarget.link(3, 7)
-        assert ExplainTarget.resolve(None) is None
-        assert len([w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]) == 0
+class TestRequireTarget:
+    def test_bare_int_names_node_constructor(self):
+        with pytest.raises(ExplainerError, match=r"pass ExplainTarget\.node\(4\)"):
+            require_target(4, task="node")
 
-    def test_coerce_warns_on_bare_int(self):
-        with pytest.warns(DeprecationWarning, match=r"ExplainTarget\.node\(4\)"):
-            assert ExplainTarget.coerce(4, task="node") == ExplainTarget.node(4)
+    def test_bare_int_on_graph_task_names_graph_constructor(self):
+        with pytest.raises(ExplainerError, match=r"pass ExplainTarget\.graph\(4\)"):
+            require_target(4, task="graph")
 
-    def test_coerce_warns_on_tuple(self):
-        with pytest.warns(DeprecationWarning, match=r"ExplainTarget\.link"):
-            assert ExplainTarget.coerce((3, 7)) == ExplainTarget.link(3, 7)
+    def test_tuple_names_link_constructor(self):
+        with pytest.raises(ExplainerError, match=r"pass ExplainTarget\.link\(3, 7\)"):
+            require_target((3, 7))
 
-    def test_coerce_names_the_entry_point(self):
-        with pytest.warns(DeprecationWarning, match="my_api"):
-            ExplainTarget.coerce(1, task="graph", where="my_api")
+    def test_error_names_the_entry_point(self):
+        with pytest.raises(ExplainerError, match="my_api"):
+            require_target(1, task="graph", where="my_api")
 
-    def test_coerce_passthrough_is_silent(self, recwarn):
+    def test_passthrough(self):
         t = ExplainTarget.node(2)
-        assert ExplainTarget.coerce(t) is t
-        assert ExplainTarget.coerce(None) is None
-        assert len([w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]) == 0
+        assert require_target(t) is t
+        assert require_target(None) is None
 
 
 class TestAsNodeId:
     def test_shapes(self):
         assert as_node_id(None) is None
-        assert as_node_id(7) == 7
         assert as_node_id(ExplainTarget.node(7)) == 7
         assert as_node_id(ExplainTarget.graph(3)) is None
         assert as_node_id(ExplainTarget.link(1, 2)) is None
 
+    def test_bare_int_is_rejected(self):
+        with pytest.raises(ExplainerError, match=r"ExplainTarget\.node\(7\)"):
+            as_node_id(7)
+
 
 class TestExplainerEntryPoint:
-    def test_bare_int_target_warns_and_matches(self, node_model, mini_ba_shapes,
-                                               good_motif_node):
+    def test_bare_int_target_names_typed_constructor(self, node_model, mini_ba_shapes,
+                                                     good_motif_node):
         from repro.explain import make_explainer
 
         graph = mini_ba_shapes.graph
-        typed = make_explainer("gradcam", node_model).explain(
-            graph, ExplainTarget.node(good_motif_node))
-        with pytest.warns(DeprecationWarning, match="gradcam.explain"):
-            legacy = make_explainer("gradcam", node_model).explain(
-                graph, good_motif_node)
-        assert (typed.edge_scores == legacy.edge_scores).all()
-        assert typed.target == legacy.target == good_motif_node
+        with pytest.raises(ExplainerError, match=rf"gradcam\.explain: .*"
+                           rf"ExplainTarget\.node\({good_motif_node}\)"):
+            make_explainer("gradcam", node_model).explain(graph, good_motif_node)
 
     def test_graph_task_rejects_node_target(self, graph_model, mini_mutag):
         from repro.explain import make_explainer

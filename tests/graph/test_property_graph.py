@@ -40,9 +40,10 @@ def test_with_edges_subset_of_original(g, seed):
 def test_k_hop_contains_target_and_grows(g, hops, seed):
     rng = np.random.default_rng(seed)
     target = int(rng.integers(g.num_nodes))
-    nodes, edge_mask = k_hop_subgraph(g, target, hops)
+    field = k_hop_subgraph(g, target, hops)
+    nodes, edge_mask = field.node_ids, field.edge_mask
     assert target in nodes
-    bigger, _ = k_hop_subgraph(g, target, hops + 1)
+    bigger = k_hop_subgraph(g, target, hops + 1).node_ids
     assert set(nodes.tolist()) <= set(bigger.tolist())
     # every kept edge has both endpoints in the neighborhood
     in_set = set(nodes.tolist())

@@ -81,13 +81,11 @@ class TestSampledSubgraphMaps:
         with pytest.raises(GraphError):
             field.local_index(6)
 
-    def test_legacy_tuple_unpack_warns(self):
+    def test_tuple_unpack_is_type_error(self):
         g = _ring_with_spur()
         field = extract_receptive_field(g, [3], 2)
-        with pytest.warns(DeprecationWarning, match="SampledSubgraph"):
+        with pytest.raises(TypeError, match="SampledSubgraph"):
             node_ids, edge_mask = field
-        assert (node_ids == field.node_ids).all()
-        assert (edge_mask == field.edge_mask).all()
 
 
 class TestReceptiveFieldForwardParity:

@@ -53,26 +53,26 @@ class TestReverseAndUndirected:
 
 class TestKHop:
     def test_one_hop_incoming(self, chain):
-        nodes, edge_mask = k_hop_subgraph(chain, 2, 1)
-        assert set(nodes.tolist()) == {1, 2}
-        assert edge_mask.sum() == 1  # only 1->2
+        field = k_hop_subgraph(chain, 2, 1)
+        assert set(field.node_ids.tolist()) == {1, 2}
+        assert field.edge_mask.sum() == 1  # only 1->2
 
     def test_three_hops(self, chain):
-        nodes, _ = k_hop_subgraph(chain, 4, 3)
-        assert set(nodes.tolist()) == {1, 2, 3, 4}
+        field = k_hop_subgraph(chain, 4, 3)
+        assert set(field.node_ids.tolist()) == {1, 2, 3, 4}
 
     def test_follows_direction_only(self, chain):
-        nodes, _ = k_hop_subgraph(chain, 0, 2)
-        assert set(nodes.tolist()) == {0}  # nothing points into 0
+        field = k_hop_subgraph(chain, 0, 2)
+        assert set(field.node_ids.tolist()) == {0}  # nothing points into 0
 
     def test_out_of_range_target(self, chain):
         with pytest.raises(GraphError):
             k_hop_subgraph(chain, 99, 2)
 
     def test_hops_zero(self, chain):
-        nodes, edge_mask = k_hop_subgraph(chain, 3, 0)
-        assert nodes.tolist() == [3]
-        assert edge_mask.sum() == 0
+        field = k_hop_subgraph(chain, 3, 0)
+        assert field.node_ids.tolist() == [3]
+        assert field.edge_mask.sum() == 0
 
 
 class TestInducedSubgraph:

@@ -15,6 +15,7 @@ import pytest
 from repro.eval import ExperimentConfig
 from repro.eval.experiments import run_fidelity_experiment
 from repro.execution import ExecutionConfig
+from repro.explain import ExplainTarget
 from repro.obs import load_manifest, load_trace, summarize_trace, tracing
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
@@ -140,7 +141,7 @@ class TestExplanationTraceLinkage:
 
         explainer = make_explainer("gradcam", node_model)
         with tracing() as tracer:
-            e = explainer.explain(mini_ba_shapes.graph, target=good_motif_node)
+            e = explainer.explain(mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
             trace_id = tracer.trace_id
         assert e.meta["trace_id"] == trace_id
         assert e.meta["perf"]["explain_seconds"] > 0.0
@@ -150,5 +151,5 @@ class TestExplanationTraceLinkage:
         from repro.explain import make_explainer
 
         e = make_explainer("gradcam", node_model).explain(
-            mini_ba_shapes.graph, target=good_motif_node)
+            mini_ba_shapes.graph, target=ExplainTarget.node(good_motif_node))
         assert "trace_id" not in e.meta

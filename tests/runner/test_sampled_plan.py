@@ -1,11 +1,10 @@
 """plan_sampled_explain: typed-target sharding, JSON codec, executor."""
 
 import json
-import warnings
 
 import pytest
 
-from repro.errors import RunnerError
+from repro.errors import ExplainerError, RunnerError
 from repro.explain import ExplainTarget
 from repro.runner import plan_sampled_explain
 from repro.runner.execute import execute_job
@@ -13,10 +12,11 @@ from repro.runner.plan import TARGET_MARKER, JobSpec
 
 
 class TestPlanner:
-    def test_shards_and_promotes_targets(self):
+    def test_shards_typed_targets(self):
         plan = plan_sampled_explain("cora", "gcn", "gradcam",
-                                    [0, ExplainTarget.node(4),
-                                     ExplainTarget.link(1, 2), 9, 11],
+                                    [ExplainTarget.node(0), ExplainTarget.node(4),
+                                     ExplainTarget.link(1, 2), ExplainTarget.node(9),
+                                     ExplainTarget.node(11)],
                                     scale=0.2, chunk_size=2)
         assert plan.artifact == "sampled_explain"
         assert [j.id for j in plan.jobs] == [
@@ -28,10 +28,16 @@ class TestPlanner:
         assert plan.meta["num_targets"] == 5
         assert all(j.kind == "sampled_explain_chunk" for j in plan.jobs)
 
+    def test_bare_int_target_names_node_constructor(self):
+        with pytest.raises(ExplainerError, match=r"ExplainTarget\.node\(9\)"):
+            plan_sampled_explain("cora", "gcn", "gradcam",
+                                 [ExplainTarget.node(4), 9], scale=0.2)
+
     def test_seeds_are_stable_and_distinct(self):
-        a = plan_sampled_explain("cora", "gcn", "gradcam", list(range(6)),
+        targets = [ExplainTarget.node(i) for i in range(6)]
+        a = plan_sampled_explain("cora", "gcn", "gradcam", targets,
                                  scale=0.2, chunk_size=2)
-        b = plan_sampled_explain("cora", "gcn", "gradcam", list(range(6)),
+        b = plan_sampled_explain("cora", "gcn", "gradcam", targets,
                                  scale=0.2, chunk_size=2)
         assert [j.seed for j in a.jobs] == [j.seed for j in b.jobs]
         assert len({j.seed for j in a.jobs}) == len(a.jobs)
@@ -40,7 +46,8 @@ class TestPlanner:
         with pytest.raises(RunnerError, match="at least one target"):
             plan_sampled_explain("cora", "gcn", "gradcam", [])
         with pytest.raises(RunnerError, match="chunk_size"):
-            plan_sampled_explain("cora", "gcn", "gradcam", [0], chunk_size=0)
+            plan_sampled_explain("cora", "gcn", "gradcam", [ExplainTarget.node(0)],
+                                 chunk_size=0)
         with pytest.raises(RunnerError, match="node or link"):
             plan_sampled_explain("cora", "gcn", "gradcam",
                                  [ExplainTarget.graph(0)])
@@ -49,7 +56,8 @@ class TestPlanner:
 class TestTargetCodec:
     def test_jobspec_json_round_trip(self):
         plan = plan_sampled_explain("cora", "gcn", "gradcam",
-                                    [3, ExplainTarget.link(1, 2)], scale=0.2)
+                                    [ExplainTarget.node(3), ExplainTarget.link(1, 2)],
+                                    scale=0.2)
         for job in plan.jobs:
             wire = json.loads(json.dumps(job.to_dict()))
             back = JobSpec.from_dict(wire)
@@ -71,12 +79,11 @@ class TestTargetCodec:
 
 class TestExecutor:
     def test_chunk_executor_streams_targets(self):
-        plan = plan_sampled_explain("cora", "gcn", "gradcam", [5, 9, 14],
+        plan = plan_sampled_explain("cora", "gcn", "gradcam",
+                                    [ExplainTarget.node(i) for i in (5, 9, 14)],
                                     scale=0.12, chunk_size=8)
         (job,) = plan.jobs
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = execute_job(job)
+        result = execute_job(job)
         assert result["n"] == 3
         assert [r["target"] for r in result["rows"]] == [
             {"kind": "node", "ids": [5]}, {"kind": "node", "ids": [9]},

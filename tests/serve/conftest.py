@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.explain import ExplainTarget
 from repro.serve import ExplainRequest
 
 
@@ -74,13 +75,14 @@ async def send_request(reader, writer, path: str, method: str = "GET",
     return status, payload, headers
 
 
-def make_request(target=0, explainer="flowx", dataset="ba_shapes",
+def make_request(node=0, explainer="flowx", dataset="ba_shapes",
                  conv="gcn", mode="factual", timeout=None, **params):
-    """An :class:`ExplainRequest` for coalescer-level tests."""
+    """An :class:`ExplainRequest` for node ``node``, for coalescer-level tests."""
     from repro.execution import ExecutionConfig
 
     return ExplainRequest(
-        dataset=dataset, conv=conv, explainer=explainer, target=target,
+        dataset=dataset, conv=conv, explainer=explainer,
+        target=ExplainTarget.node(node),
         mode=mode, params=tuple(sorted(params.items())),
         execution=ExecutionConfig(timeout=timeout))
 
@@ -109,4 +111,4 @@ async def poll(predicate, timeout: float = 5.0, interval: float = 0.005):
 def explain_body():
     """A minimal valid ``POST /explain`` JSON body."""
     return {"dataset": "ba_shapes", "model": "gcn", "explainer": "flowx",
-            "target": 3}
+            "target": {"node": 3}}

@@ -26,7 +26,7 @@ class RecordingRunner:
         self.batches = []
 
     def __call__(self, requests):
-        self.batches.append([r.target for r in requests])
+        self.batches.append([r.target.node_id for r in requests])
         return echo_runner(requests)
 
 
@@ -49,7 +49,7 @@ class TestBatching:
         async def main():
             runner = RecordingRunner()
             coalescer = Coalescer(runner, max_batch=8, max_linger_ms=50.0)
-            futures = [coalescer.submit(make_request(target=t))[0]
+            futures = [coalescer.submit(make_request(node=t))[0]
                        for t in range(4)]
             results = await asyncio.gather(*futures)
             await coalescer.shutdown()
@@ -63,7 +63,7 @@ class TestBatching:
         async def main():
             runner = RecordingRunner()
             coalescer = Coalescer(runner, max_batch=2, max_linger_ms=50.0)
-            futures = [coalescer.submit(make_request(target=t))[0]
+            futures = [coalescer.submit(make_request(node=t))[0]
                        for t in range(5)]
             await asyncio.gather(*futures)
             await coalescer.shutdown()
@@ -76,8 +76,8 @@ class TestBatching:
         async def main():
             runner = RecordingRunner()
             coalescer = Coalescer(runner, max_batch=8, max_linger_ms=50.0)
-            fa = coalescer.submit(make_request(target=0, explainer="flowx"))[0]
-            fb = coalescer.submit(make_request(target=0, explainer="gradcam"))[0]
+            fa = coalescer.submit(make_request(node=0, explainer="flowx"))[0]
+            fb = coalescer.submit(make_request(node=0, explainer="gradcam"))[0]
             ra, rb = await asyncio.gather(fa, fb)
             await coalescer.shutdown()
             return ra, rb
@@ -94,7 +94,7 @@ class TestBatching:
             coalescer = Coalescer(
                 echo_runner, max_batch=8, max_linger_ms=20.0,
                 on_batch=lambda key, size, seconds: seen.append(size))
-            futures = [coalescer.submit(make_request(target=t))[0]
+            futures = [coalescer.submit(make_request(node=t))[0]
                        for t in range(3)]
             await asyncio.gather(*futures)
             await coalescer.shutdown()
@@ -108,9 +108,9 @@ class TestDedup:
         async def main():
             runner = GatedRunner()
             coalescer = Coalescer(runner, max_batch=4, max_linger_ms=0.0)
-            f1, joined1 = coalescer.submit(make_request(target=5))
+            f1, joined1 = coalescer.submit(make_request(node=5))
             await poll(runner.started.is_set)
-            f2, joined2 = coalescer.submit(make_request(target=5))
+            f2, joined2 = coalescer.submit(make_request(node=5))
             runner.release.set()
             r1, r2 = await asyncio.gather(f1, f2)
             await coalescer.shutdown()
@@ -126,7 +126,7 @@ class TestDedup:
             runner = RecordingRunner()
             coalescer = Coalescer(runner, max_batch=8, max_linger_ms=50.0,
                                   coalesce=False)
-            futures = [coalescer.submit(make_request(target=5))
+            futures = [coalescer.submit(make_request(node=5))
                        for _ in range(3)]
             assert not any(joined for _, joined in futures)
             await asyncio.gather(*[f for f, _ in futures])
@@ -143,12 +143,12 @@ class TestBackpressure:
             runner = GatedRunner()
             coalescer = Coalescer(runner, max_batch=1, max_linger_ms=0.0,
                                   queue_limit=2, retry_after_s=2.0)
-            first = coalescer.submit(make_request(target=0))[0]
+            first = coalescer.submit(make_request(node=0))[0]
             await poll(runner.started.is_set)  # target 0 now executing
-            queued = [coalescer.submit(make_request(target=t))[0]
+            queued = [coalescer.submit(make_request(node=t))[0]
                       for t in (1, 2)]
             with pytest.raises(BackpressureError) as excinfo:
-                coalescer.submit(make_request(target=3))
+                coalescer.submit(make_request(node=3))
             assert excinfo.value.retry_after_s == 2.0
             runner.release.set()
             await asyncio.gather(first, *queued)
@@ -161,10 +161,10 @@ class TestBackpressure:
             runner = GatedRunner()
             coalescer = Coalescer(runner, max_batch=1, max_linger_ms=0.0,
                                   queue_limit=1)
-            first = coalescer.submit(make_request(target=0))[0]
+            first = coalescer.submit(make_request(node=0))[0]
             await poll(runner.started.is_set)
-            queued = coalescer.submit(make_request(target=1))[0]
-            joined, was_joined = coalescer.submit(make_request(target=1))
+            queued = coalescer.submit(make_request(node=1))[0]
+            joined, was_joined = coalescer.submit(make_request(node=1))
             assert was_joined and joined is queued
             runner.release.set()
             await asyncio.gather(first, queued)
@@ -176,13 +176,13 @@ class TestBackpressure:
 class TestFailures:
     def test_per_request_exception_fails_only_its_future(self):
         def runner(requests):
-            return [ValueError("bad instance") if r.target == 1
+            return [ValueError("bad instance") if r.target.node_id == 1
                     else echo_runner([r])[0] for r in requests]
 
         async def main():
             coalescer = Coalescer(runner, max_batch=4, max_linger_ms=20.0)
-            ok = coalescer.submit(make_request(target=0))[0]
-            bad = coalescer.submit(make_request(target=1))[0]
+            ok = coalescer.submit(make_request(node=0))[0]
+            bad = coalescer.submit(make_request(node=1))[0]
             result = await ok
             with pytest.raises(ValueError, match="bad instance"):
                 await bad
@@ -197,7 +197,7 @@ class TestFailures:
 
         async def main():
             coalescer = Coalescer(runner, max_batch=4, max_linger_ms=10.0)
-            futures = [coalescer.submit(make_request(target=t))[0]
+            futures = [coalescer.submit(make_request(node=t))[0]
                        for t in range(2)]
             for future in futures:
                 with pytest.raises(RuntimeError, match="model load failed"):
@@ -210,7 +210,7 @@ class TestFailures:
         async def main():
             coalescer = Coalescer(lambda requests: [], max_batch=2,
                                   max_linger_ms=0.0)
-            future = coalescer.submit(make_request(target=0))[0]
+            future = coalescer.submit(make_request(node=0))[0]
             with pytest.raises(ServeError, match="0 results for 1 requests"):
                 await future
             await coalescer.shutdown()
@@ -229,9 +229,9 @@ class TestShutdown:
         async def main():
             runner = GatedRunner()
             coalescer = Coalescer(runner, max_batch=1, max_linger_ms=0.0)
-            inflight = coalescer.submit(make_request(target=0))[0]
+            inflight = coalescer.submit(make_request(node=0))[0]
             await poll(runner.started.is_set)
-            queued = coalescer.submit(make_request(target=1))[0]
+            queued = coalescer.submit(make_request(node=1))[0]
             shutdown = asyncio.ensure_future(coalescer.shutdown())
             await asyncio.sleep(0.01)
             runner.release.set()
@@ -240,7 +240,7 @@ class TestShutdown:
             with pytest.raises(DrainingError):
                 await queued
             with pytest.raises(DrainingError):
-                coalescer.submit(make_request(target=2))
+                coalescer.submit(make_request(node=2))
             return result, runner
 
         result, runner = run(main())
@@ -250,7 +250,7 @@ class TestShutdown:
     def test_shutdown_idempotent_and_task_clean(self):
         async def main():
             coalescer = Coalescer(echo_runner, max_batch=2, max_linger_ms=5.0)
-            future = coalescer.submit(make_request(target=0))[0]
+            future = coalescer.submit(make_request(node=0))[0]
             await future
             await coalescer.shutdown()
             await coalescer.shutdown()

@@ -37,10 +37,24 @@ class TestParseExplainRequest:
             == ExplainTarget.graph(3)
         assert parse_explain_request(body()).target is None
 
-    def test_bare_int_target_deprecated_but_resolved(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            req = parse_explain_request(body(target=7))
-        assert req.target == ExplainTarget.node(7)  # ba_shapes is a node task
+    def test_bare_int_target_names_object_form(self):
+        with pytest.raises(ServeError, match=r'send \{"node": 7\}'):
+            parse_explain_request(body(target=7))
+        with pytest.raises(ServeError, match=r'send \{"graph": 2\}'):
+            parse_explain_request(body(dataset="mutag", model="gin", target=2))
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0, 0])
+    def test_non_finite_or_non_positive_scale_rejected(self, scale):
+        with pytest.raises(ServeError, match="positive finite"):
+            parse_explain_request(body(target={"node": 1}, scale=scale))
+
+    def test_nan_scale_from_the_wire_rejected(self):
+        # json.loads accepts the NaN literal; it must not reach the runner.
+        payload = json.loads('{"dataset": "ba_shapes", "model": "gcn", '
+                             '"explainer": "flowx", "target": {"node": 1}, '
+                             '"scale": NaN}')
+        with pytest.raises(ServeError, match="positive finite"):
+            parse_explain_request(payload)
 
     def test_sampled_field_is_an_unknown_key(self):
         # Every node explanation already runs on the target's receptive
@@ -56,9 +70,9 @@ class TestParseExplainRequest:
         assert req.explainer == "gnn_lrp"
 
     def test_key_hierarchy(self):
-        a = parse_explain_request(body(target=1, params={"samples": 4}))
-        b = parse_explain_request(body(target=2, params={"samples": 4}))
-        c = parse_explain_request(body(target=1, params={"samples": 4}))
+        a = parse_explain_request(body(target={"node": 1}, params={"samples": 4}))
+        b = parse_explain_request(body(target={"node": 2}, params={"samples": 4}))
+        c = parse_explain_request(body(target={"node": 1}, params={"samples": 4}))
         assert a.model_key == b.model_key
         assert a.batch_key == b.batch_key
         assert a.dedup_key != b.dedup_key

@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.eval.fidelity import Instance
-from repro.explain import explain_instances, make_explainer
+from repro.explain import ExplainTarget, explain_instances, make_explainer
 from repro.serve import (
     Coalescer,
     ExplainRuntime,
@@ -90,6 +90,21 @@ class TestRoutes:
         assert bad_key[0] == 400
         assert "did you mean" in bad_key[1]["error"]["message"]
 
+    def test_non_finite_scale_400(self, explain_body):
+        # The client's json.dumps writes the NaN literal, which json.loads
+        # on the server accepts; it must stop at validation, not the runner.
+        async def main():
+            app = await started_app()
+            answer = await http_request(
+                app.port, "/explain", "POST",
+                body={**explain_body, "scale": float("nan")})
+            await app.shutdown()
+            return answer
+
+        status, payload, _ = run(main())
+        assert status == 400
+        assert "positive finite" in payload["error"]["message"]
+
     def test_oversized_body_413(self, explain_body):
         async def main():
             app = await started_app(max_body_bytes=64)
@@ -161,13 +176,13 @@ class TestBackpressureAndTimeouts:
                 await asyncio.sleep(0.005)
             second = asyncio.ensure_future(http_request(
                 app.port, "/explain", "POST",
-                body={**explain_body, "target": 4}))
+                body={**explain_body, "target": {"node": 4}}))
             # Wait for the second request to occupy the queue slot.
             while app.coalescer.queue_depth() < 1:
                 await asyncio.sleep(0.005)
             rejected = await http_request(
                 app.port, "/explain", "POST",
-                body={**explain_body, "target": 5})
+                body={**explain_body, "target": {"node": 5}})
             release.set()
             ok = await asyncio.gather(first, second)
             metrics = (await http_request(app.port, "/metrics"))[1]["serve"]
@@ -211,7 +226,7 @@ class TestBackpressureAndTimeouts:
             app = await started_app(batch_runner=failing, max_linger_ms=0.0)
             status, payload, _ = await http_request(
                 app.port, "/explain", "POST",
-                body={**explain_body, "target": 999})
+                body={**explain_body, "target": {"node": 999}})
             await app.shutdown()
             return status, payload
 
@@ -230,7 +245,7 @@ class TestBackpressureAndTimeouts:
             status, payload, _ = await http_request(
                 app.port, "/explain", "POST",
                 body={"dataset": "ba_shapes", "model": "gcn",
-                      "explainer": "revelio", "target": 3,
+                      "explainer": "revelio", "target": {"node": 3},
                       "params": {"epochs": 0}})
             await app.shutdown()
             return status, payload
@@ -259,7 +274,7 @@ class TestBackpressureAndTimeouts:
             status, payload, _ = await http_request(
                 app.port, "/explain", "POST",
                 body={"dataset": "ba_shapes", "model": "gcn",
-                      "explainer": "revelio", "target": 3, **extra})
+                      "explainer": "revelio", "target": {"node": 3}, **extra})
             await app.shutdown()
             return status, payload
 
@@ -276,8 +291,9 @@ class TestServingParity:
 
     def _serial_bytes(self, model, dataset, target):
         explainer = make_explainer("flowx", model, **self.PARAMS)
-        batch = explain_instances(explainer, [Instance(dataset.graph, target)],
-                                  mode="factual", raise_on_error=True)
+        instance = Instance(dataset.graph, ExplainTarget.node(target))
+        batch = explain_instances(explainer, [instance], mode="factual",
+                                  raise_on_error=True)
         payload, _, _ = wire_explanation(batch.explanations[0])
         return canonical_bytes(payload)
 
@@ -292,7 +308,7 @@ class TestServingParity:
             app = await started_app(batch_runner=runtime, max_batch=8,
                                     max_linger_ms=25.0)
             bodies = [{"dataset": "ba_shapes", "model": "gcn",
-                       "explainer": "flowx", "target": targets[i % 2],
+                       "explainer": "flowx", "target": {"node": targets[i % 2]},
                        "params": self.PARAMS} for i in range(8)]
             responses = await asyncio.gather(*[
                 http_request(app.port, "/explain", "POST", body=b)
@@ -328,7 +344,7 @@ def test_embedded_coalescer_parity_without_http(node_model, mini_ba_shapes,
     async def main():
         coalescer = Coalescer(runtime, max_batch=4, max_linger_ms=25.0)
         futures = [coalescer.submit(
-            make_request(target=good_motif_node, **params))[0]
+            make_request(node=good_motif_node, **params))[0]
             for _ in range(3)]
         results = await asyncio.gather(*futures)
         await coalescer.shutdown()
@@ -337,7 +353,8 @@ def test_embedded_coalescer_parity_without_http(node_model, mini_ba_shapes,
     results = asyncio.run(main())
     explainer = make_explainer("flowx", node_model, **params)
     batch = explain_instances(
-        explainer, [Instance(mini_ba_shapes.graph, good_motif_node)],
+        explainer, [Instance(mini_ba_shapes.graph,
+                             ExplainTarget.node(good_motif_node))],
         mode="factual", raise_on_error=True)
     expected, _, _ = wire_explanation(batch.explanations[0])
     for result in results:

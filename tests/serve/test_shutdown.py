@@ -35,11 +35,11 @@ class TestGracefulShutdown:
             port = app.port
 
             inflight = asyncio.ensure_future(http_request(
-                port, "/explain", "POST", body={**BODY, "target": 0}))
+                port, "/explain", "POST", body={**BODY, "target": {"node": 0}}))
             while not started.is_set():
                 await asyncio.sleep(0.005)
             queued = asyncio.ensure_future(http_request(
-                port, "/explain", "POST", body={**BODY, "target": 1}))
+                port, "/explain", "POST", body={**BODY, "target": {"node": 1}}))
             while app.coalescer.queue_depth() < 1:
                 await asyncio.sleep(0.005)
 
@@ -74,7 +74,7 @@ class TestGracefulShutdown:
             await app.start()
             # A request that keeps its connection open, then goes idle.
             status, _, _, reader, writer = await http_request(
-                app.port, "/explain", "POST", body={**BODY, "target": 2},
+                app.port, "/explain", "POST", body={**BODY, "target": {"node": 2}},
                 keep_open=True)
             assert status == 200
             await app.shutdown()
@@ -101,7 +101,7 @@ class TestGracefulShutdown:
                            batch_runner=gated)
             await app.start()
             inflight = asyncio.ensure_future(http_request(
-                app.port, "/explain", "POST", body={**BODY, "target": 0},
+                app.port, "/explain", "POST", body={**BODY, "target": {"node": 0}},
                 keep_open=True))
             while not started.is_set():
                 await asyncio.sleep(0.005)

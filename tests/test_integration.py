@@ -16,6 +16,7 @@ from repro.eval import (
     fidelity_minus,
     fidelity_plus,
 )
+from repro.explain import ExplainTarget
 from repro.graph import add_noise_edges, perturb_features
 from repro.nn import Trainer, build_model
 from repro.viz import explanation_to_dot, format_flow_comparison, render_explanation
@@ -37,10 +38,10 @@ class TestNodeClassificationPipeline:
     def test_full_revelio_pipeline(self, pipeline):
         ds, model, node = pipeline
         explanation = Revelio(model, epochs=80, lr=0.05, seed=0).explain(
-            ds.graph, target=node)
+            ds.graph, target=ExplainTarget.node(node))
 
         # evaluation
-        inst = [Instance(ds.graph, node)]
+        inst = [Instance(ds.graph, ExplainTarget.node(node))]
         fm = fidelity_minus(model, inst, [explanation], 0.7)
         auc = explanation_auc(ds.graph, explanation)
         assert np.isfinite(fm)
@@ -64,7 +65,8 @@ class TestNodeClassificationPipeline:
                           ("flowx", {"samples": 2, "finetune_epochs": 20}),
                           ("revelio", {"epochs": 60})):
             explanations.append(
-                make_explainer(name, model, seed=0, **cfg).explain(ds.graph, target=node)
+                make_explainer(name, model, seed=0, **cfg).explain(
+                    ds.graph, target=ExplainTarget.node(node))
             )
         table = format_flow_comparison(explanations, k=5)
         assert table.count("[") >= 3
@@ -76,8 +78,8 @@ class TestNodeClassificationPipeline:
     def test_counterfactual_end_to_end(self, pipeline):
         ds, model, node = pipeline
         cf = Revelio(model, epochs=80, lr=0.05, seed=0).explain(
-            ds.graph, target=node, mode="counterfactual")
-        inst = [Instance(ds.graph, node)]
+            ds.graph, target=ExplainTarget.node(node), mode="counterfactual")
+        inst = [Instance(ds.graph, ExplainTarget.node(node))]
         fp = fidelity_plus(model, inst, [cf], 0.7)
         assert np.isfinite(fp)
 
@@ -128,7 +130,7 @@ class TestFailureInjection:
                   train_mask=np.array([True, True, True]))
         model = build_model("gcn", "node", 4, 2, hidden=8, rng=0)
         model.eval()
-        e = Revelio(model, epochs=5, seed=0).explain(g, target=2)
+        e = Revelio(model, epochs=5, seed=0).explain(g, target=ExplainTarget.node(2))
         assert e.flow_index.num_flows == 1  # 2 -> 2 -> 2 -> 2 only
 
     def test_flow_explosion_guard_end_to_end(self):
@@ -140,7 +142,7 @@ class TestFailureInjection:
         model = build_model("gcn", "node", 4, 2, hidden=8, rng=0)
         model.eval()
         with pytest.raises(FlowError):
-            Revelio(model, max_flows=100, epochs=5).explain(g, target=0)
+            Revelio(model, max_flows=100, epochs=5).explain(g, target=ExplainTarget.node(0))
 
     def test_disconnected_graph_classification(self):
         from repro.graph import Graph
