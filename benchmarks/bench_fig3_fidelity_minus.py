@@ -13,7 +13,7 @@ import pytest
 from repro.eval import ExperimentConfig, run_fidelity_experiment
 from repro.eval.experiments import FACTUAL_METHODS
 
-from conftest import bench_convs, bench_datasets, write_result
+from conftest import bench_convs, bench_datasets, require_no_failures, write_result
 
 DATASETS = bench_datasets(("ba_shapes", "tree_cycles", "mutag"))
 CONVS = bench_convs(("gcn",))
@@ -29,5 +29,6 @@ def test_fig3_panel(benchmark, dataset, conv):
                                        mode="factual", config=ExperimentConfig())
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
+    require_no_failures(result)
     write_result(f"fig3_fidelity_minus_{dataset}_{conv}", result["rows"],
                  header=f"Fig. 3 — Fidelity− vs sparsity ({dataset}, {conv.upper()})")

@@ -13,7 +13,7 @@ import pytest
 from repro.eval import ExperimentConfig, run_fidelity_experiment
 from repro.eval.experiments import ALL_METHODS
 
-from conftest import bench_convs, bench_datasets, write_result
+from conftest import bench_convs, bench_datasets, require_no_failures, write_result
 
 DATASETS = bench_datasets(("ba_shapes", "tree_cycles", "mutag"))
 CONVS = bench_convs(("gcn",))
@@ -30,5 +30,6 @@ def test_fig4_panel(benchmark, dataset, conv):
                                        config=ExperimentConfig())
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
+    require_no_failures(result)
     write_result(f"fig4_fidelity_plus_{dataset}_{conv}", result["rows"],
                  header=f"Fig. 4 — Fidelity+ vs sparsity ({dataset}, {conv.upper()})")

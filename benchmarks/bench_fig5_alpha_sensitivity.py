@@ -12,7 +12,7 @@ import pytest
 
 from repro.eval import ExperimentConfig, run_alpha_sensitivity
 
-from conftest import bench_datasets, full_grid, write_result
+from conftest import bench_datasets, full_grid, require_no_failures, write_result
 
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 DATASETS = bench_datasets(("pubmed", "mutag") if full_grid() else ("tree_cycles", "mutag"))
@@ -27,6 +27,7 @@ def test_fig5_alpha(benchmark, dataset, mode):
                                      config=ExperimentConfig())
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
+    require_no_failures(result)
     metric = "Fidelity−" if mode == "factual" else "Fidelity+"
     write_result(f"fig5_alpha_{dataset}_{mode}", result["rows"],
                  header=f"Fig. 5 — {metric} vs sparsity for α sweep ({dataset}, GCN)")

@@ -1,7 +1,7 @@
 """Runner scaling smoke: serial vs 4-worker wall-clock on a fidelity grid.
 
 Times a small fidelity grid through ``repro.runner`` twice — inline
-(``workers=1``) and across a 4-worker pool — asserting the aggregated
+(``jobs=1``) and across a 4-worker pool — asserting the aggregated
 rows are byte-identical, and times a pure-orchestration grid of blocking
 jobs that isolates the pool's dispatch/journal overhead from the
 compute. The payload is printed as JSON.
@@ -54,12 +54,13 @@ def _config():
 
 
 def _run_grid(workers: int) -> tuple[dict, float]:
+    from repro.execution import ExecutionConfig
     from repro.runner import run_planned_experiment
 
     t0 = time.perf_counter()
     result = run_planned_experiment("fidelity", GRID["dataset"], GRID["conv"],
                                     GRID["methods"], config=_config(),
-                                    workers=workers)
+                                    execution=ExecutionConfig(jobs=workers))
     return result, time.perf_counter() - t0
 
 

@@ -13,7 +13,7 @@ import pytest
 from repro.eval import ExperimentConfig, run_auc_experiment
 from repro.eval.experiments import ALL_METHODS, COUNTERFACTUAL_METHODS
 
-from conftest import bench_convs, bench_datasets, write_result
+from conftest import bench_convs, bench_datasets, require_no_failures, write_result
 
 DATASETS = tuple(d for d in bench_datasets(("ba_shapes", "tree_cycles", "ba_2motifs"))
                  if d in ("ba_shapes", "tree_cycles", "ba_2motifs"))
@@ -33,6 +33,7 @@ def test_table4_cell(benchmark, dataset, conv):
         return factual, counter
 
     factual, counter = benchmark.pedantic(run, rounds=1, iterations=1)
+    require_no_failures(factual, counter)
     rows = ["-- factual explanation --", *factual["rows"],
             "-- counterfactual explanation --", *counter["rows"]]
     write_result(f"table4_auc_{dataset}_{conv}", rows,

@@ -13,7 +13,7 @@ import pytest
 from repro.eval import ExperimentConfig, run_runtime_experiment
 from repro.eval.experiments import ALL_METHODS
 
-from conftest import bench_convs, bench_datasets, write_result
+from conftest import bench_convs, bench_datasets, require_no_failures, write_result
 
 DATASETS = bench_datasets(("tree_cycles", "mutag"))
 CONVS = bench_convs(("gcn",))
@@ -31,6 +31,7 @@ def test_table5_column(benchmark, dataset, conv):
                                       config=ExperimentConfig())
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
+    require_no_failures(result)
     rows = list(result["rows"])
     times = result["mean_seconds"]
     if "revelio" in times and "gnn_lrp" in times:

@@ -76,6 +76,22 @@ def write_result(name: str, rows: list[str], header: str | None = None) -> Path:
     return path
 
 
+def require_no_failures(*results: dict) -> None:
+    """Fail the bench when any job of an artifact failed.
+
+    A method whose jobs all failed is left out of the rows, so without
+    this check it would silently vanish from the written table.
+    """
+    lines = []
+    for result in results:
+        for key, fails in result.get("failures", {}).items():
+            for f in fails:
+                lines.append(f"  {key}: {f['job']}: {f['error']['type']}: "
+                             f"{f['error']['message']}")
+    if lines:
+        pytest.fail(f"{len(lines)} job(s) failed:\n" + "\n".join(lines))
+
+
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -9,7 +9,8 @@ Commands
 ``repro experiment fidelity -d mutag -m gin --mode factual``
                                         regenerate one artifact's rows
 ``repro experiment fidelity -d mutag -m gin --jobs 4 --resume runs/fid.jsonl``
-                                        sharded + checkpointed variant
+                                        the same rows from 4 workers, with
+                                        a resumable job journal
 ``repro experiment fidelity -d mutag -m gin --jobs 4 --trace runs/fid_trace.jsonl``
                                         traced run (merged trace + manifest)
 ``repro trace summarize runs/fid_trace.jsonl``
@@ -32,19 +33,6 @@ import sys
 
 from .datasets import DATASET_NAMES, dataset_task, load_dataset
 from .errors import ReproError
-from .eval.experiments import (
-    ALL_METHODS,
-    COUNTERFACTUAL_METHODS,
-    ExecutionConfig,
-    ExperimentConfig,
-    run_alpha_sensitivity,
-    run_auc_experiment,
-    run_dataset_table,
-    run_fidelity_experiment,
-    run_runtime_experiment,
-)
-from .explain import make_explainer
-from .nn.zoo import get_model
 
 __all__ = ["main", "build_parser"]
 
@@ -80,8 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--instances", type=int, default=None)
     p_exp.add_argument("--effort", type=float, default=None)
     p_exp.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="shard the artifact through repro.runner: 1 = inline, "
-                            "N > 1 = crash-isolated worker pool "
+                       help="worker processes for the artifact's planned jobs: "
+                            "omitted or 1 = inline, N > 1 = crash-isolated "
+                            "worker pool; the rows do not depend on N "
                             "(fidelity/auc/runtime only)")
     p_exp.add_argument("--resume", default=None, metavar="PATH",
                        help="JSONL journal checkpointing every job; an existing "
@@ -188,20 +177,23 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "train":
+        from .nn.zoo import get_model
+
         model, dataset, result = get_model(args.dataset, args.model, scale=args.scale,
                                            seed=args.seed, use_cache=False, verbose=True)
         print(f"{args.dataset}/{args.model}: {result}")
         return 0
 
     if args.command == "explain":
+        from .explain import ExplainTarget, make_explainer
+        from .nn.zoo import get_model
+
         model, dataset, _ = get_model(args.dataset, args.model, scale=args.scale,
                                       seed=args.seed)
         explainer = make_explainer(args.explainer, model,
                                    **({"epochs": args.epochs}
                                       if args.explainer in ("revelio", "gnnexplainer")
                                       else {}))
-        from .explain import ExplainTarget
-
         # `-t` is a bare id typed by a user: promote it to the typed target
         # here, at the edge, because the explain API takes no bare ints.
         if dataset.task == "node":
@@ -250,35 +242,41 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "experiment":
-        config = ExperimentConfig(scale=args.scale, seed=args.seed,
-                                  num_instances=args.instances, effort=args.effort)
+        from .eval import experiments
+        from .execution import ExecutionConfig
+
+        config = experiments.ExperimentConfig(
+            scale=args.scale, seed=args.seed, num_instances=args.instances,
+            effort=args.effort)
         jobs = args.jobs if args.jobs is not None else (1 if args.resume else None)
         if (jobs is not None or args.trace) and \
                 args.artifact not in ("fidelity", "auc", "runtime"):
             print(f"note: --jobs/--resume/--trace not supported for "
-                  f"{args.artifact}; running serially", file=sys.stderr)
+                  f"{args.artifact}; running in-process", file=sys.stderr)
             jobs = None
             args.trace = None
         execution = ExecutionConfig(jobs=jobs, resume=args.resume,
                                     timeout=args.timeout, retries=args.retries,
                                     trace=args.trace)
         if args.artifact == "table3":
-            result = run_dataset_table(config=config)
+            result = experiments.run_dataset_table(config=config)
         elif args.artifact == "fidelity":
-            methods = ALL_METHODS if args.mode == "factual" else COUNTERFACTUAL_METHODS
-            result = run_fidelity_experiment(args.dataset, args.model, methods,
-                                             mode=args.mode, config=config,
-                                             execution=execution)
+            methods = experiments.ALL_METHODS if args.mode == "factual" \
+                else experiments.COUNTERFACTUAL_METHODS
+            result = experiments.run_fidelity_experiment(
+                args.dataset, args.model, methods, mode=args.mode,
+                config=config, execution=execution)
         elif args.artifact == "auc":
-            result = run_auc_experiment(args.dataset, args.model, ALL_METHODS,
-                                        mode=args.mode, config=config,
-                                        execution=execution)
+            result = experiments.run_auc_experiment(
+                args.dataset, args.model, experiments.ALL_METHODS,
+                mode=args.mode, config=config, execution=execution)
         elif args.artifact == "runtime":
-            result = run_runtime_experiment(args.dataset, args.model, ALL_METHODS,
-                                            config=config, execution=execution)
+            result = experiments.run_runtime_experiment(
+                args.dataset, args.model, experiments.ALL_METHODS,
+                config=config, execution=execution)
         else:
-            result = run_alpha_sensitivity(args.dataset, args.model,
-                                           mode=args.mode, config=config)
+            result = experiments.run_alpha_sensitivity(
+                args.dataset, args.model, mode=args.mode, config=config)
         for row in result["rows"]:
             print(row)
         if result.get("trace_path"):

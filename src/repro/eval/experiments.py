@@ -13,32 +13,34 @@ reproduces the paper's §V-A settings). Numbers produced at the defaults
 are smoke-scale and must not be read as paper-grade reproductions — set
 ``REPRO_INSTANCES=50 REPRO_EFFORT=1`` (and ``REPRO_SCALE=1``) for those.
 
-The grid runners (fidelity / AUC / runtime) also accept
-``execution=ExecutionConfig(jobs=..., resume=...)``: ``jobs=N`` shards
-the artifact into per-``(method, instance-chunk)`` work units executed
-by :mod:`repro.runner` (``N=1`` inline, ``N>1`` across a crash-isolated
-worker pool), and ``resume=`` names a JSONL journal that checkpoints every job so an interrupted run
-picks up where it left off.
+The grid runners (fidelity / AUC / runtime, and the α sweep built on
+fidelity) have one implementation: each plans the artifact into
+per-``(method, instance-chunk)`` jobs, every job seeded from the config
+seed and its job id, and runs them through :mod:`repro.runner`. Their
+``execution=ExecutionConfig(jobs=..., resume=...)`` only says how the
+jobs run — ``jobs=None``/``1`` inline, ``jobs=N`` across a
+crash-isolated worker pool, ``resume=`` a JSONL journal that checkpoints
+every job so an interrupted run picks up where it left off — so an
+artifact's numbers depend on its :class:`ExperimentConfig` alone.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..datasets import GraphDataset, NodeDataset, load_dataset
 from ..errors import EvaluationError
-from ..execution import ExecutionConfig, reject_driver_kwargs, resolve_trace_path
+from ..execution import ExecutionConfig, reject_driver_kwargs
 from ..explain import make_explainer
 from ..explain.base import Explainer
 from ..explain.target import ExplainTarget, as_node_id
 from ..nn.models import GNN
 from ..nn.zoo import get_model
 from ..obs import span
-from ..obs.names import SPAN_FIT, SPAN_METHOD
+from ..obs.names import SPAN_FIT
 from ..rng import ensure_rng
-from .auc import mean_explanation_auc
-from .fidelity import Instance, fidelity_curve
+from .fidelity import Instance
 from .timing import TimingResult, time_explainer
 
 __all__ = [
@@ -209,32 +211,6 @@ def run_explainer(method: str, model: GNN, instances: list[Instance], *,
 # ----------------------------------------------------------------------
 # artifact runners
 # ----------------------------------------------------------------------
-def _run_serial(artifact: str, dataset_name: str, conv: str,
-                methods: tuple[str, ...], mode: str, config: ExperimentConfig,
-                execution: ExecutionConfig, dataset, body) -> dict:
-    """Run ``body()`` for a serial artifact, tracing it when requested."""
-    trace_target = resolve_trace_path(
-        execution.trace, execution.resume,
-        f"trace_{artifact}_{dataset_name}_{conv}.jsonl")
-    if trace_target is None:
-        return body()
-    from ..obs import TraceSession, dataset_fingerprint
-
-    session = TraceSession(
-        trace_target,
-        run_meta={"artifact": artifact, "dataset": dataset_name, "conv": conv,
-                  "methods": list(methods), "mode": mode, "seed": config.seed,
-                  "num_instances": config.resolved_instances(),
-                  "effort": config.resolved_effort(), "alpha": config.alpha,
-                  "jobs": None},
-        fingerprint=dataset_fingerprint(dataset),
-    )
-    with session:
-        result = body()
-    session.finalize(result)
-    return result
-
-
 def run_fidelity_experiment(dataset_name: str, conv: str, methods: tuple[str, ...],
                             *,
                             mode: str = "factual",
@@ -243,52 +219,22 @@ def run_fidelity_experiment(dataset_name: str, conv: str, methods: tuple[str, ..
                             **kwargs) -> dict:
     """Fig. 3 (factual, Fidelity−) / Fig. 4 (counterfactual, Fidelity+).
 
-    Returns ``{"curves": {method: {sparsity: fidelity}}, "rows": [str]}``.
-    Everything after the three leading positionals is keyword-only;
-    execution options (``jobs``, ``resume``, ``trace``, …) travel in one
-    :class:`~repro.execution.ExecutionConfig`. With ``jobs``/``resume``
-    set the artifact runs through the sharded runner (see module
-    docstring); for a fixed config the aggregated rows are byte-identical
-    for any worker count and across ``resume``. A flat execution kwarg
-    (``jobs=4``) raises :class:`~repro.errors.ReproError` naming
-    ``execution=ExecutionConfig(jobs=...)``.
+    Returns ``{"curves": {method: {sparsity: fidelity}}, "rows": [str],
+    "failures": {method: [...]}, "jobs": {...}}``. Everything after the
+    three leading positionals is keyword-only; execution options
+    (``jobs``, ``resume``, ``trace``, …) travel in one
+    :class:`~repro.execution.ExecutionConfig` and never change the
+    numbers (see module docstring). An unknown method raises
+    :class:`~repro.errors.EvaluationError` before any job runs. A flat
+    execution kwarg (``jobs=4``) raises :class:`~repro.errors.ReproError`
+    naming ``execution=ExecutionConfig(jobs=...)``.
     """
     reject_driver_kwargs("run_fidelity_experiment", kwargs,
                          ("mode", "config", "execution"))
-    config = config or ExperimentConfig()
-    execution = execution or ExecutionConfig()
-    if execution.sharded:
-        from ..runner import run_planned_experiment
+    from ..runner import run_planned_experiment
 
-        return run_planned_experiment("fidelity", dataset_name, conv, methods,
-                                      mode=mode, config=config,
-                                      execution=execution)
-    model, dataset, _ = get_model(dataset_name, conv, scale=config.scale, seed=config.seed)
-    instances = build_instances(dataset, config.resolved_instances(), seed=config.seed)
-    fid_metric = "minus" if mode == "factual" else "plus"
-
-    def body() -> dict:
-        curves: dict[str, dict[float, float]] = {}
-        rows: list[str] = []
-        for method in methods:
-            if not method_applicable(method, dataset_name, conv):
-                continue
-            with span(SPAN_METHOD, method=method):
-                result = run_explainer(method, model, instances, mode=mode,
-                                       effort=config.resolved_effort(),
-                                       alpha=config.alpha, seed=config.seed)
-                curve = fidelity_curve(model, instances, result.explanations,
-                                       list(config.sparsities), metric=fid_metric)
-            curves[method] = curve
-            values = "  ".join(f"{curve[s]:+.3f}" for s in config.sparsities)
-            rows.append(f"{method:<14} {values}")
-        header = f"{'method':<14} " + "  ".join(f"s={s:.1f}" for s in config.sparsities)
-        return {"dataset": dataset_name, "conv": conv, "mode": mode,
-                "sparsities": list(config.sparsities), "curves": curves,
-                "rows": [header, *rows]}
-
-    return _run_serial("fidelity", dataset_name, conv, methods, mode, config,
-                       execution, dataset, body)
+    return run_planned_experiment("fidelity", dataset_name, conv, methods,
+                                  mode=mode, config=config, execution=execution)
 
 
 def run_auc_experiment(dataset_name: str, conv: str, methods: tuple[str, ...],
@@ -297,40 +243,17 @@ def run_auc_experiment(dataset_name: str, conv: str, methods: tuple[str, ...],
                        config: ExperimentConfig | None = None,
                        execution: ExecutionConfig | None = None,
                        **kwargs) -> dict:
-    """Table IV: explanation AUC against planted motifs (synthetics only)."""
+    """Table IV: explanation AUC against planted motifs (synthetics only).
+
+    A method none of whose instances has a defined AUC is listed under
+    ``"failures"``.
+    """
     reject_driver_kwargs("run_auc_experiment", kwargs,
                          ("mode", "config", "execution"))
-    config = config or ExperimentConfig()
-    execution = execution or ExecutionConfig()
-    if execution.sharded:
-        from ..runner import run_planned_experiment
+    from ..runner import run_planned_experiment
 
-        return run_planned_experiment("auc", dataset_name, conv, methods,
-                                      mode=mode, config=config,
-                                      execution=execution)
-    model, dataset, _ = get_model(dataset_name, conv, scale=config.scale, seed=config.seed)
-    instances = build_instances(dataset, config.resolved_instances(), seed=config.seed,
-                                motif_only=True, correct_only=True, model=model)
-    if not instances:
-        raise EvaluationError(f"{dataset_name}/{conv}: no correctly-predicted motif instances")
-    graphs = [inst.graph for inst in instances]
-
-    def body() -> dict:
-        aucs: dict[str, float] = {}
-        for method in methods:
-            if not method_applicable(method, dataset_name, conv):
-                continue
-            with span(SPAN_METHOD, method=method):
-                result = run_explainer(method, model, instances, mode=mode,
-                                       effort=config.resolved_effort(),
-                                       alpha=config.alpha, seed=config.seed)
-                aucs[method] = mean_explanation_auc(graphs, result.explanations)
-        rows = [f"{m:<14} {v:.3f}" for m, v in aucs.items()]
-        return {"dataset": dataset_name, "conv": conv, "mode": mode,
-                "num_instances": len(instances), "auc": aucs, "rows": rows}
-
-    return _run_serial("auc", dataset_name, conv, methods, mode, config,
-                       execution, dataset, body)
+    return run_planned_experiment("auc", dataset_name, conv, methods,
+                                  mode=mode, config=config, execution=execution)
 
 
 def run_runtime_experiment(dataset_name: str, conv: str, methods: tuple[str, ...],
@@ -341,69 +264,36 @@ def run_runtime_experiment(dataset_name: str, conv: str, methods: tuple[str, ...
     """Table V: mean running time per instance for each method."""
     reject_driver_kwargs("run_runtime_experiment", kwargs,
                          ("config", "execution"))
-    config = config or ExperimentConfig()
-    execution = execution or ExecutionConfig()
-    if execution.sharded:
-        from ..runner import run_planned_experiment
+    from ..runner import run_planned_experiment
 
-        return run_planned_experiment("runtime", dataset_name, conv, methods,
-                                      config=config, execution=execution)
-    model, dataset, _ = get_model(dataset_name, conv, scale=config.scale, seed=config.seed)
-    instances = build_instances(dataset, config.resolved_instances(), seed=config.seed)
-
-    def body() -> dict:
-        times: dict[str, float] = {}
-        details: dict[str, dict] = {}
-        for method in methods:
-            if not method_applicable(method, dataset_name, conv):
-                continue
-            with span(SPAN_METHOD, method=method):
-                result = run_explainer(method, model, instances, mode="factual",
-                                       effort=config.resolved_effort(),
-                                       alpha=config.alpha, seed=config.seed)
-            times[method] = result.mean_seconds
-            details[method] = {"total": result.total_seconds,
-                               "std": result.std_seconds}
-            # PGExplainer reports "training (inference)" separately.
-            train_s = None
-            if result.explanations:
-                train_s = result.explanations[0].meta.get("perf", {}).get("train_seconds")
-            if train_s:
-                details[method]["train_seconds"] = train_s
-        rows = []
-        for m, v in times.items():
-            extra = details[m].get("train_seconds")
-            label = f"{v:.3f}" + (f" (train {extra:.1f})" if extra else "")
-            rows.append(f"{m:<14} {label}")
-        return {"dataset": dataset_name, "conv": conv, "mean_seconds": times,
-                "details": details, "rows": rows}
-
-    return _run_serial("runtime", dataset_name, conv, methods, "factual",
-                       config, execution, dataset, body)
+    return run_planned_experiment("runtime", dataset_name, conv, methods,
+                                  config=config, execution=execution)
 
 
 def run_alpha_sensitivity(dataset_name: str, conv: str, *,
                           alphas: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0),
                           mode: str = "factual",
                           config: ExperimentConfig | None = None) -> dict:
-    """Fig. 5: fidelity across the sparsity grid for several α values."""
-    config = config or ExperimentConfig()
-    model, dataset, _ = get_model(dataset_name, conv, scale=config.scale, seed=config.seed)
-    instances = build_instances(dataset, config.resolved_instances(), seed=config.seed)
-    fid_metric = "minus" if mode == "factual" else "plus"
+    """Fig. 5: Revelio's fidelity curve for each α, one fidelity run per α.
 
+    Failures of an α's run are reported under ``"failures"[alpha]``.
+    """
+    config = config or ExperimentConfig()
     curves: dict[float, dict[float, float]] = {}
+    failures: dict[float, list] = {}
     for alpha in alphas:
-        result = run_explainer("revelio", model, instances, mode=mode,
-                               effort=config.resolved_effort(), alpha=alpha,
-                               seed=config.seed)
-        curves[alpha] = fidelity_curve(model, instances, result.explanations,
-                                       list(config.sparsities), metric=fid_metric)
+        result = run_fidelity_experiment(dataset_name, conv, ("revelio",), mode=mode,
+                                         config=replace(config, alpha=alpha))
+        if "revelio" in result["curves"]:
+            curves[alpha] = result["curves"]["revelio"]
+        if result["failures"]:
+            failures[alpha] = result["failures"]["revelio"]
     rows = [f"{'alpha':<8} " + "  ".join(f"s={s:.1f}" for s in config.sparsities)]
     for alpha, curve in curves.items():
         rows.append(f"{alpha:<8.2f} " + "  ".join(f"{curve[s]:+.3f}" for s in config.sparsities))
     return {"dataset": dataset_name, "conv": conv, "mode": mode,
-            "alphas": list(alphas), "curves": curves, "rows": rows}
+            "alphas": list(alphas), "curves": curves, "rows": rows,
+            "failures": failures}
 
 
 def run_dataset_table(*, dataset_names: tuple[str, ...] | None = None,

@@ -1,13 +1,14 @@
 """ExecutionConfig: one object for every execution-mode option.
 
-Execution options grew organically across the runner and tracing
-work — ``jobs=``/``resume=``/``timeout=``/``retries=``/``trace=`` on the
-experiment drivers, each accepted by a different subset of entry points. :class:`ExecutionConfig` consolidates
-them: every public driver (``run_fidelity_experiment``,
-``run_auc_experiment``, ``run_runtime_experiment``) and the CLI accept
-the same ``execution=`` object. A field passed flat (``jobs=4``) raises
-:class:`~repro.errors.ReproError` naming ``execution=ExecutionConfig(...)``
-(:func:`reject_driver_kwargs`).
+Every public experiment driver (``run_fidelity_experiment``,
+``run_auc_experiment``, ``run_runtime_experiment``), the runner entry
+:func:`repro.runner.run_planned_experiment` and the CLI accept the same
+``execution=`` object. It says *how* an artifact runs (inline or on a
+worker pool, journaled or not, traced or not), never *what* it computes:
+for a fixed :class:`~repro.eval.experiments.ExperimentConfig` the numbers
+are the same for every ``ExecutionConfig``. A field passed flat
+(``jobs=4``) raises :class:`~repro.errors.ReproError` naming
+``execution=ExecutionConfig(...)`` (:func:`reject_driver_kwargs`).
 """
 
 from __future__ import annotations
@@ -24,54 +25,36 @@ __all__ = ["ExecutionConfig", "reject_unknown_kwargs", "reject_driver_kwargs",
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How an explain/experiment request is executed (not *what* it computes).
+    """How an experiment request is executed (not *what* it computes).
 
     Attributes
     ----------
     jobs:
-        Worker processes for sharded runs; ``None`` (or 1 with no other
-        sharding option) keeps the serial in-process path.
+        Worker processes: ``None`` or 1 runs the planned jobs inline,
+        ``N > 1`` across a crash-isolated worker pool.
     resume:
-        Artifact directory for checkpointed resume (implies the sharded
-        path even when ``jobs`` is unset).
-    chunk_size:
-        Instances per shard job; ``None`` uses the planner default.
+        JSONL journal checkpointing every job; an existing journal is
+        resumed, skipping jobs it already holds as finished.
     timeout:
-        Per-job timeout in seconds (sharded path only).
+        Per-job timeout in seconds (enforced only with ``jobs >= 2``).
     retries:
         Per-job retry budget on worker failure.
     trace:
         Trace output: ``True`` writes a trace JSONL + RunManifest next to
-        the resume artifact (or a default path), a string/path writes to
+        the resume journal (or a default path), a string/path writes to
         that file, falsy disables tracing.
     """
 
     jobs: int | None = None
     resume: str | None = None
-    chunk_size: int | None = None
     timeout: float | None = None
     retries: int = 1
     trace: bool | str | None = None
 
     @property
-    def sharded(self) -> bool:
-        """Whether this config routes through the sharded runner."""
-        return self.jobs is not None or self.resume is not None
-
-    @property
     def workers(self) -> int:
-        """Worker-process count for the sharded path (defaults to 1)."""
+        """Worker-process count (``1`` runs inline)."""
         return self.jobs if self.jobs is not None else 1
-
-    def runner_kwargs(self) -> dict:
-        """Keyword arguments for :func:`repro.runner.run_planned_experiment`."""
-        return {
-            "workers": self.workers,
-            "resume": self.resume,
-            "chunks": self.chunk_size,
-            "timeout": self.timeout,
-            "retries": self.retries,
-        }
 
 
 def reject_unknown_kwargs(func_name: str, kwargs: dict,

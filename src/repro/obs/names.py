@@ -26,7 +26,6 @@ __all__ = [
     "SPAN_OPTIMIZE",
     "SPAN_EPOCH",
     "SPAN_FIT",
-    "SPAN_METHOD",
     "SPAN_JOB",
     "SPAN_EXPERIMENT",
     "SPAN_FIDELITY_SWEEP",
@@ -42,11 +41,9 @@ __all__ = [
 # ----------------------------------------------------------------------
 #: Root span of a traced experiment run (opened by TraceSession).
 SPAN_EXPERIMENT = "experiment"
-#: One (method, dataset) cell of an experiment grid.
-SPAN_METHOD = "method"
 #: Group-level training of PGExplainer / GraphMask before explaining.
 SPAN_FIT = "fit"
-#: One sharded-runner job (inline or in a worker process).
+#: One planned experiment job (inline or in a worker process).
 SPAN_JOB = "job"
 #: One Explainer.explain call.
 SPAN_EXPLAIN = "explain"
@@ -67,7 +64,6 @@ SPAN_SERVE_BATCH = "serve_batch"
 
 SPAN_NAMES: frozenset[str] = frozenset({
     SPAN_EXPERIMENT,
-    SPAN_METHOD,
     SPAN_FIT,
     SPAN_JOB,
     SPAN_EXPLAIN,

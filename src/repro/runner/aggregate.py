@@ -1,4 +1,4 @@
-"""Fold job records back into the serial runners' exact row structures.
+"""Fold job records into each artifact's result dict and text rows.
 
 Aggregation consumes only the plan (for deterministic ordering) and the
 job records (in-memory or journal-loaded — JSON round-trips floats
@@ -8,7 +8,9 @@ across ``workers=1``, ``workers=N`` and resumed runs.
 
 Methods with failed chunks are aggregated over their surviving chunks and
 reported under ``"failures"``; a method whose every chunk failed is
-omitted from the curves rather than aborting the artifact.
+omitted from the curves rather than aborting the artifact. So is an AUC
+method none of whose instances has a defined AUC: it is listed under
+``"failures"`` with an ``EvaluationError`` entry, not silently dropped.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def _job_stats(plan: ExperimentPlan, records: dict[str, dict]) -> dict:
 
 
 def aggregate_fidelity(plan: ExperimentPlan, records: dict[str, dict]) -> dict:
-    """Rebuild :func:`repro.eval.experiments.run_fidelity_experiment`'s dict."""
+    """The result dict of :func:`repro.eval.experiments.run_fidelity_experiment`."""
     meta = plan.meta
     sparsities = [float(s) for s in meta["sparsities"]]
     curves: dict[str, dict[float, float]] = {}
@@ -80,7 +82,7 @@ def aggregate_fidelity(plan: ExperimentPlan, records: dict[str, dict]) -> dict:
 
 
 def aggregate_auc(plan: ExperimentPlan, records: dict[str, dict]) -> dict:
-    """Rebuild :func:`repro.eval.experiments.run_auc_experiment`'s dict."""
+    """The result dict of :func:`repro.eval.experiments.run_auc_experiment`."""
     meta = plan.meta
     aucs: dict[str, float] = {}
     failures: dict[str, list] = {}
@@ -91,6 +93,12 @@ def aggregate_auc(plan: ExperimentPlan, records: dict[str, dict]) -> dict:
         values = [v for result in oks for v in result["values"]]
         if values:
             aucs[method] = float(np.mean(np.asarray(values, dtype=np.float64)))
+        elif oks:
+            failures.setdefault(method, []).append(
+                {"job": f"auc:{meta['dataset']}:{meta['conv']}:{meta['mode']}:{method}",
+                 "attempts": 0,
+                 "error": {"type": "EvaluationError",
+                           "message": "no instance produced a defined AUC"}})
     rows = [f"{m:<14} {v:.3f}" for m, v in aucs.items()]
     return {"dataset": meta["dataset"], "conv": meta["conv"], "mode": meta["mode"],
             "num_instances": meta["num_instances"], "auc": aucs, "rows": rows,
@@ -98,7 +106,7 @@ def aggregate_auc(plan: ExperimentPlan, records: dict[str, dict]) -> dict:
 
 
 def aggregate_runtime(plan: ExperimentPlan, records: dict[str, dict]) -> dict:
-    """Rebuild :func:`repro.eval.experiments.run_runtime_experiment`'s dict."""
+    """The result dict of :func:`repro.eval.experiments.run_runtime_experiment`."""
     meta = plan.meta
     times: dict[str, float] = {}
     details: dict[str, dict] = {}

@@ -1,11 +1,11 @@
 """High-level entry: plan → (pool | inline) → aggregate, with resume.
 
-:func:`run_planned_experiment` is what :mod:`repro.eval.experiments`
-delegates to when a runner is called with sharding options: it warms the
-dataset/model context once in the parent (so forked workers inherit it
-and concurrent workers never race to train the same checkpoint), plans
-the job grid, executes it fault-tolerantly and folds the records back
-into the serial runner's exact return structure. When
+:func:`run_planned_experiment` is the one way the grid artifacts run;
+:mod:`repro.eval.experiments`' drivers call it for every request. It
+warms the dataset/model context once in the parent (so forked workers
+inherit it and concurrent workers never race to train the same
+checkpoint), plans the job grid, executes it fault-tolerantly and folds
+the records into the artifact's result dict. When
 ``ExecutionConfig.trace`` is set, the whole run is wrapped in a
 :class:`repro.obs.TraceSession`: worker spans are shipped back with each
 result envelope and merged into one trace, and a ``RunManifest`` is
@@ -13,8 +13,6 @@ written next to the exported trace JSONL.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from ..errors import EvaluationError
 from ..execution import ExecutionConfig, resolve_trace_path
@@ -28,7 +26,7 @@ __all__ = ["run_planned_experiment", "plan_artifact"]
 
 def plan_artifact(artifact: str, dataset_name: str, conv: str,
                   methods: tuple[str, ...], mode: str = "factual",
-                  config=None, chunks: int | None = None) -> ExperimentPlan:
+                  config=None) -> ExperimentPlan:
     """Warm the experiment context and plan the job grid.
 
     Materializing the instance list here (in the parent) pins the
@@ -53,8 +51,7 @@ def plan_artifact(artifact: str, dataset_name: str, conv: str,
         raise EvaluationError(
             f"{dataset_name}/{conv}: no instances available for {artifact}")
     plan = plan_experiment(artifact, dataset_name, conv, methods, mode=mode,
-                           config=config, num_instances=len(instances),
-                           chunks=chunks)
+                           config=config, num_instances=len(instances))
     from ..obs import dataset_fingerprint
 
     plan.meta["dataset_fingerprint"] = dataset_fingerprint(dataset)
@@ -63,51 +60,29 @@ def plan_artifact(artifact: str, dataset_name: str, conv: str,
 
 def run_planned_experiment(artifact: str, dataset_name: str, conv: str,
                            methods: tuple[str, ...], mode: str = "factual",
-                           config=None, workers: int = 1,
-                           resume: str | Path | None = None,
-                           chunks: int | None = None,
-                           timeout: float | None = None, retries: int = 1,
-                           on_record=None,
+                           config=None,
                            execution: ExecutionConfig | None = None) -> dict:
-    """Run one artifact through the sharded runner.
+    """Plan one artifact, run its jobs and aggregate the records.
 
-    Parameters
-    ----------
-    execution:
-        When given, its ``jobs``/``resume``/``chunk_size``/``timeout``/
-        ``retries``/``trace`` fields override the corresponding flat
-        parameters (the flat forms remain for internal callers).
-    workers:
-        ``1`` executes inline (deterministic, debuggable); ``N > 1`` uses
-        the crash-isolated worker pool.
-    resume:
-        Journal path. Every job outcome is checkpointed there; if the
-        file already holds successful records for some jobs (a previous
-        run, killed or partial), only the remaining/failed jobs execute.
-    timeout, retries:
-        Per-job limits, see :func:`repro.runner.pool.run_jobs`.
+    ``execution`` (default: inline, no journal, no trace) chooses only
+    how the jobs run — ``jobs=1`` inline, ``jobs=N`` on the worker pool,
+    ``resume=`` a journal whose finished jobs are reused — so the result
+    depends on ``config`` alone. See :func:`repro.runner.pool.run_jobs`
+    for the timeout/retry semantics.
     """
-    trace = None
-    if execution is not None:
-        workers = execution.workers
-        resume = execution.resume if execution.resume is not None else resume
-        chunks = execution.chunk_size if execution.chunk_size is not None else chunks
-        timeout = execution.timeout if execution.timeout is not None else timeout
-        retries = execution.retries
-        trace = execution.trace
+    execution = execution or ExecutionConfig()
+    resume = execution.resume
 
-    def execute() -> dict:
+    def execute() -> tuple[ExperimentPlan, dict]:
         plan = plan_artifact(artifact, dataset_name, conv, methods, mode=mode,
-                             config=config, chunks=chunks)
-        records = run_jobs(plan.jobs, workers=workers, timeout=timeout,
-                           retries=retries, journal_path=resume,
-                           resume=resume is not None, on_record=on_record)
-        result = aggregate_experiment(plan, records)
-        return plan, result
+                             config=config)
+        records = run_jobs(plan.jobs, workers=execution.workers,
+                           timeout=execution.timeout, retries=execution.retries,
+                           journal_path=resume, resume=resume is not None)
+        return plan, aggregate_experiment(plan, records)
 
     trace_target = resolve_trace_path(
-        trace, str(resume) if resume is not None else None,
-        f"trace_{artifact}_{dataset_name}_{conv}.jsonl")
+        execution.trace, resume, f"trace_{artifact}_{dataset_name}_{conv}.jsonl")
     if trace_target is None:
         _, result = execute()
         return result
@@ -118,5 +93,5 @@ def run_planned_experiment(artifact: str, dataset_name: str, conv: str,
     with session:
         plan, result = execute()
     session.fingerprint = plan.meta.get("dataset_fingerprint")
-    session.finalize(result, run_meta=dict(plan.meta, jobs=workers))
+    session.finalize(result, run_meta=dict(plan.meta, jobs=execution.workers))
     return result

@@ -114,7 +114,7 @@ def run_auc_chunk(payload: dict, seed: int) -> dict:
         try:
             values.append(explanation_auc(inst.graph, exp))
         except EvaluationError:
-            continue  # degenerate instance (all-pos/neg), skipped as in serial path
+            continue  # degenerate instance (all-pos/neg), skipped as in mean_explanation_auc
     return {"method": payload["method"], "n": len(subset), "values": values}
 
 

@@ -24,6 +24,7 @@ single chunk; per-instance methods default to ``DEFAULT_CHUNKS`` chunks.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
@@ -112,6 +113,17 @@ class JobSpec:
                 "payload": _encode_payload_value(self.payload),
                 "seed": self.seed, "retries": self.retries, "timeout": self.timeout}
 
+    def digest(self) -> str:
+        """Hash of what the job computes: its kind, payload and seed.
+
+        Journaled with every record, so a resumed run can tell a record
+        written for this exact job from one written under the same id by
+        a different config (job ids do not encode alpha, effort, scale…).
+        """
+        body = {"kind": self.kind, "payload": _encode_payload_value(self.payload),
+                "seed": self.seed}
+        return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
         return cls(id=data["id"], kind=data["kind"],
@@ -124,9 +136,8 @@ class JobSpec:
 class ExperimentPlan:
     """A planned artifact: shared metadata plus the ordered job list.
 
-    ``meta`` carries everything aggregation needs to rebuild the exact row
-    structures the serial runners return (method roster order, sparsity
-    grid, instance count); ``jobs`` is in deterministic plan order, which
+    ``meta`` carries everything aggregation needs to build the artifact's
+    rows (method roster order, sparsity grid, instance count); ``jobs`` is in deterministic plan order, which
     fixes the float summation order during aggregation.
     """
 
@@ -151,6 +162,11 @@ def plan_experiment(artifact: str, dataset_name: str, conv: str,
                     chunks: int | None = None) -> ExperimentPlan:
     """Decompose one artifact into jobs.
 
+    Every name in ``methods`` must be one :func:`method_config` knows: an
+    unknown one raises :class:`~repro.errors.EvaluationError` here, before
+    any job exists. Known methods inapplicable to the dataset/conv pair
+    are left out of the plan.
+
     Parameters
     ----------
     artifact:
@@ -165,11 +181,13 @@ def plan_experiment(artifact: str, dataset_name: str, conv: str,
         Chunks per per-instance method (default :data:`DEFAULT_CHUNKS`).
         Must not depend on the worker count.
     """
-    from ..eval.experiments import ExperimentConfig, method_applicable
+    from ..eval.experiments import ExperimentConfig, method_applicable, method_config
 
     if artifact not in ("fidelity", "auc", "runtime"):
         raise RunnerError(f"unplannable artifact {artifact!r}")
     config = config or ExperimentConfig()
+    for method in methods:  # an unknown method raises EvaluationError here
+        method_config(method, config.resolved_effort(), alpha=config.alpha)
     chunks = chunks if chunks is not None else DEFAULT_CHUNKS
     requested = config.resolved_instances()
     n = num_instances if num_instances is not None else requested

@@ -12,8 +12,11 @@ and returns ``{job_id: record}``. Guarantees:
 * **Bounded retry with backoff** — failed jobs are re-queued up to
   ``retries`` extra attempts, delayed by ``backoff * 2**(attempt-1)``.
 * **Checkpointed resume** — with a journal path every attempt outcome is
-  streamed to JSONL; ``resume=True`` loads it first, keeps successful
-  records verbatim and re-runs only the rest.
+  streamed to JSONL, stamped with its job's :meth:`~JobSpec.digest`;
+  ``resume=True`` loads it first, keeps successful records verbatim and
+  re-runs only the rest. A successful record whose digest differs from
+  the planned job's (the journal was written for another config) raises
+  :class:`~repro.errors.RunnerError` instead of being reused.
 * **Deterministic inline fallback** — ``workers=1`` executes everything
   in-process (same executors, same records, same journal) so a run is
   debuggable under pdb. Timeouts are *not* enforced inline: preempting
@@ -42,6 +45,7 @@ import time
 import traceback
 from pathlib import Path
 
+from ..errors import RunnerError
 from ..obs import PERF, TRACER, span
 from ..obs.names import SPAN_JOB
 from .execute import execute_job
@@ -173,39 +177,42 @@ def _mp_context():
 def run_jobs(jobs: list[JobSpec], workers: int = 1,
              timeout: float | None = None, retries: int = 1,
              backoff: float = 0.1, journal_path: str | Path | None = None,
-             resume: bool = False,
-             on_record=None) -> dict[str, dict]:
+             resume: bool = False) -> dict[str, dict]:
     """Execute ``jobs``; return ``{job_id: record}`` for every job.
 
     A record is ``{"id", "status": "ok"|"failed", "attempt", "seconds",
-    "result" | "error", "perf"}``. With ``resume=True`` and an existing
-    journal, jobs whose last journaled record is ``"ok"`` are not re-run —
-    their journaled records are returned verbatim (their ``perf`` deltas
-    are *not* re-merged, so counters stay truthful).
-
-    ``on_record(record)`` is called for each newly produced record
-    (progress reporting).
+    "result" | "error", "perf", "digest"}``. With ``resume=True`` and an
+    existing journal, jobs whose last journaled record is ``"ok"`` are not
+    re-run — their journaled records are returned verbatim (their ``perf``
+    deltas are *not* re-merged, so counters stay truthful). Such a record
+    must carry the job's current digest; one that does not raises
+    :class:`~repro.errors.RunnerError` naming the job and the journal.
     """
     records: dict[str, dict] = {}
+    digests = {job.id: job.digest() for job in jobs}
     todo = list(jobs)
     if resume and journal_path is not None:
         previous = load_journal(journal_path)
         todo = []
         for job in jobs:
             rec = previous.get(job.id)
-            if rec is not None and rec.get("status") == "ok":
-                records[job.id] = rec
-            else:
+            if rec is None or rec.get("status") != "ok":
                 todo.append(job)
+            elif rec.get("digest") != digests[job.id]:
+                raise RunnerError(
+                    f"journal {journal_path} holds job {job.id} for a different "
+                    "config (payload/seed digest mismatch); resume with the "
+                    "config that wrote it, or use a fresh journal")
+            else:
+                records[job.id] = rec
 
     journal = Journal(journal_path) if journal_path is not None else None
 
     def emit(record: dict) -> None:
+        record["digest"] = digests[record["id"]]
         records[record["id"]] = record
         if journal is not None:
             journal.append(record)
-        if on_record is not None:
-            on_record(record)
 
     try:
         if workers <= 1:

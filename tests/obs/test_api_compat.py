@@ -178,9 +178,6 @@ class TestHelpers:
         assert resolved == tmp_path / "runs" / "t.jsonl"
         assert resolve_trace_path(True, None, "t.jsonl").name == "t.jsonl"
 
-    def test_execution_config_sharded_property(self):
-        assert not ExecutionConfig().sharded
-        assert ExecutionConfig(jobs=2).sharded
-        assert ExecutionConfig(resume="runs/j.jsonl").sharded
+    def test_execution_config_workers(self):
         assert ExecutionConfig().workers == 1
         assert ExecutionConfig(jobs=3).workers == 3

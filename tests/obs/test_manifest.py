@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.datasets import load_dataset
 from repro.obs import (
     build_manifest,
@@ -32,9 +34,31 @@ class TestBuild:
         assert m.schema_version == 1
         assert set(m.versions) == {"repro", "python", "numpy"}
 
-    def test_git_sha_resolves_inside_repo(self):
-        sha = git_revision()
-        assert sha is not None and len(sha) == 40
+    def test_git_revision_contract(self):
+        # Inside a checkout: the HEAD sha of the checkout holding the
+        # package. Outside one (an exported source tree): None.
+        import subprocess
+        from pathlib import Path
+
+        import repro.obs.manifest as manifest_mod
+
+        root = next((p for p in Path(manifest_mod.__file__).resolve().parents
+                     if (p / ".git").exists()), None)
+        if root is None:
+            assert git_revision() is None
+        else:
+            head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
+                                  capture_output=True, text=True, check=True)
+            assert git_revision() == head.stdout.strip()
+
+    def test_git_revision_none_outside_checkout(self, tmp_path, monkeypatch):
+        import repro.obs.manifest as manifest_mod
+
+        if any((p / ".git").exists() for p in tmp_path.resolve().parents):
+            pytest.skip("the temporary directory itself sits in a git checkout")
+        fake = tmp_path / "repro" / "obs" / "manifest.py"
+        monkeypatch.setattr(manifest_mod, "__file__", str(fake))
+        assert git_revision() is None
 
     def test_stage_seconds_lookup(self):
         m = build_manifest("tid", RUN, PERF, SPANS)

@@ -28,11 +28,13 @@ METHODS = ("gradcam", "revelio")
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Start from cold flow/context caches so enumerations actually happen
-    (forked workers inherit the parent's caches)."""
+    """Start from cold explanation/flow/context caches so enumerations
+    actually happen (forked workers inherit the parent's caches)."""
+    from repro.core.revelio import clear_explanation_cache
     from repro.explain.base import clear_context_cache
     from repro.flows import FLOW_CACHE
 
+    clear_explanation_cache()
     FLOW_CACHE.clear()
     clear_context_cache()
 
@@ -76,12 +78,12 @@ class TestSerialTracedRun:
         assert out["trace_path"] == str(trace_path)
         records, manifest = _check_trace_and_manifest(out, trace_path)
         assert {r["pid"] for r in records} == {os.getpid()}
-        assert manifest.run["jobs"] is None
+        assert manifest.run["jobs"] == 1
         assert manifest.run["dataset"] == "tree_cycles"
         assert manifest.run["methods"] == list(METHODS)
         # Revelio's optimizer loop is visible at epoch granularity.
         names = {r["name"] for r in records}
-        assert {"explain", "method", "optimize", "epoch",
+        assert {"explain", "job", "optimize", "epoch",
                 "fidelity_sweep"} <= names
         rows = summarize_trace(trace_path)
         text = "\n".join(rows)

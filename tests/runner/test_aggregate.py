@@ -1,4 +1,4 @@
-"""Aggregation: serial-structure parity and failure-path behavior."""
+"""Aggregation: row format, plan-order sums and failure-path behavior."""
 
 from repro.runner import ExperimentPlan, JobSpec, aggregate_experiment
 
@@ -78,7 +78,7 @@ class TestAggregateFidelity:
         assert all(f["error"]["type"] == "Missing"
                    for f in out["failures"]["gradcam"])
 
-    def test_row_format_matches_serial_runner(self):
+    def test_row_format(self):
         plan = _fidelity_plan()
         records = {j.id: _ok(j.id, {"method": j.payload["method"], "n": 2,
                                     "values": [0.1234, -0.5678]})
@@ -105,6 +105,26 @@ class TestAggregateAucRuntime:
         out = aggregate_experiment(plan, records)
         assert abs(out["auc"]["gradcam"] - (1.0 + 0.5 + 0.5) / 3) < 1e-12
         assert out["num_instances"] == 4
+
+    def test_auc_method_without_defined_auc_is_a_failure(self):
+        meta = {"dataset": "tree_cycles", "conv": "gcn", "mode": "factual",
+                "num_instances": 2, "methods": ["gradcam", "revelio"]}
+        jobs = [JobSpec(id=f"auc:x:{m}:000", kind="auc_chunk",
+                        payload={"method": m, "chunk": 0})
+                for m in meta["methods"]]
+        plan = ExperimentPlan(artifact="auc", meta=meta, jobs=jobs)
+        records = {
+            jobs[0].id: _ok(jobs[0].id, {"method": "gradcam", "n": 2,
+                                         "values": [0.75]}),
+            jobs[1].id: _ok(jobs[1].id, {"method": "revelio", "n": 2,
+                                         "values": []}),  # every instance degenerate
+        }
+        out = aggregate_experiment(plan, records)
+        assert out["auc"] == {"gradcam": 0.75}
+        [failure] = out["failures"]["revelio"]
+        assert failure["error"]["type"] == "EvaluationError"
+        assert "no instance produced a defined AUC" in failure["error"]["message"]
+        assert "gradcam" not in out["failures"]
 
     def test_runtime_details(self):
         meta = {"dataset": "tree_cycles", "conv": "gcn",

@@ -1,15 +1,18 @@
-"""End-to-end: sharded experiments match across worker counts and resume.
+"""End-to-end: one experiment path, whatever the execution options.
 
-Pins the subsystem's central guarantee: for a fixed seed, aggregated
-fidelity rows are byte-identical whether the grid runs inline
-(``jobs=1``), across 4 workers, or across 4 workers after being killed
-mid-run and finished with ``--resume``.
+Pins the subsystem's central guarantee: for a fixed ``ExperimentConfig``
+the aggregated rows are byte-identical whether the grid runs with no
+execution options at all, inline (``jobs=1``), across worker processes,
+or across workers after being killed mid-run and finished with
+``--resume``. A journal written for another config is refused, and an
+unknown method fails before any job runs.
 """
 
 import multiprocessing as mp
 
 import pytest
 
+from repro.errors import EvaluationError, RunnerError
 from repro.eval import ExecutionConfig, ExperimentConfig
 from repro.eval.experiments import (
     run_auc_experiment,
@@ -56,6 +59,99 @@ class TestWorkerCountInvariance:
         journal = load_journal(killed)
         assert len(journal) == 8
         assert all(r["status"] == "ok" for r in journal.values())
+
+
+def _cold_caches():
+    """Make every run compute its explanations (forked workers inherit caches)."""
+    from repro.core.revelio import clear_explanation_cache
+    from repro.explain.base import clear_context_cache
+    from repro.flows import FLOW_CACHE
+
+    clear_explanation_cache()
+    FLOW_CACHE.clear()
+    clear_context_cache()
+
+
+TINY = ExperimentConfig(scale=0.12, num_instances=3, effort=0.05,
+                        sparsities=(0.5, 0.8), seed=0)
+#: artifact -> (driver, methods, result keys that must match exactly)
+ARTIFACTS = {
+    "fidelity": (run_fidelity_experiment, ("gradcam", "flowx", "revelio"),
+                 ("rows", "curves")),
+    "auc": (run_auc_experiment, ("gradcam", "gnnexplainer", "revelio"),
+            ("rows", "auc")),
+    # wall-clock: only the methods and the row count can match
+    "runtime": (run_runtime_experiment, ("gradcam", "revelio"), ()),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+def test_four_ways_agree(artifact, tmp_path):
+    driver, methods, exact = ARTIFACTS[artifact]
+
+    def run(execution):
+        _cold_caches()
+        return driver("tree_cycles", "gcn", methods, config=TINY,
+                      execution=execution)
+
+    journal = tmp_path / "par.jsonl"
+    results = {"default": run(None),
+               "jobs=1": run(ExecutionConfig(jobs=1)),
+               "jobs=2": run(ExecutionConfig(jobs=2, resume=str(journal)))}
+    lines = journal.read_text().splitlines()
+    total = results["jobs=2"]["jobs"]["total"]
+    assert len(lines) == total > 2
+    killed = tmp_path / "killed.jsonl"
+    killed.write_text("\n".join(lines[:2]) + "\n" + lines[2][:20])
+    results["resumed"] = run(ExecutionConfig(jobs=2, resume=str(killed)))
+    journaled = load_journal(killed)
+    assert len(journaled) == total
+    assert all(r["status"] == "ok" for r in journaled.values())
+
+    reference = results["default"]
+    assert reference["jobs"]["failed"] == 0 and not reference["failures"]
+    for name, result in results.items():
+        for key in exact:
+            assert result[key] == reference[key], (name, key)
+        assert len(result["rows"]) == len(reference["rows"]), name
+        assert not result["failures"], name
+    if artifact == "runtime":
+        for result in results.values():
+            assert list(result["mean_seconds"]) == list(methods)
+
+
+class TestJournalConfig:
+    def test_resume_refuses_journal_of_another_alpha(self, tmp_path):
+        journal = str(tmp_path / "j.jsonl")
+
+        def run(alpha):
+            cfg = ExperimentConfig(scale=0.12, num_instances=2, effort=0.05,
+                                   sparsities=(0.5, 0.8), seed=0, alpha=alpha)
+            return run_fidelity_experiment(
+                "tree_cycles", "gcn", ("revelio",), config=cfg,
+                execution=ExecutionConfig(jobs=1, resume=journal))
+
+        run(0.0)
+        with pytest.raises(RunnerError, match="different config") as info:
+            run(1.0)
+        message = str(info.value)
+        assert "fidelity:tree_cycles:gcn:factual:revelio:000" in message
+        assert journal in message
+
+
+@pytest.mark.parametrize("execution", [None, ExecutionConfig(jobs=2)],
+                         ids=["default", "jobs=2"])
+def test_unknown_method_fails_before_any_job(execution, monkeypatch):
+    import repro.runner.driver as driver_mod
+
+    ran = []
+    monkeypatch.setattr(driver_mod, "run_jobs",
+                        lambda jobs, **kw: ran.append(jobs) or {})
+    with pytest.raises(EvaluationError, match="unknown method 'gradkam'"):
+        run_fidelity_experiment("tree_cycles", "gcn", ("gradcam", "gradkam"),
+                                config=CFG, execution=execution)
+    assert ran == []
 
 
 class TestInlineJobsPath:

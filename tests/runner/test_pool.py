@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.errors import RunnerError
 from repro.obs.counters import PERF
 from repro.runner import (
     JobSpec,
@@ -177,6 +178,18 @@ class TestResume:
         assert counter.read_text().splitlines() == ["a", "bad", "b", "bad"]
         assert second["a"] == first["a"]  # journaled record returned verbatim
         assert second["bad"]["status"] == "ok"
+
+    def test_resume_refuses_ok_record_of_a_different_job(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        run_jobs([_job("a")], workers=1, journal_path=path)
+        changed = _job("a")
+        changed.payload["alpha"] = 1.0  # same id, different work
+        with pytest.raises(RunnerError, match=r"job a .*different config") as info:
+            run_jobs([changed], workers=1, journal_path=path, resume=True)
+        assert str(path) in str(info.value)
+        reseeded = _job("a", seed=7)
+        with pytest.raises(RunnerError, match="digest mismatch"):
+            run_jobs([reseeded], workers=1, journal_path=path, resume=True)
 
     def test_resume_with_missing_journal_runs_all(self, tmp_path):
         counter = tmp_path / "c.txt"

@@ -13,6 +13,25 @@ def small_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
 
 
+def test_import_leaves_explain_stack_unloaded():
+    # `repro lint` and `repro --help` must not pay for the explain stack:
+    # the subcommands that need it import it themselves.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = ("import sys, repro.cli; "
+            "print(sorted(m for m in ('repro.explain', 'repro.eval.experiments', "
+            "'repro.nn.zoo') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -100,7 +119,7 @@ class TestCommands:
             seen.update(execution=execution, dataset=dataset)
             return {"rows": ["header", "row"], "curves": {}, "failures": {}}
 
-        monkeypatch.setattr("repro.cli.run_fidelity_experiment", fake_runner)
+        monkeypatch.setattr("repro.eval.experiments.run_fidelity_experiment", fake_runner)
         journal = str(tmp_path / "fid.jsonl")
         code = main(["experiment", "fidelity", "-d", "tree_cycles", "-m", "gcn",
                      "--jobs", "4", "--resume", journal, "--timeout", "9"])
@@ -120,7 +139,7 @@ class TestCommands:
             seen.update(execution=execution)
             return {"rows": [], "curves": {}, "failures": {}}
 
-        monkeypatch.setattr("repro.cli.run_fidelity_experiment", fake_runner)
+        monkeypatch.setattr("repro.eval.experiments.run_fidelity_experiment", fake_runner)
         journal = str(tmp_path / "fid.jsonl")
         assert main(["experiment", "fidelity", "-d", "tree_cycles", "-m", "gcn",
                      "--resume", journal]) == 0
@@ -135,7 +154,7 @@ class TestCommands:
             seen.update(execution=execution)
             return {"rows": [], "curves": {}, "failures": {}}
 
-        monkeypatch.setattr("repro.cli.run_fidelity_experiment", fake_runner)
+        monkeypatch.setattr("repro.eval.experiments.run_fidelity_experiment", fake_runner)
         assert main(["experiment", "fidelity", "-d", "tree_cycles", "-m", "gcn",
                      "--trace"]) == 0
         assert seen["execution"].trace is True
@@ -162,7 +181,7 @@ class TestCommands:
         assert "2 processes" in out
 
     def test_jobs_rejected_for_unsupported_artifact(self, capsys, monkeypatch):
-        monkeypatch.setattr("repro.cli.run_alpha_sensitivity",
+        monkeypatch.setattr("repro.eval.experiments.run_alpha_sensitivity",
                             lambda *a, **k: {"rows": [], "curves": {}})
         assert main(["experiment", "alpha", "-d", "tree_cycles", "-m", "gcn",
                      "--jobs", "4"]) == 0
