@@ -53,17 +53,14 @@ def spmm(x: Tensor, matrix, matrix_t) -> Tensor:
         ``adj_norm_t`` for exactly this).
     """
     x = as_tensor(x)
-
-    def backward(g, grads):
-        x._receive(kernel("spmm")(matrix_t, g), grads)
-
-    return x._unary_op(lambda: kernel("spmm")(matrix, x.data), backward)
+    return x._unary_op(lambda: kernel("spmm")(matrix, x.data),
+                       lambda g: (kernel("spmm")(matrix_t, g),))
 
 
 def _shifted(x: Tensor, shift) -> Tensor:
     """``x − shift(x.data)``, the shift a constant of the op: softmax is
     shift-invariant, so the gradient passes straight through."""
-    return x._unary_op(lambda: x.data - shift(x.data), lambda g, grads: x._receive(g, grads))
+    return x._unary_op(lambda: x.data - shift(x.data), lambda g: (g,))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -85,15 +82,13 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def forward():
         nonlocal exp, total
-        shifted = x.data - x.data.max(axis=axis, keepdims=True)
+        shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
         exp = np.exp(shifted)
-        total = exp.sum(axis=axis, keepdims=True)
+        total = np.add.reduce(exp, axis=axis, keepdims=True)
         return shifted - np.log(total)
 
-    def backward(g, grads):
-        x._receive(g + (-g).sum(axis=axis, keepdims=True) / total * exp, grads)
-
-    return x._unary_op(forward, backward)
+    return x._unary_op(
+        forward, lambda g: (g + np.add.reduce(-g, axis=axis, keepdims=True) / total * exp,))
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

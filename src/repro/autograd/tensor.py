@@ -3,8 +3,9 @@
 This module provides the :class:`Tensor` class used throughout the library.
 It is a deliberately small but complete tape-based autograd implementation:
 each differentiable operation records its parents, a backward closure and
-a forward thunk; :meth:`Tensor.backward` topologically sorts the tape and
-accumulates gradients.
+a forward thunk. :meth:`Tensor.backward` compiles the tape below its root
+into a :class:`BackwardPlan` — a static list of steps over preallocated
+gradient slots — and runs it.
 
 Record and replay: an op's forward is written once, as a thunk that
 computes its output (and any intermediate its backward reads) from its
@@ -16,6 +17,15 @@ building it again. Nodes whose parents are all frozen never enter the
 tape, so their values are computed once. A value an op reads from
 ``.data`` outside its thunk would go stale on replay; recording an op
 built without a thunk raises :class:`~repro.errors.AutogradError`.
+:meth:`Tape.compile` caches the plan of a recorded root, so every replayed
+epoch's ``backward()`` runs the steps epoch 1 compiled: no graph walk, no
+per-node dispatch, each broadcast reduction resolved once.
+
+A backward closure takes the upstream gradient and returns one gradient
+per parent (``None`` for a parent that does not require grad); the plan
+routes each into its parent's slot. An op that broadcasts (``+ − * /``,
+:func:`where`) returns them in the output's shape and the plan sums them
+down, along axes it resolved when it compiled.
 
 The op set covers everything message-passing GNNs and mask-learning
 explainers need: dense linear algebra, elementwise nonlinearities,
@@ -26,7 +36,6 @@ finite differences in ``tests/autograd``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Sequence
 
@@ -42,10 +51,10 @@ _GRAD_ENABLED = [True]
 # The node list of the Tape being recorded, or None.
 _RECORDING: list = [None]
 
-# Backward closures receive (upstream_grad, grads_dict) and route
-# contributions to parents via Tensor._receive; forward thunks return the
-# op's output array from its parents' current data.
-BackwardFn = Callable[[np.ndarray, dict], None]
+# Backward closures take the upstream gradient and return one gradient per
+# parent (None where the parent does not require grad); forward thunks
+# return the op's output array from its parents' current data.
+BackwardFn = Callable[[np.ndarray], tuple]
 ForwardFn = Callable[[], np.ndarray]
 
 
@@ -107,6 +116,20 @@ class Tape:
         for node in self.nodes:
             node.data = node._forward()
 
+    def compile(self, root: "Tensor", params: Sequence["Tensor"]) -> "BackwardPlan":
+        """Compile the backward pass from ``root``, a node this tape
+        recorded, into the plan every later ``root.backward()`` runs.
+
+        Only ``params`` (and nodes that :meth:`~Tensor.retain_grad`) get a
+        ``.grad``: a node whose gradient cannot reach one of them has no
+        step. The plan stays valid across :meth:`replay`, which changes
+        values but not shapes, order or parents.
+        """
+        if not any(node is root for node in self.nodes):
+            raise AutogradError("compile() needs a root this tape recorded")
+        root._plan = BackwardPlan(root, params)
+        return root._plan
+
 
 def as_tensor(value, requires_grad: bool = False) -> "Tensor":
     """Coerce ``value`` (Tensor, array or scalar) into a :class:`Tensor`."""
@@ -125,17 +148,262 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     )
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+def _unbroadcast(grad_shape: tuple[int, ...], shape: tuple[int, ...]) -> tuple | None:
+    """The reduction that sums a ``grad_shape`` gradient down to
+    ``shape``, undoing numpy broadcasting: ``(lead, keep, shape)`` for
+    :func:`_reduce`, or ``None`` when the shapes already match."""
+    if grad_shape == shape:
+        return None
+    extra = len(grad_shape) - len(shape)
+    lead = tuple(range(extra)) if extra > 0 else ()
+    tail = grad_shape[max(extra, 0):]
+    keep = tuple(i for i, s in enumerate(shape) if s == 1 and tail[i] != 1)
+    return lead, keep, shape
+
+
+def _reduce(grad: np.ndarray, reduction: tuple) -> np.ndarray:
+    """Apply an :func:`_unbroadcast` reduction: the leading axes summed
+    away, then the broadcast ones summed keeping their axes, then the
+    shape."""
+    lead, keep, shape = reduction
+    if lead:
+        grad = np.add.reduce(grad, axis=lead)
+    if keep:
+        grad = np.add.reduce(grad, axis=keep, keepdims=True)
     return grad.reshape(shape)
+
+
+def _selects_once(index) -> bool:
+    """Whether ``x[index]`` reads each element of ``x`` at most once.
+
+    Basic indices (ints, slices) do; so does one boolean mask, and
+    integer arrays when one of them is strictly increasing and
+    non-negative (``omega_e[l, ids]``, ``log_p[np.arange(n), labels]``).
+    """
+    parts = index if isinstance(index, tuple) else (index,)
+    arrays = []
+    for part in parts:
+        if part is None or part is Ellipsis or isinstance(part, (int, np.integer, slice)):
+            continue
+        array = np.asarray(part)
+        if array.ndim != 1 or array.dtype.kind not in "biu":
+            return False
+        arrays.append(array)
+    if not arrays:
+        return True
+    if len(arrays) == 1 and arrays[0].dtype.kind == "b":
+        return True
+    if any(a.dtype.kind == "b" or a.shape != arrays[0].shape for a in arrays):
+        return False
+    return any(a.size == 0 or (a[0] >= 0 and bool(np.all(a[1:] > a[:-1]))) for a in arrays)
+
+
+def _split_index(index) -> tuple:
+    """``(head, tail)`` with ``x[index]`` the same elements as
+    ``x[head][tail]``, or ``(None, index)``.
+
+    A tuple that mixes leading ints with an array (``omega_e[l, ids]``)
+    splits into the ints — a basic index, so ``x[head]`` is a view — and
+    the rest: numpy runs the mixed form several times slower.
+    """
+    if not isinstance(index, tuple):
+        return None, index
+    ints = 0
+    while ints < len(index) and isinstance(index[ints], (int, np.integer)) \
+            and not isinstance(index[ints], bool):
+        ints += 1
+    if ints == 0 or ints == len(index):
+        return None, index
+    return index[:ints], index[ints:]
+
+
+class _IndexAdjoint:
+    """The adjoint of ``x[index]``: ``g`` added at ``index`` into zeros
+    shaped like ``x``.
+
+    When ``index`` reads each element once (:func:`_selects_once`), a
+    :class:`BackwardPlan` does not call it: it adds ``g`` into the
+    parent's gradient slot at ``index`` in place.
+    """
+
+    __slots__ = ("index", "shape", "once")
+
+    def __init__(self, index, shape: tuple[int, ...]):
+        self.index = index
+        self.shape = shape
+        self.once = _selects_once(index)
+
+    def __call__(self, g: np.ndarray) -> tuple:
+        full = np.zeros(self.shape)
+        # Generic fancy indexing (slices, boolean masks, multi-axis
+        # tuples) has no SegmentPlan form; row gathers that do should
+        # use gather_rows instead.
+        np.add.at(full, self.index, g)  # repro: noqa[RPR050]
+        return (full,)
+
+
+# How an index adjoint adds into its parent's slot: into fresh zeros (the
+# first contribution), in place (a slot the plan allocated that holds no
+# -0.0), or into a copy (a slot holding an op's own array, or a sum that
+# may hold -0.0). ``slot + 0.0`` is the copy: it turns -0.0 into +0.0
+# exactly as adding the eager path's zero-filled array did.
+_NEW, _IN_PLACE, _COPY = range(3)
+
+
+class BackwardPlan:
+    """The backward pass below one root, compiled once.
+
+    A recorded tape has fixed shapes, a fixed order and fixed parents, so
+    every decision of a backward pass can be made once:
+
+    - each node gets a gradient slot; a step reads its node's slot, calls
+      its backward closure and stores (first contribution) or adds each
+      returned gradient into its parent's slot — in the order and with
+      the arithmetic of a dict-and-DFS backward, so the result is bit for
+      bit the same;
+    - a broadcasting op's reductions are resolved to axes
+      (:func:`_unbroadcast`) here;
+    - with ``params`` given, a node whose gradient reaches none of them
+      (nor a retained node) has no step and no slot;
+    - an index that reads each element once (``omega_e[l, ids]``) adds
+      ``g`` into its parent's slot at ``index`` instead of allocating a
+      zero array, running ``np.add.at`` and adding it;
+    - a reshape with one consumer, of a node it alone feeds, has no step:
+      its consumer's edge reshapes straight into the parent's slot (a
+      view either way, and the same single contribution).
+
+    The plan holds the closures and the leaves, never the root (the root
+    holds the plan), so a finished tape is freed by reference counting.
+    """
+
+    __slots__ = ("steps", "sinks", "size", "root_slot", "__weakref__")
+
+    def __init__(self, root: "Tensor", params: Sequence["Tensor"] | None = None):
+        order = root._topological_order()          # parents first, root last
+        if params is None:
+            live = set(order)
+        else:
+            wanted = set(params)
+            live = set()
+            for node in order:
+                if node in wanted or node._retain \
+                        or any(parent in live for parent in node._parents):
+                    live.add(node)
+        # Contributions each node's slot receives, and which get an index
+        # adjoint's in-place add.
+        feeds = dict.fromkeys(live, 0)
+        written = set()
+        for node in live:
+            if node._backward is None:
+                continue
+            if type(node._backward) is _IndexAdjoint and node._backward.once:
+                written.add(node._parents[0])
+            for parent in node._parents:
+                if parent in live:
+                    feeds[parent] += 1
+        # Folded reshapes route to the nearest ancestor that keeps a slot.
+        route: dict[Tensor, Tensor] = {}
+        for node in order:
+            if node not in live:
+                continue
+            parent = node._parents[0] if node._parents else None
+            folds = (type(node._backward) is _ReshapeAdjoint and node is not root
+                     and not node._retain and node not in written
+                     and feeds[node] == 1 and parent in live and feeds[parent] == 1)
+            route[node] = route[parent] if folds else node
+        slot = {node: i for i, node in enumerate(n for n in order if route.get(n) is n)}
+        self.size = len(slot)
+        self.root_slot = slot.get(root)
+        self.sinks = [(node, slot[node]) for node in order
+                      if node in slot and node is not root and node._backward is None]
+        state: dict[int, str] = {}                 # slot -> what it holds
+        steps = []
+        for node in reversed(order):
+            backward = node._backward
+            if node not in slot or backward is None:
+                continue
+            if node._retain and node is not root:
+                backward = _retaining(node, backward)
+            if type(backward) is _IndexAdjoint and backward.once:
+                parent = node._parents[0]
+                if parent not in live:
+                    continue
+                dst = slot[parent]
+                held = state.get(dst)
+                how = _NEW if held is None else _IN_PLACE if held == "clean" else _COPY
+                state[dst] = "clean"
+                head, tail = _split_index(backward.index)
+                steps.append((None, slot[node], (head, tail, dst, how, parent.shape)))
+                continue
+            edges = []
+            for i, parent in enumerate(node._parents):
+                if parent not in live:
+                    continue
+                target = route[parent]
+                dst = slot[target]
+                add = dst in state
+                state[dst] = "owned" if add else "alias"
+                reduction = _unbroadcast(node.shape, parent.shape) if node._bcast else None
+                if target is not parent:           # through folded reshapes
+                    reduction = (reduction or ((), ()))[:2] + (target.shape,)
+                edges.append((i, dst, add, reduction))
+            steps.append((backward, slot[node], tuple(edges)))
+        self.steps = steps
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def run(self, seed: np.ndarray) -> None:
+        """Backpropagate ``seed`` from the root into every sink's ``.grad``."""
+        if self.root_slot is None:
+            return
+        slots: list = [None] * self.size
+        slots[self.root_slot] = seed
+        for backward, src, edges in self.steps:
+            grad = slots[src]
+            slots[src] = None                      # consumed: free it early
+            if backward is None:                   # an index adjoint, in place
+                head, tail, dst, how, shape = edges
+                if how == _NEW:
+                    into = np.zeros(shape)
+                elif how == _COPY:
+                    into = slots[dst] + 0.0
+                else:
+                    into = slots[dst]
+                (into if head is None else into[head])[tail] += grad
+                slots[dst] = into
+                continue
+            grads = backward(grad)
+            for i, dst, add, reduction in edges:
+                grad = grads[i]
+                if reduction is not None:
+                    grad = _reduce(grad, reduction)
+                # Out-of-place add: a slot may alias an op's own array.
+                slots[dst] = slots[dst] + grad if add else grad
+        for node, i in self.sinks:
+            node._accumulate(slots[i])
+
+
+class _ReshapeAdjoint:
+    """The adjoint of a reshape: ``g`` in the input's shape. A
+    :class:`BackwardPlan` folds it into the edge that feeds it."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+
+    def __call__(self, g: np.ndarray) -> tuple:
+        return (g.reshape(self.shape),)
+
+
+def _retaining(node: "Tensor", backward: BackwardFn) -> BackwardFn:
+    """``backward`` that first accumulates the gradient into ``node.grad``
+    (:meth:`Tensor.retain_grad` on an interior node)."""
+    def step(g):
+        node._accumulate(g)
+        return backward(g)
+    return step
 
 
 class Tensor:
@@ -153,7 +421,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_forward", "_parents",
-                 "_retain", "_csr", "_order", "name")
+                 "_bcast", "_retain", "_csr", "_plan", "name", "__weakref__")
 
     # Make numpy defer binary ops (np.ndarray * Tensor) to Tensor.
     __array_priority__ = 100.0
@@ -165,9 +433,10 @@ class Tensor:
         self._backward: BackwardFn | None = None
         self._forward: ForwardFn | None = None
         self._parents: tuple[Tensor, ...] = ()
+        self._bcast = False
         self._retain = False
         self._csr = None
-        self._order: list[Tensor] | None = None
+        self._plan: BackwardPlan | None = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -241,18 +510,21 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"], backward: BackwardFn | None,
-              forward: ForwardFn | None = None) -> "Tensor":
+              forward: ForwardFn | None = None, bcast: bool = False) -> "Tensor":
         """The op's output; a tape node when a parent requires grad.
 
         ``forward`` is the thunk that computed ``data``. While a
         :class:`Tape` records, a tape node without one raises: replay
-        could not recompute it.
+        could not recompute it. ``bcast``: ``backward`` returns the
+        parents' gradients in the output's shape, for the plan to sum
+        down to each parent's shape.
         """
         requires = _GRAD_ENABLED[0] and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
             out._backward = backward
+            out._bcast = bcast
             recording = _RECORDING[0]
             if recording is not None:
                 if forward is None:
@@ -273,16 +545,11 @@ class Tensor:
     def _binary_op(self, other: "Tensor", forward: ForwardFn, backward: BackwardFn) -> "Tensor":
         return Tensor._make(forward(), (self, other), backward, forward)
 
-    def _receive(self, grad: np.ndarray, grads: dict) -> None:
-        """Accumulate an upstream gradient contribution during backward."""
-        if not self.requires_grad:
-            return
-        if self in grads:
-            # Out-of-place add: entries may alias upstream gradients (or
-            # views of them), so never accumulate with ``+=``.
-            grads[self] = grads[self] + grad
-        else:
-            grads[self] = np.asarray(grad, dtype=np.float64)
+    def _broadcasting_op(self, other: "Tensor", forward: ForwardFn,
+                         backward: BackwardFn) -> "Tensor":
+        """A binary elementwise op: ``backward`` returns both gradients in
+        the output's shape."""
+        return Tensor._make(forward(), (self, other), backward, forward, bcast=True)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -297,6 +564,10 @@ class Tensor:
     def backward(self, grad: np.ndarray | float | None = None) -> None:
         """Backpropagate from this tensor through the recorded tape.
 
+        Runs the :class:`BackwardPlan` cached on this tensor — compiled by
+        :meth:`Tape.compile`, or on the first call — so a replayed epoch
+        backpropagates without walking the graph again.
+
         Parameters
         ----------
         grad:
@@ -310,23 +581,14 @@ class Tensor:
                 raise AutogradError(
                     f"backward() without a gradient requires a scalar output, got shape {self.shape}"
                 )
-            grad = np.ones_like(self.data)
-        grad = np.broadcast_to(np.asarray(grad, dtype=np.float64), self.data.shape)
-        # The tape below a node never changes, so its order is computed
-        # once: a replayed epoch backpropagates without the DFS. The cache
-        # leaves ``self`` out (no reference cycle): it always comes first.
-        if self._order is None:
-            self._order = self._topological_order()[:-1]
-
-        grads: dict[Tensor, np.ndarray] = {self: np.array(grad, copy=True)}
-        for node in itertools.chain((self,), reversed(self._order)):
-            node_grad = grads.pop(node, None)
-            if node_grad is None:
-                continue
-            if node._backward is None or node._retain:
-                node._accumulate(node_grad)
-            if node._backward is not None:
-                node._backward(node_grad, grads)
+            seed = np.ones_like(self.data)
+        else:
+            seed = np.array(np.broadcast_to(np.asarray(grad, dtype=np.float64), self.shape))
+        if self._plan is None:
+            self._plan = BackwardPlan(self)
+        if self._backward is None or self._retain:
+            self._accumulate(seed)
+        self._plan.run(seed)
 
     def _topological_order(self) -> list["Tensor"]:
         """The tape below ``self`` in DFS post-order (parents first).
@@ -361,13 +623,10 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = as_tensor(other)
 
-        def backward(g, grads):
-            if self.requires_grad:
-                self._receive(_unbroadcast(g, self.shape), grads)
-            if other.requires_grad:
-                other._receive(_unbroadcast(g, other.shape), grads)
+        def backward(g):
+            return (g if self.requires_grad else None, g if other.requires_grad else None)
 
-        return self._binary_op(other, lambda: self.data + other.data, backward)
+        return self._broadcasting_op(other, lambda: self.data + other.data, backward)
 
     def __radd__(self, other) -> "Tensor":
         return self.__add__(other)
@@ -375,13 +634,10 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         other = as_tensor(other)
 
-        def backward(g, grads):
-            if self.requires_grad:
-                self._receive(_unbroadcast(g, self.shape), grads)
-            if other.requires_grad:
-                other._receive(_unbroadcast(-g, other.shape), grads)
+        def backward(g):
+            return (g if self.requires_grad else None, -g if other.requires_grad else None)
 
-        return self._binary_op(other, lambda: self.data - other.data, backward)
+        return self._broadcasting_op(other, lambda: self.data - other.data, backward)
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other).__sub__(self)
@@ -389,13 +645,11 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
 
-        def backward(g, grads):
-            if self.requires_grad:
-                self._receive(_unbroadcast(g * other.data, self.shape), grads)
-            if other.requires_grad:
-                other._receive(_unbroadcast(g * self.data, other.shape), grads)
+        def backward(g):
+            return (g * other.data if self.requires_grad else None,
+                    g * self.data if other.requires_grad else None)
 
-        return self._binary_op(other, lambda: self.data * other.data, backward)
+        return self._broadcasting_op(other, lambda: self.data * other.data, backward)
 
     def __rmul__(self, other) -> "Tensor":
         return self.__mul__(other)
@@ -403,30 +657,25 @@ class Tensor:
     def __truediv__(self, other) -> "Tensor":
         other = as_tensor(other)
 
-        def backward(g, grads):
-            if self.requires_grad:
-                self._receive(_unbroadcast(g / other.data, self.shape), grads)
-            if other.requires_grad:
-                other._receive(_unbroadcast(-g * self.data / (other.data**2), other.shape),
-                               grads)
+        def backward(g):
+            return (g / other.data if self.requires_grad else None,
+                    -g * self.data / (other.data**2) if other.requires_grad else None)
 
-        return self._binary_op(other, lambda: self.data / other.data, backward)
+        return self._broadcasting_op(other, lambda: self.data / other.data, backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
-        return self._unary_op(lambda: -self.data, lambda g, grads: self._receive(-g, grads))
+        return self._unary_op(lambda: -self.data, lambda g: (-g,))
 
     def __pow__(self, exponent) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise AutogradError("tensor exponents are unsupported; compose exp/log instead")
         exponent = float(exponent)
 
-        def backward(g, grads):
-            self._receive(g * exponent * self.data ** (exponent - 1), grads)
-
-        return self._unary_op(lambda: self.data**exponent, backward)
+        return self._unary_op(lambda: self.data**exponent,
+                              lambda g: (g * exponent * self.data ** (exponent - 1),))
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -446,11 +695,8 @@ class Tensor:
             # adjoint are CSR matvec stacks over its nonzeros.
             matrix, matrix_t = self._csr
 
-            def sparse_backward(g, grads):
-                if other.requires_grad:
-                    other._receive(matrix_t @ g, grads)
-
-            return self._binary_op(other, lambda: matrix @ other.data, sparse_backward)
+            return self._binary_op(other, lambda: matrix @ other.data,
+                                   lambda g: (None, matrix_t @ g))
 
         # A frozen right operand's adjoint multiplies by a C-contiguous copy
         # of its transpose, made once per op: BLAS's transposed-operand
@@ -461,15 +707,14 @@ class Tensor:
         if _GRAD_ENABLED[0] and self.requires_grad and not other.requires_grad:
             frozen_t = np.ascontiguousarray(other.data.T)
 
-        def backward(g, grads):
+        def backward(g):
             # Guard each GEMM on the parent actually needing it: the first
             # GNN layer multiplies a constant feature matrix (N, F) with
             # F ≫ hidden, and the unused dX = g @ W.T would be the single
             # most expensive allocation of the whole backward pass.
-            if self.requires_grad:
-                self._receive(g @ (other.data.T if frozen_t is None else frozen_t), grads)
-            if other.requires_grad:
-                other._receive(self.data.T @ g, grads)
+            return (g @ (other.data.T if frozen_t is None else frozen_t)
+                    if self.requires_grad else None,
+                    self.data.T @ g if other.requires_grad else None)
 
         return self._binary_op(other, lambda: self.data @ other.data, backward)
 
@@ -505,7 +750,7 @@ class Tensor:
             out, saved = forward(self.data)
             return out
 
-        return self._unary_op(thunk, lambda g, grads: self._receive(backward(g, saved), grads))
+        return self._unary_op(thunk, lambda g: (backward(g, saved),))
 
     def exp(self) -> "Tensor":
         return self._pointwise(lambda x: (y := np.exp(x), y), lambda g, y: g * y)
@@ -546,13 +791,19 @@ class Tensor:
     # reductions
     # ------------------------------------------------------------------
     def sum(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
-        def backward(g, grads):
-            grad = g
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis=axis)
-            self._receive(np.broadcast_to(grad, self.shape), grads)
+        shape = self.shape
+        kept = None            # the output's shape with the summed axes kept
+        if axis is not None and not keepdims:
+            summed = {a % self.ndim for a in (axis if isinstance(axis, tuple) else (axis,))}
+            kept = tuple(1 if i in summed else s for i, s in enumerate(shape))
 
-        return self._unary_op(lambda: self.data.sum(axis=axis, keepdims=keepdims), backward)
+        def backward(g):
+            grad = np.empty(shape)             # g, broadcast over the input
+            grad[...] = g if kept is None else g.reshape(kept)
+            return (grad,)
+
+        return self._unary_op(lambda: np.add.reduce(self.data, axis=axis, keepdims=keepdims),
+                              backward)
 
     def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -571,12 +822,12 @@ class Tensor:
             data = self.data.max(axis=axis, keepdims=keepdims)
             return data
 
-        def backward(g, grads):
+        def backward(g):
             expanded = data if (keepdims or axis is None) else np.expand_dims(data, axis=axis)
             mask = self.data == expanded
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             grad = g if (keepdims or axis is None) else np.expand_dims(g, axis=axis)
-            self._receive(mask * grad / counts, grads)
+            return (mask * grad / counts,)
 
         return self._unary_op(forward, backward)
 
@@ -586,32 +837,18 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original = self.shape
-        return self._unary_op(
-            lambda: self.data.reshape(shape),
-            lambda g, grads: self._receive(g.reshape(original), grads),
-        )
+        return self._unary_op(lambda: self.data.reshape(shape), _ReshapeAdjoint(self.shape))
 
     def flatten(self) -> "Tensor":
         return self.reshape(-1)
 
     def transpose(self, axes: tuple[int, ...] | None = None) -> "Tensor":
         inverse = None if axes is None else tuple(np.argsort(axes))
-        return self._unary_op(
-            lambda: self.data.transpose(axes),
-            lambda g, grads: self._receive(g.transpose(inverse), grads),
-        )
+        return self._unary_op(lambda: self.data.transpose(axes),
+                              lambda g: (g.transpose(inverse),))
 
     def __getitem__(self, index) -> "Tensor":
-        def backward(g, grads):
-            full = np.zeros_like(self.data)
-            # Generic fancy indexing (slices, boolean masks, multi-axis
-            # tuples) has no SegmentPlan form; row gathers that do should
-            # use gather_rows instead.
-            np.add.at(full, index, g)  # repro: noqa[RPR050]
-            self._receive(full, grads)
-
-        return self._unary_op(lambda: self.data[index], backward)
+        return self._unary_op(lambda: self.data[index], _IndexAdjoint(index, self.shape))
 
     # ------------------------------------------------------------------
     # message-passing primitives (plan-backed: forward and adjoint both
@@ -634,8 +871,11 @@ class Tensor:
         if plan is not None:
             plan.check_shape(index.shape[0], num_rows)
 
-        def backward(g, grads):
-            self._receive(_scatter_rows(g, index, num_rows, plan), grads)
+        def backward(g):
+            nonlocal plan
+            if plan is None:                       # looked up once, then kept
+                plan = plan_for(index, num_rows)
+            return (_scatter_rows(g, index, num_rows, plan),)
 
         return self._unary_op(lambda: self.data[index], backward)
 
@@ -654,11 +894,13 @@ class Tensor:
             raise ShapeError(
                 f"scatter_add index length {index.shape[0]} != leading dim {self.shape[0]}"
             )
-        if plan is not None:
-            plan.check_shape(index.shape[0], int(num_rows))
         num_rows = int(num_rows)
+        if plan is None:
+            plan = plan_for(index, num_rows)
+        else:
+            plan.check_shape(index.shape[0], num_rows)
         return self._unary_op(lambda: _scatter_rows(self.data, index, num_rows, plan),
-                              lambda g, grads: self._receive(g[index], grads))
+                              lambda g: (g[index],))
 
 
 def propagate(h: Tensor, cache, coeff: Tensor | None = None,
@@ -713,15 +955,23 @@ def propagate(h: Tensor, cache, coeff: Tensor | None = None,
             and not (is_grad_enabled() and any(t.requires_grad for t in parents)):
         return Tensor(_gather_scatter(h.data, cache, coeff, mask))
     upstream = h.requires_grad or (coeff is not None and coeff.requires_grad)
+    # Per-edge operands lead with the edge axis and broadcast over the
+    # trailing axes of the messages.
+    coeff_shape = mask_shape = None
+    scaled_ndim = h.ndim
+    if coeff is not None:
+        coeff_shape = coeff.shape + (1,) * (h.ndim - coeff.ndim)
+        scaled_ndim = max(h.ndim, len(coeff_shape))
+    if mask is not None:
+        mask_shape = mask.shape + (1,) * (scaled_ndim - mask.ndim)
+    src_plan = cache.src_plan if h.requires_grad else None
     base = scaled = coeff_b = mask_b = None
 
     def premask():
         nonlocal base, scaled, coeff_b
         base = scaled = h.data[src]
         if coeff is not None:
-            # Per-edge operands lead with the edge axis and broadcast over
-            # the trailing axes of the messages.
-            coeff_b = coeff.data.reshape(coeff.shape + (1,) * (base.ndim - coeff.ndim))
+            coeff_b = coeff.data.reshape(coeff_shape)
             scaled = base * coeff_b
 
     def forward():
@@ -730,33 +980,44 @@ def propagate(h: Tensor, cache, coeff: Tensor | None = None,
             premask()
         messages = scaled
         if mask is not None:
-            mask_b = mask.data.reshape(mask.shape + (1,) * (scaled.ndim - mask.ndim))
+            mask_b = mask.data.reshape(mask_shape)
             messages = scaled * mask_b
         return _scatter_rows(messages, dst, num_rows, cache.dst_plan)
 
-    def backward(g, grads):
+    def backward(g):
         g = g[dst]                                 # adjoint of the scatter
+        h_grad = coeff_grad = mask_grad = None
         if mask is not None:
             if mask.requires_grad:
-                mask._receive(_unbroadcast(g * scaled, mask_b.shape).reshape(mask.shape),
-                              grads)
-            if not upstream:
-                return
-            g = g * mask_b
-        if coeff is not None:
-            if coeff.requires_grad:
-                coeff._receive(_unbroadcast(g * base, coeff_b.shape).reshape(coeff.shape),
-                               grads)
-            g = g * coeff_b
-        if h.requires_grad:
-            # Adjoint of the gather: scatter back to the layer's input rows,
-            # which a row-trimmed layer numbers apart from its output rows.
-            plan = cache.src_plan
-            h._receive(_scatter_rows(g, src, plan.num_rows, plan), grads)
+                mask_grad = _reduce(g * scaled, mask_sum)
+            if upstream:
+                g = g * mask_b
+        if upstream:
+            if coeff is not None:
+                if coeff.requires_grad:
+                    coeff_grad = _reduce(g * base, coeff_sum)
+                g = g * coeff_b
+            if h.requires_grad:
+                # Adjoint of the gather: scatter back to the layer's input
+                # rows, which a row-trimmed layer numbers apart from its
+                # output rows.
+                h_grad = _scatter_rows(g, src, src_plan.num_rows, src_plan)
+        if coeff is None:
+            return (h_grad,) if mask is None else (h_grad, mask_grad)
+        return (h_grad, coeff_grad) if mask is None else (h_grad, coeff_grad, mask_grad)
 
     if not upstream:
         premask()                                  # frozen: once, off the tape
-    return Tensor._op(forward, parents, backward)
+    out = Tensor._op(forward, parents, backward)
+    # Each per-edge operand's gradient sums the messages' shape down to
+    # its broadcast shape, then takes its own: resolved once, here.
+    messages = (src.shape[0],) + out.shape[1:]
+    mask_sum = coeff_sum = None
+    if mask is not None:
+        mask_sum = (_unbroadcast(messages, mask_shape) or ((), ()))[:2] + (mask.shape,)
+    if coeff is not None:
+        coeff_sum = (_unbroadcast(messages, coeff_shape) or ((), ()))[:2] + (coeff.shape,)
+    return out
 
 
 def _gather_scatter(h: np.ndarray, cache, coeff: Tensor | None,
@@ -795,25 +1056,23 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0, *sizes])
 
-    def backward(grad, grads):
-        slicer: list = [slice(None)] * grad.ndim
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            slicer[axis] = slice(int(start), int(stop))
-            tensor._receive(grad[tuple(slicer)], grads)
+    slicers = []
+    for start, stop in zip(offsets[:-1], offsets[1:]):
+        slicer: list = [slice(None)] * tensors[0].ndim
+        slicer[axis] = slice(int(start), int(stop))
+        slicers.append(tuple(slicer))
 
     return Tensor._op(lambda: np.concatenate([t.data for t in tensors], axis=axis),
-                      tensors, backward)
+                      tensors, lambda grad: tuple([grad[slicer] for slicer in slicers]))
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient support."""
     tensors = [as_tensor(t) for t in tensors]
 
-    def backward(grad, grads):
-        for i, tensor in enumerate(tensors):
-            tensor._receive(np.take(grad, i, axis=axis), grads)
-
-    return Tensor._op(lambda: np.stack([t.data for t in tensors], axis=axis), tensors, backward)
+    return Tensor._op(lambda: np.stack([t.data for t in tensors], axis=axis), tensors,
+                      lambda grad: tuple([np.take(grad, i, axis=axis)
+                                          for i in range(len(tensors))]))
 
 
 def where(condition: np.ndarray, a, b) -> Tensor:
@@ -822,8 +1081,8 @@ def where(condition: np.ndarray, a, b) -> Tensor:
     b = as_tensor(b)
     condition = np.asarray(condition, dtype=bool)
 
-    def backward(grad, grads):
-        a._receive(_unbroadcast(grad * condition, a.shape), grads)
-        b._receive(_unbroadcast(grad * (~condition), b.shape), grads)
+    def backward(grad):
+        return (grad * condition if a.requires_grad else None,
+                grad * (~condition) if b.requires_grad else None)
 
-    return Tensor._op(lambda: np.where(condition, a.data, b.data), (a, b), backward)
+    return a._broadcasting_op(b, lambda: np.where(condition, a.data, b.data), backward)

@@ -31,7 +31,8 @@ from ..nn.models import GNN, LayerTrim
 from ..rng import ensure_rng
 from ..sparse import sparse_cache
 from .base import Explainer, Explanation, check_int, check_real
-from .mask_loop import forward_layer_edges, forward_layer_rows, hop_layer_edges, learn_masks
+from .mask_loop import (forward_layer_edges, forward_layer_rows, hop_layer_edges, learn_masks,
+                        mean_or_zero)
 
 __all__ = ["GNNExplainer"]
 
@@ -104,8 +105,8 @@ class GNNExplainer(Explainer):
                                             edge_masks=layer_masks,
                                             cache=sparse_cache(graph), trim=trim)
             log_p = log_softmax(logits, axis=-1)[row, class_idx]
-            entropy = -(mask * mask.clip(1e-8, 1.0).log()
-                        + (1.0 - mask) * (1.0 - mask).clip(1e-8, 1.0).log()).mean()
+            entropy = -mean_or_zero(mask * mask.clip(1e-8, 1.0).log()
+                                    + (1.0 - mask) * (1.0 - mask).clip(1e-8, 1.0).log())
             size = mask.sum() if mode == "factual" else (1.0 - mask).sum()
             regularizer = self.size_weight * size + self.entropy_weight * entropy
             if raw_feature is not None:

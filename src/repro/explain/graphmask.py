@@ -21,7 +21,7 @@ from ..graph import Graph
 from ..nn.models import GNN
 from ..rng import ensure_rng
 from .base import Explainer, Explanation
-from .mask_loop import outcome_loss
+from .mask_loop import mean_or_zero, outcome_loss
 from .target import ExplainTarget, as_node_id
 
 __all__ = ["GraphMask"]
@@ -145,11 +145,11 @@ class GraphMask(Explainer):
                 open_gates = None
                 if self.gate_type == "hard_concrete":
                     for logits in self._last_logits:
-                        s = self._l0_penalty(logits).mean()
+                        s = mean_or_zero(self._l0_penalty(logits))
                         open_gates = s if open_gates is None else open_gates + s
                 else:
                     for m in masks:
-                        s = m[:graph.num_edges].mean()
+                        s = mean_or_zero(m[:graph.num_edges])
                         open_gates = s if open_gates is None else open_gates + s
                 open_gates = open_gates / self.model.num_layers
                 if mode == "counterfactual":

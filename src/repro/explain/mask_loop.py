@@ -8,11 +8,12 @@ over the trainable tensors, the Eq. 1 (factual) or Eq. 2
 ``optimize``/``epoch`` spans, the loss record and the convergence
 ``meta``. A caller passes one closure that runs its masked forward and
 returns ``(log P, regularizer)``. The loop calls it once: epoch 1 records
-its tape (:class:`~repro.autograd.Tape`) and epochs 2..T replay it on the
-updated parameters — the same numpy calls in the same order, so each
-epoch is bit-exact with rebuilding it, without rebuilding its tensors,
-closures or backward order. Work on frozen inputs (a frozen layer 1's
-pre-mask messages) is off the tape and done once.
+its tape (:class:`~repro.autograd.Tape`) and compiles the backward pass
+from its loss into one static plan; epochs 2..T replay the tape on the
+updated parameters and run that plan — the same numpy calls in the same
+order, so each epoch is bit-exact with rebuilding it, without rebuilding
+its tensors, closures or backward order. Work on frozen inputs (a frozen
+layer 1's pre-mask messages) is off the tape and done once.
 
 :func:`hop_layer_edges` is the layer trim of a node-level mask learner
 whose masks only scale messages (Eq. 6): layer ``l`` of an ``L``-layer
@@ -33,8 +34,8 @@ from ..graph import Graph, khop_in_nodes
 from ..obs import span
 from ..obs.names import SPAN_EPOCH, SPAN_OPTIMIZE
 
-__all__ = ["learn_masks", "outcome_loss", "hop_layer_edges", "forward_layer_edges",
-           "forward_layer_rows", "converged", "CONVERGENCE_RTOL"]
+__all__ = ["learn_masks", "outcome_loss", "mean_or_zero", "hop_layer_edges",
+           "forward_layer_edges", "forward_layer_rows", "converged", "CONVERGENCE_RTOL"]
 
 #: ``meta["converged"]``: the loss moved by less than this fraction of
 #: itself over the last 10% of epochs.
@@ -50,6 +51,16 @@ def outcome_loss(log_p: Tensor, mode: str) -> Tensor:
     return -(1.0 - p.clip(0.0, 1.0 - 1e-12)).log()
 
 
+def mean_or_zero(values: Tensor) -> Tensor | float:
+    """``values.mean()``, or ``0.0`` when there are no values.
+
+    A mask over the edges of an isolated target's context is empty, and
+    its mean would be ``0/0``: a NaN loss. Its shape is static, so the
+    choice is made once, when the term is built (or recorded).
+    """
+    return values.mean() if values.size else 0.0
+
+
 def learn_masks(params: Sequence[Tensor], step: Callable[[], tuple[Tensor, Tensor]],
                 *, epochs: int, lr: float, mode: str, **span_attrs) -> dict:
     """Minimize ``outcome_loss(log P, mode) + regularizer`` over ``params``.
@@ -60,8 +71,10 @@ def learn_masks(params: Sequence[Tensor], step: Callable[[], tuple[Tensor, Tenso
     epoch, so it must compute everything that changes with ``params``
     as ``Tensor`` ops on them. ``span_attrs`` annotate the ``optimize``
     span. Returns the loss record as ``meta`` entries: ``final_loss``,
-    ``loss_first``, ``loss_min``, ``loss_last``, ``converged`` and
-    ``tape_nodes`` (the nodes each epoch runs, also on the span).
+    ``loss_first``, ``loss_min``, ``loss_last``, ``converged``,
+    ``tape_nodes`` (the nodes each epoch replays) and ``plan_nodes`` (the
+    steps of the backward plan compiled from them), both also on the
+    span.
     """
     optimizer = Adam(list(params), lr=lr)
     tape = Tape()
@@ -74,17 +87,18 @@ def learn_masks(params: Sequence[Tensor], step: Callable[[], tuple[Tensor, Tenso
                     with tape:
                         log_p, regularizer = step()
                         loss = outcome_loss(log_p, mode) + regularizer
+                    plan_nodes = len(tape.compile(loss, optimizer.params))
                 else:
                     tape.replay()
                 loss.backward()
                 optimizer.step()
                 losses.append(loss.item())
         if optimize is not None:
-            optimize.set(tape_nodes=len(tape))
+            optimize.set(tape_nodes=len(tape), plan_nodes=plan_nodes)
     # The loss curve in three numbers, and whether it flattened.
     return {"final_loss": losses[-1], "loss_first": losses[0], "loss_min": min(losses),
             "loss_last": losses[-1], "converged": converged(losses),
-            "tape_nodes": len(tape)}
+            "tape_nodes": len(tape), "plan_nodes": plan_nodes}
 
 
 def converged(losses: list[float]) -> bool:

@@ -21,7 +21,7 @@ from ..graph import Graph
 from ..nn.models import GNN
 from ..rng import ensure_rng
 from .base import Explainer, Explanation
-from .mask_loop import outcome_loss
+from .mask_loop import mean_or_zero, outcome_loss
 from .target import ExplainTarget, as_node_id
 
 __all__ = ["PGExplainer"]
@@ -127,9 +127,9 @@ class PGExplainer(Explainer):
         row = target if target is not None else 0
         log_p = log_probs[row, class_idx]
 
-        entropy = -(mask * mask.clip(1e-8, 1.0).log()
-                    + (1.0 - mask) * (1.0 - mask).clip(1e-8, 1.0).log()).mean()
-        size = mask.mean() if mode == "factual" else (1.0 - mask).mean()
+        entropy = -mean_or_zero(mask * mask.clip(1e-8, 1.0).log()
+                                + (1.0 - mask) * (1.0 - mask).clip(1e-8, 1.0).log())
+        size = mean_or_zero(mask if mode == "factual" else 1.0 - mask)
         return (outcome_loss(log_p, mode) + self.size_weight * size
                 + self.entropy_weight * entropy)
 

@@ -18,7 +18,7 @@ from ..errors import EvaluationError
 from ..execution import ExecutionConfig, resolve_trace_path
 from .aggregate import aggregate_experiment
 from .execute import experiment_context
-from .plan import ExperimentPlan, plan_experiment
+from .plan import ExperimentPlan, check_roster, plan_experiment
 from .pool import run_jobs
 
 __all__ = ["run_planned_experiment", "plan_artifact"]
@@ -29,7 +29,8 @@ def plan_artifact(artifact: str, dataset_name: str, conv: str,
                   config=None) -> ExperimentPlan:
     """Warm the experiment context and plan the job grid.
 
-    Materializing the instance list here (in the parent) pins the
+    The method roster is checked first, so an unknown method raises
+    before any model is loaded or trained. Materializing the instance list here (in the parent) pins the
     effective instance count — for AUC artifacts ``correct_only``
     filtering can return fewer instances than requested — and leaves a
     trained model in the zoo cache for workers to load. The dataset's
@@ -38,6 +39,7 @@ def plan_artifact(artifact: str, dataset_name: str, conv: str,
     from ..eval.experiments import ExperimentConfig
 
     config = config or ExperimentConfig()
+    check_roster(artifact, methods, config)
     scale = config.scale
     if scale is None:
         from ..datasets import default_scale

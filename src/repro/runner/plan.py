@@ -156,6 +156,19 @@ def _chunk_indices(n: int, num_chunks: int) -> list[list[int]]:
     return [list(range(i, min(i + size, n))) for i in range(0, n, size)]
 
 
+def check_roster(artifact: str, methods: Sequence[str], config) -> None:
+    """Raise unless ``artifact`` is plannable and every name in
+    ``methods`` is one :func:`~repro.eval.experiments.method_config`
+    knows (an :class:`~repro.errors.EvaluationError`): cheap, so callers
+    run it before loading or training anything."""
+    from ..eval.experiments import method_config
+
+    if artifact not in ("fidelity", "auc", "runtime"):
+        raise RunnerError(f"unplannable artifact {artifact!r}")
+    for method in methods:
+        method_config(method, config.resolved_effort(), alpha=config.alpha)
+
+
 def plan_experiment(artifact: str, dataset_name: str, conv: str,
                     methods: tuple[str, ...], mode: str = "factual",
                     config=None, num_instances: int | None = None,
@@ -181,13 +194,10 @@ def plan_experiment(artifact: str, dataset_name: str, conv: str,
         Chunks per per-instance method (default :data:`DEFAULT_CHUNKS`).
         Must not depend on the worker count.
     """
-    from ..eval.experiments import ExperimentConfig, method_applicable, method_config
+    from ..eval.experiments import ExperimentConfig, method_applicable
 
-    if artifact not in ("fidelity", "auc", "runtime"):
-        raise RunnerError(f"unplannable artifact {artifact!r}")
     config = config or ExperimentConfig()
-    for method in methods:  # an unknown method raises EvaluationError here
-        method_config(method, config.resolved_effort(), alpha=config.alpha)
+    check_roster(artifact, methods, config)
     chunks = chunks if chunks is not None else DEFAULT_CHUNKS
     requested = config.resolved_instances()
     n = num_instances if num_instances is not None else requested

@@ -107,3 +107,39 @@ class TestAdam:
         (x * 2).sum().backward()
         opt.zero_grad()
         assert x.grad is None
+
+    def test_flat_buffer_matches_a_per_parameter_update(self):
+        """Adam steps every parameter in one flat buffer; its ops are
+        elementwise, so each parameter gets the bits of the per-parameter
+        loop below. A parameter without a gradient keeps its data and
+        moments, and a reassigned ``.data`` is read back in."""
+        lr, beta1, beta2, eps, decay = 0.05, 0.9, 0.999, 1e-8, 0.1
+        rng = np.random.default_rng(3)
+        shapes = [(3, 5), (7,), (2, 2, 3)]
+        values = [rng.normal(size=shape) for shape in shapes]
+        flat = [Tensor(v.copy(), requires_grad=True) for v in values]
+        opt = Adam(flat, lr=lr, weight_decay=decay)
+        data = [v.copy() for v in values]
+        moments = [(np.zeros(shape), np.zeros(shape)) for shape in shapes]
+        for t in range(1, 6):
+            if t == 3:                           # an outside write between steps
+                flat[0].data = np.full(shapes[0], 0.5)
+                data[0] = np.full(shapes[0], 0.5)
+            skip = t % len(shapes)
+            grads = [rng.normal(size=shape) for shape in shapes]
+            for i, (param, grad) in enumerate(zip(flat, grads)):
+                param.grad = None if i == skip else grad
+            opt.step()
+            for i, ((m, v), grad) in enumerate(zip(moments, grads)):
+                if i == skip:
+                    continue
+                grad = grad + decay * data[i]
+                m *= beta1
+                m += (1.0 - beta1) * grad
+                v *= beta2
+                v += (1.0 - beta2) * grad * grad
+                m_hat = m / (1.0 - beta1**t)
+                v_hat = v / (1.0 - beta2**t)
+                data[i] = data[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for param, expected in zip(flat, data):
+                assert param.data.tobytes() == expected.tobytes()

@@ -1,9 +1,16 @@
-"""Record and replay (``repro.autograd.Tape``).
+"""Record, replay and the compiled backward plan (``repro.autograd.Tape``).
 
 Every op that can land on a tape is built inside a recording, its leaves
 get new values, and the tape is replayed: the output and every leaf
 gradient must be ``array_equal`` to a fresh build on the new values.
 Recording an op that has no forward thunk raises.
+
+Compiled ≡ eager: the same ops also run through the plan
+``Tape.compile`` caches on their loss, across a replay, and every leaf
+gradient must have the bits of :func:`reference_backward` — the
+dict-and-DFS backward the plan replaced, kept here as the oracle — on a
+fresh build. So must fan-out (accumulation order), retained interior
+nodes, non-scalar upstream gradients and repeated ``backward()`` calls.
 """
 
 import numpy as np
@@ -170,8 +177,8 @@ def test_replay_equals_a_fresh_build(name, seed, ties):
 def test_recording_an_op_without_a_thunk_raises():
     x = Tensor(np.ones(3), requires_grad=True)
 
-    def backward(g, grads):
-        x._receive(2.0 * g, grads)
+    def backward(g):
+        return (2.0 * g,)
 
     assert Tensor._make(x.data * 2.0, (x,), backward).requires_grad   # eager: fine
     with Tape(), pytest.raises(AutogradError, match="forward thunk"):
@@ -202,3 +209,183 @@ def test_tapes_do_not_nest():
     with Tape() as tape:                                  # the outer one closed
         x.exp()
     assert len(tape) == 1
+
+
+def reference_backward(root, seed):
+    """The dict-and-DFS backward :class:`~repro.autograd.tensor.BackwardPlan`
+    replaced: in reverse DFS post-order, each node's gradient is popped
+    from a dict and every contribution to a parent is materialized (an
+    index adjoint's zero array and ``np.add.at`` included) and added out
+    of place."""
+    grads = {root: seed}
+    for node in reversed(root._topological_order()):
+        grad = grads.pop(node, None)
+        if grad is None:
+            continue
+        if node._backward is None or node._retain:
+            node._accumulate(grad)
+        if node._backward is None:
+            continue
+        for parent, contribution in zip(node._parents, node._backward(grad)):
+            if not parent.requires_grad:
+                continue
+            reduction = T._unbroadcast(node.shape, parent.shape) if node._bcast else None
+            if reduction is not None:
+                contribution = T._reduce(contribution, reduction)
+            grads[parent] = grads[parent] + contribution if parent in grads else contribution
+
+
+def bits(array):
+    """The exact bits: ``array_equal`` does not see the sign of a zero."""
+    return np.ascontiguousarray(array, dtype=np.float64).tobytes()
+
+
+def assert_same_grads(mine, theirs):
+    for a, b in zip(mine, theirs):
+        if b.requires_grad:
+            assert bits(a.grad) == bits(b.grad)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(OPS))
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**16), ties=st.booleans())
+def test_compiled_plan_equals_the_eager_reference(name, seed, ties):
+    specs = OPS[name][0]
+    rng = np.random.default_rng(seed)
+    first, second = draw(specs, rng, ties), draw(specs, rng, ties)
+    second = [b if kind != "frozen" else a for a, b, (_, kind) in zip(first, second, specs)]
+
+    with Tape() as tape:
+        leaves, _, loss = build(name, first)
+    plan = tape.compile(loss, [leaf_ for leaf_ in leaves if leaf_.requires_grad])
+    assert 0 < len(plan) <= len(tape)
+    loss.backward()
+    for leaf_, value in zip(leaves, second):
+        leaf_.data = value
+        leaf_.zero_grad()
+    tape.replay()
+    loss.backward()
+
+    fresh_leaves, _, fresh_loss = build(name, second)
+    reference_backward(fresh_loss, np.ones(()))
+    assert_same_grads(leaves, fresh_leaves)
+
+
+def fan_out(a, w, b):
+    """Nodes whose slots take many contributions, in a fixed order: ``y``
+    from dense products, itself twice, overlapping indices and slices;
+    ``u`` two -0.0 gradients (``· 0.0`` under a negation) and then an
+    index; ``y`` and ``c`` one array shared by a sum, then an index each."""
+    y = a.tanh()
+    u = b.exp()
+    c = a * w
+    ids = np.array([0, 2, 3])
+    terms = [(y * w).sum(), -(y[1, ids] * 2.0).sum(), (y * y).sum(), y[0].sum(),
+             (y[:, 1:3] * w[:, 1:3]).sum(), (y[1, np.array([2, 3])]).sum(),
+             -(u * 0.0).sum(), -(u * 0.0).sum(), u[1, ids].sum(),
+             (y + c).sum(), c[0, ids].sum(), y[2, ids].sum()]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def test_fan_out_accumulates_in_the_eager_order():
+    rng = np.random.default_rng(5)
+    values = [rng.normal(size=(3, 4)) for _ in range(3)]
+    leaves = [Tensor(v, requires_grad=True) for v in values]
+    with Tape() as tape:
+        loss = fan_out(*leaves)
+    tape.compile(loss, leaves)
+    for _ in range(2):                       # recorded, then replayed
+        for leaf_ in leaves:
+            leaf_.zero_grad()
+        loss.backward()
+        fresh = [Tensor(v, requires_grad=True) for v in values]
+        reference_backward(fan_out(*fresh), np.ones(()))
+        assert_same_grads(leaves, fresh)
+        values = [v * 1.5 - 0.25 for v in values]
+        for leaf_, value in zip(leaves, values):
+            leaf_.data = value
+        tape.replay()
+
+    eager = [Tensor(v, requires_grad=True) for v in values]
+    fan_out(*eager).backward()               # untaped: compiled and run once
+    fresh = [Tensor(v, requires_grad=True) for v in values]
+    reference_backward(fan_out(*fresh), np.ones(()))
+    assert_same_grads(eager, fresh)
+
+
+def test_retained_interior_node_gets_the_eager_gradient():
+    """GradCAM's pattern: an embedding's gradient, read after backward."""
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(5, 3)))
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    v = rng.normal(size=(5, 4))
+
+    def build_(weight):
+        hidden = (x @ weight).relu().retain_grad()
+        return hidden, (hidden * Tensor(v)).sum()
+
+    hidden, loss = build_(w)
+    loss.backward()
+    fresh_w = Tensor(w.data, requires_grad=True)
+    fresh_hidden, fresh_loss = build_(fresh_w)
+    reference_backward(fresh_loss, np.ones(()))
+    assert bits(hidden.grad) == bits(fresh_hidden.grad)
+    assert bits(w.grad) == bits(fresh_w.grad)
+
+
+@pytest.mark.parametrize("upstream_shape", [(3, 4), (4,), ()])
+def test_non_scalar_upstream_gradient(upstream_shape):
+    rng = np.random.default_rng(7)
+    values = [rng.normal(size=(3, 4)), rng.normal(size=(1, 4))]
+    upstream = rng.normal(size=upstream_shape)
+
+    def build_(a, b):
+        return (a * b).sigmoid() / (b.exp() + 1.0)
+
+    leaves = [Tensor(v, requires_grad=True) for v in values]
+    build_(*leaves).backward(upstream)
+    fresh = [Tensor(v, requires_grad=True) for v in values]
+    out = build_(*fresh)
+    reference_backward(out, np.array(np.broadcast_to(upstream, out.shape)))
+    assert_same_grads(leaves, fresh)
+
+
+def test_repeated_backward_on_one_root_across_replays():
+    """Each ``backward()`` adds into ``.grad``: two per replay, as eager."""
+    rng = np.random.default_rng(8)
+    specs, op = OPS["propagate"]
+    values = draw(specs, rng, ties=False)
+    with Tape() as tape:
+        leaves, _, loss = build("propagate", values)
+    tape.compile(loss, leaves)
+    for _ in range(3):
+        for leaf_ in leaves:
+            leaf_.zero_grad()
+        loss.backward()
+        loss.backward()
+        fresh_leaves, _, fresh_loss = build("propagate", values)
+        reference_backward(fresh_loss, np.ones(()))
+        reference_backward(fresh_loss, np.ones(()))
+        assert_same_grads(leaves, fresh_leaves)
+        values = draw(specs, rng, ties=False)
+        for leaf_, value in zip(leaves, values):
+            leaf_.data = value
+        tape.replay()
+
+
+def test_compile_drops_what_cannot_reach_a_parameter():
+    a = Tensor(np.arange(3.0), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        loss = (a.exp() * b.reshape(1, 3).reshape(3)).sum()
+    plan = tape.compile(loss, [a])
+    loss.backward()
+    assert b.grad is None and np.array_equal(a.grad, np.exp(np.arange(3.0)))
+    # sum, product, exp; b's reshapes reach no parameter.
+    assert len(tape) == 5 and len(plan) == 3
+    with pytest.raises(AutogradError, match="recorded"):
+        tape.compile(Tensor(np.ones(1), requires_grad=True).sum(), [a])

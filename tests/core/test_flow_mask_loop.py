@@ -8,12 +8,16 @@ one ``meta`` schema and one trace shape; GNNExplainer, the loop's other
 caller, validates its settings and reports the loss and trim fields too.
 """
 
+import gc
 import json
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.autograd import Adam, Tensor, log_softmax
+import repro.core.optimize as optimize_module
+from repro.autograd import Adam, Tape, Tensor, log_softmax
 from repro.core import LinkRevelio, Revelio, TopKRevelio
 from repro.core.optimize import optimize_flow_masks
 from repro.core.revelio import explanation_cache_disabled
@@ -320,6 +324,8 @@ def test_one_meta_schema_and_trace_shape(family_member, name, mode, tmp_path):
     assert {"final_loss", "num_flows", "layer_weights", "params"} <= set(meta)
     assert isinstance(meta["tape_nodes"], int) and meta["tape_nodes"] > 0
     assert optimize[0]["attrs"]["tape_nodes"] == meta["tape_nodes"]
+    assert isinstance(meta["plan_nodes"], int) and 0 < meta["plan_nodes"] < meta["tape_nodes"]
+    assert optimize[0]["attrs"]["plan_nodes"] == meta["plan_nodes"]
     assert meta["trace_id"] == trace_id
     assert meta["perf"]["explain_seconds"] > 0
     assert np.isfinite(meta["final_loss"])
@@ -358,8 +364,8 @@ def test_one_meta_schema_and_trace_shape(family_member, name, mode, tmp_path):
     save_explanation(explanation, tmp_path / "e.npz")
     for loaded in (wire, load_explanation(tmp_path / "e.npz")):
         for key in ("flows_above_half", "mean_edge_mask", "forward_layer_edges",
-                    "forward_layer_rows",
-                    "loss_first", "loss_min", "loss_last", "converged", "tape_nodes"):
+                    "forward_layer_rows", "loss_first", "loss_min", "loss_last", "converged",
+                    "tape_nodes", "plan_nodes"):
             assert loaded.meta[key] == meta[key]
 
 
@@ -381,6 +387,7 @@ def test_gnnexplainer_meta_schema_and_trace_shape(node_model, mini_ba_shapes, go
     meta = explanation.meta
     assert meta["params"] == {"epochs": 3, "lr": 0.05}
     assert optimize[0]["attrs"]["tape_nodes"] == meta["tape_nodes"] > 0
+    assert optimize[0]["attrs"]["plan_nodes"] == meta["plan_nodes"] > 0
     assert meta["loss_last"] == meta["final_loss"]
     assert meta["loss_min"] <= min(meta["loss_first"], meta["loss_last"])
     assert all(isinstance(meta[key], float) for key in ("loss_first", "loss_min", "loss_last"))
@@ -407,13 +414,16 @@ def test_gnnexplainer_meta_schema_and_trace_shape(node_model, mini_ba_shapes, go
     save_explanation(explanation, tmp_path / "e.npz")
     for loaded in (wire, load_explanation(tmp_path / "e.npz")):
         for key in ("mean_edge_mask", "forward_layer_edges", "forward_layer_rows", "final_loss",
-                    "loss_first", "loss_min", "loss_last", "converged", "tape_nodes"):
+                    "loss_first", "loss_min", "loss_last", "converged", "tape_nodes",
+                    "plan_nodes"):
             assert loaded.meta[key] == meta[key]
 
 
 def test_tape_nodes_pin_a_revelio_epoch(node_model, mini_ba_shapes, good_motif_node):
     """A factual Revelio epoch on a 3-layer GCN replays 35 tape nodes, so
-    a node added to this path shows up here as a diff:
+    a node added to this path shows up here as a diff. Its backward plan
+    has 30 steps: the five reshapes (Eq. 5's two, one per layer mask) fold
+    into the edges that feed them.
 
     - Eqs. 4–5: tanh, the flow gather and scatter, a reshape, exp(w), its
       reshape, the product and the sigmoid (8);
@@ -430,6 +440,72 @@ def test_tape_nodes_pin_a_revelio_epoch(node_model, mini_ba_shapes, good_motif_n
                                         ExplainTarget.node(good_motif_node))
     assert node_model.num_layers == 3 and node_model.conv_name == "gcn"
     assert explanation.meta["tape_nodes"] == 35
+    assert explanation.meta["plan_nodes"] == 30
+
+
+def test_a_finished_loop_frees_its_loss_and_plan(node_model, mini_ba_shapes, good_motif_node,
+                                                 monkeypatch):
+    """Nothing on the tape refers back to the loss or its plan (the loss
+    holds the plan): with the collector off they die when the loop ends,
+    not at the next collection. A closure over its own output once held
+    every tape alive (DESIGN.md §3.2)."""
+    refs = []
+    compile_plan = Tape.compile
+
+    def spy(tape, root, params):
+        plan = compile_plan(tape, root, params)
+        refs.extend((weakref.ref(root), weakref.ref(plan)))
+        return plan
+
+    monkeypatch.setattr(Tape, "compile", spy)
+    gc.collect()
+    gc.disable()
+    try:
+        with explanation_cache_disabled():
+            Revelio(node_model, epochs=3).explain(mini_ba_shapes.graph,
+                                                  ExplainTarget.node(good_motif_node))
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+#: Python function calls one replayed factual Revelio epoch makes on the
+#: mini BA-Shapes motif node (replay, backward, Adam and the loop around
+#: them): 132 on CPython 3.11 with numpy 2.4 when pinned, 264 before the
+#: compiled backward plan. The bound leaves room for numpy's own Python
+#: wrappers (9 of the 132), which vary by version.
+EPOCH_CALLS = 145
+
+
+def test_a_replayed_epoch_makes_a_pinned_number_of_python_calls(
+        node_model, mini_ba_shapes, good_motif_node, monkeypatch):
+    """Interpreter overhead, counted exactly instead of timed: the calls
+    of a 3-epoch loop minus those of a 2-epoch one, on warm caches."""
+    counts = []
+    learn_masks = optimize_module.learn_masks
+
+    def counted(*args, **kwargs):
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return learn_masks(*args, **kwargs)
+        finally:
+            sys.setprofile(previous)
+            counts.append(calls[0])
+
+    monkeypatch.setattr(optimize_module, "learn_masks", counted)
+    for epochs in (2, 2, 3):                # the first run warms the caches
+        with explanation_cache_disabled():
+            Revelio(node_model, epochs=epochs).explain(mini_ba_shapes.graph,
+                                                       ExplainTarget.node(good_motif_node))
+    assert counts[2] - counts[1] <= EPOCH_CALLS, counts
 
 
 def test_converged_reads_the_relative_change_over_the_last_tenth():

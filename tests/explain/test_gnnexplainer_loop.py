@@ -10,6 +10,7 @@ work per explanation (Table V's claim 3).
 """
 
 import functools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -20,9 +21,10 @@ from hypothesis import strategies as st
 from repro.autograd import Adam, Tensor, concat, log_softmax
 from repro.core import Revelio
 from repro.core.revelio import explanation_cache_disabled
-from repro.explain import ExplainTarget, GNNExplainer
+from repro.explain import ExplainTarget, GNNExplainer, GraphMask, PGExplainer
 from repro.explain.mask_loop import hop_layer_edges
 from repro.flows import enumerate_flows
+from repro.graph import Graph
 from repro.nn import build_model
 from repro.nn.models import GNN
 from repro.sparse import sparse_cache
@@ -149,3 +151,43 @@ def test_claim_3_equal_work_at_equal_epochs(node_model, mini_ba_shapes, good_mot
                                 steps.call_count, explanation.meta["forward_layer_edges"])
     assert work["revelio"] == work["gnnexplainer"]
     assert work["revelio"][:3] == (1 + 1, 7, 7)  # predicted_class, then epoch 1
+
+
+def with_isolated_node(graph: Graph) -> tuple[Graph, int]:
+    """``graph`` plus one node with no in- or out-edges, and its id."""
+    x = np.concatenate([graph.x, graph.x[:1]])
+    return Graph(edge_index=graph.edge_index, x=x, num_nodes=graph.num_nodes + 1), \
+        graph.num_nodes
+
+
+@pytest.mark.parametrize("mode", ["factual", "counterfactual"])
+def test_isolated_target_trains_to_a_finite_loss(node_model, mini_ba_shapes, mode):
+    """An isolated target's context has no data edge, so its edge mask is
+    empty: the entropy term is 0, not the NaN mean of nothing."""
+    graph, node = with_isolated_node(mini_ba_shapes.graph)
+    explainer = GNNExplainer(node_model, epochs=5, lr=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        explanation = explainer.explain(graph, ExplainTarget.node(node), mode=mode)
+    meta = explanation.meta
+    assert all(np.isfinite(meta[key]) for key in ("final_loss", "loss_first", "loss_min",
+                                                   "loss_last"))
+    assert isinstance(meta["converged"], bool)
+    assert not explanation.edge_scores.any()
+
+
+@pytest.mark.parametrize("cls", [PGExplainer, GraphMask])
+def test_amortized_group_with_an_isolated_instance_trains(cls, node_model, mini_ba_shapes,
+                                                          good_motif_node):
+    """PGExplainer and GraphMask average masks over each instance's edges
+    the same way: an empty instance adds 0, not NaN, to the group loss."""
+    graph, node = with_isolated_node(mini_ba_shapes.graph)
+    explainer = cls(node_model, epochs=4)
+    instances = explainer.prepare_instances(
+        graph, [ExplainTarget.node(node), ExplainTarget.node(good_motif_node)])
+    assert instances[0][0].num_edges == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        explainer.fit(instances)
+    nets = [explainer.edge_mlp] if cls is PGExplainer else explainer.gates
+    assert all(np.isfinite(p.data).all() for net in nets for p in net.parameters())

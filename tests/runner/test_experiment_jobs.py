@@ -154,6 +154,14 @@ def test_unknown_method_fails_before_any_job(execution, monkeypatch):
     assert ran == []
 
 
+def test_unknown_method_fails_before_any_model_fit(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+    config = ExperimentConfig(scale=0.3, num_instances=2, effort=0.05, seed=0)
+    with pytest.raises(EvaluationError, match="unknown method 'gradkam'"):
+        run_fidelity_experiment("cora", "gcn", ("gradcam", "gradkam"), config=config)
+    assert list(tmp_path.rglob("*.npz")) == []
+
+
 class TestInlineJobsPath:
     def test_fidelity_repeatable_without_journal(self):
         a = _fidelity(1, None)
