@@ -139,13 +139,17 @@ def as_tensor(value, requires_grad: bool = False) -> "Tensor":
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic function."""
-    clipped = np.clip(x, -500, 500)
-    return np.where(
-        clipped >= 0,
-        1.0 / (1.0 + np.exp(-clipped)),
-        np.exp(clipped) / (1.0 + np.exp(clipped)),
-    )
+    """Overflow-free logistic function.
+
+    ``e / (1 + e)`` with ``e = exp(x)`` below zero, ``1 / (1 + exp(-x))``
+    from zero up, on ``x`` clipped to ±500; NaN takes the first branch and
+    stays NaN. Bare ufuncs only: it runs in every replayed epoch, where
+    ``np.clip`` / ``np.where`` would add Python frames per call.
+    """
+    clipped = np.minimum(np.maximum(x, -500.0), 500.0)
+    e = np.exp(clipped)
+    out = np.divide(e, 1.0 + e, out=np.empty(clipped.shape, clipped.dtype))
+    return np.divide(1.0, 1.0 + np.exp(-clipped), out=out, where=clipped >= 0)
 
 
 def _unbroadcast(grad_shape: tuple[int, ...], shape: tuple[int, ...]) -> tuple | None:
@@ -484,10 +488,11 @@ class Tensor:
         return Tensor(self.data.copy(), requires_grad=False)
 
     def annotate_sparse(self, matrix, matrix_t) -> "Tensor":
-        """Attach a CSR twin of :attr:`data` for constant-operand matmuls.
+        """Attach a sparse twin of :attr:`data` for constant-operand matmuls.
 
-        ``matrix`` must equal :attr:`data` and ``matrix_t`` its transpose
-        (see :func:`repro.sparse.feature_csr`). While this tensor does not
+        ``matrix`` must equal :attr:`data` and ``matrix_t`` its transpose,
+        any scipy sparse format (:func:`repro.sparse.feature_csr` gives a
+        CSR matrix and its CSC view). While this tensor does not
         require grad, ``self @ other`` then runs ``matrix @ other`` forward
         and ``matrix_t @ g`` for the weight adjoint — turning the
         first-layer GEMM over bag-of-words features into a sparse matvec
@@ -581,7 +586,9 @@ class Tensor:
                 raise AutogradError(
                     f"backward() without a gradient requires a scalar output, got shape {self.shape}"
                 )
-            seed = np.ones_like(self.data)
+            # Not np.ones_like: its Python wrappers run on every replayed epoch.
+            seed = np.empty(self.data.shape)
+            seed.fill(1.0)
         else:
             seed = np.array(np.broadcast_to(np.asarray(grad, dtype=np.float64), self.shape))
         if self._plan is None:
@@ -777,15 +784,17 @@ class Tensor:
 
     def softplus(self) -> "Tensor":
         return self._pointwise(
-            lambda x: (np.logaddexp(0.0, x), 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))),
+            lambda x: (np.logaddexp(0.0, x),
+                       1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))),
             lambda g, sig: g * sig)
 
     def abs(self) -> "Tensor":
         return self._pointwise(lambda x: (np.abs(x), np.sign(x)), lambda g, sign: g * sign)
 
     def clip(self, lo: float, hi: float) -> "Tensor":
-        return self._pointwise(lambda x: (np.clip(x, lo, hi), (x >= lo) & (x <= hi)),
-                               lambda g, mask: g * mask)
+        return self._pointwise(
+            lambda x: (np.minimum(np.maximum(x, lo), hi), (x >= lo) & (x <= hi)),
+            lambda g, mask: g * mask)
 
     # ------------------------------------------------------------------
     # reductions

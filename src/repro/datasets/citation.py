@@ -32,24 +32,71 @@ _PROFILES = {
     "pubmed": (19717, 88648, 500, 3),
 }
 
-#: Above this node count generation switches to the vectorized wiring /
-#: feature paths. The threshold sits above PubMed at scale 1 (19,717
-#: nodes) on purpose: every seeded graph the test suite and the committed
-#: experiment artifacts depend on keeps its historical byte-identical RNG
-#: stream, while ``scale=`` requests well past Table III sizes (e.g.
-#: 25x Cora, ~67,700 nodes) drop the per-edge / per-node Python loops
-#: whose cost is quadratic-ish in graph size.
+#: From this node count up, generation takes the vectorized wiring /
+#: feature paths, which draw from the RNG in another order. Both wiring
+#: paths are vectorized; the wiring fork stays only because graphs this
+#: large have a stream of their own. Below the threshold (above PubMed at
+#: scale 1, 19,717 nodes) every seeded graph the test suite and the
+#: committed experiment artifacts depend on keeps its historical
+#: byte-identical stream, per-node feature loop included; ``scale=``
+#: requests well past Table III sizes (e.g. 25x Cora, ~67,700 nodes) skip
+#: that loop.
 _VECTORIZED_MIN_NODES = 30_000
+
+
+def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The indices ``Generator.choice(len(probs), p=probs)`` maps doubles ``u`` to.
+
+    One ``choice`` call draws one ``random()`` double and looks it up in
+    ``probs.cumsum()`` renormalized by its last entry, with
+    ``side="right"``; this repeats that map over many doubles at once.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(u, side="right")
+
+
+def _unique_pairs(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Sorted unique ``(min, max)`` rows of the non-self-loop pairs, ``(K, 2)``."""
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    keep = lo != hi
+    code = np.unique(lo[keep].astype(np.int64) * num_nodes + hi[keep])
+    return np.stack([code // num_nodes, code % num_nodes], axis=1)
+
+
+def _wire_edges(rng, labels, propensity, class_pools, class_probs,
+                num_nodes, num_undirected, homophily):
+    """Degree-corrected homophilous wiring, one pass over all edges.
+
+    Draws exactly the stream of a per-edge loop that calls
+    ``rng.choice(pool, p=probs)`` once per edge (the class pool when the
+    edge is homophilous and the pool has two or more nodes, else all
+    nodes by propensity): each such call consumes one double, so one
+    ``rng.random`` array holds every edge's double and
+    :func:`_inverse_cdf` maps it through its pool's CDF. Same pairs,
+    same generator state afterwards, without re-normalizing an ``O(N)``
+    pool per edge.
+    """
+    src = rng.choice(num_nodes, size=num_undirected, p=propensity)
+    same = rng.random(num_undirected) < homophily
+    u = rng.random(num_undirected)
+    dst = _inverse_cdf(propensity, u)
+    src_labels = labels[src]
+    for c, pool in enumerate(class_pools):
+        if pool.size > 1:
+            sel = same & (src_labels == c)
+            dst[sel] = pool[_inverse_cdf(class_probs[c], u[sel])]
+    return _unique_pairs(src, dst, num_nodes)
 
 
 def _wire_edges_vectorized(rng, labels, propensity, class_pools, class_probs,
                            num_nodes, num_undirected, homophily):
-    """Batched equivalent of the per-edge wiring loop (large graphs).
+    """Wiring for graphs of :data:`_VECTORIZED_MIN_NODES` nodes or more.
 
-    Same distribution family (degree-corrected, homophilous), different
-    RNG consumption order: destinations are drawn in one ``rng.choice``
-    call per class instead of one per edge, which is what removes the
-    O(edges x nodes) cost of per-draw probability normalization.
+    Same distribution as :func:`_wire_edges`, different RNG consumption
+    order: destinations are drawn in one ``rng.choice`` call per class,
+    so these graphs have a stream of their own.
     """
     src = rng.choice(num_nodes, size=num_undirected, p=propensity)
     same = rng.random(num_undirected) < homophily
@@ -66,11 +113,7 @@ def _wire_edges_vectorized(rng, labels, propensity, class_pools, class_probs,
             dst[sel] = rng.choice(class_pools[c], size=k, p=class_probs[c])
         else:
             dst[sel] = rng.choice(num_nodes, size=k, p=propensity)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    keep = lo != hi
-    code = np.unique(lo[keep].astype(np.int64) * num_nodes + hi[keep])
-    return np.stack([code // num_nodes, code % num_nodes], axis=1)
+    return _unique_pairs(src, dst, num_nodes)
 
 
 def _features_vectorized(rng, labels, num_nodes, num_features, words_per_class,
@@ -120,25 +163,13 @@ def citation_surrogate(name: str, num_nodes: int, num_edges: int, num_features: 
         p = propensity[class_pools[c]]
         class_probs.append(p / p.sum())
 
+    # Wiring: below _VECTORIZED_MIN_NODES one pass that keeps the
+    # historical per-edge stream; above it a fork with a stream of its own.
     num_undirected = num_edges // 2
     vectorized = num_nodes >= _VECTORIZED_MIN_NODES
-    if vectorized:
-        pairs_arr = _wire_edges_vectorized(
-            rng, labels, propensity, class_pools, class_probs,
-            num_nodes, num_undirected, homophily)
-    else:
-        src_nodes = rng.choice(num_nodes, size=num_undirected, p=propensity)
-        pairs: list[tuple[int, int]] = []
-        same_class = rng.random(num_undirected) < homophily
-        for u, same in zip(src_nodes.tolist(), same_class):
-            c = labels[u]
-            if same and class_pools[c].size > 1:
-                v = int(rng.choice(class_pools[c], p=class_probs[c]))
-            else:
-                v = int(rng.choice(num_nodes, p=propensity))
-            if u != v:
-                pairs.append((min(u, v), max(u, v)))
-        pairs_arr = np.array(sorted(set(pairs)), dtype=np.int64)
+    wire = _wire_edges_vectorized if vectorized else _wire_edges
+    pairs_arr = wire(rng, labels, propensity, class_pools, class_probs,
+                     num_nodes, num_undirected, homophily)
     edge_index = coalesce_edges(
         np.concatenate([pairs_arr.T, pairs_arr.T[::-1]], axis=1)
     )

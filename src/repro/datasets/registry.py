@@ -15,6 +15,8 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DatasetError
+from ..obs import span
+from ..obs.names import SPAN_DATASET_LOAD
 from .base import GraphDataset, NodeDataset
 from .citation import citeseer, cora, pubmed
 from .molecules import bbbp, mutag
@@ -88,4 +90,10 @@ def load_dataset(name: str, scale: float | None = None,
     if key not in _BUILDERS:
         raise DatasetError(f"unknown dataset {name!r}; available: {sorted(_BUILDERS)}")
     scale = default_scale() if scale is None else _check_scale(scale, "scale")
-    return _BUILDERS[key](scale=scale, seed=seed)
+    with span(SPAN_DATASET_LOAD, dataset=key, scale=scale) as sp:
+        dataset = _BUILDERS[key](scale=scale, seed=seed)
+        if sp is not None:
+            graphs = dataset.graphs if isinstance(dataset, GraphDataset) else [dataset.graph]
+            sp.set(nodes=sum(g.num_nodes for g in graphs),
+                   edges=sum(g.num_edges for g in graphs))
+    return dataset

@@ -21,6 +21,8 @@ from pathlib import Path
 from ..datasets import GraphDataset, NodeDataset, load_dataset
 from ..errors import ModelError
 from ..graph import load_state_dict, save_state_dict
+from ..obs import span
+from ..obs.names import SPAN_MODEL_TRAIN
 from ..sparse import sparse_cache
 from .models import GNN, build_model
 from .train import Trainer, TrainResult
@@ -131,7 +133,11 @@ def get_model(dataset_name: str, conv: str, scale: float | None = None, seed: in
         model.eval()
         return model, dataset, None
 
-    model, result = train_target_model(dataset, conv, recipe=recipe, seed=seed, verbose=verbose)
+    with span(SPAN_MODEL_TRAIN, dataset=dataset_name, conv=conv) as sp:
+        model, result = train_target_model(dataset, conv, recipe=recipe, seed=seed,
+                                           verbose=verbose)
+        if sp is not None:
+            sp.set(epochs_run=result.epochs_run)
     if use_cache:
         save_state_dict(model.state_dict(), ckpt)
         meta_path = ckpt.with_suffix(".json")

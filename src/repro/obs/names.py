@@ -30,6 +30,8 @@ __all__ = [
     "SPAN_EXPERIMENT",
     "SPAN_FIDELITY_SWEEP",
     "SPAN_SERVE_BATCH",
+    "SPAN_DATASET_LOAD",
+    "SPAN_MODEL_TRAIN",
     "SPAN_NAMES",
     "STAGE_MASKED_FORWARD_BATCH",
     "STAGE_NAMES",
@@ -61,6 +63,10 @@ SPAN_EPOCH = "epoch"
 SPAN_FIDELITY_SWEEP = "fidelity_sweep"
 #: One coalesced micro-batch executed by the serving daemon.
 SPAN_SERVE_BATCH = "serve_batch"
+#: One repro.datasets.load_dataset call (surrogate generation).
+SPAN_DATASET_LOAD = "dataset_load"
+#: Training a target model in repro.nn.zoo.get_model (a checkpoint miss).
+SPAN_MODEL_TRAIN = "model_train"
 
 SPAN_NAMES: frozenset[str] = frozenset({
     SPAN_EXPERIMENT,
@@ -74,6 +80,8 @@ SPAN_NAMES: frozenset[str] = frozenset({
     SPAN_EPOCH,
     SPAN_FIDELITY_SWEEP,
     SPAN_SERVE_BATCH,
+    SPAN_DATASET_LOAD,
+    SPAN_MODEL_TRAIN,
 })
 
 # ----------------------------------------------------------------------

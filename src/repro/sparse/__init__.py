@@ -15,7 +15,8 @@ The package has four small parts:
   memos :func:`edge_cache` / :func:`plan_for` that give bare-array call
   sites (the autograd primitives) the same build-once-reuse-forever
   plans, and :func:`feature_csr` giving sparse bag-of-words feature
-  matrices a CSR twin for the first-layer weight GEMM.
+  matrices a CSR twin (with its CSC transpose view) for the first-layer
+  weight GEMM and its adjoint.
 """
 
 from .cache import (

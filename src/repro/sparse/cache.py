@@ -363,18 +363,23 @@ def memo_info() -> dict:
 _FEATURE_MEMO: dict[tuple[int, int], tuple[weakref.ref, tuple]] = {}
 
 
-def feature_csr(x: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix] | None:
-    """Memoized CSR twin ``(matrix, matrix.T)`` of a sparse feature matrix.
+def feature_csr(x: np.ndarray) -> tuple[sp.csr_matrix, sp.csc_matrix] | None:
+    """Memoized sparse twin ``(matrix, matrix.T)`` of a sparse feature matrix.
 
     Bag-of-words node features (Cora: ~1.5% nonzero) make the first-layer
     weight GEMM ``x @ W`` — and its adjoint ``x.T @ g`` — the most
     expensive dense operations of a training epoch. When ``x`` is a 2-D
     float64 array no denser than :data:`FEATURE_DENSITY_CEILING`, this
-    returns a CSR copy and its precompiled transpose for
+    returns a CSR copy and its transpose for
     :meth:`Tensor.annotate_sparse <repro.autograd.Tensor.annotate_sparse>`
-    to route the matmul through; otherwise ``None``. Identity-keyed like
-    :func:`plan_for`: the density scan and conversion run once per array
-    object, and entries die with their arrays.
+    to route the matmul through; otherwise ``None``. The transpose is the
+    zero-copy CSC view ``matrix.T``: its product walks ``g``'s rows in node
+    order and adds into the small ``(F, hidden)`` output, where a CSR copy
+    of the transpose would read ``g``'s rows in scattered order. Each
+    output entry sums the same products in the same increasing-node order
+    either way, so the bits match. Identity-keyed like :func:`plan_for`:
+    the density scan and conversion run once per array object, and
+    entries die with their arrays.
     """
     if not isinstance(x, np.ndarray) or x.ndim != 2 or x.dtype != np.float64:
         return None
@@ -384,7 +389,7 @@ def feature_csr(x: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix] | None:
         density = np.count_nonzero(x) / max(x.size, 1)
         if density <= FEATURE_DENSITY_CEILING:
             matrix = sp.csr_matrix(x)
-            hit = (matrix, sp.csr_matrix(matrix.T))
+            hit = (matrix, matrix.T)
         else:
             hit = ()
         _memo_put(_FEATURE_MEMO, key, x, hit)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.errors import KernelError
 from repro.graph import Graph
@@ -93,3 +94,45 @@ class TestFeatureCsr:
         x = np.ones((6, 6))
         assert feature_csr(x) is None
         assert feature_csr(x) is None  # second call hits the () sentinel
+
+    def test_transpose_is_a_zero_copy_view(self):
+        x = (np.random.default_rng(1).random((30, 20)) < 0.04).astype(np.float64)
+        matrix, matrix_t = feature_csr(x)
+        assert matrix_t.format == "csc"
+        assert np.shares_memory(matrix_t.data, matrix.data)
+        assert np.shares_memory(matrix_t.indices, matrix.indices)
+
+    def test_adjoint_matches_the_copied_transpose_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        x = (rng.random((60, 45)) < 0.04) * rng.normal(size=(60, 45))
+        g = rng.normal(size=(60, 8))
+        g[::5] = 0.0                                   # zero rows
+        g[1::7, ::2] = -0.0
+        g[3, :] = -0.0                                 # a row of -0.0 only
+        copied = sp.csr_matrix(sp.csr_matrix(x).T)
+        assert (feature_csr(x)[1] @ g).tobytes() == (copied @ g).tobytes()
+        assert (feature_csr(x)[1] @ g[:, :1]).tobytes() == (copied @ g[:, :1]).tobytes()
+
+    def test_training_through_the_view_matches_the_copied_transpose(self, monkeypatch):
+        """A GCN trained on bag-of-words features ends with the same weight
+        bytes whichever transpose its first layer's adjoint runs over."""
+        import repro.nn.models as models
+        from repro.datasets import cora
+        from repro.nn import Trainer, build_model
+
+        graph = cora(scale=0.1, seed=0).graph
+        assert feature_csr(graph.x) is not None
+
+        def train():
+            model = build_model("gcn", "node", graph.num_features, 7, hidden=16, rng=0)
+            Trainer(model, epochs=15, patience=None).fit_node(graph)
+            return [p.data.tobytes() for p in model.parameters()]
+
+        shipped = train()
+
+        def copied_twin(x):
+            twin = feature_csr(x)
+            return None if twin is None else (twin[0], sp.csr_matrix(twin[0].T))
+
+        monkeypatch.setattr(models, "feature_csr", copied_twin)
+        assert train() == shipped
