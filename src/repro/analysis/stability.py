@@ -19,6 +19,7 @@ from ..explain.base import Explanation
 from ..explain.target import ExplainTarget
 from ..graph import Graph
 from ..rng import spawn_rngs
+from ..sparse import feature_dense
 from .agreement import edge_rank_correlation, top_edge_overlap
 
 __all__ = ["StabilityReport", "seed_stability", "perturbation_stability"]
@@ -88,6 +89,7 @@ def perturbation_stability(explainer, graph: Graph, target: ExplainTarget | None
     explanations = [explainer.explain(graph, target=target, mode=mode)]
     for rng in rngs:
         noisy = graph.copy()
-        noisy.x = noisy.x + rng.normal(0.0, feature_noise, size=noisy.x.shape)
+        noisy.x = feature_dense(noisy.x) + rng.normal(0.0, feature_noise,
+                                                      size=noisy.x.shape)
         explanations.append(explainer.explain(noisy, target=target, mode=mode))
     return _pairwise_report(explanations, k)

@@ -23,6 +23,7 @@ from .module import Module, Parameter
 from .optim import SGD, Adam, Optimizer
 from .schedulers import CosineAnnealingLR, LinearWarmup, Scheduler, StepLR
 from .tensor import (
+    SparseLeaf,
     Tape,
     Tensor,
     as_tensor,
@@ -36,6 +37,7 @@ from .tensor import (
 
 __all__ = [
     "Tensor",
+    "SparseLeaf",
     "Tape",
     "as_tensor",
     "concat",

@@ -44,8 +44,8 @@ import numpy as np
 from ..errors import AutogradError, ShapeError
 from ..sparse import SegmentPlan, kernel, plan_for
 
-__all__ = ["Tensor", "Tape", "as_tensor", "no_grad", "is_grad_enabled", "concat", "stack",
-           "where", "propagate"]
+__all__ = ["Tensor", "SparseLeaf", "Tape", "as_tensor", "no_grad", "is_grad_enabled",
+           "concat", "stack", "where", "propagate"]
 
 _GRAD_ENABLED = [True]
 # The node list of the Tape being recorded, or None.
@@ -496,7 +496,7 @@ class Tensor:
         require grad, ``self @ other`` then runs ``matrix @ other`` forward
         and ``matrix_t @ g`` for the weight adjoint — turning the
         first-layer GEMM over bag-of-words features into a sparse matvec
-        stack. Returns ``self``.
+        stack, the branch a :class:`SparseLeaf` runs. Returns ``self``.
         """
         self._csr = (matrix, matrix_t)
         return self
@@ -697,9 +697,9 @@ class Tensor:
             return flat.reshape(lead + (other.shape[1],))
 
         if self._csr is not None and not self.requires_grad:
-            # Sparse-feature fast path (annotate_sparse): the left operand
-            # is a constant sparse matrix, so forward and the weight
-            # adjoint are CSR matvec stacks over its nonzeros.
+            # Sparse-feature path (a SparseLeaf, or annotate_sparse): the
+            # left operand is a constant sparse matrix, so forward and the
+            # weight adjoint are CSR matvec stacks over its nonzeros.
             matrix, matrix_t = self._csr
 
             return self._binary_op(other, lambda: matrix @ other.data,
@@ -1095,3 +1095,51 @@ def where(condition: np.ndarray, a, b) -> Tensor:
                 grad * (~condition) if b.requires_grad else None)
 
     return a._broadcasting_op(b, lambda: np.where(condition, a.data, b.data), backward)
+
+
+class SparseLeaf(Tensor):
+    """A constant sparse ``(N, F)`` matrix as a tape leaf.
+
+    It holds ``matrix`` and its transpose ``matrix_t`` (a CSR feature
+    matrix and its zero-copy CSC view ``matrix.T``) and no dense copy:
+    ``leaf @ W`` runs the sparse branch of :meth:`Tensor.__matmul__`,
+    forward ``matrix @ W`` and weight adjoint ``matrix_t @ g``, exactly as
+    a dense tensor with that twin attached (:meth:`Tensor.annotate_sparse`)
+    would. Any other op would read dense values it does not have, so
+    :attr:`data` raises :class:`~repro.errors.AutogradError` instead of
+    returning something wrong; a consumer that needs dense features reads
+    them with :func:`repro.sparse.feature_dense` on :attr:`matrix`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, matrix, matrix_t, name: str | None = None):
+        self.requires_grad = False
+        self.grad = None
+        self._backward = None
+        self._forward = None
+        self._parents = ()
+        self._bcast = False
+        self._retain = False
+        self._csr = (matrix, matrix_t)
+        self._plan = None
+        self.name = name
+
+    @property
+    def data(self):
+        raise AutogradError(
+            f"a sparse leaf {self.shape} has no dense data: only `leaf @ W` reads it; "
+            "densify with repro.sparse.feature_dense(leaf.matrix)")
+
+    @property
+    def matrix(self):
+        """The sparse matrix this leaf stands for."""
+        return self._csr[0]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._csr[0].shape
+
+    @property
+    def ndim(self) -> int:
+        return 2

@@ -18,6 +18,7 @@ words from its class topics and some noise words). Planetoid-style splits:
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..graph import Graph, coalesce_edges
 from ..rng import ensure_rng
@@ -116,9 +117,44 @@ def _wire_edges_vectorized(rng, labels, propensity, class_pools, class_probs,
     return _unique_pairs(src, dst, num_nodes)
 
 
+def _word_csr(words: np.ndarray, num_features: int) -> sp.csr_matrix:
+    """Binary ``(N, F)`` CSR matrix with a 1 at every ``(v, words[v, k])``.
+
+    One vectorized pass: each ``(row, word)`` pair is coded ``row·F +
+    word``, and ``np.unique`` sorts the codes and drops repeated words,
+    so the result is canonical — the bytes ``sp.csr_matrix`` would give
+    the dense matrix — without ever holding ``N·F`` floats.
+    """
+    num_nodes = words.shape[0]
+    code = np.unique(np.arange(num_nodes, dtype=np.int64)[:, None] * num_features + words)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(code // num_features, minlength=num_nodes), out=indptr[1:])
+    return sp.csr_matrix((np.ones(code.size), code % num_features, indptr),
+                         shape=(num_nodes, num_features))
+
+
+def _features(rng, labels, num_nodes, num_features, words_per_class,
+              active_per_node, feature_signal) -> sp.csr_matrix:
+    """Class-topic bag-of-words features, one node at a time.
+
+    The per-node ``rng.integers`` calls fix the historical stream every
+    seeded graph below :data:`_VECTORIZED_MIN_NODES` depends on; the
+    words go into an ``(N, active)`` array, and :func:`_word_csr` builds
+    the matrix from it.
+    """
+    n_topic = int(round(active_per_node * feature_signal))
+    words = np.empty((num_nodes, active_per_node), dtype=np.int64)
+    for v in range(num_nodes):
+        topic_lo = (labels[v] * words_per_class) % num_features
+        words[v, :n_topic] = (topic_lo + rng.integers(words_per_class, size=n_topic)) \
+            % num_features
+        words[v, n_topic:] = rng.integers(num_features, size=active_per_node - n_topic)
+    return _word_csr(words, num_features)
+
+
 def _features_vectorized(rng, labels, num_nodes, num_features, words_per_class,
-                         active_per_node, feature_signal):
-    """Batched equivalent of the per-node bag-of-words loop."""
+                         active_per_node, feature_signal) -> sp.csr_matrix:
+    """Batched equivalent of :func:`_features` (a stream of its own)."""
     n_topic = int(round(active_per_node * feature_signal))
     n_noise = active_per_node - n_topic
     topic_lo = (labels.astype(np.int64) * words_per_class) % num_features
@@ -126,10 +162,7 @@ def _features_vectorized(rng, labels, num_nodes, num_features, words_per_class,
              + rng.integers(words_per_class, size=(num_nodes, n_topic))) \
         % num_features
     noise = rng.integers(num_features, size=(num_nodes, n_noise))
-    cols = np.concatenate([topic, noise], axis=1)
-    x = np.zeros((num_nodes, num_features))
-    x[np.repeat(np.arange(num_nodes), cols.shape[1]), cols.ravel()] = 1.0
-    return x
+    return _word_csr(np.concatenate([topic, noise], axis=1), num_features)
 
 
 def citation_surrogate(name: str, num_nodes: int, num_edges: int, num_features: int,
@@ -174,23 +207,12 @@ def citation_surrogate(name: str, num_nodes: int, num_edges: int, num_features: 
         np.concatenate([pairs_arr.T, pairs_arr.T[::-1]], axis=1)
     )
 
-    # Sparse class-topic bag-of-words features.
+    # Sparse class-topic bag-of-words features, built as CSR.
     words_per_class = max(4, num_features // num_classes)
     active_per_node = max(4, num_features // 60)
-    if vectorized:
-        x = _features_vectorized(rng, labels, num_nodes, num_features,
-                                 words_per_class, active_per_node,
-                                 feature_signal)
-    else:
-        x = np.zeros((num_nodes, num_features))
-        for v in range(num_nodes):
-            c = labels[v]
-            topic_lo = (c * words_per_class) % num_features
-            n_topic = int(round(active_per_node * feature_signal))
-            topic_words = topic_lo + rng.integers(words_per_class, size=n_topic)
-            noise_words = rng.integers(num_features, size=active_per_node - n_topic)
-            x[v, topic_words % num_features] = 1.0
-            x[v, noise_words] = 1.0
+    features = _features_vectorized if vectorized else _features
+    x = features(rng, labels, num_nodes, num_features, words_per_class,
+                 active_per_node, feature_signal)
 
     # Planetoid-style split, scaled to the graph size.
     train_mask = np.zeros(num_nodes, dtype=bool)

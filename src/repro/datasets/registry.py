@@ -13,6 +13,7 @@ import os
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import issparse
 
 from ..errors import DatasetError
 from ..obs import span
@@ -72,6 +73,17 @@ def dataset_task(name: str) -> str:
     return _TASKS[name]
 
 
+def _feature_layout(graphs) -> dict:
+    """``dataset_load`` span attributes: how the features are stored
+    (``"csr"``, ``"dense"``, or ``"mixed"`` across a graph dataset) and
+    the bytes they take."""
+    layouts = {"csr" if issparse(g.x) else "dense" for g in graphs}
+    nbytes = sum(g.x.data.nbytes + g.x.indices.nbytes + g.x.indptr.nbytes
+                 if issparse(g.x) else g.x.nbytes for g in graphs)
+    return {"features": layouts.pop() if len(layouts) == 1 else "mixed",
+            "feature_bytes": int(nbytes)}
+
+
 def load_dataset(name: str, scale: float | None = None,
                  seed: int | np.random.Generator | None = 0) -> NodeDataset | GraphDataset:
     """Build the named dataset.
@@ -95,5 +107,6 @@ def load_dataset(name: str, scale: float | None = None,
         if sp is not None:
             graphs = dataset.graphs if isinstance(dataset, GraphDataset) else [dataset.graph]
             sp.set(nodes=sum(g.num_nodes for g in graphs),
-                   edges=sum(g.num_edges for g in graphs))
+                   edges=sum(g.num_edges for g in graphs),
+                   **_feature_layout(graphs))
     return dataset

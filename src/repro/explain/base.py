@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import ExplainerError
 from ..flows import FlowIndex, graph_fingerprint
@@ -52,8 +53,19 @@ CONTEXT_CACHE = LRUCache(maxsize=256)
 _CONTEXT_CACHE_ENABLED = [True]
 
 
-def feature_digest(x: np.ndarray) -> str:
-    """SHA-1 of a feature matrix's dtype, shape and values."""
+def feature_digest(x) -> str:
+    """SHA-1 of a feature matrix's dtype, shape and values.
+
+    A CSR matrix (the canonical form a :class:`~repro.graph.Graph`
+    stores, so equal matrices have equal arrays) is hashed over its
+    ``indptr``, ``indices`` and ``data``, never densified.
+    """
+    if sp.issparse(x):
+        h = hashlib.sha1(f"csr{x.dtype.str}{x.shape}".encode())
+        for part in (x.indptr, x.indices, x.data):
+            h.update(f"{part.dtype.str}{part.size}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        return h.hexdigest()
     x = np.ascontiguousarray(x)
     h = hashlib.sha1(f"{x.dtype.str}{x.shape}".encode())
     h.update(x.tobytes())

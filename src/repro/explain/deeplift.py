@@ -15,7 +15,7 @@ import numpy as np
 from ..autograd import Tensor, log_softmax
 from ..graph import Graph
 from ..nn.models import GNN
-from ..sparse import sparse_cache
+from ..sparse import feature_dense, sparse_cache
 from .base import Explainer, Explanation
 
 __all__ = ["DeepLIFT"]
@@ -43,12 +43,13 @@ class DeepLIFT(Explainer):
 
     def _attributions(self, graph: Graph, target: int | None) -> tuple[np.ndarray, int]:
         class_idx = self.predicted_class(graph, target=target)
-        x = Tensor(graph.x, requires_grad=True)
+        features = feature_dense(graph.x)
+        x = Tensor(features, requires_grad=True)
         logits = self.model.forward(x, graph.edge_index, graph.num_nodes,
                                     cache=sparse_cache(graph))
         log_probs = log_softmax(logits, axis=-1)
         row = target if target is not None else 0
         log_probs[row, class_idx].backward()
-        grads = x.grad if x.grad is not None else np.zeros_like(graph.x)
-        contributions = grads * (graph.x - self.baseline)
+        grads = x.grad if x.grad is not None else np.zeros_like(features)
+        contributions = grads * (features - self.baseline)
         return contributions.sum(axis=1), class_idx

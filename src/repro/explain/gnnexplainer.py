@@ -29,7 +29,7 @@ from ..autograd import Tensor, concat, log_softmax
 from ..graph import Graph
 from ..nn.models import GNN, LayerTrim
 from ..rng import ensure_rng
-from ..sparse import sparse_cache
+from ..sparse import feature_dense, sparse_cache
 from .base import Explainer, Explanation, check_int, check_real
 from .mask_loop import (forward_layer_edges, forward_layer_rows, hop_layer_edges, learn_masks,
                         mean_or_zero)
@@ -100,7 +100,7 @@ class GNNExplainer(Explainer):
             if raw_feature is None:
                 logits = self.model.forward_graph(graph, edge_masks=layer_masks, trim=trim)
             else:
-                x = Tensor(graph.x) * raw_feature.sigmoid()
+                x = Tensor(feature_dense(graph.x)) * raw_feature.sigmoid()
                 logits = self.model.forward(x, graph.edge_index, graph.num_nodes,
                                             edge_masks=layer_masks,
                                             cache=sparse_cache(graph), trim=trim)

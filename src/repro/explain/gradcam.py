@@ -14,7 +14,7 @@ import numpy as np
 from ..autograd import log_softmax
 from ..graph import Graph
 from ..nn.models import GNN
-from ..sparse import sparse_cache
+from ..sparse import feature_dense, sparse_cache
 from .base import Explainer, Explanation
 
 __all__ = ["GradCAM"]
@@ -44,7 +44,7 @@ class GradCAM(Explainer):
         class_idx = self.predicted_class(graph, target=target)
         # The model is frozen, so the tape must be rooted at the input for
         # intermediate gradients to exist.
-        x = Tensor(graph.x, requires_grad=True)
+        x = Tensor(feature_dense(graph.x), requires_grad=True)
         logits = self.model.forward(x, graph.edge_index, graph.num_nodes,
                                     cache=sparse_cache(graph))
         # Retain gradient on the final conv layer's embeddings.

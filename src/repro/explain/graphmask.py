@@ -20,6 +20,7 @@ from ..errors import ExplainerError
 from ..graph import Graph
 from ..nn.models import GNN
 from ..rng import ensure_rng
+from ..sparse import feature_dense
 from .base import Explainer, Explanation
 from .mask_loop import mean_or_zero, outcome_loss
 from .target import ExplainTarget, as_node_id
@@ -77,7 +78,7 @@ class GraphMask(Explainer):
     # ------------------------------------------------------------------
     def _layer_inputs(self, graph: Graph) -> list[np.ndarray]:
         """Per-layer gate-network inputs [h_src || h_dst] (data level)."""
-        embeddings = [graph.x] + self.model.node_embeddings(graph)[:-1]
+        embeddings = [feature_dense(graph.x)] + self.model.node_embeddings(graph)[:-1]
         feats = []
         for l in range(self.model.num_layers):
             h = embeddings[l]

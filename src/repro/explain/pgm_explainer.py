@@ -19,6 +19,7 @@ from ..errors import ExplainerError
 from ..graph import Graph
 from ..nn.models import GNN
 from ..rng import ensure_rng
+from ..sparse import feature_dense
 from .base import Explainer, Explanation, check_int, check_real
 
 __all__ = ["PGMExplainer"]
@@ -78,8 +79,9 @@ class PGMExplainer(Explainer):
         proba = self.model.predict_proba(graph)
         base_p = float((proba[target] if target is not None else proba[0])[class_idx])
 
-        replacement = np.zeros_like(graph.x) if self.perturb_mode == "zero" \
-            else np.broadcast_to(graph.x.mean(axis=0), graph.x.shape)
+        features = feature_dense(graph.x)
+        replacement = np.zeros_like(features) if self.perturb_mode == "zero" \
+            else np.broadcast_to(features.mean(axis=0), features.shape)
 
         perturbed_flags = np.zeros((self.num_samples, graph.num_nodes), dtype=bool)
         for s in range(self.num_samples):
@@ -120,7 +122,7 @@ class PGMExplainer(Explainer):
         for start in range(0, len(flags), self.BATCH_CHUNK):
             chunk = flags[start:start + self.BATCH_CHUNK]
             x_stack = np.where(chunk[:, :, None], replacement[None, :, :],
-                               graph.x[None, :, :])
+                               feature_dense(graph.x)[None, :, :])
             proba = self.model.predict_proba_batch(graph, x_stack=x_stack)
             p_samples[start:start + self.BATCH_CHUNK] = proba[:, row, class_idx]
         return p_samples

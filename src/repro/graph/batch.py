@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import GraphError
 from .data import Graph
@@ -23,7 +24,8 @@ class GraphBatch:
     Attributes
     ----------
     x:
-        ``(ΣN_i, F)`` stacked node features.
+        ``(ΣN_i, F)`` stacked node features: dense, or CSR when every
+        member's features are CSR (a mix raises :class:`GraphError`).
     edge_index:
         ``(2, ΣE_i)`` offset edge indices.
     batch:
@@ -47,7 +49,14 @@ class GraphBatch:
             edges.append(g.edge_index + offset)
             batch_ids.append(np.full(g.num_nodes, gid, dtype=np.int64))
             offset += g.num_nodes
-        self.x = np.concatenate(xs, axis=0)
+        sparse = [sp.issparse(x) for x in xs]
+        if all(sparse):
+            self.x = sp.vstack(xs, format="csr")
+        elif any(sparse):
+            raise GraphError("cannot batch CSR and dense node features together; "
+                             "give every graph the same feature layout")
+        else:
+            self.x = np.concatenate(xs, axis=0)
         self.edge_index = np.concatenate(edges, axis=1)
         self.batch = np.concatenate(batch_ids)
         self.num_nodes = offset

@@ -15,10 +15,38 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import GraphError
+from ..sparse.cache import FEATURE_DENSITY_CEILING
 
 __all__ = ["Graph"]
+
+
+def _stored_features(x) -> np.ndarray | sp.csr_matrix:
+    """``x`` as a :class:`Graph` stores it.
+
+    A dense ``x`` becomes a float64 array. A sparse one becomes a float64
+    CSR matrix in canonical form — sorted indices, no duplicates, no
+    explicit zeros: exactly ``sp.csr_matrix(x.toarray())`` — or a dense
+    array when it is denser than
+    :data:`~repro.sparse.cache.FEATURE_DENSITY_CEILING`, the rule
+    :func:`~repro.sparse.feature_csr` applies to a dense array, so a
+    graph's first-layer kernel does not depend on how its features
+    arrived. A matrix already in that form is kept as is (identity-keyed
+    memos then follow it); the caller's matrix is never modified.
+    """
+    if not sp.issparse(x):
+        return np.asarray(x, dtype=np.float64)
+    if not isinstance(x, sp.csr_matrix) or x.dtype != np.float64:
+        x = sp.csr_matrix(x, dtype=np.float64)
+    if not x.has_canonical_format or not x.data.all():
+        x = x.copy()
+        x.sum_duplicates()
+        x.eliminate_zeros()
+    if x.nnz / max(x.shape[0] * x.shape[1], 1) > FEATURE_DENSITY_CEILING:
+        return x.toarray()
+    return x
 
 
 @dataclass
@@ -30,7 +58,10 @@ class Graph:
     edge_index:
         ``(2, E)`` int array; row 0 holds source nodes, row 1 destinations.
     x:
-        ``(N, F)`` float node-feature matrix.
+        ``(N, F)`` float node features: a dense array, or a scipy sparse
+        matrix, stored as canonical CSR (see :func:`_stored_features`;
+        sparse bag-of-words features never take ``N·F`` dense bytes).
+        Read dense values through :func:`repro.sparse.feature_dense`.
     y:
         Labels — ``(N,)`` ints for node classification, scalar int for graph
         classification, or ``None``.
@@ -47,7 +78,7 @@ class Graph:
     """
 
     edge_index: np.ndarray
-    x: np.ndarray
+    x: np.ndarray | sp.csr_matrix
     y: np.ndarray | int | None = None
     num_nodes: int | None = None
     train_mask: np.ndarray | None = None
@@ -60,7 +91,7 @@ class Graph:
         self.edge_index = np.asarray(self.edge_index, dtype=np.int64)
         if self.edge_index.ndim != 2 or self.edge_index.shape[0] != 2:
             raise GraphError(f"edge_index must have shape (2, E), got {self.edge_index.shape}")
-        self.x = np.asarray(self.x, dtype=np.float64)
+        self.x = _stored_features(self.x)
         if self.x.ndim != 2:
             raise GraphError(f"x must have shape (N, F), got {self.x.shape}")
         if self.num_nodes is None:

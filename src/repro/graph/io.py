@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import GraphError
 from .data import Graph
@@ -19,12 +20,20 @@ __all__ = ["save_graph", "load_graph", "save_state_dict", "load_state_dict"]
 
 
 def save_graph(graph: Graph, path: str | Path) -> None:
-    """Serialize a :class:`Graph` to an ``.npz`` file."""
+    """Serialize a :class:`Graph` to an ``.npz`` file.
+
+    Dense features are stored as ``x``; CSR features as their arrays,
+    ``x_data`` / ``x_indices`` / ``x_indptr`` / ``x_shape``, so neither
+    form needs pickling.
+    """
     path = Path(path)
-    payload: dict[str, np.ndarray] = {
-        "edge_index": graph.edge_index,
-        "x": graph.x,
-    }
+    payload: dict[str, np.ndarray] = {"edge_index": graph.edge_index}
+    if sp.issparse(graph.x):
+        payload.update(x_data=graph.x.data, x_indices=graph.x.indices,
+                       x_indptr=graph.x.indptr,
+                       x_shape=np.array(graph.x.shape, dtype=np.int64))
+    else:
+        payload["x"] = graph.x
     if isinstance(graph.y, np.ndarray):
         payload["y_array"] = graph.y
     elif graph.y is not None:
@@ -58,9 +67,14 @@ def load_graph(path: str | Path) -> Graph:
         meta = {}
         if "meta_json" in data:
             meta = json.loads(bytes(data["meta_json"]).decode())
+        if "x" in data:
+            x = data["x"]
+        else:
+            x = sp.csr_matrix((data["x_data"], data["x_indices"], data["x_indptr"]),
+                              shape=tuple(int(n) for n in data["x_shape"]))
         return Graph(
             edge_index=data["edge_index"],
-            x=data["x"],
+            x=x,
             y=y,
             train_mask=data["train_mask"] if "train_mask" in data else None,
             val_mask=data["val_mask"] if "val_mask" in data else None,

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..errors import GraphError
 from ..rng import ensure_rng
+from ..sparse import feature_dense
 from .data import Graph
 from .utils import coalesce_edges
 
@@ -57,7 +58,7 @@ def perturb_features(graph: Graph, noise_std: float,
     """Add Gaussian noise to node features."""
     rng = ensure_rng(rng)
     out = graph.copy()
-    out.x = out.x + rng.normal(0.0, noise_std, size=out.x.shape)
+    out.x = feature_dense(out.x) + rng.normal(0.0, noise_std, size=out.x.shape)
     return out
 
 
@@ -69,7 +70,7 @@ def zero_features(graph: Graph, fraction: float,
     rng = ensure_rng(rng)
     out = graph.copy()
     mask = rng.random(graph.num_nodes) < fraction
-    out.x[mask] = 0.0
+    out.x = np.where(mask[:, None], 0.0, feature_dense(graph.x))
     return out
 
 

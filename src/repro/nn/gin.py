@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import MLP, Parameter, Tensor, spmm
+from ..autograd import MLP, Parameter, SparseLeaf, Tensor, spmm
 from ..rng import ensure_rng
-from ..sparse import GraphSparseCache
+from ..sparse import GraphSparseCache, feature_dense
 from .message_passing import GraphConv
 
 __all__ = ["GINConv"]
@@ -45,6 +45,13 @@ class GINConv(GraphConv):
         else:
             self.eps = None
             self._fixed_eps = 0.0
+
+    def forward(self, x: Tensor, *args, **kwargs) -> Tensor:
+        # GIN aggregates raw inputs before any weight, so CSR features
+        # (a SparseLeaf) enter dense: the same values, the same bits.
+        if isinstance(x, SparseLeaf):
+            x = Tensor(feature_dense(x.matrix))
+        return super().forward(x, *args, **kwargs)
 
     def message_parts(self, x: Tensor, cache: GraphSparseCache,
                       keep: np.ndarray | None = None) -> tuple[Tensor, Tensor | None]:

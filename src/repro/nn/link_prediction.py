@@ -18,7 +18,7 @@ from ..autograd import Adam, Module, Tensor, no_grad
 from ..errors import ModelError
 from ..graph import Graph
 from ..rng import ensure_rng
-from ..sparse import sparse_cache
+from ..sparse import feature_dense, sparse_cache
 from .gat import GATConv
 from .gcn import GCNConv
 from .gin import GINConv
@@ -86,8 +86,8 @@ class LinkPredictor(Module):
         # rather than letting each conv fall back to the bare-array memo:
         # sampled subgraphs preload this cache's degree vector with the
         # full graph's values, which is what makes the local forward exact.
-        return run_convs(self.convs, Tensor(graph.x), graph.edge_index, graph.num_nodes,
-                         edge_masks, sparse_cache(graph), trim)[-1]
+        return run_convs(self.convs, Tensor(feature_dense(graph.x)), graph.edge_index,
+                         graph.num_nodes, edge_masks, sparse_cache(graph), trim)[-1]
 
     def link_logits(self, graph: Graph, pairs: np.ndarray,
                     edge_masks: list[Tensor] | None = None,

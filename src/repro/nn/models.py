@@ -10,14 +10,15 @@ explainers drive.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
-from ..autograd import Linear, Module, Tensor, log_softmax, no_grad, softmax
+from ..autograd import Linear, Module, SparseLeaf, Tensor, log_softmax, no_grad, softmax
 from ..errors import ModelError, ShapeError
 from ..graph import Graph, GraphBatch
 from ..obs import PERF, span
 from ..obs.names import SPAN_MASKED_FORWARD_BATCH, STAGE_MASKED_FORWARD_BATCH
 from ..rng import ensure_rng
-from ..sparse import edge_cache, feature_csr, sparse_cache
+from ..sparse import edge_cache, feature_csr, feature_dense, sparse_cache
 from .gat import GATConv
 from .gcn import GCNConv
 from .gin import GINConv
@@ -107,7 +108,8 @@ class GNN(Module):
         Parameters
         ----------
         x:
-            ``(N, F)`` features (array or Tensor).
+            ``(N, F)`` features: an array, a CSR matrix (entering as a
+            constant :class:`~repro.autograd.SparseLeaf`) or a Tensor.
         edge_index:
             ``(2, E)`` directed edges (no self-loops; layers add their own).
         num_nodes:
@@ -135,10 +137,15 @@ class GNN(Module):
         PERF.single_forwards += 1
         if isinstance(x, Tensor):
             h = x
+        elif sp.issparse(x):
+            # CSR features stay sparse: the first layer's weight GEMM (and
+            # its adjoint, through the zero-copy CSC view) run over the
+            # nonzeros, and no layer reads them dense.
+            h = SparseLeaf(x, x.T)
         else:
             h = Tensor(x)
-            # Bag-of-words feature matrices get a memoized CSR twin so the
-            # first layer's weight GEMM (and its adjoint) run sparse.
+            # A sparse matrix handed over dense gets a memoized CSR twin,
+            # so its first layer runs the same sparse kernel.
             twin = feature_csr(h.data)
             if twin is not None:
                 h.annotate_sparse(*twin)
@@ -258,7 +265,7 @@ class GNN(Module):
             # cached plan; shared features enter as (N, 1, F), so layer
             # 1's projection runs once for the whole stack. Masks are
             # (E+N, B) column views, one column per row.
-            x = graph.x[:, None, :] if x_stack is None \
+            x = feature_dense(graph.x)[:, None, :] if x_stack is None \
                 else np.ascontiguousarray(x_stack.transpose(1, 0, 2))
             masks = None if mask_stack is None \
                 else [Tensor(mask_stack[:, l, :].T) for l in range(self.num_layers)]

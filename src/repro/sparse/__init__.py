@@ -14,15 +14,17 @@ The package has four small parts:
   :class:`GraphSparseCache` to each ``Graph``, plus the identity-keyed
   memos :func:`edge_cache` / :func:`plan_for` that give bare-array call
   sites (the autograd primitives) the same build-once-reuse-forever
-  plans, and :func:`feature_csr` giving sparse bag-of-words feature
-  matrices a CSR twin (with its CSC transpose view) for the first-layer
-  weight GEMM and its adjoint.
+  plans, :func:`feature_csr` giving a sparse feature matrix handed over
+  dense a CSR twin (with its CSC transpose view) for the first-layer
+  weight GEMM and its adjoint, and :func:`feature_dense`, its mirror: the
+  memoized dense read of CSR-stored features.
 """
 
 from .cache import (
     GraphSparseCache,
     edge_cache,
     feature_csr,
+    feature_dense,
     plan_for,
     sparse_cache,
 )
@@ -45,6 +47,7 @@ __all__ = [
     "edge_cache",
     "plan_for",
     "feature_csr",
+    "feature_dense",
     "augmented_edges",
     "num_layer_edges",
     "OPS",

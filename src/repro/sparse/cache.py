@@ -48,10 +48,11 @@ from ..errors import KernelError
 from .structure import SegmentPlan, augmented_edges
 
 __all__ = ["GraphSparseCache", "sparse_cache", "edge_cache", "plan_for",
-           "feature_csr"]
+           "feature_csr", "feature_dense", "FEATURE_DENSITY_CEILING"]
 
-#: Densest feature matrix worth a CSR twin: above this, BLAS on the dense
-#: array beats sparse matvecs and :func:`feature_csr` memoizes ``None``.
+#: Densest feature matrix worth storing sparse: above this, BLAS on the
+#: dense array beats sparse matvecs, so a :class:`~repro.graph.Graph`
+#: stores such features dense and :func:`feature_csr` memoizes ``None``.
 FEATURE_DENSITY_CEILING = 0.05
 
 
@@ -261,6 +262,7 @@ def _renumber(nodes: np.ndarray, rows: np.ndarray | None, verb: str) -> np.ndarr
 #: A miss is any lookup that had to compile a fresh structure.
 _MEMO_STATS: dict[str, list] = {
     "graph": [0, 0], "edge": [0, 0], "plan": [0, 0], "feature": [0, 0],
+    "dense": [0, 0],
 }
 
 
@@ -345,11 +347,11 @@ def memo_info() -> dict:
 
     ``graph`` counts :func:`sparse_cache` lookups (entries live on the
     graph objects, so no entry count is reported); ``edge`` /
-    ``plan`` / ``feature`` are the identity-keyed module memos. Feeds
+    ``plan`` / ``feature`` / ``dense`` are the identity-keyed module memos. Feeds
     :func:`repro.obs.summary.cache_summary`.
     """
     sizes = {"edge": len(_EDGE_MEMO), "plan": len(_PLAN_MEMO),
-             "feature": len(_FEATURE_MEMO)}
+             "feature": len(_FEATURE_MEMO), "dense": len(_DENSE_MEMO)}
     out = {}
     for name, (hits, misses) in _MEMO_STATS.items():
         entry = {"hits": hits, "misses": misses}
@@ -361,25 +363,29 @@ def memo_info() -> dict:
 
 # value: () = "inspected, too dense" so count_nonzero runs once per array.
 _FEATURE_MEMO: dict[tuple[int, int], tuple[weakref.ref, tuple]] = {}
+_DENSE_MEMO: dict[tuple[int, int], tuple[weakref.ref, np.ndarray]] = {}
 
 
 def feature_csr(x: np.ndarray) -> tuple[sp.csr_matrix, sp.csc_matrix] | None:
-    """Memoized sparse twin ``(matrix, matrix.T)`` of a sparse feature matrix.
+    """Memoized sparse twin ``(matrix, matrix.T)`` of a sparse *dense* array.
 
-    Bag-of-words node features (Cora: ~1.5% nonzero) make the first-layer
-    weight GEMM ``x @ W`` — and its adjoint ``x.T @ g`` — the most
-    expensive dense operations of a training epoch. When ``x`` is a 2-D
-    float64 array no denser than :data:`FEATURE_DENSITY_CEILING`, this
-    returns a CSR copy and its transpose for
-    :meth:`Tensor.annotate_sparse <repro.autograd.Tensor.annotate_sparse>`
-    to route the matmul through; otherwise ``None``. The transpose is the
-    zero-copy CSC view ``matrix.T``: its product walks ``g``'s rows in node
-    order and adds into the small ``(F, hidden)`` output, where a CSR copy
-    of the transpose would read ``g``'s rows in scattered order. Each
-    output entry sums the same products in the same increasing-node order
-    either way, so the bits match. Identity-keyed like :func:`plan_for`:
-    the density scan and conversion run once per array object, and
-    entries die with their arrays.
+    Sparse features are stored as CSR from the start (bag-of-words
+    surrogates, :class:`~repro.graph.Graph`'s canonical form), so this
+    memo serves the features a caller hands over as a dense array. When
+    ``x`` is a 2-D float64 array no denser than
+    :data:`FEATURE_DENSITY_CEILING`, this returns a CSR copy and its
+    transpose for :meth:`Tensor.annotate_sparse
+    <repro.autograd.Tensor.annotate_sparse>` to route the first-layer
+    weight GEMM ``x @ W`` — and its adjoint ``x.T @ g`` — through;
+    otherwise ``None``. The CSR copy is the canonical form a ``Graph``
+    stores, so a dense array and its CSR twin give the same bits. The
+    transpose is the zero-copy CSC view ``matrix.T``: its product walks
+    ``g``'s rows in node order and adds into the small ``(F, hidden)``
+    output, where a CSR copy of the transpose would read ``g``'s rows in
+    scattered order. Each output entry sums the same products in the same
+    increasing-node order either way, so the bits match. Identity-keyed
+    like :func:`plan_for`: the density scan and conversion run once per
+    array object, and entries die with their arrays.
     """
     if not isinstance(x, np.ndarray) or x.ndim != 2 or x.dtype != np.float64:
         return None
@@ -394,3 +400,24 @@ def feature_csr(x: np.ndarray) -> tuple[sp.csr_matrix, sp.csc_matrix] | None:
             hit = ()
         _memo_put(_FEATURE_MEMO, key, x, hit)
     return hit or None
+
+
+def feature_dense(x) -> np.ndarray:
+    """``x`` as a dense ``(N, F)`` array: the one dense read of features.
+
+    The mirror of :func:`feature_csr`. A dense array is returned as is; a
+    sparse matrix's ``toarray()`` is memoized on the matrix's identity, so
+    every consumer that needs dense features (batched masked forwards,
+    GIN's raw-feature aggregation, gradient and feature-mask explainers)
+    shares one copy, and the entry dies with its matrix. Callers must
+    treat the result as read-only.
+    """
+    if not sp.issparse(x):
+        return x
+    key = (id(x), x.shape[0])
+    dense = _memo_get(_DENSE_MEMO, key, x, "dense")
+    if dense is None:
+        dense = x.toarray()
+        dense.flags.writeable = False
+        _memo_put(_DENSE_MEMO, key, x, dense)
+    return dense

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import Tape, Tensor, concat, propagate, stack, where
+from repro.autograd import SparseLeaf, Tape, Tensor, concat, propagate, stack, where
 from repro.autograd import functional as F
 from repro.autograd import tensor as T
 from repro.errors import AutogradError
@@ -53,6 +53,7 @@ OPS = {
     "__matmul__[stacked]": ([leaf((3, 2, 4)), leaf((4, 2))], lambda a, b: a @ b),
     "__matmul__[sparse]": ([leaf((5, 2))], lambda b: Tensor(CACHE.adj_norm.toarray())
                            .annotate_sparse(CACHE.adj_norm, CACHE.adj_norm_t) @ b),
+    "SparseLeaf": ([leaf((5, 2))], lambda b: SparseLeaf(CACHE.adj_norm, CACHE.adj_norm_t) @ b),
     "__getitem__": ([leaf((3, 4))], lambda a: a[np.array([0, 2, 2]), 1:3]),
     "exp": ([leaf((3, 4))], lambda a: a.exp()),
     "log": ([leaf((3, 4), "pos")], lambda a: a.log()),

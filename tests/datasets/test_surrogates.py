@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.datasets import bbbp, citation_surrogate, citeseer, cora, mutag, pubmed
 
@@ -24,14 +25,16 @@ class TestCitationSurrogates:
         assert same > 0.6
 
     def test_features_binary_sparse(self, small_cora):
-        x = small_cora.graph.x
+        assert sp.issparse(small_cora.graph.x)  # stored as CSR
+        x = small_cora.graph.x.toarray()
         assert set(np.unique(x)) <= {0.0, 1.0}
         assert x.mean() < 0.3  # sparse bag of words
 
     def test_features_class_correlated(self, small_cora):
         g = small_cora.graph
         # mean feature vector of a class should be most similar to itself
-        means = np.stack([g.x[g.y == c].mean(axis=0) for c in range(7)])
+        x = g.x.toarray()
+        means = np.stack([x[g.y == c].mean(axis=0) for c in range(7)])
         sims = means @ means.T
         assert (sims.argmax(axis=1) == np.arange(7)).mean() > 0.7
 

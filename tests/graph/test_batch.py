@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.errors import GraphError
 from repro.graph import Graph, GraphBatch
@@ -72,3 +73,32 @@ class TestMinibatches:
         graphs = [small(0), small(1)]
         batches = list(GraphBatch.iter_minibatches(graphs, 100))
         assert len(batches) == 1
+
+
+class TestSparseFeatures:
+    @staticmethod
+    def sparse(label, n=30, seed=0):
+        x = sp.random(n, 40, density=0.03, random_state=seed, format="csr")
+        edges = np.array([list(range(n - 1)), list(range(1, n))])
+        return Graph(edge_index=edges, x=x, y=label)
+
+    def test_csr_graphs_stack_as_csr(self):
+        graphs = [self.sparse(0, seed=0), self.sparse(1, n=20, seed=1)]
+        assert all(sp.issparse(g.x) for g in graphs)
+        batch = GraphBatch(graphs)
+        assert isinstance(batch.x, sp.csr_matrix) and batch.x.shape == (50, 40)
+        stacked = np.concatenate([g.x.toarray() for g in graphs])
+        assert batch.x.toarray().tobytes() == stacked.tobytes()
+
+    def test_a_graph_model_runs_on_a_csr_batch(self):
+        from repro.nn import build_model
+
+        graphs = [self.sparse(0, seed=0), self.sparse(1, n=20, seed=1)]
+        dense = [Graph(edge_index=g.edge_index, x=g.x.toarray(), y=g.y) for g in graphs]
+        model = build_model("gcn", "graph", 40, 2, hidden=8, rng=0)
+        got = model.forward_batch(GraphBatch(graphs)).numpy()
+        assert got.tobytes() == model.forward_batch(GraphBatch(dense)).numpy().tobytes()
+
+    def test_mixed_layouts_raise(self):
+        with pytest.raises(GraphError, match="CSR and dense"):
+            GraphBatch([self.sparse(0), Graph(edge_index=np.zeros((2, 0)), x=np.ones((3, 40)))])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.errors import GraphError
 from repro.graph import Graph
@@ -138,3 +139,55 @@ class TestCopy:
         c = g.copy()
         c.train_mask[0] = False
         assert g.train_mask[0]
+
+
+class TestSparseFeatures:
+    """A sparse ``x`` is stored as canonical float64 CSR — or dense, above
+    the density ceiling — and the caller's matrix is left alone."""
+
+    @staticmethod
+    def messy(num_nodes=40, num_features=50):
+        # Unsorted column indices, a duplicate entry and an explicit zero.
+        rows = np.array([0, 0, 0, 3, 3, 7])
+        cols = np.array([9, 2, 9, 4, 1, 0])
+        vals = np.array([1.0, 2.0, 0.5, 0.0, 3.0, 4.0])
+        order = np.lexsort((-cols, rows))
+        indptr = np.searchsorted(rows[order], np.arange(num_nodes + 1))
+        return sp.csr_matrix((vals[order], cols[order], indptr),
+                             shape=(num_nodes, num_features))
+
+    def test_stored_in_canonical_form(self):
+        x = self.messy()
+        before = [a.copy() for a in (x.indptr, x.indices, x.data)]
+        g = make_graph(x=x)
+        expected = sp.csr_matrix(x.toarray())
+        assert isinstance(g.x, sp.csr_matrix) and g.x.dtype == np.float64
+        for name in ("indptr", "indices", "data"):
+            assert getattr(g.x, name).tobytes() == getattr(expected, name).tobytes()
+        for old, new in zip(before, (x.indptr, x.indices, x.data)):
+            assert np.array_equal(old, new)  # the caller's matrix is untouched
+
+    def test_other_sparse_formats_become_csr(self):
+        x = self.messy().tocoo().astype(np.float32)
+        g = make_graph(x=x)
+        assert isinstance(g.x, sp.csr_matrix) and g.x.dtype == np.float64
+        assert np.array_equal(g.x.toarray(), x.toarray())
+
+    def test_denser_than_the_ceiling_is_stored_dense(self):
+        x = sp.csr_matrix(np.eye(40, 50))  # 2% nonzero
+        assert sp.issparse(make_graph(x=x).x)
+        x = np.zeros((40, 10))
+        x[:, 0] = 1.0
+        x = sp.csr_matrix(x)  # 10% nonzero
+        g = make_graph(x=x)
+        assert type(g.x) is np.ndarray
+        assert g.x.tobytes() == x.toarray().tobytes()
+
+    def test_a_dense_x_stays_dense(self):
+        x = np.eye(40, 50)
+        assert type(make_graph(x=x).x) is np.ndarray
+
+    def test_copy_and_with_edges_keep_csr(self):
+        g = make_graph(x=self.messy())
+        assert sp.issparse(g.copy().x) and g.copy().x is not g.x
+        assert g.with_edges(np.ones(g.num_edges, dtype=bool)).x is g.x

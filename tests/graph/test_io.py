@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.errors import GraphError
 from repro.graph import Graph, load_graph, load_state_dict, save_graph, save_state_dict
@@ -70,3 +71,25 @@ class TestStateDictIO:
         for (n1, p1), (n2, p2) in zip(model.named_parameters(), twin.named_parameters()):
             assert n1 == n2
             assert np.allclose(p1.numpy(), p2.numpy())
+
+
+class TestSparseFeatureIO:
+    def test_csr_roundtrip_is_byte_exact(self, tmp_path):
+        from repro.datasets import cora
+
+        g = cora(scale=0.1, seed=0).graph
+        assert sp.issparse(g.x)
+        save_graph(g, tmp_path / "g.npz")
+        with np.load(tmp_path / "g.npz", allow_pickle=False) as data:
+            assert {"x_data", "x_indices", "x_indptr", "x_shape"} <= set(data.files)
+            assert "x" not in data.files
+        back = load_graph(tmp_path / "g.npz")
+        assert isinstance(back.x, sp.csr_matrix) and back.x.shape == g.x.shape
+        for name in ("indptr", "indices", "data"):
+            assert getattr(back.x, name).tobytes() == getattr(g.x, name).tobytes()
+        assert np.array_equal(back.edge_index, g.edge_index)
+
+    def test_dense_features_keep_the_x_entry(self, tmp_path):
+        save_graph(full_graph(), tmp_path / "g.npz")
+        with np.load(tmp_path / "g.npz", allow_pickle=False) as data:
+            assert "x" in data.files and "x_data" not in data.files

@@ -98,3 +98,27 @@ class TestShuffleLabels:
         graph.y = None
         with pytest.raises(GraphError):
             shuffle_labels(graph)
+
+
+class TestSparseFeatures:
+    """Feature transforms read CSR features densely and give the bytes the
+    dense twin gives; the input graph is left as it was."""
+
+    @pytest.fixture
+    def twins(self):
+        from repro.datasets import cora
+
+        graph = cora(scale=0.1, seed=0).graph
+        dense = Graph(edge_index=graph.edge_index, x=graph.x.toarray(), y=graph.y)
+        return graph, dense
+
+    @pytest.mark.parametrize("transform", [lambda g: perturb_features(g, 0.1, rng=0),
+                                           lambda g: zero_features(g, 0.5, rng=0)],
+                             ids=["perturb", "zero"])
+    def test_csr_matches_the_dense_twin(self, twins, transform):
+        graph, dense = twins
+        before = graph.x.toarray()
+        out = transform(graph)
+        assert out.x.tobytes() == transform(dense).x.tobytes()
+        assert np.array_equal(graph.x.toarray(), before)
+        assert out.x.flags.writeable

@@ -117,11 +117,12 @@ class TestFeatureCsr:
         """A GCN trained on bag-of-words features ends with the same weight
         bytes whichever transpose its first layer's adjoint runs over."""
         import repro.nn.models as models
+        from repro.autograd import SparseLeaf
         from repro.datasets import cora
         from repro.nn import Trainer, build_model
 
         graph = cora(scale=0.1, seed=0).graph
-        assert feature_csr(graph.x) is not None
+        assert sp.issparse(graph.x)  # enters the forward as a SparseLeaf
 
         def train():
             model = build_model("gcn", "node", graph.num_features, 7, hidden=16, rng=0)
@@ -130,9 +131,13 @@ class TestFeatureCsr:
 
         shipped = train()
 
-        def copied_twin(x):
-            twin = feature_csr(x)
-            return None if twin is None else (twin[0], sp.csr_matrix(twin[0].T))
+        def copied_leaf(matrix, matrix_t):
+            assert matrix_t.format == "csc"  # the zero-copy view
+            return SparseLeaf(matrix, sp.csr_matrix(matrix.T))
 
-        monkeypatch.setattr(models, "feature_csr", copied_twin)
+        monkeypatch.setattr(models, "SparseLeaf", copied_leaf)
+        assert train() == shipped
+        # The same features handed over dense take feature_csr's twin.
+        graph.x = graph.x.toarray()
+        assert feature_csr(graph.x) is not None
         assert train() == shipped
