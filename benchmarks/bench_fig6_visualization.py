@@ -12,7 +12,7 @@ import pytest
 
 from repro.eval import Instance, build_instances
 from repro.eval.experiments import method_config
-from repro.explain import make_explainer
+from repro.explain import GroupExplainer, make_explainer
 from repro.nn.zoo import get_model
 from repro.viz import explanation_summary, render_explanation
 
@@ -37,12 +37,8 @@ def test_fig6_case(benchmark, dataset_name, conv):
         for method in METHODS:
             explainer = make_explainer(method, model, seed=0,
                                        **method_config(method, 0.1))
-            if hasattr(explainer, "fit"):
-                if model.task == "node":
-                    ctx = explainer.node_context(inst.graph, inst.target)
-                    explainer.fit([(ctx.subgraph, ctx.local_target)])
-                else:
-                    explainer.fit([(inst.graph, None)])
+            if isinstance(explainer, GroupExplainer):
+                explainer.fit([explainer.fit_instance(inst.graph, inst.target)])
             out.append(explainer.explain(inst.graph, target=inst.target))
         return out
 

@@ -6,9 +6,9 @@ map to parameters (one per flow, or tied to ``k + 1`` slots). Everything
 else — the Eq. 4/5 flow→edge transform, the Eq. 8/9 regularizer, the
 counterfactual flip and the edge transfer — is :func:`optimize_flow_masks`,
 which runs them on the one loop every mask learner shares
-(:func:`repro.explain.mask_loop.learn_masks`: Adam, the Eq. 1/2 objective,
-the optimize/epoch spans and the loss ``meta``). Callers pass the instance
-as a closure from per-layer edge masks to ``log P(explained outcome)``.
+(:func:`repro.explain.mask_loop.learn_masks`: Adam, the optimize/epoch
+spans, the loss ``meta``) with the Eq. 1/2 objective. Callers pass the
+instance as a closure from per-layer edge masks to ``log P(outcome)``.
 
 The loop is flow-trimmed: layer ``l``'s masked forward runs over only the
 layer edges a flow crosses there (``FlowIndex.used_layer_edge_ids``), the
@@ -32,7 +32,7 @@ from ..autograd import Tensor
 from ..errors import ExplainerError
 from ..explain.base import Explanation, check_int, check_real
 from ..explain.flow_common import layer_scores_to_edge_scores
-from ..explain.mask_loop import forward_layer_edges, forward_layer_rows, learn_masks
+from ..explain.mask_loop import forward_layer_edges, forward_layer_rows, learn_masks, outcome_loss
 from ..flows import FlowIndex
 from ..nn.models import LayerTrim
 
@@ -145,17 +145,17 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
     def flow_masks() -> Tensor:
         return params if slot is None else params.gather_rows(slot)
 
-    def step() -> tuple[Tensor, Tensor]:
+    def step() -> Tensor:
         omega_e = settings.layer_edge_scores(flow_masks(), w, flow_index)
         log_p = log_prob([omega_e[l, ids] for l, ids in enumerate(kept)])
         if mode == "factual":
             regularizer = (omega_e * used_tensor).sum() / num_used          # Eq. (8)
         else:
             regularizer = ((1.0 - omega_e) * used_tensor).sum() / num_used  # Eq. (9)
-        return log_p, settings.alpha * regularizer
+        return outcome_loss(log_p, mode) + settings.alpha * regularizer
 
     loss_meta = learn_masks([params, w], step, epochs=settings.epochs, lr=settings.lr,
-                            mode=mode, num_flows=flow_index.num_flows)
+                            num_flows=flow_index.num_flows)
 
     # Final scores (no gradient needed).
     masks = flow_masks()

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field, replace
 from ..datasets import GraphDataset, NodeDataset, load_dataset
 from ..errors import EvaluationError
 from ..execution import ExecutionConfig, reject_driver_kwargs
-from ..explain import make_explainer
-from ..explain.base import Explainer
+from ..explain import GroupExplainer, make_explainer
 from ..explain.target import ExplainTarget, as_node_id
 from ..nn.models import GNN
 from ..nn.zoo import get_model
@@ -174,21 +173,6 @@ def build_instances(dataset: NodeDataset | GraphDataset, n: int, *,
     return instances[:n]
 
 
-def _fit_if_group_method(explainer: Explainer, instances: list[Instance],
-                         mode: str) -> None:
-    """PGExplainer / GraphMask train once over the instance group."""
-    if not hasattr(explainer, "fit"):
-        return
-    pairs = []
-    for inst in instances:
-        if explainer.model.task == "node":
-            ctx = explainer.node_context(inst.graph, as_node_id(inst.target))
-            pairs.append((ctx.subgraph, ctx.local_target))
-        else:
-            pairs.append((inst.graph, None))
-    explainer.fit(pairs, mode=mode)
-
-
 def run_explainer(method: str, model: GNN, instances: list[Instance], *,
                   mode: str = "factual", effort: float | None = None,
                   alpha: float = 0.05, seed: int = 0) -> TimingResult:
@@ -196,9 +180,10 @@ def run_explainer(method: str, model: GNN, instances: list[Instance], *,
     effort = effort if effort is not None else _effort()
     explainer = make_explainer(method, model, seed=seed,
                                **method_config(method, effort, alpha=alpha))
-    if hasattr(explainer, "fit"):
+    if isinstance(explainer, GroupExplainer):
         with span(SPAN_FIT, method=method):
-            _fit_if_group_method(explainer, instances, mode)
+            explainer.fit([explainer.fit_instance(i.graph, i.target) for i in instances],
+                          mode=mode)
     # Methods without a counterfactual objective reuse factual scores
     # ("we use the original explanations provided by …", §V-B).
     run_mode = mode if explainer.supports_counterfactual else "factual"

@@ -13,6 +13,7 @@ from .gnn_lrp import GNNLRP
 from .gnnexplainer import GNNExplainer
 from .gradcam import GradCAM
 from .graphmask import GraphMask
+from .group import GroupExplainer
 from .io import load_explanation, save_explanation
 from .pgexplainer import PGExplainer
 from .pgm_explainer import PGMExplainer
@@ -30,6 +31,7 @@ __all__ = [
     "GradCAM",
     "DeepLIFT",
     "GNNExplainer",
+    "GroupExplainer",
     "PGExplainer",
     "GraphMask",
     "PGMExplainer",

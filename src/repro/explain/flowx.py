@@ -10,8 +10,8 @@ Two stages, following the paper's description (§II of the Revelio paper):
    flows"). This yields Shapley-style per-flow initial scores — the reason
    FlowX's reported flow values are tiny (Table VI).
 2. **Learning refinement.** The flow scores seed learnable flow masks which
-   are fine-tuned with the same masked-forward objective Revelio uses
-   (factual Eq. 1 / counterfactual Eq. 2).
+   are fine-tuned with the same masked-forward objective (Eq. 1 / Eq. 2),
+   loop (``learn_masks``) and flow trim that Revelio uses.
 
 Cost profile: stage 1 is ``O(S · L · |E| · T_Φ)`` forwards — the dominant
 term of Table II — so FlowX remains much slower than Revelio on dense
@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Adam, Tensor, log_softmax
+from ..autograd import Tensor, log_softmax
 from ..flows import FlowIndex, cached_enumerate_flows
 from ..graph import Graph
-from ..nn.models import GNN
+from ..nn.models import GNN, LayerTrim
 from ..rng import ensure_rng
 from .base import Explainer, Explanation, check_int, check_real
 from .flow_common import flow_scores_to_edge_scores, masked_probability_batch
-from .mask_loop import outcome_loss
+from .mask_loop import forward_layer_edges, forward_layer_rows, learn_masks, outcome_loss
 
 __all__ = ["FlowX"]
 
@@ -147,20 +147,10 @@ class FlowX(Explainer):
         init = np.arctanh(np.clip(shapley / scale, -0.99, 0.99)) if scale > 0 else \
             rng.normal(0.0, 0.1, size=flow_index.num_flows)
         masks = Tensor(init, requires_grad=True)
-        optimizer = Adam([masks], lr=self.lr)
-        row = target if target is not None else 0
-
-        for _ in range(self.finetune_epochs):
-            optimizer.zero_grad()
-            omega_f = masks.tanh()
-            omega_e = flow_index.aggregate_scores(omega_f).sigmoid()
-            layer_masks = [omega_e[l] for l in range(flow_index.num_layers)]
-            log_probs = log_softmax(
-                self.model.forward_graph(graph, edge_masks=layer_masks), axis=-1
-            )
-            loss = outcome_loss(log_probs[row, class_idx], mode)
-            loss.backward()
-            optimizer.step()
+        meta = {"params": {"samples": self.samples, "finetune_epochs": self.finetune_epochs},
+                "num_flows": flow_index.num_flows}
+        if self.finetune_epochs:
+            meta.update(self._refine(graph, flow_index, masks, class_idx, target, mode))
 
         learned = masks.tanh().numpy().copy()
         # Report on the Shapley scale (the original implementation's output
@@ -175,7 +165,29 @@ class FlowX(Explainer):
             mode=mode,
             flow_scores=flow_scores,
             flow_index=flow_index,
-            meta={"params": {"samples": self.samples,
-                             "finetune_epochs": self.finetune_epochs},
-                  "num_flows": flow_index.num_flows},
+            meta=meta,
         )
+
+    def _refine(self, graph: Graph, flow_index: FlowIndex, masks: Tensor, class_idx: int,
+                target: int | None, mode: str) -> dict:
+        """Fine-tune ``masks`` on Eq. 1/2 alone (Eqs. 4/5 without ``w_l``); returns ``meta``."""
+        kept = flow_index.used_layer_edge_ids()
+        trim, row = LayerTrim(kept), target if target is not None else 0
+
+        def edge_masks() -> Tensor:
+            return flow_index.aggregate_scores(masks.tanh()).sigmoid()
+
+        def step() -> Tensor:
+            omega_e = edge_masks()
+            logits = self.model.forward_graph(
+                graph, edge_masks=[omega_e[l, ids] for l, ids in enumerate(kept)], trim=trim)
+            return outcome_loss(log_softmax(logits, axis=-1)[row, class_idx], mode)
+
+        loss_meta = learn_masks([masks], step, epochs=self.finetune_epochs, lr=self.lr,
+                                num_flows=flow_index.num_flows)
+        omega_e = edge_masks().numpy()[flow_index.used_layer_edges()]
+        if mode == "counterfactual":
+            omega_e = 1.0 - omega_e
+        return {**loss_meta, "mean_edge_mask": float(omega_e.mean()),
+                "forward_layer_edges": forward_layer_edges(kept, flow_index.num_layer_edges),
+                "forward_layer_rows": forward_layer_rows(trim, flow_index.num_nodes)}

@@ -32,7 +32,7 @@ from ..rng import ensure_rng
 from ..sparse import feature_dense, sparse_cache
 from .base import Explainer, Explanation, check_int, check_real
 from .mask_loop import (forward_layer_edges, forward_layer_rows, hop_layer_edges, learn_masks,
-                        mean_or_zero)
+                        mean_or_zero, outcome_loss)
 
 __all__ = ["GNNExplainer"]
 
@@ -93,7 +93,7 @@ class GNNExplainer(Explainer):
         trim = LayerTrim(kept)
         row = target if target is not None else 0
 
-        def step() -> tuple[Tensor, Tensor]:
+        def step() -> Tensor:
             mask = raw_mask.sigmoid()
             layer_mask = concat([mask, loop_block])
             layer_masks = [layer_mask.gather_rows(ids) for ids in kept]
@@ -111,9 +111,9 @@ class GNNExplainer(Explainer):
             regularizer = self.size_weight * size + self.entropy_weight * entropy
             if raw_feature is not None:
                 regularizer = regularizer + self.feature_size_weight * raw_feature.sigmoid().sum()
-            return log_p, regularizer
+            return outcome_loss(log_p, mode) + regularizer
 
-        loss_meta = learn_masks(params, step, epochs=self.epochs, lr=self.lr, mode=mode,
+        loss_meta = learn_masks(params, step, epochs=self.epochs, lr=self.lr,
                                 num_edges=graph.num_edges)
 
         scores = raw_mask.sigmoid().numpy().copy()

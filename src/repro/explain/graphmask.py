@@ -15,20 +15,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import MLP, Adam, Sigmoid, Tensor, concat, log_softmax
+from ..autograd import MLP, Sigmoid, Tensor, concat
 from ..errors import ExplainerError
 from ..graph import Graph
 from ..nn.models import GNN
-from ..rng import ensure_rng
 from ..sparse import feature_dense
-from .base import Explainer, Explanation
+from .base import Explanation, check_int, check_real
+from .group import GroupExplainer, GroupMember
 from .mask_loop import mean_or_zero, outcome_loss
-from .target import ExplainTarget, as_node_id
 
 __all__ = ["GraphMask"]
 
 
-class GraphMask(Explainer):
+class GraphMask(GroupExplainer):
     """Layer-wise message gating trained over a group of instances.
 
     Parameters
@@ -47,7 +46,6 @@ class GraphMask(Explainer):
     """
 
     name = "graphmask"
-    supports_counterfactual = True
 
     # Hard-concrete stretch interval and temperature (reference values).
     _GAMMA, _ZETA, _BETA = -0.1, 1.1, 2.0 / 3.0
@@ -55,14 +53,13 @@ class GraphMask(Explainer):
     def __init__(self, model: GNN, epochs: int = 200, lr: float = 1e-2,
                  sparsity_weight: float = 0.05, hidden: int = 32,
                  gate: str = "sigmoid", seed: int = 0):
-        super().__init__(model, seed=seed)
         if gate not in ("sigmoid", "hard_concrete"):
             raise ExplainerError(f"unknown gate type {gate!r}")
-        self.epochs = epochs
-        self.lr = lr
+        check_real("sparsity_weight", sparsity_weight, 0)
+        check_int("hidden", hidden, 1)
+        super().__init__(model, epochs=epochs, lr=lr, seed=seed)
         self.sparsity_weight = sparsity_weight
         self.gate_type = gate
-        self._rng = ensure_rng(seed)
         # One gate network per GNN layer; layer 1 sees raw features, deeper
         # layers see hidden embeddings. Sigmoid gates squash in the MLP;
         # hard-concrete gates keep raw logits and transform them below.
@@ -72,29 +69,28 @@ class GraphMask(Explainer):
             final = Sigmoid() if gate == "sigmoid" else None
             self.gates.append(MLP([in_dim, hidden, 1], rng=self._rng,
                                   final_activation=final))
-        self.fitted = False
-        self.train_seconds: float | None = None
 
     # ------------------------------------------------------------------
-    def _layer_inputs(self, graph: Graph) -> list[np.ndarray]:
-        """Per-layer gate-network inputs [h_src || h_dst] (data level)."""
+    def _gate_outputs(self, graph: Graph) -> list[Tensor]:
+        """Each layer's gate-network output per data edge, from its input
+        ``[h_src || h_dst]``: the gates themselves (sigmoid) or their
+        logits (hard concrete)."""
         embeddings = [feature_dense(graph.x)] + self.model.node_embeddings(graph)[:-1]
-        feats = []
-        for l in range(self.model.num_layers):
-            h = embeddings[l]
-            feats.append(np.concatenate([h[graph.src], h[graph.dst]], axis=1))
-        return feats
+        return [gate(Tensor(np.concatenate([h[graph.src], h[graph.dst]], axis=1))).reshape(-1)
+                for gate, h in zip(self.gates, embeddings)]
 
-    def _hard_concrete(self, logits: Tensor, training: bool) -> Tensor:
-        """Stretched, clipped (hard) concrete gate from raw logits.
+    def _logistic_noise(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The hard-concrete relaxation's noise, from the explainer's generator."""
+        u = self._rng.uniform(1e-6, 1.0 - 1e-6, size=shape)
+        return np.log(u) - np.log(1.0 - u)
 
-        Training draws the stochastic relaxation; evaluation uses the
-        deterministic expected gate.
-        """
+    def _hard_concrete(self, logits: Tensor, training: bool,
+                       noise: Tensor | None = None) -> Tensor:
+        """Stretched, clipped (hard) concrete gate from raw logits: sampled
+        with logistic ``noise`` (a fresh draw if none) in training, else expected."""
         gamma, zeta, beta = self._GAMMA, self._ZETA, self._BETA
         if training:
-            u = self._rng.uniform(1e-6, 1.0 - 1e-6, size=logits.shape)
-            noise = Tensor(np.log(u) - np.log(1.0 - u))
+            noise = noise if noise is not None else Tensor(self._logistic_noise(logits.shape))
             s = ((logits + noise) / beta).sigmoid()
         else:
             s = logits.sigmoid()
@@ -106,102 +102,48 @@ class GraphMask(Explainer):
         shift = self._BETA * np.log(-self._GAMMA / self._ZETA)
         return (logits - shift).sigmoid()
 
-    def _gate_masks(self, graph: Graph, training: bool = False) -> list[Tensor]:
-        """Per-layer (E+N,) masks: gated data edges + always-open loops."""
-        feats = self._layer_inputs(graph)
-        loop_block = Tensor(np.ones(graph.num_nodes))
-        masks = []
-        self._last_logits: list[Tensor] = []
-        for l in range(self.model.num_layers):
-            out = self.gates[l](Tensor(feats[l])).reshape(-1)
-            if self.gate_type == "hard_concrete":
-                self._last_logits.append(out)
-                gate = self._hard_concrete(out, training)
-            else:
-                gate = out
-            masks.append(concat([gate, loop_block]))
-        return masks
-
     # ------------------------------------------------------------------
-    def fit(self, instances: list[tuple[Graph, int | None]], mode: str = "factual",
-            verbose: bool = False) -> "GraphMask":
-        """Train gate networks on ``(graph, target)`` instances."""
-        import time as _time
+    def _group_loss(self, members: list[GroupMember], mode: str):
+        # The gate networks' frozen inputs are built once, when epoch 1 is
+        # recorded. Set per epoch by refresh(): the hard-concrete noise.
+        hard = self.gate_type == "hard_concrete"
+        noises = [[Tensor(np.zeros(m.graph.num_edges)) for _ in self.gates] for m in members]
 
-        t0 = _time.perf_counter()
-        params = [p for g in self.gates for p in g.parameters()]
-        optimizer = Adam(params, lr=self.lr)
-        contexts = [(g, t, self.predicted_class(g, target=t)) for g, t in instances]
+        def refresh(epoch: int) -> None:
+            for noise in (n for layer_noises in noises for n in layer_noises):
+                noise.data = self._logistic_noise(noise.shape)
 
-        for epoch in range(self.epochs):
-            optimizer.zero_grad()
-            total = None
-            for graph, target, class_idx in contexts:
-                masks = self._gate_masks(graph, training=True)
-                log_probs = log_softmax(
-                    self.model.forward_graph(graph, edge_masks=masks), axis=-1
-                )
-                row = target if target is not None else 0
-                log_p = log_probs[row, class_idx]
+        def losses():
+            for member, noise in zip(members, noises):
+                outputs = self._gate_outputs(member.graph)
+                gates = [self._hard_concrete(out, True, n) for out, n in zip(outputs, noise)] \
+                    if hard else outputs
+                loops = Tensor(np.ones(member.graph.num_nodes))
+                log_p = member.log_p(self.model, [concat([gate, loops]) for gate in gates])
                 open_gates = None
-                if self.gate_type == "hard_concrete":
-                    for logits in self._last_logits:
-                        s = mean_or_zero(self._l0_penalty(logits))
-                        open_gates = s if open_gates is None else open_gates + s
-                else:
-                    for m in masks:
-                        s = mean_or_zero(m[:graph.num_edges])
-                        open_gates = s if open_gates is None else open_gates + s
+                for out in outputs:
+                    s = mean_or_zero(self._l0_penalty(out) if hard else out)
+                    open_gates = s if open_gates is None else open_gates + s
                 open_gates = open_gates / self.model.num_layers
                 if mode == "counterfactual":
                     open_gates = 1.0 - open_gates
-                loss = outcome_loss(log_p, mode) + self.sparsity_weight * open_gates
-                total = loss if total is None else total + loss
-            total = total / len(contexts)
-            total.backward()
-            optimizer.step()
-            if verbose and epoch % 50 == 0:
-                print(f"graphmask epoch {epoch}: loss {total.item():.4f}")
-        self.fitted = True
-        self.train_seconds = _time.perf_counter() - t0
-        return self
+                yield outcome_loss(log_p, mode) + self.sparsity_weight * open_gates
+
+        return [p for g in self.gates for p in g.parameters()], losses, refresh if hard else None
 
     # ------------------------------------------------------------------
     def _explain_instance(self, graph: Graph, target: int | None,
                           mode: str) -> Explanation:
         self._require_fit()
-        layer_scores, edge_scores = self._scores(graph)
+        gates = self._gate_outputs(graph)
+        if self.gate_type == "hard_concrete":
+            gates = [self._hard_concrete(out, False) for out in gates]
+        layer_scores = np.stack([np.concatenate([g.numpy(), np.ones(graph.num_nodes)])
+                                 for g in gates])
+        edge_scores = layer_scores[:, :graph.num_edges].mean(axis=0)
         if mode == "counterfactual":
             edge_scores = 1.0 - edge_scores
             layer_scores = 1.0 - layer_scores
-        return Explanation(
-            edge_scores=edge_scores,
-            predicted_class=self.predicted_class(graph, target=target),
-            method=self.name,
-            mode=mode,
-            layer_edge_scores=layer_scores,
-            meta={"perf": {"train_seconds": self.train_seconds}},
-        )
-
-    def _scores(self, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-        masks = self._gate_masks(graph)
-        layer_scores = np.stack([m.numpy().copy() for m in masks])
-        edge_scores = layer_scores[:, :graph.num_edges].mean(axis=0)
-        return layer_scores, edge_scores
-
-    def _require_fit(self) -> None:
-        if not self.fitted:
-            raise ExplainerError("GraphMask.explain called before fit()")
-
-    def prepare_instances(
-            self, graph_or_graphs,
-            targets: list[ExplainTarget] | None = None,
-    ) -> list[tuple[Graph, int | None]]:
-        """Build fit() inputs (same contract as PGExplainer)."""
-        if self.model.task == "node":
-            out = []
-            for t in targets:
-                ctx = self.node_context(graph_or_graphs, as_node_id(t))
-                out.append((ctx.subgraph, ctx.local_target))
-            return out
-        return [(g, None) for g in graph_or_graphs]
+        return Explanation(edge_scores=edge_scores, method=self.name, mode=mode,
+                           predicted_class=self.predicted_class(graph, target=target),
+                           layer_edge_scores=layer_scores, meta=self._meta(edge_scores))

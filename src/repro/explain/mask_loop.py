@@ -1,19 +1,20 @@
 """The one mask-learning loop (paper Eqs. 1/2) and the layer trim it runs on.
 
-Revelio, TopKRevelio, LinkRevelio and GNNExplainer differ in how their
-trainable tensors become per-layer edge masks and in their regularizer;
-they share everything else. :func:`learn_masks` is that shared part: Adam
-over the trainable tensors, the Eq. 1 (factual) or Eq. 2
-(counterfactual) objective on ``log P(explained outcome)``, the
-``optimize``/``epoch`` spans, the loss record and the convergence
-``meta``. A caller passes one closure that runs its masked forward and
-returns ``(log P, regularizer)``. The loop calls it once: epoch 1 records
-its tape (:class:`~repro.autograd.Tape`) and compiles the backward pass
-from its loss into one static plan; epochs 2..T replay the tape on the
-updated parameters and run that plan — the same numpy calls in the same
-order, so each epoch is bit-exact with rebuilding it, without rebuilding
-its tensors, closures or backward order. Work on frozen inputs (a frozen
-layer 1's pre-mask messages) is off the tape and done once.
+Every mask learner — Revelio, TopKRevelio, LinkRevelio, GNNExplainer,
+FlowX's stage 2 and the group learners PGExplainer and GraphMask — differs
+in how its trainable tensors become per-layer edge masks and in its
+regularizer, and shares the rest. :func:`learn_masks` is that shared
+part: Adam over the trainable tensors, the ``optimize``/``epoch`` spans,
+the loss record and the convergence ``meta``. A caller passes one closure
+that runs its masked forwards and returns its loss (:func:`outcome_loss`
+plus its regularizer; a group learner's sums its instances). The loop
+calls it once: epoch 1 records its tape (:class:`~repro.autograd.Tape`)
+and compiles the backward pass from its loss into one static plan; epochs
+2..T replay the tape on the updated parameters and run that plan — the
+same numpy calls in the same order, so each epoch is bit-exact with
+rebuilding it. Work on frozen inputs (a frozen layer 1's pre-mask
+messages, embeddings) is off the tape and done once; per-epoch noise and
+temperatures are frozen leaves a ``refresh`` hook sets before each epoch.
 
 :func:`hop_layer_edges` is the layer trim of a node-level mask learner
 whose masks only scale messages (Eq. 6): layer ``l`` of an ``L``-layer
@@ -61,20 +62,20 @@ def mean_or_zero(values: Tensor) -> Tensor | float:
     return values.mean() if values.size else 0.0
 
 
-def learn_masks(params: Sequence[Tensor], step: Callable[[], tuple[Tensor, Tensor]],
-                *, epochs: int, lr: float, mode: str, **span_attrs) -> dict:
-    """Minimize ``outcome_loss(log P, mode) + regularizer`` over ``params``.
+def learn_masks(params: Sequence[Tensor], step: Callable[[], Tensor], *, epochs: int,
+                lr: float, refresh: Callable[[int], None] | None = None,
+                **span_attrs) -> dict:
+    """Minimize the loss ``step()`` returns over ``params``.
 
-    ``step()`` runs the masked forward and returns ``(log P,
-    regularizer)``, the regularizer already weighted and chosen for
-    ``mode``; it is called once, and its tape replayed for every later
-    epoch, so it must compute everything that changes with ``params``
-    as ``Tensor`` ops on them. ``span_attrs`` annotate the ``optimize``
-    span. Returns the loss record as ``meta`` entries: ``final_loss``,
-    ``loss_first``, ``loss_min``, ``loss_last``, ``converged``,
-    ``tape_nodes`` (the nodes each epoch replays) and ``plan_nodes`` (the
-    steps of the backward plan compiled from them), both also on the
-    span.
+    ``step()`` is called once, and its tape replayed for every later
+    epoch, so it must compute everything that changes with ``params`` as
+    ``Tensor`` ops on them. ``refresh(epoch)`` runs before each epoch and
+    sets the ``.data`` of frozen leaves that change per epoch. ``span_attrs``
+    annotate the ``optimize`` span. Returns the loss record as ``meta``
+    entries: ``final_loss``, ``loss_first``, ``loss_min``, ``loss_last``,
+    ``converged``, ``tape_nodes`` (the nodes each epoch replays) and
+    ``plan_nodes`` (the steps of the backward plan compiled from them),
+    both also on the span.
     """
     optimizer = Adam(list(params), lr=lr)
     tape = Tape()
@@ -83,10 +84,11 @@ def learn_masks(params: Sequence[Tensor], step: Callable[[], tuple[Tensor, Tenso
         for epoch in range(epochs):
             with span(SPAN_EPOCH):
                 optimizer.zero_grad()
+                if refresh is not None:
+                    refresh(epoch)
                 if epoch == 0:
                     with tape:
-                        log_p, regularizer = step()
-                        loss = outcome_loss(log_p, mode) + regularizer
+                        loss = step()
                     plan_nodes = len(tape.compile(loss, optimizer.params))
                 else:
                     tape.replay()
