@@ -60,18 +60,6 @@ class LinkRevelio:
         model.freeze()
 
     # ------------------------------------------------------------------
-    def link_context(self, graph: Graph, u: int, v: int):
-        """Union of the two endpoints' L-hop incoming neighborhoods.
-
-        One batched extraction: the backward BFS expands from both
-        endpoints simultaneously, so the union is computed inside the
-        frontier loop instead of as a Python-level merge of two
-        single-target traversals.
-        """
-        field = extract_receptive_field(graph, [u, v], self.model.num_layers)
-        lu, lv = field.local_targets
-        return field.graph, field.node_ids, field.edge_positions, lu, lv
-
     def _link_flows(self, graph: Graph, u: int, v: int) -> FlowIndex:
         """Flows ending at either endpoint, as one FlowIndex.
 
@@ -114,7 +102,10 @@ class LinkRevelio:
         return traced_explain(self.name, mode, lambda: self._explain_link(graph, u, v, mode))
 
     def _explain_link(self, graph: Graph, u: int, v: int, mode: str) -> Explanation:
-        subgraph, node_ids, edge_positions, lu, lv = self.link_context(graph, u, v)
+        # One union extraction: the backward BFS expands from both
+        # endpoints at once.
+        context = extract_receptive_field(graph, [u, v], self.model.num_layers)
+        subgraph, (lu, lv) = context.subgraph, context.local_targets
         flow_index = self._link_flows(subgraph, lu, lv)
         pair = np.array([[lu, lv]])
         trim = LayerTrim(flow_index.used_layer_edge_ids())
@@ -130,9 +121,9 @@ class LinkRevelio:
             meta={"link": (int(u), int(v))}, trim=trim)
         local_scores = explanation.edge_scores
         explanation.edge_scores = np.zeros(graph.num_edges)
-        explanation.edge_scores[edge_positions] = local_scores
-        explanation.context_node_ids = node_ids
-        explanation.context_edge_positions = edge_positions
+        explanation.edge_scores[context.edge_positions] = local_scores
+        explanation.context_node_ids = context.node_ids
+        explanation.context_edge_positions = context.edge_positions
         # The context forward is exact at both endpoints.
         explanation.meta["p_link"] = float(self.model.predict_proba(subgraph, pair)[0])
         return explanation

@@ -34,15 +34,16 @@ from __future__ import annotations
 
 import copy
 import hashlib
+from collections.abc import Callable
 from contextlib import contextmanager
 
 import numpy as np
 
 from ..autograd import Tensor, log_softmax
-from ..explain.base import Explainer, Explanation, feature_digest
+from ..explain.base import Explainer, Explanation, context_key, feature_digest
 from ..flows import FlowIndex, cached_enumerate_flows, graph_fingerprint
 from ..flows.cache import LRUCache
-from ..graph import Graph
+from ..graph import Graph, SampledSubgraph
 from ..nn.models import GNN, LayerTrim
 from ..obs import PERF
 from ..rng import ensure_rng
@@ -143,19 +144,18 @@ class Revelio(Explainer):
     def explain_node(self, graph: Graph, node: int, mode: str = "factual") -> Explanation:
         """Explain the prediction at ``node`` via message-flow masks."""
         context = self.node_context(graph, node)
-        key = self._memo_key((context.graph_fingerprint, context.feature_digest),
-                             int(node), mode)
+        key = self._memo_key(lambda: context_key(graph, context), int(node), mode)
         return self._memoized(
             key, lambda: self._explain_in_context(graph, node, context, mode))
 
     def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
         """Explain a graph-level prediction via message-flow masks."""
-        key = self._memo_key((graph_fingerprint(graph), feature_digest(graph.x)),
+        key = self._memo_key(lambda: (graph_fingerprint(graph), feature_digest(graph.x)),
                              None, mode)
-        return self._memoized(key, lambda: self._explain_instance(graph, None, mode))
+        return self._memoized(key, lambda: Explainer.explain_graph(self, graph, mode))
 
-    def _explain_instance(self, graph: Graph, target: int | None,
-                          mode: str) -> Explanation:
+    def _explain_instance(self, context: SampledSubgraph, mode: str) -> Explanation:
+        graph, target = context.subgraph, context.local_target
         flow_index = cached_enumerate_flows(graph, self.model.num_layers, target=target,
                                             max_flows=self.max_flows)
         rng = ensure_rng(self.seed)
@@ -186,18 +186,21 @@ class Revelio(Explainer):
     # ------------------------------------------------------------------
     # result memoization
     # ------------------------------------------------------------------
-    def _memo_key(self, instance: tuple[str, str], target: int | None, mode: str):
+    def _memo_key(self, instance: Callable[[], tuple[str, str]], target: int | None,
+                  mode: str):
         """Complete-input cache key, or ``None`` while the memo is bypassed.
 
-        ``instance`` is ``(graph fingerprint, feature digest)`` of what the
-        optimize loop reads: for a node, the full graph's structure (it
-        fixes the context, its degrees and the lifted edge positions) and
-        the features of the receptive field only, as carried by the
-        :class:`~repro.explain.base.NodeContext`; for a graph, its own
-        structure and features. The rest of the key is the frozen model
-        weights, the explained instance and every hyperparameter including
-        the seed. For a node, no step hashes the full feature matrix, so
-        the key costs O(receptive field + E), not O(N·F).
+        ``instance()`` returns ``(graph fingerprint, feature digest)`` of
+        what the optimize loop reads, and is only called while the memo
+        is on: for a node, the full graph's structure (it fixes the
+        context, its degrees and the lifted edge positions) and the
+        features of the receptive field only
+        (:func:`~repro.explain.base.context_key`, hashed once per context
+        and shared with the context cache); for a graph, its own structure
+        and features. The rest of the key is the frozen model weights, the
+        explained instance and every hyperparameter including the seed.
+        For a node, no step hashes the full feature matrix, so the key
+        costs O(receptive field + E), not O(N·F).
         """
         if not _EXPLANATION_CACHE_ENABLED[0]:
             return None
@@ -207,7 +210,7 @@ class Revelio(Explainer):
             h.update(np.ascontiguousarray(param.data).tobytes())
         return (
             type(self).__qualname__,
-            *instance, h.hexdigest(), target, mode,
+            *instance(), h.hexdigest(), target, mode,
             self.model.num_layers, self.settings, self.max_flows, self.seed,
         ) + self._memo_extras()
 

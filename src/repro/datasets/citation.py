@@ -33,18 +33,6 @@ _PROFILES = {
     "pubmed": (19717, 88648, 500, 3),
 }
 
-#: From this node count up, generation takes the vectorized wiring /
-#: feature paths, which draw from the RNG in another order. Both wiring
-#: paths are vectorized; the wiring fork stays only because graphs this
-#: large have a stream of their own. Below the threshold (above PubMed at
-#: scale 1, 19,717 nodes) every seeded graph the test suite and the
-#: committed experiment artifacts depend on keeps its historical
-#: byte-identical stream, per-node feature loop included; ``scale=``
-#: requests well past Table III sizes (e.g. 25x Cora, ~67,700 nodes) skip
-#: that loop.
-_VECTORIZED_MIN_NODES = 30_000
-
-
 def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The indices ``Generator.choice(len(probs), p=probs)`` maps doubles ``u`` to.
 
@@ -57,12 +45,19 @@ def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return cdf.searchsorted(u, side="right")
 
 
+def _sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an integer array, by sort and a neighbour mask
+    (numpy's hash-based ``unique`` is far slower on large code arrays)."""
+    codes = np.sort(codes)
+    return codes[np.concatenate([codes[:1] == codes[:1], codes[1:] != codes[:-1]])]
+
+
 def _unique_pairs(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
     """Sorted unique ``(min, max)`` rows of the non-self-loop pairs, ``(K, 2)``."""
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     keep = lo != hi
-    code = np.unique(lo[keep].astype(np.int64) * num_nodes + hi[keep])
+    code = _sorted_unique(lo[keep].astype(np.int64) * num_nodes + hi[keep])
     return np.stack([code // num_nodes, code % num_nodes], axis=1)
 
 
@@ -91,78 +86,67 @@ def _wire_edges(rng, labels, propensity, class_pools, class_probs,
     return _unique_pairs(src, dst, num_nodes)
 
 
-def _wire_edges_vectorized(rng, labels, propensity, class_pools, class_probs,
-                           num_nodes, num_undirected, homophily):
-    """Wiring for graphs of :data:`_VECTORIZED_MIN_NODES` nodes or more.
-
-    Same distribution as :func:`_wire_edges`, different RNG consumption
-    order: destinations are drawn in one ``rng.choice`` call per class,
-    so these graphs have a stream of their own.
-    """
-    src = rng.choice(num_nodes, size=num_undirected, p=propensity)
-    same = rng.random(num_undirected) < homophily
-    dst = np.empty(num_undirected, dtype=np.int64)
-    cross = ~same
-    if cross.any():
-        dst[cross] = rng.choice(num_nodes, size=int(cross.sum()), p=propensity)
-    for c in range(len(class_pools)):
-        sel = same & (labels[src] == c)
-        k = int(sel.sum())
-        if not k:
-            continue
-        if class_pools[c].size > 1:
-            dst[sel] = rng.choice(class_pools[c], size=k, p=class_probs[c])
-        else:
-            dst[sel] = rng.choice(num_nodes, size=k, p=propensity)
-    return _unique_pairs(src, dst, num_nodes)
-
-
 def _word_csr(words: np.ndarray, num_features: int) -> sp.csr_matrix:
     """Binary ``(N, F)`` CSR matrix with a 1 at every ``(v, words[v, k])``.
 
     One vectorized pass: each ``(row, word)`` pair is coded ``row·F +
-    word``, and ``np.unique`` sorts the codes and drops repeated words,
-    so the result is canonical — the bytes ``sp.csr_matrix`` would give
-    the dense matrix — without ever holding ``N·F`` floats.
+    word``, and :func:`_sorted_unique` sorts the codes and drops repeated
+    words, so the result is canonical — the bytes ``sp.csr_matrix`` would
+    give the dense matrix — without ever holding ``N·F`` floats.
     """
     num_nodes = words.shape[0]
-    code = np.unique(np.arange(num_nodes, dtype=np.int64)[:, None] * num_features + words)
+    code = _sorted_unique(
+        (np.arange(num_nodes, dtype=np.int64)[:, None] * num_features + words).ravel())
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(code // num_features, minlength=num_nodes), out=indptr[1:])
     return sp.csr_matrix((np.ones(code.size), code % num_features, indptr),
                          shape=(num_nodes, num_features))
 
 
+def _bounded_integers(rng, highs: np.ndarray) -> np.ndarray:
+    """``[rng.integers(h) for h in highs]`` in one batch, on the same stream.
+
+    For a range below ``2**32`` numpy draws one 32-bit word ``u`` per value
+    and maps it by Lemire's step: ``m = u·h``, rejected while ``m mod 2**32
+    < (2**32 − h) mod h``, and the value is ``m >> 32``. Every slot gets a
+    word from one ``uint32`` draw; each rejection shifts the later slots
+    onto the next word and draws one more at the end, so the values and
+    the generator's state match the per-call draws exactly. Each ``h``
+    must lie in ``[2, 2**32)`` (a range of one draws no word).
+    """
+    highs = np.asarray(highs, dtype=np.uint64)
+    thresholds = (np.uint64(2**32) - highs) % highs
+    out = np.empty(highs.size, dtype=np.int64)
+    words = rng.integers(0, 2**32, size=highs.size, dtype=np.uint32).astype(np.uint64)
+    start = 0
+    while True:
+        m = words * highs[start:]
+        rejected = np.flatnonzero((m & np.uint64(2**32 - 1)) < thresholds[start:])
+        stop = int(rejected[0]) if rejected.size else m.size
+        out[start:start + stop] = m[:stop] >> np.uint64(32)
+        if not rejected.size:
+            return out
+        start += stop
+        extra = rng.integers(0, 2**32, size=1, dtype=np.uint32).astype(np.uint64)
+        words = np.concatenate([words[stop + 1:], extra])
+
+
 def _features(rng, labels, num_nodes, num_features, words_per_class,
               active_per_node, feature_signal) -> sp.csr_matrix:
-    """Class-topic bag-of-words features, one node at a time.
+    """Class-topic bag-of-words features.
 
-    The per-node ``rng.integers`` calls fix the historical stream every
-    seeded graph below :data:`_VECTORIZED_MIN_NODES` depends on; the
-    words go into an ``(N, active)`` array, and :func:`_word_csr` builds
-    the matrix from it.
+    The historical stream draws, node by node, ``n_topic`` topic words
+    (``rng.integers(words_per_class)``) then the noise words
+    (``rng.integers(num_features)``); :func:`_bounded_integers` replays
+    that stream in one batch, and :func:`_word_csr` builds the matrix.
     """
     n_topic = int(round(active_per_node * feature_signal))
-    words = np.empty((num_nodes, active_per_node), dtype=np.int64)
-    for v in range(num_nodes):
-        topic_lo = (labels[v] * words_per_class) % num_features
-        words[v, :n_topic] = (topic_lo + rng.integers(words_per_class, size=n_topic)) \
-            % num_features
-        words[v, n_topic:] = rng.integers(num_features, size=active_per_node - n_topic)
-    return _word_csr(words, num_features)
-
-
-def _features_vectorized(rng, labels, num_nodes, num_features, words_per_class,
-                         active_per_node, feature_signal) -> sp.csr_matrix:
-    """Batched equivalent of :func:`_features` (a stream of its own)."""
-    n_topic = int(round(active_per_node * feature_signal))
-    n_noise = active_per_node - n_topic
+    highs = np.tile(np.repeat([words_per_class, num_features],
+                              [n_topic, active_per_node - n_topic]), num_nodes)
+    words = _bounded_integers(rng, highs).reshape(num_nodes, active_per_node)
     topic_lo = (labels.astype(np.int64) * words_per_class) % num_features
-    topic = (topic_lo[:, None]
-             + rng.integers(words_per_class, size=(num_nodes, n_topic))) \
-        % num_features
-    noise = rng.integers(num_features, size=(num_nodes, n_noise))
-    return _word_csr(np.concatenate([topic, noise], axis=1), num_features)
+    words[:, :n_topic] = (topic_lo[:, None] + words[:, :n_topic]) % num_features
+    return _word_csr(words, num_features)
 
 
 def citation_surrogate(name: str, num_nodes: int, num_edges: int, num_features: int,
@@ -196,13 +180,10 @@ def citation_surrogate(name: str, num_nodes: int, num_edges: int, num_features: 
         p = propensity[class_pools[c]]
         class_probs.append(p / p.sum())
 
-    # Wiring: below _VECTORIZED_MIN_NODES one pass that keeps the
-    # historical per-edge stream; above it a fork with a stream of its own.
+    # Wiring: one pass on the historical per-edge stream.
     num_undirected = num_edges // 2
-    vectorized = num_nodes >= _VECTORIZED_MIN_NODES
-    wire = _wire_edges_vectorized if vectorized else _wire_edges
-    pairs_arr = wire(rng, labels, propensity, class_pools, class_probs,
-                     num_nodes, num_undirected, homophily)
+    pairs_arr = _wire_edges(rng, labels, propensity, class_pools, class_probs,
+                            num_nodes, num_undirected, homophily)
     edge_index = coalesce_edges(
         np.concatenate([pairs_arr.T, pairs_arr.T[::-1]], axis=1)
     )
@@ -210,9 +191,8 @@ def citation_surrogate(name: str, num_nodes: int, num_edges: int, num_features: 
     # Sparse class-topic bag-of-words features, built as CSR.
     words_per_class = max(4, num_features // num_classes)
     active_per_node = max(4, num_features // 60)
-    features = _features_vectorized if vectorized else _features
-    x = features(rng, labels, num_nodes, num_features, words_per_class,
-                 active_per_node, feature_signal)
+    x = _features(rng, labels, num_nodes, num_features, words_per_class,
+                  active_per_node, feature_signal)
 
     # Planetoid-style split, scaled to the graph size.
     train_mask = np.zeros(num_nodes, dtype=bool)

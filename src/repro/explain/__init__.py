@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..errors import ExplainerError
 from ..nn.models import GNN
-from .base import MODES, Explainer, Explanation, NodeContext
+from .base import MODES, Explainer, Explanation
 from .batch import BatchResult, explain_instances
 from .target import ExplainTarget, as_node_id
 from .deeplift import DeepLIFT
@@ -26,7 +26,6 @@ __all__ = [
     "Explanation",
     "ExplainTarget",
     "as_node_id",
-    "NodeContext",
     "MODES",
     "GradCAM",
     "DeepLIFT",

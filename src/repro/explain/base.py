@@ -33,15 +33,15 @@ import scipy.sparse as sp
 from ..errors import ExplainerError
 from ..flows import FlowIndex, graph_fingerprint
 from ..flows.cache import LRUCache
-from ..graph import Graph, extract_receptive_field
+from ..graph import Graph, SampledSubgraph, extract_receptive_field
 from ..nn.models import GNN
 from ..obs import PERF, span
 from ..obs.names import SPAN_CONTEXT_EXTRACT, SPAN_EXPLAIN
 from .target import ExplainTarget, require_target
 
-__all__ = ["Explanation", "Explainer", "NodeContext", "MODES",
+__all__ = ["Explanation", "Explainer", "MODES",
            "CONTEXT_CACHE", "context_cache_disabled", "clear_context_cache",
-           "feature_digest", "check_int", "check_real", "traced_explain"]
+           "context_key", "feature_digest", "check_int", "check_real", "traced_explain"]
 
 MODES = ("factual", "counterfactual")
 
@@ -110,6 +110,19 @@ def traced_explain(method: str, mode: str,
     if sp is not None:
         explanation.meta.setdefault("perf", {})["explain_seconds"] = sp.seconds
     return explanation
+
+
+def context_key(graph: Graph, context: SampledSubgraph) -> tuple[str, str]:
+    """``(structure of graph, features of the context's nodes)``: the
+    content part of the context-cache and Revelio memo keys.
+
+    Hashed on first use and kept on the context, so a request hashes at
+    most once, and not at all while no cache keys on it.
+    """
+    if context.source_key is None:
+        context.source_key = (graph_fingerprint(graph),
+                              feature_digest(graph.x[context.node_ids]))
+    return context.source_key
 
 
 def clear_context_cache() -> None:
@@ -246,22 +259,6 @@ class Explanation:
         )
 
 
-@dataclass
-class NodeContext:
-    """The L-hop explanation context around a target node.
-
-    A forward over ``subgraph`` equals the model's full-graph forward at
-    ``local_target`` (see :attr:`~repro.graph.SampledSubgraph.graph`).
-    """
-
-    subgraph: Graph
-    node_ids: np.ndarray          # original ids of subgraph nodes
-    edge_positions: np.ndarray    # original edge index per subgraph edge
-    local_target: int             # target's id inside the subgraph
-    graph_fingerprint: str        # structure of the source graph
-    feature_digest: str           # features of the subgraph's nodes
-
-
 class Explainer:
     """Base class for all explanation methods.
 
@@ -322,23 +319,23 @@ class Explainer:
 
     def explain_graph(self, graph: Graph, mode: str = "factual") -> Explanation:
         """Explain a graph-level prediction; the whole graph is the context."""
-        return self._explain_instance(graph, None, mode)
+        return self._explain_instance(SampledSubgraph.whole(graph), mode)
 
-    def _explain_instance(self, graph: Graph, target: int | None,
-                          mode: str) -> Explanation:
+    def _explain_instance(self, context: SampledSubgraph, mode: str) -> Explanation:
         """The one method each explainer implements.
 
-        ``graph`` is the context (a node's receptive field, or the whole
-        graph for graph tasks) and ``target`` the explained node's *local*
-        id in it, or ``None`` for graph tasks. Returns context-local
-        scores; :meth:`explain_node` lifts them to the full graph.
+        ``context`` is a node's receptive field (explain the row
+        ``context.local_target`` of ``context.subgraph``) or, for graph
+        tasks, :meth:`SampledSubgraph.whole` (``local_target`` is
+        ``None``). Returns context-local scores; :meth:`explain_node`
+        lifts them to the full graph.
         """
         raise NotImplementedError
 
-    def _explain_in_context(self, graph: Graph, node: int, context: NodeContext,
+    def _explain_in_context(self, graph: Graph, node: int, context: SampledSubgraph,
                             mode: str) -> Explanation:
         """Explain on an extracted context; lift the scores to ``graph``."""
-        explanation = self._explain_instance(context.subgraph, context.local_target, mode)
+        explanation = self._explain_instance(context, mode)
         explanation.target = node
         explanation.context_node_ids = context.node_ids
         explanation.context_edge_positions = context.edge_positions
@@ -349,42 +346,32 @@ class Explainer:
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
-    def node_context(self, graph: Graph, node: int) -> NodeContext:
-        """Extract the L-hop incoming neighborhood of ``node``.
+    def node_context(self, graph: Graph, node: int) -> SampledSubgraph:
+        """The L-hop incoming neighborhood of ``node``, relabeled.
 
         Cached across explainer instances under the key ``(structure of
-        graph, features of the receptive field, depth, node)``. Structure
-        fixes the node set, its degrees and the edge positions; features
-        outside the receptive field cannot reach the target, so an edit
-        there keeps the entry and an edit inside it misses. Only the
-        receptive field's rows of ``x`` are hashed. Callers must treat the
-        returned context as read-only (all in-tree consumers do).
+        graph, features of the receptive field, depth, node)``
+        (:func:`context_key`). Structure fixes the node set, its degrees
+        and the edge positions; features outside the receptive field
+        cannot reach the target, so an edit there keeps the entry and an
+        edit inside it misses. With the cache off nothing is hashed.
+        Callers must treat the returned context as read-only (all
+        in-tree consumers do).
         """
         node = int(node)
         num_hops = self.model.num_layers
-        # The relabeled subgraph is built lazily, so a cache hit pays only
-        # for the node and edge sets.
         field = extract_receptive_field(graph, [node], num_hops)
-        fingerprint = graph_fingerprint(graph)
-        digest = feature_digest(graph.x[field.node_ids])
-        key = (fingerprint, digest, num_hops, node)
         cached = _CONTEXT_CACHE_ENABLED[0]
+        key = (*context_key(graph, field), num_hops, node) if cached else None
         context = CONTEXT_CACHE.get(key) if cached else None
         if context is not None:
             PERF.context_cache_hits += 1
             return context
         with span(SPAN_CONTEXT_EXTRACT, node=node):
-            context = NodeContext(
-                subgraph=field.graph,
-                node_ids=field.node_ids,
-                edge_positions=field.edge_positions,
-                local_target=int(field.local_index(node)),
-                graph_fingerprint=fingerprint,
-                feature_digest=digest,
-            )
+            field.subgraph  # relabel now, before the field is shared
         if cached:
-            CONTEXT_CACHE.put(key, context)
-        return context
+            CONTEXT_CACHE.put(key, field)
+        return field
 
     def predicted_class(self, graph: Graph, target: int | None = None) -> int:
         """The model's predicted class at row ``target`` of ``graph``
@@ -398,7 +385,7 @@ class Explainer:
         row = proba[target] if target is not None else proba[0]
         return int(row.argmax())
 
-    def lift_edge_scores(self, context: NodeContext, local_scores: np.ndarray,
+    def lift_edge_scores(self, context: SampledSubgraph, local_scores: np.ndarray,
                          num_edges: int) -> np.ndarray:
         """Scatter subgraph edge scores back to full-graph edge positions."""
         full = np.zeros(num_edges)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, log_softmax
-from ..graph import Graph
+from ..graph import Graph, SampledSubgraph
 from ..nn.models import GNN
 from ..sparse import feature_dense, sparse_cache
 from .base import Explainer, Explanation
@@ -30,8 +30,8 @@ class DeepLIFT(Explainer):
         super().__init__(model, seed=seed)
         self.baseline = baseline
 
-    def _explain_instance(self, graph: Graph, target: int | None,
-                          mode: str) -> Explanation:
+    def _explain_instance(self, context: SampledSubgraph, mode: str) -> Explanation:
+        graph, target = context.subgraph, context.local_target
         node_scores, class_idx = self._attributions(graph, target=target)
         edge_scores = 0.5 * (node_scores[graph.src] + node_scores[graph.dst])
         return Explanation(

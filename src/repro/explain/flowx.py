@@ -24,7 +24,7 @@ import numpy as np
 
 from ..autograd import Tensor, log_softmax
 from ..flows import FlowIndex, cached_enumerate_flows
-from ..graph import Graph
+from ..graph import Graph, SampledSubgraph
 from ..nn.models import GNN, LayerTrim
 from ..rng import ensure_rng
 from .base import Explainer, Explanation, check_int, check_real
@@ -133,8 +133,8 @@ class FlowX(Explainer):
     # ------------------------------------------------------------------
     # stage 2: learning refinement
     # ------------------------------------------------------------------
-    def _explain_instance(self, graph: Graph, target: int | None,
-                          mode: str) -> Explanation:
+    def _explain_instance(self, context: SampledSubgraph, mode: str) -> Explanation:
+        graph, target = context.subgraph, context.local_target
         flow_index = cached_enumerate_flows(graph, self.model.num_layers, target=target,
                                             max_flows=self.max_flows)
         rng = ensure_rng(self.seed)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import ExplainerError
 from ..flows import cached_enumerate_flows
-from ..graph import Graph
+from ..graph import SampledSubgraph
 from ..nn.models import GNN
 from ..sparse import kernel, plan_for
 from .base import Explainer, Explanation, check_real
@@ -59,8 +59,8 @@ class GNNLRP(Explainer):
         self.step = step
         self.max_flows = max_flows
 
-    def _explain_instance(self, graph: Graph, target: int | None,
-                          mode: str) -> Explanation:
+    def _explain_instance(self, context: SampledSubgraph, mode: str) -> Explanation:
+        graph, target = context.subgraph, context.local_target
         flow_index = cached_enumerate_flows(graph, self.model.num_layers, target=target,
                                             max_flows=self.max_flows)
         class_idx = self.predicted_class(graph, target=target)

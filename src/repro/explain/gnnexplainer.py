@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, concat, log_softmax
-from ..graph import Graph
+from ..graph import SampledSubgraph
 from ..nn.models import GNN, LayerTrim
 from ..rng import ensure_rng
 from ..sparse import feature_dense, sparse_cache
@@ -77,8 +77,8 @@ class GNNExplainer(Explainer):
         self.feature_mask = feature_mask
         self.feature_size_weight = feature_size_weight
 
-    def _explain_instance(self, graph: Graph, target: int | None,
-                          mode: str) -> Explanation:
+    def _explain_instance(self, context: SampledSubgraph, mode: str) -> Explanation:
+        graph, target = context.subgraph, context.local_target
         rng = ensure_rng(self.seed)
         class_idx = self.predicted_class(graph, target=target)
         raw_mask = Tensor(rng.normal(0.0, 0.1, size=graph.num_edges), requires_grad=True)
@@ -89,7 +89,7 @@ class GNNExplainer(Explainer):
             raw_feature = Tensor(rng.normal(0.0, 0.1, size=graph.num_features),
                                  requires_grad=True)
             params.append(raw_feature)
-        kept = hop_layer_edges(graph, target, self.model.num_layers)
+        kept = hop_layer_edges(context, self.model.num_layers)
         trim = LayerTrim(kept)
         row = target if target is not None else 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import log_softmax
-from ..graph import Graph
+from ..graph import Graph, SampledSubgraph
 from ..nn.models import GNN
 from ..sparse import feature_dense, sparse_cache
 from .base import Explainer, Explanation
@@ -28,8 +28,8 @@ class GradCAM(Explainer):
     def __init__(self, model: GNN, seed: int = 0):
         super().__init__(model, seed=seed)
 
-    def _explain_instance(self, graph: Graph, target: int | None,
-                          mode: str) -> Explanation:
+    def _explain_instance(self, context: SampledSubgraph, mode: str) -> Explanation:
+        graph, target = context.subgraph, context.local_target
         scores, class_idx = self._node_heat(graph, target=target)
         return Explanation(
             edge_scores=self._edges_from_nodes(graph, scores),

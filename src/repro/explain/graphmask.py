@@ -17,7 +17,7 @@ import numpy as np
 
 from ..autograd import MLP, Sigmoid, Tensor, concat
 from ..errors import ExplainerError
-from ..graph import Graph
+from ..graph import Graph, SampledSubgraph
 from ..nn.models import GNN
 from ..sparse import feature_dense
 from .base import Explanation, check_int, check_real
@@ -132,8 +132,8 @@ class GraphMask(GroupExplainer):
         return [p for g in self.gates for p in g.parameters()], losses, refresh if hard else None
 
     # ------------------------------------------------------------------
-    def _explain_instance(self, graph: Graph, target: int | None,
-                          mode: str) -> Explanation:
+    def _explain_instance(self, context: SampledSubgraph, mode: str) -> Explanation:
+        graph, target = context.subgraph, context.local_target
         self._require_fit()
         gates = self._gate_outputs(graph)
         if self.gate_type == "hard_concrete":

@@ -2,11 +2,11 @@
 
 PGExplainer and GraphMask train a network over many instances, then
 explain one with a single forward of it (Table V's "training (inference)"
-rows). :class:`GroupExplainer` holds what they share: the instance
-pairing, the timed fit on :func:`~repro.explain.mask_loop.learn_masks`
-(each member's forward through its hop trim, as GNNExplainer's; the loss
-is the members' mean) and the fit's loss record, which every explanation
-reports.
+rows). :class:`GroupExplainer` holds what they share: the fit instances
+(each a :class:`~repro.graph.SampledSubgraph` context), the timed fit on
+:func:`~repro.explain.mask_loop.learn_masks` (each member's forward
+through its hop trim, as GNNExplainer's; the loss is the members' mean)
+and the fit's loss record, which every explanation reports.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from ..autograd import Tensor, log_softmax
 from ..errors import ExplainerError
-from ..graph import Graph
+from ..graph import Graph, SampledSubgraph
 from ..nn.models import GNN, LayerTrim
 from ..rng import ensure_rng
 from .base import MODES, Explainer, check_int, check_real
@@ -30,12 +30,21 @@ __all__ = ["GroupExplainer", "GroupMember"]
 
 @dataclass
 class GroupMember:
-    """A fit instance: its context, explained row, predicted class and hop trim."""
+    """A fit instance: its context, predicted class and hop trim."""
 
-    graph: Graph
-    row: int
+    context: SampledSubgraph
     class_idx: int
     trim: LayerTrim
+
+    @property
+    def graph(self) -> Graph:
+        return self.context.subgraph
+
+    @property
+    def row(self) -> int:
+        """The explained row: the target's, or 0 for a graph readout."""
+        target = self.context.local_target
+        return 0 if target is None else target
 
     def log_p(self, model: GNN, layer_masks: list[Tensor]) -> Tensor:
         """``log P(class)`` at the row under per-layer ``(E+N,)`` masks."""
@@ -63,33 +72,30 @@ class GroupExplainer(Explainer):
         self.train_seconds: float | None = None
         self.fit_meta: dict = {}
 
-    def fit_instance(self, graph: Graph,
-                     target: ExplainTarget | None) -> tuple[Graph, int | None]:
-        """One :meth:`fit` input: a node target's context and local id, or a graph."""
+    def fit_instance(self, graph: Graph, target: ExplainTarget | None) -> SampledSubgraph:
+        """One :meth:`fit` input: a node target's context, or a whole graph."""
         if self.model.task == "node":
-            context = self.node_context(graph, as_node_id(target))
-            return context.subgraph, context.local_target
-        return graph, None
+            return self.node_context(graph, as_node_id(target))
+        return SampledSubgraph.whole(graph)
 
     def prepare_instances(self, graph_or_graphs, targets: list[ExplainTarget] | None = None
-                          ) -> list[tuple[Graph, int | None]]:
+                          ) -> list[SampledSubgraph]:
         """:meth:`fit` inputs from one graph and its node targets, or from graphs."""
         if self.model.task == "node":
             return [self.fit_instance(graph_or_graphs, t) for t in targets]
         return [self.fit_instance(g, None) for g in graph_or_graphs]
 
-    def fit(self, instances: list[tuple[Graph, int | None]],
-            mode: str = "factual") -> "GroupExplainer":
-        """Train on ``(graph, target)`` instances; the loss record goes to
+    def fit(self, instances: list[SampledSubgraph], mode: str = "factual") -> "GroupExplainer":
+        """Train on the instances' contexts; the loss record goes to
         :attr:`fit_meta` and every later explanation's ``meta``."""
         if not instances:
             raise ExplainerError(f"{type(self).__name__}.fit needs at least one instance")
         if mode not in MODES:
             raise ExplainerError(f"unknown mode {mode!r}; expected one of {MODES}")
         t0 = time.perf_counter()
-        members = [GroupMember(g, t if t is not None else 0, self.predicted_class(g, target=t),
-                               LayerTrim(hop_layer_edges(g, t, self.model.num_layers)))
-                   for g, t in instances]
+        members = [GroupMember(c, self.predicted_class(c.subgraph, target=c.local_target),
+                               LayerTrim(hop_layer_edges(c, self.model.num_layers)))
+                   for c in instances]
         params, losses, refresh = self._group_loss(members, mode)
 
         def step() -> Tensor:

@@ -20,8 +20,10 @@ temperatures are frozen leaves a ``refresh`` hook sets before each epoch.
 whose masks only scale messages (Eq. 6): layer ``l`` of an ``L``-layer
 model reaches the target only through the in-edges of nodes within
 ``L − 1 − l`` hops of it, so a :class:`~repro.nn.LayerTrim` of those ids
-computes the target row bit for bit. They are exactly the layer edges a
-flow ending at the target crosses (``FlowIndex.used_layer_edge_ids``).
+computes the target row bit for bit. It reads the hop distances the
+context's extraction recorded, so no second search runs. They are
+exactly the layer edges a flow ending at the target crosses
+(``FlowIndex.used_layer_edge_ids``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from ..autograd import Adam, Tape, Tensor
-from ..graph import Graph, khop_in_nodes
+from ..graph import SampledSubgraph
 from ..obs import span
 from ..obs.names import SPAN_EPOCH, SPAN_OPTIMIZE
 
@@ -114,24 +116,19 @@ def converged(losses: list[float]) -> bool:
     return abs(last - before) < CONVERGENCE_RTOL * max(abs(before), 1e-12)
 
 
-def hop_layer_edges(graph: Graph, node: int | None, num_layers: int) -> list[np.ndarray]:
-    """Per layer, the sorted layer-edge ids that can reach ``node``.
+def hop_layer_edges(context: SampledSubgraph, num_layers: int) -> list[np.ndarray]:
+    """Per layer, the sorted ids of ``context.subgraph``'s layer edges that
+    can reach the target.
 
     Layer ``l`` (0-based) keeps every in-edge and self-loop of the nodes
-    within ``num_layers − 1 − l`` hops of ``node``. A graph-level
-    explanation (``node=None``) pools every row, so every layer keeps
-    every id.
+    within ``num_layers − 1 − l`` hops of the target, read off the
+    context's recorded hop distances. A whole-graph context (a
+    graph-level readout pools every row) keeps every id in every layer.
     """
-    if node is None:
-        return [np.arange(graph.num_edges + graph.num_nodes)] * num_layers
-    # Destination of each layer edge: data edges, then one self-loop per node.
-    dst = np.concatenate([graph.dst, np.arange(graph.num_nodes)])
-    kept = []
-    for l in range(num_layers):
-        inside = np.zeros(graph.num_nodes, dtype=bool)
-        inside[khop_in_nodes(graph, [node], num_layers - 1 - l)] = True
-        kept.append(np.flatnonzero(inside[dst]))
-    return kept
+    graph = context.subgraph
+    # Hop of each layer edge's destination: data edges, then one self-loop per node.
+    hops = np.concatenate([context.hops[graph.dst], context.hops])
+    return [np.flatnonzero(hops <= num_layers - 1 - l) for l in range(num_layers)]
 
 
 def forward_layer_edges(kept: list[np.ndarray], width: int) -> dict:

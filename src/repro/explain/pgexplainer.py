@@ -17,7 +17,7 @@ import numpy as np
 
 from ..autograd import MLP, Tensor, concat
 from ..errors import ExplainerError
-from ..graph import Graph
+from ..graph import Graph, SampledSubgraph
 from ..nn.models import GNN
 from .base import Explanation, check_int, check_real
 from .group import GroupExplainer, GroupMember
@@ -94,8 +94,8 @@ class PGExplainer(GroupExplainer):
 
         return self.edge_mlp.parameters(), losses, refresh
 
-    def _explain_instance(self, graph: Graph, target: int | None,
-                          mode: str) -> Explanation:
+    def _explain_instance(self, context: SampledSubgraph, mode: str) -> Explanation:
+        graph, target = context.subgraph, context.local_target
         self._require_fit()
         logits = self.edge_mlp(self._edge_features(graph, target)).reshape(-1).numpy()
         scores = 1.0 / (1.0 + np.exp(-logits))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from ..errors import ExplainerError
-from ..graph import Graph
+from ..graph import Graph, SampledSubgraph
 from ..nn.models import GNN
 from ..rng import ensure_rng
 from ..sparse import feature_dense
@@ -60,8 +60,8 @@ class PGMExplainer(Explainer):
         self.perturb_prob = perturb_prob
         self.perturb_mode = perturb_mode
 
-    def _explain_instance(self, graph: Graph, target: int | None,
-                          mode: str) -> Explanation:
+    def _explain_instance(self, context: SampledSubgraph, mode: str) -> Explanation:
+        graph, target = context.subgraph, context.local_target
         node_scores, class_idx = self._node_importance(graph, target=target)
         edge_scores = 0.5 * (node_scores[graph.src] + node_scores[graph.dst])
         return Explanation(

@@ -7,7 +7,7 @@ a null explainer.
 
 from __future__ import annotations
 
-from ..graph import Graph
+from ..graph import SampledSubgraph
 from ..nn.models import GNN
 from ..rng import ensure_rng
 from .base import Explainer, Explanation
@@ -24,8 +24,8 @@ class RandomExplainer(Explainer):
         super().__init__(model, seed=seed)
         self._rng = ensure_rng(seed)
 
-    def _explain_instance(self, graph: Graph, target: int | None,
-                          mode: str) -> Explanation:
+    def _explain_instance(self, context: SampledSubgraph, mode: str) -> Explanation:
+        graph, target = context.subgraph, context.local_target
         return Explanation(
             edge_scores=self._rng.random(graph.num_edges),
             predicted_class=self.predicted_class(graph, target=target),

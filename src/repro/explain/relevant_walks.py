@@ -26,7 +26,7 @@ import numpy as np
 from ..autograd import Tensor, log_softmax
 from ..errors import ExplainerError
 from ..flows import FlowIndex
-from ..graph import Graph
+from ..graph import Graph, SampledSubgraph
 from ..nn.message_passing import augment_edges, num_layer_edges
 from ..nn.models import GNN
 from .base import Explainer, Explanation
@@ -116,8 +116,8 @@ class RelevantWalks(Explainer):
         scores = np.array([walk[0] for walk in finals])
         return nodes, edges, scores
 
-    def _explain_instance(self, graph: Graph, target: int | None,
-                          mode: str) -> Explanation:
+    def _explain_instance(self, context: SampledSubgraph, mode: str) -> Explanation:
+        graph, target = context.subgraph, context.local_target
         class_idx = self.predicted_class(graph, target=target)
         relevance = self._layer_edge_relevance(graph, class_idx, target)
         log_weights = np.where(relevance > 0, np.log(relevance + 1e-300), _LOG_FLOOR)

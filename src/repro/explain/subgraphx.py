@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graph import Graph
+from ..graph import Graph, SampledSubgraph
 from ..nn.models import GNN
 from ..rng import ensure_rng
 from .base import Explainer, Explanation, check_int, check_real
@@ -73,8 +73,8 @@ class SubgraphX(Explainer):
         self.exploration = exploration
 
     # ------------------------------------------------------------------
-    def _explain_instance(self, graph: Graph, target: int | None,
-                          mode: str) -> Explanation:
+    def _explain_instance(self, context: SampledSubgraph, mode: str) -> Explanation:
+        graph, target = context.subgraph, context.local_target
         protected = set() if target is None else {target}
         edge_scores, class_idx = self._search(graph, target=target, protected=protected)
         return Explanation(

@@ -27,7 +27,6 @@ from .utils import (
     edge_list,
     from_networkx,
     induced_subgraph,
-    k_hop_subgraph,
     sparse_cache,
     to_csr,
     to_networkx,
@@ -42,7 +41,6 @@ __all__ = [
     "to_csr",
     "to_undirected",
     "add_reverse_edges",
-    "k_hop_subgraph",
     "SampledSubgraph",
     "extract_receptive_field",
     "khop_in_nodes",

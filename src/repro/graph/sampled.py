@@ -1,22 +1,21 @@
-"""Receptive-field extraction: batched k-hop in-subgraphs with id maps.
+"""Receptive-field extraction: one backward BFS, one context type.
 
 An L-layer message-passing network's prediction at node ``v`` depends only
 on nodes with a directed path of length ≤ L *into* ``v`` (PAPER.md §II;
 the same locality argument FlowX and relevant-walk search rely on).
 :func:`extract_receptive_field` materializes that dependency cone — for a
 *batch* of targets at once — as a :class:`SampledSubgraph`: a compact
-relabeled graph plus the node/edge id maps needed to translate local
-results (edge scores, flows, contexts) back to global ids.
+relabeled graph, the node/edge id maps that translate local results (edge
+scores, flows) back to global ids, and each kept node's hop distance to
+the targets. It is every explainer's context: a node explanation's
+receptive field, a link's union field, a group learner's fit instance,
+and (:meth:`SampledSubgraph.whole`) a graph-level instance.
 
-The frontier expansion is one CSR row-slice per hop over the graph's
-compiled :func:`~repro.sparse.cache.sparse_cache` aggregation operator
+The one backward BFS slices the rows of the graph's compiled
+:func:`~repro.sparse.cache.sparse_cache` aggregation operator per hop
 (rows are destinations, so ``adj[frontier].indices`` *is* the in-neighbor
-set), replacing the per-hop ``np.isin`` scan over all ``E`` edges that the
-original :func:`~repro.graph.utils.k_hop_subgraph` performed.
-
-``k_hop_subgraph`` returns a :class:`SampledSubgraph`; read its fields
-(``.node_ids``, ``.edge_mask``, ``.graph``, ``.edge_positions``) — it is
-not a ``(node_ids, edge_mask)`` tuple and does not unpack as one.
+set) and records the hop at which each node is reached. The node set is
+the reached nodes; per-layer trims read the recorded distances.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ from .data import Graph
 __all__ = ["SampledSubgraph", "khop_in_nodes", "extract_receptive_field"]
 
 
-def khop_in_nodes(graph: Graph, targets, num_hops: int) -> np.ndarray:
-    """Sorted global ids of all nodes within ``num_hops`` backward steps of
-    any target — the union of the targets' receptive fields.
+def _hop_distances(graph: Graph, targets, num_hops: int) -> np.ndarray:
+    """``(N,)`` backward hop distance of each node to the nearest target,
+    ``-1`` beyond ``num_hops``.
 
     Batched backward BFS: each hop slices the rows of the cached CSR
     aggregation operator at the current frontier and takes the unseen
@@ -53,12 +52,10 @@ def khop_in_nodes(graph: Graph, targets, num_hops: int) -> np.ndarray:
 
     adj = sparse_cache(graph).adj  # rows = destinations, cols = sources
     indptr, indices = adj.indptr, adj.indices
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    visited[targets] = True
+    dist = np.full(graph.num_nodes, -1, dtype=np.int64)
+    dist[targets] = 0
     frontier = np.unique(targets)
-    for _ in range(num_hops):
-        if frontier.size == 0:
-            break
+    for hop in range(1, num_hops + 1):
         starts = indptr[frontier]
         counts = indptr[frontier + 1] - starts
         total = int(counts.sum())
@@ -69,39 +66,100 @@ def khop_in_nodes(graph: Graph, targets, num_hops: int) -> np.ndarray:
         ends = np.cumsum(counts)
         flat = np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
         neighbors = indices[flat]
-        fresh = neighbors[~visited[neighbors]]
-        frontier = np.unique(fresh)
-        visited[frontier] = True
-    return np.flatnonzero(visited).astype(np.int64)
+        frontier = np.unique(neighbors[dist[neighbors] < 0])
+        dist[frontier] = hop
+    return dist
+
+
+def khop_in_nodes(graph: Graph, targets, num_hops: int) -> np.ndarray:
+    """Sorted global ids of all nodes within ``num_hops`` backward steps of
+    any target — the union of the targets' receptive fields."""
+    return np.flatnonzero(_hop_distances(graph, targets, num_hops) >= 0)
+
+
+def _local_ids(node_ids: np.ndarray, global_ids) -> np.ndarray:
+    """Position of each global id in the sorted ``node_ids``, ``-1`` if absent."""
+    ids = np.asarray(global_ids, dtype=np.int64)
+    if node_ids.size == 0:
+        return np.full(ids.shape, -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(node_ids, ids), node_ids.size - 1)
+    return np.where(node_ids[pos] == ids, pos, -1)
+
+
+def _relabel(graph: Graph, node_ids: np.ndarray, edge_positions: np.ndarray) -> Graph:
+    """The subgraph of ``graph`` on the sorted ``node_ids`` and the edges at
+    ``edge_positions`` (both endpoints among ``node_ids``), ids relabeled.
+
+    Local node ``i`` is ``node_ids[i]`` and local edge ``j`` is
+    ``edge_positions[j]``; features, labels and split masks are sliced,
+    and ``motif_edges`` keep the pairs with both endpoints kept.
+    """
+    motif = None
+    if graph.motif_edges is not None:
+        local = _local_ids(node_ids, np.array(list(graph.motif_edges),
+                                              dtype=np.int64).reshape(-1, 2))
+        motif = frozenset(map(tuple, local[(local >= 0).all(axis=1)].tolist()))
+    return Graph(
+        edge_index=np.searchsorted(node_ids, graph.edge_index[:, edge_positions]),
+        x=graph.x[node_ids],
+        y=graph.y[node_ids] if isinstance(graph.y, np.ndarray) else graph.y,
+        num_nodes=node_ids.size,
+        train_mask=None if graph.train_mask is None else graph.train_mask[node_ids],
+        val_mask=None if graph.val_mask is None else graph.val_mask[node_ids],
+        test_mask=None if graph.test_mask is None else graph.test_mask[node_ids],
+        motif_edges=motif,
+        meta=dict(graph.meta),
+    )
 
 
 class SampledSubgraph:
-    """A compact relabeled receptive-field subgraph with global id maps.
+    """A receptive field: a compact relabeled subgraph with global id maps.
 
-    Local node ``i`` is global node ``node_ids[i]`` (``node_ids`` is
-    sorted, so the relabeling is monotone); local edge ``j`` is global
-    edge ``edge_positions[j]``. The relabeled :class:`Graph` itself is
-    built lazily — callers that only need the id maps (the historical
-    ``k_hop_subgraph`` contract) never pay for feature slicing.
+    Attributes
+    ----------
+    node_ids:
+        ``(n,)`` sorted global ids; local node ``i`` is ``node_ids[i]``.
+    edge_positions:
+        ``(e,)`` sorted global edge positions; local edge ``j`` is
+        ``edge_positions[j]``.
+    hops:
+        ``(n,)`` backward hop distance of each kept node to the nearest
+        target (``0`` everywhere for :meth:`whole`, whose readout pools
+        every row).
+    targets, num_hops:
+        The extraction's global targets and depth.
+    source_key:
+        An opaque content key of the source graph, set by the caches that
+        key on this field and kept so it is computed once.
+
+    The relabeled :attr:`subgraph` is built on first access; from then on
+    the field holds no reference to the source graph and no array sized
+    by it.
     """
 
-    __slots__ = ("node_ids", "edge_mask", "targets", "num_hops",
-                 "_source", "_graph", "_edge_positions", "_local_of")
+    __slots__ = ("node_ids", "edge_positions", "hops", "targets", "num_hops",
+                 "source_key", "_source", "_subgraph")
 
-    def __init__(self, source: Graph, node_ids: np.ndarray,
-                 edge_mask: np.ndarray, targets=(), num_hops: int = 0):
-        self.node_ids = np.asarray(node_ids, dtype=np.int64)
-        self.edge_mask = np.asarray(edge_mask, dtype=bool)
+    def __init__(self, source: Graph | None, node_ids: np.ndarray, edge_positions: np.ndarray,
+                 hops: np.ndarray, targets=(), num_hops: int = 0):
+        self.node_ids = node_ids
+        self.edge_positions = edge_positions
+        self.hops = hops
         self.targets = tuple(int(t) for t in np.atleast_1d(np.asarray(targets, dtype=np.int64)))
         self.num_hops = int(num_hops)
-        self._source = source
-        self._graph: Graph | None = None
-        self._edge_positions: np.ndarray | None = None
-        self._local_of: np.ndarray | None = None
+        self.source_key = None
+        self._source: Graph | None = source
+        self._subgraph: Graph | None = None
 
-    # ------------------------------------------------------------------
-    # derived views
-    # ------------------------------------------------------------------
+    @classmethod
+    def whole(cls, graph: Graph) -> "SampledSubgraph":
+        """The whole of ``graph`` as its own context, with no target (a
+        graph-level prediction); :attr:`subgraph` is ``graph`` itself."""
+        field = cls(None, np.arange(graph.num_nodes), np.arange(graph.num_edges),
+                    np.zeros(graph.num_nodes, dtype=np.int64))
+        field._subgraph = graph
+        return field
+
     @property
     def num_nodes(self) -> int:
         """Number of nodes in the sampled subgraph."""
@@ -113,18 +171,12 @@ class SampledSubgraph:
         return int(self.edge_positions.size)
 
     @property
-    def edge_positions(self) -> np.ndarray:
-        """Global edge index of each local edge, shape ``(e,)``."""
-        if self._edge_positions is None:
-            self._edge_positions = np.flatnonzero(self.edge_mask).astype(np.int64)
-        return self._edge_positions
-
-    @property
-    def graph(self) -> Graph:
+    def subgraph(self) -> Graph:
         """The relabeled induced subgraph (built on first access).
 
-        Local edge order follows global edge order, so ``graph.edge_index``
-        column ``j`` is global edge ``edge_positions[j]``.
+        Local edge order follows global edge order, so
+        ``subgraph.edge_index`` column ``j`` is global edge
+        ``edge_positions[j]``.
 
         The subgraph's sparse cache is preloaded with the source graph's
         augmented in-degree sliced to the kept nodes. A boundary node (at
@@ -136,28 +188,20 @@ class SampledSubgraph:
         degree exactly as the same removal on the source does.
         Nested extractions compose: they slice an already-preloaded vector.
         """
-        if self._graph is None:
-            # Local import: graph.utils re-exports from this module.
-            from .utils import induced_subgraph
-            sub, node_ids, edge_mask = induced_subgraph(self._source, self.node_ids)
-            # The extraction already fixed the node set; the induced edge
-            # set over it must agree with the recorded mask.
-            assert np.array_equal(node_ids, self.node_ids)
-            assert np.array_equal(edge_mask, self.edge_mask)
+        if self._subgraph is None:
+            source = self._source
+            sub = _relabel(source, self.node_ids, self.edge_positions)
             # The slice is exactly the augmented in-degree of each kept
             # node as the source sees it; D̂^{-1/2} derives from it.
             sparse_cache(sub)._deg = np.ascontiguousarray(
-                sparse_cache(self._source).deg[self.node_ids])
-            self._graph = sub
-        return self._graph
+                sparse_cache(source).deg[self.node_ids])
+            self._subgraph, self._source = sub, None
+        return self._subgraph
 
     def local_index(self, global_ids) -> np.ndarray:
-        """Local node id(s) for global node id(s); raises if absent."""
-        if self._local_of is None:
-            local = -np.ones(self._source.num_nodes, dtype=np.int64)
-            local[self.node_ids] = np.arange(self.node_ids.size)
-            self._local_of = local
-        out = self._local_of[np.asarray(global_ids, dtype=np.int64)]
+        """Local node id(s) for global node id(s); raises :class:`GraphError`
+        for any id not in the field (negative and out-of-range ids too)."""
+        out = _local_ids(self.node_ids, global_ids)
         if np.any(out < 0):
             missing = np.asarray(global_ids)[np.asarray(out < 0)]
             raise GraphError(
@@ -170,6 +214,15 @@ class SampledSubgraph:
         """The extraction targets, relabeled into local ids."""
         return tuple(int(i) for i in np.atleast_1d(self.local_index(list(self.targets))))
 
+    @property
+    def local_target(self) -> int | None:
+        """The one target's local id, or ``None`` for :meth:`whole`;
+        raises :class:`GraphError` on a field of several targets."""
+        if len(self.targets) > 1:
+            raise GraphError(f"a field of {len(self.targets)} targets has no single "
+                             f"local target; read local_targets")
+        return self.local_targets[0] if self.targets else None
+
     def __repr__(self) -> str:
         return (f"SampledSubgraph(num_nodes={self.num_nodes}, "
                 f"num_edges={self.num_edges}, targets={self.targets}, "
@@ -179,18 +232,16 @@ class SampledSubgraph:
 def extract_receptive_field(graph: Graph, targets, num_hops: int) -> SampledSubgraph:
     """The union L-hop in-subgraph of ``targets`` as a :class:`SampledSubgraph`.
 
-    The kept edge set matches the historical ``k_hop_subgraph`` contract:
-    every global edge whose endpoints both lie in the union neighborhood.
-    Extra edges contributed by one target's cone never change another
-    target's local prediction — message passing at a node only reads its
-    in-edges, which are all present for any node that can reach a target.
-    A forward over the result's ``.graph`` is exact at every target (see
-    :attr:`SampledSubgraph.graph`).
+    The kept edge set is every global edge whose endpoints both lie in the
+    union neighborhood. Extra edges contributed by one target's cone never
+    change another target's local prediction — message passing at a node
+    only reads its in-edges, which are all present for any node that can
+    reach a target. A forward over the result's ``.subgraph`` is exact at
+    every target (see :attr:`SampledSubgraph.subgraph`).
     """
-    node_ids = khop_in_nodes(graph, targets, num_hops)
-    in_set = np.zeros(graph.num_nodes, dtype=bool)
-    in_set[node_ids] = True
-    edge_mask = in_set[graph.src] & in_set[graph.dst]
-    return SampledSubgraph(graph, node_ids, edge_mask,
-                           targets=np.atleast_1d(np.asarray(targets, dtype=np.int64)),
-                           num_hops=num_hops)
+    dist = _hop_distances(graph, targets, num_hops)
+    inside = dist >= 0
+    node_ids = np.flatnonzero(inside)
+    edge_positions = np.flatnonzero(inside[graph.src] & inside[graph.dst])
+    return SampledSubgraph(graph, node_ids, edge_positions, dist[node_ids],
+                           targets=targets, num_hops=num_hops)

@@ -1,4 +1,4 @@
-"""Graph utilities: degrees, subgraphs, k-hop neighborhoods, conversions.
+"""Graph utilities: degrees, subgraphs, conversions.
 
 These mirror the PyG ``torch_geometric.utils`` helpers the paper's code
 relies on, implemented on numpy / scipy sparse.
@@ -14,7 +14,7 @@ from ..errors import GraphError
 # core but is naturally discovered next to the other graph helpers.
 from ..sparse import sparse_cache  # noqa: F401
 from .data import Graph
-from .sampled import SampledSubgraph, extract_receptive_field
+from .sampled import _relabel
 
 __all__ = [
     "coalesce_edges",
@@ -22,9 +22,6 @@ __all__ = [
     "to_csr",
     "to_undirected",
     "add_reverse_edges",
-    "k_hop_subgraph",
-    "SampledSubgraph",
-    "extract_receptive_field",
     "induced_subgraph",
     "connected_components",
     "edge_list",
@@ -64,18 +61,6 @@ def to_undirected(graph: Graph) -> Graph:
     return g
 
 
-def k_hop_subgraph(graph: Graph, node: int, num_hops: int) -> SampledSubgraph:
-    """Nodes and edges reachable *into* ``node`` within ``num_hops`` steps.
-
-    Follows edges backwards (an L-layer GNN's prediction at ``node`` depends
-    only on nodes with a directed path of length ≤ L *to* it). Returns a
-    :class:`SampledSubgraph`: ``node_ids`` are the neighborhood's nodes and
-    ``edge_mask`` marks original edges whose endpoints both lie in it. The
-    batched generalization is :func:`extract_receptive_field`.
-    """
-    return extract_receptive_field(graph, [int(node)], num_hops)
-
-
 def induced_subgraph(graph: Graph, nodes: np.ndarray) -> tuple[Graph, np.ndarray, np.ndarray]:
     """Subgraph induced by ``nodes``, with relabelled ids.
 
@@ -84,33 +69,13 @@ def induced_subgraph(graph: Graph, nodes: np.ndarray) -> tuple[Graph, np.ndarray
     edges kept. Labels and masks are sliced accordingly; ``motif_edges`` are
     relabelled when present.
     """
-    node_ids = np.asarray(sorted(set(int(n) for n in np.asarray(nodes).reshape(-1))), dtype=np.int64)
+    node_ids = np.unique(np.asarray(nodes, dtype=np.int64).reshape(-1))
     if node_ids.size and (node_ids.min() < 0 or node_ids.max() >= graph.num_nodes):
         raise GraphError("induced_subgraph received out-of-range node ids")
-    remap = -np.ones(graph.num_nodes, dtype=np.int64)
-    remap[node_ids] = np.arange(node_ids.size)
-    edge_mask = (remap[graph.src] >= 0) & (remap[graph.dst] >= 0)
-    new_edges = np.stack([remap[graph.src[edge_mask]], remap[graph.dst[edge_mask]]])
-
-    motif = None
-    if graph.motif_edges is not None:
-        motif = frozenset(
-            (int(remap[u]), int(remap[v]))
-            for u, v in graph.motif_edges
-            if remap[u] >= 0 and remap[v] >= 0
-        )
-    y = graph.y[node_ids] if isinstance(graph.y, np.ndarray) else graph.y
-    sub = Graph(
-        edge_index=new_edges,
-        x=graph.x[node_ids],
-        y=y,
-        num_nodes=node_ids.size,
-        train_mask=None if graph.train_mask is None else graph.train_mask[node_ids],
-        val_mask=None if graph.val_mask is None else graph.val_mask[node_ids],
-        test_mask=None if graph.test_mask is None else graph.test_mask[node_ids],
-        motif_edges=motif,
-        meta=dict(graph.meta),
-    )
+    inside = np.zeros(graph.num_nodes, dtype=bool)
+    inside[node_ids] = True
+    edge_mask = inside[graph.src] & inside[graph.dst]
+    sub = _relabel(graph, node_ids, np.flatnonzero(edge_mask))
     return sub, node_ids, edge_mask
 
 

@@ -147,7 +147,7 @@ def assert_link_loop_is_the_reference(explainer, graph, u, v, mode, loop):
     run on the untrimmed link forward over the endpoints' joint context."""
     model = explainer.model
     field = extract_receptive_field(graph, [u, v], model.num_layers)
-    subgraph, pair = field.graph, np.array([field.local_targets])
+    subgraph, pair = field.subgraph, np.array([field.local_targets])
     parts = [enumerate_flows(subgraph, model.num_layers, target=int(t))
              for t in field.local_targets]
     flow_index = FlowIndex(nodes=np.concatenate([fi.nodes for fi in parts]),

@@ -6,7 +6,7 @@ import pytest
 from repro.core import LinkRevelio
 from repro.errors import ExplainerError
 from repro.explain import ExplainTarget
-from repro.graph import Graph, sbm_edges
+from repro.graph import Graph, extract_receptive_field, sbm_edges
 from repro.nn import LinkPredictor, train_link_predictor
 
 
@@ -66,7 +66,8 @@ class TestLinkRevelio:
 
         graph, model, u, v = link_setup
         explainer = LinkRevelio(model, epochs=60, lr=0.05, alpha=0.0, seed=0)
-        subgraph, node_ids, _, lu, lv = explainer.link_context(graph, u, v)
+        context = extract_receptive_field(graph, [u, v], model.num_layers)
+        subgraph, (lu, lv) = context.subgraph, context.local_targets
         e = explainer.explain(graph, ExplainTarget.link(u, v))
 
         def masked_p(mask_rows):

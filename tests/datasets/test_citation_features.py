@@ -1,12 +1,11 @@
 """The citation surrogates' CSR features against the dense loops they replaced.
 
-``_features`` keeps the per-node ``rng.integers`` calls and builds CSR
-from the words they draw; ``_features_vectorized`` (graphs of 30,000
-nodes or more) draws in one batch. Both must give the matrix the dense
-loops gave, byte for byte through ``toarray()``, in the canonical CSR
-form ``sp.csr_matrix`` would build from it, and leave the generator in
-the same state for the split draws that follow. The dense loops live on
-here as the oracles.
+``_features`` replays the per-node ``rng.integers`` stream in one batch
+(``_bounded_integers``) and builds CSR from the words it draws, at every
+graph size. It must give the matrix the dense loop gave, byte for byte
+through ``toarray()``, in the canonical CSR form ``sp.csr_matrix`` would
+build from it, and leave the generator in the same state for the split
+draws that follow. The dense loop lives on here as the oracle.
 """
 
 import copy
@@ -30,21 +29,6 @@ def loop_features(rng, labels, num_nodes, num_features, words_per_class,
         noise_words = rng.integers(num_features, size=active_per_node - n_topic)
         x[v, topic_words % num_features] = 1.0
         x[v, noise_words] = 1.0
-    return x
-
-
-def batched_features(rng, labels, num_nodes, num_features, words_per_class,
-                     active_per_node, feature_signal):
-    """The batched draw writing a dense ``(N, F)`` matrix."""
-    n_topic = int(round(active_per_node * feature_signal))
-    n_noise = active_per_node - n_topic
-    topic_lo = (labels.astype(np.int64) * words_per_class) % num_features
-    topic = (topic_lo[:, None]
-             + rng.integers(words_per_class, size=(num_nodes, n_topic))) % num_features
-    noise = rng.integers(num_features, size=(num_nodes, n_noise))
-    cols = np.concatenate([topic, noise], axis=1)
-    x = np.zeros((num_nodes, num_features))
-    x[np.repeat(np.arange(num_nodes), cols.shape[1]), cols.ravel()] = 1.0
     return x
 
 
@@ -75,8 +59,6 @@ def checked(monkeypatch):
         return run
 
     monkeypatch.setattr(citation, "_features", wrap(citation._features, loop_features))
-    monkeypatch.setattr(citation, "_features_vectorized",
-                        wrap(citation._features_vectorized, batched_features))
     return calls
 
 
@@ -101,13 +83,29 @@ def test_a_dense_enough_matrix_is_stored_dense(checked):
     assert graph.x.tobytes() == expected.tobytes()
 
 
-def test_the_vectorized_fork_matches_the_batched_dense_draw(checked):
-    graph = citation_surrogate("big", citation._VECTORIZED_MIN_NODES, 60_000, 120, 4,
-                               seed=0).graph
+def test_graphs_of_30000_nodes_take_the_one_stream(checked):
+    """Graphs this large once drew from a batched stream of their own."""
+    graph = citation_surrogate("big", 30_000, 60_000, 120, 4, seed=0).graph
     ((name, expected),) = checked
-    assert name == "_features_vectorized"
+    assert name == "_features"
     assert_canonical(graph.x)
     assert graph.x.toarray().tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("highs", [
+    [5, 5, 1433, 1433, 7] * 40,                 # the surrogates' ranges
+    [2**31 + 1] * 60,                           # about half the words rejected
+    [2**31 - 1, 3, 2**31 + 3, 2**32 - 1] * 20,  # rejections between small draws
+    [2**32 - 1, 2],                             # the widest and narrowest range
+])
+def test_bounded_integers_replay_the_per_call_stream(highs, seed):
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 2**32, dtype=np.uint32)  # leave half a 64-bit word buffered
+    oracle_rng = copy.deepcopy(rng)
+    expected = [int(oracle_rng.integers(h)) for h in highs]
+    assert citation._bounded_integers(rng, np.array(highs)).tolist() == expected
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_words_drawn_twice_are_one_entry():

@@ -87,7 +87,8 @@ class SerialGNNLRP(GNNLRP):
     """One masked forward per finite-difference stencil point; dense
     ``np.add.at`` edge transfer."""
 
-    def _explain_instance(self, graph, target, mode):
+    def _explain_instance(self, context, mode):
+        graph, target = context.subgraph, context.local_target
         flow_index = cached_enumerate_flows(graph, self.model.num_layers, target=target,
                                             max_flows=self.max_flows)
         class_idx = self.predicted_class(graph, target=target)

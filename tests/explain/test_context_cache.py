@@ -141,3 +141,104 @@ def test_revelio_extracts_one_context_per_explanation(mini_ba_shapes, node_model
         Revelio(node_model, epochs=2).explain_node(
             mini_ba_shapes.graph, int(mini_ba_shapes.motif_nodes[0]))
     assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# the one context type: what callers read, what a cached one keeps
+# ----------------------------------------------------------------------
+def test_the_context_carries_what_callers_read(mini_ba_shapes, node_model):
+    """The attributes the benchmark's serve plan and ``examples/flow_queries.py``
+    read from ``node_context(...)``."""
+    from repro.flows import graph_fingerprint
+    from repro.graph import Graph, SampledSubgraph
+
+    g = mini_ba_shapes.graph
+    node = int(mini_ba_shapes.motif_nodes[0])
+    context = RandomExplainer(node_model).node_context(g, node)
+    assert isinstance(context, SampledSubgraph)
+    assert isinstance(context.subgraph, Graph)
+    assert isinstance(context.local_target, int)
+    assert context.local_targets == (context.local_target,)
+    assert context.node_ids[context.local_target] == node
+    assert context.edge_positions.size == context.subgraph.num_edges
+    assert (g.edge_index[:, context.edge_positions]
+            == context.node_ids[context.subgraph.edge_index]).all()
+    assert isinstance(graph_fingerprint(context.subgraph), str)
+
+
+@pytest.mark.parametrize("context_cache, memo", [(False, False), (False, True),
+                                                 (True, False), (True, True)])
+def test_a_request_hashes_at_most_once(context_cache, memo, mini_ba_shapes, node_model,
+                                       monkeypatch):
+    """The content key is hashed once per request when a cache is on, and
+    not at all while both are off."""
+    import contextlib
+
+    from repro.core import Revelio
+    from repro.core.revelio import explanation_cache_disabled
+    from repro.explain import base
+
+    calls = []
+    for name in ("graph_fingerprint", "feature_digest"):
+        real = getattr(base, name)
+        monkeypatch.setattr(base, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    with contextlib.ExitStack() as stack:
+        if not context_cache:
+            stack.enter_context(context_cache_disabled())
+        if not memo:
+            stack.enter_context(explanation_cache_disabled())
+        Revelio(node_model, epochs=2).explain_node(mini_ba_shapes.graph,
+                                                   int(mini_ba_shapes.motif_nodes[0]))
+    hashed = context_cache or memo
+    assert sorted(calls) == (["feature_digest", "graph_fingerprint"] if hashed else [])
+
+
+def _reachable_arrays(root) -> list[np.ndarray]:
+    """Every ndarray reachable from ``root`` through object references."""
+    import gc
+    import types
+
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            if obj.base is not None:
+                stack.append(obj.base)
+            continue
+        stack.extend(gc.get_referents(obj))
+    return arrays
+
+
+def test_a_cached_context_keeps_nothing_of_the_source_graph(node_model):
+    """On Cora x1 a cached context holds no array sized by the source
+    graph's N or E, and does not keep the source graph alive."""
+    import gc
+    import weakref
+
+    from repro.datasets import cora
+    from repro.nn import build_model
+    from repro.sparse import sparse_cache
+
+    graph = cora(scale=1.0, seed=0).graph
+    num_nodes, num_edges = graph.num_nodes, graph.num_edges
+    model = build_model("gcn", "node", graph.num_features, 7, rng=0)
+    node = int(np.bincount(graph.dst, minlength=num_nodes).argmin())
+    context = RandomExplainer(model).node_context(graph, node)
+    assert len(CONTEXT_CACHE) == 1
+    arrays = _reachable_arrays(context)
+    for held in (context.node_ids, context.hops, context.subgraph.edge_index,
+                 context.subgraph.x.indices, sparse_cache(context.subgraph).deg):
+        assert any(array is held for array in arrays)
+    for array in arrays:
+        assert num_nodes not in array.shape and num_edges not in array.shape, array.shape
+    source = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert source() is None
+    assert list(CONTEXT_CACHE._data.values()) == [context]

@@ -22,9 +22,10 @@ from repro.autograd import Adam, Tensor, concat, log_softmax
 from repro.core import Revelio
 from repro.core.revelio import explanation_cache_disabled
 from repro.explain import ExplainTarget, GNNExplainer, GraphMask, PGExplainer
+from repro.explain.base import context_cache_disabled
 from repro.explain.mask_loop import hop_layer_edges
 from repro.flows import enumerate_flows
-from repro.graph import Graph
+from repro.graph import Graph, SampledSubgraph, extract_receptive_field, khop_in_nodes, sampled
 from repro.nn import build_model
 from repro.nn.models import GNN
 from repro.sparse import sparse_cache
@@ -115,12 +116,41 @@ def test_loop_reproduces_the_reference_bit_for_bit(conv, task, mode, feature_mas
         assert "feature_scores" not in explanation.meta
 
 
+def hop_layer_edges_loop(graph, node, num_layers):
+    """The per-layer search the hop trim replaced: one ``khop_in_nodes``
+    per layer, from the target of ``graph``."""
+    dst = np.concatenate([graph.dst, np.arange(graph.num_nodes)])
+    kept = []
+    for l in range(num_layers):
+        inside = np.zeros(graph.num_nodes, dtype=bool)
+        inside[khop_in_nodes(graph, [node], num_layers - 1 - l)] = True
+        kept.append(np.flatnonzero(inside[dst]))
+    return kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=pathological_targets(), num_layers=st.integers(1, 3))
+def test_hop_trim_is_the_per_layer_search(case, num_layers):
+    """Isolated targets, targets without in-edges, duplicate edges, data
+    self-loops, and the zero-hop last layer: the distances the extraction
+    recorded give the sets of one search per layer."""
+    graph, target, _ = case
+    context = extract_receptive_field(graph, [target], num_layers)
+    mine = hop_layer_edges(context, num_layers)
+    theirs = hop_layer_edges_loop(context.subgraph, context.local_target, num_layers)
+    assert len(mine) == num_layers
+    for ids, expected in zip(mine, theirs):
+        assert ids.dtype == expected.dtype and np.array_equal(ids, expected)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=pathological_targets(), num_layers=st.integers(1, 3))
 def test_hop_trim_is_the_flow_trim(case, num_layers):
     graph, target, _ = case
-    hops = hop_layer_edges(graph, target, num_layers)
-    flows = enumerate_flows(graph, num_layers, target=target).used_layer_edge_ids()
+    context = extract_receptive_field(graph, [target], num_layers)
+    hops = hop_layer_edges(context, num_layers)
+    flows = enumerate_flows(context.subgraph, num_layers,
+                            target=context.local_target).used_layer_edge_ids()
     assert len(hops) == num_layers
     for mine, theirs in zip(hops, flows):
         assert np.array_equal(mine, theirs)
@@ -128,8 +158,25 @@ def test_hop_trim_is_the_flow_trim(case, num_layers):
 
 def test_graph_targets_keep_every_layer_edge(mini_mutag):
     graph = mini_mutag.graphs[0]
-    for ids in hop_layer_edges(graph, None, 3):
+    for ids in hop_layer_edges(SampledSubgraph.whole(graph), 3):
         assert np.array_equal(ids, np.arange(graph.num_edges + graph.num_nodes))
+
+
+@pytest.mark.parametrize("cls", [GNNExplainer, PGExplainer, GraphMask])
+def test_one_backward_search_per_instance(cls, node_model, mini_ba_shapes, good_motif_node):
+    """The context's extraction is the only backward BFS an explanation (or
+    a group fit instance) runs: the hop trim reads its recorded distances."""
+    graph, target = mini_ba_shapes.graph, ExplainTarget.node(good_motif_node)
+    with mock.patch.object(sampled, "_hop_distances",
+                           side_effect=sampled._hop_distances) as searches, \
+            context_cache_disabled():
+        explainer = cls(node_model, epochs=2)
+        if cls is not GNNExplainer:
+            explainer.fit(explainer.prepare_instances(graph, [target, ExplainTarget.node(0)]))
+            assert searches.call_count == 2
+            searches.reset_mock()
+        explainer.explain(graph, target)
+    assert searches.call_count == 1
 
 
 def test_claim_3_equal_work_at_equal_epochs(node_model, mini_ba_shapes, good_motif_node):
@@ -185,7 +232,7 @@ def test_amortized_group_with_an_isolated_instance_trains(cls, node_model, mini_
     explainer = cls(node_model, epochs=4)
     instances = explainer.prepare_instances(
         graph, [ExplainTarget.node(node), ExplainTarget.node(good_motif_node)])
-    assert instances[0][0].num_edges == 0
+    assert instances[0].subgraph.num_edges == 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         explainer.fit(instances)

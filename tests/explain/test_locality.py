@@ -2,7 +2,7 @@
 
 An L-layer GNN's prediction at a node depends only on the node's L-hop
 incoming neighborhood (DESIGN.md §13). So every registered explainer,
-run on ``extract_receptive_field(graph, target, L).graph`` with the
+run on ``extract_receptive_field(graph, target, L).subgraph`` with the
 target's local id, must return the full-graph explanation once its
 local edge scores are scattered back through ``field.edge_positions``:
 within 1e-8 (observed: exactly equal), with the same predicted class and
@@ -81,7 +81,7 @@ def test_node_locality(small_cora, name, mode):
     field = extract_receptive_field(graph, [target], model.num_layers)
     full = full_explainer.explain(graph, ExplainTarget.node(target), mode=mode)
     local = local_explainer.explain(
-        field.graph, ExplainTarget.node(int(field.local_index(target))), mode=mode)
+        field.subgraph, ExplainTarget.node(int(field.local_index(target))), mode=mode)
 
     assert local.predicted_class == full.predicted_class
     diff = float(np.abs(full.edge_scores
@@ -106,13 +106,13 @@ def test_link_locality(mode):
     train_link_predictor(model, graph, epochs=30, rng=0)
     u, v = (int(i) for i in graph.edge_index[:, 0])
 
-    # Both endpoints go into one union extraction, as in link_context.
+    # Both endpoints go into one union extraction, as LinkRevelio makes it.
     field = extract_receptive_field(graph, [u, v], model.num_layers)
     lu, lv = field.local_targets
     full = LinkRevelio(model, epochs=10, seed=4).explain(
         graph, ExplainTarget.link(u, v), mode=mode)
     local = LinkRevelio(model, epochs=10, seed=4).explain(
-        field.graph, ExplainTarget.link(lu, lv), mode=mode)
+        field.subgraph, ExplainTarget.link(lu, lv), mode=mode)
 
     diff = float(np.abs(full.edge_scores
                         - _lift(field, local.edge_scores, graph.num_edges)).max())

@@ -88,12 +88,13 @@ def reference_pgexplainer(explainer, instances, mode):
     draws from ``explainer._rng``."""
     model, rng = explainer.model, explainer._rng
     optimizer = Adam(explainer.edge_mlp.parameters(), lr=explainer.lr)
-    classes = [explainer.predicted_class(g, target=t) for g, t in instances]
+    classes = [explainer.predicted_class(c.subgraph, target=c.local_target) for c in instances]
     for epoch in range(explainer.epochs):
         temperature = max(0.5, explainer.temperature * (0.97 ** epoch))
         optimizer.zero_grad()
         total = None
-        for (graph, target), class_idx in zip(instances, classes):
+        for context, class_idx in zip(instances, classes):
+            graph, target = context.subgraph, context.local_target
             z = model.node_embeddings(graph)[-1]
             feats = [z[graph.src], z[graph.dst]]
             if target is not None:
@@ -121,11 +122,12 @@ def reference_graphmask(explainer, instances, mode):
     gamma, zeta, beta = -0.1, 1.1, 2.0 / 3.0
     hard = explainer.gate_type == "hard_concrete"
     optimizer = Adam([p for g in explainer.gates for p in g.parameters()], lr=explainer.lr)
-    classes = [explainer.predicted_class(g, target=t) for g, t in instances]
+    classes = [explainer.predicted_class(c.subgraph, target=c.local_target) for c in instances]
     for _ in range(explainer.epochs):
         optimizer.zero_grad()
         total = None
-        for (graph, target), class_idx in zip(instances, classes):
+        for context, class_idx in zip(instances, classes):
+            graph, target = context.subgraph, context.local_target
             hs = [feature_dense(graph.x)] + model.node_embeddings(graph)[:-1]
             masks, outs = [], []
             for gate_net, h in zip(explainer.gates, hs):

@@ -10,9 +10,9 @@ from repro.graph import (
     coalesce_edges,
     connected_components,
     edge_list,
+    extract_receptive_field,
     from_networkx,
     induced_subgraph,
-    k_hop_subgraph,
     to_csr,
     to_networkx,
     to_undirected,
@@ -53,26 +53,26 @@ class TestReverseAndUndirected:
 
 class TestKHop:
     def test_one_hop_incoming(self, chain):
-        field = k_hop_subgraph(chain, 2, 1)
+        field = extract_receptive_field(chain, [2], 1)
         assert set(field.node_ids.tolist()) == {1, 2}
-        assert field.edge_mask.sum() == 1  # only 1->2
+        assert field.num_edges == 1  # only 1->2
 
     def test_three_hops(self, chain):
-        field = k_hop_subgraph(chain, 4, 3)
+        field = extract_receptive_field(chain, [4], 3)
         assert set(field.node_ids.tolist()) == {1, 2, 3, 4}
 
     def test_follows_direction_only(self, chain):
-        field = k_hop_subgraph(chain, 0, 2)
+        field = extract_receptive_field(chain, [0], 2)
         assert set(field.node_ids.tolist()) == {0}  # nothing points into 0
 
     def test_out_of_range_target(self, chain):
         with pytest.raises(GraphError):
-            k_hop_subgraph(chain, 99, 2)
+            extract_receptive_field(chain, [99], 2)
 
     def test_hops_zero(self, chain):
-        field = k_hop_subgraph(chain, 3, 0)
+        field = extract_receptive_field(chain, [3], 0)
         assert field.node_ids.tolist() == [3]
-        assert field.edge_mask.sum() == 0
+        assert field.num_edges == 0
 
 
 class TestInducedSubgraph:

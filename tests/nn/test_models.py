@@ -6,7 +6,6 @@ import pytest
 from repro.autograd import Tensor
 from repro.errors import ModelError
 from repro.graph import Graph, GraphBatch
-from repro.explain.mask_loop import hop_layer_edges
 from repro.nn import GNN, LayerTrim, LinkPredictor, build_model
 
 
@@ -151,7 +150,7 @@ class TestLayerTrimRows:
                       x=np.random.default_rng(0).normal(size=(4, 32)))
         model = build_model("gcn", "node", 32, 3, rng=0)
         model.freeze()
-        kept = hop_layer_edges(graph, 0, 3)
+        kept = [np.array([2])] * 3  # node 0's self-loop: it has no in-edges
         trim = LayerTrim(kept)
         masks = [Tensor(np.ones(ids.size), requires_grad=True) for ids in kept]
         trimmed = model.forward_graph(graph, edge_masks=masks, trim=trim)
@@ -164,7 +163,8 @@ class TestLayerTrimRows:
         graph = Graph(edge_index=np.array([[0, 1], [1, 2]]),
                       x=np.random.default_rng(0).normal(size=(4, 8)))
         model = LinkPredictor("gcn", 8, 16, rng=0)
-        trim = LayerTrim(hop_layer_edges(graph, 2, 3))
+        # Node 2's hop trim: 1 -> 2 and the loops of nodes 0..2, then 1..2, then 2.
+        trim = LayerTrim([np.array([0, 1, 2, 3, 4]), np.array([0, 1, 3, 4]), np.array([1, 4])])
         masks = [Tensor(np.ones(ids.size)) for ids in trim.layer_edges]
         logit = model.link_logits(graph, np.array([[2, 2]]), edge_masks=masks, trim=trim)
         assert trim.rows[-1].tolist() == [0, 2]

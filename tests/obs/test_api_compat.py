@@ -17,7 +17,7 @@ from repro.execution import (
 )
 from repro.explain import make_explainer
 from repro.explain.batch import explain_instances
-from repro.graph import Graph, k_hop_subgraph
+from repro.graph import Graph, extract_receptive_field
 from repro.nn import LinkPredictor
 from repro.serve import ServeApp, ServeConfig
 
@@ -81,7 +81,7 @@ def _instrumentation_import(request):
 
 
 def _subgraph_tuple_unpack(request):
-    node_ids, edge_mask = k_hop_subgraph(_path_graph(), 3, 2)
+    node_ids, edge_mask = extract_receptive_field(_path_graph(), [3], 2)
 
 
 #: Each 1.x shape deleted in 2.0, and the typed failure that replaced it.
