@@ -32,7 +32,7 @@ from ..autograd import Tensor
 from ..errors import ExplainerError
 from ..explain.base import Explanation, check_int, check_real
 from ..explain.flow_common import layer_scores_to_edge_scores
-from ..explain.mask_loop import forward_layer_edges, forward_layer_rows, learn_masks, outcome_loss
+from ..explain.mask_loop import forward_meta, learn_masks, outcome_loss
 from ..flows import FlowIndex
 from ..nn.models import LayerTrim
 
@@ -99,7 +99,7 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
                         rng: np.random.Generator, *, method: str, predicted_class: int,
                         tie: tuple[np.ndarray, int] | None = None,
                         meta: dict | None = None,
-                        trim: LayerTrim | None = None) -> Explanation:
+                        trim: LayerTrim) -> Explanation:
     """Learn flow masks for one instance; return its context-local explanation.
 
     Parameters
@@ -129,7 +129,8 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
         ``settings.params()``.
     trim:
         The :class:`~repro.nn.LayerTrim` ``log_prob`` runs its forward
-        through; its rows per layer go to ``meta["forward_layer_rows"]``.
+        through; its layer edges and rows go to
+        ``meta["forward_layer_edges"]`` and ``meta["forward_layer_rows"]``.
     """
     if flow_index.num_flows == 0:
         raise ExplainerError("instance has no message flows to explain")
@@ -178,9 +179,8 @@ def optimize_flow_masks(settings: FlowMaskSettings, flow_index: FlowIndex,
               # Fig. 5's sparsity quantities, on the reported scores.
               "flows_above_half": float((omega_f > 0.5).mean()),
               "mean_edge_mask": float(omega_e[used].mean()),
-              "forward_layer_edges": forward_layer_edges(kept, flow_index.num_layer_edges),
-              **({} if trim is None else
-                 {"forward_layer_rows": forward_layer_rows(trim, flow_index.num_nodes)}),
+              **forward_meta(trim, flow_index.num_layers, flow_index.num_layer_edges,
+                             flow_index.num_nodes),
               **(meta or {})},
     )
 

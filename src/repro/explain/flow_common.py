@@ -11,7 +11,7 @@ import numpy as np
 
 from ..flows import FlowIndex
 from ..graph import Graph
-from ..nn.models import GNN
+from ..nn.models import GNN, LayerTrim
 
 __all__ = ["masked_probability_batch",
            "layer_scores_to_edge_scores", "flow_scores_to_edge_scores", "sigmoid"]
@@ -29,7 +29,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def masked_probability_batch(model: GNN, graph: Graph, mask_stack: np.ndarray,
                              class_idx: int, target_row: int | None, *,
-                             structural: bool = False) -> np.ndarray:
+                             structural: bool = False,
+                             trim: LayerTrim | None = None) -> np.ndarray:
     """``P(class | graph, masks_b)`` for each of a stack of mask sets, no tape.
 
     Parameters
@@ -45,13 +46,17 @@ def masked_probability_batch(model: GNN, graph: Graph, mask_stack: np.ndarray,
     structural:
         Binary masks remove edges exactly (see
         :meth:`~repro.nn.models.GNN.forward_masked_batch`).
+    trim:
+        The explanation's :class:`~repro.nn.LayerTrim` (a node target,
+        multiplicative masks): each layer runs over only the layer edges
+        that reach ``target_row``, whose probability stays bit for bit.
 
     Returns
     -------
     np.ndarray
         ``(B,)`` probabilities ``P(class | graph, masks_b)``.
     """
-    probs = model.predict_proba_batch(graph, mask_stack, structural=structural)
+    probs = model.predict_proba_batch(graph, mask_stack, structural=structural, trim=trim)
     row = target_row if target_row is not None else 0
     return probs[:, row, class_idx]
 

@@ -29,7 +29,7 @@ from ..nn.models import GNN, LayerTrim
 from ..rng import ensure_rng
 from .base import Explainer, Explanation, check_int, check_real
 from .flow_common import flow_scores_to_edge_scores, masked_probability_batch
-from .mask_loop import forward_layer_edges, forward_layer_rows, learn_masks, outcome_loss
+from .mask_loop import forward_meta, learn_masks, outcome_loss
 
 __all__ = ["FlowX"]
 
@@ -79,7 +79,10 @@ class FlowX(Explainer):
     # ------------------------------------------------------------------
     def _shapley_flow_scores(self, graph: Graph, flow_index: FlowIndex,
                              class_idx: int, target: int | None,
-                             rng: np.random.Generator) -> np.ndarray:
+                             rng: np.random.Generator,
+                             trim: LayerTrim | None = None) -> np.ndarray:
+        """Per-flow Shapley estimates; ``trim`` (a node target's flow trim)
+        runs each coalition over only the layer edges that reach it."""
         num_layers = flow_index.num_layers
         width = flow_index.num_layer_edges
         used = flow_index.used_layer_edges()
@@ -116,7 +119,7 @@ class FlowX(Explainer):
         for start in range(0, len(rows), self.BATCH_CHUNK):
             stack = np.stack(rows[start:start + self.BATCH_CHUNK])
             probs[start:start + self.BATCH_CHUNK] = masked_probability_batch(
-                self.model, graph, stack, class_idx, target
+                self.model, graph, stack, class_idx, target, trim=trim
             )
 
         p_base = {s: probs[i] for i, (s, pick) in enumerate(row_meta) if pick is None}
@@ -139,8 +142,12 @@ class FlowX(Explainer):
                                             max_flows=self.max_flows)
         rng = ensure_rng(self.seed)
         class_idx = self.predicted_class(graph, target=target)
+        # Coalitions only scale messages, so a node target's stage 1 runs
+        # flow-trimmed, as stage 2 does; a graph readout pools every row.
+        trim = LayerTrim(flow_index.used_layer_edge_ids()) if target is not None else None
 
-        shapley = self._shapley_flow_scores(graph, flow_index, class_idx, target, rng)
+        shapley = self._shapley_flow_scores(graph, flow_index, class_idx, target, rng,
+                                            trim=trim)
         # Seed learnable masks: scale raw contributions into tanh's active
         # region so fine-tuning starts from the Shapley ranking.
         scale = np.abs(shapley).max()
@@ -148,7 +155,9 @@ class FlowX(Explainer):
             rng.normal(0.0, 0.1, size=flow_index.num_flows)
         masks = Tensor(init, requires_grad=True)
         meta = {"params": {"samples": self.samples, "finetune_epochs": self.finetune_epochs},
-                "num_flows": flow_index.num_flows}
+                "num_flows": flow_index.num_flows,
+                **forward_meta(trim, flow_index.num_layers, flow_index.num_layer_edges,
+                               flow_index.num_nodes)}
         if self.finetune_epochs:
             meta.update(self._refine(graph, flow_index, masks, class_idx, target, mode))
 
@@ -188,6 +197,4 @@ class FlowX(Explainer):
         omega_e = edge_masks().numpy()[flow_index.used_layer_edges()]
         if mode == "counterfactual":
             omega_e = 1.0 - omega_e
-        return {**loss_meta, "mean_edge_mask": float(omega_e.mean()),
-                "forward_layer_edges": forward_layer_edges(kept, flow_index.num_layer_edges),
-                "forward_layer_rows": forward_layer_rows(trim, flow_index.num_nodes)}
+        return {**loss_meta, "mean_edge_mask": float(omega_e.mean())}

@@ -26,9 +26,10 @@ import numpy as np
 from ..errors import ExplainerError
 from ..flows import cached_enumerate_flows
 from ..graph import SampledSubgraph
-from ..nn.models import GNN
+from ..nn.models import GNN, LayerTrim
 from ..sparse import kernel, plan_for
 from .base import Explainer, Explanation, check_real
+from .mask_loop import forward_meta
 
 __all__ = ["GNNLRP"]
 
@@ -89,13 +90,15 @@ class GNNLRP(Explainer):
             return masks
 
         # Masks are built one chunk at a time, so peak memory stays at
-        # BATCH_CHUNK stencils however many flows there are.
+        # BATCH_CHUNK stencils however many flows there are. A stencil only
+        # scales messages, so a node target's forwards run flow-trimmed.
         values = np.empty(len(order))
         row = target if target is not None else 0
+        trim = LayerTrim(flow_index.used_layer_edge_ids()) if target is not None else None
         for start in range(0, len(order), self.BATCH_CHUNK):
             stack = np.stack([stencil_masks(p, s)
                               for p, s in order[start:start + self.BATCH_CHUNK]])
-            logits = self.model.forward_masked_batch(graph, stack)
+            logits = self.model.forward_masked_batch(graph, stack, trim=trim)
             values[start:start + self.BATCH_CHUNK] = logits[:, row, class_idx]
 
         scores = np.zeros(flow_index.num_flows)
@@ -126,5 +129,6 @@ class GNNLRP(Explainer):
             flow_scores=scores,
             flow_index=flow_index,
             meta={"params": {"step": h}, "num_flows": flow_index.num_flows,
-                  "perf": {"stencil_evals": len(order)}},
+                  "perf": {"stencil_evals": len(order)},
+                  **forward_meta(trim, num_layers, width, flow_index.num_nodes)},
         )

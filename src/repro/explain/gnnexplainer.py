@@ -31,8 +31,7 @@ from ..nn.models import GNN, LayerTrim
 from ..rng import ensure_rng
 from ..sparse import feature_dense, sparse_cache
 from .base import Explainer, Explanation, check_int, check_real
-from .mask_loop import (forward_layer_edges, forward_layer_rows, hop_layer_edges, learn_masks,
-                        mean_or_zero, outcome_loss)
+from .mask_loop import forward_meta, hop_layer_edges, learn_masks, mean_or_zero, outcome_loss
 
 __all__ = ["GNNExplainer"]
 
@@ -121,9 +120,8 @@ class GNNExplainer(Explainer):
             scores = 1.0 - scores
         meta: dict = {**loss_meta, "params": {"epochs": self.epochs, "lr": self.lr},
                       "mean_edge_mask": float(scores.mean()) if scores.size else 0.0,
-                      "forward_layer_edges": forward_layer_edges(
-                          kept, graph.num_edges + graph.num_nodes),
-                      "forward_layer_rows": forward_layer_rows(trim, graph.num_nodes)}
+                      **forward_meta(trim, self.model.num_layers,
+                                     graph.num_edges + graph.num_nodes, graph.num_nodes)}
         if raw_feature is not None:
             meta["feature_scores"] = raw_feature.sigmoid().numpy().copy()
         return Explanation(

@@ -38,7 +38,7 @@ from ..obs import span
 from ..obs.names import SPAN_EPOCH, SPAN_OPTIMIZE
 
 __all__ = ["learn_masks", "outcome_loss", "mean_or_zero", "hop_layer_edges",
-           "forward_layer_edges", "forward_layer_rows", "converged", "CONVERGENCE_RTOL"]
+           "forward_meta", "converged", "CONVERGENCE_RTOL"]
 
 #: ``meta["converged"]``: the loss moved by less than this fraction of
 #: itself over the last 10% of epochs.
@@ -131,14 +131,18 @@ def hop_layer_edges(context: SampledSubgraph, num_layers: int) -> list[np.ndarra
     return [np.flatnonzero(hops <= num_layers - 1 - l) for l in range(num_layers)]
 
 
-def forward_layer_edges(kept: list[np.ndarray], width: int) -> dict:
-    """``meta["forward_layer_edges"]``: the layer edges each trimmed
-    forward ran over, beside the context's ``E + N``."""
-    return {**{f"layer_{l + 1}": int(ids.size) for l, ids in enumerate(kept)},
-            "context": int(width)}
+def forward_meta(trim, num_layers: int, width: int, num_nodes: int) -> dict:
+    """``meta["forward_layer_edges"]`` and ``meta["forward_layer_rows"]``:
+    the layer edges (beside the context's ``E + N``) and node rows (beside
+    its ``N``) each layer of a forward run through ``trim``, a
+    :class:`~repro.nn.LayerTrim`, computed (``None``: untrimmed, every
+    layer edge and row of the context)."""
+    def per_layer(counts, total: int) -> dict:
+        return {**{f"layer_{l + 1}": int(c) for l, c in enumerate(counts)},
+                "context": int(total)}
 
-
-def forward_layer_rows(trim, num_nodes: int) -> dict:
-    """``meta["forward_layer_rows"]``: the node rows each layer of a
-    :class:`~repro.nn.LayerTrim` computed, beside the context's ``N``."""
-    return forward_layer_edges(trim.rows, num_nodes)
+    if trim is None:
+        return {"forward_layer_edges": per_layer([width] * num_layers, width),
+                "forward_layer_rows": per_layer([num_nodes] * num_layers, num_nodes)}
+    return {"forward_layer_edges": per_layer([ids.size for ids in trim.layer_edges], width),
+            "forward_layer_rows": per_layer([rows.size for rows in trim.rows], num_nodes)}

@@ -199,7 +199,8 @@ class GNN(Module):
     # ------------------------------------------------------------------
     def forward_masked_batch(self, graph: Graph, mask_stack: np.ndarray | None = None,
                              *, structural: bool = False,
-                             x_stack: np.ndarray | None = None) -> np.ndarray:
+                             x_stack: np.ndarray | None = None,
+                             trim: LayerTrim | None = None) -> np.ndarray:
         """Logits for a *stack* of per-layer edge-mask sets in one pass.
 
         Evaluates ``B`` mask (and/or feature) variations of ``graph`` under
@@ -225,6 +226,15 @@ class GNN(Module):
             Optional ``(B, N, F)`` perturbed node-feature stacks (e.g.
             PGM-Explainer's perturbation tables). Defaults to ``graph.x``,
             shared by every row.
+        trim:
+            Optional :class:`LayerTrim` of one node explanation, as in
+            :meth:`forward`: layer ``l`` runs over only the columns
+            ``mask_stack[:, l, trim.layer_edges[l]]``, and the layers below
+            the last compute only the rows those edges write. The logits
+            equal the untrimmed forward's bit for bit at every node the
+            last layer's kept edges end at (the explained node). Only
+            masks that scale messages may be trimmed: a trim with
+            ``structural=True`` raises :class:`~repro.errors.ModelError`.
 
         Returns
         -------
@@ -264,13 +274,17 @@ class GNN(Module):
             # and every aggregation one kernel call over the graph's
             # cached plan; shared features enter as (N, 1, F), so layer
             # 1's projection runs once for the whole stack. Masks are
-            # (E+N, B) column views, one column per row.
+            # (E+N, B) column views, one column per row (a trim's layer
+            # takes its kept columns).
             x = feature_dense(graph.x)[:, None, :] if x_stack is None \
                 else np.ascontiguousarray(x_stack.transpose(1, 0, 2))
-            masks = None if mask_stack is None \
-                else [Tensor(mask_stack[:, l, :].T) for l in range(self.num_layers)]
+            masks = None
+            if mask_stack is not None:
+                kept = [slice(None)] * self.num_layers if trim is None else trim.layer_edges
+                masks = [Tensor(mask_stack[:, l, ids].T) for l, ids in enumerate(kept)]
             h = run_convs(self.convs, Tensor(x), graph.edge_index, num_nodes, masks,
-                          sparse_cache(graph), None, structural=structural)[-1]
+                          sparse_cache(graph), trim, structural=structural,
+                          dense_readout=True)[-1]
             if self.task == "graph":
                 # The whole stack is one graph: pool every node into row 0.
                 h = self._pool(h, np.zeros(num_nodes, dtype=np.int64), 1)
@@ -278,10 +292,12 @@ class GNN(Module):
 
     def predict_proba_batch(self, graph: Graph, mask_stack: np.ndarray | None = None,
                             *, structural: bool = False,
-                            x_stack: np.ndarray | None = None) -> np.ndarray:
-        """Class probabilities for a mask/feature stack: ``(B, rows, C)``."""
+                            x_stack: np.ndarray | None = None,
+                            trim: LayerTrim | None = None) -> np.ndarray:
+        """Class probabilities for a mask/feature stack: ``(B, rows, C)``
+        (``trim``: see :meth:`forward_masked_batch`)."""
         logits = self.forward_masked_batch(graph, mask_stack, structural=structural,
-                                           x_stack=x_stack)
+                                           x_stack=x_stack, trim=trim)
         shifted = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
         return exp / exp.sum(axis=-1, keepdims=True)

@@ -103,6 +103,23 @@ def test_frozen_weight_matmul_rows_do_not_depend_on_the_row_count(shape):
             assert np.array_equal(part_out.numpy(), out.numpy()[:rows])
 
 
+@pytest.mark.parametrize("shape", [shape for shape in WEIGHT_SHAPES if shape[0] == shape[1]])
+def test_hidden_width_matmul_rows_do_not_depend_on_the_stacked_row_count(shape):
+    """A batched masked forward flattens ``(rows, B, K)`` states into one
+    GEMM of ``rows × B`` rows; a trimmed one runs fewer rows than the
+    untrimmed. Each row of the hidden-width product has the same bits at
+    every such count: ``rows`` up to 125 (a 121-node BA-Shapes context)
+    times ``B = 128`` coalitions, about 16,000 rows."""
+    rng = np.random.default_rng(9)
+    weight = Tensor(rng.normal(size=shape))
+    stack = 128
+    x = rng.normal(size=(125 * stack, shape[0]))
+    out = (Tensor(x) @ weight).numpy()
+    for rows in range(2, 126):
+        part = (Tensor(x[:rows * stack]) @ weight).numpy()
+        assert np.array_equal(part, out[:rows * stack])
+
+
 def test_trainable_weight_matmul_keeps_the_transposed_view():
     rng = np.random.default_rng(8)
     weight = Tensor(rng.normal(size=(32, 32)), requires_grad=True)

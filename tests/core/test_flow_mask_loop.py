@@ -23,7 +23,7 @@ from repro.core.optimize import optimize_flow_masks
 from repro.core.revelio import explanation_cache_disabled
 from repro.datasets import cora, tree_cycles
 from repro.errors import ExplainerError
-from repro.explain import ExplainTarget, GNNExplainer
+from repro.explain import ExplainTarget, FlowX, GNNExplainer, GNNLRP
 from repro.explain.io import (explanation_from_jsonable, explanation_to_jsonable,
                               load_explanation, save_explanation)
 from repro.explain.mask_loop import CONVERGENCE_RTOL, converged
@@ -122,7 +122,7 @@ def test_loop_reproduces_the_reference_bit_for_bit(node_model, conv_models, mini
 
     direct = optimize_flow_masks(explainer.settings, flow_index, log_prob, mode,
                                  np.random.default_rng(3), method="revelio",
-                                 predicted_class=class_idx)
+                                 predicted_class=class_idx, trim=trim)
     with explanation_cache_disabled():
         lifted = explainer.explain(mini_ba_shapes.graph,
                                    ExplainTarget.node(good_motif_node), mode=mode)
@@ -417,6 +417,43 @@ def test_gnnexplainer_meta_schema_and_trace_shape(node_model, mini_ba_shapes, go
                     "loss_first", "loss_min", "loss_last", "converged", "tape_nodes",
                     "plan_nodes"):
             assert loaded.meta[key] == meta[key]
+
+
+@pytest.mark.parametrize("name", ["flowx", "flowx_unrefined", "gnn_lrp"])
+def test_flow_baselines_record_their_batched_forward(name, node_model, graph_model,
+                                                     mini_ba_shapes, mini_mutag,
+                                                     good_motif_node, tmp_path):
+    """FlowX's stage 1 (also unrefined, as served) and GNN-LRP's stencils
+    record the layer edges and rows their batched forward ran: trimmed to
+    the target's flows for a node, every one for a graph readout. Both
+    fields survive the JSON wire and the npz file."""
+    make = {"flowx": lambda model: FlowX(model, samples=1, finetune_epochs=3),
+            "flowx_unrefined": lambda model: FlowX(model, samples=2, finetune_epochs=0),
+            "gnn_lrp": lambda model: GNNLRP(model)}[name]
+    node = make(node_model).explain(mini_ba_shapes.graph, ExplainTarget.node(good_motif_node))
+    flow_index = node.flow_index
+    assert node.meta["forward_layer_edges"] == {
+        **{f"layer_{l + 1}": int(ids.size)
+           for l, ids in enumerate(flow_index.used_layer_edge_ids())},
+        "context": flow_index.num_layer_edges}
+    # The hop trim's rows (see the GNNExplainer case above): the 2-hop
+    # field, the 1-hop field, then every row for the class head.
+    assert node.meta["forward_layer_rows"] == {"layer_1": 7, "layer_2": 4, "layer_3": 21,
+                                               "context": 21}
+
+    graph = mini_mutag.graphs[0]
+    whole = make(graph_model).explain(graph).meta
+    width = graph.num_edges + graph.num_nodes
+    layers = [f"layer_{l + 1}" for l in range(graph_model.num_layers)]
+    assert whole["forward_layer_edges"] == {**dict.fromkeys(layers, width), "context": width}
+    assert whole["forward_layer_rows"] == {**dict.fromkeys(layers, graph.num_nodes),
+                                           "context": graph.num_nodes}
+
+    wire = explanation_from_jsonable(json.loads(json.dumps(explanation_to_jsonable(node))))
+    save_explanation(node, tmp_path / "e.npz")
+    for loaded in (wire, load_explanation(tmp_path / "e.npz")):
+        for key in ("forward_layer_edges", "forward_layer_rows"):
+            assert loaded.meta[key] == node.meta[key]
 
 
 def test_tape_nodes_pin_a_revelio_epoch(node_model, mini_ba_shapes, good_motif_node):

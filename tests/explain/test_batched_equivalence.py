@@ -19,11 +19,13 @@ from repro.autograd import Tensor, no_grad, softmax
 from repro.eval.fidelity import Instance, fidelity_curve, fidelity_minus, fidelity_plus
 from repro.explain import ExplainTarget
 from repro.explain.base import Explanation, clear_context_cache
+from repro.explain.flow_common import masked_probability_batch
 from repro.explain.flowx import FlowX
 from repro.explain.gnn_lrp import GNNLRP
 from repro.explain.pgm_explainer import PGMExplainer
 from repro.explain.subgraphx import SubgraphX
 from repro.flows import FLOW_CACHE, cached_enumerate_flows
+from repro.nn import build_model
 
 
 @pytest.fixture(autouse=True)
@@ -45,9 +47,11 @@ def _masked_output(model, graph, layer_masks, target, *, proba):
 
 
 class SerialFlowX(FlowX):
-    """Stage 1 with one masked forward per toggled layer edge."""
+    """Stage 1 with one untrimmed masked forward per toggled layer edge:
+    ``trim`` is accepted and ignored, so the batched path's flow trim is
+    checked against every layer edge and row of the context."""
 
-    def _shapley_flow_scores(self, graph, flow_index, class_idx, target, rng):
+    def _shapley_flow_scores(self, graph, flow_index, class_idx, target, rng, trim=None):
         num_layers = flow_index.num_layers
         width = flow_index.num_layer_edges
         used = flow_index.used_layer_edges()
@@ -80,6 +84,12 @@ class SerialFlowX(FlowX):
                 members = flow_index.flows_through(layer + 1, edge)
                 contributions[members] += (p_base - p_without) / n_flows
                 counts[members] += 1.0
+        if trim is not None:
+            # FlowX's meta reads the rows its stage-1 trim computed; one
+            # all-ones trimmed forward records them. The scores above
+            # come from untrimmed forwards only.
+            masked_probability_batch(self.model, graph, np.ones((1, num_layers, width)),
+                                     class_idx, target, trim=trim)
         return contributions / np.maximum(counts, 1.0)
 
 
@@ -192,6 +202,17 @@ def _assert_pair_matches(case, model, graph, target=None):
 @pytest.mark.parametrize("name", sorted(NODE_CASES))
 def test_batched_matches_serial_node_task(mini_ba_shapes, node_model, good_motif_node, name):
     _assert_pair_matches(NODE_CASES[name], node_model, mini_ba_shapes.graph,
+                         ExplainTarget.node(good_motif_node))
+
+
+def test_flowx_batched_matches_serial_on_gat(mini_ba_shapes, good_motif_node):
+    """GAT's trimmed stack reaches segment_max and the attention scatters
+    through restricted plans (the numba backend's kernels under numba),
+    checked against the untrimmed serial oracle."""
+    ds = mini_ba_shapes
+    model = build_model("gat", "node", ds.num_features, ds.num_classes, hidden=16, rng=0)
+    model.eval()
+    _assert_pair_matches(NODE_CASES["flowx"], model, ds.graph,
                          ExplainTarget.node(good_motif_node))
 
 

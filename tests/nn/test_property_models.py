@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import Adam, Tensor, log_softmax, no_grad
-from repro.errors import ShapeError
+from repro.errors import ModelError, ShapeError
 from repro.explain.mask_loop import learn_masks, outcome_loss
 from repro.flows import enumerate_flows
 from repro.graph import Graph, coalesce_edges
@@ -192,6 +192,53 @@ def test_flow_trimmed_forward_is_exact_at_the_target(case, conv):
     wrong = [Tensor(np.ones(ids.size + 1)) for ids in kept]
     with pytest.raises(ShapeError, match="edge mask has"):
         model.forward_graph(graph, edge_masks=wrong, trim=LayerTrim(kept))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=pathological_targets(), conv=st.sampled_from(["gcn", "gin", "gat"]),
+       stack=st.sampled_from([1, 2, 128]), kind=st.sampled_from(["coalition", "stencil"]))
+def test_flow_trimmed_batched_forward_is_exact_at_the_target(case, conv, stack, kind):
+    """A stack of ``B`` mask sets run through the flow trim gives the
+    target row of the untrimmed batched forward bit for bit: FlowX's 0/1
+    coalitions (unused layer edges at 1.0) and GNN-LRP's ``1 ± h``
+    stencils along one flow each."""
+    graph, target, seed = case
+    model = GNN(conv, "node", 5, 8, 3, num_layers=3,
+                heads=2 if conv == "gat" else 1, rng=0)
+    model.eval()
+    flow_index = enumerate_flows(graph, model.num_layers, target=target)
+    kept = flow_index.used_layer_edge_ids()
+    rng = np.random.default_rng(seed)
+    shape = (stack, model.num_layers, graph.num_edges + graph.num_nodes)
+    if kind == "coalition":
+        masks = (rng.random(shape) < rng.uniform(0.3, 0.95)).astype(np.float64)
+        masks[:, ~flow_index.used_layer_edges()] = 1.0
+    else:
+        masks = np.ones(shape)
+        paths = flow_index.layer_edges[rng.integers(0, flow_index.num_flows, stack)]
+        signs = rng.choice([-1.0, 1.0], size=paths.shape)
+        layers = np.arange(model.num_layers)
+        masks[np.arange(stack)[:, None], layers, paths] += signs * 0.1
+
+    full = model.forward_masked_batch(graph, masks)
+    trim = LayerTrim(kept)
+    trimmed = model.forward_masked_batch(graph, masks, trim=trim)
+    assert trimmed.shape == full.shape == (stack, graph.num_nodes, 3)
+    assert np.array_equal(trimmed[:, target], full[:, target])
+    assert np.array_equal(model.predict_proba_batch(graph, masks, trim=trim)[:, target],
+                          model.predict_proba_batch(graph, masks)[:, target])
+    # GCN and GAT layers below the head computed only their kept edges'
+    # rows, over a stack of B columns each.
+    dst = np.concatenate([graph.dst, np.arange(graph.num_nodes)])
+    for l, (ids, rows) in enumerate(zip(kept, trim.rows)):
+        written = np.unique(dst[ids])
+        if conv == "gin" or l == len(kept) - 1:
+            written = np.arange(graph.num_nodes)
+        assert np.isin(written, rows).all()
+        assert rows.size == max(written.size, min(2, graph.num_nodes))
+
+    with pytest.raises(ModelError, match="structurally"):
+        model.forward_masked_batch(graph, masks, structural=True, trim=trim)
 
 
 @settings(max_examples=30, deadline=None)
