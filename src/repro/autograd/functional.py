@@ -60,7 +60,8 @@ def spmm(x: Tensor, matrix, matrix_t) -> Tensor:
 def _shifted(x: Tensor, shift) -> Tensor:
     """``x − shift(x.data)``, the shift a constant of the op: softmax is
     shift-invariant, so the gradient passes straight through."""
-    return x._unary_op(lambda: x.data - shift(x.data), lambda g: (g,))
+    return x._unary_op(lambda out=None: np.subtract(x.data, shift(x.data), out=out),
+                       lambda g: (g,), fills=True)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -80,15 +81,16 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = as_tensor(x)
     exp = total = None
 
-    def forward():
+    def forward(out=None):
         nonlocal exp, total
         shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
         exp = np.exp(shifted)
         total = np.add.reduce(exp, axis=axis, keepdims=True)
-        return shifted - np.log(total)
+        return np.subtract(shifted, np.log(total), out=out)
 
     return x._unary_op(
-        forward, lambda g: (g + np.add.reduce(-g, axis=axis, keepdims=True) / total * exp,))
+        forward, lambda g: (g + np.add.reduce(-g, axis=axis, keepdims=True) / total * exp,),
+        fills=True)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

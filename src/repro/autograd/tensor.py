@@ -10,16 +10,29 @@ gradient slots — and runs it.
 Record and replay: an op's forward is written once, as a thunk that
 computes its output (and any intermediate its backward reads) from its
 parents' current ``.data``. Building the op calls it once. Inside
-``with Tape() as tape:`` every tape node is also kept in creation order,
-and :meth:`Tape.replay` re-runs those thunks after the leaves change — the
-same numpy calls in the same order, so a replayed step is bit-exact with
-building it again. Nodes whose parents are all frozen never enter the
-tape, so their values are computed once. A value an op reads from
-``.data`` outside its thunk would go stale on replay; recording an op
-built without a thunk raises :class:`~repro.errors.AutogradError`.
-:meth:`Tape.compile` caches the plan of a recorded root, so every replayed
-epoch's ``backward()`` runs the steps epoch 1 compiled: no graph walk, no
-per-node dispatch, each broadcast reduction resolved once.
+``with Tape() as tape:`` every tape node is also kept in creation order.
+:meth:`Tape.compile` turns them into a :class:`ForwardPlan` and caches the
+:class:`BackwardPlan` of a recorded root; :meth:`Tape.replay` runs the
+forward plan after the leaves change — the same numpy calls in the same
+order, so a replayed step is bit-exact with building it again — and every
+replayed epoch's ``backward()`` runs the steps epoch 1 compiled: no graph
+walk, no per-node dispatch, each broadcast reduction resolved once. Nodes
+whose parents are all frozen never enter the tape, so their values are
+computed once. A value an op reads from ``.data`` outside its thunk would
+go stale on replay; recording an op built without a thunk raises
+:class:`~repro.errors.AutogradError`.
+
+A thunk built with ``fills=True`` takes an optional ``out``: building the
+op calls it with none, and the forward plan calls it with the node's own
+buffer, allocated when the plan compiles and reused every epoch, so a
+replayed elementwise chain, GEMM, reduction or scatter allocates no
+output. A thunk may carry a ``bind(out)`` hook, which the plan calls once
+with that buffer: a scatter resolves its ``scatter_add`` kernel (under the
+backend active then) and the buffer's 2-D view there, for its forward and
+its adjoint. Views (reshapes, transposes, basic indexing) and ops numpy
+cannot write into a given array get no buffer; the plan stores what they
+return. A buffer belongs to its node alone: after a replay, a node's
+``.data`` holds that epoch's values until the next replay overwrites them.
 
 A backward closure takes the upstream gradient and returns one gradient
 per parent (``None`` for a parent that does not require grad); the plan
@@ -37,6 +50,7 @@ finite differences in ``tests/autograd``.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,9 +67,10 @@ _RECORDING: list = [None]
 
 # Backward closures take the upstream gradient and return one gradient per
 # parent (None where the parent does not require grad); forward thunks
-# return the op's output array from its parents' current data.
+# return the op's output array from its parents' current data, written
+# into ``out`` when the op fills and one is given.
 BackwardFn = Callable[[np.ndarray], tuple]
-ForwardFn = Callable[[], np.ndarray]
+ForwardFn = Callable[..., np.ndarray]
 
 
 class no_grad:
@@ -86,18 +101,19 @@ class Tape:
     ``with tape:`` keeps every tape node created inside, in creation
     order. After the leaves' ``.data`` change (an optimizer step),
     :meth:`replay` re-runs each node's forward thunk on its parents'
-    current values: the outputs — and, through ``backward()`` on the same
-    root, the gradients — are those a fresh build would give, bit for
-    bit. Values derived only from frozen tensors are not on the tape and
-    keep their recorded values. Like :class:`no_grad`, recording is
-    process-wide: one tape records at a time, on the thread that runs
-    the numerics.
+    current values, through the :class:`ForwardPlan` compiled from them:
+    the outputs — and, through ``backward()`` on the same root, the
+    gradients — are those a fresh build would give, bit for bit. Values
+    derived only from frozen tensors are not on the tape and keep their
+    recorded values. Like :class:`no_grad`, recording is process-wide:
+    one tape records at a time, on the thread that runs the numerics.
     """
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "plan")
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self.plan: ForwardPlan | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -106,29 +122,79 @@ class Tape:
         if _RECORDING[0] is not None:
             raise AutogradError("a tape is already recording")
         _RECORDING[0] = self.nodes
+        self.plan = None                           # new nodes: recompile
         return self
 
     def __exit__(self, *exc) -> None:
         _RECORDING[0] = None
 
     def replay(self) -> None:
-        """Recompute every recorded node from its parents' current data."""
-        for node in self.nodes:
-            node.data = node._forward()
+        """Recompute every recorded node from its parents' current data:
+        run the forward plan, compiled here if :meth:`compile` has not."""
+        if self.plan is None:
+            self.plan = ForwardPlan(self.nodes)
+        self.plan.run()
 
     def compile(self, root: "Tensor", params: Sequence["Tensor"]) -> "BackwardPlan":
-        """Compile the backward pass from ``root``, a node this tape
-        recorded, into the plan every later ``root.backward()`` runs.
+        """Compile the recorded forward into the :class:`ForwardPlan`
+        :meth:`replay` runs, and the backward pass from ``root``, a node
+        this tape recorded, into the plan every later ``root.backward()``
+        runs.
 
         Only ``params`` (and nodes that :meth:`~Tensor.retain_grad`) get a
         ``.grad``: a node whose gradient cannot reach one of them has no
-        step. The plan stays valid across :meth:`replay`, which changes
+        step. Both plans stay valid across :meth:`replay`, which changes
         values but not shapes, order or parents.
         """
         if not any(node is root for node in self.nodes):
             raise AutogradError("compile() needs a root this tape recorded")
+        if self.plan is None:
+            self.plan = ForwardPlan(self.nodes)
         root._plan = BackwardPlan(root, params)
         return root._plan
+
+
+class ForwardPlan:
+    """The forward pass of a recorded tape, compiled once.
+
+    A node whose thunk fills (``Tensor._make(..., fills=True)``) gets a
+    buffer of its own: a C-contiguous copy of the value it was recorded
+    with, which becomes its ``.data`` for good. Its step calls the thunk
+    with that buffer, after the thunk's ``bind(out)`` hook, if it has one,
+    ran once here. Every other node — a view, or an op numpy cannot write
+    into a given array — stores what its thunk returns, as recording did.
+
+    A buffer belongs to one node. The thunk that fills it is its only
+    writer, nothing keys an identity memo on it, and after a run it holds
+    that run's values until the next run overwrites them in place; a
+    caller that keeps a value across a replay copies it.
+    """
+
+    __slots__ = ("steps",)
+
+    def __init__(self, nodes: Sequence["Tensor"]):
+        steps = []
+        for node in nodes:
+            thunk = node._forward
+            if not node._fills:
+                steps.append((node, thunk))
+                continue
+            out = np.empty(node.shape)
+            out[...] = node.data
+            node.data = out
+            bind = getattr(thunk, "bind", None)
+            if bind is not None:
+                bind(out)
+            steps.append((None, partial(thunk, out)))
+        self.steps = steps
+
+    def run(self) -> None:
+        """Recompute every node, in recording order."""
+        for node, step in self.steps:
+            if node is None:
+                step()
+            else:
+                node.data = step()
 
 
 def as_tensor(value, requires_grad: bool = False) -> "Tensor":
@@ -138,18 +204,20 @@ def as_tensor(value, requires_grad: bool = False) -> "Tensor":
     return Tensor(np.asarray(value, dtype=np.float64), requires_grad=requires_grad)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic function.
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Overflow-free logistic function, written into ``out`` when given.
 
-    ``e / (1 + e)`` with ``e = exp(x)`` below zero, ``1 / (1 + exp(-x))``
-    from zero up, on ``x`` clipped to ±500; NaN takes the first branch and
-    stays NaN. Bare ufuncs only: it runs in every replayed epoch, where
-    ``np.clip`` / ``np.where`` would add Python frames per call.
+    With ``c`` the input clipped to ±500 and ``t = exp(−|c|)``, it is
+    ``max(t, c ≥ 0) / (1 + t)``: ``1 / (1 + exp(−c))`` from zero up and
+    ``e / (1 + e)`` with ``e = exp(c)`` below, since ``exp(−|c|)`` is
+    bitwise ``exp(−c)`` or ``exp(c)`` — the two-branch form's bits with
+    no masked loop. NaN stays NaN and ±0 gives 0.5. Bare ufuncs only: it
+    runs in every replayed epoch, where ``np.clip`` / ``np.where`` would
+    add Python frames per call.
     """
     clipped = np.minimum(np.maximum(x, -500.0), 500.0)
-    e = np.exp(clipped)
-    out = np.divide(e, 1.0 + e, out=np.empty(clipped.shape, clipped.dtype))
-    return np.divide(1.0, 1.0 + np.exp(-clipped), out=out, where=clipped >= 0)
+    t = np.exp(-np.abs(clipped))
+    return np.divide(np.maximum(t, clipped >= 0), 1.0 + t, out=out)
 
 
 def _unbroadcast(grad_shape: tuple[int, ...], shape: tuple[int, ...]) -> tuple | None:
@@ -203,12 +271,15 @@ def _selects_once(index) -> bool:
 
 
 def _split_index(index) -> tuple:
-    """``(head, tail)`` with ``x[index]`` the same elements as
-    ``x[head][tail]``, or ``(None, index)``.
+    """``(head, tail)`` with ``x[index]`` the same elements, in the same
+    layout, as ``x[head][tail]``, or ``(None, index)``.
 
     A tuple that mixes leading ints with an array (``omega_e[l, ids]``)
     splits into the ints — a basic index, so ``x[head]`` is a view — and
-    the rest: numpy runs the mixed form several times slower.
+    the rest: numpy runs the mixed form several times slower. It does not
+    split when a slice follows the ints and an array comes later
+    (``x[0, :, ids]``): numpy counts the ints as advanced indices there,
+    apart from the array, and puts the indexed axis first.
     """
     if not isinstance(index, tuple):
         return None, index
@@ -218,7 +289,11 @@ def _split_index(index) -> tuple:
         ints += 1
     if ints == 0 or ints == len(index):
         return None, index
-    return index[:ints], index[ints:]
+    tail = index[ints:]
+    if not isinstance(tail[0], np.ndarray) \
+            and any(isinstance(part, (np.ndarray, list)) for part in tail):
+        return None, index
+    return index[:ints], tail
 
 
 class _IndexAdjoint:
@@ -424,8 +499,8 @@ class Tensor:
         Optional label used in ``repr`` and error messages.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_forward", "_parents",
-                 "_bcast", "_retain", "_csr", "_plan", "name", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_forward", "_fills",
+                 "_parents", "_bcast", "_retain", "_csr", "_plan", "name", "__weakref__")
 
     # Make numpy defer binary ops (np.ndarray * Tensor) to Tensor.
     __array_priority__ = 100.0
@@ -436,6 +511,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._backward: BackwardFn | None = None
         self._forward: ForwardFn | None = None
+        self._fills = False
         self._parents: tuple[Tensor, ...] = ()
         self._bcast = False
         self._retain = False
@@ -515,14 +591,17 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"], backward: BackwardFn | None,
-              forward: ForwardFn | None = None, bcast: bool = False) -> "Tensor":
+              forward: ForwardFn | None = None, bcast: bool = False,
+              fills: bool = False) -> "Tensor":
         """The op's output; a tape node when a parent requires grad.
 
         ``forward`` is the thunk that computed ``data``. While a
         :class:`Tape` records, a tape node without one raises: replay
         could not recompute it. ``bcast``: ``backward`` returns the
         parents' gradients in the output's shape, for the plan to sum
-        down to each parent's shape.
+        down to each parent's shape. ``fills``: ``forward(out)`` writes
+        the output into ``out`` and returns it, so a :class:`ForwardPlan`
+        gives the node a buffer.
         """
         requires = _GRAD_ENABLED[0] and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
@@ -536,25 +615,31 @@ class Tensor:
                     raise AutogradError("cannot record an op without a forward thunk: "
                                         "replay could not recompute it")
                 out._forward = forward
+                out._fills = fills
                 recording.append(out)
         return out
 
     @staticmethod
-    def _op(forward: ForwardFn, parents: Sequence["Tensor"], backward: BackwardFn) -> "Tensor":
-        """Build an op from its forward thunk (called once here)."""
-        return Tensor._make(forward(), parents, backward, forward)
+    def _op(forward: ForwardFn, parents: Sequence["Tensor"], backward: BackwardFn,
+            fills: bool = False) -> "Tensor":
+        """Build an op from its forward thunk (called once here, with no
+        ``out``)."""
+        return Tensor._make(forward(), parents, backward, forward, fills=fills)
 
-    def _unary_op(self, forward: ForwardFn, backward: BackwardFn) -> "Tensor":
-        return Tensor._make(forward(), (self,), backward, forward)
+    def _unary_op(self, forward: ForwardFn, backward: BackwardFn,
+                  fills: bool = False) -> "Tensor":
+        return Tensor._make(forward(), (self,), backward, forward, fills=fills)
 
-    def _binary_op(self, other: "Tensor", forward: ForwardFn, backward: BackwardFn) -> "Tensor":
-        return Tensor._make(forward(), (self, other), backward, forward)
+    def _binary_op(self, other: "Tensor", forward: ForwardFn, backward: BackwardFn,
+                   fills: bool = False) -> "Tensor":
+        return Tensor._make(forward(), (self, other), backward, forward, fills=fills)
 
     def _broadcasting_op(self, other: "Tensor", forward: ForwardFn,
-                         backward: BackwardFn) -> "Tensor":
+                         backward: BackwardFn, fills: bool = True) -> "Tensor":
         """A binary elementwise op: ``backward`` returns both gradients in
         the output's shape."""
-        return Tensor._make(forward(), (self, other), backward, forward, bcast=True)
+        return Tensor._make(forward(), (self, other), backward, forward, bcast=True,
+                            fills=fills)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -633,7 +718,8 @@ class Tensor:
         def backward(g):
             return (g if self.requires_grad else None, g if other.requires_grad else None)
 
-        return self._broadcasting_op(other, lambda: self.data + other.data, backward)
+        return self._broadcasting_op(
+            other, lambda out=None: np.add(self.data, other.data, out=out), backward)
 
     def __radd__(self, other) -> "Tensor":
         return self.__add__(other)
@@ -644,7 +730,8 @@ class Tensor:
         def backward(g):
             return (g if self.requires_grad else None, -g if other.requires_grad else None)
 
-        return self._broadcasting_op(other, lambda: self.data - other.data, backward)
+        return self._broadcasting_op(
+            other, lambda out=None: np.subtract(self.data, other.data, out=out), backward)
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other).__sub__(self)
@@ -656,7 +743,8 @@ class Tensor:
             return (g * other.data if self.requires_grad else None,
                     g * self.data if other.requires_grad else None)
 
-        return self._broadcasting_op(other, lambda: self.data * other.data, backward)
+        return self._broadcasting_op(
+            other, lambda out=None: np.multiply(self.data, other.data, out=out), backward)
 
     def __rmul__(self, other) -> "Tensor":
         return self.__mul__(other)
@@ -668,13 +756,15 @@ class Tensor:
             return (g / other.data if self.requires_grad else None,
                     -g * self.data / (other.data**2) if other.requires_grad else None)
 
-        return self._broadcasting_op(other, lambda: self.data / other.data, backward)
+        return self._broadcasting_op(
+            other, lambda out=None: np.divide(self.data, other.data, out=out), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
-        return self._unary_op(lambda: -self.data, lambda g: (-g,))
+        return self._unary_op(lambda out=None: np.negative(self.data, out=out), lambda g: (-g,),
+                              fills=True)
 
     def __pow__(self, exponent) -> "Tensor":
         if isinstance(exponent, Tensor):
@@ -723,7 +813,8 @@ class Tensor:
                     if self.requires_grad else None,
                     self.data.T @ g if other.requires_grad else None)
 
-        return self._binary_op(other, lambda: self.data @ other.data, backward)
+        return self._binary_op(other, lambda out=None: np.matmul(self.data, other.data, out=out),
+                               backward, fills=True)
 
     # Comparisons yield plain numpy boolean arrays (non-differentiable).
     def __gt__(self, other):
@@ -742,8 +833,9 @@ class Tensor:
     # elementwise nonlinearities
     # ------------------------------------------------------------------
     def _pointwise(self, forward, backward) -> "Tensor":
-        """An elementwise op: ``forward(x)`` returns ``(y, saved)`` and
-        ``backward(g, saved)`` the gradient of ``x``.
+        """An elementwise op: ``forward(x, out)`` returns ``(y, saved)``,
+        ``y`` written into ``out`` when it is given, and ``backward(g,
+        saved)`` the gradient of ``x``.
 
         ``saved`` (the output, a mask, ...) lives in a cell the thunk
         refills, never on the output tensor: a closure over the tensor
@@ -752,48 +844,56 @@ class Tensor:
         """
         saved = None
 
-        def thunk():
+        def thunk(out=None):
             nonlocal saved
-            out, saved = forward(self.data)
-            return out
+            y, saved = forward(self.data, out)
+            return y
 
-        return self._unary_op(thunk, lambda g: (backward(g, saved),))
+        return self._unary_op(thunk, lambda g: (backward(g, saved),), fills=True)
 
     def exp(self) -> "Tensor":
-        return self._pointwise(lambda x: (y := np.exp(x), y), lambda g, y: g * y)
+        return self._pointwise(lambda x, out: (y := np.exp(x, out=out), y),
+                               lambda g, y: g * y)
 
     def log(self) -> "Tensor":
-        return self._pointwise(lambda x: (np.log(x), x), lambda g, x: g / x)
+        return self._pointwise(lambda x, out: (np.log(x, out=out), x),
+                               lambda g, x: g / x)
 
     def sqrt(self) -> "Tensor":
-        return self._pointwise(lambda x: (y := np.sqrt(x), y), lambda g, y: g * 0.5 / y)
+        return self._pointwise(lambda x, out: (y := np.sqrt(x, out=out), y),
+                               lambda g, y: g * 0.5 / y)
 
     def tanh(self) -> "Tensor":
-        return self._pointwise(lambda x: (y := np.tanh(x), y), lambda g, y: g * (1.0 - y**2))
+        return self._pointwise(lambda x, out: (y := np.tanh(x, out=out), y),
+                               lambda g, y: g * (1.0 - y**2))
 
     def sigmoid(self) -> "Tensor":
-        return self._pointwise(lambda x: (y := _sigmoid(x), y), lambda g, y: g * y * (1.0 - y))
+        return self._pointwise(lambda x, out: (y := _sigmoid(x, out), y),
+                               lambda g, y: g * y * (1.0 - y))
 
     def relu(self) -> "Tensor":
-        return self._pointwise(lambda x: (x * (mask := x > 0), mask), lambda g, mask: g * mask)
+        return self._pointwise(lambda x, out: (np.multiply(x, mask := x > 0, out=out), mask),
+                               lambda g, mask: g * mask)
 
     def leaky_relu(self, negative_slope: float = 0.2) -> "Tensor":
         return self._pointwise(
-            lambda x: (x * (factor := np.where(x > 0, 1.0, negative_slope)), factor),
+            lambda x, out: (np.multiply(x, factor := np.where(x > 0, 1.0, negative_slope), out=out),
+                            factor),
             lambda g, factor: g * factor)
 
     def softplus(self) -> "Tensor":
         return self._pointwise(
-            lambda x: (np.logaddexp(0.0, x),
-                       1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))),
+            lambda x, out: (np.logaddexp(0.0, x, out=out),
+                            1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))),
             lambda g, sig: g * sig)
 
     def abs(self) -> "Tensor":
-        return self._pointwise(lambda x: (np.abs(x), np.sign(x)), lambda g, sign: g * sign)
+        return self._pointwise(lambda x, out: (np.abs(x, out=out), np.sign(x)),
+                               lambda g, sign: g * sign)
 
     def clip(self, lo: float, hi: float) -> "Tensor":
         return self._pointwise(
-            lambda x: (np.minimum(np.maximum(x, lo), hi), (x >= lo) & (x <= hi)),
+            lambda x, out: (np.minimum(np.maximum(x, lo), hi, out=out), (x >= lo) & (x <= hi)),
             lambda g, mask: g * mask)
 
     # ------------------------------------------------------------------
@@ -811,8 +911,9 @@ class Tensor:
             grad[...] = g if kept is None else g.reshape(kept)
             return (grad,)
 
-        return self._unary_op(lambda: np.add.reduce(self.data, axis=axis, keepdims=keepdims),
-                              backward)
+        return self._unary_op(
+            lambda out=None: np.add.reduce(self.data, axis=axis, keepdims=keepdims, out=out),
+            backward, fills=True)
 
     def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -826,9 +927,9 @@ class Tensor:
     def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         data = None
 
-        def forward():
+        def forward(out=None):
             nonlocal data
-            data = self.data.max(axis=axis, keepdims=keepdims)
+            data = self.data.max(axis=axis, keepdims=keepdims, out=out)
             return data
 
         def backward(g):
@@ -838,7 +939,7 @@ class Tensor:
             grad = g if (keepdims or axis is None) else np.expand_dims(g, axis=axis)
             return (mask * grad / counts,)
 
-        return self._unary_op(forward, backward)
+        return self._unary_op(forward, backward, fills=True)
 
     # ------------------------------------------------------------------
     # shape manipulation & indexing
@@ -857,6 +958,10 @@ class Tensor:
                               lambda g: (g.transpose(inverse),))
 
     def __getitem__(self, index) -> "Tensor":
+        head, tail = _split_index(index)
+        if head is not None:                       # a view, then the array part
+            return self._unary_op(lambda: self.data[head][tail],
+                                  _IndexAdjoint(index, self.shape))
         return self._unary_op(lambda: self.data[index], _IndexAdjoint(index, self.shape))
 
     # ------------------------------------------------------------------
@@ -876,17 +981,28 @@ class Tensor:
         identity-keyed ``plan_for`` memo compiles one per index array.
         """
         index = np.asarray(index, dtype=np.int64)
-        num_rows = self.shape[0]
+        shape = self.shape
         if plan is not None:
-            plan.check_shape(index.shape[0], num_rows)
+            plan.check_shape(index.shape[0], shape[0])
+        scatter = None
 
-        def backward(g):
-            nonlocal plan
-            if plan is None:                       # looked up once, then kept
-                plan = plan_for(index, num_rows)
-            return (_scatter_rows(g, index, num_rows, plan),)
+        def adjoint() -> _Scatter:
+            nonlocal scatter
+            if scatter is None:                    # the plan looked up once, then kept
+                scatter = _Scatter(plan if plan is not None else plan_for(index, shape[0]),
+                                   shape)
+            return scatter
 
-        return self._unary_op(lambda: self.data[index], backward)
+        def forward(out=None):
+            # Building indexes, which checks ``index`` against the rows; a
+            # bound replay, on the same shapes, gathers into its buffer
+            # (``mode="wrap"``: numpy buffers ``out`` under "raise").
+            if out is None:
+                return self.data[index]
+            return self.data.take(index, axis=0, out=out, mode="wrap")
+
+        forward.bind = lambda out: adjoint().bind()
+        return self._unary_op(forward, lambda g: ((scatter or adjoint())(g),), fills=True)
 
     def scatter_add(self, index: np.ndarray, num_rows: int,
                     plan: SegmentPlan | None = None) -> "Tensor":
@@ -908,8 +1024,13 @@ class Tensor:
             plan = plan_for(index, num_rows)
         else:
             plan.check_shape(index.shape[0], num_rows)
-        return self._unary_op(lambda: _scatter_rows(self.data, index, num_rows, plan),
-                              lambda g: (g[index],))
+        scatter = _Scatter(plan, (num_rows,) + self.shape[1:])
+
+        def forward(out=None):
+            return scatter(self.data, out)
+
+        forward.bind = scatter.bind
+        return self._unary_op(forward, lambda g: (g[index],), fills=True)
 
 
 def propagate(h: Tensor, cache, coeff: Tensor | None = None,
@@ -973,60 +1094,85 @@ def propagate(h: Tensor, cache, coeff: Tensor | None = None,
         scaled_ndim = max(h.ndim, len(coeff_shape))
     if mask is not None:
         mask_shape = mask.shape + (1,) * (scaled_ndim - mask.ndim)
-    src_plan = cache.src_plan if h.requires_grad else None
+    messages = np.broadcast_shapes((num_edges,) + h.shape[1:],
+                                   *(s for s in (coeff_shape, mask_shape) if s is not None))
+    # The scatter into the output rows, and the gather's adjoint back to
+    # the rows ``h`` has, which a row-trimmed layer numbers apart.
+    scatter = _Scatter(cache.dst_plan, (num_rows,) + messages[1:])
+    adjoint = (_Scatter(cache.src_plan, (cache.src_plan.num_rows,) + messages[1:])
+               if h.requires_grad else None)
     base = scaled = coeff_b = mask_b = None
+    # The per-epoch intermediates' own buffers, forward and backward,
+    # allocated when a plan binds this node; until then each call
+    # allocates them.
+    base_out = scaled_out = masked_out = g_out = None
 
     def premask():
         nonlocal base, scaled, coeff_b
-        base = scaled = h.data[src]
+        # Building indexes ``h.data[src]``, which checks ``src`` against
+        # ``h``'s rows; a bound replay, on the same shapes, gathers into
+        # its buffer (``mode="wrap"``: numpy buffers ``out`` under "raise").
+        base = scaled = (h.data[src] if base_out is None
+                         else h.data.take(src, axis=0, out=base_out, mode="wrap"))
         if coeff is not None:
             coeff_b = coeff.data.reshape(coeff_shape)
-            scaled = base * coeff_b
+            scaled = np.multiply(base, coeff_b, out=scaled_out)
 
-    def forward():
+    def forward(out=None):
         nonlocal mask_b
         if upstream:
             premask()
-        messages = scaled
+        masked = scaled
         if mask is not None:
             mask_b = mask.data.reshape(mask_shape)
-            messages = scaled * mask_b
-        return _scatter_rows(messages, dst, num_rows, cache.dst_plan)
+            masked = np.multiply(scaled, mask_b, out=masked_out)
+        return scatter(masked, out)
+
+    def bind(out):
+        nonlocal base_out, scaled_out, masked_out, g_out
+        scatter.bind(out)
+        if adjoint is not None:
+            adjoint.bind()
+        g_out = np.empty(messages)
+        if mask is not None:
+            masked_out = np.empty(messages)
+        if upstream:
+            base_out = np.empty((num_edges,) + h.shape[1:])
+            if coeff is not None:
+                scaled_out = np.empty(np.broadcast_shapes(base_out.shape, coeff_shape))
 
     def backward(g):
-        g = g[dst]                                 # adjoint of the scatter
+        # Adjoint of the scatter: this call's own array, or, bound, this
+        # node's buffer; the products below scale it in place.
+        g = g[dst] if g_out is None else g.take(dst, axis=0, out=g_out, mode="wrap")
         h_grad = coeff_grad = mask_grad = None
         if mask is not None:
             if mask.requires_grad:
                 mask_grad = _reduce(g * scaled, mask_sum)
             if upstream:
-                g = g * mask_b
+                np.multiply(g, mask_b, out=g)
         if upstream:
             if coeff is not None:
                 if coeff.requires_grad:
                     coeff_grad = _reduce(g * base, coeff_sum)
-                g = g * coeff_b
+                np.multiply(g, coeff_b, out=g)
             if h.requires_grad:
-                # Adjoint of the gather: scatter back to the layer's input
-                # rows, which a row-trimmed layer numbers apart from its
-                # output rows.
-                h_grad = _scatter_rows(g, src, src_plan.num_rows, src_plan)
+                h_grad = adjoint(g)                # adjoint of the gather
         if coeff is None:
             return (h_grad,) if mask is None else (h_grad, mask_grad)
         return (h_grad, coeff_grad) if mask is None else (h_grad, coeff_grad, mask_grad)
 
-    if not upstream:
-        premask()                                  # frozen: once, off the tape
-    out = Tensor._op(forward, parents, backward)
     # Each per-edge operand's gradient sums the messages' shape down to
     # its broadcast shape, then takes its own: resolved once, here.
-    messages = (src.shape[0],) + out.shape[1:]
     mask_sum = coeff_sum = None
     if mask is not None:
         mask_sum = (_unbroadcast(messages, mask_shape) or ((), ()))[:2] + (mask.shape,)
     if coeff is not None:
         coeff_sum = (_unbroadcast(messages, coeff_shape) or ((), ()))[:2] + (coeff.shape,)
-    return out
+    if not upstream:
+        premask()                                  # frozen: once, off the tape
+    forward.bind = bind
+    return Tensor._op(forward, parents, backward, fills=True)
 
 
 def _gather_scatter(h: np.ndarray, cache, coeff: Tensor | None,
@@ -1042,21 +1188,39 @@ def _gather_scatter(h: np.ndarray, cache, coeff: Tensor | None,
     return kernel("gather_scatter")(cache.dst_plan, cache.src, weights, dense)
 
 
-def _scatter_rows(values: np.ndarray, index: np.ndarray, num_rows: int,
-                  plan: SegmentPlan | None) -> np.ndarray:
-    """Segment-sum ``values`` rows by ``index`` via the kernel registry.
+class _Scatter:
+    """``out[index[i]] += values[i]``: ``(A, ...)`` rows summed into
+    ``shape = (num_rows, ...)`` by a :class:`SegmentPlan`, through the
+    registry's ``scatter_add`` on the 2-D ``(A, W)`` payloads it takes.
 
-    Kernels operate on 2-D ``(A, W)`` payloads, so trailing axes are
-    flattened around the dispatch and restored after. ``plan`` falls back
-    to the identity-keyed ``plan_for`` memo, so repeated calls with the
-    same index array (every epoch of a training loop) compile it once.
+    Unbound, a call resolves the kernel and returns a new array, as
+    building an op does. :meth:`bind` resolves the kernel once — under the
+    backend active then — and, given the buffer a forward writes, that
+    buffer's 2-D view; a :class:`ForwardPlan` binds the scatters of the
+    ops it compiles, and a call with ``out`` then only runs the kernel
+    into it.
     """
-    if plan is None:
-        plan = plan_for(index, num_rows)
-    tail = values.shape[1:]
-    flat = values.reshape(values.shape[0], math.prod(tail))
-    out = kernel("scatter_add")(plan, flat)
-    return np.ascontiguousarray(out).reshape((num_rows,) + tail)
+
+    __slots__ = ("plan", "shape", "width", "fn", "flat")
+
+    def __init__(self, plan: SegmentPlan, shape: tuple[int, ...]):
+        self.plan = plan
+        self.shape = shape
+        self.width = math.prod(shape[1:])
+        self.fn = self.flat = None
+
+    def bind(self, out: np.ndarray | None = None) -> None:
+        self.fn = kernel("scatter_add")
+        if out is not None:
+            self.flat = out.reshape(self.shape[0], self.width)
+
+    def __call__(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        flat = values.reshape(values.shape[0], self.width)
+        if out is not None:                        # into the bound buffer
+            self.fn(self.plan, flat, out=self.flat)
+            return out
+        fn = self.fn or kernel("scatter_add")
+        return np.ascontiguousarray(fn(self.plan, flat)).reshape(self.shape)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -1071,17 +1235,19 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         slicer[axis] = slice(int(start), int(stop))
         slicers.append(tuple(slicer))
 
-    return Tensor._op(lambda: np.concatenate([t.data for t in tensors], axis=axis),
-                      tensors, lambda grad: tuple([grad[slicer] for slicer in slicers]))
+    return Tensor._op(
+        lambda out=None: np.concatenate([t.data for t in tensors], axis=axis, out=out),
+        tensors, lambda grad: tuple([grad[slicer] for slicer in slicers]), fills=True)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient support."""
     tensors = [as_tensor(t) for t in tensors]
 
-    return Tensor._op(lambda: np.stack([t.data for t in tensors], axis=axis), tensors,
-                      lambda grad: tuple([np.take(grad, i, axis=axis)
-                                          for i in range(len(tensors))]))
+    return Tensor._op(lambda out=None: np.stack([t.data for t in tensors], axis=axis, out=out),
+                      tensors, lambda grad: tuple([np.take(grad, i, axis=axis)
+                                                   for i in range(len(tensors))]),
+                      fills=True)
 
 
 def where(condition: np.ndarray, a, b) -> Tensor:
@@ -1094,7 +1260,8 @@ def where(condition: np.ndarray, a, b) -> Tensor:
         return (grad * condition if a.requires_grad else None,
                 grad * (~condition) if b.requires_grad else None)
 
-    return a._broadcasting_op(b, lambda: np.where(condition, a.data, b.data), backward)
+    return a._broadcasting_op(b, lambda: np.where(condition, a.data, b.data), backward,
+                              fills=False)
 
 
 class SparseLeaf(Tensor):
@@ -1118,6 +1285,7 @@ class SparseLeaf(Tensor):
         self.grad = None
         self._backward = None
         self._forward = None
+        self._fills = False
         self._parents = ()
         self._bcast = False
         self._retain = False

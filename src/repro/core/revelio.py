@@ -39,8 +39,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..autograd import Tensor, log_softmax
+from ..autograd import Tensor
 from ..explain.base import Explainer, Explanation, context_key, feature_digest
+from ..explain.mask_loop import target_log_prob
 from ..flows import FlowIndex, cached_enumerate_flows, graph_fingerprint
 from ..flows.cache import LRUCache
 from ..graph import Graph, SampledSubgraph
@@ -166,7 +167,7 @@ class Revelio(Explainer):
 
         def log_prob(layer_masks: list[Tensor]) -> Tensor:
             logits = self.model.forward_graph(graph, edge_masks=layer_masks, trim=trim)
-            return log_softmax(logits, axis=-1)[row, class_idx]
+            return target_log_prob(logits, row, class_idx)
 
         return optimize_flow_masks(self.settings, flow_index, log_prob, mode, rng,
                                    method=self.name, predicted_class=class_idx,

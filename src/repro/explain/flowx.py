@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, log_softmax
+from ..autograd import Tensor
 from ..flows import FlowIndex, cached_enumerate_flows
 from ..graph import Graph, SampledSubgraph
 from ..nn.models import GNN, LayerTrim
 from ..rng import ensure_rng
 from .base import Explainer, Explanation, check_int, check_real
 from .flow_common import flow_scores_to_edge_scores, masked_probability_batch
-from .mask_loop import forward_meta, learn_masks, outcome_loss
+from .mask_loop import forward_meta, learn_masks, outcome_loss, target_log_prob
 
 __all__ = ["FlowX"]
 
@@ -190,7 +190,7 @@ class FlowX(Explainer):
             omega_e = edge_masks()
             logits = self.model.forward_graph(
                 graph, edge_masks=[omega_e[l, ids] for l, ids in enumerate(kept)], trim=trim)
-            return outcome_loss(log_softmax(logits, axis=-1)[row, class_idx], mode)
+            return outcome_loss(target_log_prob(logits, row, class_idx), mode)
 
         loss_meta = learn_masks([masks], step, epochs=self.finetune_epochs, lr=self.lr,
                                 num_flows=flow_index.num_flows)

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, concat, log_softmax
+from ..autograd import Tensor, concat
 from ..graph import SampledSubgraph
 from ..nn.models import GNN, LayerTrim
 from ..rng import ensure_rng
 from ..sparse import feature_dense, sparse_cache
 from .base import Explainer, Explanation, check_int, check_real
-from .mask_loop import forward_meta, hop_layer_edges, learn_masks, mean_or_zero, outcome_loss
+from .mask_loop import (forward_meta, hop_layer_edges, learn_masks, mean_or_zero, outcome_loss,
+                        target_log_prob)
 
 __all__ = ["GNNExplainer"]
 
@@ -103,7 +104,7 @@ class GNNExplainer(Explainer):
                 logits = self.model.forward(x, graph.edge_index, graph.num_nodes,
                                             edge_masks=layer_masks,
                                             cache=sparse_cache(graph), trim=trim)
-            log_p = log_softmax(logits, axis=-1)[row, class_idx]
+            log_p = target_log_prob(logits, row, class_idx)
             entropy = -mean_or_zero(mask * mask.clip(1e-8, 1.0).log()
                                     + (1.0 - mask) * (1.0 - mask).clip(1e-8, 1.0).log())
             size = mask.sum() if mode == "factual" else (1.0 - mask).sum()

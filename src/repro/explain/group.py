@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autograd import Tensor, log_softmax
+from ..autograd import Tensor
 from ..errors import ExplainerError
 from ..graph import Graph, SampledSubgraph
 from ..nn.models import GNN, LayerTrim
 from ..rng import ensure_rng
 from .base import MODES, Explainer, check_int, check_real
-from .mask_loop import hop_layer_edges, learn_masks
+from .mask_loop import hop_layer_edges, learn_masks, target_log_prob
 from .target import ExplainTarget, as_node_id
 
 __all__ = ["GroupExplainer", "GroupMember"]
@@ -50,7 +50,7 @@ class GroupMember:
         """``log P(class)`` at the row under per-layer ``(E+N,)`` masks."""
         masks = [mask.gather_rows(ids) for mask, ids in zip(layer_masks, self.trim.layer_edges)]
         logits = model.forward_graph(self.graph, edge_masks=masks, trim=self.trim)
-        return log_softmax(logits, axis=-1)[self.row, self.class_idx]
+        return target_log_prob(logits, self.row, self.class_idx)
 
 
 class GroupExplainer(Explainer):

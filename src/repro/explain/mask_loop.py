@@ -32,13 +32,13 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from ..autograd import Adam, Tape, Tensor
+from ..autograd import Adam, Tape, Tensor, log_softmax
 from ..graph import SampledSubgraph
 from ..obs import span
-from ..obs.names import SPAN_EPOCH, SPAN_OPTIMIZE
+from ..obs.names import SPAN_EPOCH, SPAN_OPTIMIZE, SPAN_REPLAY
 
-__all__ = ["learn_masks", "outcome_loss", "mean_or_zero", "hop_layer_edges",
-           "forward_meta", "converged", "CONVERGENCE_RTOL"]
+__all__ = ["learn_masks", "outcome_loss", "target_log_prob", "mean_or_zero",
+           "hop_layer_edges", "forward_meta", "converged", "CONVERGENCE_RTOL"]
 
 #: ``meta["converged"]``: the loss moved by less than this fraction of
 #: itself over the last 10% of epochs.
@@ -52,6 +52,17 @@ def outcome_loss(log_p: Tensor, mode: str) -> Tensor:
         return -log_p
     p = log_p.exp()
     return -(1.0 - p.clip(0.0, 1.0 - 1e-12)).log()
+
+
+def target_log_prob(logits: Tensor, row: int, class_idx: int) -> Tensor:
+    """``log_softmax(logits)[row, class_idx]``, the ``log P`` of Eqs. 1/2.
+
+    The log-softmax runs over the target's row alone, sliced after the
+    head's product: it is row-wise, so the value and the logits' gradient
+    have the bits of the full-width form, without its per-epoch work on
+    every other row.
+    """
+    return log_softmax(logits[row], axis=-1)[class_idx]
 
 
 def mean_or_zero(values: Tensor) -> Tensor | float:
@@ -93,7 +104,8 @@ def learn_masks(params: Sequence[Tensor], step: Callable[[], Tensor], *, epochs:
                         loss = step()
                     plan_nodes = len(tape.compile(loss, optimizer.params))
                 else:
-                    tape.replay()
+                    with span(SPAN_REPLAY):
+                        tape.replay()
                 loss.backward()
                 optimizer.step()
                 losses.append(loss.item())

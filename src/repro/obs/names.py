@@ -25,6 +25,7 @@ __all__ = [
     "SPAN_MASKED_FORWARD_BATCH",
     "SPAN_OPTIMIZE",
     "SPAN_EPOCH",
+    "SPAN_REPLAY",
     "SPAN_FIT",
     "SPAN_JOB",
     "SPAN_EXPERIMENT",
@@ -59,6 +60,8 @@ SPAN_MASKED_FORWARD_BATCH = "masked_forward_batch"
 SPAN_OPTIMIZE = "optimize"
 #: One optimizer epoch inside the loop.
 SPAN_EPOCH = "epoch"
+#: The replayed forward of one epoch after the first (Tape.replay).
+SPAN_REPLAY = "replay"
 #: One fidelity-over-sparsity sweep (Fig. 3 / Fig. 4 line).
 SPAN_FIDELITY_SWEEP = "fidelity_sweep"
 #: One coalesced micro-batch executed by the serving daemon.
@@ -78,6 +81,7 @@ SPAN_NAMES: frozenset[str] = frozenset({
     SPAN_MASKED_FORWARD_BATCH,
     SPAN_OPTIMIZE,
     SPAN_EPOCH,
+    SPAN_REPLAY,
     SPAN_FIDELITY_SWEEP,
     SPAN_SERVE_BATCH,
     SPAN_DATASET_LOAD,

@@ -9,8 +9,11 @@ numerics code.
 
 Ops (all 2-D; callers flatten trailing axes):
 
-``scatter_add(plan, values)``
+``scatter_add(plan, values, out=None)``
     ``(A, W) -> (N, W)`` segment sum over a :class:`~repro.sparse.structure.SegmentPlan`.
+    Given ``out`` (a C-contiguous float64 ``(N, W)`` array), the kernel
+    zeroes it, fills it and returns it — the form a compiled forward
+    plan calls every epoch — with the bits it would return new.
 ``segment_max(plan, values)``
     ``(A, W) -> (N, W)`` segment max; empty segments yield ``-inf``.
 ``spmm(matrix, dense)``
@@ -38,6 +41,13 @@ Backends:
 Plugging a backend::
 
     from repro.sparse import register_kernel, use_backend
+
+    def my_scatter_add(plan, values, out=None):
+        if out is None:
+            out = np.empty((plan.num_rows, values.shape[1]))
+        out[...] = 0.0
+        mylib.segment_sum(plan.indptr, values[plan.order], out)
+        return out
 
     register_kernel("scatter_add", "mylib", my_scatter_add)
     with use_backend("mylib"):
@@ -142,9 +152,13 @@ def kernel(op: str) -> Callable:
 # ----------------------------------------------------------------------
 # scipy backend (required): cached-CSR matmuls + reduceat reductions
 # ----------------------------------------------------------------------
-def _scipy_scatter_add(plan: SegmentPlan, values: np.ndarray) -> np.ndarray:
+def _scipy_scatter_add(plan: SegmentPlan, values: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
     rows, width = plan.num_rows, values.shape[1]
-    out = np.zeros((rows, width))
+    if out is None:
+        out = np.zeros((rows, width))
+    else:
+        out.fill(0.0)
     if plan.num_items == 0:
         return out
     # The routines ``plan.matrix @ values`` ends in (csr_matvec for one
@@ -233,8 +247,12 @@ register_kernel("gather_scatter", "scipy", _scipy_gather_scatter)
 # ----------------------------------------------------------------------
 # numpy backend: the dense-scatter reference implementation
 # ----------------------------------------------------------------------
-def _numpy_scatter_add(plan: SegmentPlan, values: np.ndarray) -> np.ndarray:
-    out = np.zeros((plan.num_rows, values.shape[1]))
+def _numpy_scatter_add(plan: SegmentPlan, values: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.zeros((plan.num_rows, values.shape[1]))
+    else:
+        out.fill(0.0)
     np.add.at(out, plan.index, values)
     return out
 

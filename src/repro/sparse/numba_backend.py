@@ -53,8 +53,12 @@ if NUMBA_AVAILABLE:  # pragma: no cover - CI optional-deps leg runs this
                     if sorted_values[i, k] > out[row, k]:
                         out[row, k] = sorted_values[i, k]
 
-    def _numba_scatter_add(plan: SegmentPlan, values: np.ndarray) -> np.ndarray:
-        out = np.zeros((plan.num_rows, values.shape[1]))
+    def _numba_scatter_add(plan: SegmentPlan, values: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.zeros((plan.num_rows, values.shape[1]))
+        else:
+            out.fill(0.0)
         if plan.num_items == 0:
             return out
         sorted_values = np.ascontiguousarray(

@@ -11,6 +11,12 @@ gradient must have the bits of :func:`reference_backward` — the
 dict-and-DFS backward the plan replaced, kept here as the oracle — on a
 fresh build. So must fan-out (accumulation order), retained interior
 nodes, non-scalar upstream gradients and repeated ``backward()`` calls.
+
+Buffers: a compiled tape replays through its forward plan, which writes
+most nodes into buffers it allocated once. Over several replays on
+changing leaves, every node's value must keep the bytes of the same node
+in a fresh build: two nodes writing one buffer would leave the earlier
+one holding the later one's values.
 """
 
 import numpy as np
@@ -55,6 +61,10 @@ OPS = {
                            .annotate_sparse(CACHE.adj_norm, CACHE.adj_norm_t) @ b),
     "SparseLeaf": ([leaf((5, 2))], lambda b: SparseLeaf(CACHE.adj_norm, CACHE.adj_norm_t) @ b),
     "__getitem__": ([leaf((3, 4))], lambda a: a[np.array([0, 2, 2]), 1:3]),
+    # Leading ints then an array: run as a view, then the array part.
+    "__getitem__[split]": ([leaf((2, 3, 4))], lambda a: a[1, np.array([0, 2])]),
+    # A slice between them: numpy puts the indexed axis first, so no split.
+    "__getitem__[apart]": ([leaf((2, 3, 4))], lambda a: a[0, :, np.array([1, 3])]),
     "exp": ([leaf((3, 4))], lambda a: a.exp()),
     "log": ([leaf((3, 4), "pos")], lambda a: a.log()),
     "sqrt": ([leaf((3, 4), "pos")], lambda a: a.sqrt()),
@@ -173,6 +183,40 @@ def test_replay_equals_a_fresh_build(name, seed, ties):
     for mine, theirs in zip(leaves, fresh_leaves):
         if theirs.requires_grad:
             assert np.array_equal(mine.grad, theirs.grad, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(OPS))
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**16), ties=st.booleans())
+def test_compiled_replays_equal_fresh_builds_node_for_node(name, seed, ties):
+    specs = OPS[name][0]
+    rng = np.random.default_rng(seed)
+    values = draw(specs, rng, ties)
+    with Tape() as tape:
+        leaves, _, loss = build(name, values)
+    tape.compile(loss, [leaf_ for leaf_ in leaves if leaf_.requires_grad])
+    loss.backward()
+    buffers = [(node, node.data) for node in tape.nodes if node._fills]
+    assert buffers                                # at least the weighting and the sum
+    for _ in range(3):
+        fresh_values = draw(specs, rng, ties)
+        values = [b if kind != "frozen" else a
+                  for a, b, (_, kind) in zip(values, fresh_values, specs)]
+        for leaf_, value in zip(leaves, values):
+            leaf_.data = value
+            leaf_.zero_grad()
+        tape.replay()
+        loss.backward()
+
+        with Tape() as fresh_tape:
+            fresh_leaves, _, fresh_loss = build(name, values)
+        fresh_loss.backward()
+        assert len(fresh_tape) == len(tape)
+        for mine, theirs in zip(tape.nodes, fresh_tape.nodes):
+            assert bits(mine.data) == bits(theirs.data)
+        assert_same_grads(leaves, fresh_leaves)
+        assert all(node.data is buffer for node, buffer in buffers)
 
 
 def test_recording_an_op_without_a_thunk_raises():

@@ -31,7 +31,7 @@ from repro.flows import FlowIndex, enumerate_flows
 from repro.graph import Graph, extract_receptive_field, sbm_edges
 from repro.nn import LayerTrim, LinkPredictor, Trainer, build_model
 from repro.obs import TRACER, tracing
-from repro.obs.names import SPAN_EPOCH, SPAN_EXPLAIN, SPAN_OPTIMIZE
+from repro.obs.names import SPAN_EPOCH, SPAN_EXPLAIN, SPAN_OPTIMIZE, SPAN_REPLAY
 
 FAMILY = ["revelio", "revelio_topk", "link_revelio"]
 
@@ -456,10 +456,25 @@ def test_flow_baselines_record_their_batched_forward(name, node_model, graph_mod
             assert loaded.meta[key] == node.meta[key]
 
 
+@pytest.mark.parametrize("epochs", [1, 4])
+def test_replay_span_fires_once_per_epoch_after_the_first(family_member, epochs):
+    """Epoch 1 records; each later epoch replays the tape inside its own
+    ``replay`` span, a child of that epoch's span."""
+    _, explain = family_member("revelio", epochs=epochs)
+    with explanation_cache_disabled(), tracing() as tracer:
+        explain("factual")
+        trace_id = tracer.trace_id
+    records = [r for r in TRACER.records() if r["trace_id"] == trace_id]
+    epoch_ids = [r["span_id"] for r in records if r["name"] == SPAN_EPOCH]
+    replays = [r for r in records if r["name"] == SPAN_REPLAY]
+    assert len(epoch_ids) == epochs
+    assert [r["parent_id"] for r in replays] == epoch_ids[1:]
+
+
 def test_tape_nodes_pin_a_revelio_epoch(node_model, mini_ba_shapes, good_motif_node):
-    """A factual Revelio epoch on a 3-layer GCN replays 35 tape nodes, so
+    """A factual Revelio epoch on a 3-layer GCN replays 36 tape nodes, so
     a node added to this path shows up here as a diff. Its backward plan
-    has 30 steps: the five reshapes (Eq. 5's two, one per layer mask) fold
+    has 31 steps: the five reshapes (Eq. 5's two, one per layer mask) fold
     into the edges that feed them.
 
     - Eqs. 4–5: tanh, the flow gather and scatter, a reshape, exp(w), its
@@ -467,8 +482,8 @@ def test_tape_nodes_pin_a_revelio_epoch(node_model, mini_ba_shapes, good_motif_n
     - one gather of kept ids per layer (3);
     - layer 1, frozen below the mask: mask reshape, propagate, bias, ReLU
       (4); layers 2–3 add their projection (5 each);
-    - the head's projection and bias (2), log-softmax and the target's
-      entry (2), Eq. 1's negation (1);
+    - the head's projection and bias (2), the target's row, its
+      log-softmax and the class's entry (3), Eq. 1's negation (1);
     - Eq. 8: product, sum, mean, α, and the total (5).
     """
     explainer = Revelio(node_model, epochs=2)
@@ -476,8 +491,8 @@ def test_tape_nodes_pin_a_revelio_epoch(node_model, mini_ba_shapes, good_motif_n
         explanation = explainer.explain(mini_ba_shapes.graph,
                                         ExplainTarget.node(good_motif_node))
     assert node_model.num_layers == 3 and node_model.conv_name == "gcn"
-    assert explanation.meta["tape_nodes"] == 35
-    assert explanation.meta["plan_nodes"] == 30
+    assert explanation.meta["tape_nodes"] == 36
+    assert explanation.meta["plan_nodes"] == 31
 
 
 def test_a_finished_loop_frees_its_loss_and_plan(node_model, mini_ba_shapes, good_motif_node,
@@ -509,11 +524,13 @@ def test_a_finished_loop_frees_its_loss_and_plan(node_model, mini_ba_shapes, goo
 
 #: Python function calls one replayed factual Revelio epoch makes on the
 #: mini BA-Shapes motif node (replay, backward, Adam and the loop around
-#: them): 123 on CPython 3.11 with numpy 2.4 when pinned, 132 while the
-#: sigmoid and the backward seed went through numpy's Python wrappers
+#: them): 121 on CPython 3.11 with numpy 2.4 with the compiled forward
+#: plan and its ``replay`` span, 123 before them, 132 while the sigmoid
+#: and the backward seed went through numpy's Python wrappers
 #: (``np.clip``, ``np.where``, ``np.ones_like``), 264 before the compiled
-#: backward plan. The bound keeps the earlier margin for version drift.
-EPOCH_CALLS = 136
+#: backward plan. The bound keeps the earlier margin of 13 for version
+#: drift.
+EPOCH_CALLS = 134
 
 
 def test_a_replayed_epoch_makes_a_pinned_number_of_python_calls(

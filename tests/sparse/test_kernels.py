@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from repro.errors import KernelError
 from repro.sparse import (
+    NUMBA_AVAILABLE,
     OPS,
     SegmentPlan,
     available_backends,
@@ -178,3 +179,30 @@ class TestDirectScatter:
         empty = SegmentPlan(np.zeros(0, dtype=np.int64), 4)
         out = kernel("scatter_add")(empty, np.zeros((0, 3)))
         assert np.array_equal(out, np.zeros((4, 3)))
+
+
+class TestScatterIntoOut:
+    """``scatter_add(plan, values, out)`` zeroes and fills ``out``: every
+    backend writes the bytes of a new result, whatever ``out`` held."""
+
+    BACKENDS = ["scipy", "numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("index, rows", [
+        (np.random.default_rng(1).integers(0, 9, size=60), 9),
+        (np.array([3, 0, 3, 5, 0, 3]), 8),              # empty segments
+        (np.zeros(0, dtype=np.int64), 4),               # no items
+    ])
+    @pytest.mark.parametrize("width", [1, 3, 32])
+    def test_dirty_out_gets_the_bytes_of_fresh_zeros(self, backend, index, rows, width):
+        plan = SegmentPlan(index, rows)
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(plan.num_items, width))
+        values[::3] = -0.0                              # sums of signed zeros
+        dirty = rng.normal(size=(rows, width))
+        dirty[::2] = np.nan
+        with use_backend(backend):
+            fresh = kernel("scatter_add")(plan, values)
+            returned = kernel("scatter_add")(plan, values, out=dirty)
+        assert returned is dirty
+        assert dirty.tobytes() == np.ascontiguousarray(fresh).tobytes()
