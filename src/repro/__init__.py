@@ -21,7 +21,7 @@ Package map
 ``repro.eval``      fidelity / AUC / timing + per-artifact experiment runners
 ``repro.graph``     graph containers and utilities
 ``repro.autograd``  the numpy autodiff substrate
-``repro.viz``       flow tables, ASCII and DOT rendering
+``repro.viz``       flow tables, ASCII and curve rendering
 ``repro.checks``    repo-aware static analysis (pure stdlib)
 
 The top-level namespace is a lazy façade (PEP 562): the numeric
@@ -41,12 +41,12 @@ from .version import __version__
 if TYPE_CHECKING:
     from .core import Revelio
     from .datasets import DATASET_NAMES, load_dataset
-    from .explain import EXPLAINERS, Explainer, Explanation, make_explainer
+    from .explain import Explainer, Explanation, make_explainer
     from .flows import (FlowIndex, cached_enumerate_flows, count_flows,
                         enumerate_flows, match_flows)
     from .graph import Graph, GraphBatch
     from .nn import GNN, Trainer, build_model, get_model
-    from .obs.counters import PERF, perf_snapshot, reset_perf
+    from .obs.counters import PERF, perf_snapshot
 
 __all__ = [
     "__version__",
@@ -54,7 +54,6 @@ __all__ = [
     "Explainer",
     "Explanation",
     "make_explainer",
-    "EXPLAINERS",
     "FlowIndex",
     "enumerate_flows",
     "cached_enumerate_flows",
@@ -62,7 +61,6 @@ __all__ = [
     "match_flows",
     "PERF",
     "perf_snapshot",
-    "reset_perf",
     "Graph",
     "GraphBatch",
     "GNN",
@@ -79,7 +77,6 @@ _EXPORTS = {
     "Revelio": "repro.core",
     "DATASET_NAMES": "repro.datasets",
     "load_dataset": "repro.datasets",
-    "EXPLAINERS": "repro.explain",
     "Explainer": "repro.explain",
     "Explanation": "repro.explain",
     "make_explainer": "repro.explain",
@@ -92,7 +89,6 @@ _EXPORTS = {
     "GraphBatch": "repro.graph",
     "PERF": "repro.obs.counters",
     "perf_snapshot": "repro.obs.counters",
-    "reset_perf": "repro.obs.counters",
     "GNN": "repro.nn",
     "Trainer": "repro.nn",
     "build_model": "repro.nn",

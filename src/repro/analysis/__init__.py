@@ -1,4 +1,4 @@
-"""Analysis utilities: method agreement, stability, flow statistics."""
+"""Analysis utilities: method agreement, seed stability, flow mass."""
 
 from .agreement import (
     agreement_matrix,
@@ -6,26 +6,15 @@ from .agreement import (
     top_edge_overlap,
     top_flow_overlap,
 )
-from .flow_stats import (
-    FlowStatistics,
-    explanation_concentration,
-    flow_statistics,
-    flows_per_edge_profile,
-    mass_through_nodes,
-)
-from .stability import StabilityReport, perturbation_stability, seed_stability
+from .flow_stats import explanation_concentration, mass_through_nodes
+from .stability import seed_stability
 
 __all__ = [
     "edge_rank_correlation",
     "top_edge_overlap",
     "top_flow_overlap",
     "agreement_matrix",
-    "StabilityReport",
     "seed_stability",
-    "perturbation_stability",
-    "FlowStatistics",
-    "flow_statistics",
-    "flows_per_edge_profile",
     "mass_through_nodes",
     "explanation_concentration",
 ]

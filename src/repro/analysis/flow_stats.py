@@ -1,80 +1,17 @@
-"""Descriptive statistics over message flows and their explanations.
+"""Descriptive statistics over flow explanations.
 
-Answers the structural questions behind the paper's motivation (§I):
-how many flows does each edge carry per layer (why edge explanations are
-ambiguous — Fig. 1), how concentrated is the explanation mass, and how
-much of an instance's flow importance passes through a chosen node set
-(e.g. a planted motif).
+How concentrated is the explanation mass, and how much of an instance's
+flow importance passes through a chosen node set (e.g. a planted motif)?
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import EvaluationError
 from ..explain.base import Explanation
-from ..flows import FlowIndex
 
-__all__ = ["FlowStatistics", "flow_statistics", "flows_per_edge_profile",
-           "mass_through_nodes", "explanation_concentration"]
-
-
-@dataclass
-class FlowStatistics:
-    """Summary of one instance's flow structure."""
-
-    num_flows: int
-    num_layers: int
-    flows_per_layer_edge_mean: float
-    flows_per_layer_edge_max: int
-    self_loop_flow_fraction: float
-    ambiguous_edge_fraction: float
-
-    def __repr__(self) -> str:
-        return (
-            f"FlowStatistics(|F|={self.num_flows}, L={self.num_layers}, "
-            f"mean flows/edge={self.flows_per_layer_edge_mean:.2f}, "
-            f"max={self.flows_per_layer_edge_max}, "
-            f"self-loop flows={self.self_loop_flow_fraction:.1%}, "
-            f"ambiguous edges={self.ambiguous_edge_fraction:.1%})"
-        )
-
-
-def flow_statistics(index: FlowIndex) -> FlowStatistics:
-    """Compute the structural summary for a flow index.
-
-    An edge is *ambiguous* when it carries more than one flow at some
-    layer — exactly the condition under which a top-k edge explanation
-    cannot identify the underlying flows (the paper's Fig. 1 argument).
-    """
-    counts = index.flows_per_layer_edge()
-    used = counts > 0
-    uses_self_loop = (index.layer_edges >= index.num_edges).any(axis=1)
-    return FlowStatistics(
-        num_flows=index.num_flows,
-        num_layers=index.num_layers,
-        flows_per_layer_edge_mean=float(counts[used].mean()) if used.any() else 0.0,
-        flows_per_layer_edge_max=int(counts.max()) if counts.size else 0,
-        self_loop_flow_fraction=float(uses_self_loop.mean()) if index.num_flows else 0.0,
-        ambiguous_edge_fraction=float((counts > 1).sum() / max(used.sum(), 1)),
-    )
-
-
-def flows_per_edge_profile(index: FlowIndex) -> np.ndarray:
-    """Mean flow load per layer, shape ``(L,)``.
-
-    The paper observes that for node classification "deeper layer edges
-    tend to carry a higher number of message flows"; this profile makes
-    that measurable.
-    """
-    counts = index.flows_per_layer_edge().astype(np.float64)
-    profile = np.zeros(index.num_layers)
-    for l in range(index.num_layers):
-        used = counts[l] > 0
-        profile[l] = counts[l][used].mean() if used.any() else 0.0
-    return profile
+__all__ = ["mass_through_nodes", "explanation_concentration"]
 
 
 def mass_through_nodes(explanation: Explanation, nodes: set[int]) -> float:

@@ -1,10 +1,10 @@
-"""Explanation stability: variance under seeds and input perturbations.
+"""Explanation stability: variance under an explainer's own seeds.
 
 Faithfulness evaluations (the paper's Figs. 3/4) measure quality against
 the model; stability measures *reliability* — does the method return the
-same explanation when its own randomness or irrelevant parts of the input
-change? Both axes matter for deployment, and learning-based explainers
-(Revelio, GNNExplainer) are stochastic by construction.
+same explanation when only its own randomness changes? Both axes matter
+for deployment, and learning-based explainers (Revelio, GNNExplainer)
+are stochastic by construction.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from ..errors import EvaluationError
 from ..explain.base import Explanation
 from ..explain.target import ExplainTarget
 from ..graph import Graph
-from ..rng import spawn_rngs
-from ..sparse import feature_dense
 from .agreement import edge_rank_correlation, top_edge_overlap
 
-__all__ = ["StabilityReport", "seed_stability", "perturbation_stability"]
+__all__ = ["seed_stability"]
 
 
 @dataclass
@@ -73,23 +71,4 @@ def seed_stability(make_explainer: Callable[[int], object], graph: Graph,
         make_explainer(seed).explain(graph, target=target, mode=mode)
         for seed in range(num_seeds)
     ]
-    return _pairwise_report(explanations, k)
-
-
-def perturbation_stability(explainer, graph: Graph, target: ExplainTarget | None = None,
-                           num_perturbations: int = 5, feature_noise: float = 0.05,
-                           mode: str = "factual", k: int = 10,
-                           seed: int | np.random.Generator | None = 0) -> StabilityReport:
-    """Stability under small Gaussian feature noise on the input graph.
-
-    A faithful explanation of a robust prediction should not churn when
-    features move imperceptibly.
-    """
-    rngs = spawn_rngs(seed, num_perturbations)
-    explanations = [explainer.explain(graph, target=target, mode=mode)]
-    for rng in rngs:
-        noisy = graph.copy()
-        noisy.x = feature_dense(noisy.x) + rng.normal(0.0, feature_noise,
-                                                      size=noisy.x.shape)
-        explanations.append(explainer.explain(noisy, target=target, mode=mode))
     return _pairwise_report(explanations, k)

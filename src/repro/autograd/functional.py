@@ -18,13 +18,9 @@ from .tensor import Tensor, as_tensor
 __all__ = [
     "softmax",
     "log_softmax",
-    "nll_loss",
     "cross_entropy",
-    "binary_cross_entropy",
     "segment_softmax",
     "spmm",
-    "dropout",
-    "one_hot",
 ]
 
 
@@ -93,14 +89,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
         fills=True)
 
 
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Return a dense ``(n, num_classes)`` one-hot encoding (plain numpy)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 def nll_loss(log_probs: Tensor, labels: np.ndarray, reduction: str = "mean") -> Tensor:
     """Negative log-likelihood of integer ``labels`` under ``log_probs``.
 
@@ -130,15 +118,6 @@ def nll_loss(log_probs: Tensor, labels: np.ndarray, reduction: str = "mean") -> 
 def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "mean") -> Tensor:
     """Softmax cross-entropy on raw ``logits``."""
     return nll_loss(log_softmax(logits, axis=-1), labels, reduction=reduction)
-
-
-def binary_cross_entropy(probs: Tensor, targets: np.ndarray, eps: float = 1e-12) -> Tensor:
-    """Mean binary cross-entropy between probabilities and 0/1 targets."""
-    probs = as_tensor(probs)
-    targets = np.asarray(targets, dtype=np.float64)
-    clipped = probs.clip(eps, 1.0 - eps)
-    loss = -(Tensor(targets) * clipped.log() + Tensor(1.0 - targets) * (1.0 - clipped).log())
-    return loss.mean()
 
 
 def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int,
@@ -199,13 +178,3 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int,
     if weights is not None:
         denom = denom.clip(1e-300, np.inf)  # segments with every row removed
     return exp / denom.gather_rows(segment_ids, plan=plan)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: zero entries with probability ``p`` and rescale."""
-    if not training or p <= 0.0:
-        return x
-    if p >= 1.0:
-        raise AutogradError("dropout probability must be < 1")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)

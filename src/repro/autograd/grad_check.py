@@ -1,8 +1,7 @@
 """Numerical gradient checking.
 
-Used by the autograd test suite (and available to downstream users) to
-verify that every backward closure matches a central finite-difference
-estimate.
+The autograd test suite's oracle: every backward closure must match a
+central finite-difference estimate. Not public API.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["numerical_grad", "check_gradients"]
+__all__: list[str] = []
 
 
 def numerical_grad(fn: Callable[[], Tensor], tensor: Tensor, eps: float = 1e-6) -> np.ndarray:

@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# The full palette stays exported even where the zoo only reaches for
-# glorot/zeros today: initializers are user-facing model-building API.
-__all__ = ["glorot_uniform", "kaiming_uniform", "zeros",  # repro: noqa[RPR110]
-           "ones", "uniform", "normal"]
+__all__ = ["glorot_uniform", "zeros"]
 
 
 def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -21,31 +18,9 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape)
 
 
-def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Kaiming/He uniform for ReLU networks: U(-a, a), a = sqrt(6 / fan_in)."""
-    fan_in, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def uniform(shape: tuple[int, ...], rng: np.random.Generator, low: float = -0.1, high: float = 0.1) -> np.ndarray:
-    """Plain uniform initializer."""
-    return rng.uniform(low, high, size=shape)
-
-
-def normal(shape: tuple[int, ...], rng: np.random.Generator, std: float = 0.1) -> np.ndarray:
-    """Zero-mean Gaussian initializer."""
-    return rng.normal(0.0, std, size=shape)
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zeros initializer (biases)."""
     return np.zeros(shape, dtype=np.float64)
-
-
-def ones(shape: tuple[int, ...]) -> np.ndarray:
-    """All-ones initializer."""
-    return np.ones(shape, dtype=np.float64)
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:

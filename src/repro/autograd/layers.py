@@ -7,6 +7,8 @@ GAT's attention projections) and inside the parameterized explainers
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from ..errors import AutogradError
@@ -15,7 +17,7 @@ from .init import glorot_uniform, zeros
 from .module import Module, Parameter
 from .tensor import Tensor
 
-__all__ = ["Linear", "ReLU", "Tanh", "Sigmoid", "Sequential", "MLP", "LayerNorm"]
+__all__ = ["Linear", "Sigmoid", "MLP"]
 
 
 class Linear(Module):
@@ -57,37 +59,11 @@ class ReLU(Module):
         return x.relu()
 
 
-class Tanh(Module):
-    """Elementwise hyperbolic tangent."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
 class Sigmoid(Module):
     """Elementwise logistic function."""
 
     def forward(self, x: Tensor) -> Tensor:
         return x.sigmoid()
-
-
-class Sequential(Module):
-    """Run modules in order, feeding each output into the next."""
-
-    def __init__(self, *layers: Module):
-        super().__init__()
-        self.layers = list(layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __getitem__(self, i: int) -> Module:
-        return self.layers[i]
-
-    def __len__(self) -> int:
-        return len(self.layers)
 
 
 class MLP(Module):
@@ -116,24 +92,14 @@ class MLP(Module):
                 layers.append(ReLU())
         if final_activation is not None:
             layers.append(final_activation)
-        self.net = Sequential(*layers)
+        self.layers = layers
+
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
+        # Keep the ``net.layers.<i>`` names of the nested layout the model
+        # zoo's cached checkpoints were saved under.
+        return super().named_parameters(prefix=f"{prefix}net.")
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.net(x)
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last axis with learnable scale/shift."""
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        super().__init__()
-        self.eps = eps
-        self.gamma = Parameter(np.ones(dim), name="gamma")
-        self.beta = Parameter(np.zeros(dim), name="beta")
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta
+        for layer in self.layers:
+            x = layer(x)
+        return x

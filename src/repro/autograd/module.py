@@ -77,7 +77,7 @@ class Module:
     # training state
     # ------------------------------------------------------------------
     def train(self) -> "Module":
-        """Set training mode recursively (enables dropout etc.)."""
+        """Set training mode recursively."""
         for module in self.modules():
             module.training = True
         return self

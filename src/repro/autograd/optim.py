@@ -1,7 +1,7 @@
-"""First-order optimizers (SGD with momentum, Adam).
+"""The first-order optimizer (Adam).
 
 Both the GNN trainer and every mask-learning explainer (Revelio,
-GNNExplainer, PGExplainer, GraphMask, FlowX stage 2) drive these. The paper
+GNNExplainer, PGExplainer, GraphMask, FlowX stage 2) drive it. The paper
 uses Adam with the learning rates recorded in its Section V-A.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import AutogradError
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Adam"]
 
 
 class Optimizer:
@@ -33,31 +33,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        """Apply one SGD update using accumulated gradients."""
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.data = param.data - self.lr * grad
 
 
 #: Each parameter's segment of Adam's flat buffers starts on a multiple of

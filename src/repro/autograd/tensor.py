@@ -36,8 +36,8 @@ return. A buffer belongs to its node alone: after a replay, a node's
 
 A backward closure takes the upstream gradient and returns one gradient
 per parent (``None`` for a parent that does not require grad); the plan
-routes each into its parent's slot. An op that broadcasts (``+ − * /``,
-:func:`where`) returns them in the output's shape and the plan sums them
+routes each into its parent's slot. An op that broadcasts (``+ − * /``)
+returns them in the output's shape and the plan sums them
 down, along axes it resolved when it compiled.
 
 The op set covers everything message-passing GNNs and mask-learning
@@ -58,8 +58,8 @@ import numpy as np
 from ..errors import AutogradError, ShapeError
 from ..sparse import SegmentPlan, kernel, plan_for
 
-__all__ = ["Tensor", "SparseLeaf", "Tape", "as_tensor", "no_grad", "is_grad_enabled",
-           "concat", "stack", "where", "propagate"]
+__all__ = ["Tensor", "SparseLeaf", "Tape", "as_tensor", "no_grad", "concat",
+           "propagate"]
 
 _GRAD_ENABLED = [True]
 # The node list of the Tape being recorded, or None.
@@ -1238,30 +1238,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._op(
         lambda out=None: np.concatenate([t.data for t in tensors], axis=axis, out=out),
         tensors, lambda grad: tuple([grad[slicer] for slicer in slicers]), fills=True)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = [as_tensor(t) for t in tensors]
-
-    return Tensor._op(lambda out=None: np.stack([t.data for t in tensors], axis=axis, out=out),
-                      tensors, lambda grad: tuple([np.take(grad, i, axis=axis)
-                                                   for i in range(len(tensors))]),
-                      fills=True)
-
-
-def where(condition: np.ndarray, a, b) -> Tensor:
-    """Differentiable selection ``condition ? a : b`` (condition is data)."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    condition = np.asarray(condition, dtype=bool)
-
-    def backward(grad):
-        return (grad * condition if a.requires_grad else None,
-                grad * (~condition) if b.requires_grad else None)
-
-    return a._broadcasting_op(b, lambda: np.where(condition, a.data, b.data), backward,
-                              fills=False)
 
 
 class SparseLeaf(Tensor):

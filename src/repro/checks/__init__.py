@@ -41,9 +41,9 @@ rules.
 
 from __future__ import annotations
 
-from .engine import FileContext, LintResult, Violation, collect_files, lint_paths
-from .registry import RULES, ProgramRule, Rule, all_rules, register, resolve_codes
-from .report import format_rule_listing, run_lint
+from .engine import FileContext, LintResult, Violation, lint_paths
+from .registry import ProgramRule, Rule, all_rules, register, resolve_codes
+from .report import run_lint
 from .sarif import to_sarif
 
 # Importing the rule modules registers their rules (stable-code registry);
@@ -56,14 +56,11 @@ __all__ = [
     "FileContext",
     "LintResult",
     "lint_paths",
-    "collect_files",
     "Rule",
     "ProgramRule",
-    "RULES",
     "register",
     "all_rules",
     "resolve_codes",
     "run_lint",
-    "format_rule_listing",
     "to_sarif",
 ]

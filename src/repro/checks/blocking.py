@@ -22,7 +22,7 @@ from typing import Iterator
 from .engine import FileContext, Violation, dotted_name
 from .registry import Rule, register
 
-__all__ = ["BLOCKING_CALLS", "BLOCKING_BARE"]
+__all__ = ["BLOCKING_CALLS"]
 
 #: Blocking dotted calls -> the async replacement to suggest. Shared
 #: with RPR130, which extends the same table transitively through the

@@ -24,9 +24,7 @@ from typing import Iterable, Sequence
 
 from .registry import Rule, resolve_codes
 
-__all__ = ["Violation", "FileContext", "LintResult", "lint_paths",
-           "collect_files", "dotted_name", "module_name",
-           "expand_noqa_map", "statement_spans"]
+__all__ = ["Violation", "FileContext", "LintResult", "lint_paths", "dotted_name"]
 
 #: Per-line suppression: ``# repro: noqa`` (all codes) or
 #: ``# repro: noqa[RPR001]`` / ``# repro: noqa[RPR001,RPR010]``.

@@ -2,9 +2,10 @@
 RPR112 (private-module reach-ins).
 
 ``__all__`` is the tree's public-API ledger; these rules keep the ledger
-honest in both directions. A name exported but never imported anywhere
-in the program is surface area that costs review attention and deprecation
-work while serving nobody (RPR110). A name listed in ``__all__`` but not
+honest in both directions. A name exported but never imported by the
+program — tests and pass-through re-exports do not count — is surface
+area that costs review attention and deprecation work while serving
+nobody (RPR110). A name listed in ``__all__`` but not
 actually bound in the module is a latent ``AttributeError`` behind
 ``from x import *`` (RPR111). And an import that reaches across
 subpackages into an underscore-private module couples the consumer to
@@ -18,7 +19,7 @@ from typing import Iterator
 from ..registry import ProgramRule, register
 from .context import ProgramContext
 
-__all__ = ["DeadExport", "DunderAllDrift", "PrivateModuleReachIn"]
+__all__: list[str] = []
 
 #: Exports every distribution keeps regardless of internal consumers.
 _ALWAYS_PUBLIC = frozenset({"__version__"})
@@ -28,9 +29,11 @@ _ALWAYS_PUBLIC = frozenset({"__version__"})
 class DeadExport(ProgramRule):
     code = "RPR110"
     name = "dead-export"
-    rationale = ("A name in __all__ that nothing in src/tests/benchmarks/"
-                 "examples imports is unowned public surface: it cannot "
-                 "break a test, so it only decays. Delete it or use it.")
+    rationale = ("The lint roots are src, tests, benchmarks, examples and "
+                 "perfbench. A name in __all__ that no program module "
+                 "imports or reads is unowned public surface: a test "
+                 "importing it, or a facade only re-listing it, is not an "
+                 "owner. It only decays. Delete it or use it.")
 
     def check_program(self, program: ProgramContext) -> Iterator:
         # Without the tree's root package the program is a slice, and

@@ -44,6 +44,11 @@ class ImportEdge:
         return self.toplevel and not self.type_checking
 
 
+def _is_test(module: str) -> bool:
+    """Whether a module lives under the ``tests`` root."""
+    return module == "tests" or module.startswith("tests.")
+
+
 class ProgramContext:
     """Symbol tables and graphs over every summarized module."""
 
@@ -157,20 +162,29 @@ class ProgramContext:
         star-imports the module (every ``__all__`` name counts), reaches
         it as an attribute through a module alias (``alias.name``), or
         imports the submodule it names by any spelling (``import
-        pkg.sub`` credits ``(pkg, "sub")`` and every ancestor pair). The
-        defining module's own references do not count — an export exists
-        for external consumers.
+        pkg.sub`` credits ``(pkg, "sub")`` and every ancestor pair). Only
+        the program credits a use: the defining module's own references
+        do not count (an export exists for external consumers), and
+        nothing under the ``tests`` root counts (a name only its test
+        imports has no consumer for the test to protect).
 
         Usage propagates across re-export aliases: ``from D import N``
         in a façade module ``M`` makes ``(M, N)`` and ``(D, N)`` names
         for the same symbol, so consuming either spelling credits both —
         an ``__all__`` entry is dead only when the symbol is unreachable
-        through *every* alias.
+        through *every* alias. The façade's import is itself a use only
+        when its body reads the binding; one it merely lists in its own
+        ``__all__`` is a pass-through, or every re-export would keep
+        itself alive.
         """
         used: set[tuple[str, str]] = set()
         #: symbol-alias adjacency for the closure pass below.
         aliases: dict[tuple[str, str], set[tuple[str, str]]] = {}
         for module, summary in self.modules.items():
+            if _is_test(module):
+                continue
+            passthrough = set(summary.dunder_all or ()) - \
+                set(summary.name_loads)
             # import statements
             for record in summary.imports:
                 if record.kind != "from":
@@ -186,7 +200,7 @@ class ProgramContext:
                             for exported in star_target.dunder_all:
                                 used.add((target, exported))
                         continue
-                    if target != module:
+                    if target != module and binding not in passthrough:
                         used.add((target, name))
                     if f"{target}.{name}" in self.modules:
                         continue  # submodule import, not a symbol alias
@@ -225,6 +239,8 @@ class ProgramContext:
         # listings along the chain — `from pkg import sub` is just one
         # spelling of consuming the submodule.
         for edge in self.import_edges():
+            if _is_test(edge.source):
+                continue
             parts = edge.target.split(".")
             for cut in range(1, len(parts)):
                 parent = ".".join(parts[:cut])

@@ -16,7 +16,7 @@ from ..registry import ProgramRule, register
 from .context import ProgramContext
 from .summary import FileSummary, FunctionSummary
 
-__all__ = ["KernelBackendContract"]
+__all__: list[str] = []
 
 
 @register

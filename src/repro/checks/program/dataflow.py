@@ -31,7 +31,7 @@ from ..registry import ProgramRule, register
 from .context import ProgramContext
 from .summary import CallRecord, FunctionSummary
 
-__all__ = ["TransitiveBlockingCall"]
+__all__: list[str] = []
 
 #: Hop budget for call-graph traversal; deep chains past this are
 #: architecture problems before they are lint problems.

@@ -36,7 +36,7 @@ from typing import Iterator
 from ..registry import ProgramRule, register
 from .context import ImportEdge, ProgramContext
 
-__all__ = ["ImportCycle", "LayeringContract", "LAYERS", "layer_of"]
+__all__: list[str] = []
 
 #: The declared layering contract: ordered low → high. A module belongs
 #: to the layer of its longest matching prefix; unlisted modules are

@@ -61,7 +61,8 @@ class FunctionSummary:
 
 @dataclass
 class RegisterCall:
-    """A ``register_kernel(op, backend, fn)`` call with literal args."""
+    """A ``register_kernel(op, backend, fn)`` call; ``op`` and ``backend``
+    are string literals or module string constants, else None."""
 
     op: str | None
     backend: str | None
@@ -92,6 +93,8 @@ class FileSummary:
     register_calls: list[RegisterCall]
     #: Dotted attribute chains whose root is an import binding.
     attr_uses: list[str]
+    #: Import bindings the module body reads by bare name.
+    name_loads: list[str]
     #: Effective noqa map (logical lines already expanded); None = all.
     noqa: dict[int, frozenset[str] | None]
 
@@ -151,6 +154,17 @@ def _dotted(node: ast.AST) -> str | None:
     return None
 
 
+def _string_arg(arg: ast.expr | None, consts: dict[str, str]) -> str | None:
+    """A string literal's value, or a bare name resolved through the
+    module's top-level string constants; anything else (a loop variable,
+    a call) is not statically known."""
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return arg.value
+    if isinstance(arg, ast.Name):
+        return consts.get(arg.id)
+    return None
+
+
 def _direct_calls(func: ast.FunctionDef | ast.AsyncFunctionDef) \
         -> Iterator[ast.Call]:
     """Calls whose nearest enclosing function is ``func`` itself —
@@ -180,6 +194,7 @@ def summarize(ctx: "FileContext") -> FileSummary:
     functions: list[FunctionSummary] = []
     register_calls: list[RegisterCall] = []
     attr_uses: set[str] = set()
+    name_loads: set[str] = set()
 
     def record_import(node: ast.Import | ast.ImportFrom, toplevel: bool,
                       type_checking: bool) -> None:
@@ -290,22 +305,20 @@ def summarize(ctx: "FileContext") -> FileSummary:
             dotted = _dotted(node)
             if dotted and dotted.split(".")[0] in import_bindings:
                 attr_uses.add(dotted)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id in import_bindings:
+                name_loads.add(node.id)
         elif isinstance(node, ast.Call):
             callee = _dotted(node.func)
             if callee is not None and \
                     callee.split(".")[-1] == "register_kernel":
-                args: list[str | None] = []
-                for arg in node.args[:3]:
-                    if isinstance(arg, ast.Constant) and \
-                            isinstance(arg.value, str):
-                        args.append(arg.value)
-                    elif isinstance(arg, ast.Name):
-                        args.append(arg.id)
-                    else:
-                        args.append(None)
+                args: list[ast.expr | None] = list(node.args[:3])
                 args.extend([None] * (3 - len(args)))
+                fn = args[2]
                 register_calls.append(RegisterCall(
-                    op=args[0], backend=args[1], fn=args[2],
+                    op=_string_arg(args[0], consts),
+                    backend=_string_arg(args[1], consts),
+                    fn=fn.id if isinstance(fn, ast.Name) else None,
                     lineno=node.lineno, col=node.col_offset))
 
     register_calls.sort(key=lambda r: (r.lineno, r.col))
@@ -315,4 +328,5 @@ def summarize(ctx: "FileContext") -> FileSummary:
         dunder_all=dunder_all, all_lineno=all_lineno,
         all_dynamic=all_dynamic, imports=imports, functions=functions,
         register_calls=register_calls, attr_uses=sorted(attr_uses),
+        name_loads=sorted(name_loads),
         noqa=ctx._noqa)

@@ -19,8 +19,7 @@ if TYPE_CHECKING:
     from .engine import FileContext, Violation
     from .program.context import ProgramContext
 
-__all__ = ["Rule", "ProgramRule", "RULES", "register", "all_rules",
-           "resolve_codes"]
+__all__ = ["Rule", "ProgramRule", "register", "all_rules", "resolve_codes"]
 
 _CODE_RE = re.compile(r"^RPR\d{3}$")
 

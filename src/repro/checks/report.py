@@ -17,7 +17,7 @@ from ..errors import CheckError
 from .engine import lint_paths
 from .registry import all_rules, resolve_codes
 
-__all__ = ["run_lint", "format_rule_listing"]
+__all__ = ["run_lint"]
 
 _FORMATS = ("text", "json", "sarif")
 _SCOPES = ("all", "file", "program")

@@ -34,7 +34,7 @@ import sys
 from .datasets import DATASET_NAMES, dataset_task, load_dataset
 from .errors import ReproError
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 def build_parser() -> argparse.ArgumentParser:

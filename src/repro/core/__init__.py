@@ -2,12 +2,7 @@
 
 from .link import LinkRevelio
 from .optimize import LAYER_WEIGHT_ACTIVATIONS, MASK_ACTIVATIONS
-from .preselect import (
-    PRESELECT_STRATEGIES,
-    gradient_flow_scores,
-    preselect_flows,
-    walk_weight_flow_scores,
-)
+from .preselect import PRESELECT_STRATEGIES, preselect_flows
 from .revelio import Revelio
 from .topk import TopKRevelio
 
@@ -19,6 +14,4 @@ __all__ = [
     "LAYER_WEIGHT_ACTIVATIONS",
     "PRESELECT_STRATEGIES",
     "preselect_flows",
-    "gradient_flow_scores",
-    "walk_weight_flow_scores",
 ]

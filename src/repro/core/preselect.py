@@ -36,8 +36,7 @@ from ..nn.message_passing import augment_edges
 from ..nn.models import GNN
 from ..rng import ensure_rng
 
-__all__ = ["preselect_flows", "gradient_flow_scores", "walk_weight_flow_scores",
-           "PRESELECT_STRATEGIES"]
+__all__ = ["preselect_flows", "PRESELECT_STRATEGIES"]
 
 PRESELECT_STRATEGIES = ("gradient", "walk_weight", "random")
 

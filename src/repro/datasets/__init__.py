@@ -1,15 +1,14 @@
 """Datasets: the paper's synthetic benchmarks and offline surrogates."""
 
-from .base import DatasetStats, GraphDataset, NodeDataset
-from .citation import citation_surrogate, citeseer, cora, pubmed
-from .molecules import bbbp, molecule_surrogate, mutag
+from .base import GraphDataset, NodeDataset
+from .citation import citeseer, cora, pubmed
+from .molecules import bbbp, mutag
 from .registry import DATASET_NAMES, dataset_task, default_scale, load_dataset
 from .synthetic import ba_2motifs, ba_shapes, tree_cycles
 
 __all__ = [
     "NodeDataset",
     "GraphDataset",
-    "DatasetStats",
     "load_dataset",
     "DATASET_NAMES",
     "dataset_task",
@@ -17,10 +16,8 @@ __all__ = [
     "cora",
     "citeseer",
     "pubmed",
-    "citation_surrogate",
     "mutag",
     "bbbp",
-    "molecule_surrogate",
     "ba_shapes",
     "tree_cycles",
     "ba_2motifs",

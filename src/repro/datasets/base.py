@@ -17,7 +17,7 @@ from ..errors import DatasetError
 from ..graph import Graph
 from ..rng import ensure_rng
 
-__all__ = ["NodeDataset", "GraphDataset", "DatasetStats"]
+__all__ = ["NodeDataset", "GraphDataset"]
 
 
 @dataclass

@@ -24,7 +24,7 @@ from ..graph import Graph, coalesce_edges
 from ..rng import ensure_rng
 from .base import NodeDataset
 
-__all__ = ["cora", "citeseer", "pubmed", "citation_surrogate"]
+__all__ = ["cora", "citeseer", "pubmed"]
 
 # Table III targets: (nodes, edges, features, classes)
 _PROFILES = {

@@ -27,7 +27,7 @@ from ..graph import Graph, coalesce_edges
 from ..rng import ensure_rng
 from .base import GraphDataset
 
-__all__ = ["mutag", "bbbp", "molecule_surrogate"]
+__all__ = ["mutag", "bbbp"]
 
 
 def _random_skeleton(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:

@@ -29,19 +29,16 @@ from .experiments import (
     run_fidelity_experiment,
     run_runtime_experiment,
 )
-from .report import build_report, collect_artifacts, write_report
-from .sanity import SanityCheckResult, model_randomization_check, randomize_model
+from .report import build_report, write_report
+from .sanity import model_randomization_check
 from .timing import TimingResult, time_explainer
 
 __all__ = [
     "ExecutionConfig",
     "ExperimentConfig",
     "build_report",
-    "collect_artifacts",
     "write_report",
-    "SanityCheckResult",
     "model_randomization_check",
-    "randomize_model",
     "ALL_METHODS",
     "FACTUAL_METHODS",
     "COUNTERFACTUAL_METHODS",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["collect_artifacts", "build_report", "write_report"]
+__all__ = ["build_report", "write_report"]
 
 # Display order and titles keyed by filename prefix.
 _SECTIONS = (

@@ -25,7 +25,7 @@ from ..graph import Graph
 from ..nn.models import GNN
 from ..rng import ensure_rng
 
-__all__ = ["SanityCheckResult", "randomize_model", "model_randomization_check"]
+__all__ = ["model_randomization_check"]
 
 
 @dataclass

@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..errors import ExplainerError
 from ..nn.models import GNN
 from .base import MODES, Explainer, Explanation
-from .batch import BatchResult, explain_instances
+from .batch import explain_instances
 from .target import ExplainTarget, as_node_id
 from .deeplift import DeepLIFT
 from .flowx import FlowX
@@ -14,7 +14,7 @@ from .gnnexplainer import GNNExplainer
 from .gradcam import GradCAM
 from .graphmask import GraphMask
 from .group import GroupExplainer
-from .io import load_explanation, save_explanation
+from .io import save_explanation
 from .pgexplainer import PGExplainer
 from .pgm_explainer import PGMExplainer
 from .random_baseline import RandomExplainer
@@ -39,11 +39,8 @@ __all__ = [
     "FlowX",
     "RelevantWalks",
     "RandomExplainer",
-    "EXPLAINERS",
     "make_explainer",
     "save_explanation",
-    "load_explanation",
-    "BatchResult",
     "explain_instances",
 ]
 

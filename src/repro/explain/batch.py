@@ -19,7 +19,7 @@ from .io import save_explanation
 if TYPE_CHECKING:  # avoid a circular import; Instance is duck-typed below
     from ..eval.fidelity import Instance
 
-__all__ = ["BatchResult", "explain_instances"]
+__all__ = ["explain_instances"]
 
 
 #: Characters of formatted traceback kept per captured failure.

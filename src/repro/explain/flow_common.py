@@ -13,8 +13,8 @@ from ..flows import FlowIndex
 from ..graph import Graph
 from ..nn.models import GNN, LayerTrim
 
-__all__ = ["masked_probability_batch",
-           "layer_scores_to_edge_scores", "flow_scores_to_edge_scores", "sigmoid"]
+__all__ = ["masked_probability_batch", "layer_scores_to_edge_scores",
+           "flow_scores_to_edge_scores"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -30,8 +30,8 @@ from ..errors import ExplainerError
 from ..flows import FlowIndex
 from .base import Explanation
 
-__all__ = ["save_explanation", "load_explanation",
-           "explanation_to_jsonable", "explanation_from_jsonable"]
+# load_explanation is the test suite's reader of saved explanations.
+__all__ = ["save_explanation", "explanation_to_jsonable", "explanation_from_jsonable"]
 
 _SCALAR_TYPES = (int, float, str, bool, type(None))
 

@@ -38,7 +38,7 @@ from ..obs import span
 from ..obs.names import SPAN_EPOCH, SPAN_OPTIMIZE, SPAN_REPLAY
 
 __all__ = ["learn_masks", "outcome_loss", "target_log_prob", "mean_or_zero",
-           "hop_layer_edges", "forward_meta", "converged", "CONVERGENCE_RTOL"]
+           "hop_layer_edges", "forward_meta"]
 
 #: ``meta["converged"]``: the loss moved by less than this fraction of
 #: itself over the last 10% of epochs.

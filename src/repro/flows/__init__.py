@@ -2,38 +2,24 @@
 
 from .cache import (
     FLOW_CACHE,
-    FlowCache,
     cached_enumerate_flows,
     flow_cache_disabled,
     graph_fingerprint,
     invalidate,
 )
 from .enumeration import FlowIndex, count_flows, enumerate_flows
-from .grouping import (
-    group_by_destination,
-    group_by_path_length,
-    group_by_patterns,
-    group_by_source,
-)
 from .incidence import FlowIncidence
-from .patterns import FlowPattern, match_flows, parse_pattern
+from .patterns import match_flows
 
 __all__ = [
     "FlowIndex",
     "enumerate_flows",
     "count_flows",
     "cached_enumerate_flows",
-    "FlowCache",
     "FLOW_CACHE",
     "flow_cache_disabled",
     "graph_fingerprint",
     "invalidate",
     "FlowIncidence",
-    "FlowPattern",
     "match_flows",
-    "parse_pattern",
-    "group_by_source",
-    "group_by_destination",
-    "group_by_path_length",
-    "group_by_patterns",
 ]

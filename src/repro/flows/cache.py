@@ -27,7 +27,6 @@ from .enumeration import DEFAULT_MAX_FLOWS, FlowIndex, enumerate_flows
 __all__ = [
     "graph_fingerprint",
     "LRUCache",
-    "FlowCache",
     "FLOW_CACHE",
     "cached_enumerate_flows",
     "invalidate",

@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import FlowError
 from .enumeration import FlowIndex
 
-__all__ = ["FlowPattern", "match_flows", "parse_pattern"]
+__all__ = ["match_flows"]
 
 Token = int | str | tuple[str, int]
 

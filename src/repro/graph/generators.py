@@ -22,7 +22,6 @@ __all__ = [
     "sbm_edges",
     "cycle_edges",
     "house_motif_edges",
-    "path_edges",
 ]
 
 
@@ -118,12 +117,6 @@ def cycle_edges(node_ids: list[int]) -> np.ndarray:
     if n < 3:
         raise DatasetError("cycle needs at least 3 nodes")
     pairs = [(node_ids[i], node_ids[(i + 1) % n]) for i in range(n)]
-    return _directed_both(pairs)
-
-
-def path_edges(node_ids: list[int]) -> np.ndarray:
-    """Directed-both path through ``node_ids`` in order."""
-    pairs = [(node_ids[i], node_ids[i + 1]) for i in range(len(node_ids) - 1)]
     return _directed_both(pairs)
 
 

@@ -1,4 +1,4 @@
-"""Graph utilities: degrees, subgraphs, conversions.
+"""Graph utilities: edge coalescing, induced subgraphs, components.
 
 These mirror the PyG ``torch_geometric.utils`` helpers the paper's code
 relies on, implemented on numpy / scipy sparse.
@@ -16,18 +16,9 @@ from ..sparse import sparse_cache  # noqa: F401
 from .data import Graph
 from .sampled import _relabel
 
-__all__ = [
-    "coalesce_edges",
-    "sparse_cache",
-    "to_csr",
-    "to_undirected",
-    "add_reverse_edges",
-    "induced_subgraph",
-    "connected_components",
-    "edge_list",
-    "from_networkx",
-    "to_networkx",
-]
+# induced_subgraph, connected_components and to_csr are test oracles
+# (receptive-field extraction, dataset connectivity), not public API.
+__all__ = ["coalesce_edges", "sparse_cache"]
 
 
 def coalesce_edges(edge_index: np.ndarray) -> np.ndarray:
@@ -45,20 +36,6 @@ def to_csr(graph: Graph, weights: np.ndarray | None = None) -> sp.csr_matrix:
     return sp.csr_matrix(
         (data, (graph.src, graph.dst)), shape=(graph.num_nodes, graph.num_nodes)
     )
-
-
-def add_reverse_edges(edge_index: np.ndarray) -> np.ndarray:
-    """Return edge_index with reversed edges appended (then coalesced)."""
-    edge_index = np.asarray(edge_index, dtype=np.int64)
-    both = np.concatenate([edge_index, edge_index[::-1]], axis=1)
-    return coalesce_edges(both)
-
-
-def to_undirected(graph: Graph) -> Graph:
-    """Return a copy with edges symmetrized."""
-    g = graph.copy()
-    g.edge_index = add_reverse_edges(g.edge_index)
-    return g
 
 
 def induced_subgraph(graph: Graph, nodes: np.ndarray) -> tuple[Graph, np.ndarray, np.ndarray]:
@@ -84,42 +61,3 @@ def connected_components(graph: Graph) -> np.ndarray:
     adj = to_csr(graph)
     n_components, labels = sp.csgraph.connected_components(adj, directed=True, connection="weak")
     return labels
-
-
-def edge_list(graph: Graph) -> list[tuple[int, int]]:
-    """Edges as a list of ``(src, dst)`` tuples."""
-    return list(zip(graph.src.tolist(), graph.dst.tolist()))
-
-
-def from_networkx(nx_graph, x: np.ndarray | None = None, y=None) -> Graph:
-    """Convert a networkx (Di)Graph into a :class:`Graph`.
-
-    Undirected graphs contribute both edge directions, matching the paper's
-    treatment of benchmark datasets as directed edge pairs.
-    """
-    import networkx as nx
-
-    nodes = sorted(nx_graph.nodes())
-    index = {node: i for i, node in enumerate(nodes)}
-    edges = []
-    for u, v in nx_graph.edges():
-        edges.append((index[u], index[v]))
-        if not nx_graph.is_directed():
-            edges.append((index[v], index[u]))
-    edge_index = (
-        np.array(edges, dtype=np.int64).T if edges else np.zeros((2, 0), dtype=np.int64)
-    )
-    edge_index = coalesce_edges(edge_index)
-    if x is None:
-        x = np.ones((len(nodes), 1))
-    return Graph(edge_index=edge_index, x=x, y=y, num_nodes=len(nodes))
-
-
-def to_networkx(graph: Graph):
-    """Convert to a networkx DiGraph (node ids preserved)."""
-    import networkx as nx
-
-    g = nx.DiGraph()
-    g.add_nodes_from(range(graph.num_nodes))
-    g.add_edges_from(edge_list(graph))
-    return g

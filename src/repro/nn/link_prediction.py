@@ -24,7 +24,7 @@ from .gcn import GCNConv
 from .gin import GINConv
 from .models import CONV_TYPES, LayerTrim, run_convs
 
-__all__ = ["LinkPredictor", "LinkTrainResult", "train_link_predictor",
+__all__ = ["LinkPredictor", "train_link_predictor",
            "sample_negative_edges"]
 
 

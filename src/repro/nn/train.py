@@ -20,7 +20,7 @@ from ..rng import ensure_rng
 from ..sparse import sparse_cache
 from .models import GNN
 
-__all__ = ["TrainResult", "Trainer", "train_node_classifier", "train_graph_classifier"]
+__all__ = ["TrainResult", "Trainer"]
 
 
 @dataclass
@@ -216,14 +216,3 @@ class Trainer:
                 pred = logits.numpy().argmax(axis=-1)
                 correct += int((pred == batch.y).sum())
         return correct / len(graphs)
-
-
-def train_node_classifier(model: GNN, graph: Graph, **kwargs) -> TrainResult:
-    """Convenience wrapper: fit ``model`` on a node-classification graph."""
-    return Trainer(model, **kwargs).fit_node(graph)
-
-
-def train_graph_classifier(model: GNN, graphs: Sequence[Graph],
-                           trainer_kwargs: dict | None = None, **fit_kwargs) -> TrainResult:
-    """Convenience wrapper: fit ``model`` on a graph-classification dataset."""
-    return Trainer(model, **(trainer_kwargs or {})).fit_graphs(graphs, **fit_kwargs)

@@ -27,7 +27,7 @@ from ..sparse import sparse_cache
 from .models import GNN, build_model
 from .train import Trainer, TrainResult
 
-__all__ = ["TrainRecipe", "RECIPES", "get_model", "train_target_model", "cache_dir"]
+__all__ = ["TrainRecipe", "RECIPES", "get_model", "cache_dir"]
 
 
 @dataclass(frozen=True)

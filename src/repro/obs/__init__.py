@@ -10,67 +10,30 @@ Two halves, one subsystem:
   masked-forward) — answers *where the time went*.
 
 Both ship deltas across the worker pool (``PERF.merge`` /
-``TRACER.absorb``) so multiprocess runs stay truthful, and a
-:class:`RunManifest` ties a run's trace, counters, config, seeds and
-dataset fingerprint into one reproduction recipe.
+``TRACER.absorb``) so multiprocess runs stay truthful, and a run
+manifest (:class:`~repro.obs.manifest.RunManifest`) ties a run's trace,
+counters, config, seeds and dataset fingerprint into one reproduction
+recipe.
 """
 
 from . import names
-from .counters import PERF, PerfCounters, perf_snapshot, reset_perf
-from .manifest import (
-    RunManifest,
-    build_manifest,
-    dataset_fingerprint,
-    git_revision,
-    load_manifest,
-)
+from .counters import PERF, PerfCounters, perf_snapshot
+from .manifest import build_manifest, dataset_fingerprint
 from .session import TraceSession
-from .summary import (
-    cache_summary,
-    format_cache_summary,
-    format_summary,
-    load_trace,
-    summarize_spans,
-    summarize_trace,
-)
-from .trace import (
-    TRACER,
-    JsonlSink,
-    MemorySink,
-    NullSink,
-    Span,
-    Tracer,
-    TraceSink,
-    current_span,
-    span,
-    tracing,
-)
+from .summary import cache_summary, format_cache_summary, summarize_trace
+from .trace import TRACER, NullSink, span
 
 __all__ = [
     "names",
     "PERF",
     "PerfCounters",
     "perf_snapshot",
-    "reset_perf",
-    "Span",
-    "Tracer",
-    "TraceSink",
     "NullSink",
-    "MemorySink",
-    "JsonlSink",
     "TRACER",
     "span",
-    "current_span",
-    "tracing",
-    "RunManifest",
     "build_manifest",
-    "load_manifest",
     "dataset_fingerprint",
-    "git_revision",
     "TraceSession",
-    "load_trace",
-    "summarize_spans",
-    "format_summary",
     "summarize_trace",
     "cache_summary",
     "format_cache_summary",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 
-__all__ = ["PerfCounters", "PERF", "perf_snapshot", "reset_perf"]
+__all__ = ["PerfCounters", "PERF", "perf_snapshot"]
 
 
 class PerfCounters:
@@ -142,8 +142,3 @@ PERF = PerfCounters()
 def perf_snapshot() -> dict:
     """Snapshot of the global counters (convenience wrapper)."""
     return PERF.snapshot()
-
-
-def reset_perf() -> None:
-    """Reset the global counters (convenience wrapper)."""
-    PERF.reset()

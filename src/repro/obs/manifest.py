@@ -20,8 +20,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-__all__ = ["RunManifest", "build_manifest", "load_manifest",
-           "dataset_fingerprint", "git_revision"]
+# load_manifest is the test suite's reader of written manifests.
+__all__ = ["build_manifest", "dataset_fingerprint"]
 
 MANIFEST_SCHEMA_VERSION = 1
 

@@ -19,8 +19,7 @@ from pathlib import Path
 
 from ..errors import EvaluationError
 
-__all__ = ["load_trace", "summarize_spans", "format_summary", "summarize_trace",
-           "cache_summary", "format_cache_summary"]
+__all__ = ["summarize_trace", "cache_summary", "format_cache_summary"]
 
 
 def load_trace(path: str | Path) -> list[dict]:

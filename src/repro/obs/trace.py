@@ -47,18 +47,9 @@ from contextvars import ContextVar
 from pathlib import Path
 from typing import Protocol
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "TraceSink",
-    "NullSink",
-    "MemorySink",
-    "JsonlSink",
-    "TRACER",
-    "span",
-    "current_span",
-    "tracing",
-]
+# MemorySink and tracing() are the test suite's sink and harness, not
+# public API.
+__all__ = ["NullSink", "TRACER", "span"]
 
 #: Default bound on buffered finished-span records per process.
 DEFAULT_BUFFER_SPANS = 50_000
@@ -92,31 +83,6 @@ class MemorySink:
 
     def emit(self, record: dict) -> None:
         self.records.append(record)
-
-
-class JsonlSink:
-    """Streams each record to a JSONL file as it finishes.
-
-    Unlike :meth:`Tracer.export_jsonl` (one bounded write at run end),
-    this sink never drops spans — at the cost of a write per span.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        self._lock = threading.Lock()
-
-    def emit(self, record: dict) -> None:
-        line = json.dumps(record) + "\n"
-        with self._lock:
-            self._fh.write(line)
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.flush()
-                self._fh.close()
 
 
 class Span:
@@ -324,11 +290,6 @@ def span(name: str, **attrs):
     if not TRACER.enabled:
         return _NULL_SPAN
     return TRACER.start_span(name, attrs)
-
-
-def current_span() -> Span | None:
-    """The innermost open span in this context, or ``None``."""
-    return _CURRENT.get()
 
 
 @contextmanager

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ensure_rng", "spawn_rngs", "DEFAULT_SEED"]
+__all__ = ["ensure_rng"]
 
 DEFAULT_SEED = 0
 
@@ -30,15 +30,3 @@ def ensure_rng(seed: int | np.random.Generator | None = None) -> np.random.Gener
     if seed is None:
         seed = DEFAULT_SEED
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int | np.random.Generator | None, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from one seed.
-
-    Used when an experiment fans out over instances and each instance needs
-    its own reproducible stream regardless of how many draws earlier
-    instances made.
-    """
-    root = ensure_rng(seed)
-    seeds = root.integers(0, 2**63 - 1, size=n)
-    return [np.random.default_rng(int(s)) for s in seeds]

@@ -24,45 +24,23 @@ or the CLI::
     repro experiment fidelity -d mutag -m gin --jobs 4 --resume runs/fid.jsonl
 """
 
-from .aggregate import (
-    aggregate_auc,
-    aggregate_experiment,
-    aggregate_fidelity,
-    aggregate_runtime,
-)
+from .aggregate import aggregate_experiment
 from .driver import plan_artifact, run_planned_experiment
-from .execute import EXECUTORS, execute_job, experiment_context, register_executor
+from .execute import execute_job, experiment_context
 from .journal import Journal, load_journal
-from .plan import (
-    DEFAULT_CHUNKS,
-    GROUP_FIT_METHODS,
-    ExperimentPlan,
-    JobSpec,
-    derive_seed,
-    plan_experiment,
-    plan_sampled_explain,
-)
+from .plan import ExperimentPlan, JobSpec, plan_experiment
 from .pool import run_jobs
 
 __all__ = [
     "JobSpec",
     "ExperimentPlan",
     "plan_experiment",
-    "plan_sampled_explain",
-    "derive_seed",
-    "GROUP_FIT_METHODS",
-    "DEFAULT_CHUNKS",
     "run_jobs",
     "Journal",
     "load_journal",
-    "register_executor",
     "execute_job",
     "experiment_context",
-    "EXECUTORS",
     "aggregate_experiment",
-    "aggregate_fidelity",
-    "aggregate_auc",
-    "aggregate_runtime",
     "plan_artifact",
     "run_planned_experiment",
 ]

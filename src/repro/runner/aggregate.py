@@ -19,8 +19,7 @@ import numpy as np
 
 from .plan import ExperimentPlan
 
-__all__ = ["aggregate_experiment", "aggregate_fidelity", "aggregate_auc",
-           "aggregate_runtime"]
+__all__ = ["aggregate_experiment"]
 
 
 def aggregate_experiment(plan: ExperimentPlan, records: dict[str, dict]) -> dict:

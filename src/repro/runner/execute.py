@@ -19,8 +19,7 @@ import time
 
 from ..errors import RunnerError
 
-__all__ = ["EXECUTORS", "register_executor", "execute_job",
-           "experiment_context"]
+__all__ = ["execute_job", "experiment_context"]
 
 EXECUTORS: dict = {}
 
@@ -129,48 +128,6 @@ def run_runtime_chunk(payload: dict, seed: int) -> dict:
             "train_seconds": float(train_s) if train_s else None}
 
 
-def run_sampled_explain_chunk(payload: dict, seed: int) -> dict:
-    """Explain one shard of targets, streamed.
-
-    Targets are explained **one at a time** and reduced to compact summary
-    rows immediately, so the worker's peak memory is bounded by the largest
-    single receptive field — never by the shard size. Each explanation
-    runs on the target's receptive field (``Explainer.node_context``), so
-    a row's ``num_nodes`` / ``num_edges`` are that field's size.
-    """
-    import numpy as np
-
-    from ..explain import make_explainer
-    from ..nn.zoo import get_model
-
-    model, dataset, _ = get_model(payload["dataset"], payload["conv"],
-                                  scale=payload["scale"],
-                                  seed=payload["config_seed"])
-    explainer = make_explainer(payload["explainer"], model,
-                               seed=seed, **payload.get("params", {}))
-    rows = []
-    digest = 0
-    for target in payload["targets"]:
-        explanation = explainer.explain(dataset.graph, target,
-                                        mode=payload["mode"])
-        scores = explanation.edge_scores
-        top = explanation.top_edges(10)
-        digest = (digest * 1000003
-                  + int(np.abs(scores).sum() * 1e6)) % (1 << 62)
-        rows.append({
-            "target": target.to_wire(),
-            "predicted_class": int(explanation.predicted_class),
-            "num_nodes": len(explanation.context_node_ids),
-            "num_edges": len(explanation.context_edge_positions),
-            "num_hops": int(model.num_layers),
-            "top_edges": [int(e) for e in top],
-            "top_scores": [float(scores[e]) for e in top],
-        })
-        del explanation, scores  # keep the streamed-shard memory bound honest
-    return {"explainer": payload["explainer"], "mode": payload["mode"],
-            "n": len(rows), "rows": rows, "checksum": digest}
-
-
 # ----------------------------------------------------------------------
 # generic executors (benchmarks, tests, ad-hoc fan-out)
 # ----------------------------------------------------------------------
@@ -194,7 +151,6 @@ def run_pycall(payload: dict, seed: int) -> dict:
 
 
 register_executor("fidelity_chunk", run_fidelity_chunk)
-register_executor("sampled_explain_chunk", run_sampled_explain_chunk)
 register_executor("auc_chunk", run_auc_chunk)
 register_executor("runtime_chunk", run_runtime_chunk)
 register_executor("sleep", run_sleep)

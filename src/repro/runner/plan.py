@@ -27,15 +27,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ..errors import RunnerError
 
-if TYPE_CHECKING:
-    from ..explain.target import ExplainTarget
-
-__all__ = ["JobSpec", "ExperimentPlan", "derive_seed", "plan_experiment",
-           "plan_sampled_explain", "GROUP_FIT_METHODS", "DEFAULT_CHUNKS"]
+__all__ = ["JobSpec", "ExperimentPlan", "plan_experiment"]
 
 # Methods whose fit() trains one shared network over the instance group;
 # splitting their instances across jobs would change semantics, so they
@@ -57,48 +53,12 @@ def derive_seed(base_seed: int, job_id: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-#: Marker key wrapping an :class:`~repro.explain.target.ExplainTarget` in a
-#: journaled payload. Targets are first-class values in job payloads but a
-#: journal line is plain JSON, so ``to_dict`` wraps each one as
-#: ``{"__explain_target__": target.to_wire()}`` and ``from_dict`` unwraps it.
-TARGET_MARKER = "__explain_target__"
-
-
-def _encode_payload_value(value):
-    """JSON-encode one payload value, wrapping ExplainTargets recursively."""
-    from ..explain.target import ExplainTarget
-
-    if isinstance(value, ExplainTarget):
-        return {TARGET_MARKER: value.to_wire()}
-    if isinstance(value, (list, tuple)):
-        return [_encode_payload_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _encode_payload_value(v) for k, v in value.items()}
-    return value
-
-
-def _decode_payload_value(value):
-    """Inverse of :func:`_encode_payload_value`."""
-    if isinstance(value, dict):
-        if set(value) == {TARGET_MARKER}:
-            from ..explain.target import ExplainTarget
-
-            return ExplainTarget.from_wire(value[TARGET_MARKER])
-        return {k: _decode_payload_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_payload_value(v) for v in value]
-    return value
-
-
 @dataclass
 class JobSpec:
     """One self-contained unit of experiment work.
 
     ``kind`` selects the executor (see :mod:`repro.runner.execute`);
     ``payload`` must round-trip through plain JSON end to end.
-    :class:`~repro.explain.target.ExplainTarget` values (anywhere in the
-    payload, including inside lists) are supported directly — ``to_dict``
-    encodes them behind a marker key and ``from_dict`` restores them.
     """
 
     id: str
@@ -110,7 +70,7 @@ class JobSpec:
 
     def to_dict(self) -> dict:
         return {"id": self.id, "kind": self.kind,
-                "payload": _encode_payload_value(self.payload),
+                "payload": self.payload,
                 "seed": self.seed, "retries": self.retries, "timeout": self.timeout}
 
     def digest(self) -> str:
@@ -120,14 +80,13 @@ class JobSpec:
         written for this exact job from one written under the same id by
         a different config (job ids do not encode alpha, effort, scale…).
         """
-        body = {"kind": self.kind, "payload": _encode_payload_value(self.payload),
-                "seed": self.seed}
+        body = {"kind": self.kind, "payload": self.payload, "seed": self.seed}
         return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
         return cls(id=data["id"], kind=data["kind"],
-                   payload=_decode_payload_value(data.get("payload", {})),
+                   payload=data.get("payload", {}),
                    seed=data.get("seed", 0),
                    retries=data.get("retries"), timeout=data.get("timeout"))
 
@@ -236,58 +195,3 @@ def plan_experiment(artifact: str, dataset_name: str, conv: str,
     meta["methods"] = planned_methods
     meta["chunks"] = chunks
     return ExperimentPlan(artifact=artifact, meta=meta, jobs=jobs)
-
-
-def plan_sampled_explain(dataset_name: str, conv: str, explainer: str,
-                         targets: "Sequence[ExplainTarget]", *, mode: str = "factual",
-                         scale: float | None = None, config_seed: int = 0,
-                         params: dict | None = None,
-                         chunk_size: int = 8) -> ExperimentPlan:
-    """Decompose a large-graph explanation sweep into streamed shards.
-
-    Each job carries an explicit slice of ``targets``, node or link
-    :class:`~repro.explain.target.ExplainTarget` values (a bare int raises
-    :class:`~repro.errors.ExplainerError` naming ``ExplainTarget.node(i)``).
-    The ``sampled_explain_chunk`` executor streams its
-    shard one target at a time, and each explanation runs on the target's
-    receptive field, so a worker's peak memory is bounded by the largest
-    single receptive field, never by the shard. The job kind keeps its
-    name because journals written by earlier runs record it.
-    """
-    from ..explain.target import require_target
-
-    if not targets:
-        raise RunnerError("plan_sampled_explain requires at least one target")
-    if chunk_size < 1:
-        raise RunnerError(f"chunk_size must be >= 1, got {chunk_size}")
-    typed = [require_target(t, where="plan_sampled_explain") for t in targets]
-    if any(t is None or t.kind == "graph" for t in typed):
-        raise RunnerError("sampled explanation targets must be node or link targets")
-    if scale is None:
-        from ..datasets import default_scale
-        scale = default_scale()
-
-    base_payload = {
-        "artifact": "sampled_explain",
-        "dataset": dataset_name,
-        "conv": conv,
-        "explainer": explainer,
-        "mode": mode,
-        "scale": scale,
-        "config_seed": config_seed,
-        "params": dict(params or {}),
-    }
-    jobs: list[JobSpec] = []
-    for ci in range(0, len(typed), chunk_size):
-        shard = typed[ci:ci + chunk_size]
-        index = ci // chunk_size
-        job_id = f"sampled:{dataset_name}:{conv}:{explainer}:{mode}:{index:03d}"
-        payload = dict(base_payload, chunk=index, targets=shard)
-        jobs.append(JobSpec(id=job_id, kind="sampled_explain_chunk",
-                            payload=payload,
-                            seed=derive_seed(config_seed, job_id)))
-
-    meta = dict(base_payload)
-    meta["num_targets"] = len(typed)
-    meta["chunk_size"] = chunk_size
-    return ExperimentPlan(artifact="sampled_explain", meta=meta, jobs=jobs)

@@ -17,7 +17,7 @@ requests into micro-batches:
 See DESIGN.md §12 for the architecture and invariants.
 """
 
-from .app import ServeApp, ServeConfig, run_server, serve_until_interrupted
+from .app import ServeApp, ServeConfig, run_server
 from .coalescer import BackpressureError, Coalescer, DrainingError
 from .protocol import (
     ExplainRequest,
@@ -25,14 +25,13 @@ from .protocol import (
     parse_explain_request,
     wire_explanation,
 )
-from .runtime import ExplainRuntime, resolve_instance
+from .runtime import ExplainRuntime
 from .state import ModelPool, ServeMetrics
 
 __all__ = [
     "ServeApp",
     "ServeConfig",
     "run_server",
-    "serve_until_interrupted",
     "Coalescer",
     "BackpressureError",
     "DrainingError",
@@ -41,7 +40,6 @@ __all__ = [
     "wire_explanation",
     "canonical_bytes",
     "ExplainRuntime",
-    "resolve_instance",
     "ModelPool",
     "ServeMetrics",
 ]

@@ -35,7 +35,7 @@ from ..obs.names import SPAN_SERVE_BATCH
 from .protocol import ExplainRequest, wire_explanation
 from .state import ModelPool
 
-__all__ = ["ExplainRuntime", "resolve_instance"]
+__all__ = ["ExplainRuntime"]
 
 
 def resolve_instance(dataset, request: ExplainRequest) -> Instance:

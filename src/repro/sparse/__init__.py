@@ -28,19 +28,13 @@ from .cache import (
     plan_for,
     sparse_cache,
 )
-from .kernels import (
-    OPS,
-    available_backends,
-    current_backend,
-    kernel,
-    register_kernel,
-    set_backend,
-    use_backend,
-)
+from .kernels import OPS, kernel, register_kernel, set_backend, use_backend
 from .numba_backend import NUMBA_AVAILABLE
 from .structure import SegmentPlan, augmented_edges, num_layer_edges
 
-__all__ = [
+# set_backend and NUMBA_AVAILABLE have no consumer in the tree: they are
+# the entry points README.md's "Optional numba backend" section documents.
+__all__ = [  # repro: noqa[RPR110]
     "SegmentPlan",
     "GraphSparseCache",
     "sparse_cache",
@@ -55,7 +49,5 @@ __all__ = [
     "register_kernel",
     "set_backend",
     "use_backend",
-    "current_backend",
-    "available_backends",
     "NUMBA_AVAILABLE",
 ]

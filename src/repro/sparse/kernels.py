@@ -66,15 +66,7 @@ from scipy.sparse import _sparsetools
 from ..errors import KernelError
 from .structure import SegmentPlan
 
-__all__ = [
-    "OPS",
-    "kernel",
-    "register_kernel",
-    "set_backend",
-    "use_backend",
-    "current_backend",
-    "available_backends",
-]
+__all__ = ["OPS", "kernel", "register_kernel", "use_backend"]
 
 #: The complete op vocabulary; registering an unknown op is an error so a
 #: typo'd name fails at registration instead of at dispatch.
@@ -102,11 +94,6 @@ def available_backends() -> tuple[str, ...]:
     """Backends with at least one registered op, sorted."""
     names = {b for table in _KERNELS.values() for b in table}
     return tuple(sorted(names))
-
-
-def current_backend() -> str:
-    """Name of the backend :func:`kernel` currently dispatches to."""
-    return _ACTIVE[0]
 
 
 def set_backend(name: str) -> None:

@@ -33,7 +33,7 @@ except ImportError:  # pragma: no cover
     numba = None
     NUMBA_AVAILABLE = False
 
-__all__ = ["NUMBA_AVAILABLE", "register_numba_backend"]
+__all__: list[str] = []
 
 
 if NUMBA_AVAILABLE:  # pragma: no cover - CI optional-deps leg runs this

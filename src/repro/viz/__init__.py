@@ -1,8 +1,7 @@
-"""Visualization: flow tables, ASCII subgraph rendering, DOT export."""
+"""Visualization: flow tables, ASCII subgraph rendering, curve charts."""
 
 from .ascii import explanation_summary, render_explanation
-from .curves import render_curves, render_fidelity_result
-from .dot import explanation_to_dot, to_dot
+from .curves import render_curves
 from .flows_table import format_flow_comparison, format_top_flows
 
 __all__ = [
@@ -10,8 +9,5 @@ __all__ = [
     "format_flow_comparison",
     "render_explanation",
     "explanation_summary",
-    "to_dot",
-    "explanation_to_dot",
     "render_curves",
-    "render_fidelity_result",
 ]

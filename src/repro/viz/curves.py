@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..errors import EvaluationError
 
-__all__ = ["render_curves", "render_fidelity_result"]
+__all__ = ["render_curves"]
 
 _MARKERS = "ox+*#@%&"
 
@@ -82,11 +82,3 @@ def render_curves(curves: dict[str, dict[float, float]], width: int = 60,
     lines.append(" " * 8 + f"{x_min:<.2f}{' ' * (width - 10)}{x_max:>.2f}  ({x_label})")
     lines.append("  " + "   ".join(legend))
     return "\n".join(lines)
-
-
-def render_fidelity_result(result: dict, width: int = 60, height: int = 14) -> str:
-    """Render the output of ``run_fidelity_experiment`` as a chart."""
-    title = (f"{result.get('dataset', '?')} / {result.get('conv', '?').upper()} "
-             f"({result.get('mode', 'factual')})")
-    chart = render_curves(result["curves"], width=width, height=height)
-    return f"{title}\n{chart}"

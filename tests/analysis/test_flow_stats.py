@@ -1,14 +1,9 @@
-"""Flow-structure statistics."""
+"""Flow-mass statistics over explanations."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    explanation_concentration,
-    flow_statistics,
-    flows_per_edge_profile,
-    mass_through_nodes,
-)
+from repro.analysis import explanation_concentration, mass_through_nodes
 from repro.errors import EvaluationError
 from repro.explain.base import Explanation
 from repro.flows import enumerate_flows
@@ -20,38 +15,6 @@ def star_flows():
     # star into node 0: several length-2 flows share the final edges
     g = Graph(edge_index=np.array([[1, 2, 3, 1], [0, 0, 0, 2]]), x=np.ones((4, 2)))
     return g, enumerate_flows(g, 2, target=0)
-
-
-class TestFlowStatistics:
-    def test_summary_fields(self, star_flows):
-        _, fi = star_flows
-        stats = flow_statistics(fi)
-        assert stats.num_flows == fi.num_flows
-        assert stats.num_layers == 2
-        assert stats.flows_per_layer_edge_max >= 1
-        assert 0.0 <= stats.self_loop_flow_fraction <= 1.0
-
-    def test_ambiguity_detected(self, star_flows):
-        _, fi = star_flows
-        stats = flow_statistics(fi)
-        # edge 1->0 at layer 2 carries multiple flows (1->1->0 via loop etc.)
-        assert stats.ambiguous_edge_fraction > 0.0
-
-    def test_deeper_layers_carry_more_flows(self, node_model, mini_ba_shapes,
-                                            good_motif_node):
-        """The paper's §I claim for node classification."""
-        from repro.explain import RandomExplainer
-
-        ctx = RandomExplainer(node_model).node_context(mini_ba_shapes.graph,
-                                                       good_motif_node)
-        fi = enumerate_flows(ctx.subgraph, 3, target=ctx.local_target)
-        profile = flows_per_edge_profile(fi)
-        assert profile.shape == (3,)
-        assert profile[-1] >= profile[0]  # deeper layer edges more loaded
-
-    def test_repr(self, star_flows):
-        _, fi = star_flows
-        assert "|F|=" in repr(flow_statistics(fi))
 
 
 class TestMass:

@@ -1,20 +1,11 @@
-"""Functional ops: softmax family, losses, segment softmax, dropout."""
+"""Functional ops: softmax family, losses, segment softmax."""
 
 import numpy as np
 import pytest
 
-from repro.autograd import (
-    Tensor,
-    binary_cross_entropy,
-    check_gradients,
-    cross_entropy,
-    dropout,
-    log_softmax,
-    nll_loss,
-    one_hot,
-    segment_softmax,
-    softmax,
-)
+from repro.autograd import Tensor, cross_entropy, log_softmax, segment_softmax, softmax
+from repro.autograd.functional import nll_loss
+from repro.autograd.grad_check import check_gradients
 from repro.errors import AutogradError, ShapeError
 
 
@@ -79,22 +70,6 @@ class TestLosses:
         logits = Tensor(np.array([[100.0, 0.0], [0.0, 100.0]]), requires_grad=True)
         assert cross_entropy(logits, np.array([0, 1])).item() == pytest.approx(0.0, abs=1e-6)
 
-    def test_bce_matches_manual(self):
-        p = Tensor(np.array([0.9, 0.2]), requires_grad=True)
-        y = np.array([1.0, 0.0])
-        expected = -(np.log(0.9) + np.log(0.8)) / 2
-        assert binary_cross_entropy(p, y).item() == pytest.approx(expected)
-
-    def test_bce_clips_extremes(self):
-        p = Tensor(np.array([0.0, 1.0]))
-        val = binary_cross_entropy(p, np.array([1.0, 0.0])).item()
-        assert np.isfinite(val)
-
-    def test_one_hot(self):
-        out = one_hot(np.array([0, 2]), 3)
-        assert np.allclose(out, [[1, 0, 0], [0, 0, 1]])
-
-
 class TestSegmentSoftmax:
     def test_segments_sum_to_one(self):
         scores = t((6,))
@@ -128,23 +103,3 @@ class TestSegmentSoftmax:
         scores = Tensor(np.array([800.0, -800.0, 800.0]))
         out = segment_softmax(scores, np.array([0, 0, 1]), 2).numpy()
         assert np.isfinite(out).all()
-
-
-class TestDropout:
-    def test_eval_mode_identity(self, rng):
-        x = Tensor(np.ones((4, 4)))
-        out = dropout(x, 0.5, rng, training=False)
-        assert out is x
-
-    def test_zero_p_identity(self, rng):
-        x = Tensor(np.ones(4))
-        assert dropout(x, 0.0, rng) is x
-
-    def test_scaling_preserves_expectation(self, rng):
-        x = Tensor(np.ones((200, 200)))
-        out = dropout(x, 0.5, rng).numpy()
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_invalid_p(self, rng):
-        with pytest.raises(AutogradError):
-            dropout(Tensor(np.ones(2)), 1.0, rng)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import SGD, Adam, Linear, Tensor
+from repro.autograd import Adam, Linear, Tensor
 from repro.errors import AutogradError
 
 
@@ -15,48 +15,6 @@ def quadratic_problem():
         return ((x - 3.0) ** 2).sum()
 
     return x, loss
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        x, loss = quadratic_problem()
-        opt = SGD([x], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            loss().backward()
-            opt.step()
-        assert x.numpy()[0] == pytest.approx(3.0, abs=1e-3)
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            x, loss = quadratic_problem()
-            opt = SGD([x], lr=0.01, momentum=momentum)
-            for _ in range(50):
-                opt.zero_grad()
-                loss().backward()
-                opt.step()
-            return abs(x.numpy()[0] - 3.0)
-
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks(self):
-        x = Tensor(np.array([10.0]), requires_grad=True)
-        opt = SGD([x], lr=0.1, weight_decay=1.0)
-        for _ in range(100):
-            opt.zero_grad()
-            (x * 0.0).sum().backward()  # zero data gradient
-            opt.step()
-        assert abs(x.numpy()[0]) < 1.0
-
-    def test_skips_params_without_grad(self):
-        x = Tensor(np.array([1.0]), requires_grad=True)
-        opt = SGD([x], lr=0.1)
-        opt.step()  # no backward happened
-        assert x.numpy()[0] == 1.0
-
-    def test_empty_params_rejected(self):
-        with pytest.raises(AutogradError):
-            SGD([], lr=0.1)
 
 
 class TestAdam:
@@ -100,6 +58,16 @@ class TestAdam:
             (x * 0.0).sum().backward()
             opt.step()
         assert abs(x.numpy()[0]) < 1.0
+
+    def test_skips_params_without_grad(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        opt = Adam([x], lr=0.1)
+        opt.step()  # no backward happened
+        assert x.numpy()[0] == 1.0
+
+    def test_empty_params_rejected(self):
+        with pytest.raises(AutogradError):
+            Adam([], lr=0.1)
 
     def test_zero_grad_resets(self):
         x = Tensor(np.array([1.0]), requires_grad=True)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients, segment_softmax, spmm
-from repro.sparse import SegmentPlan, available_backends, feature_csr, use_backend
+from repro.autograd import Tensor, segment_softmax, spmm
+from repro.autograd.grad_check import check_gradients
+from repro.sparse import SegmentPlan, feature_csr, use_backend
+from repro.sparse.kernels import available_backends
 
 PARITY_TOL = 1e-8
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import Tensor, check_gradients, propagate
+from repro.autograd import Tensor, propagate
+from repro.autograd.grad_check import check_gradients
 from repro.errors import ShapeError
 from repro.sparse import GraphSparseCache
 

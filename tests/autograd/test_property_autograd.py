@@ -9,7 +9,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import Tensor, check_gradients, log_softmax, softmax
+from repro.autograd import Tensor, log_softmax, softmax
+from repro.autograd.grad_check import check_gradients
 
 SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 4))
 

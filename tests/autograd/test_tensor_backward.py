@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, is_grad_enabled, no_grad
+from repro.autograd import Tensor, no_grad
+from repro.autograd.tensor import is_grad_enabled
 from repro.errors import AutogradError
 
 

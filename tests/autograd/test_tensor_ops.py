@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients, concat, stack, where
+from repro.autograd import Tensor, concat
+from repro.autograd.grad_check import check_gradients
 from repro.errors import AutogradError, ShapeError
 
 
@@ -244,23 +245,6 @@ class TestCombinators:
         a, b = t((2, 3)), t((2, 2), seed=1)
         check_gradients(lambda: (concat([a, b], axis=1) ** 2).sum(), [a, b])
 
-    def test_stack_grad(self):
-        a, b = t((3,)), t((3,), seed=1)
-        check_gradients(lambda: (stack([a, b]) ** 2).sum(), [a, b])
-
-    def test_stack_new_axis(self):
-        a, b = t((2, 3)), t((2, 3))
-        assert stack([a, b], axis=1).shape == (2, 2, 3)
-
-    def test_where_values(self):
-        cond = np.array([True, False, True])
-        a, b = Tensor(np.ones(3)), Tensor(np.zeros(3))
-        assert np.allclose(where(cond, a, b).numpy(), [1, 0, 1])
-
-    def test_where_grad(self):
-        cond = np.array([True, False, True, False])
-        a, b = t((4,)), t((4,), seed=1)
-        check_gradients(lambda: (where(cond, a, b) ** 2).sum(), [a, b])
 
 
 class TestMisc:

@@ -132,6 +132,56 @@ class TestDeadExport:
         make_module("consumer", "from pkg import *\n")
         assert lint(tmp_path, "RPR110") == []
 
+    def test_test_only_consumer_does_not_credit(self, make_module, tmp_path):
+        # a name only its test imports has no consumer the test protects
+        make_module("pkg.__init__", '__all__ = ["helper"]\n\nhelper = 1\n')
+        make_module("tests.test_pkg", "from pkg import helper\n\nprint(helper)\n")
+        found = lint(tmp_path, "RPR110")
+        assert len(found) == 1
+        assert "'helper'" in found[0]
+
+    def test_facade_pass_through_does_not_credit(self, make_module, tmp_path):
+        # the facade only lists the binding: both spellings stay dead
+        make_module("pkg.__init__",
+                    "from pkg.impl import thing\n\n"
+                    '__all__ = ["thing"]\n')
+        make_module("pkg.impl", '__all__ = ["thing"]\n\nthing = 1\n')
+        found = lint(tmp_path, "RPR110")
+        assert len(found) == 2
+        assert all("'thing'" in f for f in found)
+
+    def test_facade_body_load_credits(self, make_module, tmp_path):
+        # the facade reads the binding (a registry built from it), so it
+        # is a real consumer of the definer's export
+        make_module("pkg.__init__", textwrap.dedent("""\
+            from pkg.impl import Thing
+
+            __all__ = ["Thing", "REGISTRY"]
+
+            REGISTRY = {"thing": Thing}
+            """))
+        make_module("pkg.impl", '__all__ = ["Thing"]\n\n\nclass Thing:\n    pass\n')
+        make_module("consumer", "from pkg import REGISTRY\n\nprint(REGISTRY)\n")
+        assert lint(tmp_path, "RPR110") == []
+
+    def test_facade_spelling_credits_definer(self, make_module, tmp_path):
+        make_module("pkg.__init__",
+                    "from pkg.impl import thing\n\n"
+                    '__all__ = ["thing"]\n')
+        make_module("pkg.impl", '__all__ = ["thing"]\n\nthing = 1\n')
+        make_module("consumer", "from pkg import thing\n\nprint(thing)\n")
+        assert lint(tmp_path, "RPR110") == []
+
+    def test_perfbench_only_consumer_credits(self, make_module, tmp_path):
+        make_module("pkg.__init__", '__all__ = ["FLOW_CACHE"]\n\nFLOW_CACHE = {}\n')
+        bench = tmp_path / "perfbench"
+        bench.mkdir()
+        (bench / "workload.py").write_text(
+            "from pkg import FLOW_CACHE\n\nprint(FLOW_CACHE)\n")
+        assert len(lint(tmp_path, "RPR110")) == 1   # src alone: dead
+        result = lint_paths([tmp_path / "src", bench], select=["RPR110"])
+        assert result.violations == []
+
 
 class TestDunderAllDrift:
     def test_seeded_phantom_name(self, make_module, tmp_path):
@@ -244,6 +294,40 @@ class TestKernelBackendContract:
         found = lint(tmp_path, "RPR120")
         assert len(found) == 1
         assert "unknown op 'segment_max'" in found[0]
+
+    def test_loop_variable_op_is_not_an_op_name(self, make_module, tmp_path):
+        # a wrapping backend registered per op in a loop: the op is not
+        # statically known, and the backend constant resolves to its value
+        make_module("pkg.kernels", _REGISTRY)
+        make_module("pkg.timed", textwrap.dedent("""\
+            from pkg.kernels import KERNELS, register_kernel
+
+            TIMED_BACKEND = "timed"
+
+            for op in ("scatter_add",):
+                register_kernel(op, TIMED_BACKEND, KERNELS[(op, "scipy")])
+            """))
+        assert lint(tmp_path, "RPR120") == []
+
+    def test_literal_unknown_op_still_fires_for_a_constant_backend(
+            self, make_module, tmp_path):
+        make_module("pkg.kernels", _REGISTRY)
+        make_module("pkg.timed", textwrap.dedent("""\
+            from pkg.kernels import register_kernel
+
+            TIMED_BACKEND = "timed"
+
+
+            def _frobnicate(values, index, out_size):
+                return values
+
+
+            register_kernel("segment_frobnicate", TIMED_BACKEND, _frobnicate)
+            """))
+        found = lint(tmp_path, "RPR120")
+        assert len(found) == 1
+        assert "backend 'timed' registers unknown op 'segment_frobnicate'" \
+            in found[0]
 
 
 class TestTransitiveBlockingCall:

@@ -4,7 +4,8 @@ agrees with the runtime objects it describes."""
 from pathlib import Path
 
 import repro
-from repro.checks import RULES, lint_paths
+from repro.checks import lint_paths
+from repro.checks.registry import RULES
 from repro.obs.counters import PerfCounters
 from repro.obs.names import COUNTER_NAMES, SPAN_NAMES, STAGE_NAMES
 
@@ -22,10 +23,11 @@ EXPECTED_CODES = {
     "RPR130",                              # dataflow
 }
 
-#: The four roots the whole-program pass must see together: export-usage
-#: accounting is only meaningful over every consumer at once.
-ALL_ROOTS = [REPO_ROOT / "src", REPO_ROOT / "tests",
-             REPO_ROOT / "benchmarks", REPO_ROOT / "examples"]
+#: The five roots the whole-program pass must see together: export-usage
+#: accounting is only meaningful over every consumer at once, and the
+#: perfbench harness consumes names nothing else does.
+ALL_ROOTS = [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "benchmarks",
+             REPO_ROOT / "examples", REPO_ROOT / "perfbench"]
 
 
 class TestSelfHosting:

@@ -30,7 +30,8 @@ from repro.explain.mask_loop import CONVERGENCE_RTOL, converged
 from repro.flows import FlowIndex, enumerate_flows
 from repro.graph import Graph, extract_receptive_field, sbm_edges
 from repro.nn import LayerTrim, LinkPredictor, Trainer, build_model
-from repro.obs import TRACER, tracing
+from repro.obs import TRACER
+from repro.obs.trace import tracing
 from repro.obs.names import SPAN_EPOCH, SPAN_EXPLAIN, SPAN_OPTIMIZE, SPAN_REPLAY
 
 FAMILY = ["revelio", "revelio_topk", "link_revelio"]

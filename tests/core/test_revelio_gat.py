@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core import Revelio, TopKRevelio
-from repro.datasets import citation_surrogate, mutag
+from repro.datasets import mutag
+from repro.datasets.citation import citation_surrogate
 from repro.errors import ExplainerError
 from repro.explain import ExplainTarget, FlowX, GNNExplainer, GNNLRP
 from repro.nn import Trainer, build_model

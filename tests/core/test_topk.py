@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    PRESELECT_STRATEGIES,
-    Revelio,
-    TopKRevelio,
-    gradient_flow_scores,
-    preselect_flows,
-    walk_weight_flow_scores,
-)
+from repro.core import PRESELECT_STRATEGIES, Revelio, TopKRevelio, preselect_flows
+from repro.core.preselect import gradient_flow_scores, walk_weight_flow_scores
 from repro.errors import ExplainerError
 from repro.explain import ExplainTarget
 from repro.flows import enumerate_flows

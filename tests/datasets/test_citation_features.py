@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.datasets import citation, citation_surrogate, citeseer, cora, pubmed
+from repro.datasets import citation, citeseer, cora, pubmed
+from repro.datasets.citation import citation_surrogate
 
 
 def loop_features(rng, labels, num_nodes, num_features, words_per_class,

@@ -11,7 +11,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro.datasets import citation_surrogate
+from repro.datasets.citation import citation_surrogate
 from repro.datasets.citation import _inverse_cdf, _scaled_profile, _wire_edges
 
 

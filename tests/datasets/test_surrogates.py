@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.datasets import bbbp, citation_surrogate, citeseer, cora, mutag, pubmed
+from repro.datasets import bbbp, citeseer, cora, mutag, pubmed
+from repro.datasets.citation import citation_surrogate
 
 
 class TestCitationSurrogates:
@@ -97,7 +98,7 @@ class TestMoleculeSurrogates:
         assert found
 
     def test_graphs_connected(self, small_mutag):
-        from repro.graph import connected_components
+        from repro.graph.utils import connected_components
 
         for g in small_mutag.graphs[:8]:
             assert len(set(connected_components(g))) == 1

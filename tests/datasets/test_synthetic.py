@@ -114,7 +114,7 @@ class TestBA2Motifs:
                 assert u >= 20 and v >= 20
 
     def test_connected_to_base(self, ds):
-        from repro.graph import connected_components
+        from repro.graph.utils import connected_components
 
         for g in ds.graphs[:6]:
             assert len(set(connected_components(g))) == 1

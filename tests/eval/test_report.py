@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval import build_report, collect_artifacts, write_report
+from repro.eval import build_report, write_report
+from repro.eval.report import collect_artifacts
 
 
 @pytest.fixture

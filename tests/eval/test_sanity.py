@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.core import Revelio
-from repro.eval import model_randomization_check, randomize_model
+from repro.eval import model_randomization_check
+from repro.eval.sanity import randomize_model
 from repro.explain import ExplainTarget, GradCAM, RandomExplainer
 
 

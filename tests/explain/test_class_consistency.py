@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import is_grad_enabled, no_grad
+from repro.autograd import no_grad
+from repro.autograd.tensor import is_grad_enabled
 from repro.core.revelio import clear_explanation_cache
 from repro.explain import EXPLAINERS, ExplainTarget, make_explainer
 from repro.explain.base import clear_context_cache

@@ -25,7 +25,8 @@ from repro.explain import ExplainTarget, GNNExplainer, GraphMask, PGExplainer
 from repro.explain.base import context_cache_disabled
 from repro.explain.mask_loop import hop_layer_edges
 from repro.flows import enumerate_flows
-from repro.graph import Graph, SampledSubgraph, extract_receptive_field, khop_in_nodes, sampled
+from repro.graph import Graph, SampledSubgraph, extract_receptive_field, sampled
+from repro.graph.sampled import khop_in_nodes
 from repro.nn import build_model
 from repro.nn.models import GNN
 from repro.sparse import sparse_cache

@@ -10,10 +10,10 @@ from repro.explain import (
     Explanation,
     RandomExplainer,
     explain_instances,
-    load_explanation,
     make_explainer,
     save_explanation,
 )
+from repro.explain.io import load_explanation
 
 
 class TestExplanationIO:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import FlowError
+from repro.flows.cache import FlowCache
 from repro.flows import (
     FLOW_CACHE,
-    FlowCache,
     cached_enumerate_flows,
     enumerate_flows,
     flow_cache_disabled,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import FlowError
-from repro.flows import enumerate_flows, match_flows, parse_pattern
+from repro.flows import enumerate_flows, match_flows
+from repro.flows.patterns import parse_pattern
 from repro.graph import Graph
 
 

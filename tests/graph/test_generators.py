@@ -10,7 +10,6 @@ from repro.graph import (
     cycle_edges,
     erdos_renyi_edges,
     house_motif_edges,
-    path_edges,
     sbm_edges,
 )
 
@@ -91,10 +90,6 @@ class TestMotifs:
     def test_cycle_min_size(self):
         with pytest.raises(DatasetError):
             cycle_edges([0, 1])
-
-    def test_path_structure(self):
-        e = path_edges([5, 6, 7])
-        assert as_pairs(e) == {(5, 6), (6, 5), (6, 7), (7, 6)}
 
     def test_house_size(self):
         e = house_motif_edges([0, 1, 2, 3, 4])

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import Graph, coalesce_edges, extract_receptive_field, induced_subgraph
+from repro.graph import Graph, coalesce_edges, extract_receptive_field
+from repro.graph.utils import induced_subgraph
 
 
 @st.composite

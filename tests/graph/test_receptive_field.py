@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import (Graph, SampledSubgraph, extract_receptive_field, induced_subgraph,
-                         khop_in_nodes)
+from repro.graph import Graph, SampledSubgraph, extract_receptive_field
+from repro.graph.sampled import khop_in_nodes
+from repro.graph.utils import induced_subgraph
 
 
 def _ring_with_spur(num_nodes=8):

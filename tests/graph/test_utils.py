@@ -1,22 +1,11 @@
-"""Graph utilities: k-hop subgraphs, induction, conversions."""
+"""Graph utilities: k-hop subgraphs, induction, components."""
 
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import (
-    Graph,
-    add_reverse_edges,
-    coalesce_edges,
-    connected_components,
-    edge_list,
-    extract_receptive_field,
-    from_networkx,
-    induced_subgraph,
-    to_csr,
-    to_networkx,
-    to_undirected,
-)
+from repro.graph import Graph, coalesce_edges, extract_receptive_field
+from repro.graph.utils import connected_components, induced_subgraph, to_csr
 
 
 @pytest.fixture
@@ -37,18 +26,6 @@ class TestCoalesce:
     def test_sorted_output(self):
         e = coalesce_edges(np.array([[2, 0], [0, 1]]))
         assert e[0].tolist() == [0, 2]
-
-
-class TestReverseAndUndirected:
-    def test_add_reverse(self):
-        e = add_reverse_edges(np.array([[0], [1]]))
-        pairs = set(zip(e[0].tolist(), e[1].tolist()))
-        assert pairs == {(0, 1), (1, 0)}
-
-    def test_to_undirected_graph(self, chain):
-        und = to_undirected(chain)
-        assert und.has_edge(1, 0)
-        assert und.num_edges == 10
 
 
 class TestKHop:
@@ -123,19 +100,3 @@ class TestConversions:
         labels = connected_components(chain)
         assert labels[0] == labels[4]
         assert labels[0] != labels[5]
-
-    def test_edge_list(self, chain):
-        assert (0, 1) in edge_list(chain)
-
-    def test_networkx_roundtrip(self, chain):
-        nx_g = to_networkx(chain)
-        back = from_networkx(nx_g, x=chain.x)
-        assert back.num_nodes == chain.num_nodes
-        assert set(edge_list(back)) == set(edge_list(chain))
-
-    def test_from_networkx_undirected_doubles(self):
-        import networkx as nx
-
-        g = nx.Graph([(0, 1)])
-        converted = from_networkx(g)
-        assert converted.num_edges == 2

@@ -36,7 +36,7 @@ def manual_gin(conv: GINConv, graph: Graph) -> np.ndarray:
     eps = conv.eps.numpy()[0] if conv.eps is not None else 0.0
     agg += (1.0 + eps) * graph.x
 
-    lin1, _, lin2 = conv.mlp.net.layers
+    lin1, _, lin2 = conv.mlp.layers
     h = agg @ lin1.weight.numpy() + lin1.bias.numpy()
     h = np.maximum(h, 0.0)
     return h @ lin2.weight.numpy() + lin2.bias.numpy()

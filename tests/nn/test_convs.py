@@ -8,7 +8,8 @@ gradients must flow through masks (they are Revelio's optimization target).
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients
+from repro.autograd import Tensor
+from repro.autograd.grad_check import check_gradients
 from repro.errors import ShapeError
 from repro.graph import Graph
 from repro.nn import GATConv, GCNConv, GINConv, augment_edges, num_layer_edges

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients
+from repro.autograd import Tensor
+from repro.autograd.grad_check import check_gradients
 from repro.nn import global_max_pool, global_mean_pool, global_sum_pool
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.graph import Graph, sbm_edges
-from repro.nn import Trainer, build_model, train_graph_classifier, train_node_classifier
+from repro.nn import Trainer, build_model
 
 
 def separable_node_graph(seed=0):
@@ -78,11 +78,6 @@ class TestNodeTraining:
         with pytest.raises(ModelError):
             Trainer(model).fit_node(g)
 
-    def test_convenience_wrapper(self):
-        g = separable_node_graph()
-        model = build_model("gcn", "node", 5, 2, hidden=8, rng=0)
-        result = train_node_classifier(model, g, epochs=15, patience=None)
-        assert result.epochs_run == 15
 
 
 class TestGraphTraining:
@@ -107,11 +102,3 @@ class TestGraphTraining:
     def test_evaluate_empty_is_nan(self):
         model = build_model("gcn", "graph", 4, 2, rng=0)
         assert np.isnan(Trainer(model).evaluate_graphs([]))
-
-    def test_convenience_wrapper(self):
-        graphs = separable_graphs()
-        model = build_model("gcn", "graph", 4, 2, hidden=8, rng=0)
-        result = train_graph_classifier(model, graphs,
-                                        trainer_kwargs={"epochs": 3, "patience": None},
-                                        rng=0)
-        assert result.epochs_run == 3

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.nn import RECIPES, get_model, train_target_model
+from repro.nn import RECIPES, get_model
+from repro.nn.zoo import train_target_model
 from repro.nn.zoo import TrainRecipe, cache_dir
 
 

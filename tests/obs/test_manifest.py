@@ -5,12 +5,8 @@ import json
 import pytest
 
 from repro.datasets import load_dataset
-from repro.obs import (
-    build_manifest,
-    dataset_fingerprint,
-    git_revision,
-    load_manifest,
-)
+from repro.obs import build_manifest, dataset_fingerprint
+from repro.obs.manifest import git_revision, load_manifest
 
 RUN = {"artifact": "fidelity", "dataset": "tree_cycles", "conv": "gcn",
        "methods": ["gradcam", "revelio"], "mode": "factual", "seed": 0}

@@ -2,7 +2,8 @@
 
 from repro.datasets import load_dataset
 from repro.nn import get_model
-from repro.obs import TRACER, tracing
+from repro.obs import TRACER
+from repro.obs.trace import tracing
 from repro.obs.names import SPAN_DATASET_LOAD, SPAN_MODEL_TRAIN, SPAN_NAMES
 
 

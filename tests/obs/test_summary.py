@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.errors import EvaluationError
-from repro.obs import format_summary, load_trace, summarize_spans, summarize_trace
+from repro.obs import summarize_trace
+from repro.obs.summary import format_summary, load_trace, summarize_spans
 
 
 def _record(name, seconds, method=None, pid=1):

@@ -16,7 +16,10 @@ from repro.eval import ExperimentConfig
 from repro.eval.experiments import run_fidelity_experiment
 from repro.execution import ExecutionConfig
 from repro.explain import ExplainTarget
-from repro.obs import load_manifest, load_trace, summarize_trace, tracing
+from repro.obs import summarize_trace
+from repro.obs.manifest import load_manifest
+from repro.obs.summary import load_trace
+from repro.obs.trace import tracing
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="requires fork start method")

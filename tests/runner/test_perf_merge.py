@@ -88,7 +88,8 @@ class TestMerge:
                     reason="requires fork start method")
 class TestPoolMergesWorkerCounters:
     def test_worker_forwards_counted_in_parent(self):
-        from repro.runner import JobSpec, register_executor, run_jobs
+        from repro.runner import JobSpec, run_jobs
+        from repro.runner.execute import register_executor
 
         def do_forwards(payload, seed):
             PERF.single_forwards += payload["count"]

@@ -4,12 +4,8 @@ import pytest
 
 from repro.errors import RunnerError
 from repro.eval import ExperimentConfig
-from repro.runner import (
-    GROUP_FIT_METHODS,
-    JobSpec,
-    derive_seed,
-    plan_experiment,
-)
+from repro.runner import JobSpec, plan_experiment
+from repro.runner.plan import GROUP_FIT_METHODS, derive_seed
 
 CFG = ExperimentConfig(scale=0.12, num_instances=8, effort=0.05,
                        sparsities=(0.5, 0.8), seed=0)

@@ -14,12 +14,8 @@ import pytest
 
 from repro.errors import RunnerError
 from repro.obs.counters import PERF
-from repro.runner import (
-    JobSpec,
-    load_journal,
-    register_executor,
-    run_jobs,
-)
+from repro.runner import JobSpec, load_journal, run_jobs
+from repro.runner.execute import register_executor
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="requires fork start method")

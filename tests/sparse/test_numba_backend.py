@@ -5,13 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sparse import (
-    NUMBA_AVAILABLE,
-    SegmentPlan,
-    available_backends,
-    kernel,
-    use_backend,
-)
+from repro.sparse import NUMBA_AVAILABLE, SegmentPlan, kernel, use_backend
+from repro.sparse.kernels import available_backends
 from repro.sparse.numba_backend import register_numba_backend
 
 requires_numba = pytest.mark.skipif(

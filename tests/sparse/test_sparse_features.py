@@ -149,8 +149,7 @@ def test_revelio_never_densifies_the_full_matrix(monkeypatch):
     for module in ("repro.sparse", "repro.nn.models", "repro.nn.gin",
                    "repro.nn.link_prediction", "repro.explain.gnnexplainer",
                    "repro.explain.gradcam", "repro.explain.deeplift",
-                   "repro.explain.pgm_explainer", "repro.explain.graphmask",
-                   "repro.graph.transforms", "repro.analysis.stability"):
+                   "repro.explain.pgm_explainer", "repro.explain.graphmask"):
         monkeypatch.setattr(f"{module}.feature_dense", spy)
     toarrays: list = []
     real_toarray = sp.csr_matrix.toarray

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import Revelio, enumerate_flows, load_dataset, make_explainer
-from repro.analysis import agreement_matrix, flow_statistics, mass_through_nodes
+from repro.analysis import agreement_matrix, mass_through_nodes
 from repro.eval import (
     Instance,
     explanation_auc,
@@ -17,9 +17,10 @@ from repro.eval import (
     fidelity_plus,
 )
 from repro.explain import ExplainTarget
-from repro.graph import add_noise_edges, perturb_features
+from repro.graph import coalesce_edges
 from repro.nn import Trainer, build_model
-from repro.viz import explanation_to_dot, format_flow_comparison, render_explanation
+from repro.sparse import feature_dense
+from repro.viz import format_flow_comparison, render_explanation
 
 
 class TestNodeClassificationPipeline:
@@ -55,8 +56,6 @@ class TestNodeClassificationPipeline:
         # presentation
         text = render_explanation(ds.graph, explanation, k=6)
         assert "explanatory edges" in text
-        dot = explanation_to_dot(ds.graph, explanation, k=6)
-        assert dot.startswith("digraph")
 
     def test_three_flow_methods_agree_on_structure(self, pipeline):
         ds, model, node = pipeline
@@ -99,9 +98,9 @@ class TestGraphClassificationPipeline:
     def test_flow_statistics_of_instance(self, pipeline):
         _, model, g = pipeline
         fi = enumerate_flows(g, model.num_layers)
-        stats = flow_statistics(fi)
-        assert stats.num_flows > g.num_edges  # flows outnumber edges
-        assert stats.ambiguous_edge_fraction > 0  # Fig. 1's premise holds
+        assert fi.num_flows > g.num_edges  # flows outnumber edges
+        # Fig. 1's premise holds: some layer edge carries several flows
+        assert (fi.flows_per_layer_edge() > 1).any()
 
     def test_explanation_recovers_motif_mass(self, pipeline):
         _, model, g = pipeline
@@ -113,7 +112,12 @@ class TestGraphClassificationPipeline:
     def test_robustness_to_input_perturbation(self, pipeline):
         """Explaining a noisy copy must not crash and must stay finite."""
         _, model, g = pipeline
-        noisy = perturb_features(add_noise_edges(g, 2, rng=0), 0.05, rng=0)
+        rng = np.random.default_rng(0)
+        u, v = rng.choice(g.num_nodes, size=2, replace=False)
+        noisy = g.copy()
+        noisy.edge_index = coalesce_edges(
+            np.concatenate([g.edge_index, [[u, v], [v, u]]], axis=1))
+        noisy.x = feature_dense(g.x) + rng.normal(0.0, 0.05, size=g.x.shape)
         explanation = Revelio(model, epochs=30, seed=0).explain(noisy)
         assert np.isfinite(explanation.edge_scores).all()
         assert explanation.edge_scores.shape == (noisy.num_edges,)

@@ -14,7 +14,7 @@ from repro.errors import (
     ModelError,
     ShapeError,
 )
-from repro.rng import DEFAULT_SEED, ensure_rng, spawn_rngs
+from repro.rng import DEFAULT_SEED, ensure_rng
 
 
 class TestEnsureRng:
@@ -27,27 +27,6 @@ class TestEnsureRng:
     def test_generator_passthrough(self):
         gen = np.random.default_rng(0)
         assert ensure_rng(gen) is gen
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_children_independent(self):
-        children = spawn_rngs(0, 3)
-        draws = [c.integers(10**9) for c in children]
-        assert len(set(draws)) == 3
-
-    def test_deterministic_fanout(self):
-        a = [c.integers(10**9) for c in spawn_rngs(7, 4)]
-        b = [c.integers(10**9) for c in spawn_rngs(7, 4)]
-        assert a == b
-
-    def test_consuming_one_child_does_not_affect_others(self):
-        first = spawn_rngs(3, 2)
-        first[0].integers(10**9, size=100)  # burn draws
-        baseline = spawn_rngs(3, 2)
-        assert first[1].integers(10**9) == baseline[1].integers(10**9)
 
 
 class TestErrorHierarchy:

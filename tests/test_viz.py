@@ -1,4 +1,4 @@
-"""Visualization: flow tables, ASCII rendering, DOT export."""
+"""Visualization: flow tables and ASCII rendering."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,9 @@ from repro.flows import enumerate_flows
 from repro.graph import Graph
 from repro.viz import (
     explanation_summary,
-    explanation_to_dot,
     format_flow_comparison,
     format_top_flows,
     render_explanation,
-    to_dot,
 )
 
 
@@ -85,28 +83,3 @@ class TestAsciiRendering:
         e = Explanation(edge_scores=np.array([0.5]), predicted_class=0, method="x")
         text = render_explanation(g, e, k=1)
         assert "0 -> 1" in text.replace("   ", " ").replace("  ", " ")
-
-
-class TestDot:
-    def test_to_dot_valid_structure(self, graph):
-        dot = to_dot(graph)
-        assert dot.startswith("digraph")
-        assert dot.rstrip().endswith("}")
-        assert "0 -> 1" in dot
-
-    def test_motif_edges_dashed(self, graph):
-        assert "style=dashed" in to_dot(graph)
-
-    def test_highlighted_edges_bold(self, graph):
-        dot = to_dot(graph, highlight_edges={0})
-        assert "penwidth=2.5" in dot
-
-    def test_explanation_to_dot_writes_file(self, graph, flow_explanation, tmp_path):
-        path = tmp_path / "e.dot"
-        dot = explanation_to_dot(graph, flow_explanation, k=2, path=path)
-        assert path.read_text() == dot
-        assert "digraph revelio" in dot
-
-    def test_target_highlighted(self, graph, flow_explanation):
-        dot = explanation_to_dot(graph, flow_explanation, k=1)
-        assert "fillcolor" in dot

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import EvaluationError
-from repro.viz import render_curves, render_fidelity_result
+from repro.viz import render_curves
 
 
 @pytest.fixture
@@ -59,15 +59,6 @@ class TestRenderCurves:
         out = render_curves(curves)
         assert "m9" in out
 
-
-class TestRenderFidelityResult:
-    def test_title_and_chart(self, curves):
-        result = {"dataset": "mutag", "conv": "gin", "mode": "factual",
-                  "curves": curves}
-        out = render_fidelity_result(result)
-        assert out.startswith("mutag / GIN (factual)")
-        assert "revelio" in out
-
     def test_integrates_with_runner_output(self):
         from repro.eval import ExperimentConfig, run_fidelity_experiment
 
@@ -75,5 +66,5 @@ class TestRenderFidelityResult:
             "tree_cycles", "gcn", ("gradcam",),
             config=ExperimentConfig(scale=0.12, num_instances=2, effort=0.02,
                                     sparsities=(0.5, 0.9)))
-        out = render_fidelity_result(result)
-        assert "tree_cycles" in out
+        out = render_curves(result["curves"])
+        assert "o gradcam" in out
