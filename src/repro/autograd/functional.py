@@ -49,15 +49,16 @@ def spmm(x: Tensor, matrix, matrix_t) -> Tensor:
         ``adj_norm_t`` for exactly this).
     """
     x = as_tensor(x)
-    return x._unary_op(lambda: kernel("spmm")(matrix, x.data),
-                       lambda g: (kernel("spmm")(matrix_t, g),))
+    return Tensor._op(lambda: kernel("spmm")(matrix, x.data), (x,),
+                      lambda b, g: (b.new(lambda g: kernel("spmm")(matrix_t, g), x.shape, g),))
 
 
 def _shifted(x: Tensor, shift) -> Tensor:
     """``x − shift(x.data)``, the shift a constant of the op: softmax is
     shift-invariant, so the gradient passes straight through."""
-    return x._unary_op(lambda out=None: np.subtract(x.data, shift(x.data), out=out),
-                       lambda g: (g,), fills=True)
+    return Tensor._op(
+        lambda b, out: b.new(lambda data: np.subtract(data, shift(data)), x.shape, x.data, out=out),
+        (x,), lambda b, g: (g,), fills=True)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -75,18 +76,26 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     chain's backward in the same order.
     """
     x = as_tensor(x)
+    shape = x.shape
+    kept = tuple(1 if i == axis % len(shape) else n for i, n in enumerate(shape))
     exp = total = None
 
-    def forward(out=None):
+    def forward(b, out):
         nonlocal exp, total
-        shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        total = np.add.reduce(exp, axis=axis, keepdims=True)
-        return np.subtract(shifted, np.log(total), out=out)
+        shifted = b(np.maximum.reduce, x.data, axis=axis, keepdims=True, out=b.out(kept))
+        shifted = b(np.subtract, x.data, shifted, out=b.out(shape))
+        exp = b(np.exp, shifted, out=b.out(shape))
+        total = b(np.add.reduce, exp, axis=axis, keepdims=True, out=b.out(kept))
+        return b(np.subtract, shifted, b(np.log, total, out=b.out(kept)), out=out)
 
-    return x._unary_op(
-        forward, lambda g: (g + np.add.reduce(-g, axis=axis, keepdims=True) / total * exp,),
-        fills=True)
+    def backward(b, g):                            # g + Σ(−g) / total · exp
+        grad = b(np.negative, g, out=b.out(shape))
+        grad = b(np.add.reduce, grad, axis=axis, keepdims=True, out=b.out(kept))
+        grad = b(np.divide, grad, total, out=grad)
+        grad = b(np.multiply, grad, exp, out=b.out(shape))
+        return (b(np.add, g, grad, out=grad),)
+
+    return Tensor._op(forward, (x,), backward, fills=True)
 
 
 def nll_loss(log_probs: Tensor, labels: np.ndarray, reduction: str = "mean") -> Tensor:

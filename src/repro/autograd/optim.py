@@ -7,6 +7,7 @@ uses Adam with the learning rates recorded in its Section V-A.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -49,10 +50,14 @@ class Adam(Optimizer):
     Every parameter lives in one flat buffer, and so do the gradients and
     both moment estimates: a step is one set of elementwise numpy ops over
     all parameters, not one set per parameter. Each op is elementwise, so
-    every entry gets the bits a per-parameter update would give it. After
-    a step each parameter's ``.data`` is a new view into the new buffer
-    (arrays are replaced, never written in place); a parameter whose
-    ``.data`` was reassigned since is read back into the buffer.
+    every entry gets the bits a per-parameter update would give it.
+
+    The buffers are allocated once and updated in place. From
+    construction on, each parameter's ``.data`` is one fixed view into the
+    flat data buffer — so a compiled tape that reads it stays bound across
+    steps — and a step overwrites it: a caller that keeps ``param.data``
+    across a step copies it. A parameter whose ``.data`` was reassigned
+    since is read back into the buffer and gets its view again.
     """
 
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
@@ -68,16 +73,29 @@ class Adam(Optimizer):
         for param in self.params:
             self._spans.append((slice(size, size + param.data.size), param.shape))
             size += -(-param.data.size // _ALIGN) * _ALIGN
-        self._m = np.zeros(size)
-        self._v = np.zeros(size)
-        self._grad = np.zeros(size)
-        self._grads = [self._grad[span].reshape(shape) for span, shape in self._spans]
-        self._data = np.zeros(size)
-        self._views: list[np.ndarray | None] = [None] * len(self.params)
+        m, v = self._m, self._v = np.zeros(size), np.zeros(size)
+        grad = self._grad = np.zeros(size)
+        data = self._data = np.zeros(size)
+        self._grads = [grad[span].reshape(shape) for span, shape in self._spans]
+        self._views = [data[span].reshape(shape) for span, shape in self._spans]
+        for param, view in zip(self.params, self._views):
+            view[...] = param.data
+            param.data = view
+        # m ← β1·m + (1−β1)·g and v ← β2·v + (1−β2)·g·g, as calls bound to
+        # the buffers once; ``hat`` and ``step`` hold m̂ and v̂.
+        scratch, hat, step = np.empty(size), np.empty(size), np.empty(size)
+        self._hat, self._step = hat, step
+        self._moments = (partial(np.multiply, m, self.beta1, m),
+                         partial(np.multiply, 1.0 - self.beta1, grad, scratch),
+                         partial(np.add, m, scratch, m),
+                         partial(np.multiply, v, self.beta2, v),
+                         partial(np.multiply, 1.0 - self.beta2, grad, scratch),
+                         partial(np.multiply, scratch, grad, scratch),
+                         partial(np.add, v, scratch, v))
         self._t = 0
 
     def step(self) -> None:
-        """Apply one Adam update using accumulated gradients.
+        """Apply one Adam update using accumulated gradients, in place.
 
         A parameter without a gradient is skipped: its entries of the
         moment estimates and of ``.data`` keep their values.
@@ -85,31 +103,29 @@ class Adam(Optimizer):
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
-        data, m, v = self._data, self._m, self._v
+        data, m, v, hat, step = self._data, self._m, self._v, self._hat, self._step
         skipped = []
-        for i, param in enumerate(self.params):
-            span, shape = self._spans[i]
-            if param.data is not self._views[i]:
-                if data is self._data:
-                    data = data.copy()             # never write into handed-out views
-                data[span].reshape(shape)[...] = param.data
+        for param, view, grad, (span, _) in zip(self.params, self._views, self._grads,
+                                                self._spans):
+            if param.data is not view:
+                view[...] = param.data
+                param.data = view
             if param.grad is None:
                 skipped.append((span, m[span].copy(), v[span].copy(), data[span].copy()))
-                self._grads[i][...] = 0.0
+                grad.fill(0.0)
             else:
-                self._grads[i][...] = param.grad
-        grad = self._grad
+                grad[...] = param.grad
         if self.weight_decay:
-            grad = grad + self.weight_decay * data
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        m_hat = m / bias1
-        v_hat = v / bias2
-        data = self._data = data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.add(self._grad, np.multiply(self.weight_decay, data), self._grad)
+        for moment in self._moments:
+            moment()
+        # data ← data − lr·m̂ / (√v̂ + eps)
+        np.divide(m, bias1, hat)
+        np.divide(v, bias2, step)
+        np.multiply(self.lr, hat, hat)
+        np.sqrt(step, step)
+        np.add(step, self.eps, step)
+        np.divide(hat, step, hat)
+        np.subtract(data, hat, data)
         for span, m_kept, v_kept, data_kept in skipped:
             m[span], v[span], data[span] = m_kept, v_kept, data_kept
-        for i, param in enumerate(self.params):
-            span, shape = self._spans[i]
-            param.data = self._views[i] = data[span].reshape(shape)

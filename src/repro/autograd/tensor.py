@@ -2,43 +2,52 @@
 
 This module provides the :class:`Tensor` class used throughout the library.
 It is a deliberately small but complete tape-based autograd implementation:
-each differentiable operation records its parents, a backward closure and
-a forward thunk. :meth:`Tensor.backward` compiles the tape below its root
-into a :class:`BackwardPlan` — a static list of steps over preallocated
-gradient slots — and runs it.
+each differentiable operation records its parents, a forward recipe and a
+backward recipe. :meth:`Tensor.backward` compiles the tape below its root
+into a :class:`BackwardPlan` — a static list of steps over gradient slots —
+and runs it.
 
-Record and replay: an op's forward is written once, as a thunk that
-computes its output (and any intermediate its backward reads) from its
-parents' current ``.data``. Building the op calls it once. Inside
+Recipes: an op's forward and its backward are each written once, as a
+function that makes its numpy calls through a builder ``b``:
+``b(np.multiply, g, y, out=b.out(shape))``. Under :data:`EAGER` each call
+runs as it is made, and ``b.out`` gives ``None``, so numpy allocates the
+result: that is how an op is built, and how an uncompiled backward runs.
+Under a :class:`_Binder` each call is recorded instead, once, as a
+zero-argument step over arrays that keep their addresses — buffers the
+binder allocates, the tape's values and the leaves' data — so a compiled
+epoch is one flat loop of bound numpy calls with no Python frame per op.
+An op's forward is a recipe ``forward(b, out)`` when numpy can write its
+output into a given array (``fills=True``), a view of its parent
+(``view=True``: reshapes, transposes, basic indexing), or else a thunk
+``forward()`` that returns a new array.
+
+Record and replay: building an op runs its forward once. Inside
 ``with Tape() as tape:`` every tape node is also kept in creation order.
-:meth:`Tape.compile` turns them into a :class:`ForwardPlan` and caches the
+:meth:`Tape.compile` binds them into a :class:`ForwardPlan` and binds the
 :class:`BackwardPlan` of a recorded root; :meth:`Tape.replay` runs the
 forward plan after the leaves change — the same numpy calls in the same
 order, so a replayed step is bit-exact with building it again — and every
-replayed epoch's ``backward()`` runs the steps epoch 1 compiled: no graph
-walk, no per-node dispatch, each broadcast reduction resolved once. Nodes
-whose parents are all frozen never enter the tape, so their values are
-computed once. A value an op reads from ``.data`` outside its thunk would
-go stale on replay; recording an op built without a thunk raises
+replayed epoch's ``backward()`` runs the bound backward steps. Nodes whose
+parents are all frozen never enter the tape, so their values are computed
+once. A value an op reads from ``.data`` outside its recipe would go stale
+on replay; recording an op built without a forward raises
 :class:`~repro.errors.AutogradError`.
 
-A thunk built with ``fills=True`` takes an optional ``out``: building the
-op calls it with none, and the forward plan calls it with the node's own
-buffer, allocated when the plan compiles and reused every epoch, so a
-replayed elementwise chain, GEMM, reduction or scatter allocates no
-output. A thunk may carry a ``bind(out)`` hook, which the plan calls once
-with that buffer: a scatter resolves its ``scatter_add`` kernel (under the
-backend active then) and the buffer's 2-D view there, for its forward and
-its adjoint. Views (reshapes, transposes, basic indexing) and ops numpy
-cannot write into a given array get no buffer; the plan stores what they
-return. A buffer belongs to its node alone: after a replay, a node's
-``.data`` holds that epoch's values until the next replay overwrites them.
+The fixed-address epoch: a compiled tape gives every node a value with a
+fixed address — its own buffer, or a view computed once — and every live
+gradient slot and recipe intermediate a buffer, allocated when the plans
+bind and reused every epoch. A leaf's ``.data`` is bound too: change a
+leaf in place (``leaf.data[...] = value``, as the optimizer and the mask
+learners' per-epoch noise do); a replay that finds a leaf's ``.data``
+replaced binds both plans again first. A buffer belongs to its node:
+after a replay, a node's ``.data`` holds that epoch's values until the
+next replay overwrites them, so a caller that keeps a value copies it.
 
-A backward closure takes the upstream gradient and returns one gradient
-per parent (``None`` for a parent that does not require grad); the plan
+A backward recipe takes the upstream gradient and returns one gradient per
+parent (``None`` for a parent that does not require grad); the plan
 routes each into its parent's slot. An op that broadcasts (``+ − * /``)
-returns them in the output's shape and the plan sums them
-down, along axes it resolved when it compiled.
+returns them in the output's shape and the plan sums them down, along
+axes it resolved when it compiled.
 
 The op set covers everything message-passing GNNs and mask-learning
 explainers need: dense linear algebra, elementwise nonlinearities,
@@ -57,6 +66,7 @@ import numpy as np
 
 from ..errors import AutogradError, ShapeError
 from ..sparse import SegmentPlan, kernel, plan_for
+from ..sparse.kernels import scatter_add_steps
 
 __all__ = ["Tensor", "SparseLeaf", "Tape", "as_tensor", "no_grad", "concat",
            "propagate"]
@@ -65,11 +75,10 @@ _GRAD_ENABLED = [True]
 # The node list of the Tape being recorded, or None.
 _RECORDING: list = [None]
 
-# Backward closures take the upstream gradient and return one gradient per
-# parent (None where the parent does not require grad); forward thunks
-# return the op's output array from its parents' current data, written
-# into ``out`` when the op fills and one is given.
-BackwardFn = Callable[[np.ndarray], tuple]
+# Backward recipes take a builder and the upstream gradient and return one
+# gradient per parent (None where the parent does not require grad);
+# forward recipes take a builder and the buffer to fill (None when built).
+BackwardFn = Callable[..., tuple]
 ForwardFn = Callable[..., np.ndarray]
 
 
@@ -95,25 +104,226 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED[0]
 
 
+class _Eager:
+    """The builder that runs each call of a recipe as it is made."""
+
+    __slots__ = ()
+
+    def __call__(self, fn, *args, **kwargs):
+        out = kwargs.get("out")
+        if out is not None and type(out) is not np.ndarray:
+            del kwargs["out"]                      # a numpy scalar: a 0-d result
+        return fn(*args, **kwargs)
+
+    def out(self, shape, dtype=np.float64) -> None:
+        return None
+
+    def empty(self, shape) -> np.ndarray:
+        return np.empty(shape)
+
+    def zeros(self, shape) -> np.ndarray:
+        return np.zeros(shape)
+
+    def reshape(self, array, shape):
+        return array.reshape(shape)
+
+    def new(self, fn, shape, *args, out=None):
+        return fn(*args)
+
+    def scatter(self, scatter: "_Scatter", values, out=None) -> np.ndarray:
+        return scatter(values)
+
+    def add(self, slot, grad):
+        return slot + grad
+
+    def add_at(self, target, index, grad) -> None:
+        target[index] += grad
+
+    def claim(self, grad, grads):
+        return grad
+
+    def consume(self, grad) -> None:
+        pass
+
+
+#: Builds ops and runs uncompiled backward passes.
+EAGER = _Eager()
+
+
+def _refill(out: np.ndarray, fn: Callable, args: tuple) -> None:
+    """A bound step for a call numpy cannot direct into ``out``."""
+    out[...] = fn(*args)
+
+
+def _basic(index) -> bool:
+    """Whether ``x[index]`` is a view: ints, slices, ``None`` and ``...``."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(part is None or part is Ellipsis or isinstance(part, slice)
+               or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+               for part in parts)
+
+
+def _view_index(index) -> tuple:
+    """A basic ``index`` that always gives an array: with a trailing
+    ``...``, ints down to a single element give a 0-d view, not a
+    numpy scalar."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return parts if any(part is Ellipsis for part in parts) else parts + (Ellipsis,)
+
+
+#: Ufuncs numpy deprecates a positional ``out`` for.
+_OUT_BY_KEYWORD = (np.maximum, np.minimum)
+
+
+class _Binder:
+    """The builder that records each call of a recipe as a zero-argument
+    step over arrays with fixed addresses.
+
+    :meth:`out` allocates a buffer; a call made with ``out=`` is recorded
+    with it (a ufunc's positionally, the cheaper call) and returns it. With
+    ``prime``, each step also runs as it is recorded, so a forward plan's
+    buffers hold the recorded epoch's values when it compiles; a scatter
+    there copies the node's recorded value (``recorded``) instead of
+    running, so compiling calls no kernel.
+
+    Gradient slots follow a write-then-add rule: a slot whose array is a
+    buffer this binder allocated, held by no other slot, is owned — a
+    later contribution adds into it in place — and any other slot's first
+    addition writes into a new buffer, which that slot then owns.
+    """
+
+    __slots__ = ("steps", "prime", "recorded", "fresh", "owned")
+
+    def __init__(self, prime: bool = False):
+        self.steps: list[Callable[[], object]] = []
+        self.prime = prime
+        self.recorded: np.ndarray | None = None
+        # id -> array: buffers allocated here (and views of them), and the
+        # slot arrays in-place additions may write. Keyed by id, so the
+        # arrays are kept alive here.
+        self.fresh: dict[int, np.ndarray] = {}
+        self.owned: dict[int, np.ndarray] = {}
+
+    def _record(self, step) -> None:
+        self.steps.append(step)
+        if self.prime:
+            step()
+
+    def __call__(self, fn, *args, **kwargs):
+        out = kwargs.get("out")
+        if out is not None and type(fn) is np.ufunc and len(kwargs) == 1 \
+                and len(args) == fn.nin and fn not in _OUT_BY_KEYWORD:
+            self._record(partial(fn, *args, out))
+        else:
+            self._record(partial(fn, *args, **kwargs))
+        return out
+
+    def out(self, shape, dtype=np.float64) -> np.ndarray:
+        buffer = np.empty(shape, dtype)
+        self.fresh[id(buffer)] = buffer
+        return buffer
+
+    empty = out
+
+    def zeros(self, shape) -> np.ndarray:
+        buffer = self.out(shape)
+        self._record(partial(buffer.fill, 0.0))
+        return buffer
+
+    def reshape(self, array: np.ndarray, shape) -> np.ndarray:
+        view = array.reshape(shape)
+        if view.size and not np.may_share_memory(view, array):
+            # A reshape that had to copy: copy it again every run.
+            buffer = self.out(view.shape)
+            self._record(partial(buffer.reshape(array.shape).__setitem__, Ellipsis, array))
+            return buffer
+        if id(array) in self.fresh:
+            self.fresh[id(view)] = view
+        return view
+
+    def new(self, fn, shape, *args, out=None) -> np.ndarray:
+        if out is None:
+            out = self.out(shape)
+        self._record(partial(_refill, out, fn, args))
+        return out
+
+    def scatter(self, scatter: "_Scatter", values: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = self.out(scatter.shape)
+        flat = self.reshape(values, (values.shape[0], scatter.width))
+        if not flat.flags.c_contiguous:
+            contiguous = self.out(flat.shape)
+            self._record(partial(contiguous.__setitem__, Ellipsis, flat))
+            flat = contiguous
+        steps = scatter_add_steps(scatter.plan, flat,
+                                  out.reshape(scatter.shape[0], scatter.width))
+        self.steps.extend(steps)
+        if self.prime:
+            if self.recorded is None:
+                for step in steps:
+                    step()
+            else:                                  # a forward's scatter: its node's value
+                out[...] = self.recorded
+        return out
+
+    def add(self, slot: np.ndarray, grad) -> np.ndarray:
+        if id(slot) in self.owned:
+            self._record(partial(np.add, slot, grad, slot))
+            return slot
+        buffer = np.empty(np.broadcast_shapes(slot.shape, np.shape(grad)))
+        self._record(partial(np.add, slot, grad, buffer))
+        self.owned[id(buffer)] = buffer
+        return buffer
+
+    def add_at(self, target: np.ndarray, index, grad: np.ndarray) -> None:
+        if _basic(index):
+            view = target[_view_index(index)]
+            self._record(partial(np.add, view, grad, view))
+        else:
+            # Each element at most once (the plan checked): the bits of
+            # ``target[index] += grad``, in one call.
+            self._record(partial(np.add.at, target, index, grad))  # repro: noqa[RPR050]
+
+    def claim(self, grad, grads: tuple):
+        """``grad``, now a slot's array; the slot owns it when this binder
+        allocated it and no other parent receives it, or a view of it,
+        too. An array two slots share is never owned: neither now, nor by
+        a slot a later step passes it (or a reshape of it) through to,
+        while the other slot may still read it."""
+        if id(grad) in self.fresh:
+            if sum(isinstance(g, np.ndarray) and np.may_share_memory(g, grad)
+                   for g in grads) <= 1:
+                self.owned[id(grad)] = grad
+            else:
+                self.fresh = {key: array for key, array in self.fresh.items()
+                              if not np.may_share_memory(array, grad)}
+        return grad
+
+    def consume(self, grad) -> None:
+        self.owned.pop(id(grad), None)
+
+
 class Tape:
     """The tape nodes one computation built, replayable on new leaf values.
 
     ``with tape:`` keeps every tape node created inside, in creation
     order. After the leaves' ``.data`` change (an optimizer step),
-    :meth:`replay` re-runs each node's forward thunk on its parents'
-    current values, through the :class:`ForwardPlan` compiled from them:
-    the outputs — and, through ``backward()`` on the same root, the
-    gradients — are those a fresh build would give, bit for bit. Values
-    derived only from frozen tensors are not on the tape and keep their
-    recorded values. Like :class:`no_grad`, recording is process-wide:
-    one tape records at a time, on the thread that runs the numerics.
+    :meth:`replay` re-runs each node's forward on its parents' current
+    values, through the :class:`ForwardPlan` bound from them: the outputs
+    — and, through ``backward()`` on the same root, the gradients — are
+    those a fresh build would give, bit for bit. Values derived only from
+    frozen tensors are not on the tape and keep their recorded values.
+    Like :class:`no_grad`, recording is process-wide: one tape records at
+    a time, on the thread that runs the numerics.
     """
 
-    __slots__ = ("nodes", "plan")
+    __slots__ = ("nodes", "plan", "compiled")
 
     def __init__(self):
         self.nodes: list[Tensor] = []
         self.plan: ForwardPlan | None = None
+        self.compiled: BackwardPlan | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -122,7 +332,7 @@ class Tape:
         if _RECORDING[0] is not None:
             raise AutogradError("a tape is already recording")
         _RECORDING[0] = self.nodes
-        self.plan = None                           # new nodes: recompile
+        self.plan = self.compiled = None           # new nodes: recompile
         return self
 
     def __exit__(self, *exc) -> None:
@@ -130,13 +340,16 @@ class Tape:
 
     def replay(self) -> None:
         """Recompute every recorded node from its parents' current data:
-        run the forward plan, compiled here if :meth:`compile` has not."""
-        if self.plan is None:
+        run the forward plan, bound here if :meth:`compile` has not bound
+        it, or again if a leaf's ``.data`` was replaced since."""
+        if self.plan is None or not self.plan.run():
             self.plan = ForwardPlan(self.nodes)
-        self.plan.run()
+            if self.compiled is not None:
+                self.compiled.bind()
+            self.plan.run()
 
     def compile(self, root: "Tensor", params: Sequence["Tensor"]) -> "BackwardPlan":
-        """Compile the recorded forward into the :class:`ForwardPlan`
+        """Bind the recorded forward into the :class:`ForwardPlan`
         :meth:`replay` runs, and the backward pass from ``root``, a node
         this tape recorded, into the plan every later ``root.backward()``
         runs.
@@ -149,52 +362,69 @@ class Tape:
         if not any(node is root for node in self.nodes):
             raise AutogradError("compile() needs a root this tape recorded")
         if self.plan is None:
-            self.plan = ForwardPlan(self.nodes)
-        root._plan = BackwardPlan(root, params)
-        return root._plan
+            self.plan = ForwardPlan(self.nodes, prime=True)
+        self.compiled = root._plan = BackwardPlan(root, params)
+        self.compiled.bind()
+        return self.compiled
 
 
 class ForwardPlan:
-    """The forward pass of a recorded tape, compiled once.
+    """The forward pass of a recorded tape, bound once.
 
-    A node whose thunk fills (``Tensor._make(..., fills=True)``) gets a
-    buffer of its own: a C-contiguous copy of the value it was recorded
-    with, which becomes its ``.data`` for good. Its step calls the thunk
-    with that buffer, after the thunk's ``bind(out)`` hook, if it has one,
-    ran once here. Every other node — a view, or an op numpy cannot write
-    into a given array — stores what its thunk returns, as recording did.
+    A node whose forward fills (``Tensor._op(..., fills=True)``) gets a
+    C-contiguous buffer of its own, which becomes its ``.data`` for good;
+    its recipe is bound into steps that write it (and the intermediates
+    its backward reads) in place. A view node's ``.data`` is its view of
+    the parent's fixed value, computed here once; it has no step. Every
+    other node — an op numpy cannot write into a given array, or a
+    reshape that had to copy — gets a buffer its step copies a new value
+    into. With ``prime``, the buffers start with the recorded values.
 
-    A buffer belongs to one node. The thunk that fills it is its only
-    writer, nothing keys an identity memo on it, and after a run it holds
-    that run's values until the next run overwrites them in place; a
-    caller that keeps a value across a replay copies it.
+    A buffer belongs to one node. Its steps are its only writers, nothing
+    keys an identity memo on it, and after a run it holds that run's
+    values until the next run overwrites them in place; a caller that
+    keeps a value across a replay copies it. The plan also keeps each
+    leaf's ``.data`` as bound: :meth:`run` refuses to run once one was
+    replaced.
     """
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "leaves")
 
-    def __init__(self, nodes: Sequence["Tensor"]):
-        steps = []
+    def __init__(self, nodes: Sequence["Tensor"], prime: bool = False):
+        binder = _Binder(prime)
+        taped = set(nodes)
+        leaves: dict[Tensor, np.ndarray] = {}
         for node in nodes:
+            for parent in node._parents:
+                if parent not in taped and type(parent) is not SparseLeaf:
+                    leaves[parent] = parent.data
             thunk = node._forward
-            if not node._fills:
-                steps.append((node, thunk))
-                continue
+            if node._view:
+                value = thunk()
+                if value.size == 0 or np.may_share_memory(value, node._parents[0].data):
+                    node.data = value
+                    continue
             out = np.empty(node.shape)
-            out[...] = node.data
-            node.data = out
-            bind = getattr(thunk, "bind", None)
-            if bind is not None:
-                bind(out)
-            steps.append((None, partial(thunk, out)))
-        self.steps = steps
-
-    def run(self) -> None:
-        """Recompute every node, in recording order."""
-        for node, step in self.steps:
-            if node is None:
-                step()
+            if node._fills:
+                binder.recorded = node.data
+                thunk(binder, out)
             else:
-                node.data = step()
+                binder.steps.append(partial(_refill, out, thunk, ()))
+                if prime:
+                    out[...] = node.data
+            node.data = out
+        self.steps = binder.steps
+        self.leaves = tuple(leaves.items())
+
+    def run(self) -> bool:
+        """Recompute every node, in recording order; ``False`` (and no
+        work) when a leaf's ``.data`` is no longer the array bound."""
+        for leaf, data in self.leaves:
+            if leaf.data is not data:
+                return False
+        for step in self.steps:
+            step()
+        return True
 
 
 def as_tensor(value, requires_grad: bool = False) -> "Tensor":
@@ -204,20 +434,26 @@ def as_tensor(value, requires_grad: bool = False) -> "Tensor":
     return Tensor(np.asarray(value, dtype=np.float64), requires_grad=requires_grad)
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, b=EAGER) -> np.ndarray:
     """Overflow-free logistic function, written into ``out`` when given.
 
     With ``c`` the input clipped to ±500 and ``t = exp(−|c|)``, it is
     ``max(t, c ≥ 0) / (1 + t)``: ``1 / (1 + exp(−c))`` from zero up and
     ``e / (1 + e)`` with ``e = exp(c)`` below, since ``exp(−|c|)`` is
     bitwise ``exp(−c)`` or ``exp(c)`` — the two-branch form's bits with
-    no masked loop. NaN stays NaN and ±0 gives 0.5. Bare ufuncs only: it
-    runs in every replayed epoch, where ``np.clip`` / ``np.where`` would
-    add Python frames per call.
+    no masked loop. NaN stays NaN and ±0 gives 0.5. A recipe of bare
+    ufuncs, two scratch arrays reused in place.
     """
-    clipped = np.minimum(np.maximum(x, -500.0), 500.0)
-    t = np.exp(-np.abs(clipped))
-    return np.divide(np.maximum(t, clipped >= 0), 1.0 + t, out=out)
+    shape = np.shape(x)
+    clipped = b(np.maximum, x, -500.0, out=b.out(shape))
+    clipped = b(np.minimum, clipped, 500.0, out=clipped)
+    t = b(np.abs, clipped, out=b.out(shape))
+    t = b(np.negative, t, out=t)
+    t = b(np.exp, t, out=t)
+    upper = b(np.greater_equal, clipped, 0, out=b.out(shape, bool))
+    top = b(np.maximum, t, upper, out=clipped)
+    t = b(np.add, 1.0, t, out=t)
+    return b(np.divide, top, t, out=out)
 
 
 def _unbroadcast(grad_shape: tuple[int, ...], shape: tuple[int, ...]) -> tuple | None:
@@ -233,16 +469,17 @@ def _unbroadcast(grad_shape: tuple[int, ...], shape: tuple[int, ...]) -> tuple |
     return lead, keep, shape
 
 
-def _reduce(grad: np.ndarray, reduction: tuple) -> np.ndarray:
+def _reduce(b, grad, reduction: tuple):
     """Apply an :func:`_unbroadcast` reduction: the leading axes summed
     away, then the broadcast ones summed keeping their axes, then the
     shape."""
     lead, keep, shape = reduction
     if lead:
-        grad = np.add.reduce(grad, axis=lead)
+        grad = b(np.add.reduce, grad, axis=lead, out=b.out(np.shape(grad)[len(lead):]))
     if keep:
-        grad = np.add.reduce(grad, axis=keep, keepdims=True)
-    return grad.reshape(shape)
+        kept = tuple(1 if i in keep else s for i, s in enumerate(np.shape(grad)))
+        grad = b(np.add.reduce, grad, axis=keep, keepdims=True, out=b.out(kept))
+    return b.reshape(grad, shape)
 
 
 def _selects_once(index) -> bool:
@@ -296,6 +533,18 @@ def _split_index(index) -> tuple:
     return index[:ints], tail
 
 
+def _row_ids(tail):
+    """The 1-D integer array ``tail`` selects rows by (``x[ids]``,
+    ``x[(ids,)]``), or ``None``."""
+    if isinstance(tail, tuple):
+        if len(tail) != 1:
+            return None
+        tail = tail[0]
+    if isinstance(tail, np.ndarray) and tail.ndim == 1 and tail.dtype.kind in "iu":
+        return tail
+    return None
+
+
 class _IndexAdjoint:
     """The adjoint of ``x[index]``: ``g`` added at ``index`` into zeros
     shaped like ``x``.
@@ -312,12 +561,12 @@ class _IndexAdjoint:
         self.shape = shape
         self.once = _selects_once(index)
 
-    def __call__(self, g: np.ndarray) -> tuple:
-        full = np.zeros(self.shape)
+    def __call__(self, b, g) -> tuple:
+        full = b.zeros(self.shape)
         # Generic fancy indexing (slices, boolean masks, multi-axis
         # tuples) has no SegmentPlan form; row gathers that do should
         # use gather_rows instead.
-        np.add.at(full, self.index, g)  # repro: noqa[RPR050]
+        b(np.add.at, full, self.index, g)  # repro: noqa[RPR050]
         return (full,)
 
 
@@ -329,14 +578,24 @@ class _IndexAdjoint:
 _NEW, _IN_PLACE, _COPY = range(3)
 
 
+def _seed(grad, shape: tuple[int, ...]) -> np.ndarray:
+    """The upstream gradient of a root: ones, or ``grad`` broadcast."""
+    if grad is None:
+        # Not np.ones_like: its Python wrappers would run on every call.
+        seed = np.empty(shape)
+        seed.fill(1.0)
+        return seed
+    return np.array(np.broadcast_to(np.asarray(grad, dtype=np.float64), shape))
+
+
 class BackwardPlan:
     """The backward pass below one root, compiled once.
 
     A recorded tape has fixed shapes, a fixed order and fixed parents, so
     every decision of a backward pass can be made once:
 
-    - each node gets a gradient slot; a step reads its node's slot, calls
-      its backward closure and stores (first contribution) or adds each
+    - each node gets a gradient slot; a step reads its node's slot, runs
+      its backward recipe and stores (first contribution) or adds each
       returned gradient into its parent's slot — in the order and with
       the arithmetic of a dict-and-DFS backward, so the result is bit for
       bit the same;
@@ -351,11 +610,18 @@ class BackwardPlan:
       its consumer's edge reshapes straight into the parent's slot (a
       view either way, and the same single contribution).
 
-    The plan holds the closures and the leaves, never the root (the root
-    holds the plan), so a finished tape is freed by reference counting.
+    Unbound, :meth:`run` walks those steps under :data:`EAGER`. :meth:`bind`
+    walks them once under a :class:`_Binder`: every slot, reduction and
+    recipe intermediate gets a buffer, and a run is one loop over the
+    bound numpy calls, then each sink's ``.grad``.
+
+    The plan holds the recipes, the leaves and the buffers, never the root
+    (the root holds the plan), so a finished tape is freed by reference
+    counting.
     """
 
-    __slots__ = ("steps", "sinks", "size", "root_slot", "__weakref__")
+    __slots__ = ("steps", "sinks", "size", "root_slot", "shape", "bound", "seed",
+                 "ones", "grads", "__weakref__")
 
     def __init__(self, root: "Tensor", params: Sequence["Tensor"] | None = None):
         order = root._topological_order()          # parents first, root last
@@ -393,8 +659,11 @@ class BackwardPlan:
         slot = {node: i for i, node in enumerate(n for n in order if route.get(n) is n)}
         self.size = len(slot)
         self.root_slot = slot.get(root)
+        self.shape = root.shape
         self.sinks = [(node, slot[node]) for node in order
                       if node in slot and node is not root and node._backward is None]
+        self.bound = self.seed = self.grads = None
+        self.ones = False
         state: dict[int, str] = {}                 # slot -> what it holds
         steps = []
         for node in reversed(order):
@@ -432,35 +701,70 @@ class BackwardPlan:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def run(self, seed: np.ndarray) -> None:
-        """Backpropagate ``seed`` from the root into every sink's ``.grad``."""
-        if self.root_slot is None:
-            return
+    def _walk(self, b, seed) -> list:
+        """Run (or, under a binder, record) every step from ``seed``; the
+        slots as they end."""
         slots: list = [None] * self.size
         slots[self.root_slot] = seed
         for backward, src, edges in self.steps:
             grad = slots[src]
             slots[src] = None                      # consumed: free it early
+            b.consume(grad)
             if backward is None:                   # an index adjoint, in place
                 head, tail, dst, how, shape = edges
                 if how == _NEW:
-                    into = np.zeros(shape)
+                    into = b.claim(b.zeros(shape), ())
                 elif how == _COPY:
-                    into = slots[dst] + 0.0
+                    into = b.add(slots[dst], 0.0)
                 else:
                     into = slots[dst]
-                (into if head is None else into[head])[tail] += grad
+                b.add_at(into if head is None else into[head], tail, grad)
                 slots[dst] = into
                 continue
-            grads = backward(grad)
+            grads = backward(b, grad)
             for i, dst, add, reduction in edges:
                 grad = grads[i]
                 if reduction is not None:
-                    grad = _reduce(grad, reduction)
-                # Out-of-place add: a slot may alias an op's own array.
-                slots[dst] = slots[dst] + grad if add else grad
-        for node, i in self.sinks:
-            node._accumulate(slots[i])
+                    grad = _reduce(b, grad, reduction)
+                # Out of place unless the slot owns its array: a slot may
+                # alias an op's own array.
+                slots[dst] = b.add(slots[dst], grad) if add else b.claim(grad, grads)
+        return slots
+
+    def bind(self) -> None:
+        """Bind every step over buffers allocated here, once: the seed
+        (ones until :meth:`run` is given another), the slots, reductions
+        and recipe intermediates. Recipes read their nodes' current values,
+        so the forward must be bound first."""
+        if self.root_slot is None:
+            return
+        binder = _Binder()
+        self.seed = _seed(None, self.shape)
+        self.ones = True
+        slots = self._walk(binder, self.seed)
+        self.bound = binder.steps
+        self.grads = [(node, slots[i]) for node, i in self.sinks]
+
+    def run(self, grad=None) -> None:
+        """Backpropagate ``grad`` (ones when ``None``) from the root into
+        every sink's ``.grad``."""
+        if self.root_slot is None:
+            return
+        if self.bound is None:
+            slots = self._walk(EAGER, _seed(grad, self.shape))
+            for node, i in self.sinks:
+                node._accumulate(slots[i])
+            return
+        if grad is not None:
+            self.seed[...] = grad
+            self.ones = False
+        elif not self.ones:
+            self.seed.fill(1.0)
+            self.ones = True
+        for step in self.bound:
+            step()
+        for node, value in self.grads:
+            node._accumulate(value)
 
 
 class _ReshapeAdjoint:
@@ -472,16 +776,16 @@ class _ReshapeAdjoint:
     def __init__(self, shape: tuple[int, ...]):
         self.shape = shape
 
-    def __call__(self, g: np.ndarray) -> tuple:
-        return (g.reshape(self.shape),)
+    def __call__(self, b, g) -> tuple:
+        return (b.reshape(g, self.shape),)
 
 
 def _retaining(node: "Tensor", backward: BackwardFn) -> BackwardFn:
     """``backward`` that first accumulates the gradient into ``node.grad``
     (:meth:`Tensor.retain_grad` on an interior node)."""
-    def step(g):
-        node._accumulate(g)
-        return backward(g)
+    def step(b, g):
+        b(node._accumulate, g)
+        return backward(b, g)
     return step
 
 
@@ -500,7 +804,8 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_forward", "_fills",
-                 "_parents", "_bcast", "_retain", "_csr", "_plan", "name", "__weakref__")
+                 "_view", "_parents", "_bcast", "_retain", "_csr", "_plan", "name",
+                 "__weakref__")
 
     # Make numpy defer binary ops (np.ndarray * Tensor) to Tensor.
     __array_priority__ = 100.0
@@ -512,6 +817,7 @@ class Tensor:
         self._backward: BackwardFn | None = None
         self._forward: ForwardFn | None = None
         self._fills = False
+        self._view = False
         self._parents: tuple[Tensor, ...] = ()
         self._bcast = False
         self._retain = False
@@ -592,16 +898,16 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"], backward: BackwardFn | None,
               forward: ForwardFn | None = None, bcast: bool = False,
-              fills: bool = False) -> "Tensor":
+              fills: bool = False, view: bool = False) -> "Tensor":
         """The op's output; a tape node when a parent requires grad.
 
-        ``forward`` is the thunk that computed ``data``. While a
-        :class:`Tape` records, a tape node without one raises: replay
-        could not recompute it. ``bcast``: ``backward`` returns the
-        parents' gradients in the output's shape, for the plan to sum
-        down to each parent's shape. ``fills``: ``forward(out)`` writes
-        the output into ``out`` and returns it, so a :class:`ForwardPlan`
-        gives the node a buffer.
+        ``forward`` is what computed ``data``. While a :class:`Tape`
+        records, a tape node without one raises: replay could not
+        recompute it. ``bcast``: ``backward`` returns the parents'
+        gradients in the output's shape, for the plan to sum down to each
+        parent's shape. ``fills``: ``forward(b, out)`` is a recipe that
+        writes the output into ``out``; ``view``: ``forward()`` returns a
+        view of the one parent's data.
         """
         requires = _GRAD_ENABLED[0] and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
@@ -616,30 +922,17 @@ class Tensor:
                                         "replay could not recompute it")
                 out._forward = forward
                 out._fills = fills
+                out._view = view
                 recording.append(out)
         return out
 
     @staticmethod
     def _op(forward: ForwardFn, parents: Sequence["Tensor"], backward: BackwardFn,
-            fills: bool = False) -> "Tensor":
-        """Build an op from its forward thunk (called once here, with no
-        ``out``)."""
-        return Tensor._make(forward(), parents, backward, forward, fills=fills)
-
-    def _unary_op(self, forward: ForwardFn, backward: BackwardFn,
-                  fills: bool = False) -> "Tensor":
-        return Tensor._make(forward(), (self,), backward, forward, fills=fills)
-
-    def _binary_op(self, other: "Tensor", forward: ForwardFn, backward: BackwardFn,
-                   fills: bool = False) -> "Tensor":
-        return Tensor._make(forward(), (self, other), backward, forward, fills=fills)
-
-    def _broadcasting_op(self, other: "Tensor", forward: ForwardFn,
-                         backward: BackwardFn, fills: bool = True) -> "Tensor":
-        """A binary elementwise op: ``backward`` returns both gradients in
-        the output's shape."""
-        return Tensor._make(forward(), (self, other), backward, forward, bcast=True,
-                            fills=fills)
+            fills: bool = False, view: bool = False, bcast: bool = False) -> "Tensor":
+        """Build an op from its forward, run once here (a filling recipe
+        under :data:`EAGER`, with no ``out``)."""
+        data = forward(EAGER, None) if fills else forward()
+        return Tensor._make(data, parents, backward, forward, bcast, fills, view)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -654,9 +947,9 @@ class Tensor:
     def backward(self, grad: np.ndarray | float | None = None) -> None:
         """Backpropagate from this tensor through the recorded tape.
 
-        Runs the :class:`BackwardPlan` cached on this tensor — compiled by
-        :meth:`Tape.compile`, or on the first call — so a replayed epoch
-        backpropagates without walking the graph again.
+        Runs the :class:`BackwardPlan` cached on this tensor — compiled and
+        bound by :meth:`Tape.compile`, or compiled on the first call — so
+        a replayed epoch backpropagates without walking the graph again.
 
         Parameters
         ----------
@@ -666,21 +959,15 @@ class Tensor:
         """
         if not self.requires_grad:
             raise AutogradError("backward() called on a tensor that does not require grad")
-        if grad is None:
-            if self.data.size != 1:
-                raise AutogradError(
-                    f"backward() without a gradient requires a scalar output, got shape {self.shape}"
-                )
-            # Not np.ones_like: its Python wrappers run on every replayed epoch.
-            seed = np.empty(self.data.shape)
-            seed.fill(1.0)
-        else:
-            seed = np.array(np.broadcast_to(np.asarray(grad, dtype=np.float64), self.shape))
+        if grad is None and self.data.size != 1:
+            raise AutogradError(
+                f"backward() without a gradient requires a scalar output, got shape {self.shape}"
+            )
         if self._plan is None:
             self._plan = BackwardPlan(self)
         if self._backward is None or self._retain:
-            self._accumulate(seed)
-        self._plan.run(seed)
+            self._accumulate(_seed(grad, self.shape))
+        self._plan.run(grad)
 
     def _topological_order(self) -> list["Tensor"]:
         """The tape below ``self`` in DFS post-order (parents first).
@@ -715,11 +1002,11 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = as_tensor(other)
 
-        def backward(g):
+        def backward(b, g):
             return (g if self.requires_grad else None, g if other.requires_grad else None)
 
-        return self._broadcasting_op(
-            other, lambda out=None: np.add(self.data, other.data, out=out), backward)
+        return Tensor._op(lambda b, out: b(np.add, self.data, other.data, out=out),
+                          (self, other), backward, fills=True, bcast=True)
 
     def __radd__(self, other) -> "Tensor":
         return self.__add__(other)
@@ -727,11 +1014,12 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         other = as_tensor(other)
 
-        def backward(g):
-            return (g if self.requires_grad else None, -g if other.requires_grad else None)
+        def backward(b, g):
+            return (g if self.requires_grad else None,
+                    b(np.negative, g, out=b.out(g.shape)) if other.requires_grad else None)
 
-        return self._broadcasting_op(
-            other, lambda out=None: np.subtract(self.data, other.data, out=out), backward)
+        return Tensor._op(lambda b, out: b(np.subtract, self.data, other.data, out=out),
+                          (self, other), backward, fills=True, bcast=True)
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other).__sub__(self)
@@ -739,12 +1027,14 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
 
-        def backward(g):
-            return (g * other.data if self.requires_grad else None,
-                    g * self.data if other.requires_grad else None)
+        def backward(b, g):
+            return (b(np.multiply, g, other.data, out=b.out(g.shape))
+                    if self.requires_grad else None,
+                    b(np.multiply, g, self.data, out=b.out(g.shape))
+                    if other.requires_grad else None)
 
-        return self._broadcasting_op(
-            other, lambda out=None: np.multiply(self.data, other.data, out=out), backward)
+        return Tensor._op(lambda b, out: b(np.multiply, self.data, other.data, out=out),
+                          (self, other), backward, fills=True, bcast=True)
 
     def __rmul__(self, other) -> "Tensor":
         return self.__mul__(other)
@@ -752,27 +1042,37 @@ class Tensor:
     def __truediv__(self, other) -> "Tensor":
         other = as_tensor(other)
 
-        def backward(g):
-            return (g / other.data if self.requires_grad else None,
-                    -g * self.data / (other.data**2) if other.requires_grad else None)
+        def backward(b, g):
+            grad_self = grad_other = None
+            if self.requires_grad:
+                grad_self = b(np.divide, g, other.data, out=b.out(g.shape))
+            if other.requires_grad:                # -g · x / y²  (y² is numpy's y**2)
+                grad_other = b(np.negative, g, out=b.out(g.shape))
+                grad_other = b(np.multiply, grad_other, self.data, out=grad_other)
+                squared = b(np.square, other.data, out=b.out(other.shape))
+                grad_other = b(np.divide, grad_other, squared, out=grad_other)
+            return (grad_self, grad_other)
 
-        return self._broadcasting_op(
-            other, lambda out=None: np.divide(self.data, other.data, out=out), backward)
+        return Tensor._op(lambda b, out: b(np.divide, self.data, other.data, out=out),
+                          (self, other), backward, fills=True, bcast=True)
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
-        return self._unary_op(lambda out=None: np.negative(self.data, out=out), lambda g: (-g,),
-                              fills=True)
+        return Tensor._op(lambda b, out: b(np.negative, self.data, out=out), (self,),
+                          lambda b, g: (b(np.negative, g, out=b.out(g.shape)),), fills=True)
 
     def __pow__(self, exponent) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise AutogradError("tensor exponents are unsupported; compose exp/log instead")
         exponent = float(exponent)
 
-        return self._unary_op(lambda: self.data**exponent,
-                              lambda g: (g * exponent * self.data ** (exponent - 1),))
+        def adjoint(g, x):
+            return g * exponent * x ** (exponent - 1)
+
+        return Tensor._op(lambda: self.data**exponent, (self,),
+                          lambda b, g: (b.new(adjoint, g.shape, g, self.data),))
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -792,8 +1092,8 @@ class Tensor:
             # weight adjoint are CSR matvec stacks over its nonzeros.
             matrix, matrix_t = self._csr
 
-            return self._binary_op(other, lambda: matrix @ other.data,
-                                   lambda g: (None, matrix_t @ g))
+            return Tensor._op(lambda: matrix @ other.data, (self, other),
+                              lambda b, g: (None, b.new(matrix_t.__matmul__, other.shape, g)))
 
         # A frozen right operand's adjoint multiplies by a C-contiguous copy
         # of its transpose, made once per op: BLAS's transposed-operand
@@ -804,17 +1104,18 @@ class Tensor:
         if _GRAD_ENABLED[0] and self.requires_grad and not other.requires_grad:
             frozen_t = np.ascontiguousarray(other.data.T)
 
-        def backward(g):
+        def backward(b, g):
             # Guard each GEMM on the parent actually needing it: the first
             # GNN layer multiplies a constant feature matrix (N, F) with
             # F ≫ hidden, and the unused dX = g @ W.T would be the single
             # most expensive allocation of the whole backward pass.
-            return (g @ (other.data.T if frozen_t is None else frozen_t)
-                    if self.requires_grad else None,
-                    self.data.T @ g if other.requires_grad else None)
+            return (b(np.matmul, g, other.data.T if frozen_t is None else frozen_t,
+                      out=b.out(self.shape)) if self.requires_grad else None,
+                    b(np.matmul, self.data.T, g, out=b.out(other.shape))
+                    if other.requires_grad else None)
 
-        return self._binary_op(other, lambda out=None: np.matmul(self.data, other.data, out=out),
-                               backward, fills=True)
+        return Tensor._op(lambda b, out: b(np.matmul, self.data, other.data, out=out),
+                          (self, other), backward, fills=True)
 
     # Comparisons yield plain numpy boolean arrays (non-differentiable).
     def __gt__(self, other):
@@ -833,68 +1134,103 @@ class Tensor:
     # elementwise nonlinearities
     # ------------------------------------------------------------------
     def _pointwise(self, forward, backward) -> "Tensor":
-        """An elementwise op: ``forward(x, out)`` returns ``(y, saved)``,
-        ``y`` written into ``out`` when it is given, and ``backward(g,
-        saved)`` the gradient of ``x``.
+        """An elementwise op: ``forward(b, x, out)`` returns ``(y,
+        saved)``, ``y`` written into ``out`` when it is given, and
+        ``backward(b, g, saved)`` the gradient of ``x``.
 
-        ``saved`` (the output, a mask, ...) lives in a cell the thunk
-        refills, never on the output tensor: a closure over the tensor
-        that owns it would be a reference cycle, and every tape would wait
-        for the garbage collector.
+        ``saved`` (the output, a mask, ...) lives in a cell the forward
+        sets — when the op is built, and again when a plan binds it —
+        never on the output tensor: a closure over the tensor that owns it
+        would be a reference cycle, and every tape would wait for the
+        garbage collector.
         """
         saved = None
 
-        def thunk(out=None):
+        def thunk(b, out):
             nonlocal saved
-            y, saved = forward(self.data, out)
+            y, saved = forward(b, self.data, out)
             return y
 
-        return self._unary_op(thunk, lambda g: (backward(g, saved),), fills=True)
+        return Tensor._op(thunk, (self,), lambda b, g: (backward(b, g, saved),), fills=True)
 
     def exp(self) -> "Tensor":
-        return self._pointwise(lambda x, out: (y := np.exp(x, out=out), y),
-                               lambda g, y: g * y)
+        return self._pointwise(lambda b, x, out: (y := b(np.exp, x, out=out), y),
+                               lambda b, g, y: b(np.multiply, g, y, out=b.out(g.shape)))
 
     def log(self) -> "Tensor":
-        return self._pointwise(lambda x, out: (np.log(x, out=out), x),
-                               lambda g, x: g / x)
+        return self._pointwise(lambda b, x, out: (b(np.log, x, out=out), x),
+                               lambda b, g, x: b(np.divide, g, x, out=b.out(g.shape)))
 
     def sqrt(self) -> "Tensor":
-        return self._pointwise(lambda x, out: (y := np.sqrt(x, out=out), y),
-                               lambda g, y: g * 0.5 / y)
+        def backward(b, g, y):                     # g · 0.5 / y
+            half = b(np.multiply, g, 0.5, out=b.out(g.shape))
+            return b(np.divide, half, y, out=half)
+
+        return self._pointwise(lambda b, x, out: (y := b(np.sqrt, x, out=out), y), backward)
 
     def tanh(self) -> "Tensor":
-        return self._pointwise(lambda x, out: (y := np.tanh(x, out=out), y),
-                               lambda g, y: g * (1.0 - y**2))
+        def backward(b, g, y):                     # g · (1 − y²)
+            slope = b(np.square, y, out=b.out(y.shape))
+            slope = b(np.subtract, 1.0, slope, out=slope)
+            return b(np.multiply, g, slope, out=slope)
+
+        return self._pointwise(lambda b, x, out: (y := b(np.tanh, x, out=out), y), backward)
 
     def sigmoid(self) -> "Tensor":
-        return self._pointwise(lambda x, out: (y := _sigmoid(x, out), y),
-                               lambda g, y: g * y * (1.0 - y))
+        def backward(b, g, y):                     # g · y · (1 − y)
+            grad = b(np.multiply, g, y, out=b.out(g.shape))
+            rest = b(np.subtract, 1.0, y, out=b.out(y.shape))
+            return b(np.multiply, grad, rest, out=grad)
+
+        return self._pointwise(lambda b, x, out: (y := _sigmoid(x, out, b), y), backward)
 
     def relu(self) -> "Tensor":
-        return self._pointwise(lambda x, out: (np.multiply(x, mask := x > 0, out=out), mask),
-                               lambda g, mask: g * mask)
+        def forward(b, x, out):
+            mask = b(np.greater, x, 0, out=b.out(x.shape, bool))
+            return b(np.multiply, x, mask, out=out), mask
+
+        return self._pointwise(forward,
+                               lambda b, g, mask: b(np.multiply, g, mask, out=b.out(g.shape)))
 
     def leaky_relu(self, negative_slope: float = 0.2) -> "Tensor":
-        return self._pointwise(
-            lambda x, out: (np.multiply(x, factor := np.where(x > 0, 1.0, negative_slope), out=out),
-                            factor),
-            lambda g, factor: g * factor)
+        def slope(x):
+            return np.where(x > 0, 1.0, negative_slope)
+
+        def forward(b, x, out):
+            factor = b.new(slope, x.shape, x)
+            return b(np.multiply, x, factor, out=out), factor
+
+        return self._pointwise(forward,
+                               lambda b, g, factor: b(np.multiply, g, factor, out=b.out(g.shape)))
 
     def softplus(self) -> "Tensor":
-        return self._pointwise(
-            lambda x, out: (np.logaddexp(0.0, x, out=out),
-                            1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))),
-            lambda g, sig: g * sig)
+        def forward(b, x, out):                    # and 1 / (1 + exp(−clip(x, ±500)))
+            y = b(np.logaddexp, 0.0, x, out=out)
+            sig = b(np.maximum, x, -500.0, out=b.out(x.shape))
+            sig = b(np.minimum, sig, 500.0, out=sig)
+            sig = b(np.negative, sig, out=sig)
+            sig = b(np.exp, sig, out=sig)
+            sig = b(np.add, 1.0, sig, out=sig)
+            return y, b(np.divide, 1.0, sig, out=sig)
+
+        return self._pointwise(forward,
+                               lambda b, g, sig: b(np.multiply, g, sig, out=b.out(g.shape)))
 
     def abs(self) -> "Tensor":
-        return self._pointwise(lambda x, out: (np.abs(x, out=out), np.sign(x)),
-                               lambda g, sign: g * sign)
+        return self._pointwise(
+            lambda b, x, out: (b(np.abs, x, out=out), b(np.sign, x, out=b.out(x.shape))),
+            lambda b, g, sign: b(np.multiply, g, sign, out=b.out(g.shape)))
 
     def clip(self, lo: float, hi: float) -> "Tensor":
-        return self._pointwise(
-            lambda x, out: (np.minimum(np.maximum(x, lo), hi, out=out), (x >= lo) & (x <= hi)),
-            lambda g, mask: g * mask)
+        def forward(b, x, out):                    # and the mask (x ≥ lo) & (x ≤ hi)
+            y = b(np.maximum, x, lo, out=out)
+            y = b(np.minimum, y, hi, out=y)
+            inside = b(np.greater_equal, x, lo, out=b.out(x.shape, bool))
+            below = b(np.less_equal, x, hi, out=b.out(x.shape, bool))
+            return y, b(np.bitwise_and, inside, below, out=inside)
+
+        return self._pointwise(forward,
+                               lambda b, g, mask: b(np.multiply, g, mask, out=b.out(g.shape)))
 
     # ------------------------------------------------------------------
     # reductions
@@ -906,14 +1242,14 @@ class Tensor:
             summed = {a % self.ndim for a in (axis if isinstance(axis, tuple) else (axis,))}
             kept = tuple(1 if i in summed else s for i, s in enumerate(shape))
 
-        def backward(g):
-            grad = np.empty(shape)             # g, broadcast over the input
-            grad[...] = g if kept is None else g.reshape(kept)
+        def backward(b, g):
+            grad = b.empty(shape)                  # g, broadcast over the input
+            b(grad.__setitem__, Ellipsis, g if kept is None else b.reshape(g, kept))
             return (grad,)
 
-        return self._unary_op(
-            lambda out=None: np.add.reduce(self.data, axis=axis, keepdims=keepdims, out=out),
-            backward, fills=True)
+        return Tensor._op(
+            lambda b, out: b(np.add.reduce, self.data, axis=axis, keepdims=keepdims, out=out),
+            (self,), backward, fills=True)
 
     def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -925,21 +1261,29 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) / float(count)
 
     def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
+        shape = self.shape
         data = None
+        counted = shape if axis is None else tuple(
+            1 if i == axis % len(shape) else s for i, s in enumerate(shape))
 
-        def forward(out=None):
+        def forward(b, out):
             nonlocal data
-            data = self.data.max(axis=axis, keepdims=keepdims, out=out)
+            data = b(np.maximum.reduce, self.data, axis=axis, keepdims=keepdims, out=out)
             return data
 
-        def backward(g):
+        def backward(b, g):
             expanded = data if (keepdims or axis is None) else np.expand_dims(data, axis=axis)
-            mask = self.data == expanded
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
+            mask = b(np.equal, self.data, expanded, out=b.out(shape, bool))
+            if axis is None:
+                counts = b(np.add.reduce, mask, axis=None, out=b.out((), np.int64))
+            else:
+                counts = b(np.add.reduce, mask, axis=axis, keepdims=True,
+                           out=b.out(counted, np.int64))
             grad = g if (keepdims or axis is None) else np.expand_dims(g, axis=axis)
-            return (mask * grad / counts,)
+            grad = b(np.multiply, mask, grad, out=b.out(shape))
+            return (b(np.divide, grad, counts, out=grad),)
 
-        return self._unary_op(forward, backward, fills=True)
+        return Tensor._op(forward, (self,), backward, fills=True)
 
     # ------------------------------------------------------------------
     # shape manipulation & indexing
@@ -947,22 +1291,39 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        return self._unary_op(lambda: self.data.reshape(shape), _ReshapeAdjoint(self.shape))
+        return Tensor._op(lambda: self.data.reshape(shape), (self,),
+                          _ReshapeAdjoint(self.shape), view=True)
 
     def flatten(self) -> "Tensor":
         return self.reshape(-1)
 
     def transpose(self, axes: tuple[int, ...] | None = None) -> "Tensor":
         inverse = None if axes is None else tuple(np.argsort(axes))
-        return self._unary_op(lambda: self.data.transpose(axes),
-                              lambda g: (g.transpose(inverse),))
+        return Tensor._op(lambda: self.data.transpose(axes), (self,),
+                          lambda b, g: (g.transpose(inverse),), view=True)
 
     def __getitem__(self, index) -> "Tensor":
+        adjoint = _IndexAdjoint(index, self.shape)
+        if _basic(index):
+            view = _view_index(index)
+            return Tensor._op(lambda: self.data[view], (self,), adjoint, view=True)
         head, tail = _split_index(index)
+        rows = _row_ids(tail)
+        if rows is not None:
+            # A gather of rows (of a view, when the index splits): built
+            # by indexing, which checks ``rows``; a bound replay takes
+            # them into its buffer (``mode="wrap"``: numpy buffers ``out``
+            # under "raise").
+            def forward(b, out):
+                source = self.data if head is None else self.data[head]
+                if out is None:
+                    return source[rows]
+                return b(source.take, rows, axis=0, out=out, mode="wrap")
+
+            return Tensor._op(forward, (self,), adjoint, fills=True)
         if head is not None:                       # a view, then the array part
-            return self._unary_op(lambda: self.data[head][tail],
-                                  _IndexAdjoint(index, self.shape))
-        return self._unary_op(lambda: self.data[index], _IndexAdjoint(index, self.shape))
+            return Tensor._op(lambda: self.data[head][tail], (self,), adjoint)
+        return Tensor._op(lambda: self.data[index], (self,), adjoint)
 
     # ------------------------------------------------------------------
     # message-passing primitives (plan-backed: forward and adjoint both
@@ -986,23 +1347,22 @@ class Tensor:
             plan.check_shape(index.shape[0], shape[0])
         scatter = None
 
-        def adjoint() -> _Scatter:
+        def backward(b, g):
             nonlocal scatter
             if scatter is None:                    # the plan looked up once, then kept
                 scatter = _Scatter(plan if plan is not None else plan_for(index, shape[0]),
                                    shape)
-            return scatter
+            return (b.scatter(scatter, g, b.out(shape)),)
 
-        def forward(out=None):
+        def forward(b, out):
             # Building indexes, which checks ``index`` against the rows; a
             # bound replay, on the same shapes, gathers into its buffer
             # (``mode="wrap"``: numpy buffers ``out`` under "raise").
             if out is None:
                 return self.data[index]
-            return self.data.take(index, axis=0, out=out, mode="wrap")
+            return b(self.data.take, index, axis=0, out=out, mode="wrap")
 
-        forward.bind = lambda out: adjoint().bind()
-        return self._unary_op(forward, lambda g: ((scatter or adjoint())(g),), fills=True)
+        return Tensor._op(forward, (self,), backward, fills=True)
 
     def scatter_add(self, index: np.ndarray, num_rows: int,
                     plan: SegmentPlan | None = None) -> "Tensor":
@@ -1025,12 +1385,12 @@ class Tensor:
         else:
             plan.check_shape(index.shape[0], num_rows)
         scatter = _Scatter(plan, (num_rows,) + self.shape[1:])
+        shape = self.shape
 
-        def forward(out=None):
-            return scatter(self.data, out)
-
-        forward.bind = scatter.bind
-        return self._unary_op(forward, lambda g: (g[index],), fills=True)
+        return Tensor._op(
+            lambda b, out: b.scatter(scatter, self.data, out), (self,),
+            lambda b, g: (b(g.take, index, axis=0, out=b.out(shape), mode="wrap"),),
+            fills=True)
 
 
 def propagate(h: Tensor, cache, coeff: Tensor | None = None,
@@ -1087,77 +1447,63 @@ def propagate(h: Tensor, cache, coeff: Tensor | None = None,
     upstream = h.requires_grad or (coeff is not None and coeff.requires_grad)
     # Per-edge operands lead with the edge axis and broadcast over the
     # trailing axes of the messages.
+    gathered = (num_edges,) + h.shape[1:]
     coeff_shape = mask_shape = None
-    scaled_ndim = h.ndim
+    scaled_shape = gathered
     if coeff is not None:
         coeff_shape = coeff.shape + (1,) * (h.ndim - coeff.ndim)
-        scaled_ndim = max(h.ndim, len(coeff_shape))
+        scaled_shape = np.broadcast_shapes(gathered, coeff_shape)
     if mask is not None:
-        mask_shape = mask.shape + (1,) * (scaled_ndim - mask.ndim)
-    messages = np.broadcast_shapes((num_edges,) + h.shape[1:],
-                                   *(s for s in (coeff_shape, mask_shape) if s is not None))
+        mask_shape = mask.shape + (1,) * (len(scaled_shape) - mask.ndim)
+    messages = np.broadcast_shapes(scaled_shape, *(() if mask_shape is None else (mask_shape,)))
     # The scatter into the output rows, and the gather's adjoint back to
     # the rows ``h`` has, which a row-trimmed layer numbers apart.
     scatter = _Scatter(cache.dst_plan, (num_rows,) + messages[1:])
     adjoint = (_Scatter(cache.src_plan, (cache.src_plan.num_rows,) + messages[1:])
                if h.requires_grad else None)
     base = scaled = coeff_b = mask_b = None
-    # The per-epoch intermediates' own buffers, forward and backward,
-    # allocated when a plan binds this node; until then each call
-    # allocates them.
-    base_out = scaled_out = masked_out = g_out = None
 
-    def premask():
+    def premask(b):
         nonlocal base, scaled, coeff_b
         # Building indexes ``h.data[src]``, which checks ``src`` against
         # ``h``'s rows; a bound replay, on the same shapes, gathers into
         # its buffer (``mode="wrap"``: numpy buffers ``out`` under "raise").
-        base = scaled = (h.data[src] if base_out is None
-                         else h.data.take(src, axis=0, out=base_out, mode="wrap"))
+        buffer = b.out(gathered)
+        base = scaled = (h.data[src] if buffer is None
+                         else b(h.data.take, src, axis=0, out=buffer, mode="wrap"))
         if coeff is not None:
-            coeff_b = coeff.data.reshape(coeff_shape)
-            scaled = np.multiply(base, coeff_b, out=scaled_out)
+            coeff_b = b.reshape(coeff.data, coeff_shape)
+            scaled = b(np.multiply, base, coeff_b, out=b.out(scaled_shape))
 
-    def forward(out=None):
+    def forward(b, out):
         nonlocal mask_b
         if upstream:
-            premask()
+            premask(b)
         masked = scaled
         if mask is not None:
-            mask_b = mask.data.reshape(mask_shape)
-            masked = np.multiply(scaled, mask_b, out=masked_out)
-        return scatter(masked, out)
+            mask_b = b.reshape(mask.data, mask_shape)
+            masked = b(np.multiply, scaled, mask_b, out=b.out(messages))
+        return b.scatter(scatter, masked, out)
 
-    def bind(out):
-        nonlocal base_out, scaled_out, masked_out, g_out
-        scatter.bind(out)
-        if adjoint is not None:
-            adjoint.bind()
-        g_out = np.empty(messages)
-        if mask is not None:
-            masked_out = np.empty(messages)
-        if upstream:
-            base_out = np.empty((num_edges,) + h.shape[1:])
-            if coeff is not None:
-                scaled_out = np.empty(np.broadcast_shapes(base_out.shape, coeff_shape))
-
-    def backward(g):
-        # Adjoint of the scatter: this call's own array, or, bound, this
-        # node's buffer; the products below scale it in place.
-        g = g[dst] if g_out is None else g.take(dst, axis=0, out=g_out, mode="wrap")
+    def backward(b, g):
+        # Adjoint of the scatter, into an array of this step's own; the
+        # products below scale it in place.
+        g = b(g.take, dst, axis=0, out=b.out(messages), mode="wrap")
         h_grad = coeff_grad = mask_grad = None
         if mask is not None:
             if mask.requires_grad:
-                mask_grad = _reduce(g * scaled, mask_sum)
+                mask_grad = _reduce(b, b(np.multiply, g, scaled, out=b.out(messages)),
+                                    mask_sum)
             if upstream:
-                np.multiply(g, mask_b, out=g)
+                g = b(np.multiply, g, mask_b, out=g)
         if upstream:
             if coeff is not None:
                 if coeff.requires_grad:
-                    coeff_grad = _reduce(g * base, coeff_sum)
-                np.multiply(g, coeff_b, out=g)
+                    coeff_grad = _reduce(b, b(np.multiply, g, base, out=b.out(messages)),
+                                         coeff_sum)
+                g = b(np.multiply, g, coeff_b, out=g)
             if h.requires_grad:
-                h_grad = adjoint(g)                # adjoint of the gather
+                h_grad = b.scatter(adjoint, g, b.out(adjoint.shape))   # adjoint of the gather
         if coeff is None:
             return (h_grad,) if mask is None else (h_grad, mask_grad)
         return (h_grad, coeff_grad) if mask is None else (h_grad, coeff_grad, mask_grad)
@@ -1170,8 +1516,7 @@ def propagate(h: Tensor, cache, coeff: Tensor | None = None,
     if coeff is not None:
         coeff_sum = (_unbroadcast(messages, coeff_shape) or ((), ()))[:2] + (coeff.shape,)
     if not upstream:
-        premask()                                  # frozen: once, off the tape
-    forward.bind = bind
+        premask(EAGER)                             # frozen: once, off the tape
     return Tensor._op(forward, parents, backward, fills=True)
 
 
@@ -1193,34 +1538,22 @@ class _Scatter:
     ``shape = (num_rows, ...)`` by a :class:`SegmentPlan`, through the
     registry's ``scatter_add`` on the 2-D ``(A, W)`` payloads it takes.
 
-    Unbound, a call resolves the kernel and returns a new array, as
-    building an op does. :meth:`bind` resolves the kernel once — under the
-    backend active then — and, given the buffer a forward writes, that
-    buffer's 2-D view; a :class:`ForwardPlan` binds the scatters of the
-    ops it compiles, and a call with ``out`` then only runs the kernel
-    into it.
+    A call resolves the kernel and returns a new array, as building an op
+    does; a :class:`_Binder` binds it once instead
+    (:func:`~repro.sparse.kernels.scatter_add_steps`), under the backend
+    active then, over the 2-D views of its fixed input and output.
     """
 
-    __slots__ = ("plan", "shape", "width", "fn", "flat")
+    __slots__ = ("plan", "shape", "width")
 
     def __init__(self, plan: SegmentPlan, shape: tuple[int, ...]):
         self.plan = plan
         self.shape = shape
         self.width = math.prod(shape[1:])
-        self.fn = self.flat = None
 
-    def bind(self, out: np.ndarray | None = None) -> None:
-        self.fn = kernel("scatter_add")
-        if out is not None:
-            self.flat = out.reshape(self.shape[0], self.width)
-
-    def __call__(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, values: np.ndarray) -> np.ndarray:
         flat = values.reshape(values.shape[0], self.width)
-        if out is not None:                        # into the bound buffer
-            self.fn(self.plan, flat, out=self.flat)
-            return out
-        fn = self.fn or kernel("scatter_add")
-        return np.ascontiguousarray(fn(self.plan, flat)).reshape(self.shape)
+        return np.ascontiguousarray(kernel("scatter_add")(self.plan, flat)).reshape(self.shape)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -1236,8 +1569,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         slicers.append(tuple(slicer))
 
     return Tensor._op(
-        lambda out=None: np.concatenate([t.data for t in tensors], axis=axis, out=out),
-        tensors, lambda grad: tuple([grad[slicer] for slicer in slicers]), fills=True)
+        lambda b, out: b(np.concatenate, [t.data for t in tensors], axis=axis, out=out),
+        tensors, lambda b, grad: tuple([grad[slicer] for slicer in slicers]), fills=True)
 
 
 class SparseLeaf(Tensor):
@@ -1262,6 +1595,7 @@ class SparseLeaf(Tensor):
         self._backward = None
         self._forward = None
         self._fills = False
+        self._view = False
         self._parents = ()
         self._bcast = False
         self._retain = False

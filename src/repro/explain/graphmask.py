@@ -110,8 +110,9 @@ class GraphMask(GroupExplainer):
         noises = [[Tensor(np.zeros(m.graph.num_edges)) for _ in self.gates] for m in members]
 
         def refresh(epoch: int) -> None:
+            # In place: the compiled tape reads these arrays, not the tensors.
             for noise in (n for layer_noises in noises for n in layer_noises):
-                noise.data = self._logistic_noise(noise.shape)
+                noise.data[...] = self._logistic_noise(noise.shape)
 
         def losses():
             for member, noise in zip(members, noises):

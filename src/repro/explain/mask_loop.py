@@ -83,12 +83,14 @@ def learn_masks(params: Sequence[Tensor], step: Callable[[], Tensor], *, epochs:
     ``step()`` is called once, and its tape replayed for every later
     epoch, so it must compute everything that changes with ``params`` as
     ``Tensor`` ops on them. ``refresh(epoch)`` runs before each epoch and
-    sets the ``.data`` of frozen leaves that change per epoch. ``span_attrs``
-    annotate the ``optimize`` span. Returns the loss record as ``meta``
-    entries: ``final_loss``, ``loss_first``, ``loss_min``, ``loss_last``,
-    ``converged``, ``tape_nodes`` (the nodes each epoch replays) and
-    ``plan_nodes`` (the steps of the backward plan compiled from them),
-    both also on the span.
+    writes the frozen leaves that change per epoch in place
+    (``leaf.data[...] = value``): a compiled tape is bound to their
+    arrays, and a leaf given a new ``.data`` rebinds both plans on the
+    next replay. ``span_attrs`` annotate the ``optimize`` span. Returns
+    the loss record as ``meta`` entries: ``final_loss``, ``loss_first``,
+    ``loss_min``, ``loss_last``, ``converged``, ``tape_nodes`` (the nodes
+    each epoch replays) and ``plan_nodes`` (the steps of the backward plan
+    compiled from them), both also on the span.
     """
     optimizer = Adam(list(params), lr=lr)
     tape = Tape()

@@ -76,10 +76,11 @@ class PGExplainer(GroupExplainer):
         noises = [Tensor(np.zeros(m.graph.num_edges)) for m in members]
 
         def refresh(epoch: int) -> None:
-            temperature.data = np.asarray(max(0.5, self.temperature * (0.97 ** epoch)))
+            # In place: the compiled tape reads these arrays, not the tensors.
+            temperature.data[...] = max(0.5, self.temperature * (0.97 ** epoch))
             for noise in noises:
                 gumbel = self._rng.random(noise.size)
-                noise.data = np.log(gumbel + 1e-12) - np.log(1.0 - gumbel + 1e-12)
+                noise.data[...] = np.log(gumbel + 1e-12) - np.log(1.0 - gumbel + 1e-12)
 
         def losses():
             for member, feats, noise in zip(members, features, noises):

@@ -45,4 +45,7 @@ def global_max_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
         ties = np.maximum(segments(is_max.astype(np.float64), "scatter_add"), 1.0)
         return segments(np.where(is_max, x.data, 0.0), "scatter_add") / ties
 
-    return x._unary_op(forward, lambda g: ((g / ties)[batch] * is_max,))
+    def adjoint(g):
+        return (g / ties)[batch] * is_max
+
+    return Tensor._op(forward, (x,), lambda b, g: (b.new(adjoint, x.shape, g),))

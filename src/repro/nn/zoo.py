@@ -129,9 +129,15 @@ def get_model(dataset_name: str, conv: str, scale: float | None = None, seed: in
     model = build_model(conv, dataset.task, dataset.num_features, dataset.num_classes,
                         hidden=recipe.hidden, rng=seed)
     if use_cache and ckpt.exists():
-        model.load_state_dict(load_state_dict(ckpt))
-        model.eval()
-        return model, dataset, None
+        try:
+            model.load_state_dict(load_state_dict(ckpt))
+        except ModelError:
+            # Saved under another parameter layout (a renamed or re-nested
+            # layer): a cache miss, retrained and overwritten below.
+            pass
+        else:
+            model.eval()
+            return model, dataset, None
 
     with span(SPAN_MODEL_TRAIN, dataset=dataset_name, conv=conv) as sp:
         model, result = train_target_model(dataset, conv, recipe=recipe, seed=seed,

@@ -12,8 +12,9 @@ Ops (all 2-D; callers flatten trailing axes):
 ``scatter_add(plan, values, out=None)``
     ``(A, W) -> (N, W)`` segment sum over a :class:`~repro.sparse.structure.SegmentPlan`.
     Given ``out`` (a C-contiguous float64 ``(N, W)`` array), the kernel
-    zeroes it, fills it and returns it — the form a compiled forward
-    plan calls every epoch — with the bits it would return new.
+    zeroes it, fills it and returns it, with the bits it would return
+    new. :func:`scatter_add_steps` binds one such call, over arrays that
+    keep their addresses, once: the form a compiled tape runs every epoch.
 ``segment_max(plan, values)``
     ``(A, W) -> (N, W)`` segment max; empty segments yield ``-inf``.
 ``spmm(matrix, dense)``
@@ -57,6 +58,7 @@ Plugging a backend::
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -148,18 +150,47 @@ def _scipy_scatter_add(plan: SegmentPlan, values: np.ndarray,
         out.fill(0.0)
     if plan.num_items == 0:
         return out
-    # The routines ``plan.matrix @ values`` ends in (csr_matvec for one
-    # column, csr_matvecs for more), called without scipy's per-call
-    # dispatch: the same sums in the same order, into ``out``.
-    matrix = plan.matrix
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if width == 1:
-        _sparsetools.csr_matvec(rows, plan.num_items, matrix.indptr, matrix.indices,
-                                matrix.data, flat, out.ravel())
-    else:
-        _sparsetools.csr_matvecs(rows, plan.num_items, width, matrix.indptr,
-                                 matrix.indices, matrix.data, flat, out.ravel())
+    _csr_product(plan, width, flat, out.ravel())()
     return out
+
+
+def _csr_product(plan: SegmentPlan, width: int, flat: np.ndarray,
+                 dest: np.ndarray) -> Callable[[], None]:
+    """The routine ``plan.matrix @ values`` ends in (csr_matvec for one
+    column, csr_matvecs for more), bound to the flat ``values`` and
+    ``dest`` and called without scipy's per-call dispatch: the same sums
+    in the same order, added into ``dest``."""
+    matrix = plan.matrix
+    if width == 1:
+        return partial(_sparsetools.csr_matvec, plan.num_rows, plan.num_items,
+                       matrix.indptr, matrix.indices, matrix.data, flat, dest)
+    return partial(_sparsetools.csr_matvecs, plan.num_rows, plan.num_items, width,
+                   matrix.indptr, matrix.indices, matrix.data, flat, dest)
+
+
+def scatter_add_steps(plan: SegmentPlan, values: np.ndarray,
+                      out: np.ndarray) -> tuple[Callable[[], object], ...]:
+    """``scatter_add(plan, values, out=out)`` as zero-argument steps,
+    resolved once under the backend active now.
+
+    ``values`` ``(A, W)`` and ``out`` ``(N, W)`` are C-contiguous float64
+    arrays that keep their addresses while the steps are used. The scipy
+    kernel binds the two calls it ends in — zero ``out``, then
+    :func:`_csr_product` — with both flat views prepared here, so a run
+    pays none of its per-call checks. Any other
+    implementation the registry resolves (another backend, or a wrapper
+    registered over this one) is bound as one call of itself.
+    """
+    if not (values.flags.c_contiguous and out.flags.c_contiguous):
+        raise KernelError("bound scatter_add needs C-contiguous values and out")
+    fn = kernel("scatter_add")
+    if fn is not _scipy_scatter_add:
+        return (partial(fn, plan, values, out=out),)
+    zero = partial(out.fill, 0.0)
+    if plan.num_items == 0:
+        return (zero,)
+    return (zero, _csr_product(plan, values.shape[1], values.reshape(-1), out.reshape(-1)))
 
 
 def _scipy_segment_max(plan: SegmentPlan, values: np.ndarray) -> np.ndarray:

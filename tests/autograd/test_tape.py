@@ -12,11 +12,13 @@ dict-and-DFS backward the plan replaced, kept here as the oracle — on a
 fresh build. So must fan-out (accumulation order), retained interior
 nodes, non-scalar upstream gradients and repeated ``backward()`` calls.
 
-Buffers: a compiled tape replays through its forward plan, which writes
-most nodes into buffers it allocated once. Over several replays on
-changing leaves, every node's value must keep the bytes of the same node
-in a fresh build: two nodes writing one buffer would leave the earlier
-one holding the later one's values.
+Buffers: a compiled tape replays through bound steps over buffers it
+allocated once. Over several replays on leaves changed in place, every
+node's value must keep the bytes of the same node in a fresh build — two
+nodes writing one buffer would leave the earlier one holding the later
+one's values — and every node's ``.data``, bound gradient and the leaves'
+``.data`` must keep their addresses. A leaf whose ``.data`` is replaced
+instead makes the next replay bind the plans again.
 """
 
 import numpy as np
@@ -188,16 +190,16 @@ def test_compiled_replays_equal_fresh_builds_node_for_node(name, seed, ties):
     values = draw(specs, rng, ties)
     with Tape() as tape:
         leaves, _, loss = build(name, values)
-    tape.compile(loss, [leaf_ for leaf_ in leaves if leaf_.requires_grad])
+    plan = tape.compile(loss, [leaf_ for leaf_ in leaves if leaf_.requires_grad])
     loss.backward()
-    buffers = [(node, node.data) for node in tape.nodes if node._fills]
-    assert buffers                                # at least the weighting and the sum
+    addresses = [node.data.ctypes.data for node in tape.nodes + leaves]
+    grads = [grad.ctypes.data for _, grad in plan.grads]
     for _ in range(3):
         fresh_values = draw(specs, rng, ties)
         values = [b if kind != "frozen" else a
                   for a, b, (_, kind) in zip(values, fresh_values, specs)]
         for leaf_, value in zip(leaves, values):
-            leaf_.data = value
+            leaf_.data[...] = value                   # in place: the plans stay bound
             leaf_.zero_grad()
         tape.replay()
         loss.backward()
@@ -209,7 +211,8 @@ def test_compiled_replays_equal_fresh_builds_node_for_node(name, seed, ties):
         for mine, theirs in zip(tape.nodes, fresh_tape.nodes):
             assert bits(mine.data) == bits(theirs.data)
         assert_same_grads(leaves, fresh_leaves)
-        assert all(node.data is buffer for node, buffer in buffers)
+        assert [node.data.ctypes.data for node in tape.nodes + leaves] == addresses
+        assert [grad.ctypes.data for _, grad in plan.grads] == grads
 
 
 def test_recording_an_op_without_a_thunk_raises():
@@ -264,12 +267,12 @@ def reference_backward(root, seed):
             node._accumulate(grad)
         if node._backward is None:
             continue
-        for parent, contribution in zip(node._parents, node._backward(grad)):
+        for parent, contribution in zip(node._parents, node._backward(T.EAGER, grad)):
             if not parent.requires_grad:
                 continue
             reduction = T._unbroadcast(node.shape, parent.shape) if node._bcast else None
             if reduction is not None:
-                contribution = T._reduce(contribution, reduction)
+                contribution = T._reduce(T.EAGER, contribution, reduction)
             grads[parent] = grads[parent] + contribution if parent in grads else contribution
 
 
@@ -427,3 +430,39 @@ def test_compile_drops_what_cannot_reach_a_parameter():
     assert len(tape) == 5 and len(plan) == 3
     with pytest.raises(AutogradError, match="recorded"):
         tape.compile(Tensor(np.ones(1), requires_grad=True).sum(), [a])
+
+
+def shared(a, b):
+    """``x`` and ``y`` first receive one array, passed through a sum by
+    ``+``; then ``x`` takes further contributions, which must not be
+    added into the array ``y`` still holds."""
+    x, y = a.tanh(), b.tanh()
+    return (x * x).sum() + (x + y).sum() + (y * 3.0).sum()
+
+
+@pytest.mark.parametrize("build_", [
+    shared, lambda a, b: (b.tanh() * 3.0).sum() + (a.tanh() + b.tanh()).sum(),
+    lambda a, b: ((x := a.exp()) + b).sum() + (x * 2.0).sum(),
+    lambda a, b: (((p := a.tanh()) - p * 2.0) + b.tanh()).sum(),
+    lambda a, b: (((p := a.tanh()).reshape(12) - (p * 2.0).reshape(12))
+                  + b.tanh().reshape(12)).sum()],
+    ids=["two-then-one", "one-each", "shared-then-added", "shared-then-passed",
+         "shared-then-reshaped"])
+def test_an_array_two_slots_share_is_not_added_into(build_):
+    rng = np.random.default_rng(9)
+    values = [rng.normal(size=(3, 4)) for _ in range(2)]
+    leaves = [Tensor(v, requires_grad=True) for v in values]
+    with Tape() as tape:
+        loss = build_(*leaves)
+    tape.compile(loss, leaves)
+    for _ in range(3):                       # recorded, then replayed twice
+        for leaf_ in leaves:
+            leaf_.zero_grad()
+        loss.backward()
+        fresh = [Tensor(v, requires_grad=True) for v in values]
+        reference_backward(build_(*fresh), np.ones(()))
+        assert_same_grads(leaves, fresh)
+        values = [v * 0.5 + 0.125 for v in values]
+        for leaf_, value in zip(leaves, values):
+            leaf_.data[...] = value
+        tape.replay()

@@ -525,13 +525,14 @@ def test_a_finished_loop_frees_its_loss_and_plan(node_model, mini_ba_shapes, goo
 
 #: Python function calls one replayed factual Revelio epoch makes on the
 #: mini BA-Shapes motif node (replay, backward, Adam and the loop around
-#: them): 121 on CPython 3.11 with numpy 2.4 with the compiled forward
-#: plan and its ``replay`` span, 123 before them, 132 while the sigmoid
-#: and the backward seed went through numpy's Python wrappers
-#: (``np.clip``, ``np.where``, ``np.ones_like``), 264 before the compiled
-#: backward plan. The bound keeps the earlier margin of 13 for version
-#: drift.
-EPOCH_CALLS = 134
+#: them): 15 on CPython 3.11 with numpy 2.4 once the epoch is bound (each
+#: op's forward and backward bound numpy calls over fixed buffers), 121
+#: with the compiled forward plan and its ``replay`` span, 123 before
+#: them, 132 while the sigmoid and the backward seed went through numpy's
+#: Python wrappers (``np.clip``, ``np.where``, ``np.ones_like``), 264
+#: before the compiled backward plan. The bound keeps the earlier margin
+#: of 13 for version drift.
+EPOCH_CALLS = 28
 
 
 def test_a_replayed_epoch_makes_a_pinned_number_of_python_calls(

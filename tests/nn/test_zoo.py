@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
+from repro.graph import load_state_dict, save_state_dict
 from repro.nn import RECIPES, get_model
 from repro.nn.zoo import train_target_model
 from repro.nn.zoo import TrainRecipe, cache_dir
@@ -32,6 +33,23 @@ class TestGetModel:
         model2, ds2, result2 = get_model("tree_cycles", "gcn", scale=0.12, seed=0)
         assert result2 is None  # cache hit
         assert np.allclose(model1.head.weight.numpy(), model2.head.weight.numpy())
+
+    def test_a_checkpoint_of_another_layout_is_a_cache_miss(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        cold, _, _ = get_model("tree_cycles", "gcn", scale=0.12, seed=0)
+        ckpt = next(tmp_path.glob("tree_cycles_gcn_*.npz"))
+        # The same weights under renamed parameters, as a checkpoint saved
+        # before a layer attribute was renamed would hold them.
+        save_state_dict({f"old_{name}": value for name, value in cold.state_dict().items()},
+                        ckpt)
+        model, _, result = get_model("tree_cycles", "gcn", scale=0.12, seed=0)
+        assert result is not None                 # retrained, not a ModelError
+        expected = cold.state_dict()
+        assert {name: value.tobytes() for name, value in model.state_dict().items()} \
+            == {name: value.tobytes() for name, value in expected.items()}
+        assert set(load_state_dict(ckpt)) == set(expected)   # overwritten
+        _, _, again = get_model("tree_cycles", "gcn", scale=0.12, seed=0)
+        assert again is None
 
     def test_cache_key_depends_on_scale(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
